@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race smoke doclint allocgate chaos-soak scale-smoke restore-smoke daemon-smoke health-smoke vulncheck metrics-demo trace-demo
+.PHONY: check fmt vet build test race smoke doclint allocgate bench-smoke chaos-soak scale-smoke restore-smoke daemon-smoke health-smoke vulncheck metrics-demo trace-demo
 
 # The full gate: what CI (and a pre-commit run) should execute.
-check: fmt vet build test race smoke doclint allocgate
+check: fmt vet build test race smoke doclint allocgate bench-smoke
 
 # Formatting is part of the gate: fail loudly with the offending files
 # rather than letting gofmt drift accumulate.
@@ -53,6 +53,16 @@ allocgate:
 	$(GO) test -run 'TestDisabledRecorderZeroAlloc' -count=1 ./internal/obs/flight
 	$(GO) test -run 'TestPhaseClockZeroAllocWithoutRecorder|TestPhaseClockZeroAllocWatchdogDisabled|TestRoundHooksZeroAllocWhenDisabled' -count=1 ./internal/core
 	$(GO) test -run 'TestMembershipStateZeroAlloc' -count=1 ./internal/cluster
+
+# The repository benchmark (bench/, BENCHMARK.json) is its own module, so
+# the root `go vet ./...` and `go test ./...` never compile it. Its layer
+# probes call exported functions of internal packages directly; vetting and
+# smoke-running it here makes a root-module change that breaks one of those
+# calls fail in the gate rather than in the benchmark driver (~10 s: two
+# cycles of every workload, measuring nothing).
+bench-smoke:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 # Randomized elastic-membership churn (preempt/drain/rejoin racing saves
 # and loads) under the race detector. Seeded and bounded; TESTFLAGS=-short

@@ -130,9 +130,23 @@ func (c *Cluster) checkNode(node int) error {
 	return nil
 }
 
-// Store writes a blob into a node's host memory. Storing on a failed node
-// is an error: its memory does not exist.
+// Ownership rule: a stored blob is immutable and owned by the store (and
+// the garbage collector) from the moment it is handed over. Nothing writes
+// to it again — an overwrite installs a new slice and leaves the displaced
+// one to the GC — so a slice returned by View stays valid and unchanged for
+// as long as the caller holds it, with no lease or refcount, across later
+// stores, Fail and Replace.
+
+// Store copies a blob into a node's host memory; the caller keeps its
+// buffer. Storing on a failed node is an error: its memory does not exist.
 func (c *Cluster) Store(node int, key string, blob []byte) error {
+	return c.Adopt(node, key, append([]byte(nil), blob...))
+}
+
+// Adopt stores the slice itself — no copy, O(1) under the lock. Ownership
+// passes to the store: the caller must never write to blob again, and must
+// not recycle it through a buffer pool.
+func (c *Cluster) Adopt(node int, key string, blob []byte) error {
 	if err := c.checkNode(node); err != nil {
 		return err
 	}
@@ -141,16 +155,7 @@ func (c *Cluster) Store(node int, key string, blob []byte) error {
 	if c.state[node] == StateGone {
 		return fmt.Errorf("cluster: node %d is failed", node)
 	}
-	// Reuse the existing allocation when the key is overwritten in place
-	// (the steady-state save path rewrites the same keys every round). Safe
-	// because Load hands out copies, so no caller aliases the stored slice.
-	if dst := c.hostMem[node][key]; cap(dst) >= len(blob) {
-		dst = dst[:len(blob)]
-		copy(dst, blob)
-		c.hostMem[node][key] = dst
-	} else {
-		c.hostMem[node][key] = append([]byte(nil), blob...)
-	}
+	c.hostMem[node][key] = blob
 	if c.mStores != nil {
 		c.mStores[node].Inc()
 		c.mStoreBytes[node].Add(int64(len(blob)))
@@ -179,8 +184,19 @@ func (c *Cluster) Move(node int, srcKey, dstKey string) error {
 	return nil
 }
 
-// Load reads a blob from a node's host memory.
+// Load reads a private copy of a blob from a node's host memory.
 func (c *Cluster) Load(node int, key string) ([]byte, error) {
+	blob, err := c.View(node, key)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), blob...), nil
+}
+
+// View borrows a stored blob: the stored slice itself, no copy and no
+// allocation. The caller must treat it as read-only; by the ownership rule
+// it never changes underneath the caller.
+func (c *Cluster) View(node int, key string) ([]byte, error) {
 	if err := c.checkNode(node); err != nil {
 		return nil, err
 	}
@@ -197,7 +213,7 @@ func (c *Cluster) Load(node int, key string) ([]byte, error) {
 		c.mLoads[node].Inc()
 		c.mLoadBytes[node].Add(int64(len(blob)))
 	}
-	return append([]byte(nil), blob...), nil
+	return blob, nil
 }
 
 // Has reports whether the node holds the key (false on failed nodes).

@@ -64,6 +64,26 @@ func (s *SubCluster) Store(local int, key string, blob []byte) error {
 	return s.parent.Store(g, key, blob)
 }
 
+// Adopt stores the slice itself on the mapped parent node (see
+// Cluster.Adopt).
+func (s *SubCluster) Adopt(local int, key string, blob []byte) error {
+	g, err := s.global(local)
+	if err != nil {
+		return err
+	}
+	return s.parent.Adopt(g, key, blob)
+}
+
+// View borrows a stored blob from the mapped parent node (see
+// Cluster.View).
+func (s *SubCluster) View(local int, key string) ([]byte, error) {
+	g, err := s.global(local)
+	if err != nil {
+		return nil, err
+	}
+	return s.parent.View(g, key)
+}
+
 // Load reads from the mapped parent node.
 func (s *SubCluster) Load(local int, key string) ([]byte, error) {
 	g, err := s.global(local)

@@ -362,12 +362,17 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 	// is local host-memory work (no network), ordered so each node's
 	// manifest — the blob that announces the new version — lands last.
 	commitStart := time.Now()
-	if err := c.commitStaged(&lay.keys); err != nil {
+	c.commitMu.Lock()
+	err := c.commitStaged(&lay.keys)
+	if err == nil {
+		c.version.Store(int64(version))
+	}
+	c.commitMu.Unlock()
+	if err != nil {
 		fail(fmt.Errorf("core: commit v%d: %w", version, err))
 		return
 	}
 	commitTime := time.Since(commitStart)
-	c.version.Store(int64(version))
 	// The commit barrier is cluster-wide work (node -1 on the timeline).
 	c.cfg.Flight.Phase("save", -1, version, PhasePromote, commitStart, commitTime)
 

@@ -193,10 +193,19 @@ type HostStore interface {
 	WorkersPerNode() int
 	// Alive reports whether the node is up.
 	Alive(node int) bool
-	// Store writes a blob into a node's host memory.
+	// Store copies a blob into a node's host memory.
 	Store(node int, key string, blob []byte) error
-	// Load reads a blob from a node's host memory.
+	// Load reads a private copy of a blob from a node's host memory.
 	Load(node int, key string) ([]byte, error)
+	// Adopt stores the slice itself, without copying. From this call on
+	// the blob is immutable and owned by the store: the caller never
+	// writes to it again and never recycles it through a buffer pool.
+	Adopt(node int, key string, blob []byte) error
+	// View borrows the stored slice, without copying. Read-only; by the
+	// hand-off rule above it never changes underneath the caller.
+	View(node int, key string) ([]byte, error)
+	// Move renames a blob within a node's host memory without copying it.
+	Move(node int, srcKey, dstKey string) error
 	// Has reports whether the node holds the key.
 	Has(node int, key string) bool
 	// Delete removes a blob (a no-op for missing keys).
@@ -206,11 +215,6 @@ type HostStore interface {
 var (
 	_ HostStore = (*cluster.Cluster)(nil)
 	_ HostStore = (*cluster.SubCluster)(nil)
-)
-
-var (
-	_ blobMover = (*cluster.Cluster)(nil)
-	_ blobMover = (*cluster.SubCluster)(nil)
 )
 
 // Checkpointer is the ECCheck engine bound to a cluster, a network and an
@@ -238,6 +242,13 @@ type Checkpointer struct {
 	// goroutine), so it is atomic: Version() is safe to poll while a
 	// SaveAsync drains.
 	version atomic.Int64
+
+	// commitMu makes a save round's commit — the rename of its staged blobs
+	// onto the final keys plus the version bump — atomic with respect to
+	// recoveries: Load and LoadPartial hold it shared for the whole round,
+	// so a recovery racing a SaveAsync drain reads one checkpoint version,
+	// never a mixture. Uncontended (and free) unless the two overlap.
+	commitMu sync.RWMutex
 
 	// Lifecycle state: exactly one save round (Save, SaveAsync or
 	// SaveIncremental) may be in flight at a time, and Close must be able
@@ -614,6 +625,11 @@ func (c *Checkpointer) Close() error {
 	}
 	c.lc.mu.Unlock()
 
+	// Cancel the loads before waiting for the save: a drain at its commit
+	// point waits for running recoveries to release the commit lock.
+	for _, r := range loads {
+		r.cancel()
+	}
 	var aborted []string
 	if save != nil {
 		save.abort()
@@ -621,9 +637,6 @@ func (c *Checkpointer) Close() error {
 		if save.Err() != nil {
 			aborted = append(aborted, "save")
 		}
-	}
-	for _, r := range loads {
-		r.cancel()
 	}
 	// Like the save path above, only report loads that actually ended in an
 	// error: a round that finished before the cancellation landed is not
@@ -662,16 +675,27 @@ func (c *Checkpointer) scalarMulPooled(coef int, dst, src []byte) error {
 	return c.pool.RunSchedule(sched, [][]byte{src}, [][]byte{dst})
 }
 
-// store writes a blob into a node's host memory with a CRC32 footer, so
-// silent corruption is detectable when the blob is next fetched.
+// store writes a copy of a blob into a node's host memory with a CRC32
+// footer, so silent corruption is detectable when the blob is next fetched.
+// For small blobs and buffers the caller goes on using; payload-sized
+// producers build their bytes in a cluster.NewBlob and adopt it instead.
 func (c *Checkpointer) store(node int, key string, blob []byte) error {
 	return cluster.StoreSummed(c.clus, node, key, blob)
 }
 
-// fetch reads a checksummed blob, verifying its footer. Mismatches wrap
+// adopt seals blob's CRC32 footer in place and hands the slice itself to
+// the node's host memory — no copy. blob must come from cluster.NewBlob;
+// after the call it is immutable and store-owned: never written, never
+// returned to the buffer pool.
+func (c *Checkpointer) adopt(node int, key string, blob []byte) error {
+	return cluster.AdoptSummed(c.clus, node, key, blob)
+}
+
+// fetch borrows a checksummed blob, verifying its footer: the result is the
+// stored payload itself and must not be written. Mismatches wrap
 // cluster.ErrChecksum and are treated by recovery as erasures.
 func (c *Checkpointer) fetch(node int, key string) ([]byte, error) {
-	return cluster.FetchSummed(c.clus, node, key)
+	return cluster.ViewSummed(c.clus, node, key)
 }
 
 // endpoint returns the node's transport endpoint with the configured
@@ -868,39 +892,13 @@ func (c *Checkpointer) checkpointKeys(node int) []string {
 // complete new one. Commit is pure local host-memory work — no network —
 // and a node that dies inside this window loses its whole memory anyway,
 // which the erasure code absorbs like any machine failure.
-// blobMover is the optional fast path for commitStaged: a host store that
-// can promote a staged blob by renaming it instead of copying it.
-// cluster.Cluster and cluster.SubCluster implement it.
-type blobMover interface {
-	Move(node int, srcKey, dstKey string) error
-}
-
 func (c *Checkpointer) commitStaged(keys *keyTable) error {
-	mover, canMove := c.clus.(blobMover)
 	for node := 0; node < c.cfg.Topo.Nodes(); node++ {
-		if canMove {
-			// Rename staged blobs in key order (manifest last): zero-copy
-			// and leaves no staging keys behind.
-			for i, key := range keys.commit[node] {
-				if err := mover.Move(node, keys.staged[node][i], key); err != nil {
-					return fmt.Errorf("core: node %d commit %q: %w", node, key, err)
-				}
-			}
-			continue
-		}
+		// Rename staged blobs in key order (manifest last): zero-copy and
+		// leaves no staging keys behind.
 		for i, key := range keys.commit[node] {
-			// Raw load/store: the staged blob already carries its footer.
-			blob, err := c.clus.Load(node, keys.staged[node][i])
-			if err != nil {
+			if err := c.clus.Move(node, keys.staged[node][i], key); err != nil {
 				return fmt.Errorf("core: node %d commit %q: %w", node, key, err)
-			}
-			if err := c.clus.Store(node, key, blob); err != nil {
-				return fmt.Errorf("core: node %d commit %q: %w", node, key, err)
-			}
-		}
-		for i, key := range keys.commit[node] {
-			if err := c.clus.Delete(node, keys.staged[node][i]); err != nil {
-				return fmt.Errorf("core: node %d unstage %q: %w", node, key, err)
 			}
 		}
 	}
@@ -935,7 +933,7 @@ func (c *Checkpointer) CorruptChunkByte(node int) error {
 		return fmt.Errorf("core: corrupt node %d: %w", node, err)
 	}
 	raw[len(raw)/2] ^= 0x01
-	return c.clus.Store(node, key, raw)
+	return c.clus.Adopt(node, key, raw)
 }
 
 func remoteKey(prefix string, version, rank int) string {

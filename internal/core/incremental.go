@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"eccheck/internal/cluster"
 	"eccheck/internal/gf"
 	"eccheck/internal/statedict"
 )
@@ -236,7 +237,9 @@ func (c *Checkpointer) nodeIncrementalSave(ctx context.Context, node, version, p
 		}
 	}
 
-	// Load this node's chunk segments for in-place update.
+	// Copy this node's chunk segments for in-place update: the deltas are
+	// XORed into a private copy (stored blobs are immutable), which host
+	// memory adopts back once every update is applied.
 	span := topo.World() / c.cfg.K
 	chunkSegs := make([][]byte, span)
 	for s := 0; s < span; s++ {
@@ -244,7 +247,8 @@ func (c *Checkpointer) nodeIncrementalSave(ctx context.Context, node, version, p
 		if err != nil {
 			return 0, 0, err
 		}
-		chunkSegs[s] = blob
+		chunkSegs[s] = cluster.NewBlob(len(blob))
+		copy(chunkSegs[s], blob)
 	}
 
 	var (
@@ -398,8 +402,9 @@ func (c *Checkpointer) nodeIncrementalSave(ctx context.Context, node, version, p
 		}
 
 		// Refresh the cache and the broadcast small components (metadata
-		// such as the iteration counter changes every step).
-		if err := c.store(node, keyOwnPacket(w), newPacket); err != nil {
+		// such as the iteration counter changes every step). The diff loop
+		// above only read the new packet, so it is handed over as it is.
+		if err := c.adopt(node, keyOwnPacket(w), newPacket); err != nil {
 			return 0, 0, err
 		}
 		for peer := 0; peer < topo.Nodes(); peer++ {
@@ -455,7 +460,7 @@ func (c *Checkpointer) nodeIncrementalSave(ctx context.Context, node, version, p
 
 	// Persist the updated chunk and bump the manifest.
 	for s := 0; s < span; s++ {
-		if err := c.store(node, keySegment(myChunk, s), chunkSegs[s]); err != nil {
+		if err := c.adopt(node, keySegment(myChunk, s), chunkSegs[s]); err != nil {
 			return 0, 0, err
 		}
 	}

@@ -47,6 +47,9 @@ type recoverySpec struct {
 	needSmall []bool
 	// smallSource is the node that re-broadcasts small components.
 	smallSource int
+	// scan is the per-node availability scan; nodeLoad serves an intact
+	// chunk from the segment views it verified (nodeScan.segs).
+	scan []nodeScan
 	// fetched accumulates the bytes every goroutine in the round reads
 	// from host memory, feeding LoadReport.BytesFetched.
 	fetched *atomic.Int64
@@ -67,6 +70,10 @@ func (c *Checkpointer) Load(ctx context.Context) (outDicts []*statedict.StateDic
 	if err := c.waitInflightSave(ctx); err != nil {
 		return nil, nil, err
 	}
+	// A SaveAsync may start while this round runs; holding the commit lock
+	// shared keeps its commit from landing mid-recovery.
+	c.commitMu.RLock()
+	defer c.commitMu.RUnlock()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	unregister, err := c.registerLoad(cancel)
@@ -116,86 +123,11 @@ func (c *Checkpointer) Load(ctx context.Context) (outDicts []*statedict.StateDic
 		}
 	}
 
-	// Assess chunk availability from host memory. Every blob is fetched
-	// through its checksum: a silently corrupted segment, manifest or
-	// small component is indistinguishable from a lost one, so corruption
-	// is folded into the erasure model — the chunk counts as missing and
-	// is rebuilt through the code.
-	span := topo.World() / c.cfg.K
-	world := topo.World()
-	type nodeState struct {
-		manifestOK bool
-		chunkOK    bool
-		smallsOK   bool
-		corrupt    bool // at least one checksum mismatch on this node
-		version    int
-		packet     int
-		bufSize    int
-	}
-	states := make([]nodeState, n)
 	fetched := new(atomic.Int64)
-	var corrupt atomic.Int64
-	checksumMiss := func(st *nodeState, node int, key string, err error) {
-		if errors.Is(err, cluster.ErrChecksum) {
-			corrupt.Add(1)
-			st.corrupt = true
-			// Corruption handled as an erasure is exactly the event an
-			// operator wants on the timeline: which node, which blob.
-			c.cfg.Flight.Corruption(node, key)
-		}
-	}
-	// The scan checksums every blob on every node, which made it the
-	// dominant serial cost of recovery. Nodes are independent — each
-	// goroutine only writes its own nodeState slot — so the scan runs one
-	// worker per node and the wall-clock cost is one node's checksum pass,
-	// not the fleet's.
-	scanErrs := make([]error, n)
-	var scanWG sync.WaitGroup
-	for node := 0; node < n; node++ {
-		scanWG.Add(1)
-		go func(node int) {
-			defer scanWG.Done()
-			st := &states[node]
-			blob, err := c.fetchN(node, keyManifest(), fetched)
-			if err != nil {
-				checksumMiss(st, node, keyManifest(), err)
-				return // no usable manifest: the node's checkpoint is lost
-			}
-			v, p, b, err := parseManifest(blob)
-			if err != nil {
-				scanErrs[node] = err
-				return
-			}
-			st.manifestOK = true
-			st.version, st.packet, st.bufSize = v, p, b
-			chunk := lay.plan.ChunkOfNode[node]
-			st.chunkOK = true
-			for s := 0; s < span; s++ {
-				if _, err := c.fetchN(node, keySegment(chunk, s), fetched); err != nil {
-					st.chunkOK = false
-					checksumMiss(st, node, keySegment(chunk, s), err)
-					break
-				}
-			}
-			st.smallsOK = true
-			for rank := 0; rank < world && st.smallsOK; rank++ {
-				if _, err := c.fetchN(node, keySmallMeta(rank), fetched); err != nil {
-					st.smallsOK = false
-					checksumMiss(st, node, keySmallMeta(rank), err)
-					break
-				}
-				if _, err := c.fetchN(node, keySmallKeys(rank), fetched); err != nil {
-					st.smallsOK = false
-					checksumMiss(st, node, keySmallKeys(rank), err)
-				}
-			}
-		}(node)
-	}
-	scanWG.Wait()
-	if err := errors.Join(scanErrs...); err != nil {
+	states, corruptBlobs, err := c.scanNodes(lay, fetched)
+	if err != nil {
 		return nil, nil, err
 	}
-	corruptBlobs := int(corrupt.Load())
 	latest := 0
 	for node := 0; node < n; node++ {
 		if st := states[node]; st.manifestOK && st.chunkOK && st.version > latest {
@@ -248,6 +180,7 @@ func (c *Checkpointer) Load(ctx context.Context) (outDicts []*statedict.StateDic
 		missing:     missingChunks,
 		needSmall:   make([]bool, n),
 		smallSource: -1,
+		scan:        states,
 		fetched:     fetched,
 	}
 	if workflow == "replacement" {
@@ -357,6 +290,102 @@ func (c *Checkpointer) Load(ctx context.Context) (outDicts []*statedict.StateDic
 	return dicts, report, nil
 }
 
+// nodeScan is what the availability scan learned about one node.
+type nodeScan struct {
+	manifestOK bool
+	chunkOK    bool
+	smallsOK   bool
+	corrupt    bool // at least one checksum mismatch on this node
+	version    int
+	packet     int
+	bufSize    int
+	// segs are the node's verified chunk segments: borrowed views of host
+	// memory, read-only. nodeLoad serves an intact chunk from them, so each
+	// segment is checksummed once per round and the round reads the bytes
+	// the scan judged, whatever is stored meanwhile.
+	segs [][]byte
+}
+
+// scanNodes assesses chunk availability from host memory. Every blob is
+// read through its checksum: a silently corrupted segment, manifest or
+// small component is indistinguishable from a lost one, so corruption is
+// folded into the erasure model — the chunk counts as missing and is
+// rebuilt through the code. It returns the per-node findings and the number
+// of blobs that failed verification.
+//
+// The scan checksums every blob on every node, which made it the dominant
+// serial cost of recovery. Nodes are independent — each goroutine only
+// writes its own nodeScan slot — so the scan runs one worker per node and
+// the wall-clock cost is one node's checksum pass, not the fleet's. It
+// reads through borrowed views: no blob is copied, and what it allocates is
+// O(keys), not O(bytes).
+func (c *Checkpointer) scanNodes(lay *layout, fetched *atomic.Int64) ([]nodeScan, int, error) {
+	n := c.cfg.Topo.Nodes()
+	world := c.cfg.Topo.World()
+	span := world / c.cfg.K
+	states := make([]nodeScan, n)
+	var corrupt atomic.Int64
+	checksumMiss := func(st *nodeScan, node int, key string, err error) {
+		if errors.Is(err, cluster.ErrChecksum) {
+			corrupt.Add(1)
+			st.corrupt = true
+			// Corruption handled as an erasure is exactly the event an
+			// operator wants on the timeline: which node, which blob.
+			c.cfg.Flight.Corruption(node, key)
+		}
+	}
+	scanErrs := make([]error, n)
+	var scanWG sync.WaitGroup
+	for node := 0; node < n; node++ {
+		scanWG.Add(1)
+		go func(node int) {
+			defer scanWG.Done()
+			st := &states[node]
+			blob, err := c.fetchN(node, keyManifest(), fetched)
+			if err != nil {
+				checksumMiss(st, node, keyManifest(), err)
+				return // no usable manifest: the node's checkpoint is lost
+			}
+			v, p, b, err := parseManifest(blob)
+			if err != nil {
+				scanErrs[node] = err
+				return
+			}
+			st.manifestOK = true
+			st.version, st.packet, st.bufSize = v, p, b
+			chunk := lay.plan.ChunkOfNode[node]
+			st.chunkOK = true
+			st.segs = make([][]byte, span)
+			for s := 0; s < span; s++ {
+				seg, err := c.fetchN(node, keySegment(chunk, s), fetched)
+				if err != nil {
+					st.chunkOK = false
+					checksumMiss(st, node, keySegment(chunk, s), err)
+					break
+				}
+				st.segs[s] = seg
+			}
+			st.smallsOK = true
+			for rank := 0; rank < world && st.smallsOK; rank++ {
+				if _, err := c.fetchN(node, keySmallMeta(rank), fetched); err != nil {
+					st.smallsOK = false
+					checksumMiss(st, node, keySmallMeta(rank), err)
+					break
+				}
+				if _, err := c.fetchN(node, keySmallKeys(rank), fetched); err != nil {
+					st.smallsOK = false
+					checksumMiss(st, node, keySmallKeys(rank), err)
+				}
+			}
+		}(node)
+	}
+	scanWG.Wait()
+	if err := errors.Join(scanErrs...); err != nil {
+		return nil, 0, err
+	}
+	return states, int(corrupt.Load()), nil
+}
+
 // fetchN reads a checksummed blob like fetch and additionally credits its
 // size to the round's fetched-byte counter. A nil counter skips the
 // accounting (paths that predate byte budgeting, e.g. remote persistence).
@@ -460,20 +489,17 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, spec *recoverySpe
 		return plan.ParityNodes[chunk-c.cfg.K]
 	}
 
-	// Load (or prepare to rebuild) this node's chunk segments.
-	chunkSegs := make([][]byte, span)
-	if missingPos == -1 {
-		for s := 0; s < span; s++ {
-			seg, err := c.fetchN(node, keySegment(myChunk, s), spec.fetched)
-			if err != nil {
-				return nil, nil, err
-			}
-			chunkSegs[s] = seg
-		}
-	} else {
+	// This node's chunk segments: an intact chunk is served from the views
+	// the scan verified (read-only); a missing one is rebuilt into fresh —
+	// and therefore zero — buffers the rebuild XOR-accumulates into, which
+	// host memory adopts once it is done.
+	chunkSegs := spec.scan[node].segs
+	var segCRC []uint32 // running checksums of the segments being rebuilt
+	if missingPos != -1 {
+		chunkSegs = make([][]byte, span)
+		segCRC = make([]uint32, span)
 		for s := range chunkSegs {
-			// Zeroed: the rebuild below XOR-accumulates into these.
-			chunkSegs[s] = c.buf.GetZeroed(packetBytes)
+			chunkSegs[s] = cluster.NewBlob(packetBytes)
 		}
 	}
 	pc.Switch(PhaseRebuild)
@@ -516,6 +542,9 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, spec *recoverySpe
 							return
 						}
 					}
+					// The slice is final and still cache-hot: fold it into
+					// the segment's checksum now (slices finish in order).
+					segCRC[s] = cluster.Checksum(segCRC[s], chunkSegs[s][lo:hi])
 				}
 			}
 		}()
@@ -550,9 +579,11 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, spec *recoverySpe
 	if missingPos != -1 {
 		// Persist the rebuilt chunk: fault tolerance is restored. Segments
 		// land before the manifest, so the node's checkpoint becomes
-		// visible at the recovered version only once it is complete.
+		// visible at the recovered version only once it is complete. The
+		// rebuild goroutine has exited, so the buffers are handed over as
+		// they are; everything below only reads them.
 		for s := 0; s < span; s++ {
-			if err := c.store(node, keySegment(myChunk, s), chunkSegs[s]); err != nil {
+			if err := cluster.AdoptSealed(c.clus, node, keySegment(myChunk, s), chunkSegs[s], segCRC[s]); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -666,13 +697,6 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, spec *recoverySpe
 			return nil, nil, err
 		}
 		out[w] = sd
-	}
-	// Rebuilt segments were persisted (store copies) and every consumer
-	// above copied out of them; recycle on the success path only.
-	if missingPos != -1 {
-		for s := range chunkSegs {
-			c.buf.Put(chunkSegs[s])
-		}
 	}
 	return out, pc.Stop(), nil
 }

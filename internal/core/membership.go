@@ -163,7 +163,7 @@ func (c *Checkpointer) shipBlobs(ctx context.Context, srcNode, dstNode int, pair
 	sendErr := make(chan error, 1)
 	go func() {
 		for i, pair := range pairs {
-			blob, lerr := c.clus.Load(srcNode, pair[0])
+			blob, lerr := c.clus.View(srcNode, pair[0]) // Send copies
 			if lerr != nil {
 				// Absent at the source (e.g. an own-packet cache a prior
 				// recovery did not refresh): flag and move on.
@@ -433,7 +433,7 @@ func (c *Checkpointer) repairLocked(ctx context.Context, node int) (*JoinReport,
 		// SaveIncremental then falls back to a full round, exactly as it
 		// would have without the dedup.
 		for ownKey, segKey := range record.derived {
-			if blob, lerr := c.clus.Load(node, segKey); lerr == nil {
+			if blob, lerr := c.clus.View(node, segKey); lerr == nil {
 				if serr := c.clus.Store(node, ownKey, blob); serr != nil {
 					return rep, fmt.Errorf("core: rebuild own-packet cache %q on node %d: %w", ownKey, node, serr)
 				}

@@ -1,0 +1,229 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"eccheck/internal/cluster"
+	"eccheck/internal/statedict"
+)
+
+// The engine hands finished buffers to host memory instead of copying them
+// in, and reads them back as borrowed views. These tests pin the hand-off
+// rule that makes that safe: a stored blob is immutable from the moment it
+// is handed over, so no later round, failure or replacement can change the
+// bytes behind a view.
+
+// stampVersion clones dicts as checkpoint content number i: every rank's
+// iteration counter and the edges of its first tensor carry i, so a
+// recovered cluster state names the version each rank came from.
+func stampVersion(dicts []*statedict.StateDict, i int) []*statedict.StateDict {
+	out := make([]*statedict.StateDict, len(dicts))
+	for rank, sd := range dicts {
+		out[rank] = sd.Clone()
+		out[rank].SetMeta("iteration", statedict.Int(int64(i)))
+		data := out[rank].TensorEntries()[0].Tensor.Data()
+		data[0], data[len(data)-1] = byte(i), byte(i)
+	}
+	return out
+}
+
+func TestViewSurvivesLaterCommitFailAndReplace(t *testing.T) {
+	rig := newRig(t, 4, 2, 2, 2, func(c *Config) { c.RemotePersistEvery = -1 })
+	ctx := context.Background()
+	if _, err := rig.ckpt.Save(ctx, rig.dicts); err != nil {
+		t.Fatal(err)
+	}
+	node := rig.ckpt.Plan().DataNodes[0]
+	key := keySegment(rig.ckpt.Plan().ChunkOfNode[node], 0)
+	view, err := rig.ckpt.fetch(node, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(nil), view...)
+
+	next := stampVersion(rig.dicts, 2)
+	if _, err := rig.ckpt.Save(ctx, next); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(view, want) {
+		t.Fatal("a later Save commit changed the bytes behind a borrowed view")
+	}
+	if now, err := rig.ckpt.fetch(node, key); err != nil || bytes.Equal(now, want) {
+		t.Fatalf("segment did not change across the commit (err %v): the test is not exercising an overwrite", err)
+	}
+	if err := rig.clus.Fail(node); err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.clus.Replace(node); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := rig.ckpt.Load(ctx) // rebuilds the chunk onto the fresh machine
+	if err != nil {
+		t.Fatal(err)
+	}
+	dictsEqual(t, next, got)
+	if !bytes.Equal(view, want) {
+		t.Fatal("Fail, Replace and the rebuild changed the bytes behind a borrowed view")
+	}
+}
+
+// TestConcurrentLoadAndSaveAsyncNeverMixVersions runs recoveries against a
+// stream of asynchronous saves. Every recovered cluster state must be
+// exactly one of the saved versions — never ranks from two of them — and
+// the race detector must stay quiet about the borrowed views.
+func TestConcurrentLoadAndSaveAsyncNeverMixVersions(t *testing.T) {
+	rig := newRig(t, 4, 2, 2, 2, func(c *Config) { c.RemotePersistEvery = -1 })
+	ctx := context.Background()
+	rounds := 12
+	if testing.Short() {
+		rounds = 5
+	}
+	versions := make([][]*statedict.StateDict, rounds+1)
+	for i := range versions {
+		versions[i] = stampVersion(rig.dicts, i)
+	}
+	if _, err := rig.ckpt.Save(ctx, versions[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	saverDone := make(chan struct{})
+	go func() {
+		defer close(saverDone)
+		for i := 1; i <= rounds; i++ {
+			h, err := rig.ckpt.SaveAsync(ctx, versions[i])
+			if err != nil {
+				t.Errorf("SaveAsync %d: %v", i, err)
+				return
+			}
+			if _, err := h.Wait(ctx); err != nil {
+				t.Errorf("drain %d: %v", i, err)
+				return
+			}
+		}
+	}()
+
+	loads := 0
+	for running := true; running; {
+		select {
+		case <-saverDone:
+			running = false // one last load after the final commit
+		default:
+		}
+		got, _, err := rig.ckpt.Load(ctx)
+		if err != nil {
+			t.Fatalf("load %d: %v", loads, err)
+		}
+		loads++
+		iter, ok := got[0].Meta("iteration")
+		if !ok {
+			t.Fatal("recovered rank 0 has no iteration counter")
+		}
+		v, err := iter.AsInt()
+		if err != nil || v < 0 || int(v) > rounds {
+			t.Fatalf("recovered iteration %v (%v) is not a saved version", v, err)
+		}
+		for rank := range got {
+			if !got[rank].Equal(versions[v][rank]) {
+				t.Fatalf("load %d: rank 0 is version %d but rank %d is not: version mixture", loads, v, rank)
+			}
+		}
+		if !running && int(v) != rounds {
+			t.Errorf("final load recovered version %d, want %d", v, rounds)
+		}
+	}
+}
+
+// TestEveryStoredKeyVerifiesAfterRounds: after full saves, delta saves and a
+// rebuilding recovery, every blob in host memory still carries a checksum
+// that matches its bytes, parity still matches data, and no staging key
+// outlived its round — nothing wrote to a segment after it was sealed.
+func TestEveryStoredKeyVerifiesAfterRounds(t *testing.T) {
+	rig := incrementalRig(t)
+	ctx := context.Background()
+	dicts := rig.dicts
+	for i := 1; i <= 6; i++ {
+		dicts = stampVersion(rig.dicts, i)
+		if i%3 == 0 {
+			if _, err := rig.ckpt.SaveIncremental(ctx, dicts); err != nil {
+				t.Fatalf("round %d: %v", i, err)
+			}
+		} else if _, err := rig.ckpt.Save(ctx, dicts); err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+	}
+	victim := rig.ckpt.Plan().ParityNodes[0]
+	if err := rig.clus.Fail(victim); err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.clus.Replace(victim); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := rig.ckpt.Load(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dictsEqual(t, dicts, got)
+
+	for node := 0; node < rig.topo.Nodes(); node++ {
+		keys := rig.clus.Keys(node)
+		if len(keys) == 0 {
+			t.Errorf("node %d holds no blobs", node)
+		}
+		for _, key := range keys {
+			if strings.HasPrefix(key, stagePrefix) {
+				t.Errorf("node %d: staging key %q outlived its round", node, key)
+			}
+			if _, err := cluster.FetchSummed(rig.clus, node, key); err != nil {
+				t.Errorf("node %d key %q: %v", node, key, err)
+			}
+		}
+	}
+	rep, err := rig.ckpt.VerifyIntegrity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.CorruptSegments) != 0 {
+		t.Errorf("parity mismatch on segments %v", rep.CorruptSegments)
+	}
+}
+
+// TestLoadScanAllocatesPerKeyNotPerByte: the availability scan verifies
+// every blob in place, so what it allocates scales with the number of keys
+// (key strings, per-node bookkeeping), not with the bytes it checksums.
+func TestLoadScanAllocatesPerKeyNotPerByte(t *testing.T) {
+	rig := newRig(t, 4, 2, 2, 2)
+	if _, err := rig.ckpt.Save(context.Background(), rig.dicts); err != nil {
+		t.Fatal(err)
+	}
+	keys, stored := 0, 0
+	for node := 0; node < rig.topo.Nodes(); node++ {
+		keys += len(rig.clus.Keys(node))
+		stored += rig.clus.MemoryBytes(node)
+	}
+	const perKey = 1 << 10
+	if stored < 16*perKey*keys {
+		t.Fatalf("checkpoint of %d bytes over %d keys is too small to tell O(keys) from O(bytes)", stored, keys)
+	}
+	lay := rig.ckpt.layout()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	states, corrupt, err := rig.ckpt.scanNodes(lay, new(atomic.Int64))
+	runtime.ReadMemStats(&after)
+	if err != nil || corrupt != 0 {
+		t.Fatalf("scan: %d corrupt blobs, err %v", corrupt, err)
+	}
+	for node, st := range states {
+		if !st.manifestOK || !st.chunkOK || !st.smallsOK {
+			t.Errorf("node %d scanned as %+v, want fully intact", node, st)
+		}
+	}
+	if delta := after.TotalAlloc - before.TotalAlloc; delta > uint64(perKey*keys) {
+		t.Errorf("scan of %d bytes in %d keys allocated %d bytes, want <= %d (O(keys))",
+			stored, keys, delta, perKey*keys)
+	}
+}

@@ -99,12 +99,16 @@ func (c *Checkpointer) forEachBounded(n int, fn func(i int)) {
 
 // decodeSegment centrally rebuilds one segment of a lost chunk: it gathers
 // the same-index segment from k other chunks whose owners still serve the
-// target version and applies the decode transform. Unlike Load's
-// distributed rebuild, only the k · segment bytes the caller actually
-// needs are fetched — nothing cluster-wide, nothing persisted. okAt
-// reports whether a candidate chunk is believed intact; candidates that
-// fail anyway (lost since the scan) are skipped in favor of the next.
-func (c *Checkpointer) decodeSegment(lay *layout, okAt func(chunk int) bool, chunk, seg, packetBytes int, fetched *atomic.Int64) ([]byte, error) {
+// target version and applies the decode transform, one bufSize slice at a
+// time — the coding region is the buffer slice the save encoded (the
+// manifest records its size), so decoding the packet as a single region
+// yields garbage for any non-unit coefficient. Unlike Load's distributed
+// rebuild, only the k · segment bytes the caller actually needs are
+// fetched — nothing cluster-wide, nothing persisted. okAt reports whether
+// a candidate chunk is believed intact; candidates that fail anyway (lost
+// since the scan) are skipped in favor of the next. The result is a
+// cluster.NewBlob, so a caller that persists it can adopt it.
+func (c *Checkpointer) decodeSegment(lay *layout, okAt func(chunk int) bool, chunk, seg, packetBytes, bufSize int, fetched *atomic.Int64) ([]byte, error) {
 	basis := make([]int, 0, c.cfg.K)
 	segs := make([][]byte, 0, c.cfg.K)
 	for cand := 0; cand < c.cfg.K+c.cfg.M && len(basis) < c.cfg.K; cand++ {
@@ -112,7 +116,7 @@ func (c *Checkpointer) decodeSegment(lay *layout, okAt func(chunk int) bool, chu
 			continue
 		}
 		blob, err := c.fetchN(c.chunkOwner(lay, cand), keySegment(cand, seg), fetched)
-		if err != nil {
+		if err != nil || len(blob) != packetBytes {
 			continue
 		}
 		basis = append(basis, cand)
@@ -125,17 +129,18 @@ func (c *Checkpointer) decodeSegment(lay *layout, okAt func(chunk int) bool, chu
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	out := make([]byte, packetBytes)
-	for i := range basis {
-		contribution := c.buf.Get(packetBytes)
-		if err := c.scalarMulPooled(tm.At(0, i), contribution, segs[i]); err != nil {
-			c.buf.Put(contribution)
-			return nil, err
-		}
-		err := gf.XORSlice(out, contribution)
-		c.buf.Put(contribution)
-		if err != nil {
-			return nil, err
+	out := cluster.NewBlob(packetBytes)
+	contribution := c.buf.Get(min(bufSize, packetBytes))
+	defer c.buf.Put(contribution)
+	for lo := 0; lo < packetBytes; lo += bufSize {
+		hi := min(lo+bufSize, packetBytes)
+		for i := range basis {
+			if err := c.scalarMulPooled(tm.At(0, i), contribution[:hi-lo], segs[i][lo:hi]); err != nil {
+				return nil, err
+			}
+			if err := gf.XORSlice(out[lo:hi], contribution[:hi-lo]); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil
@@ -180,6 +185,8 @@ func (c *Checkpointer) LoadPartial(ctx context.Context, ranks []int) (_ map[int]
 	if err := c.waitInflightSave(ctx); err != nil {
 		return nil, nil, err
 	}
+	c.commitMu.RLock() // see Load: no commit lands mid-recovery
+	defer c.commitMu.RUnlock()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	unregister, err := c.registerLoad(cancel)
@@ -231,7 +238,6 @@ func (c *Checkpointer) LoadPartial(ctx context.Context, ranks []int) (_ map[int]
 	if bufSize <= 0 {
 		bufSize = c.cfg.BufferSize
 	}
-	_ = bufSize // geometry is carried by packetBytes; kept for symmetry with Load
 	okAt := func(chunk int) bool {
 		owner := c.chunkOwner(lay, chunk)
 		return mans[owner].ok && mans[owner].version == latest
@@ -275,7 +281,7 @@ func (c *Checkpointer) LoadPartial(ctx context.Context, ranks []int) (_ map[int]
 		}
 		rank := want[i]
 		chunk := lay.plan.DataGroupOf[rank]
-		seg, err := c.decodeSegment(lay, okAt, chunk, lay.plan.SegmentOf[rank], packetBytes, fetched)
+		seg, err := c.decodeSegment(lay, okAt, chunk, lay.plan.SegmentOf[rank], packetBytes, bufSize, fetched)
 		if err != nil {
 			decodeErrs[i] = fmt.Errorf("core: rank %d: %w", rank, err)
 			return
@@ -479,7 +485,7 @@ func (c *Checkpointer) PrefetchChunk(ctx context.Context, node int) (_ *Prefetch
 	segs := make([][]byte, span)
 	segErrs := make([]error, span)
 	c.forEachBounded(span, func(s int) {
-		seg, err := c.decodeSegment(lay, okAt, chunk, s, packetBytes, fetched)
+		seg, err := c.decodeSegment(lay, okAt, chunk, s, packetBytes, bufSize, fetched)
 		if err != nil {
 			segErrs[s] = err
 			return
@@ -493,7 +499,7 @@ func (c *Checkpointer) PrefetchChunk(ctx context.Context, node int) (_ *Prefetch
 		return nil, err
 	}
 	for s := 0; s < span; s++ {
-		if err := c.store(node, keySegment(chunk, s), segs[s]); err != nil {
+		if err := c.adopt(node, keySegment(chunk, s), segs[s]); err != nil {
 			return nil, err
 		}
 	}

@@ -200,14 +200,14 @@ func (s *chaosStore) arm(victim int) {
 	s.mu.Unlock()
 }
 
-func (s *chaosStore) Load(node int, key string) ([]byte, error) {
+func (s *chaosStore) View(node int, key string) ([]byte, error) {
 	s.mu.Lock()
 	armed, victim := s.armed, s.victim
 	s.mu.Unlock()
 	if armed && node == victim && key != keyManifest() {
 		return nil, fmt.Errorf("chaos: node %d host memory lost", node)
 	}
-	return s.HostStore.Load(node, key)
+	return s.HostStore.View(node, key)
 }
 
 func TestLoadPartialDegradesToDecodeUnderChaos(t *testing.T) {
@@ -394,14 +394,14 @@ type countingStore struct {
 	counts map[string]int
 }
 
-func (s *countingStore) Load(node int, key string) ([]byte, error) {
+func (s *countingStore) View(node int, key string) ([]byte, error) {
 	s.mu.Lock()
 	if s.counts == nil {
 		s.counts = make(map[string]int)
 	}
 	s.counts[fmt.Sprintf("%d/%s", node, key)]++
 	s.mu.Unlock()
-	return s.HostStore.Load(node, key)
+	return s.HostStore.View(node, key)
 }
 
 func (s *countingStore) count(node int, key string) int {
@@ -477,4 +477,116 @@ func TestSmallRebroadcastFetchesOncePerRank(t *testing.T) {
 				rank, n, max)
 		}
 	}
+}
+
+// TestLoadPartialDecodesPerBufferSlice pins the decode geometry: the coding
+// region is the BufferSize slice the save encoded, so a packet longer than
+// one buffer must be decoded slice by slice. Decoding it as one region
+// returns wrong tensors without any error as soon as a non-unit decode
+// coefficient is involved — which losing several data chunks guarantees.
+func TestLoadPartialDecodesPerBufferSlice(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		nodes, gpus, k, m int
+		lose              int // data machines replaced before the restore
+	}{
+		{"k2m2 both data machines", 4, 2, 2, 2, 2},
+		{"k8m8 two data machines", 16, 1, 8, 8, 2},
+		{"k8m8 all data machines", 16, 1, 8, 8, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rig := newRig(t, tc.nodes, tc.gpus, tc.k, tc.m)
+			ctx := context.Background()
+			rep, err := rig.ckpt.Save(ctx, rig.dicts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.PacketBytes <= rig.ckpt.cfg.BufferSize {
+				t.Fatalf("packet of %d bytes fits one %d-byte buffer: the test cannot tell the geometries apart",
+					rep.PacketBytes, rig.ckpt.cfg.BufferSize)
+			}
+			lay := rig.ckpt.layout()
+			var ranks []int
+			for _, victim := range lay.plan.DataNodes[:tc.lose] {
+				if err := rig.clus.Fail(victim); err != nil {
+					t.Fatal(err)
+				}
+				if err := rig.clus.Replace(victim); err != nil {
+					t.Fatal(err)
+				}
+				for rank, chunk := range lay.plan.DataGroupOf {
+					if lay.plan.DataNodes[chunk] == victim {
+						ranks = append(ranks, rank)
+					}
+				}
+			}
+			got, prep, err := rig.ckpt.LoadPartial(ctx, ranks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prep.Workflow != "partial-decode" || len(prep.MissingChunks) != tc.lose {
+				t.Errorf("report = {workflow %q, missing %v}, want partial-decode of %d chunks",
+					prep.Workflow, prep.MissingChunks, tc.lose)
+			}
+			for _, rank := range ranks {
+				if !got[rank].Equal(rig.dicts[rank]) {
+					t.Errorf("rank %d: decoded state differs from the checkpoint", rank)
+				}
+			}
+		})
+	}
+}
+
+// TestPrefetchParityChunkDecodesCorrectly: warming a replaced parity node
+// re-encodes its chunk through decodeSegment with the generator's non-unit
+// coefficients. The stored chunk must be the real parity — consistent with
+// the data under VerifyIntegrity, and usable as a decode basis by the next
+// Load — not garbage under a valid checksum and manifest.
+func TestPrefetchParityChunkDecodesCorrectly(t *testing.T) {
+	rig := newRig(t, 4, 2, 2, 2)
+	ctx := context.Background()
+	if _, err := rig.ckpt.Save(ctx, rig.dicts); err != nil {
+		t.Fatal(err)
+	}
+	lay := rig.ckpt.layout()
+	parity := lay.plan.ParityNodes[1] // the second parity row has non-unit coefficients
+	if err := rig.clus.Fail(parity); err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.clus.Replace(parity); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := rig.ckpt.PrefetchChunk(ctx, parity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.AlreadyIntact || rep.Segments == 0 {
+		t.Fatalf("prefetch report = %+v, want a rebuilt chunk", rep)
+	}
+	vrep, err := rig.ckpt.VerifyIntegrity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vrep.CorruptSegments) != 0 {
+		t.Errorf("prefetched parity disagrees with the data on segments %v", vrep.CorruptSegments)
+	}
+
+	// Lose every data machine: the only way back is to decode through the
+	// parity chunks, the prefetched one included.
+	for _, victim := range lay.plan.DataNodes {
+		if err := rig.clus.Fail(victim); err != nil {
+			t.Fatal(err)
+		}
+		if err := rig.clus.Replace(victim); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, lrep, err := rig.ckpt.Load(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lrep.Workflow != "decode" {
+		t.Errorf("workflow = %q, want decode", lrep.Workflow)
+	}
+	dictsEqual(t, rig.dicts, got)
 }

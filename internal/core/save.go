@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"eccheck/internal/cluster"
 	"eccheck/internal/gf"
 	"eccheck/internal/statedict"
 )
@@ -109,13 +110,14 @@ func (c *Checkpointer) snapshotNode(node, version, packetBytes int, dicts []*sta
 }
 
 // buildPacket packs a worker's decomposed tensor data into one contiguous,
-// zero-padded packet of the agreed size.
+// zero-padded packet of the agreed size, in a buffer host memory can adopt
+// (the incremental path caches it as the worker's own packet).
 func buildPacket(dec *statedict.Decomposition, packetBytes int) ([]byte, error) {
 	if dec.TensorBytes() > packetBytes {
 		return nil, fmt.Errorf("core: tensor payload %d exceeds packet size %d",
 			dec.TensorBytes(), packetBytes)
 	}
-	packet := make([]byte, packetBytes)
+	packet := cluster.NewBlob(packetBytes)
 	off := 0
 	for _, buf := range dec.TensorData {
 		off += copy(packet[off:], buf)
@@ -323,15 +325,28 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, versio
 	// --- Step 3: per-buffer streaming pipeline — encode, hierarchical XOR
 	// reduction, P2P placement — under a bounded window of in-flight
 	// buffer windows. ---
-	pc.Switch(PhaseStage)
 	myChunk := plan.ChunkOfNode[node]
-	// Pooled without zeroing: every byte of every segment is overwritten
-	// before staging — buffer ranges tile the packet exactly, and each range
-	// of each segment receives exactly one copy (local data, P2P data,
-	// finalized parity, or P2P parity).
+	// The segments are assembled directly in the buffers host memory will
+	// own: exact-size with footer room, sealed and adopted at promote, never
+	// pooled. Every byte of every segment is written exactly once before
+	// then — buffer ranges tile the packet, and each range of each segment
+	// receives one copy (local data, P2P data, finalized parity, or P2P
+	// parity). Allocating host memory's blobs is promote work, as it was
+	// when the store allocated them itself at commit.
+	pc.Switch(PhasePromote)
 	chunkSegs := make([][]byte, span)
 	for s := range chunkSegs {
-		chunkSegs[s] = c.buf.Get(packetBytes)
+		chunkSegs[s] = cluster.NewBlob(packetBytes)
+	}
+	pc.Switch(PhaseStage)
+	// Each segment has exactly one writer stream and that stream delivers
+	// its buffer ranges in ascending order, so the writer folds the range
+	// into the segment's running checksum while it is still cache-hot; the
+	// window ledger orders those writes before the promote below reads them.
+	segCRC := make([]uint32, span)
+	landRange := func(seg, lo int, src []byte) {
+		copy(chunkSegs[seg][lo:lo+len(src)], src)
+		segCRC[seg] = cluster.Checksum(segCRC[seg], src)
 	}
 
 	sliceBounds := func(b int) (int, int) {
@@ -486,7 +501,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, versio
 		dstNode := plan.ParityNodes[k.parity]
 		if dstNode == node {
 			lo, _ := sliceBounds(k.buf)
-			copy(chunkSegs[k.group][lo:lo+len(acc)], acc)
+			landRange(k.group, lo, acc)
 			c.buf.Put(acc)
 			win.landOne(k.buf)
 			return
@@ -601,7 +616,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, versio
 						return
 					}
 					lo, _ := sliceBounds(b)
-					copy(chunkSegs[group][lo:lo+len(payload)], payload)
+					landRange(group, lo, payload)
 					c.buf.Put(payload)
 					win.landOne(b)
 				}
@@ -620,7 +635,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, versio
 					return
 				}
 				lo, _ := sliceBounds(b)
-				copy(chunkSegs[seg][lo:lo+len(payload)], payload)
+				landRange(seg, lo, payload)
 				c.buf.Put(payload)
 				win.landOne(b)
 			}
@@ -663,7 +678,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, versio
 				if dstNode == node {
 					if myChunk == j {
 						pc.Switch(PhaseStage)
-						copy(chunkSegs[seg][lo:hi], packets[w][lo:hi])
+						landRange(seg, lo, packets[w][lo:hi])
 					}
 					continue
 				}
@@ -724,14 +739,16 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, versio
 	}
 
 	// Stage the chunk and manifest; the caller commits after the barrier.
-	// The segments are recycled only on this success path: on error paths a
+	// Every window retired, and a delivery lands only after its bytes (and
+	// their checksum fold) are in the segment, so nothing writes to a
+	// segment again: seal the footer and hand the buffer itself to host
+	// memory. Only this success path hands segments over; on error paths a
 	// straggling receiver goroutine may still write into them, so they are
-	// simply dropped there.
+	// dropped for the GC — never adopted, never reused.
 	for s := range chunkSegs {
-		if err := stage(lay.keys.segment[myChunk][s], chunkSegs[s]); err != nil {
+		if err := cluster.AdoptSealed(c.clus, node, lay.keys.stagedOf[lay.keys.segment[myChunk][s]], chunkSegs[s], segCRC[s]); err != nil {
 			return 0, nil, err
 		}
-		c.buf.Put(chunkSegs[s])
 	}
 	if err := stage(keyManifest(), manifestBlob(version, packetBytes, bufSize)); err != nil {
 		return 0, nil, err

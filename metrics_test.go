@@ -29,7 +29,7 @@ func TestSaveReportPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	core := []string{"offload", "serialize", "encode", "xor", "p2p", "barrier", "straggle", "promote"}
+	core := []string{"offload", "serialize", "encode", "xor", "stage", "p2p", "barrier", "straggle", "promote"}
 	var sum time.Duration
 	for _, ph := range core {
 		d, ok := rep.Phases[ph]
