@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race smoke doclint allocgate bench-smoke chaos-soak scale-smoke restore-smoke daemon-smoke health-smoke vulncheck metrics-demo trace-demo
+.PHONY: check fmt vet build test race crash-sweep smoke doclint allocgate bench-smoke chaos-soak scale-smoke restore-smoke daemon-smoke health-smoke vulncheck metrics-demo trace-demo
 
 # The full gate: what CI (and a pre-commit run) should execute.
-check: fmt vet build test race smoke doclint allocgate bench-smoke
+check: fmt vet build test race crash-sweep smoke doclint allocgate bench-smoke
 
 # Formatting is part of the gate: fail loudly with the offending files
 # rather than letting gofmt drift accumulate.
@@ -29,8 +29,19 @@ test:
 # is the lock-free metrics layer they all record into, so both are part of
 # the gate despite the longer runtime. The root package exercises the
 # public SaveAsync/Close lifecycle (snapshot-and-drain, close-during-save).
+# The enumerated crash sweep is the slowest test under the detector and has
+# its own target below, so it runs once per `make check`, not twice.
 race:
-	$(GO) test -race $(TESTFLAGS) . ./internal/transport ./internal/cluster ./internal/chaos ./internal/obs ./internal/core ./internal/bufpool ./internal/ecpool
+	$(GO) test -race -skip 'TestCrashSweep' $(TESTFLAGS) . ./internal/transport ./internal/cluster ./internal/chaos ./internal/obs ./internal/core ./internal/bufpool ./internal/ecpool
+
+# Every crash point of a save round, enumerated: for each kind of round
+# (Save, SaveAsync, SaveIncremental with a real delta) a node is killed at
+# each of its sends in turn, and recovery must return the new version or
+# the previous one byte for byte — never a mixture — with the next round
+# committing correct bytes. Under the race detector (~1 min); takes no
+# TESTFLAGS, so -short never trims it.
+crash-sweep:
+	$(GO) test -race -run 'TestCrashSweep' -count=1 ./internal/core
 
 # Seeded chaos smoke test: replication head-to-head, a mid-save kill, and
 # a corruption-as-erasure recovery, all deterministic.

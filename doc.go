@@ -61,7 +61,9 @@
 //	fmt.Println(report.StallNs, report.OverlapNs)  // stall vs overlapped drain
 //
 // A second save while a drain is in flight waits its turn (SaveAsync) or
-// fails fast with ErrSaveInFlight (Save, SaveIncremental). Close aborts
+// fails fast with ErrSaveInFlight (Save, SaveIncremental — a delta save is
+// the same round shipping only the changed buffer windows, and with no
+// usable base the same round ships them all). Close aborts
 // any in-flight drain and reports the thrown-away work by wrapping
 // ErrSaveAborted.
 //

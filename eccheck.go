@@ -529,10 +529,11 @@ func (s *System) FaultTolerance() int {
 // IncrementalReport summarises a delta checkpoint round.
 type IncrementalReport = core.IncrementalReport
 
-// SaveIncremental checkpoints by patching the previous coded checkpoint
-// with per-buffer deltas (requires Config.Incremental). When no usable
-// previous state exists — first save, or caches lost to a failure — it
-// transparently performs a full save.
+// SaveIncremental checkpoints by updating the previous coded checkpoint
+// with per-buffer deltas (requires Config.Incremental): the save round with
+// only the changed buffer windows shipped, staged and committed like Save.
+// When no usable previous state exists — first save, or caches lost to a
+// failure — the same round ships every window (IncrementalReport.Full).
 func (s *System) SaveIncremental(ctx context.Context, dicts []*StateDict) (*IncrementalReport, error) {
 	return s.ckpt.SaveIncremental(ctx, dicts)
 }

@@ -24,6 +24,7 @@ package bufpool
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"eccheck/internal/obs"
@@ -45,15 +46,28 @@ const (
 type Pool struct {
 	classes [numClasses]sync.Pool
 
-	// Counters are nil (no-op) until SetMetrics installs a registry.
-	hits     *obs.Counter
-	misses   *obs.Counter
-	puts     *obs.Counter
-	rejects  *obs.Counter
-	recycled *obs.Counter
+	// Counters are nil (no-op) until SetMetrics installs a registry, the
+	// flight recorder for discard events until SetFlight. Both sit behind
+	// atomics: an engine installs them at construction while the teardown of
+	// another engine's failed round may still be returning buffers.
+	counters atomic.Pointer[counters]
+	rec      atomic.Pointer[flight.Recorder]
+}
 
-	// Flight recorder for discard events; nil (no-op) until SetFlight.
-	rec *flight.Recorder
+// counters is the pool's metric set; the methods of a nil *obs.Counter are
+// no-ops, so the zero value counts nothing.
+type counters struct {
+	hits, misses, puts, rejects, recycled *obs.Counter
+}
+
+var noCounters counters
+
+// count returns the installed counter set, or the no-op one.
+func (p *Pool) count() *counters {
+	if c := p.counters.Load(); c != nil {
+		return c
+	}
+	return &noCounters
 }
 
 // Default is the process-wide pool shared by the checkpoint engine, the
@@ -75,22 +89,23 @@ func New() *Pool { return &Pool{} }
 // A nil registry detaches the counters.
 func (p *Pool) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
-		p.hits, p.misses, p.puts, p.rejects, p.recycled = nil, nil, nil, nil, nil
+		p.counters.Store(nil)
 		return
 	}
-	p.hits = reg.Counter("bufpool_hits_total")
-	p.misses = reg.Counter("bufpool_misses_total")
-	p.puts = reg.Counter("bufpool_puts_total")
-	p.rejects = reg.Counter("bufpool_put_rejects_total")
-	p.recycled = reg.Counter("bufpool_recycled_bytes_total")
+	p.counters.Store(&counters{
+		hits:     reg.Counter("bufpool_hits_total"),
+		misses:   reg.Counter("bufpool_misses_total"),
+		puts:     reg.Counter("bufpool_puts_total"),
+		rejects:  reg.Counter("bufpool_put_rejects_total"),
+		recycled: reg.Counter("bufpool_recycled_bytes_total"),
+	})
 }
 
 // SetFlight installs a flight recorder that receives one event per
 // rejected Put — a discarded buffer is recycled memory lost, so a burst
 // of discards on the timeline flags an ownership bug or a foreign
 // buffer leaking into the hot path. A nil recorder disables emission.
-// Like SetMetrics, call before the pool sees concurrent traffic.
-func (p *Pool) SetFlight(rec *flight.Recorder) { p.rec = rec }
+func (p *Pool) SetFlight(rec *flight.Recorder) { p.rec.Store(rec) }
 
 // classIndex returns the size-class index for a buffer of n bytes, or -1
 // when n is outside the pooled range (0 or above the largest class).
@@ -116,16 +131,17 @@ func (p *Pool) Get(n int) []byte {
 		if n <= 0 {
 			return nil
 		}
-		p.misses.Inc()
+		p.count().misses.Inc()
 		return make([]byte, n)
 	}
 	size := classSize(ci)
 	if ptr, ok := p.classes[ci].Get().(unsafe.Pointer); ok && ptr != nil {
-		p.hits.Inc()
-		p.recycled.Add(int64(n))
+		cnt := p.count()
+		cnt.hits.Inc()
+		cnt.recycled.Add(int64(n))
 		return unsafe.Slice((*byte)(ptr), size)[:n]
 	}
-	p.misses.Inc()
+	p.count().misses.Inc()
 	return make([]byte, size)[:n]
 }
 
@@ -144,11 +160,11 @@ func (p *Pool) Put(buf []byte) {
 	c := cap(buf)
 	ci := classIndex(c)
 	if ci < 0 || classSize(ci) != c {
-		p.rejects.Inc()
-		p.rec.PoolDiscard(int64(c))
+		p.count().rejects.Inc()
+		p.rec.Load().PoolDiscard(int64(c))
 		return
 	}
-	p.puts.Inc()
+	p.count().puts.Inc()
 	// Store the base pointer (pointer-shaped, so boxing it into the pool's
 	// interface slot does not allocate); Get reconstructs the full-class
 	// slice from the class size.

@@ -46,9 +46,17 @@ type SaveHandle struct {
 	report *SaveReport
 	err    error
 
-	// onFinal, when set, runs once after the handle completes (outside
-	// the mutex, after Done is closed): the RoundEnd lifecycle hook.
+	// onFinal, when set, runs once as the handle completes (outside the
+	// mutex, before Done closes, so whoever Wait releases sees its effects):
+	// the RoundEnd lifecycle hook.
 	onFinal func(report *SaveReport, err error)
+
+	// What the round ships, fixed by the snapshot stage. delta: it patches
+	// the committed checkpoint (false: every window over a zero base).
+	// shipped: how many of the cluster's windows buffer windows carry
+	// traffic.
+	delta            bool
+	shipped, windows int
 }
 
 func newSaveHandle() *SaveHandle { return &SaveHandle{done: make(chan struct{})} }
@@ -124,13 +132,14 @@ func (h *SaveHandle) complete(report *SaveReport, err error) {
 	h.mu.Lock()
 	h.report, h.err = report, err
 	h.mu.Unlock()
-	close(h.done)
 	if h.onFinal != nil {
 		h.onFinal(report, err)
 	}
+	close(h.done)
 }
 
-// saveMode selects the policy differences between Save and SaveAsync.
+// saveMode selects the policy differences between Save, SaveAsync and
+// SaveIncremental.
 type saveMode struct {
 	// waitInflight makes slot acquisition wait for an in-flight round
 	// (SaveAsync) instead of failing with ErrSaveInFlight (Save).
@@ -140,9 +149,11 @@ type saveMode struct {
 	// kill the background round. Context values (op deadlines, span
 	// parents) are preserved.
 	detach bool
-	// guardHeld marks the save slot as already acquired by the caller
-	// (SaveIncremental's full-save fallback); the round still releases it.
-	guardHeld bool
+	// delta asks for a delta round (SaveIncremental): ship only the buffer
+	// windows that changed, onto a copy of the committed checkpoint. The
+	// round grants it when every node still holds that base (deltaBase) and
+	// otherwise ships every window over a zero base, like Save.
+	delta bool
 }
 
 // SaveAsync checkpoints all workers' state dicts with the snapshot-and-
@@ -166,8 +177,8 @@ func (c *Checkpointer) SaveAsync(ctx context.Context, dicts []*statedict.StateDi
 }
 
 // startSave validates the round, claims the save slot, runs the snapshot
-// stage (blocking) and spawns the drain. It is the shared engine under
-// Save, SaveAsync and SaveIncremental's full-save fallback.
+// stage (blocking) and spawns the drain. It is the one engine under Save,
+// SaveAsync and SaveIncremental.
 func (c *Checkpointer) startSave(ctx context.Context, dicts []*statedict.StateDict, mode saveMode) (*SaveHandle, error) {
 	started := time.Now()
 	world := c.cfg.Topo.World()
@@ -200,27 +211,17 @@ func (c *Checkpointer) startSave(ctx context.Context, dicts []*statedict.StateDi
 	}
 
 	h := newSaveHandle()
-	if mode.guardHeld {
-		// The caller holds the slot; adopt it so this round releases it.
-		// The caller's own handle stays live (it completes after this round
-		// does), so Close waiting on either handle is safe.
-		c.lc.mu.Lock()
-		if c.lc.closed {
-			c.lc.mu.Unlock()
-			return nil, ErrClosed
-		}
-		c.lc.inflight = h
-		c.lc.mu.Unlock()
-	} else if err := c.acquireSave(ctx, mode.waitInflight, h); err != nil {
+	if err := c.acquireSave(ctx, mode.waitInflight, h); err != nil {
 		return nil, err
 	}
 	version := int(c.version.Load()) + 1
-	if !mode.guardHeld {
-		// The round is in flight from here; a guardHeld fallback round is
-		// owned by the SaveIncremental caller, which fires its own hooks.
-		c.roundStart(OpSave, version)
-		h.onFinal = func(_ *SaveReport, err error) { c.roundEnd(OpSave, version, err) }
+	op := OpSave
+	if mode.delta {
+		op = OpIncremental
 	}
+	c.roundStart(op, version)
+	h.onFinal = func(_ *SaveReport, err error) { c.roundEnd(op, version, err) }
+	h.delta = mode.delta && c.deltaBase(c.layout(), packetBytes)
 
 	ctx, saveSpan := obs.StartSpan(ctx, c.cfg.Metrics, "save")
 	// Everything the round emits after this cursor belongs to it; a
@@ -243,7 +244,7 @@ func (c *Checkpointer) startSave(ctx context.Context, dicts []*statedict.StateDi
 		snapWG.Add(1)
 		go func(node int) {
 			defer snapWG.Done()
-			snap, err := c.snapshotNode(node, version, packetBytes, dicts)
+			snap, err := c.snapshotNode(node, version, packetBytes, dicts, h.delta)
 			if err != nil {
 				snapErrc <- fmt.Errorf("core: node %d snapshot: %w", node, err)
 				return
@@ -268,6 +269,10 @@ func (c *Checkpointer) startSave(ctx context.Context, dicts []*statedict.StateDi
 		h.complete(c.failedSaveReport(version, packetBytes, started, h, mode, err, pmStart), err)
 		return nil, err
 	}
+	for _, snap := range snaps {
+		h.shipped += snap.shipped
+	}
+	h.windows = world * c.numBuffers(packetBytes)
 	h.stall = time.Since(started)
 
 	// --- Drain stage (background): everything after the offload.
@@ -319,8 +324,11 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 	// The layout cannot change while the save slot is held, so one load
 	// covers the whole drain.
 	lay := c.layout()
+	tags := c.saveTags(lay)
 	fail := func(err error) {
 		c.discardStaged(&lay.keys)
+		// Whatever this round left in flight stays under its own tags.
+		c.saveEpoch++
 		c.releaseSave(h)
 		h.complete(c.failedSaveReport(version, packetBytes, started, h, mode, err, pmStart), err)
 	}
@@ -336,7 +344,7 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
-			small, phases, err := c.nodeDrain(ctx, snaps[node], version, packetBytes)
+			small, phases, err := c.nodeDrain(ctx, snaps[node], tags, version, packetBytes)
 			if err != nil {
 				errc <- fmt.Errorf("core: node %d save: %w", node, err)
 				cancel()

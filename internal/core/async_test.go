@@ -5,10 +5,12 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"eccheck/internal/chaos"
+	"eccheck/internal/obs/health"
 	"eccheck/internal/statedict"
 	"eccheck/internal/tensor"
 )
@@ -539,5 +541,39 @@ func TestCloseCleanLoadNotReportedAborted(t *testing.T) {
 	unregister(nil)
 	if err := <-closeErrc; err != nil {
 		t.Errorf("Close() = %v after a cleanly finished load, want nil", err)
+	}
+}
+
+// TestRoundEndVisibleWhenWaitReturns pins the completion order of a save
+// handle: the RoundEnd fan-out (hooks, health, log) runs before Done closes,
+// so whoever Wait releases reads health that already counts the round.
+func TestRoundEndVisibleWhenWaitReturns(t *testing.T) {
+	tracker := health.NewTracker(func() health.Probe { return health.Probe{} })
+	rig := newRig(t, 4, 2, 2, 2, func(c *Config) {
+		c.RemotePersistEvery = -1
+		c.Health = tracker
+	})
+	var ended atomic.Int32
+	rig.ckpt.SetRoundHooks(RoundHooks{RoundEnd: func(string, int, error) {
+		for i := 0; i < 100; i++ {
+			runtime.Gosched() // give a waiter released too early every chance to run first
+		}
+		ended.Add(1)
+	}})
+	ctx := context.Background()
+	for i := 1; i <= 5; i++ {
+		h, err := rig.ckpt.SaveAsync(ctx, rig.dicts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := int(ended.Load()); got != i {
+			t.Fatalf("round %d: Wait returned with %d RoundEnd calls finished", i, got)
+		}
+		if rep := tracker.Report(); rep.SaveWindow != i || rep.SaveSuccess != i {
+			t.Fatalf("round %d: health right after Wait counts %d/%d saves", i, rep.SaveSuccess, rep.SaveWindow)
+		}
 	}
 }

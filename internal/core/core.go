@@ -255,6 +255,12 @@ type Checkpointer struct {
 	// to cancel whatever is running before the transport goes away.
 	lc lifecycle
 
+	// saveEpoch counts aborted save rounds and tags caches the save
+	// protocol's message tags rendered for it (see tagTable). Both belong to
+	// whoever holds the save slot.
+	saveEpoch int
+	tags      *tagTable
+
 	// Membership state: custody records for drained slots, keyed by node.
 	// Guarded by memMu; mutated only while the save slot is held.
 	memMu   sync.Mutex
@@ -453,10 +459,6 @@ type keyTable struct {
 	smallKeys []string   // by rank
 	ownPacket []string   // by rank
 	segment   [][]string // by chunk, then segment
-	// Per-rank small-component broadcast tags, pre-rendered for the same
-	// reason as the keys.
-	smallMetaTag []string
-	smallKeysTag []string
 	// commit is each node's full key set in commit order (manifest last);
 	// staged holds the keyStaged counterparts, index-aligned. stagedOf
 	// maps a final key to its staged key for the save path's stage().
@@ -480,14 +482,10 @@ func buildKeyTable(cfg *Config, plan *placement.Plan) keyTable {
 		staged:    make([][]string, nodes),
 		stagedOf:  make(map[string]string),
 	}
-	t.smallMetaTag = make([]string, world)
-	t.smallKeysTag = make([]string, world)
 	for rank := 0; rank < world; rank++ {
 		t.smallMeta[rank] = keySmallMeta(rank)
 		t.smallKeys[rank] = keySmallKeys(rank)
 		t.ownPacket[rank] = keyOwnPacket(rank)
-		t.smallMetaTag[rank] = tagSmallMeta(rank)
-		t.smallKeysTag[rank] = tagSmallKeys(rank)
 	}
 	for chunk := range t.segment {
 		t.segment[chunk] = make([]string, span)

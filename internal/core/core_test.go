@@ -25,11 +25,19 @@ type testRig struct {
 
 func newRig(t *testing.T, nodes, gpus, k, m int, opts ...func(*Config)) *testRig {
 	t.Helper()
-	topo, err := parallel.NewTopology(nodes, gpus, gpus, nodes)
+	net, err := transport.NewMemory(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := transport.NewMemory(nodes)
+	return newRigOn(t, net, nil, nodes, gpus, k, m, opts...)
+}
+
+// newRigOn is newRig over a given network (a fault injector, a test
+// transport) and, when dicts is non-nil, over given state dicts instead of
+// the default model's.
+func newRigOn(t *testing.T, net transport.Network, dicts []*statedict.StateDict, nodes, gpus, k, m int, opts ...func(*Config)) *testRig {
+	t.Helper()
+	topo, err := parallel.NewTopology(nodes, gpus, gpus, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,13 +68,14 @@ func newRig(t *testing.T, nodes, gpus, k, m int, opts ...func(*Config)) *testRig
 		_ = net.Close()
 	})
 
-	buildOpt := model.NewBuildOptions()
-	buildOpt.Scale = 32
-	buildOpt.Seed = 1234
-	buildOpt.Iteration = 77
-	dicts, err := model.BuildClusterStateDicts(model.GPT2_345M(), topo, buildOpt)
-	if err != nil {
-		t.Fatal(err)
+	if dicts == nil {
+		buildOpt := model.NewBuildOptions()
+		buildOpt.Scale = 32
+		buildOpt.Seed = 1234
+		buildOpt.Iteration = 77
+		if dicts, err = model.BuildClusterStateDicts(model.GPT2_345M(), topo, buildOpt); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return &testRig{topo: topo, net: net, clus: clus, remote: remote, ckpt: ckpt, dicts: dicts}
 }

@@ -3,14 +3,13 @@ package core
 import (
 	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"eccheck/internal/chaos"
 	"eccheck/internal/cluster"
-	"eccheck/internal/model"
-	"eccheck/internal/parallel"
-	"eccheck/internal/remotestore"
+	"eccheck/internal/statedict"
 	"eccheck/internal/transport"
 )
 
@@ -21,10 +20,13 @@ import (
 // (e.g. to attach a flight recorder).
 func newChaosRig(t *testing.T, nodes, gpus, k, m int, plan chaos.Plan, opts ...func(*Config)) (*testRig, *chaos.Network) {
 	t.Helper()
-	topo, err := parallel.NewTopology(nodes, gpus, gpus, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return newChaosRigOver(t, nil, nodes, gpus, k, m, plan, opts...)
+}
+
+// newChaosRigOver is newChaosRig over given state dicts (nil: the default
+// model's), for tests that build many rigs over one set of contents.
+func newChaosRigOver(t *testing.T, dicts []*statedict.StateDict, nodes, gpus, k, m int, plan chaos.Plan, opts ...func(*Config)) (*testRig, *chaos.Network) {
+	t.Helper()
 	inner, err := transport.NewMemory(nodes)
 	if err != nil {
 		t.Fatal(err)
@@ -33,43 +35,13 @@ func newChaosRig(t *testing.T, nodes, gpus, k, m int, plan chaos.Plan, opts ...f
 	if err != nil {
 		t.Fatal(err)
 	}
-	clus, err := cluster.New(nodes, gpus)
-	if err != nil {
-		t.Fatal(err)
+	defaults := func(cfg *Config) {
+		cfg.RemotePersistEvery = 0
+		cfg.OpTimeout = 2 * time.Second
 	}
-	net.SetOnKill(func(node int) { _ = clus.Fail(node) })
-	remote, err := remotestore.New(5e9 / 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Topo:               topo,
-		K:                  k,
-		M:                  m,
-		BufferSize:         64 << 10,
-		RemotePersistEvery: 0,
-		OpTimeout:          2 * time.Second,
-	}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	ckpt, err := New(cfg, net, clus, remote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ckpt.Close()
-		_ = net.Close()
-	})
-	buildOpt := model.NewBuildOptions()
-	buildOpt.Scale = 32
-	buildOpt.Seed = 1234
-	buildOpt.Iteration = 77
-	dicts, err := model.BuildClusterStateDicts(model.GPT2_345M(), topo, buildOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &testRig{topo: topo, net: net, clus: clus, remote: remote, ckpt: ckpt, dicts: dicts}, net
+	rig := newRigOn(t, net, dicts, nodes, gpus, k, m, append([]func(*Config){defaults}, opts...)...)
+	net.SetOnKill(func(node int) { _ = rig.clus.Fail(node) })
+	return rig, net
 }
 
 // stagedKeys lists staged blobs left on the node's host memory.
@@ -241,5 +213,84 @@ func TestLoadTreatsParityCorruptionAsErasure(t *testing.T) {
 	}
 	if report.CorruptBlobs < 1 {
 		t.Errorf("CorruptBlobs = %d, want >= 1", report.CorruptBlobs)
+	}
+}
+
+// mangleNet truncates the first message sent under a tag with the armed
+// prefix: a peer whose bytes do not fit the protocol.
+type mangleNet struct {
+	transport.Network
+	prefix atomic.Pointer[string] // nil when disarmed
+	keep   int                    // bytes of the payload that survive
+}
+
+func (n *mangleNet) Endpoint(node int) (transport.Endpoint, error) {
+	ep, err := n.Network.Endpoint(node)
+	return &mangleEndpoint{Endpoint: ep, net: n}, err
+}
+
+type mangleEndpoint struct {
+	transport.Endpoint
+	net *mangleNet
+}
+
+func (e *mangleEndpoint) Send(ctx context.Context, to int, tag string, payload []byte) error {
+	if p := e.net.prefix.Load(); p != nil && strings.HasPrefix(tag, *p) && e.net.prefix.CompareAndSwap(p, nil) {
+		payload = payload[:min(e.net.keep, len(payload))]
+	}
+	return e.Endpoint.Send(ctx, to, tag, payload)
+}
+
+// TestWrongSizedPeerMessageFailsTheRound: bytes from a peer are validated
+// before they are folded or landed. One wrong-sized message on each stream
+// of the save protocol — the small-component broadcast that carries the
+// ship-set, the partial stream up a reduction tree, the parity and the data
+// placement streams — fails the round with an error that says so, never a
+// panic, and leaves the committed version loadable and the next round
+// unharmed.
+func TestWrongSizedPeerMessageFailsTheRound(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		prefix string
+		keep   int
+		want   string
+	}{
+		{"sm/", 1, "shorter than its"}, // a 9-window ship-set takes 2 bytes
+		{"xr/", 100, "has 100 bytes, want"},
+		{"pp/", 100, "has 100 bytes, want"},
+		{"pd/", 100, "has 100 bytes, want"},
+	} {
+		t.Run(strings.TrimSuffix(tc.prefix, "/"), func(t *testing.T) {
+			inner, err := transport.NewMemory(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net := &mangleNet{Network: inner, keep: tc.keep}
+			rig := newRigOn(t, net, nil, 4, 2, 2, 2, func(c *Config) { c.OpTimeout = 2 * time.Second })
+			if _, err := rig.ckpt.Save(ctx, rig.dicts); err != nil {
+				t.Fatal(err)
+			}
+			net.prefix.Store(&tc.prefix)
+			next := stampVersion(rig.dicts, 2)
+			_, err = rig.ckpt.Save(ctx, next)
+			if net.prefix.Load() != nil {
+				t.Fatalf("no %s message was sent: the stream is not exercised on this rig", tc.prefix)
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("save with a truncated %s message: error %v, want one containing %q", tc.prefix, err, tc.want)
+			}
+			got, rep, err := rig.ckpt.Load(ctx)
+			if err != nil || rep.Version != 1 {
+				t.Fatalf("load after the failed round: version %d, %v", rep.Version, err)
+			}
+			dictsEqual(t, rig.dicts, got)
+			if _, err := rig.ckpt.Save(ctx, next); err != nil {
+				t.Fatalf("next round: %v", err)
+			}
+			if got, _, err = rig.ckpt.Load(ctx); err != nil {
+				t.Fatal(err)
+			}
+			dictsEqual(t, next, got)
+		})
 	}
 }

@@ -6,9 +6,10 @@ import "sync/atomic"
 const (
 	// OpSave is a full checkpoint round (Save or SaveAsync).
 	OpSave = "save"
-	// OpIncremental is a delta checkpoint round (SaveIncremental). Its
-	// transparent full-save fallback still reports as OpIncremental: the
-	// caller asked for one round and gets one pair of callbacks.
+	// OpIncremental is a save round started by SaveIncremental. Without a
+	// usable base it is the same round with an all-ones ship-set, and still
+	// reports as OpIncremental: the caller asked for one round and gets one
+	// pair of callbacks.
 	OpIncremental = "incremental"
 	// OpLoad is an in-memory recovery round (Load).
 	OpLoad = "load"

@@ -430,8 +430,8 @@ func (c *Checkpointer) repairLocked(ctx context.Context, node int) (*JoinReport,
 		// byte-identical twin of one of the just-restored chunk segments,
 		// so a local copy on the joiner recreates it for free. A segment
 		// the drain flagged absent leaves its twin absent too — the next
-		// SaveIncremental then falls back to a full round, exactly as it
-		// would have without the dedup.
+		// SaveIncremental then ships every window, exactly as it would have
+		// without the dedup.
 		for ownKey, segKey := range record.derived {
 			if blob, lerr := c.clus.View(node, segKey); lerr == nil {
 				if serr := c.clus.Store(node, ownKey, blob); serr != nil {

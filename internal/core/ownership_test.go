@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -78,6 +79,34 @@ func TestViewSurvivesLaterCommitFailAndReplace(t *testing.T) {
 // the race detector must stay quiet about the borrowed views.
 func TestConcurrentLoadAndSaveAsyncNeverMixVersions(t *testing.T) {
 	rig := newRig(t, 4, 2, 2, 2, func(c *Config) { c.RemotePersistEvery = -1 })
+	loadWhileSaving(t, rig, func(ctx context.Context, dicts []*statedict.StateDict) error {
+		h, err := rig.ckpt.SaveAsync(ctx, dicts)
+		if err != nil {
+			return err
+		}
+		_, err = h.Wait(ctx)
+		return err
+	})
+}
+
+// TestConcurrentLoadAndDeltaSaveNeverMixVersions is the same race with delta
+// rounds: they stage and commit like every other round, so a recovery that
+// overlaps one reads the version before it or the version after it.
+func TestConcurrentLoadAndDeltaSaveNeverMixVersions(t *testing.T) {
+	rig := incrementalRig(t)
+	loadWhileSaving(t, rig, func(ctx context.Context, dicts []*statedict.StateDict) error {
+		rep, err := rig.ckpt.SaveIncremental(ctx, dicts)
+		if err == nil && rep.Full {
+			err = errors.New("delta round fell back to a full save")
+		}
+		return err
+	})
+}
+
+// loadWhileSaving saves a sequence of stamped versions with save on one
+// goroutine while the caller's goroutine recovers in a loop, and requires
+// every recovery to return one saved version on every rank.
+func loadWhileSaving(t *testing.T, rig *testRig, save func(ctx context.Context, dicts []*statedict.StateDict) error) {
 	ctx := context.Background()
 	rounds := 12
 	if testing.Short() {
@@ -95,13 +124,8 @@ func TestConcurrentLoadAndSaveAsyncNeverMixVersions(t *testing.T) {
 	go func() {
 		defer close(saverDone)
 		for i := 1; i <= rounds; i++ {
-			h, err := rig.ckpt.SaveAsync(ctx, versions[i])
-			if err != nil {
-				t.Errorf("SaveAsync %d: %v", i, err)
-				return
-			}
-			if _, err := h.Wait(ctx); err != nil {
-				t.Errorf("drain %d: %v", i, err)
+			if err := save(ctx, versions[i]); err != nil {
+				t.Errorf("save %d: %v", i, err)
 				return
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -13,13 +14,47 @@ import (
 	"eccheck/internal/statedict"
 )
 
-// Message tags of the save protocol. Buffers within one tag stream are
-// sequential, so per-stream FIFO delivery keeps them ordered.
-func tagSmallMeta(rank int) string             { return fmt.Sprintf("sm/%d", rank) }
-func tagSmallKeys(rank int) string             { return fmt.Sprintf("sk/%d", rank) }
-func tagXOR(group, parityIdx int) string       { return fmt.Sprintf("xr/%d/%d", group, parityIdx) }
-func tagParityP2P(parityIdx, group int) string { return fmt.Sprintf("pp/%d/%d", parityIdx, group) }
-func tagDataP2P(chunk, seg int) string         { return fmt.Sprintf("pd/%d/%d", chunk, seg) }
+// tagTable holds the message tags of the save protocol, rendered once per
+// (layout, epoch). Buffers within one tag stream are sequential, so
+// per-stream FIFO delivery keeps them ordered. Every tag carries the save
+// epoch, which advances whenever a round aborts: messages an aborted round
+// left in the mailboxes (and the sends and receives of its teardown, which
+// outlive it) stay under the old epoch's tags, where no later round looks.
+// The epoch does not advance on a committed round, so the steady state
+// reuses one set of mailboxes.
+type tagTable struct {
+	lay   *layout
+	epoch int
+	// By rank: the small-component broadcast (the meta message also carries
+	// the worker's ship-set) and the worker's data-segment stream.
+	smallMeta, smallKeys, data []string
+	// By reduction: partials up the fan-in tree, finished parity to its node.
+	xor, parity []string
+}
+
+// saveTags returns the tag table of the round that holds the save slot.
+func (c *Checkpointer) saveTags(lay *layout) *tagTable {
+	if t := c.tags; t != nil && t.lay == lay && t.epoch == c.saveEpoch {
+		return t
+	}
+	e, plan, world := c.saveEpoch, lay.plan, c.cfg.Topo.World()
+	t := &tagTable{
+		lay: lay, epoch: e,
+		smallMeta: make([]string, world), smallKeys: make([]string, world), data: make([]string, world),
+		xor: make([]string, len(plan.Reductions)), parity: make([]string, len(plan.Reductions)),
+	}
+	for rank := 0; rank < world; rank++ {
+		t.smallMeta[rank] = fmt.Sprintf("sm/%d/%d", e, rank)
+		t.smallKeys[rank] = fmt.Sprintf("sk/%d/%d", e, rank)
+		t.data[rank] = fmt.Sprintf("pd/%d/%d/%d", e, plan.DataGroupOf[rank], plan.SegmentOf[rank])
+	}
+	for ri, r := range plan.Reductions {
+		t.xor[ri] = fmt.Sprintf("xr/%d/%d/%d", e, r.Group, r.ParityIndex)
+		t.parity[ri] = fmt.Sprintf("pp/%d/%d/%d", e, r.ParityIndex, r.Group)
+	}
+	c.tags = t
+	return t
+}
 
 // Save checkpoints all workers' state dicts: the paper's eccheck.save.
 // dicts is indexed by world rank; each node goroutine only touches its own
@@ -47,8 +82,17 @@ func (c *Checkpointer) Save(ctx context.Context, dicts []*statedict.StateDict) (
 // resume — nothing in the drain reads the live dicts.
 type nodeSnapshot struct {
 	node    int
-	packets map[int][]byte    // rank -> pooled packet
-	smalls  map[int][2][]byte // rank -> {metaBlob, keysBlob} (pooled)
+	packets map[int][]byte // rank -> pooled packet
+	// smalls is rank -> {meta message, keysBlob} (pooled). The meta message
+	// is the metadata blob followed by the worker's ship-set (see shipSet),
+	// as it goes on the wire in step 2.
+	smalls map[int][2][]byte
+	// olds is rank -> the worker's packet as the committed checkpoint holds
+	// it (a borrowed view of the own-packet cache): what a delta round's
+	// windows are XORed against. Nil on a full round.
+	olds map[int][]byte
+	// shipped counts the buffer windows in the local workers' ship-sets.
+	shipped int
 	// phases is the snapshot stage's wall time, charged to serialize and
 	// offload; nodeDrain folds it into the node's full-round partition.
 	phases map[string]time.Duration
@@ -73,10 +117,15 @@ func (s *nodeSnapshot) release(c *Checkpointer) {
 
 // snapshotNode runs one node's snapshot stage: decompose the local dicts
 // and offload their tensor data into contiguous packets (the DtoH copy —
-// the only work the training loop stalls on). Pure local memory work, no
-// network.
-func (c *Checkpointer) snapshotNode(node, version, packetBytes int, dicts []*statedict.StateDict) (*nodeSnapshot, error) {
+// the only work the training loop stalls on), then fix each worker's
+// ship-set: every buffer window on a full round, the windows that differ
+// from the worker's cached packet on a delta round. Pure local memory work,
+// no network.
+func (c *Checkpointer) snapshotNode(node, version, packetBytes int, dicts []*statedict.StateDict, delta bool) (*nodeSnapshot, error) {
 	g := c.cfg.Topo.GPUsPerNode()
+	bufSize := c.cfg.BufferSize
+	numBuffers := c.numBuffers(packetBytes)
+	ownPacket := c.layout().keys.ownPacket
 	pc := newPhaseClock(PhaseSerialize)
 	pc.emitTo(c.cfg.Flight, "save", node, version)
 	pc.watchTo(c.wd, "save", node, version)
@@ -86,6 +135,9 @@ func (c *Checkpointer) snapshotNode(node, version, packetBytes int, dicts []*sta
 		packets: make(map[int][]byte, g),
 		smalls:  make(map[int][2][]byte, g),
 	}
+	if delta {
+		snap.olds = make(map[int][]byte, g)
+	}
 	for w := node * g; w < (node+1)*g; w++ {
 		pc.Switch(PhaseSerialize)
 		dec, err := dicts[w].DecomposeWith(c.buf)
@@ -93,42 +145,59 @@ func (c *Checkpointer) snapshotNode(node, version, packetBytes int, dicts []*sta
 			snap.release(c)
 			return nil, fmt.Errorf("rank %d decompose: %w", w, err)
 		}
+		// The meta message: metadata blob, then room for the ship-set.
+		meta := c.buf.Get(len(dec.MetaBlob) + shipSetBytes(numBuffers))
+		ship := shipSet(meta[copy(meta, dec.MetaBlob):])
+		c.buf.Put(dec.MetaBlob)
+		snap.smalls[w] = [2][]byte{meta, dec.KeysBlob}
 		pc.Switch(PhaseOffload)
 		pkt, err := c.buildPacketPooled(dec, packetBytes)
 		if err != nil {
-			c.buf.Put(dec.MetaBlob)
-			c.buf.Put(dec.KeysBlob)
 			snap.release(c)
 			return nil, fmt.Errorf("rank %d: %w", w, err)
 		}
 		snap.packets[w] = pkt
-		snap.smalls[w] = [2][]byte{dec.MetaBlob, dec.KeysBlob}
+		clear(ship)
+		if !delta {
+			for b := 0; b < numBuffers; b++ {
+				ship.set(b)
+			}
+			snap.shipped += numBuffers
+			continue
+		}
+		old, err := c.fetch(node, ownPacket[w])
+		if err == nil && len(old) != packetBytes {
+			err = fmt.Errorf("cached packet has %d bytes, want %d", len(old), packetBytes)
+		}
+		if err != nil {
+			snap.release(c)
+			return nil, fmt.Errorf("rank %d delta base: %w", w, err)
+		}
+		snap.olds[w] = old
+		for b := 0; b < numBuffers; b++ {
+			lo, hi := b*bufSize, min((b+1)*bufSize, packetBytes)
+			if !bytes.Equal(pkt[lo:hi], old[lo:hi]) {
+				ship.set(b)
+				snap.shipped++
+			}
+		}
 	}
 	snap.phases = pc.Stop()
 	snap.end = time.Now()
 	return snap, nil
 }
 
-// buildPacket packs a worker's decomposed tensor data into one contiguous,
-// zero-padded packet of the agreed size, in a buffer host memory can adopt
-// (the incremental path caches it as the worker's own packet).
-func buildPacket(dec *statedict.Decomposition, packetBytes int) ([]byte, error) {
-	if dec.TensorBytes() > packetBytes {
-		return nil, fmt.Errorf("core: tensor payload %d exceeds packet size %d",
-			dec.TensorBytes(), packetBytes)
-	}
-	packet := cluster.NewBlob(packetBytes)
-	off := 0
-	for _, buf := range dec.TensorData {
-		off += copy(packet[off:], buf)
-	}
-	return packet, nil
+// numBuffers is how many buffer windows (Config.BufferSize each, the last
+// one possibly shorter) a packet of the given size spans.
+func (c *Checkpointer) numBuffers(packetBytes int) int {
+	return (packetBytes + c.cfg.BufferSize - 1) / c.cfg.BufferSize
 }
 
-// buildPacketPooled is buildPacket drawing the packet from the buffer pool.
-// The alignment padding is explicitly zeroed because recycled buffers carry
-// stale bytes. The caller owns the packet and must Put it when the round no
-// longer references it.
+// buildPacketPooled packs a worker's decomposed tensor data into one contiguous
+// packet of the agreed size, drawn from the buffer pool. The alignment
+// padding is explicitly zeroed because recycled buffers carry stale bytes.
+// The caller owns the packet and must Put it when the round no longer
+// references it.
 func (c *Checkpointer) buildPacketPooled(dec *statedict.Decomposition, packetBytes int) ([]byte, error) {
 	if dec.TensorBytes() > packetBytes {
 		return nil, fmt.Errorf("core: tensor payload %d exceeds packet size %d",
@@ -170,12 +239,9 @@ func parseManifest(blob []byte) (version, packetBytes, bufferSize int, err error
 	return int(v), int(p), int(b), nil
 }
 
-// reduceKey identifies one buffer of one XOR reduction.
-type reduceKey struct {
-	group  int
-	parity int
-	buf    int
-}
+// reduceKey identifies one buffer of one XOR reduction (by index into the
+// plan's reductions).
+type reduceKey struct{ ri, buf int }
 
 // reduceState accumulates one node's share of one reduction buffer: its
 // local workers' contributions plus one folded partial per child machine in
@@ -184,11 +250,18 @@ type reduceKey struct {
 // adopted as the accumulator (the pool hands every contributor an
 // exclusively owned buffer, so taking it is free); later contributions are
 // XOR-folded in and recycled. Each state has its own lock so reductions for
-// different (group, parity, buffer) keys fold concurrently.
+// different (reduction, buffer) keys fold concurrently.
 type reduceState struct {
 	mu        sync.Mutex
 	acc       []byte
 	remaining int
+}
+
+// foldCursor orders one reduction's outputs: next is the first buffer
+// whose completed fold has not left this node yet.
+type foldCursor struct {
+	mu   sync.Mutex
+	next int
 }
 
 // nodeDrain runs one node's side of the checkpointing round after the
@@ -210,22 +283,32 @@ type reduceState struct {
 // and forwards a single partial per buffer toward the root, keeping
 // per-machine fan-in bounded by Config.GroupFanIn at any cluster size.
 //
+// What ships is a parameter. Each worker's ship-set (broadcast with its
+// small components) names the windows of its packet that carry traffic, and
+// every node derives from the ship-sets which windows each stream, fold and
+// ledger entry involves. A full round ships every window onto zeroed
+// segments; a delta round (snap.olds set) ships new ⊕ old for the windows
+// that changed onto a copy of the committed segments — by linearity of the
+// code, the data segment moves by the difference and parity segment i by
+// its coefficient multiple, folded through the same trees.
+//
 // Every blob is written under a staged key; the caller promotes the staging
 // area only after all nodes finish, so an aborted round never damages the
 // committed checkpoint. Every Send/Recv carries the configured deadline, so
 // a peer that crashes mid-round turns into a bounded error, not a hang.
-func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, version, packetBytes int) (int, map[string]time.Duration, error) {
+func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *tagTable, version, packetBytes int) (int, map[string]time.Duration, error) {
 	topo := c.cfg.Topo
-	lay := c.layout()
+	lay := tags.lay
 	plan := lay.plan
 	node := snap.node
 	g := topo.GPUsPerNode()
 	world := topo.World()
 	span := world / c.cfg.K
 	bufSize := c.cfg.BufferSize
-	numBuffers := (packetBytes + bufSize - 1) / bufSize
+	numBuffers := c.numBuffers(packetBytes)
 	packets := snap.packets
 	smalls := snap.smalls
+	delta := snap.olds != nil
 	pc := newPhaseClock(PhaseP2P)
 	pc.emitTo(c.cfg.Flight, "save", node, version)
 	pc.watchTo(c.wd, "save", node, version)
@@ -263,63 +346,64 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, versio
 		}
 	}()
 
-	// --- Step 2: broadcast the small components; store everything. ---
+	// --- Step 2: broadcast the small components; store everything. Each
+	// rank's meta message ends in its ship-set, which the node keeps for the
+	// round (one backing array) and strips before staging the blob. ---
+	shipBytes := shipSetBytes(numBuffers)
+	shipBuf := make([]byte, world*shipBytes)
+	ships := make([]shipSet, world)
+	stageSmalls := func(rank int, metaMsg, keys []byte) (int, error) {
+		cut := len(metaMsg) - shipBytes
+		if cut < 0 {
+			return 0, fmt.Errorf("core: rank %d meta message has %d bytes, shorter than its %d-byte ship-set", rank, len(metaMsg), shipBytes)
+		}
+		ships[rank] = shipBuf[rank*shipBytes : (rank+1)*shipBytes]
+		copy(ships[rank], metaMsg[cut:])
+		if err := stage(lay.keys.smallMeta[rank], metaMsg[:cut]); err != nil {
+			return 0, err
+		}
+		return cut + len(keys), stage(lay.keys.smallKeys[rank], keys)
+	}
+	smallBytes := 0
 	for _, w := range localWorkers {
 		blobs := smalls[w]
-		metaTag, keysTag := lay.keys.smallMetaTag[w], lay.keys.smallKeysTag[w]
 		for peer := 0; peer < topo.Nodes(); peer++ {
 			if peer == node {
 				continue
 			}
-			if err := ep.Send(ctx, peer, metaTag, blobs[0]); err != nil {
+			if err := ep.Send(ctx, peer, tags.smallMeta[w], blobs[0]); err != nil {
 				return 0, nil, err
 			}
-			if err := ep.Send(ctx, peer, keysTag, blobs[1]); err != nil {
+			if err := ep.Send(ctx, peer, tags.smallKeys[w], blobs[1]); err != nil {
 				return 0, nil, err
 			}
-		}
-		if err := stage(lay.keys.smallMeta[w], blobs[0]); err != nil {
-			return 0, nil, err
-		}
-		if err := stage(lay.keys.smallKeys[w], blobs[1]); err != nil {
-			return 0, nil, err
 		}
 	}
-	smallBytes := 0
 	for rank := 0; rank < world; rank++ {
 		srcNode, err := topo.NodeOf(rank)
 		if err != nil {
 			return 0, nil, err
 		}
-		if srcNode == node {
-			smallBytes += len(smalls[rank][0]) + len(smalls[rank][1])
-			continue
+		meta, keys := smalls[rank][0], smalls[rank][1]
+		if srcNode != node {
+			if meta, err = ep.Recv(ctx, srcNode, tags.smallMeta[rank]); err != nil {
+				return 0, nil, err
+			}
+			if keys, err = ep.Recv(ctx, srcNode, tags.smallKeys[rank]); err != nil {
+				c.buf.Put(meta)
+				return 0, nil, err
+			}
 		}
-		meta, err := ep.Recv(ctx, srcNode, lay.keys.smallMetaTag[rank])
-		if err != nil {
-			return 0, nil, err
-		}
-		keys, err := ep.Recv(ctx, srcNode, lay.keys.smallKeysTag[rank])
-		if err != nil {
-			return 0, nil, err
-		}
-		smallBytes += len(meta) + len(keys)
-		if err := stage(lay.keys.smallMeta[rank], meta); err != nil {
-			return 0, nil, err
-		}
-		if err := stage(lay.keys.smallKeys[rank], keys); err != nil {
-			return 0, nil, err
-		}
-		// Both recv'd blobs were copied into host memory by stage.
+		n, err := stageSmalls(rank, meta, keys)
+		// Sent (Send copies) or received, and copied into host memory by
+		// stage: the pooled buffers are free again.
 		c.buf.Put(meta)
 		c.buf.Put(keys)
-	}
-	// The local small blobs were broadcast (Send copies) and staged; their
-	// pooled serialization buffers are free again.
-	for _, w := range localWorkers {
-		c.buf.Put(smalls[w][0])
-		c.buf.Put(smalls[w][1])
-		delete(snap.smalls, w)
+		delete(smalls, rank)
+		if err != nil {
+			return 0, nil, err
+		}
+		smallBytes += n
 	}
 
 	// --- Step 3: per-buffer streaming pipeline — encode, hierarchical XOR
@@ -328,45 +412,37 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, versio
 	myChunk := plan.ChunkOfNode[node]
 	// The segments are assembled directly in the buffers host memory will
 	// own: exact-size with footer room, sealed and adopted at promote, never
-	// pooled. Every byte of every segment is written exactly once before
-	// then — buffer ranges tile the packet, and each range of each segment
-	// receives one copy (local data, P2P data, finalized parity, or P2P
-	// parity). Allocating host memory's blobs is promote work, as it was
-	// when the store allocated them itself at commit.
+	// pooled. They start as the round's base — zeroes, or on a delta round
+	// the committed segments — and every shipped buffer range of every
+	// segment is then written exactly once (local data, P2P data, finalized
+	// parity, or P2P parity). Allocating host memory's blobs is promote
+	// work, as it was when the store allocated them itself at commit.
 	pc.Switch(PhasePromote)
 	chunkSegs := make([][]byte, span)
 	for s := range chunkSegs {
 		chunkSegs[s] = cluster.NewBlob(packetBytes)
+		if !delta {
+			continue
+		}
+		base, err := c.fetch(node, lay.keys.segment[myChunk][s])
+		if err == nil && len(base) != packetBytes {
+			err = fmt.Errorf("committed segment has %d bytes, want %d", len(base), packetBytes)
+		}
+		if err != nil {
+			return 0, nil, fmt.Errorf("core: delta base chunk %d segment %d: %w", myChunk, s, err)
+		}
+		copy(chunkSegs[s], base)
 	}
 	pc.Switch(PhaseStage)
-	// Each segment has exactly one writer stream and that stream delivers
-	// its buffer ranges in ascending order, so the writer folds the range
-	// into the segment's running checksum while it is still cache-hot; the
-	// window ledger orders those writes before the promote below reads them.
-	segCRC := make([]uint32, span)
-	landRange := func(seg, lo int, src []byte) {
-		copy(chunkSegs[seg][lo:lo+len(src)], src)
-		segCRC[seg] = cluster.Checksum(segCRC[seg], src)
-	}
 
 	sliceBounds := func(b int) (int, int) {
-		lo := b * bufSize
-		hi := lo + bufSize
-		if hi > packetBytes {
-			hi = packetBytes
-		}
-		return lo, hi
+		return b * bufSize, min((b+1)*bufSize, packetBytes)
 	}
 
-	// Pre-render the per-stream tags and per-(reduction, worker) coding
-	// coefficients once: the buffer loop must not format strings or take
-	// fallible lookups per window.
-	xorTags := make([]string, len(plan.Reductions))
-	parityTags := make([]string, len(plan.Reductions))
+	// Per-(reduction, worker) coding coefficients, looked up once: the
+	// buffer loop must not take fallible lookups per window.
 	coefs := make([]map[int]int, len(plan.Reductions))
 	for ri, r := range plan.Reductions {
-		xorTags[ri] = tagXOR(r.Group, r.ParityIndex)
-		parityTags[ri] = tagParityP2P(r.ParityIndex, r.Group)
 		myWorkers := lay.routes[ri].workersOf[node]
 		coefs[ri] = make(map[int]int, len(myWorkers))
 		for _, w := range myWorkers {
@@ -377,64 +453,116 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, versio
 			coefs[ri][w] = coef
 		}
 	}
-	dataTags := make(map[int]string, len(localWorkers))
-	for _, w := range localWorkers {
-		dataTags[w] = tagDataP2P(plan.DataGroupOf[w], plan.SegmentOf[w])
-	}
 
-	// Data segments this node's chunk collects from remote workers.
-	type dataSrc struct{ srcNode, seg int }
-	var dataSrcs []dataSrc
-	if myChunk >= 0 && myChunk < c.cfg.K {
-		for w := 0; w < world; w++ {
-			if plan.DataGroupOf[w] != myChunk {
-				continue
-			}
-			srcNode, err := topo.NodeOf(w)
-			if err != nil {
-				return 0, nil, err
-			}
-			if srcNode != node {
-				dataSrcs = append(dataSrcs, dataSrc{srcNode: srcNode, seg: plan.SegmentOf[w]})
+	// Inbound window streams, each with the ship-set naming the windows it
+	// carries. A tree child forwards a partial for the windows any worker in
+	// its subtree ships; a reduction's root sends parity for the windows any
+	// of its workers ships; a remote worker of this node's data chunk sends
+	// its own.
+	type inbound struct {
+		from int
+		tag  string
+		ship shipSet
+		seg  int // segment the stream lands in (parity and data streams)
+	}
+	// shipsBelow is the union of the ship-sets of every worker hosted in
+	// machine n's subtree of the reduction's fan-in tree, ORed into u.
+	var shipsBelow func(u shipSet, rt *reduceRoute, n int) shipSet
+	shipsBelow = func(u shipSet, rt *reduceRoute, n int) shipSet {
+		for _, w := range rt.workersOf[n] {
+			u.or(ships[w])
+		}
+		for _, child := range rt.tree.Children[n] {
+			shipsBelow(u, rt, child)
+		}
+		return u
+	}
+	partialIn := make([][]inbound, len(lay.routes)) // by reduction, one per tree child
+	var landIn []inbound                            // parity and data segments landing in this node's chunk
+	for ri, r := range plan.Reductions {
+		rt := &lay.routes[ri]
+		for _, child := range rt.tree.Children[node] {
+			partialIn[ri] = append(partialIn[ri], inbound{from: child, tag: tags.xor[ri], ship: shipsBelow(make(shipSet, shipBytes), rt, child)})
+		}
+		if myChunk == c.cfg.K+r.ParityIndex && rt.targetNode != node {
+			landIn = append(landIn, inbound{from: rt.targetNode, tag: tags.parity[ri], ship: shipsBelow(make(shipSet, shipBytes), rt, rt.targetNode), seg: r.Group})
+		}
+	}
+	for w := 0; w < world && myChunk < c.cfg.K; w++ {
+		if plan.DataGroupOf[w] != myChunk {
+			continue
+		}
+		srcNode, err := topo.NodeOf(w)
+		if err != nil {
+			return 0, nil, err
+		}
+		if srcNode != node {
+			landIn = append(landIn, inbound{from: srcNode, tag: tags.data[w], ship: ships[w], seg: plan.SegmentOf[w]})
+		}
+	}
+	// owed counts the contributions this node folds for window b of
+	// reduction ri: its shipping local workers plus its shipping children.
+	owed := func(ri, b int) int {
+		n := 0
+		for _, w := range lay.routes[ri].workersOf[node] {
+			if ships[w].has(b) {
+				n++
 			}
 		}
+		for _, in := range partialIn[ri] {
+			if in.ship.has(b) {
+				n++
+			}
+		}
+		return n
 	}
 
 	// The buffer window is this node's per-buffer delivery ledger and credit
-	// bound. Every buffer owes the same delivery count: the encode loop's
-	// own end-of-buffer landing, one fold completion per reduction this node
-	// participates in (root finalize or partial forward), one parity-segment
-	// arrival per reduction of this node's parity chunk rooted elsewhere,
-	// and one data-segment arrival per remote worker of this node's data
-	// chunk.
-	perBuf := 1
-	for ri := range lay.routes {
-		rt := &lay.routes[ri]
-		if len(rt.workersOf[node]) > 0 || len(rt.tree.Children[node]) > 0 {
-			perBuf++
-		}
-	}
-	if myChunk >= c.cfg.K {
-		pi := myChunk - c.cfg.K
-		for ri, r := range plan.Reductions {
-			if r.ParityIndex == pi && lay.routes[ri].targetNode != node {
-				perBuf++
+	// bound. Window b owes: the encode loop's own end-of-buffer landing, one
+	// fold completion per reduction this node folds anything for (root
+	// finalize or partial forward), and one arrival per inbound parity or
+	// data stream that carries the window.
+	win := newBufWindow(numBuffers, c.cfg.PipelineDepth, func(b int) int {
+		n := 1
+		for ri := range lay.routes {
+			if owed(ri, b) > 0 {
+				n++
 			}
 		}
-	}
-	perBuf += len(dataSrcs)
-	win := newBufWindow(numBuffers, c.cfg.PipelineDepth, func(int) int { return perBuf })
-	if err := win.checkLedger(); err != nil {
-		return 0, nil, err
-	}
+		for _, in := range landIn {
+			if in.ship.has(b) {
+				n++
+			}
+		}
+		return n
+	})
 	win.emitTo(c.cfg.Flight, node, version)
 	fail := win.fail
 
-	// Fold state for reductions this node participates in, keyed by
-	// (group, parity, buffer).
+	// Each segment has exactly one writer stream and that stream delivers
+	// its buffer ranges in ascending order, so the writer folds the segment
+	// into its running checksum as it goes, while the range is still
+	// cache-hot: first the base bytes of any windows the stream skipped, then
+	// the range itself. The window ledger orders those writes before the
+	// promote below reads them.
+	segCRC := make([]uint32, span)
+	segSummed := make([]int, span) // bytes of the segment already folded
+	landRange := func(seg, lo int, src []byte) {
+		hi := lo + len(src)
+		if !delta {
+			copy(chunkSegs[seg][lo:hi], src) // XOR onto a zero base
+		} else if err := gf.XORSlice(chunkSegs[seg][lo:hi], src); err != nil {
+			fail(err)
+		}
+		segCRC[seg] = cluster.Checksum(segCRC[seg], chunkSegs[seg][segSummed[seg]:hi])
+		segSummed[seg] = hi
+	}
+
+	// Fold state for reductions this node participates in.
 	var (
-		accMu sync.Mutex
-		accs  = map[reduceKey]*reduceState{}
+		accMu   sync.Mutex
+		accs    = map[reduceKey]*reduceState{}
+		cursors = make([]foldCursor, len(lay.routes))
 	)
 	// recvXorNs accumulates XOR-reduce time spent on receiver goroutines;
 	// it overlaps the main goroutine's barrier wait and is re-attributed
@@ -451,9 +579,10 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, versio
 		dstNode int
 		tag     string
 		payload []byte
-		// pooled marks payloads owned by the queue (folded partials and
-		// parity segments): recycled after the send. Data-segment payloads
-		// alias the worker packets and are recycled by nodeDrain instead.
+		// pooled marks payloads owned by the queue (folded partials, parity
+		// segments, delta windows): recycled after the send. A full round's
+		// data-segment payloads alias the worker packets and are recycled by
+		// nodeDrain instead.
 		pooled bool
 		// land, when non-negative, is the buffer whose delivery this send
 		// completes; it lands after a successful send (a failed one poisons
@@ -493,45 +622,71 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, versio
 		return gf.XORSlice(dst, src)
 	}
 
-	// finalize disposes of a completed reduction buffer at the tree root:
-	// the parity bytes land in the local chunk when this node stores the
-	// parity chunk, or ship to the parity node through the send queue.
-	// Either way ownership of the accumulator leaves the fold state here.
-	finalize := func(ri int, k reduceKey, acc []byte) {
-		dstNode := plan.ParityNodes[k.parity]
-		if dstNode == node {
-			lo, _ := sliceBounds(k.buf)
-			landRange(k.group, lo, acc)
-			c.buf.Put(acc)
-			win.landOne(k.buf)
-			return
+	// emit hands reduction ri's completed folds on, in buffer order: the
+	// streams they feed are matched to buffers by position, and the segment
+	// checksum folds in order. Folds complete in buffer order only when every
+	// contributor ships every window, so a fold that completes ahead of an
+	// earlier owed one waits in accs until that one has gone. At the tree
+	// root the parity bytes land in the local chunk when this node stores
+	// the parity chunk, or ship to the parity node; every other machine
+	// forwards its partial one hop up the tree, and the delivery lands once
+	// the send goes through. Ownership of the accumulator leaves the fold
+	// state here.
+	emit := func(ri int) {
+		rt, r, cur := &lay.routes[ri], &plan.Reductions[ri], &cursors[ri]
+		cur.mu.Lock()
+		defer cur.mu.Unlock()
+		for ; cur.next < numBuffers; cur.next++ {
+			if owed(ri, cur.next) == 0 {
+				continue
+			}
+			k := reduceKey{ri: ri, buf: cur.next}
+			accMu.Lock()
+			st, done := accs[k], false
+			if st != nil {
+				st.mu.Lock()
+				done = st.remaining == 0
+				st.mu.Unlock()
+			}
+			if done {
+				delete(accs, k)
+			}
+			accMu.Unlock()
+			if !done {
+				return
+			}
+			switch dstNode := plan.ParityNodes[r.ParityIndex]; {
+			case rt.targetNode != node:
+				sendQueue <- outMsg{dstNode: rt.tree.Parent[node], tag: tags.xor[ri], payload: st.acc, pooled: true, land: k.buf}
+			case dstNode != node:
+				sendQueue <- outMsg{dstNode: dstNode, tag: tags.parity[ri], payload: st.acc, pooled: true, land: k.buf}
+			default:
+				lo, _ := sliceBounds(k.buf)
+				landRange(r.Group, lo, st.acc)
+				c.buf.Put(st.acc)
+				win.landOne(k.buf)
+			}
 		}
-		sendQueue <- outMsg{dstNode: dstNode, tag: parityTags[ri], payload: acc, pooled: true, land: k.buf}
 	}
 
 	// contribute folds one contribution into this node's accumulator for
 	// reduction ri, buffer b, taking ownership of the buffer: the first
 	// contribution becomes the accumulator, later ones are XORed in and
-	// recycled. When the node's own obligations — local workers plus tree
-	// children — are all folded, the root finalizes the buffer and every
-	// other machine forwards one partial per buffer up the fan-in tree.
-	// timeXor attributes the XOR to the receiver-side accumulator; the main
-	// goroutine passes false because its XOR time is already on the phase
-	// clock. Contribution streams are sequential and completions fire
-	// synchronously inside the call, so forwarded partials and parity P2P
-	// sends stay in buffer order per stream.
+	// recycled. When the node's own obligations — shipping local workers
+	// plus shipping tree children — are all folded, the buffer is ready to
+	// emit. timeXor attributes the XOR to the receiver-side accumulator; the
+	// main goroutine passes false because its XOR time is already on the
+	// phase clock.
 	contribute := func(ri, b int, contribution []byte, timeXor bool) {
-		rt := &lay.routes[ri]
-		r := &plan.Reductions[ri]
 		var xorStart time.Time
 		if timeXor {
 			xorStart = time.Now()
 		}
-		k := reduceKey{group: r.Group, parity: r.ParityIndex, buf: b}
+		k := reduceKey{ri: ri, buf: b}
 		accMu.Lock()
 		st, ok := accs[k]
 		if !ok {
-			st = &reduceState{remaining: len(rt.workersOf[node]) + len(rt.tree.Children[node])}
+			st = &reduceState{remaining: owed(ri, b)}
 			accs[k] = st
 		}
 		accMu.Unlock()
@@ -550,102 +705,70 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, versio
 		st.remaining--
 		done := st.remaining == 0
 		st.mu.Unlock()
-		if done {
-			accMu.Lock()
-			delete(accs, k)
-			accMu.Unlock()
-		}
 		if timeXor {
 			recvXorNs.Add(time.Since(xorStart).Nanoseconds())
 		}
-		if !done {
-			return
+		if done {
+			emit(ri)
 		}
-		if rt.targetNode == node {
-			finalize(ri, k, st.acc)
-			return
+	}
+
+	// receive runs one inbound stream: the windows in its ship-set arrive in
+	// ascending order under one tag. Bytes from a peer are checked against
+	// the window's bounds before anything folds or lands them; deliver takes
+	// ownership of the payload.
+	receive := func(in inbound, deliver func(b, lo int, payload []byte)) {
+		for b := 0; b < numBuffers; b++ {
+			if !in.ship.has(b) {
+				continue
+			}
+			payload, err := ep.Recv(ctx, in.from, in.tag)
+			if err != nil {
+				fail(err)
+				return
+			}
+			lo, hi := sliceBounds(b)
+			if len(payload) != hi-lo {
+				c.buf.Put(payload)
+				fail(fmt.Errorf("core: stream %s from node %d: window %d has %d bytes, want %d",
+					in.tag, in.from, b, len(payload), hi-lo))
+				return
+			}
+			deliver(b, lo, payload)
 		}
-		// Forward the folded partial one hop up the tree; the delivery
-		// lands once the send goes through.
-		sendQueue <- outMsg{dstNode: rt.tree.Parent[node], tag: xorTags[ri], payload: st.acc, pooled: true, land: k.buf}
 	}
 
 	// Partial receivers: one stream per inbound tree edge. Each child
-	// machine sends exactly one folded partial per buffer, so this node
-	// receives at most GroupFanIn streams per reduction regardless of k.
-	// They are also send-queue producers (a completion forwards or
+	// machine sends exactly one folded partial per buffer it ships, so this
+	// node receives at most GroupFanIn streams per reduction regardless of
+	// k. They are also send-queue producers (a completion forwards or
 	// finalizes), so the queue closes only after they exit.
 	var xorRecvWG sync.WaitGroup
-	for ri := range lay.routes {
-		for _, child := range lay.routes[ri].tree.Children[node] {
+	for ri := range partialIn {
+		for _, in := range partialIn[ri] {
 			xorRecvWG.Add(1)
-			go func(ri, child int) {
+			go func() {
 				defer xorRecvWG.Done()
-				tag := xorTags[ri]
-				for b := 0; b < numBuffers; b++ {
-					payload, err := ep.Recv(ctx, child, tag)
-					if err != nil {
-						fail(err)
-						return
-					}
-					// contribute takes ownership of the payload.
-					contribute(ri, b, payload, true)
-				}
-			}(ri, child)
+				receive(in, func(b, _ int, payload []byte) { contribute(ri, b, payload, true) })
+			}()
 		}
 	}
-
-	// Parity segments arriving via P2P (this node is a parity node and the
-	// reduction rooted elsewhere).
-	if myChunk >= c.cfg.K {
-		pi := myChunk - c.cfg.K
-		for ri, r := range plan.Reductions {
-			if r.ParityIndex != pi {
-				continue
-			}
-			rootNode := lay.routes[ri].targetNode
-			if rootNode == node {
-				continue // finalize writes locally
-			}
-			go func(ri, group, rootNode int) {
-				tag := parityTags[ri]
-				for b := 0; b < numBuffers; b++ {
-					payload, err := ep.Recv(ctx, rootNode, tag)
-					if err != nil {
-						fail(err)
-						return
-					}
-					lo, _ := sliceBounds(b)
-					landRange(group, lo, payload)
-					c.buf.Put(payload)
-					win.landOne(b)
-				}
-			}(ri, r.Group, rootNode)
-		}
-	}
-
-	// Data segments arriving via P2P (this node is a data node).
-	for _, src := range dataSrcs {
-		go func(srcNode, seg int) {
-			tag := tagDataP2P(myChunk, seg)
-			for b := 0; b < numBuffers; b++ {
-				payload, err := ep.Recv(ctx, srcNode, tag)
-				if err != nil {
-					fail(err)
-					return
-				}
-				lo, _ := sliceBounds(b)
-				landRange(seg, lo, payload)
-				c.buf.Put(payload)
-				win.landOne(b)
-			}
-		}(src.srcNode, src.seg)
+	// Parity segments (this node is a parity node and the reduction rooted
+	// elsewhere) and data segments (this node is a data node) arriving via
+	// P2P land straight in the chunk.
+	for _, in := range landIn {
+		go receive(in, func(b, lo int, payload []byte) {
+			landRange(in.seg, lo, payload)
+			c.buf.Put(payload)
+			win.landOne(b)
+		})
 	}
 
 	// Encode loop: stream buffer windows through the pipeline under the
 	// credit bound. Admission waits are pipeline backpressure, charged to
 	// p2p; with PipelineDepth 1 the loop degrades to the phase-coarse
 	// baseline (no window starts before the previous one fully commits).
+	srcs := make([][]byte, g) // this window's source per local worker; nil when not shipped
 	encodeErr := func() error {
 		for b := 0; b < numBuffers; b++ {
 			pc.Switch(PhaseP2P)
@@ -653,16 +776,38 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, versio
 				return err
 			}
 			lo, hi := sliceBounds(b)
-			// Encoding stage: every local worker contributes to each of
-			// its reduction group's m reductions; contributions fold into
+			// Window sources: the packet range itself on a full round; on a
+			// delta round new ⊕ old, in a pooled buffer that whoever consumes
+			// it last (the local landing or the sender) recycles.
+			for i, w := range localWorkers {
+				srcs[i] = nil
+				if !ships[w].has(b) {
+					continue
+				}
+				srcs[i] = packets[w][lo:hi]
+				if delta {
+					pc.Switch(PhaseEncode)
+					srcs[i] = c.buf.Get(hi - lo)
+					copy(srcs[i], packets[w][lo:hi])
+					if err := gf.XORSlice(srcs[i], snap.olds[w][lo:hi]); err != nil {
+						return err
+					}
+				}
+			}
+			// Encoding stage: every shipping local worker contributes to each
+			// of its reduction group's m reductions; contributions fold into
 			// the node-local accumulator, which forwards up the tree.
 			for ri := range lay.routes {
 				for _, w := range lay.routes[ri].workersOf[node] {
+					src := srcs[w-node*g]
+					if src == nil {
+						continue
+					}
 					pc.Switch(PhaseEncode)
 					// Pooled, not zeroed: the scalar multiply fully
 					// overwrites the region. Ownership passes to contribute.
 					contribution := c.buf.Get(hi - lo)
-					if err := c.scalarMulPooled(coefs[ri][w], contribution, packets[w][lo:hi]); err != nil {
+					if err := c.scalarMulPooled(coefs[ri][w], contribution, src); err != nil {
 						c.buf.Put(contribution)
 						return err
 					}
@@ -671,19 +816,24 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, versio
 				}
 			}
 			// Data-packet placement for local workers.
-			for _, w := range localWorkers {
-				j := plan.DataGroupOf[w]
-				seg := plan.SegmentOf[w]
-				dstNode := plan.DataNodes[j]
-				if dstNode == node {
-					if myChunk == j {
-						pc.Switch(PhaseStage)
-						landRange(seg, lo, packets[w][lo:hi])
-					}
+			for i, w := range localWorkers {
+				src := srcs[i]
+				if src == nil {
 					continue
 				}
-				pc.Switch(PhaseP2P)
-				sendQueue <- outMsg{dstNode: dstNode, tag: dataTags[w], payload: packets[w][lo:hi], land: -1}
+				j := plan.DataGroupOf[w]
+				if dstNode := plan.DataNodes[j]; dstNode != node {
+					pc.Switch(PhaseP2P)
+					sendQueue <- outMsg{dstNode: dstNode, tag: tags.data[w], payload: src, pooled: delta, land: -1}
+					continue
+				}
+				if myChunk == j {
+					pc.Switch(PhaseStage)
+					landRange(plan.SegmentOf[w], lo, src)
+				}
+				if delta {
+					c.buf.Put(src)
+				}
 			}
 			// The loop's own work for this window is done; residual
 			// deliveries keep the credit until they land.
@@ -741,12 +891,14 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, versio
 	// Stage the chunk and manifest; the caller commits after the barrier.
 	// Every window retired, and a delivery lands only after its bytes (and
 	// their checksum fold) are in the segment, so nothing writes to a
-	// segment again: seal the footer and hand the buffer itself to host
-	// memory. Only this success path hands segments over; on error paths a
-	// straggling receiver goroutine may still write into them, so they are
-	// dropped for the GC — never adopted, never reused.
+	// segment again: fold in whatever base the writer left behind its last
+	// range, seal the footer and hand the buffer itself to host memory. Only
+	// this success path hands segments over; on error paths a straggling
+	// receiver goroutine may still write into them, so they are dropped for
+	// the GC — never adopted, never reused.
 	for s := range chunkSegs {
-		if err := cluster.AdoptSealed(c.clus, node, lay.keys.stagedOf[lay.keys.segment[myChunk][s]], chunkSegs[s], segCRC[s]); err != nil {
+		crc := cluster.Checksum(segCRC[s], chunkSegs[s][segSummed[s]:packetBytes])
+		if err := cluster.AdoptSealed(c.clus, node, lay.keys.stagedOf[lay.keys.segment[myChunk][s]], chunkSegs[s], crc); err != nil {
 			return 0, nil, err
 		}
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -243,16 +242,4 @@ func (w *bufWindow) stats() []bufStat {
 		}
 	}
 	return out
-}
-
-// checkLedger validates the construction-time ledger: every buffer's
-// expected count must be non-negative. It exists to turn a miscounted
-// delivery plan into a loud construction error instead of a hung barrier.
-func (w *bufWindow) checkLedger() error {
-	for b, n := range w.expected {
-		if n < 0 {
-			return fmt.Errorf("core: buffer %d owes negative deliveries (%d)", b, n)
-		}
-	}
-	return nil
 }
