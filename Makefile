@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race crash-sweep smoke doclint allocgate bench-smoke chaos-soak scale-smoke restore-smoke daemon-smoke health-smoke vulncheck metrics-demo trace-demo
+.PHONY: check fmt vet build test race crash-sweep fuzz-smoke smoke doclint allocgate bench-smoke chaos-soak scale-smoke restore-smoke daemon-smoke health-smoke vulncheck metrics-demo trace-demo
 
 # The full gate: what CI (and a pre-commit run) should execute.
 check: fmt vet build test race crash-sweep smoke doclint allocgate bench-smoke
@@ -34,14 +34,27 @@ test:
 race:
 	$(GO) test -race -skip 'TestCrashSweep' $(TESTFLAGS) . ./internal/transport ./internal/cluster ./internal/chaos ./internal/obs ./internal/core ./internal/bufpool ./internal/ecpool
 
-# Every crash point of a save round, enumerated: for each kind of round
-# (Save, SaveAsync, SaveIncremental with a real delta) a node is killed at
-# each of its sends in turn, and recovery must return the new version or
-# the previous one byte for byte — never a mixture — with the next round
-# committing correct bytes. Under the race detector (~1 min); takes no
-# TESTFLAGS, so -short never trims it.
+# Every crash point of a round, enumerated. Save rounds (Save, SaveAsync,
+# SaveIncremental with a real delta): a node is killed at each of its sends
+# in turn, and recovery must return the new version or the previous one byte
+# for byte — never a mixture — with the next round committing correct bytes.
+# Restore rounds (Load and PrefetchChunk on a cluster that already lost a
+# data machine): a basis owner is killed at each of its sends, and the
+# recovery after it must return the committed version, the next save commit,
+# and parity match data; plus the one landing-order cut the send sweep cannot
+# reach. Under the race detector (~1.5 min); takes no TESTFLAGS, so -short
+# never trims it.
 crash-sweep:
 	$(GO) test -race -run 'TestCrashSweep' -count=1 ./internal/core
+
+# Native fuzzing of the decoders on the restore path, ten seconds each: a
+# manifest and a worker's (meta, keys, packet) triple, seeded from a real
+# round. They must not panic or allocate by a length field's say-so, and
+# whatever decodes must survive a round trip. One target per invocation is a
+# `go test -fuzz` rule.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz 'FuzzParseManifest' -fuzztime=10s ./internal/core
+	$(GO) test -run '^$$' -fuzz 'FuzzAssemblePacket' -fuzztime=10s ./internal/core
 
 # Seeded chaos smoke test: replication head-to-head, a mid-save kill, and
 # a corruption-as-erasure recovery, all deterministic.

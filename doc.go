@@ -45,6 +45,10 @@
 // Load runs the matching recovery workflows — pure redistribution when all
 // data chunks survive, distributed decode otherwise — and then rebuilds
 // the lost chunks so the full fault-tolerance capacity is restored.
+// LoadPartial, PrefetchNode and LoadFromRemote are the same recovery under
+// other requests: fewer ranks wanted back, one node repaired instead of
+// every degraded one, the remote tier as the source. A repaired node always
+// lands in one order — segments, small components, manifest last.
 //
 // # Asynchronous checkpointing
 //

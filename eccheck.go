@@ -85,9 +85,9 @@ type Config struct {
 	// crashing mid-save surfaces as a bounded error instead of a hang.
 	// 0 selects the default (60s); negative disables deadlines.
 	OpTimeout time.Duration
-	// RestoreWorkers bounds the fan-out of the restore paths: the remote
-	// rank fetch pool in LoadFromRemote and the per-stage worker pools of
-	// LoadPartial and PrefetchNode. 0 selects the default (8); 1 is the
+	// RestoreWorkers bounds the fan-out of the coordinator-side restore
+	// paths: the remote rank fetch pool in LoadFromRemote and the per-stage
+	// worker pools of LoadPartial. 0 selects the default (8); 1 is the
 	// serial baseline the restore bench compares against.
 	RestoreWorkers int
 	// LoadBudget is the restore-latency SLO. It is observational, not a
@@ -440,11 +440,13 @@ func (s *System) LoadFromRemote(ctx context.Context, version int) ([]*StateDict,
 // LoadPartial lazily restores only the requested workers' state dicts —
 // the serving-failover fast path, where the ranks hosting an MoE model's
 // hot experts must come back inside the latency budget and the rest of
-// the fleet can restore later. Packets are fetched directly from their
-// chunk owners; a dead or corrupt owner degrades that rank to an erasure
-// decode (workflow "partial-decode") instead of failing the round. Fault
-// tolerance is NOT restored — follow up with Load, or warm replacements
-// with PrefetchNode.
+// the fleet can restore later. It is the recovery with nothing repaired,
+// so it runs on the coordinator, moves no packet between machines and
+// needs no machine alive except the ones it reads: packets are fetched
+// directly from their chunk owners, and a dead or corrupt owner degrades
+// its ranks to an erasure decode (workflow "partial-decode") instead of
+// failing the round. Fault tolerance is NOT restored — follow up with
+// Load, or warm replacements with PrefetchNode.
 func (s *System) LoadPartial(ctx context.Context, ranks []int) (map[int]*StateDict, *LoadReport, error) {
 	return s.ckpt.LoadPartial(ctx, ranks)
 }
@@ -453,10 +455,15 @@ func (s *System) LoadPartial(ctx context.Context, ranks []int) (map[int]*StateDi
 type PrefetchReport = core.PrefetchReport
 
 // PrefetchNode warms a standby: the node (typically fresh from
-// ReplaceNode) rebuilds its chunk from k surviving chunks and copies the
-// small-component broadcast set, off the recovery critical path, so the
-// next Load runs the pure replacement workflow with zero rebuilds and the
-// next LoadPartial of its workers hits the direct-fetch fast path.
+// ReplaceNode) gets its chunk rebuilt, the small-component broadcast set
+// copied and its manifest written last, off the recovery critical path, so
+// the next Load runs the pure replacement workflow with zero rebuilds and
+// the next LoadPartial of its workers hits the direct-fetch fast path. It
+// is a Load that wants no rank back and repairs one node: the same
+// distributed rebuild over the peer transport, run only on the node, the k
+// machines whose chunks it is rebuilt from and the one that re-broadcasts
+// the small components — the other machines may be dead. One repairing
+// round (Load or PrefetchNode) runs at a time; a second one waits.
 func (s *System) PrefetchNode(ctx context.Context, node int) (*PrefetchReport, error) {
 	return s.ckpt.PrefetchChunk(ctx, node)
 }

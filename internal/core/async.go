@@ -324,11 +324,11 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 	// The layout cannot change while the save slot is held, so one load
 	// covers the whole drain.
 	lay := c.layout()
-	tags := c.saveTags(lay)
+	tags := c.roundTags(lay)
 	fail := func(err error) {
 		c.discardStaged(&lay.keys)
 		// Whatever this round left in flight stays under its own tags.
-		c.saveEpoch++
+		c.epoch.Add(1)
 		c.releaseSave(h)
 		h.complete(c.failedSaveReport(version, packetBytes, started, h, mode, err, pmStart), err)
 	}
@@ -466,21 +466,31 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 // node 0 (every node holds the full broadcast set after a commit).
 func (c *Checkpointer) persistCommitted(ctx context.Context, version, packetBytes int) error {
 	lay := c.layout()
-	for rank := 0; rank < c.cfg.Topo.World(); rank++ {
+	persist := func(rank int) error {
 		j := lay.plan.DataGroupOf[rank]
 		packet, err := c.fetch(lay.plan.DataNodes[j], lay.keys.segment[j][lay.plan.SegmentOf[rank]])
 		if err != nil {
-			return fmt.Errorf("core: remote persist rank %d: %w", rank, err)
+			return err
 		}
-		sd, err := c.reassembleWorker(0, rank, packet, nil)
+		var sm [2][]byte
+		for i, key := range [2]string{lay.keys.smallMeta[rank], lay.keys.smallKeys[rank]} {
+			if sm[i], err = c.fetch(0, key); err != nil {
+				return err
+			}
+		}
+		sd, err := assemblePacket(rank, sm[0], sm[1], packet)
 		if err != nil {
-			return fmt.Errorf("core: remote persist rank %d: %w", rank, err)
+			return err
 		}
 		blob, err := serialize.Marshal(sd)
 		if err != nil {
-			return fmt.Errorf("core: remote persist rank %d: %w", rank, err)
+			return err
 		}
-		if _, err := c.remote.Put(ctx, 0, remoteKey(c.cfg.RemotePrefix, version, rank), blob); err != nil {
+		_, err = c.remote.Put(ctx, 0, remoteKey(c.cfg.RemotePrefix, version, rank), blob)
+		return err
+	}
+	for rank := 0; rank < c.cfg.Topo.World(); rank++ {
+		if err := persist(rank); err != nil {
 			return fmt.Errorf("core: remote persist rank %d: %w", rank, err)
 		}
 	}

@@ -118,12 +118,13 @@ type Config struct {
 	// peer that crashed mid-round. 0 selects DefaultOpTimeout; negative
 	// disables deadlines.
 	OpTimeout time.Duration
-	// RestoreWorkers bounds the worker pool the latency-critical restore
-	// paths fan out over: the availability scan of Load runs one worker
-	// per node regardless, but LoadFromRemote's per-rank fetch+decode and
-	// LoadPartial's per-rank reassembly are capped at this many concurrent
-	// workers. 0 selects DefaultRestoreWorkers; 1 restores the serial
-	// baseline (useful for measuring the parallel speedup).
+	// RestoreWorkers bounds the worker pool the coordinator-side restore
+	// executors fan out over: the availability scan runs one worker per
+	// node regardless, but LoadFromRemote's per-rank fetch+decode and
+	// LoadPartial's per-rank fetch, decode and reassembly are capped at
+	// this many concurrent workers. 0 selects DefaultRestoreWorkers; 1
+	// restores the serial baseline (useful for measuring the parallel
+	// speedup).
 	RestoreWorkers int
 	// LoadBudget is the restore-latency SLO: when positive, every Load,
 	// LoadPartial and LoadFromRemote stamps its report with the budget and
@@ -245,9 +246,11 @@ type Checkpointer struct {
 
 	// commitMu makes a save round's commit — the rename of its staged blobs
 	// onto the final keys plus the version bump — atomic with respect to
-	// recoveries: Load and LoadPartial hold it shared for the whole round,
-	// so a recovery racing a SaveAsync drain reads one checkpoint version,
-	// never a mixture. Uncontended (and free) unless the two overlap.
+	// recoveries: every host-memory restore round (Load, LoadPartial,
+	// PrefetchChunk) and VerifyIntegrity hold it shared for their whole
+	// length, so one that races a SaveAsync drain reads one checkpoint
+	// version, never a mixture. Uncontended (and free) unless the two
+	// overlap.
 	commitMu sync.RWMutex
 
 	// Lifecycle state: exactly one save round (Save, SaveAsync or
@@ -255,11 +258,15 @@ type Checkpointer struct {
 	// to cancel whatever is running before the transport goes away.
 	lc lifecycle
 
-	// saveEpoch counts aborted save rounds and tags caches the save
-	// protocol's message tags rendered for it (see tagTable). Both belong to
-	// whoever holds the save slot.
-	saveEpoch int
-	tags      *tagTable
+	// epoch counts aborted save and repairing restore rounds; tags caches the
+	// protocols' message tags rendered for it (see tagTable).
+	epoch atomic.Int64
+	tags  atomic.Pointer[tagTable]
+
+	// restoreSlot (capacity 1) is held by a restore round that repairs host
+	// memory, from its scan to its last landing: two such rounds would
+	// rebuild the same chunks under the same tags and land over each other.
+	restoreSlot chan struct{}
 
 	// Membership state: custody records for drained slots, keyed by node.
 	// Guarded by memMu; mutated only while the save slot is held.
@@ -354,7 +361,7 @@ type lifecycle struct {
 	mu       sync.Mutex
 	closed   bool
 	inflight *SaveHandle          // current save round, nil when idle
-	loads    map[uint64]*oneRound // in-flight Load/LoadFromRemote rounds
+	loads    map[uint64]*oneRound // in-flight restore rounds
 	nextLoad uint64
 }
 
@@ -483,8 +490,8 @@ func buildKeyTable(cfg *Config, plan *placement.Plan) keyTable {
 		stagedOf:  make(map[string]string),
 	}
 	for rank := 0; rank < world; rank++ {
-		t.smallMeta[rank] = keySmallMeta(rank)
-		t.smallKeys[rank] = keySmallKeys(rank)
+		t.smallMeta[rank] = fmt.Sprintf("small/%d/meta", rank)
+		t.smallKeys[rank] = fmt.Sprintf("small/%d/keys", rank)
 		t.ownPacket[rank] = keyOwnPacket(rank)
 	}
 	for chunk := range t.segment {
@@ -589,6 +596,8 @@ func New(cfg Config, net transport.Network, clus HostStore, remote *remotestore.
 		remote:    remote,
 		phaseHist: buildPhaseHistograms(cfg.Metrics, cfg.Topo.Nodes()),
 		custody:   make(map[int]*custodyRecord),
+
+		restoreSlot: make(chan struct{}, 1),
 	}
 	lay, err := newLayout(&cfg, plan)
 	if err != nil {
@@ -679,14 +688,6 @@ func (c *Checkpointer) scalarMulPooled(coef int, dst, src []byte) error {
 // producers build their bytes in a cluster.NewBlob and adopt it instead.
 func (c *Checkpointer) store(node int, key string, blob []byte) error {
 	return cluster.StoreSummed(c.clus, node, key, blob)
-}
-
-// adopt seals blob's CRC32 footer in place and hands the slice itself to
-// the node's host memory — no copy. blob must come from cluster.NewBlob;
-// after the call it is immutable and store-owned: never written, never
-// returned to the buffer pool.
-func (c *Checkpointer) adopt(node int, key string, blob []byte) error {
-	return cluster.AdoptSummed(c.clus, node, key, blob)
 }
 
 // fetch borrows a checksummed blob, verifying its footer: the result is the
@@ -861,8 +862,6 @@ type LoadReport struct {
 }
 
 // Host-memory key layout.
-func keySmallMeta(rank int) string { return fmt.Sprintf("small/%d/meta", rank) }
-func keySmallKeys(rank int) string { return fmt.Sprintf("small/%d/keys", rank) }
 func keySegment(chunk, seg int) string {
 	return fmt.Sprintf("chunk/%d/seg/%d", chunk, seg)
 }
@@ -874,15 +873,6 @@ func keyManifest() string { return "manifest" }
 const stagePrefix = "stage/"
 
 func keyStaged(key string) string { return stagePrefix + key }
-
-// checkpointKeys enumerates every host-memory key one save round writes on
-// the node, in commit order: the manifest is last, so a node's checkpoint
-// is visible at the new version only once all its blobs are in place. The
-// shared backing slice is pre-rendered at construction; callers must not
-// mutate it.
-func (c *Checkpointer) checkpointKeys(node int) []string {
-	return c.layout().keys.commit[node]
-}
 
 // commitStaged promotes every node's staged blobs to the final keys and
 // removes the staging copies. It runs only after every node finished its

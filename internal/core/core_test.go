@@ -23,7 +23,7 @@ type testRig struct {
 	dicts  []*statedict.StateDict
 }
 
-func newRig(t *testing.T, nodes, gpus, k, m int, opts ...func(*Config)) *testRig {
+func newRig(t testing.TB, nodes, gpus, k, m int, opts ...func(*Config)) *testRig {
 	t.Helper()
 	net, err := transport.NewMemory(nodes)
 	if err != nil {
@@ -35,7 +35,7 @@ func newRig(t *testing.T, nodes, gpus, k, m int, opts ...func(*Config)) *testRig
 // newRigOn is newRig over a given network (a fault injector, a test
 // transport) and, when dicts is non-nil, over given state dicts instead of
 // the default model's.
-func newRigOn(t *testing.T, net transport.Network, dicts []*statedict.StateDict, nodes, gpus, k, m int, opts ...func(*Config)) *testRig {
+func newRigOn(t testing.TB, net transport.Network, dicts []*statedict.StateDict, nodes, gpus, k, m int, opts ...func(*Config)) *testRig {
 	t.Helper()
 	topo, err := parallel.NewTopology(nodes, gpus, gpus, nodes)
 	if err != nil {

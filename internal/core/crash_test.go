@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -292,5 +294,80 @@ func TestWrongSizedPeerMessageFailsTheRound(t *testing.T) {
 			}
 			dictsEqual(t, next, got)
 		})
+	}
+}
+
+// lateFailNet counts the messages sent under each tag and, when armed, holds
+// the nth one under one tag back for a while and then fails it.
+type lateFailNet struct {
+	transport.Network
+	mu   sync.Mutex
+	sent map[string]int
+	tag  string // armed when non-empty
+	nth  int
+}
+
+func (n *lateFailNet) Endpoint(node int) (transport.Endpoint, error) {
+	ep, err := n.Network.Endpoint(node)
+	return &lateFailEndpoint{Endpoint: ep, net: n}, err
+}
+
+type lateFailEndpoint struct {
+	transport.Endpoint
+	net *lateFailNet
+}
+
+func (e *lateFailEndpoint) Send(ctx context.Context, to int, tag string, payload []byte) error {
+	e.net.mu.Lock()
+	e.net.sent[tag]++
+	hit := tag == e.net.tag && e.net.sent[tag] == e.net.nth
+	e.net.mu.Unlock()
+	if hit {
+		time.Sleep(300 * time.Millisecond)
+		return errors.New("injected: link dropped")
+	}
+	return e.Endpoint.Send(ctx, to, tag, payload)
+}
+
+// TestResidualDataSendFailureFailsTheRound: a data-placement send holds no
+// window credit, so a node's windows can all retire — and its send queue
+// close — while its last data message is still going out. If that send then
+// fails, the round must fail with the send's error; the teardown used to
+// close the already closed queue and take the process down. The last message
+// of a worker's data stream is the one no later window waits behind, so
+// holding it back lets the sender's windows retire first.
+func TestResidualDataSendFailureFailsTheRound(t *testing.T) {
+	ctx := context.Background()
+	inner, err := transport.NewMemory(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := &lateFailNet{Network: inner, sent: map[string]int{}}
+	rig := newRigOn(t, net, nil, 4, 2, 2, 2, func(c *Config) { c.OpTimeout = 5 * time.Second })
+	if _, err := rig.ckpt.Save(ctx, rig.dicts); err != nil {
+		t.Fatal(err)
+	}
+	net.mu.Lock()
+	for tag, count := range net.sent {
+		if strings.HasPrefix(tag, "pd/") && (net.tag == "" || tag < net.tag) {
+			net.tag, net.nth = tag, count
+		}
+	}
+	net.sent = map[string]int{}
+	net.mu.Unlock()
+	if net.tag == "" {
+		t.Fatal("no data-placement message was sent: the stream is not exercised on this rig")
+	}
+	next := stampVersion(rig.dicts, 2)
+	if _, err := rig.ckpt.Save(ctx, next); err == nil || !strings.Contains(err.Error(), "injected") {
+		t.Fatalf("save whose last %s message fails: error %v, want the injected one", net.tag, err)
+	}
+	got, rep, err := rig.ckpt.Load(ctx)
+	if err != nil || rep.Version != 1 {
+		t.Fatalf("load after the failed round: version %d, %v", rep.Version, err)
+	}
+	dictsEqual(t, rig.dicts, got)
+	if _, err := rig.ckpt.Save(ctx, next); err != nil {
+		t.Fatalf("next round: %v", err)
 	}
 }

@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
+	"runtime"
+	"strings"
 	"testing"
 
 	"eccheck/internal/chaos"
@@ -98,6 +101,28 @@ func TestCrashSweep(t *testing.T) {
 		return rep.Version
 	}
 
+	// settle checks that the round failed exactly when the kill fired, and
+	// swaps the dead machine for an empty one.
+	settle := func(t *testing.T, rig *testRig, net *chaos.Network, victim, i int, err error) {
+		t.Helper()
+		if net.Killed(victim) {
+			if err == nil {
+				t.Fatalf("kill at send %d: the round lost a machine and reported success", i+1)
+			}
+			for rig.clus.Alive(victim) { // the kill hook runs on the victim's goroutine
+				runtime.Gosched()
+			}
+			if err := rig.clus.Replace(victim); err != nil {
+				t.Fatal(err)
+			}
+		} else if err != nil {
+			t.Fatalf("kill at send %d never fired, yet the round failed: %v", i+1, err)
+		}
+		if err := net.Revive(victim); err != nil { // also disarms a kill that never fired
+			t.Fatal(err)
+		}
+	}
+
 	for _, kind := range saveKinds {
 		t.Run(kind.name, func(t *testing.T) {
 			rig, net, contents := setup(t)
@@ -116,19 +141,7 @@ func TestCrashSweep(t *testing.T) {
 					t.Fatal(err)
 				}
 				err := kind.run(ctx, rig.ckpt, contents[2])
-				if net.Killed(victim) {
-					if err == nil {
-						t.Fatalf("kill at send %d: the round lost a machine and reported success", i+1)
-					}
-					if err := rig.clus.Replace(victim); err != nil {
-						t.Fatal(err)
-					}
-				} else if err != nil {
-					t.Fatalf("kill at send %d never fired, yet the round failed: %v", i+1, err)
-				}
-				if err := net.Revive(victim); err != nil { // also disarms a kill that never fired
-					t.Fatal(err)
-				}
+				settle(t, rig, net, victim, i, err)
 				if err != nil {
 					aborted++
 				}
@@ -156,4 +169,130 @@ func TestCrashSweep(t *testing.T) {
 			}
 		})
 	}
+
+	// Restore rounds. One data machine is already lost and replaced when the
+	// round starts; the victim — the other data machine, a basis owner of the
+	// rebuild in both kinds — is killed at each of its sends in turn. Whatever
+	// the dead round left half-landed or in the mailboxes, the recovery after
+	// it returns the committed version byte for byte, and the next save
+	// commits onto a cluster whose parity matches its data.
+	for _, kind := range []struct {
+		name string
+		run  func(c *Checkpointer, lost int) error
+	}{
+		{"Load", func(c *Checkpointer, _ int) error {
+			_, _, err := c.Load(ctx)
+			return err
+		}},
+		{"PrefetchChunk", func(c *Checkpointer, lost int) error {
+			_, err := c.PrefetchChunk(ctx, lost)
+			return err
+		}},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			degraded := func() (*testRig, *chaos.Network, [][]*statedict.StateDict, int, int) {
+				rig, net, contents := setup(t)
+				plan := rig.ckpt.Plan()
+				loseNode(t, rig, plan.DataNodes[0])
+				return rig, net, contents, plan.DataNodes[0], plan.DataNodes[1]
+			}
+			rig, net, _, lost, victim := degraded()
+			before := net.SendCount(victim)
+			if err := kind.run(rig.ckpt, lost); err != nil {
+				t.Fatalf("counting round: %v", err)
+			}
+			sends := net.SendCount(victim) - before
+			if sends == 0 {
+				t.Fatal("victim sent nothing: nothing to enumerate")
+			}
+			aborted := 0
+			for i := 0; i <= sends; i++ {
+				rig, net, contents, lost, victim := degraded()
+				if err := net.ScheduleKill(victim, i); err != nil {
+					t.Fatal(err)
+				}
+				err := kind.run(rig.ckpt, lost)
+				settle(t, rig, net, victim, i, err)
+				if err != nil {
+					aborted++
+				}
+				recoverAndCheck(t, rig, contents, 1)
+				if _, err := rig.ckpt.Save(ctx, contents[2]); err != nil {
+					t.Fatalf("kill at send %d: next save: %v", i+1, err)
+				}
+				recoverAndCheck(t, rig, contents, 2)
+				verifyClean(t, rig)
+				_ = rig.ckpt.Close()
+				_ = net.Close()
+			}
+			t.Logf("%d crash points, %d aborted rounds", sends+1, aborted)
+			if aborted == 0 {
+				t.Error("no kill aborted a round: the sweep enumerated nothing")
+			}
+		})
+	}
+}
+
+// TestCrashSweepLandingOrder is the crash point of a repair that the send
+// sweep cannot reach, because there the repaired machine itself survives: a
+// node left one version behind, small components intact, whose repair is cut
+// after its chunk landed and before its small components did. Landing the
+// manifest in between would leave manifest v over small components of v−1
+// with every checksum passing — the node would scan as intact and serve the
+// old metadata. With the manifest landed last (and the old one removed
+// first) a cut repair leaves an erasure, which the next round repairs.
+func TestCrashSweepLandingOrder(t *testing.T) {
+	hook := &storeHook{}
+	rig, clus := newWrappedRig(t, 4, 2, 2, 2, func(hs HostStore) HostStore {
+		hook.HostStore = hs
+		return hook
+	}, func(c *Config) { c.RemotePersistEvery = -1 })
+	ctx := context.Background()
+	contents := [][]*statedict.StateDict{nil, stampVersion(rig.dicts, 1), stampVersion(rig.dicts, 2), stampVersion(rig.dicts, 3)}
+	if _, err := rig.ckpt.Save(ctx, contents[1]); err != nil {
+		t.Fatal(err)
+	}
+	stale := rig.ckpt.Plan().DataNodes[0]
+	kept := map[string][]byte{}
+	for _, key := range clus.Keys(stale) {
+		raw, err := clus.Load(stale, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept[key] = raw
+	}
+	if _, err := rig.ckpt.Save(ctx, contents[2]); err != nil {
+		t.Fatal(err)
+	}
+	for key, raw := range kept { // the node is back at version 1, consistently
+		if err := clus.Store(stale, key, raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cut := func(op string, node int, key string) error {
+		if op == "adopt" && node == stale && strings.HasPrefix(key, "small/") {
+			return errors.New("host memory exhausted")
+		}
+		return nil
+	}
+	hook.fn.Store(&cut)
+	if _, _, err := rig.ckpt.Load(ctx); err == nil {
+		t.Fatal("load whose repair was cut reported success")
+	}
+	hook.fn.Store(nil)
+	got, rep, err := rig.ckpt.Load(ctx)
+	if err != nil || rep.Version != 2 {
+		t.Fatalf("load after the cut repair: version %d, %v", rep.Version, err)
+	}
+	dictsEqual(t, contents[2], got)
+	verifyClean(t, rig)
+	if _, err := rig.ckpt.Save(ctx, contents[3]); err != nil {
+		t.Fatalf("next save: %v", err)
+	}
+	if got, _, err = rig.ckpt.Load(ctx); err != nil {
+		t.Fatal(err)
+	}
+	dictsEqual(t, contents[3], got)
+	verifyClean(t, rig)
 }

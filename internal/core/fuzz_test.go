@@ -1,0 +1,130 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"eccheck/internal/statedict"
+	"eccheck/internal/tensor"
+	"eccheck/internal/transport"
+)
+
+// The restore path decodes bytes a failed machine may have mangled under a
+// checksum that still passes (or that a buggy writer produced): a manifest,
+// and a worker's small components around its packet. Whatever the bytes,
+// the decoders return an error or a value — they never panic, and what they
+// allocate follows the size of the input, not a length field inside it.
+
+// allocBound runs fn and fails if it allocated far more than the input it
+// was given: 64 bytes per input byte plus a constant for fixed structures.
+func allocBound(t *testing.T, input int, fn func()) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*input+1<<16); got > limit {
+		t.Fatalf("decoding %d input bytes allocated %d bytes, limit %d", input, got, limit)
+	}
+}
+
+// savedTinyRig runs one real save round over state dicts of a few hundred
+// bytes per worker, so the seeds taken from host memory stay small enough for
+// the fuzzer to mutate and minimize quickly.
+func savedTinyRig(f *testing.F) *testRig {
+	dicts := make([]*statedict.StateDict, 8)
+	for rank := range dicts {
+		sd := statedict.New()
+		sd.SetMeta("iteration", statedict.Int(int64(100+rank)))
+		sd.SetMeta("name", statedict.String("tiny"))
+		for i, shape := range [][]int{{4, 8}, {8}, {2, 3, 5}} {
+			tn, err := tensor.New(tensor.Float32, shape...)
+			if err != nil {
+				f.Fatal(err)
+			}
+			tn.FillPattern(uint64(rank*10 + i))
+			if err := sd.SetTensor(fmt.Sprintf("layer.%d", i), tn); err != nil {
+				f.Fatal(err)
+			}
+		}
+		dicts[rank] = sd
+	}
+	net, err := transport.NewMemory(4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	rig := newRigOn(f, net, dicts, 4, 2, 2, 2, func(c *Config) { c.BufferSize = 64 })
+	if _, err := rig.ckpt.Save(context.Background(), rig.dicts); err != nil {
+		f.Fatal(err)
+	}
+	return rig
+}
+
+func FuzzParseManifest(f *testing.F) {
+	rig := savedTinyRig(f)
+	real, err := rig.ckpt.fetch(0, keyManifest())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(real)
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, 30))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		var v, p, b int
+		var err error
+		allocBound(t, len(blob), func() { v, p, b, err = parseManifest(blob) })
+		if err != nil {
+			return
+		}
+		if v < 0 || p < 0 || b < 0 {
+			t.Fatalf("parsed negative fields %d %d %d from %x", v, p, b, blob)
+		}
+		v2, p2, b2, err := parseManifest(manifestBlob(v, p, b))
+		if err != nil || v2 != v || p2 != p || b2 != b {
+			t.Fatalf("manifest %d/%d/%d re-encodes to %d/%d/%d, %v", v, p, b, v2, p2, b2, err)
+		}
+	})
+}
+
+func FuzzAssemblePacket(f *testing.F) {
+	rig := savedTinyRig(f)
+	lay := rig.ckpt.layout()
+	for _, rank := range []int{0, 5} {
+		chunk := lay.plan.DataGroupOf[rank]
+		var blobs [3][]byte
+		for i, key := range []string{lay.keys.smallMeta[rank], lay.keys.smallKeys[rank], lay.keys.segment[chunk][lay.plan.SegmentOf[rank]]} {
+			blob, err := rig.ckpt.fetch(lay.plan.DataNodes[chunk], key)
+			if err != nil {
+				f.Fatal(err)
+			}
+			blobs[i] = blob
+		}
+		if sd, err := assemblePacket(rank, blobs[0], blobs[1], blobs[2]); err != nil || !sd.Equal(rig.dicts[rank]) {
+			f.Fatalf("seed for rank %d does not reassemble: %v", rank, err)
+		}
+		f.Add(blobs[0], blobs[1], blobs[2])
+		f.Add(blobs[0], blobs[1], blobs[2][:len(blobs[2])/2])
+	}
+	f.Add([]byte{}, []byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, meta, keys, packet []byte) {
+		var first *statedict.StateDict
+		var err error
+		allocBound(t, len(meta)+len(keys)+len(packet), func() { first, err = assemblePacket(0, meta, keys, packet) })
+		if err != nil {
+			return
+		}
+		// Round trip: what came out decomposes into components that
+		// reassemble to the same state dict.
+		dec, err := first.Decompose()
+		if err != nil {
+			t.Fatalf("decompose of an assembled dict: %v", err)
+		}
+		repacked, err := assemblePacket(0, dec.MetaBlob, dec.KeysBlob, bytes.Join(dec.TensorData, nil))
+		if err != nil || !repacked.Equal(first) {
+			t.Fatalf("assembled dict does not survive a round trip: %v", err)
+		}
+	})
+}

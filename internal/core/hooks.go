@@ -11,15 +11,17 @@ const (
 	// reports as OpIncremental: the caller asked for one round and gets one
 	// pair of callbacks.
 	OpIncremental = "incremental"
-	// OpLoad is an in-memory recovery round (Load).
+	// OpLoad is an in-memory recovery round (Load): every rank wanted back,
+	// every degraded node repaired.
 	OpLoad = "load"
 	// OpRemoteLoad is a catastrophic recovery from the remote tier
-	// (LoadFromRemote).
+	// (LoadFromRemote): every rank wanted back, nothing repaired.
 	OpRemoteLoad = "remote-load"
-	// OpPartialLoad is a lazy restore of selected workers (LoadPartial).
+	// OpPartialLoad is a lazy restore of selected workers (LoadPartial):
+	// nothing repaired, served from the coordinator.
 	OpPartialLoad = "partial-load"
-	// OpPrefetch is a warm-standby parity prefetch (PrefetchChunk): a
-	// replacement node rebuilding its chunk before recovery asks for it.
+	// OpPrefetch is a warm-standby prefetch (PrefetchChunk): no rank wanted
+	// back, one replacement node repaired before recovery asks for it.
 	OpPrefetch = "prefetch"
 )
 
@@ -28,8 +30,9 @@ const (
 // them to account rounds per job — including SaveAsync drains that outlive
 // the HTTP request that started them — without polling.
 //
-// RoundStart fires once a round owns the save slot (saves) or is
-// registered for cancellation (loads), before any protocol work.
+// RoundStart fires once a round owns the save slot (saves) or, for every
+// restore operation, is registered for cancellation and — if it repairs —
+// holds the restore slot: before any protocol work.
 // RoundEnd fires exactly once per started round, after the round's
 // report and error are final. For a save round version is the version
 // the round attempted to write; for a load it is the version recovered

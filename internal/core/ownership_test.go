@@ -78,8 +78,12 @@ func TestViewSurvivesLaterCommitFailAndReplace(t *testing.T) {
 // exactly one of the saved versions — never ranks from two of them — and
 // the race detector must stay quiet about the borrowed views.
 func TestConcurrentLoadAndSaveAsyncNeverMixVersions(t *testing.T) {
-	rig := newRig(t, 4, 2, 2, 2, func(c *Config) { c.RemotePersistEvery = -1 })
-	loadWhileSaving(t, rig, func(ctx context.Context, dicts []*statedict.StateDict) error {
+	hook := &storeHook{}
+	rig, _ := newWrappedRig(t, 4, 2, 2, 2, func(hs HostStore) HostStore {
+		hook.HostStore = hs
+		return hook
+	}, func(c *Config) { c.RemotePersistEvery = -1 })
+	loadWhileSaving(t, rig, hook, func(ctx context.Context, dicts []*statedict.StateDict) error {
 		h, err := rig.ckpt.SaveAsync(ctx, dicts)
 		if err != nil {
 			return err
@@ -89,12 +93,43 @@ func TestConcurrentLoadAndSaveAsyncNeverMixVersions(t *testing.T) {
 	})
 }
 
+// storeHook runs a test's function on the goroutine that is about to view a
+// blob in host memory or hand one over, before it does; an error it returns
+// fails the operation instead.
+type storeHook struct {
+	HostStore
+	fn atomic.Pointer[func(op string, node int, key string) error]
+}
+
+func (s *storeHook) call(op string, node int, key string) error {
+	if fn := s.fn.Load(); fn != nil {
+		return (*fn)(op, node, key)
+	}
+	return nil
+}
+
+func (s *storeHook) View(node int, key string) ([]byte, error) {
+	if err := s.call("view", node, key); err != nil {
+		return nil, err
+	}
+	return s.HostStore.View(node, key)
+}
+
+func (s *storeHook) Adopt(node int, key string, blob []byte) error {
+	if err := s.call("adopt", node, key); err != nil {
+		return err
+	}
+	return s.HostStore.Adopt(node, key, blob)
+}
+
 // TestConcurrentLoadAndDeltaSaveNeverMixVersions is the same race with delta
 // rounds: they stage and commit like every other round, so a recovery that
 // overlaps one reads the version before it or the version after it.
 func TestConcurrentLoadAndDeltaSaveNeverMixVersions(t *testing.T) {
 	rig := incrementalRig(t)
-	loadWhileSaving(t, rig, func(ctx context.Context, dicts []*statedict.StateDict) error {
+	// No prefetch leg: a node degraded on purpose takes the delta base away,
+	// and the saver insists on delta rounds.
+	loadWhileSaving(t, rig, nil, func(ctx context.Context, dicts []*statedict.StateDict) error {
 		rep, err := rig.ckpt.SaveIncremental(ctx, dicts)
 		if err == nil && rep.Full {
 			err = errors.New("delta round fell back to a full save")
@@ -106,7 +141,14 @@ func TestConcurrentLoadAndDeltaSaveNeverMixVersions(t *testing.T) {
 // loadWhileSaving saves a sequence of stamped versions with save on one
 // goroutine while the caller's goroutine recovers in a loop, and requires
 // every recovery to return one saved version on every rank.
-func loadWhileSaving(t *testing.T, rig *testRig, save func(ctx context.Context, dicts []*statedict.StateDict) error) {
+//
+// With a hook on the rig's store, each recovery is followed by the
+// warm-standby leg: PrefetchChunk on a node whose manifest it cannot read,
+// held at its first segment store until the saver's next commit has either
+// happened or queued up behind the round's commit lock. The cluster must
+// then verify — one version everywhere, parity matching data. It does not if
+// the commit went through mid-prefetch: the node ends up a version behind.
+func loadWhileSaving(t *testing.T, rig *testRig, hook *storeHook, save func(ctx context.Context, dicts []*statedict.StateDict) error) {
 	ctx := context.Background()
 	rounds := 12
 	if testing.Short() {
@@ -158,6 +200,39 @@ func loadWhileSaving(t *testing.T, rig *testRig, save func(ctx context.Context, 
 		}
 		if !running && int(v) != rounds {
 			t.Errorf("final load recovered version %d, want %d", v, rounds)
+		}
+		if hook == nil {
+			continue
+		}
+		standby := rig.ckpt.Plan().DataNodes[0]
+		firstSeg := keySegment(rig.ckpt.Plan().ChunkOfNode[standby], 0)
+		hold := func(op string, node int, key string) error {
+			if op == "view" && node == standby && key == keyManifest() {
+				return errors.New("manifest lost")
+			}
+			committed := rig.ckpt.Version()
+			for op == "adopt" && node == standby && key == firstSeg && rig.ckpt.Version() == committed {
+				select {
+				case <-saverDone:
+					return nil // no commit is coming
+				default:
+				}
+				if !rig.ckpt.commitMu.TryRLock() {
+					return nil // a commit is waiting for this round to finish
+				}
+				rig.ckpt.commitMu.RUnlock()
+				runtime.Gosched()
+			}
+			return nil
+		}
+		hook.fn.Store(&hold)
+		_, err = rig.ckpt.PrefetchChunk(ctx, standby)
+		hook.fn.Store(nil)
+		if err != nil {
+			t.Fatalf("prefetch after load %d: %v", loads, err)
+		}
+		if vr, err := rig.ckpt.VerifyIntegrity(); err != nil || len(vr.CorruptSegments) != 0 {
+			t.Fatalf("after load %d and a prefetch: VerifyIntegrity: %v, %+v", loads, err, vr)
 		}
 	}
 }
@@ -233,16 +308,18 @@ func TestLoadScanAllocatesPerKeyNotPerByte(t *testing.T) {
 	if stored < 16*perKey*keys {
 		t.Fatalf("checkpoint of %d bytes over %d keys is too small to tell O(keys) from O(bytes)", stored, keys)
 	}
-	lay := rig.ckpt.layout()
+	rd := &restoreRound{lay: rig.ckpt.layout(), scan: make([]nodeScan, rig.topo.Nodes())}
+	nodes := upTo(rig.topo.Nodes())
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	states, corrupt, err := rig.ckpt.scanNodes(lay, new(atomic.Int64))
+	rig.ckpt.scanNodes(rd, nodes, false)
+	rig.ckpt.scanNodes(rd, nodes, true)
 	runtime.ReadMemStats(&after)
-	if err != nil || corrupt != 0 {
-		t.Fatalf("scan: %d corrupt blobs, err %v", corrupt, err)
+	if corrupt := rd.corrupt.Load(); corrupt != 0 {
+		t.Fatalf("scan: %d corrupt blobs", corrupt)
 	}
-	for node, st := range states {
-		if !st.manifestOK || !st.chunkOK || !st.smallsOK {
+	for node, st := range rd.scan {
+		if !st.manifestOK || !st.chunkOK || !st.smallsOK || !st.deep || st.lost != nil {
 			t.Errorf("node %d scanned as %+v, want fully intact", node, st)
 		}
 	}

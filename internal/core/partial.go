@@ -2,149 +2,13 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
+	"slices"
 
-	"eccheck/internal/cluster"
 	"eccheck/internal/gf"
-	"eccheck/internal/obs"
-	"eccheck/internal/obs/flight"
+	"eccheck/internal/serialize"
 	"eccheck/internal/statedict"
 )
-
-// manifestState is one node's manifest as seen by a lightweight scan.
-type manifestState struct {
-	ok                       bool
-	version, packet, bufSize int
-}
-
-// scanManifests reads every node's manifest concurrently — no segment or
-// small-component verification, just version discovery — and returns the
-// per-node results plus the newest version any node serves and its packet
-// geometry. latest == 0 means no manifest parsed anywhere. Unreachable or
-// corrupt manifests are simply not ok; the callers treat those nodes as
-// unavailable sources rather than failing the round.
-func (c *Checkpointer) scanManifests(fetched *atomic.Int64) ([]manifestState, int, int, int) {
-	n := c.cfg.Topo.Nodes()
-	mans := make([]manifestState, n)
-	var wg sync.WaitGroup
-	for node := 0; node < n; node++ {
-		wg.Add(1)
-		go func(node int) {
-			defer wg.Done()
-			blob, err := c.fetchN(node, keyManifest(), fetched)
-			if err != nil {
-				return
-			}
-			v, p, b, err := parseManifest(blob)
-			if err != nil {
-				return
-			}
-			mans[node] = manifestState{ok: true, version: v, packet: p, bufSize: b}
-		}(node)
-	}
-	wg.Wait()
-	latest, packet, bufSize := 0, 0, 0
-	for _, m := range mans {
-		if m.ok && m.version > latest {
-			latest, packet, bufSize = m.version, m.packet, m.bufSize
-		}
-	}
-	return mans, latest, packet, bufSize
-}
-
-// chunkOwner returns the node that hosts a chunk under the given layout.
-func (c *Checkpointer) chunkOwner(lay *layout, chunk int) int {
-	if chunk < c.cfg.K {
-		return lay.plan.DataNodes[chunk]
-	}
-	return lay.plan.ParityNodes[chunk-c.cfg.K]
-}
-
-// forEachBounded runs fn(i) for every i in [0, n) across at most
-// Config.RestoreWorkers goroutines. With one worker it degenerates to a
-// plain loop — the serial baseline the bench compares against.
-func (c *Checkpointer) forEachBounded(n int, fn func(i int)) {
-	workers := c.cfg.RestoreWorkers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-}
-
-// decodeSegment centrally rebuilds one segment of a lost chunk: it gathers
-// the same-index segment from k other chunks whose owners still serve the
-// target version and applies the decode transform, one bufSize slice at a
-// time — the coding region is the buffer slice the save encoded (the
-// manifest records its size), so decoding the packet as a single region
-// yields garbage for any non-unit coefficient. Unlike Load's distributed
-// rebuild, only the k · segment bytes the caller actually needs are
-// fetched — nothing cluster-wide, nothing persisted. okAt reports whether
-// a candidate chunk is believed intact; candidates that fail anyway (lost
-// since the scan) are skipped in favor of the next. The result is a
-// cluster.NewBlob, so a caller that persists it can adopt it.
-func (c *Checkpointer) decodeSegment(lay *layout, okAt func(chunk int) bool, chunk, seg, packetBytes, bufSize int, fetched *atomic.Int64) ([]byte, error) {
-	basis := make([]int, 0, c.cfg.K)
-	segs := make([][]byte, 0, c.cfg.K)
-	for cand := 0; cand < c.cfg.K+c.cfg.M && len(basis) < c.cfg.K; cand++ {
-		if cand == chunk || !okAt(cand) {
-			continue
-		}
-		blob, err := c.fetchN(c.chunkOwner(lay, cand), keySegment(cand, seg), fetched)
-		if err != nil || len(blob) != packetBytes {
-			continue
-		}
-		basis = append(basis, cand)
-		segs = append(segs, blob)
-	}
-	if len(basis) < c.cfg.K {
-		return nil, fmt.Errorf("core: only %d of %d basis chunks reachable to decode chunk %d", len(basis), c.cfg.K, chunk)
-	}
-	tm, err := c.code.TransformMatrix(basis, []int{chunk})
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	out := cluster.NewBlob(packetBytes)
-	contribution := c.buf.Get(min(bufSize, packetBytes))
-	defer c.buf.Put(contribution)
-	for lo := 0; lo < packetBytes; lo += bufSize {
-		hi := min(lo+bufSize, packetBytes)
-		for i := range basis {
-			if err := c.scalarMulPooled(tm.At(0, i), contribution[:hi-lo], segs[i][lo:hi]); err != nil {
-				return nil, err
-			}
-			if err := gf.XORSlice(out[lo:hi], contribution[:hi-lo]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
 
 // LoadPartial lazily restores only the requested workers' state dicts from
 // the distributed in-memory checkpoint — the serving-failover fast path,
@@ -152,410 +16,253 @@ func (c *Checkpointer) decodeSegment(lay *layout, okAt func(chunk int) bool, chu
 // hot experts) must come back inside a latency budget and the rest of the
 // fleet can restore later.
 //
-// Unlike Load it is coordinator-driven and touches only what the request
-// needs: a manifest-only scan discovers the latest version, then each
-// requested rank's packet is fetched directly from its chunk owner. If an
-// owner is dead or its segment corrupt, the round degrades to decoding
-// that segment from k surviving chunks (workflow "partial-decode") instead
-// of failing. Nothing is persisted and no missing chunks are rebuilt in
-// host memory, so fault tolerance is NOT restored — run Load (or
-// PrefetchChunk per replacement node) afterwards to re-arm the code.
+// It is a restore that repairs nothing, so it runs on the coordinator and
+// touches only what the request needs: a manifest-only scan discovers the
+// latest version, then each requested rank's packet is fetched directly
+// from its chunk owner. If an owner is dead or its segment corrupt, the
+// round degrades to decoding that segment from k surviving chunks (workflow
+// "partial-decode") instead of failing. Nothing is persisted and no missing
+// chunks are rebuilt in host memory, so fault tolerance is NOT restored —
+// run Load (or PrefetchChunk per replacement node) afterwards to re-arm the
+// code.
 //
 // The returned map has exactly the requested ranks. BytesFetched counts
 // every host-memory blob read, which on a k-of-n cluster is strictly less
 // than a full Load's scan alone whenever len(ranks) < world.
-func (c *Checkpointer) LoadPartial(ctx context.Context, ranks []int) (_ map[int]*statedict.StateDict, report *LoadReport, retErr error) {
-	started := time.Now()
+func (c *Checkpointer) LoadPartial(ctx context.Context, ranks []int) (map[int]*statedict.StateDict, *LoadReport, error) {
 	world := c.cfg.Topo.World()
 	if len(ranks) == 0 {
 		return nil, nil, fmt.Errorf("core: partial restore needs at least one rank")
 	}
-	seen := make(map[int]bool, len(ranks))
-	want := make([]int, 0, len(ranks))
-	for _, r := range ranks {
-		if r < 0 || r >= world {
-			return nil, nil, fmt.Errorf("core: rank %d out of range [0, %d)", r, world)
-		}
-		if !seen[r] {
-			seen[r] = true
-			want = append(want, r)
-		}
+	want := slices.Clone(ranks)
+	slices.Sort(want)
+	want = slices.Compact(want)
+	if want[0] < 0 || want[len(want)-1] >= world {
+		return nil, nil, fmt.Errorf("core: ranks %v out of range [0, %d)", ranks, world)
 	}
-	sort.Ints(want)
-	if err := c.waitInflightSave(ctx); err != nil {
-		return nil, nil, err
-	}
-	c.commitMu.RLock() // see Load: no commit lands mid-recovery
-	defer c.commitMu.RUnlock()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	unregister, err := c.registerLoad(cancel)
+	rd, err := c.restore(ctx, restoreReq{op: OpPartialLoad, want: want, repair: repairNone})
 	if err != nil {
-		return nil, nil, err
+		return nil, rd.report, err
 	}
-	defer func() { unregister(retErr) }()
-	_, loadSpan := obs.StartSpan(ctx, c.cfg.Metrics, "partial-load")
-	defer loadSpan.End()
-	pmStart := c.cfg.Flight.Cursor()
-	roundVersion := 0
-	c.roundStart(OpPartialLoad, 0)
-	defer func() {
-		v := roundVersion
-		if report != nil {
-			v = report.Version
-		}
-		c.roundEnd(OpPartialLoad, v, retErr)
-	}()
-	c.cfg.Flight.RoundBegin("partial-load", 0)
-	defer func() {
-		if retErr == nil {
-			return
-		}
-		c.cfg.Flight.RoundEnd("partial-load", roundVersion, retErr)
-		if tail := c.cfg.Flight.TailSince(pmStart, flight.DefaultPostmortemEvents); len(tail) > 0 {
-			report = &LoadReport{
-				Version:    roundVersion,
-				Elapsed:    time.Since(started),
-				Postmortem: tail,
-			}
-		}
-	}()
+	if reg := c.cfg.Metrics; reg != nil {
+		reg.Counter("load_partial_rounds_total").Inc()
+		reg.Counter("load_partial_bytes_total").Add(rd.report.BytesFetched)
+	}
+	out := make(map[int]*statedict.StateDict, len(want))
+	for _, rank := range want {
+		out[rank] = rd.dicts[rank]
+	}
+	return out, rd.report, nil
+}
 
-	lay := c.layout()
-	fetched := new(atomic.Int64)
-	var corrupt atomic.Int64
-	pc := newPhaseClock(PhaseScan)
-	pc.emitTo(c.cfg.Flight, "partial-load", -1, 0)
-	pc.watchTo(c.wd, "partial-load", -1, 0)
-	defer pc.unwatch()
+// serveDirect serves the wanted ranks from the coordinator: each packet is
+// one segment of its data chunk, read straight from the owning node, or —
+// where that fails — decoded from k chunks that still serve the version.
+// Only the bytes the caller needs are read, nothing is written, and no node
+// has to be alive except the ones that are read.
+func (c *Checkpointer) serveDirect(rd *restoreRound) error {
+	lay, want, pc := rd.lay, rd.req.want, rd.pc
+	plan, keys := lay.plan, &lay.keys
 
-	mans, latest, packetBytes, bufSize := c.scanManifests(fetched)
-	if latest == 0 {
-		return nil, nil, fmt.Errorf("core: no intact in-memory checkpoint found; recover from remote storage")
-	}
-	roundVersion = latest
-	pc.round = latest
-	if bufSize <= 0 {
-		bufSize = c.cfg.BufferSize
-	}
-	okAt := func(chunk int) bool {
-		owner := c.chunkOwner(lay, chunk)
-		return mans[owner].ok && mans[owner].version == latest
-	}
-
-	// Direct fetch: each wanted rank's packet is one segment of its data
-	// chunk, read straight from the owning node. Failures don't abort —
-	// they mark the rank for the decode stage below.
+	// Direct fetch. Failures don't abort: a packet left nil — its owner lost
+	// or stale, its segment corrupt, the node killed since the scan — is
+	// decoded below.
 	pc.Switch(PhaseFetch)
 	packets := make([][]byte, len(want))
-	needDecode := make([]bool, len(want))
-	c.forEachBounded(len(want), func(i int) {
-		rank := want[i]
-		chunk := lay.plan.DataGroupOf[rank]
-		if !okAt(chunk) {
-			needDecode[i] = true
-			return
+	_ = c.forEachBounded(len(want), func(i int) error {
+		chunk := plan.DataGroupOf[want[i]]
+		if owner := c.chunkOwner(lay, chunk); rd.scan[owner].holds(rd.version) {
+			packets[i], _ = c.read(rd, owner, keys.segment[chunk][plan.SegmentOf[want[i]]])
 		}
-		key := keySegment(chunk, lay.plan.SegmentOf[rank])
-		owner := c.chunkOwner(lay, chunk)
-		seg, err := c.fetchN(owner, key, fetched)
-		if err != nil {
-			if errors.Is(err, cluster.ErrChecksum) {
-				corrupt.Add(1)
-				c.cfg.Flight.Corruption(owner, key)
-			}
-			needDecode[i] = true
-			return
-		}
-		packets[i] = seg
+		return nil
 	})
 
-	// Degraded path: decode each still-missing segment from k surviving
-	// chunks. This is where a node killed mid-round lands.
 	pc.Switch(PhaseRebuild)
-	decodeErrs := make([]error, len(want))
-	var decodedChunks sync.Map
-	c.forEachBounded(len(want), func(i int) {
-		if !needDecode[i] {
-			return
-		}
-		rank := want[i]
-		chunk := lay.plan.DataGroupOf[rank]
-		seg, err := c.decodeSegment(lay, okAt, chunk, lay.plan.SegmentOf[rank], packetBytes, bufSize, fetched)
-		if err != nil {
-			decodeErrs[i] = fmt.Errorf("core: rank %d: %w", rank, err)
-			return
-		}
-		packets[i] = seg
-		decodedChunks.Store(chunk, true)
-	})
-	if err := errors.Join(decodeErrs...); err != nil {
-		if ctx.Err() != nil && c.isClosed() {
-			err = fmt.Errorf("%w: %w", ErrSaveAborted, err)
-		}
-		return nil, nil, err
+	decoded, err := c.decodeLost(rd, packets)
+	if err != nil {
+		return err
+	}
+	rd.workflow = "partial"
+	if len(rd.missing) > 0 {
+		rd.workflow = "partial-decode"
 	}
 
-	// Small components: any node whose manifest parses at the target
-	// version holds the full broadcast set; try sources in order so one
-	// corrupt copy degrades to the next node instead of failing the round.
+	// Small components: any node whose manifest parses at the target version
+	// holds the full broadcast set.
 	pc.Switch(PhaseSmallSync)
-	var sources []int
-	for node := range mans {
-		if mans[node].ok && mans[node].version == latest {
-			sources = append(sources, node)
-		}
-	}
-	metas := make([][]byte, len(want))
-	keysB := make([][]byte, len(want))
-	smallErrs := make([]error, len(want))
-	c.forEachBounded(len(want), func(i int) {
-		rank := want[i]
-		for _, node := range sources {
-			meta, err := c.fetchN(node, keySmallMeta(rank), fetched)
-			if err != nil {
-				continue
-			}
-			keys, err := c.fetchN(node, keySmallKeys(rank), fetched)
-			if err != nil {
-				continue
-			}
-			metas[i], keysB[i] = meta, keys
-			return
-		}
-		smallErrs[i] = fmt.Errorf("core: no node serves rank %d small components", rank)
-	})
-	if err := errors.Join(smallErrs...); err != nil {
-		return nil, nil, err
+	smalls := make([][2][]byte, len(want))
+	if err := c.forEachBounded(len(want), func(i int) (err error) {
+		smalls[i], err = c.smallsOf(rd, rd.smallSources, want[i])
+		return err
+	}); err != nil {
+		return err
 	}
 
 	pc.Switch(PhaseRedistribute)
-	out := make(map[int]*statedict.StateDict, len(want))
-	var outMu sync.Mutex
-	asmErrs := make([]error, len(want))
-	c.forEachBounded(len(want), func(i int) {
-		sd, err := assemblePacket(want[i], metas[i], keysB[i], packets[i])
-		if err != nil {
-			asmErrs[i] = err
-			return
+	return c.forEachBounded(len(want), func(i int) (err error) {
+		rd.dicts[want[i]], err = assemblePacket(want[i], smalls[i][0], smalls[i][1], packets[i])
+		if decoded[i] {
+			c.buf.Put(packets[i])
 		}
-		outMu.Lock()
-		out[want[i]] = sd
-		outMu.Unlock()
+		return err
 	})
-	if err := errors.Join(asmErrs...); err != nil {
-		return nil, nil, err
-	}
-	c.version.Store(int64(latest))
-
-	var missing []int
-	decodedChunks.Range(func(k, _ any) bool {
-		missing = append(missing, k.(int))
-		return true
-	})
-	sort.Ints(missing)
-	workflow := "partial"
-	if len(missing) > 0 {
-		workflow = "partial-decode"
-	}
-	phases := pc.Stop()
-	c.observePhases("load", -1, phases)
-	if reg := c.cfg.Metrics; reg != nil {
-		reg.Counter("load_partial_rounds_total").Inc()
-		reg.Counter("load_partial_bytes_total").Add(fetched.Load())
-	}
-	report = &LoadReport{
-		Version:       latest,
-		Workflow:      workflow,
-		MissingChunks: missing,
-		CorruptBlobs:  int(corrupt.Load()),
-		Elapsed:       time.Since(started),
-		Phases:        phases,
-		BytesFetched:  fetched.Load(),
-	}
-	c.observeRestore(OpPartialLoad, report.Elapsed)
-	c.cfg.Flight.RoundEnd("partial-load", latest, nil)
-	if len(missing) > 0 {
-		// The round succeeded but had to decode around losses: attach the
-		// event tail so the degradation is diagnosable from the report.
-		report.Postmortem = c.cfg.Flight.TailSince(pmStart, flight.DefaultPostmortemEvents)
-	}
-	c.applyBudget(report, OpPartialLoad, latest, pmStart)
-	return out, report, nil
 }
 
-// PrefetchReport summarizes a warm-standby parity prefetch (PrefetchChunk).
-type PrefetchReport struct {
-	// Node is the prefetching node; Chunk is the chunk it hosts.
-	Node, Chunk int
-	// Version is the checkpoint version the chunk was rebuilt at.
-	Version int
-	// Segments is how many segments were rebuilt and stored (0 when the
-	// chunk was already intact).
-	Segments int
-	// SmallsCopied is how many small-component blobs were copied onto the
-	// node (meta + keys per rank).
-	SmallsCopied int
-	// AlreadyIntact reports the node already served the latest version
-	// with a complete chunk, so nothing was rebuilt.
-	AlreadyIntact bool
-	// BytesFetched is the total host-memory bytes read by the prefetch.
-	BytesFetched int64
-	// Elapsed is the wall-clock duration of the prefetch.
-	Elapsed time.Duration
+// decodeLost fills every nil packet by decoding it through the erasure code
+// and reports which ones it filled (those live in pooled buffers). A packet
+// is one segment of its chunk, so the lost packets are grouped by segment
+// index (see segPlan) and each index gets its own basis: the first k chunks
+// believed intact whose segment at that index reads cleanly, excluding only
+// the chunks whose packet at that index is being decoded. A candidate that
+// fails anyway (lost since the scan) is skipped in favor of the next, and
+// only the k · segment bytes the caller needs are read. Each packet is
+// decoded one bufSize slice at a time — the coding region is the buffer slice
+// the save encoded (the manifest records its size), so decoding the packet as
+// a single region yields garbage for any non-unit coefficient.
+func (c *Checkpointer) decodeLost(rd *restoreRound, packets [][]byte) ([]bool, error) {
+	lay, want, plan := rd.lay, rd.req.want, rd.lay.plan
+	decoded := make([]bool, len(want))
+	for i, rank := range want {
+		if packets[i] != nil {
+			continue
+		}
+		decoded[i] = true
+		chunk, p := plan.DataGroupOf[rank], &rd.decode[plan.SegmentOf[rank]]
+		p.missing, rd.missing = append(p.missing, chunk), append(rd.missing, chunk)
+		slices.Sort(p.missing)
+	}
+	slices.Sort(rd.missing)
+	rd.missing = slices.Compact(rd.missing)
+	srcs := make([][][]byte, len(rd.decode)) // by segment index, then basis position
+	if err := c.forEachBounded(len(rd.decode), func(s int) error {
+		p := &rd.decode[s]
+		if len(p.missing) == 0 {
+			return nil
+		}
+		for _, cand := range rd.intact {
+			if len(p.basis) == c.cfg.K {
+				break
+			}
+			if slices.Contains(p.missing, cand) {
+				continue
+			}
+			seg, err := c.read(rd, c.chunkOwner(lay, cand), lay.keys.segment[cand][s])
+			if err == nil && len(seg) == rd.packetBytes {
+				p.basis, srcs[s] = append(p.basis, cand), append(srcs[s], seg)
+			}
+		}
+		if len(p.basis) < c.cfg.K {
+			return fmt.Errorf("core: only %d of %d basis chunks reachable to decode segment %d of chunks %v", len(p.basis), c.cfg.K, s, p.missing)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	if err := c.transforms(rd.decode); err != nil {
+		return nil, err
+	}
+	return decoded, c.forEachBounded(len(want), func(i int) error {
+		if !decoded[i] {
+			return nil
+		}
+		s := plan.SegmentOf[want[i]]
+		p := &rd.decode[s]
+		row := slices.Index(p.missing, plan.DataGroupOf[want[i]])
+		out, term := c.buf.Get(rd.packetBytes), c.buf.Get(min(rd.bufSize, rd.packetBytes))
+		defer c.buf.Put(term)
+		packets[i] = out
+		clear(out) // pooled buffers carry stale bytes; the terms XOR onto zero
+		for lo := 0; lo < rd.packetBytes; lo += rd.bufSize {
+			hi := min(lo+rd.bufSize, rd.packetBytes)
+			for pos := range p.basis {
+				err := c.scalarMulPooled(p.tm.At(row, pos), term[:hi-lo], srcs[s][pos][lo:hi])
+				if err == nil {
+					err = gf.XORSlice(out[lo:hi], term[:hi-lo])
+				}
+				if err != nil {
+					return fmt.Errorf("core: rank %d: %w", want[i], err)
+				}
+			}
+		}
+		return nil
+	})
 }
 
-// PrefetchChunk warms a standby before recovery asks for it: the given
-// node (typically freshly swapped in by ReplaceNode) rebuilds the chunk it
-// is responsible for — decoding it from k surviving chunks — and stores
-// the segments, the full small-component broadcast set, and finally the
-// manifest, so the checkpoint becomes visible on the node only once it is
-// complete. After a successful prefetch the next Load scans an all-intact
-// cluster and runs the pure replacement workflow with zero rebuilds on the
-// restore critical path; a LoadPartial for the node's workers hits the
-// direct-fetch fast path.
+// LoadFromRemote recovers every worker's state dict from the remote
+// persistent store (the catastrophic-failure path). version 0 discovers
+// and loads the most recent persisted version by enumerating the store's
+// catalog — discovery deliberately ignores the in-memory version counter,
+// because the caller that needs this path most is a freshly restarted
+// process whose counter is zero. Ranks are fetched by a bounded worker
+// pool (Config.RestoreWorkers) and each blob is deserialized as soon as
+// it arrives, so decode overlaps the remaining transfers.
 //
-// The prefetch runs off the recovery critical path (no peer transport, no
-// coordination) and is idempotent: a node already serving the latest
-// version returns AlreadyIntact without writing anything.
-func (c *Checkpointer) PrefetchChunk(ctx context.Context, node int) (_ *PrefetchReport, retErr error) {
-	started := time.Now()
-	if node < 0 || node >= c.cfg.Topo.Nodes() {
-		return nil, fmt.Errorf("core: node %d out of range [0, %d)", node, c.cfg.Topo.Nodes())
+// The context bounds the whole recovery: each remote fetch honors both
+// cancellation and the checkpointer's configured OpTimeout (via
+// transport.WithOpTimeout), so a hung remote tier surfaces as a bounded
+// error instead of a frozen restore. Close interrupts an in-flight call.
+func (c *Checkpointer) LoadFromRemote(ctx context.Context, version int) ([]*statedict.StateDict, error) {
+	if c.remote == nil {
+		return nil, fmt.Errorf("core: no remote store configured")
 	}
-	if !c.clus.Alive(node) {
-		return nil, fmt.Errorf("core: node %d is failed; replace it before prefetching", node)
+	rd, err := c.restore(ctx, restoreReq{op: OpRemoteLoad, want: upTo(c.cfg.Topo.World()), repair: repairNone, remote: true, version: version})
+	if reg := c.cfg.Metrics; reg != nil && err == nil {
+		reg.Counter("remote_load_rounds_total").Inc()
 	}
-	if err := c.waitInflightSave(ctx); err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	unregister, err := c.registerLoad(cancel)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { unregister(retErr) }()
-	roundVersion := 0
-	c.roundStart(OpPrefetch, 0)
-	defer func() { c.roundEnd(OpPrefetch, roundVersion, retErr) }()
-	c.cfg.Flight.RoundBegin("prefetch", 0)
-	defer func() {
-		if retErr != nil {
-			c.cfg.Flight.RoundEnd("prefetch", roundVersion, retErr)
-		}
-	}()
+	return rd.dicts, err
+}
 
-	lay := c.layout()
-	fetched := new(atomic.Int64)
-	mans, latest, packetBytes, bufSize := c.scanManifests(fetched)
-	if latest == 0 {
-		return nil, fmt.Errorf("core: no intact in-memory checkpoint found; nothing to prefetch")
-	}
-	roundVersion = latest
-	if bufSize <= 0 {
-		bufSize = c.cfg.BufferSize
-	}
-	chunk := lay.plan.ChunkOfNode[node]
-	span := c.cfg.Topo.World() / c.cfg.K
-	okAt := func(ch int) bool {
-		owner := c.chunkOwner(lay, ch)
-		return mans[owner].ok && mans[owner].version == latest
-	}
-
-	report := &PrefetchReport{Node: node, Chunk: chunk, Version: latest}
-	if okAt(chunk) {
-		intact := true
-		for s := 0; s < span && intact; s++ {
-			if _, err := c.fetchN(node, keySegment(chunk, s), fetched); err != nil {
-				intact = false
-			}
-		}
-		if intact {
-			report.AlreadyIntact = true
-			report.BytesFetched = fetched.Load()
-			report.Elapsed = time.Since(started)
-			c.cfg.Flight.RoundEnd("prefetch", latest, nil)
-			return report, nil
-		}
-	}
-
-	// Rebuild and stage every segment before anything is stored: a
-	// prefetch that dies halfway must not leave a node that looks intact.
-	segs := make([][]byte, span)
-	segErrs := make([]error, span)
-	c.forEachBounded(span, func(s int) {
-		seg, err := c.decodeSegment(lay, okAt, chunk, s, packetBytes, bufSize, fetched)
+// serveRemote reads every wanted rank's serialized state dict from the
+// remote tier. The first failure cancels the other fetches.
+func (c *Checkpointer) serveRemote(ctx context.Context, cancel context.CancelFunc, rd *restoreRound) error {
+	if rd.version == 0 {
+		v, err := c.latestRemoteVersion()
 		if err != nil {
-			segErrs[s] = err
-			return
+			return err
 		}
-		segs[s] = seg
+		rd.version, rd.pc.round = v, v
+	}
+	rd.pc.Switch(PhaseFetch)
+	ctx = c.opCtx(ctx)
+	return c.forEachBounded(len(rd.req.want), func(i int) error {
+		rank := rd.req.want[i]
+		blob, _, err := c.remote.Get(ctx, 0, remoteKey(c.cfg.RemotePrefix, rd.version, rank))
+		if err == nil {
+			rd.fetched.Add(int64(len(blob)))
+			rd.dicts[rank], err = serialize.Unmarshal(blob)
+		}
+		if err != nil {
+			cancel()
+			return fmt.Errorf("core: remote load rank %d: %w", rank, err)
+		}
+		return nil
 	})
-	if err := errors.Join(segErrs...); err != nil {
-		if ctx.Err() != nil && c.isClosed() {
-			err = fmt.Errorf("%w: %w", ErrSaveAborted, err)
-		}
-		return nil, err
-	}
-	for s := 0; s < span; s++ {
-		if err := c.adopt(node, keySegment(chunk, s), segs[s]); err != nil {
-			return nil, err
-		}
-	}
-	report.Segments = span
+}
 
-	// Copy the small-component broadcast set from intact donors so the
-	// next recovery needs no rebroadcast either.
-	world := c.cfg.Topo.World()
-	var donors []int
-	for d := range mans {
-		if d != node && mans[d].ok && mans[d].version == latest {
-			donors = append(donors, d)
+// latestRemoteVersion discovers the newest fully-addressable checkpoint
+// version in the remote store by listing its catalog under this
+// checkpointer's key prefix. It must not consult the in-memory version
+// counter: after a catastrophic failure the restoring process is brand
+// new and its counter is zero, yet the remote tier still holds the
+// checkpoint.
+func (c *Checkpointer) latestRemoteVersion() (int, error) {
+	prefix := fmt.Sprintf("eccheck/%sv", c.cfg.RemotePrefix)
+	latest := 0
+	for _, key := range c.remote.Keys(prefix) {
+		var v, rank int
+		if _, err := fmt.Sscanf(key[len(prefix):], "%d/rank%d", &v, &rank); err != nil {
+			continue
+		}
+		// Rank 0 anchors a version: persistCommitted writes ranks in order,
+		// so any version with rank 0 present is at least partially there and
+		// the newest such version is the one a GC-respecting store keeps
+		// complete.
+		if rank == 0 && v > latest {
+			latest = v
 		}
 	}
-	smallErrs := make([]error, world)
-	var copied atomic.Int64
-	c.forEachBounded(world, func(rank int) {
-		for _, donor := range donors {
-			meta, err := c.fetchN(donor, keySmallMeta(rank), fetched)
-			if err != nil {
-				continue
-			}
-			keys, err := c.fetchN(donor, keySmallKeys(rank), fetched)
-			if err != nil {
-				continue
-			}
-			if err := c.store(node, keySmallMeta(rank), meta); err != nil {
-				smallErrs[rank] = err
-				return
-			}
-			if err := c.store(node, keySmallKeys(rank), keys); err != nil {
-				smallErrs[rank] = err
-				return
-			}
-			copied.Add(2)
-			return
-		}
-		smallErrs[rank] = fmt.Errorf("core: no donor serves rank %d small components", rank)
-	})
-	if err := errors.Join(smallErrs...); err != nil {
-		return nil, err
+	if latest == 0 {
+		return 0, fmt.Errorf("core: no persisted checkpoint found in remote storage")
 	}
-	report.SmallsCopied = int(copied.Load())
-
-	// Manifest last: the node's checkpoint becomes visible at the
-	// prefetched version only once everything underneath it is in place.
-	if err := c.store(node, keyManifest(), manifestBlob(latest, packetBytes, bufSize)); err != nil {
-		return nil, err
-	}
-	report.BytesFetched = fetched.Load()
-	report.Elapsed = time.Since(started)
-	if reg := c.cfg.Metrics; reg != nil {
-		reg.Counter("prefetch_rounds_total").Inc()
-		reg.Counter("prefetch_segments_total").Add(int64(report.Segments))
-	}
-	c.observeRestore(OpPrefetch, report.Elapsed)
-	c.cfg.Flight.RoundEnd("prefetch", latest, nil)
-	return report, nil
+	return latest, nil
 }

@@ -1,0 +1,581 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"eccheck/internal/cluster"
+	"eccheck/internal/gf"
+	"eccheck/internal/obs"
+	"eccheck/internal/obs/flight"
+	"eccheck/internal/statedict"
+)
+
+// The paper has one recovery procedure with two workflows. Every restore
+// operation here is that procedure under a request that says which ranks the
+// caller wants back, which nodes get their chunk, small components and
+// manifest re-landed in host memory, and where the sources live:
+//
+//	Load           = want every rank, repair every degraded node
+//	LoadPartial    = want a subset,   repair nothing
+//	PrefetchChunk  = want nothing,    repair one node
+//	LoadFromRemote = want every rank, repair nothing, read the remote tier
+//
+// restore owns what they share: the round lifecycle, one availability scan
+// whose depth follows from the request, one plan, and one landing order for a
+// repaired node — segments, small components, manifest last.
+type restoreReq struct {
+	// op is the round's name on every surface (hooks, flight, span, phase
+	// clocks, metrics labels): one of the Op* restore constants.
+	op string
+	// want lists the ranks whose state dicts go back to the caller, ascending
+	// and unique; nil asks for none.
+	want []int
+	// repair selects the nodes the round re-lands: repairNone, repairAll
+	// (every node the scan finds degraded) or one node index.
+	repair int
+	// remote reads the wanted ranks from the remote tier at version (0: the
+	// newest persisted one) instead of host memory.
+	remote  bool
+	version int
+}
+
+const (
+	repairNone = -1 - iota
+	repairAll
+)
+
+// restoreRound is one restore in flight: the request, what the scan found,
+// the plan derived from it and the results, shared by every goroutine of the
+// round. The plan fields are fixed before anything executes.
+type restoreRound struct {
+	req  restoreReq
+	lay  *layout   // snapshot the whole round runs under
+	tags *tagTable // set on rounds that move bytes between nodes
+	// pc is the coordinator's phase clock (node -1 on the timeline).
+	pc *phaseClock
+	// fetched counts the bytes read from storage (LoadReport.BytesFetched);
+	// corrupt the blobs that failed their checksum.
+	fetched, corrupt atomic.Int64
+
+	scan []nodeScan
+	// version is the checkpoint version the round restores, with its packet
+	// size and the buffer size it was encoded with — decode must slice
+	// packets identically because the coding region is the buffer slice.
+	version, packetBytes, bufSize int
+	// intact are the chunks whose owner serves version, ascending; missing
+	// the chunks the round rebuilds (of repaired nodes) or decodes around
+	// (direct rounds), ascending; decode says, per segment index, what is
+	// computed from which chunks.
+	intact, missing []int
+	decode          []segPlan
+	// needSmall are the repaired nodes that lost their small components,
+	// smallSources the nodes that serve them at version; both ascending.
+	needSmall, smallSources []int
+	// part marks the nodes that run the distributed protocol.
+	part []bool
+
+	workflow   string
+	dicts      []*statedict.StateDict // by rank; nil where not wanted
+	nodePhases []map[string]time.Duration
+	report     *LoadReport
+}
+
+// segPlan is the decode plan of one segment index. A code word is the
+// same-index segment of every chunk, so the basis is chosen per index: a
+// chunk with one bad segment still serves its others, and any index with at
+// most m erasures decodes. tm expresses each missing chunk (row) in terms of
+// the k basis chunks (columns).
+type segPlan struct {
+	missing, basis []int
+	tm             *gf.Matrix
+}
+
+// transforms computes every segment index's decode matrix, once per distinct
+// (basis, missing) pair: one TransformMatrix call per round unless segment
+// indices differ in what they lost.
+func (c *Checkpointer) transforms(plans []segPlan) (err error) {
+	for i := range plans {
+		p := &plans[i]
+		for _, q := range plans[:i] {
+			if slices.Equal(q.basis, p.basis) && slices.Equal(q.missing, p.missing) {
+				p.tm = q.tm
+			}
+		}
+		if p.tm == nil && len(p.missing) > 0 {
+			if p.tm, err = c.code.TransformMatrix(p.basis, p.missing); err != nil {
+				return fmt.Errorf("core: %w", err)
+			}
+		}
+	}
+	return nil
+}
+
+func (rd *restoreRound) repairs(node int) bool {
+	return rd.req.repair == repairAll || rd.req.repair == node
+}
+
+// restore runs one restore round. The returned round is never nil; on
+// failure its dicts are nil and its report, when a flight recorder is
+// configured, carries the round's event tail as a postmortem.
+func (c *Checkpointer) restore(ctx context.Context, req restoreReq) (rd *restoreRound, retErr error) {
+	rd = &restoreRound{req: req, version: req.version}
+	if !req.remote {
+		// A host-memory restore reads the checkpoint at rest: it waits for an
+		// in-flight save drain to settle, and holds the commit lock shared so
+		// a SaveAsync that starts meanwhile cannot commit mid-round. The
+		// remote tier is written before a round ends and never rewritten, and
+		// a catastrophic restore must not wait on a save that cannot finish.
+		if err := c.waitInflightSave(ctx); err != nil {
+			return rd, err
+		}
+		c.commitMu.RLock()
+		defer c.commitMu.RUnlock()
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	unregister, err := c.registerLoad(cancel)
+	if err != nil {
+		return rd, err
+	}
+	defer func() { unregister(retErr) }()
+	if req.repair != repairNone {
+		// One repairing round at a time: two of them would rebuild the same
+		// chunks under the same tags and land over each other. A free slot is
+		// taken even under a cancelled context, so the round reports what its
+		// nodes ran into rather than a bare cancellation.
+		select {
+		case c.restoreSlot <- struct{}{}:
+		default:
+			select {
+			case c.restoreSlot <- struct{}{}:
+			case <-ctx.Done():
+				return rd, ctx.Err()
+			}
+		}
+		defer func() { <-c.restoreSlot }()
+	}
+	// The round's clock, phases and watchdog start once it holds its gates:
+	// queueing behind a drain or another repair is not this round's work.
+	started := time.Now()
+	ctx, span := obs.StartSpan(ctx, c.cfg.Metrics, req.op)
+	defer span.End()
+	// Everything the round emits after this cursor belongs to it.
+	pmStart := c.cfg.Flight.Cursor()
+	c.roundStart(req.op, req.version)
+	defer func() { c.roundEnd(req.op, rd.version, retErr) }()
+	c.cfg.Flight.RoundBegin(req.op, req.version)
+	rd.lay = c.layout()
+	rd.dicts = make([]*statedict.StateDict, c.cfg.Topo.World())
+	rd.pc = newPhaseClock(PhaseScan)
+	rd.pc.emitTo(c.cfg.Flight, req.op, -1, req.version)
+	rd.pc.watchTo(c.wd, req.op, -1, req.version)
+	defer rd.pc.unwatch()
+
+	if req.remote {
+		retErr = c.serveRemote(ctx, cancel, rd)
+	} else {
+		retErr = c.serveHost(ctx, cancel, rd)
+	}
+	elapsed := time.Since(started)
+	if retErr != nil {
+		if ctx.Err() != nil && c.isClosed() {
+			retErr = fmt.Errorf("%w: %w", ErrSaveAborted, retErr)
+		}
+		// The terminal event goes first so the postmortem tail includes it.
+		c.cfg.Flight.RoundEnd(req.op, rd.version, retErr)
+		rd.dicts = nil
+		if tail := c.cfg.Flight.TailSince(pmStart, flight.DefaultPostmortemEvents); len(tail) > 0 {
+			rd.report = &LoadReport{Version: rd.version, Elapsed: elapsed, Postmortem: tail}
+		}
+		return rd, retErr
+	}
+
+	phases := meanPhases(rd.nodePhases)
+	coord := rd.pc.Stop()
+	c.observePhases("load", -1, coord)
+	for ph, d := range coord {
+		phases[ph] += d
+	}
+	rd.report = &LoadReport{
+		Version:       rd.version,
+		Workflow:      rd.workflow,
+		MissingChunks: rd.missing,
+		CorruptBlobs:  int(rd.corrupt.Load()),
+		Elapsed:       elapsed,
+		Phases:        phases,
+		BytesFetched:  rd.fetched.Load(),
+	}
+	for _, chunk := range rd.missing {
+		if rd.scan[c.chunkOwner(rd.lay, chunk)].corrupt {
+			rd.report.CorruptedChunks = append(rd.report.CorruptedChunks, chunk)
+		}
+	}
+	c.observeRestore(req.op, elapsed)
+	c.cfg.Flight.RoundEnd(req.op, rd.version, nil)
+	if len(rd.missing) > 0 {
+		// The round succeeded around something lost or corrupt: attach the
+		// event tail so the degradation is diagnosable from the report alone.
+		rd.report.Postmortem = c.cfg.Flight.TailSince(pmStart, flight.DefaultPostmortemEvents)
+	}
+	if len(req.want) > 0 { // the budget is for rounds a caller waits on for state
+		c.applyBudget(rd.report, req.op, rd.version, pmStart)
+	}
+	return rd, nil
+}
+
+// serveHost restores from host memory: scan, plan, then one of two
+// executors. They differ in a precondition the request states, not in a
+// knob: a round that repairs runs the paper's distributed protocol over the
+// transport (every participant is alive by then), and a round that repairs
+// nothing serves the caller from the coordinator, which keeps working with
+// dead chunk owners and moves no packet between nodes.
+func (c *Checkpointer) serveHost(ctx context.Context, cancel context.CancelFunc, rd *restoreRound) error {
+	n := c.cfg.Topo.Nodes()
+	distributed := rd.req.repair != repairNone
+	for node := 0; node < n; node++ {
+		if rd.repairs(node) && !c.clus.Alive(node) {
+			return fmt.Errorf("core: node %d is failed; replace it before a %s round", node, rd.req.op)
+		}
+	}
+
+	// Every node's manifest is read; then every blob is verified on the nodes
+	// the repair reads from or writes to — none when nothing is repaired —
+	// until the plan stands on verified sources only.
+	rd.scan = make([]nodeScan, n)
+	nodes, deep := upTo(n), false
+	for len(nodes) > 0 {
+		c.scanNodes(rd, nodes, deep)
+		if err := c.plan(rd); err != nil {
+			return err
+		}
+		nodes, deep = nodes[:0], true
+		for node := range rd.scan {
+			if distributed && !rd.scan[node].deep && (rd.repairs(node) || rd.part[node]) {
+				nodes = append(nodes, node)
+			}
+		}
+	}
+	rd.pc.round = rd.version
+	var err error
+	if distributed {
+		err = c.serveDistributed(ctx, cancel, rd)
+	} else {
+		err = c.serveDirect(rd)
+	}
+	if err == nil {
+		c.version.Store(int64(rd.version))
+	}
+	return err
+}
+
+// nodeScan is what the availability scan learned about one node. chunkOK and
+// smallsOK are presumed from an intact manifest until a deep pass has
+// verified every blob (deep).
+type nodeScan struct {
+	manifestOK, chunkOK, smallsOK bool
+	deep                          bool
+	corrupt                       bool  // at least one checksum mismatch on this node
+	lost                          error // first manifest or segment read that failed otherwise
+	version, packet, bufSize      int
+	// segs are the node's verified chunk segments: borrowed views of host
+	// memory, read-only. The round serves an intact chunk from them, so each
+	// segment is checksummed once per round and the round reads the bytes
+	// the scan judged, whatever is stored meanwhile.
+	segs [][]byte
+}
+
+// holds reports whether the node serves its chunk at the given version.
+func (st *nodeScan) holds(version int) bool {
+	return st.manifestOK && st.chunkOK && st.version == version
+}
+
+// scanNodes assesses the given nodes from host memory, one worker per node
+// (each writes only its own nodeScan slot): their manifests, or — deep, on
+// nodes whose manifest was usable — every segment and small component. Every
+// blob is read through its checksum. A silently corrupted blob is
+// indistinguishable from a lost one, so corruption is folded into the erasure
+// model — the chunk counts as missing and is rebuilt through the code; so is
+// a manifest that does not parse. The scan reads through borrowed views: no
+// blob is copied, and what it allocates is O(keys), not O(bytes).
+func (c *Checkpointer) scanNodes(rd *restoreRound, nodes []int, deep bool) {
+	world := c.cfg.Topo.World()
+	keys := &rd.lay.keys
+	var wg sync.WaitGroup
+	for _, node := range nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st := &rd.scan[node]
+			// vital: a manifest or segment that cannot be read for another
+			// reason than its checksum is remembered (VerifyIntegrity reports
+			// it); a missing small component is just an erasure.
+			read := func(key string, vital bool) ([]byte, bool) {
+				blob, err := c.read(rd, node, key)
+				switch {
+				case err == nil:
+				case errors.Is(err, cluster.ErrChecksum):
+					st.corrupt = true
+				case vital && st.lost == nil:
+					st.lost = err
+				}
+				return blob, err == nil
+			}
+			if !deep {
+				blob, ok := read(keyManifest(), true)
+				if !ok {
+					return // no usable manifest: the node's checkpoint is lost
+				}
+				var err error
+				if st.version, st.packet, st.bufSize, err = parseManifest(blob); err != nil {
+					st.lost = err
+					return
+				}
+				if st.bufSize <= 0 {
+					st.bufSize = c.cfg.BufferSize
+				}
+				st.manifestOK, st.chunkOK, st.smallsOK = true, true, true
+				return
+			}
+			st.deep = true
+			if !st.manifestOK {
+				return
+			}
+			chunk := rd.lay.plan.ChunkOfNode[node]
+			st.segs = make([][]byte, len(keys.segment[chunk]))
+			for s, key := range keys.segment[chunk] {
+				seg, ok := read(key, true)
+				if ok && len(seg) != st.packet {
+					ok, st.lost = false, fmt.Errorf("core: node %d %s has %d bytes, manifest says %d", node, key, len(seg), st.packet)
+				}
+				if !ok {
+					st.chunkOK = false
+					continue
+				}
+				st.segs[s] = seg
+			}
+			for rank := 0; rank < world && st.smallsOK; rank++ {
+				_, okMeta := read(keys.smallMeta[rank], false)
+				_, okKeys := read(keys.smallKeys[rank], false)
+				st.smallsOK = okMeta && okKeys
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// plan derives the round's plan from what the scan knows so far: the latest
+// version any node serves, the chunks intact at it, what the request's
+// repairs have to rebuild and from which basis, who lacks small components
+// and who serves them, and which nodes take part. It is cheap and runs again
+// whenever a deeper scan changes the picture.
+func (c *Checkpointer) plan(rd *restoreRound) error {
+	topo, plan := c.cfg.Topo, rd.lay.plan
+	n := topo.Nodes()
+	rd.version = 0
+	for i := range rd.scan {
+		if st := &rd.scan[i]; st.manifestOK && st.chunkOK && st.version > rd.version {
+			rd.version, rd.packetBytes, rd.bufSize = st.version, st.packet, st.bufSize
+		}
+	}
+	if rd.version == 0 {
+		return fmt.Errorf("core: no intact in-memory checkpoint found; recover from remote storage")
+	}
+	rd.intact, rd.missing, rd.needSmall, rd.smallSources = nil, nil, nil, nil
+	rd.part = make([]bool, n)
+	for chunk := 0; chunk < n; chunk++ {
+		switch node := c.chunkOwner(rd.lay, chunk); {
+		case rd.scan[node].holds(rd.version):
+			rd.intact = append(rd.intact, chunk)
+		case rd.repairs(node):
+			rd.missing = append(rd.missing, chunk)
+			rd.part[node] = true
+		}
+	}
+	for node := range rd.scan {
+		if st := &rd.scan[node]; st.manifestOK && st.version == rd.version && st.smallsOK {
+			rd.smallSources = append(rd.smallSources, node)
+		} else if rd.repairs(node) {
+			rd.needSmall, rd.part[node] = append(rd.needSmall, node), true
+		}
+	}
+	if len(rd.smallSources) == 0 {
+		return fmt.Errorf("core: no node holds intact small components; recover from remote storage")
+	}
+	// Each segment index is rebuilt from the first k chunks that serve it: a
+	// chunk that is not itself rebuilt serves every segment the deep scan did
+	// not fault. With every data chunk intact these are the data chunks: the
+	// transform rows are then plain generator rows and the rebuild is
+	// literally a re-encode (the replacement workflow).
+	rd.decode = make([]segPlan, len(rd.lay.keys.segment[0]))
+	for s := 0; s < len(rd.decode) && len(rd.missing) > 0; s++ {
+		p := &rd.decode[s]
+		p.missing = rd.missing
+		for chunk := 0; chunk < n && len(p.basis) < c.cfg.K; chunk++ {
+			owner := c.chunkOwner(rd.lay, chunk)
+			if st := &rd.scan[owner]; st.manifestOK && st.version == rd.version &&
+				!slices.Contains(rd.missing, chunk) && (!st.deep || st.segs[s] != nil) {
+				p.basis, rd.part[owner] = append(p.basis, chunk), true
+			}
+		}
+		if len(p.basis) < c.cfg.K {
+			return fmt.Errorf("core: only %d of %d chunks survive (need k=%d); recover from remote storage",
+				len(p.basis), n, c.cfg.K)
+		}
+	}
+	if len(rd.needSmall) > 0 {
+		rd.part[rd.smallSources[0]] = true // it re-broadcasts them
+	}
+	// A wanted rank's packet travels from its data chunk's owner to its home.
+	g := topo.GPUsPerNode()
+	for _, w := range rd.req.want {
+		rd.part[plan.DataNodes[plan.DataGroupOf[w]]], rd.part[w/g] = true, true
+	}
+	return nil
+}
+
+// upTo lists 0..n-1: every node, or every rank.
+func upTo(n int) []int {
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+// chunkOwner returns the node that hosts a chunk under the given layout.
+func (c *Checkpointer) chunkOwner(lay *layout, chunk int) int {
+	if chunk < c.cfg.K {
+		return lay.plan.DataNodes[chunk]
+	}
+	return lay.plan.ParityNodes[chunk-c.cfg.K]
+}
+
+// read borrows a checksummed blob for the round, crediting its size to
+// BytesFetched. A checksum mismatch is booked where an operator wants it —
+// the corrupt-blob count and the timeline (which node, which blob) — and
+// returned: the caller treats it as an erasure.
+func (c *Checkpointer) read(rd *restoreRound, node int, key string) ([]byte, error) {
+	blob, err := c.fetch(node, key)
+	if errors.Is(err, cluster.ErrChecksum) {
+		rd.corrupt.Add(1)
+		c.cfg.Flight.Corruption(node, key)
+	}
+	rd.fetched.Add(int64(len(blob)))
+	return blob, err
+}
+
+// smallsOf reads a rank's small components {meta, keys} from the first of
+// the given nodes that serves both, so one corrupt copy degrades to the next
+// source instead of failing the round.
+func (c *Checkpointer) smallsOf(rd *restoreRound, sources []int, rank int) (sm [2][]byte, err error) {
+	for _, node := range sources {
+		if sm[0], err = c.read(rd, node, rd.lay.keys.smallMeta[rank]); err != nil {
+			continue
+		}
+		if sm[1], err = c.read(rd, node, rd.lay.keys.smallKeys[rank]); err == nil {
+			return sm, nil
+		}
+	}
+	return sm, fmt.Errorf("core: rank %d small components: %w", rank, err)
+}
+
+// assemblePacket rebuilds a worker's state dict from its small components
+// and packet bytes. Every tensor region is copied into fresh storage, so the
+// packet can be recycled as soon as it returns.
+func assemblePacket(rank int, meta, keys, packet []byte) (*statedict.StateDict, error) {
+	sizes, err := statedict.TensorSizes(keys)
+	if err != nil {
+		return nil, fmt.Errorf("rank %d: %w", rank, err)
+	}
+	buffers := make([][]byte, len(sizes))
+	off := 0
+	for i, size := range sizes {
+		if size < 0 || size > len(packet)-off {
+			return nil, fmt.Errorf("rank %d: packet of %d bytes too small for tensor %d", rank, len(packet), i)
+		}
+		buffers[i] = append([]byte(nil), packet[off:off+size]...)
+		off += size
+	}
+	sd, err := statedict.Reassemble(meta, keys, buffers)
+	if err != nil {
+		return nil, fmt.Errorf("rank %d: %w", rank, err)
+	}
+	return sd, nil
+}
+
+// forEachBounded runs fn(i) for every i in [0, n) across at most
+// Config.RestoreWorkers goroutines and joins the errors. With one worker it
+// degenerates to a plain loop — the serial baseline the bench compares
+// against.
+func (c *Checkpointer) forEachBounded(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	workers := min(c.cfg.RestoreWorkers, n)
+	if workers <= 1 {
+		for i := range errs {
+			errs[i] = fn(i)
+		}
+		return errors.Join(errs...)
+	}
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	for i := range errs {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// observeRestore records a completed restore's wall-clock latency in the
+// load_restore_ns histogram, labeled by operation, so restore p50/p99 for
+// full, partial, prefetch and remote rounds are all visible at /metrics.
+func (c *Checkpointer) observeRestore(op string, elapsed time.Duration) {
+	if reg := c.cfg.Metrics; reg != nil {
+		reg.Histogram("load_restore_ns", obs.L("op", op)).ObserveDuration(elapsed)
+	}
+}
+
+// applyBudget stamps a successful restore report with the configured
+// latency SLO. The budget is observational, not a hard deadline: an overrun
+// never aborts a recovery that can still succeed — it marks the report
+// DeadlineExceeded, counts the violation, drops an EvBudget event on the
+// flight timeline, and attaches the round's event tail so the miss is
+// diagnosable from the report alone.
+func (c *Checkpointer) applyBudget(report *LoadReport, op string, round int, pmStart uint64) {
+	budget := c.cfg.LoadBudget
+	if budget <= 0 {
+		return
+	}
+	report.Budget = budget
+	if report.Elapsed <= budget {
+		return
+	}
+	report.DeadlineExceeded = true
+	if reg := c.cfg.Metrics; reg != nil {
+		reg.Counter("load_budget_exceeded_total", obs.L("op", op)).Inc()
+	}
+	c.cfg.Flight.BudgetExceeded(op, round, budget, report.Elapsed)
+	c.cfg.Health.NoteBudgetExceeded(op)
+	if l := c.cfg.Logger; l != nil {
+		l.Warn("restore budget exceeded", "op", op, "round", round,
+			"budget", budget, "elapsed", report.Elapsed)
+	}
+	if report.Postmortem == nil {
+		report.Postmortem = c.cfg.Flight.TailSince(pmStart, flight.DefaultPostmortemEvents)
+	}
+}

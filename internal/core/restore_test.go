@@ -1,13 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"eccheck/internal/chaos"
 	"eccheck/internal/cluster"
 	"eccheck/internal/model"
 	"eccheck/internal/obs/flight"
@@ -464,7 +469,7 @@ func TestSmallRebroadcastFetchesOncePerRank(t *testing.T) {
 	}
 	g := rig.topo.GPUsPerNode()
 	for rank := 0; rank < rig.topo.World(); rank++ {
-		n := counter.count(source, keySmallMeta(rank))
+		n := counter.count(source, lay.keys.smallMeta[rank])
 		// Scan reads it once, the hoisted R2 fetch once, and the source's
 		// own reassembly once more for its local ranks. The pre-fix code
 		// fetched once per peer, which with 2 peers pushed this to 4.
@@ -589,4 +594,178 @@ func TestPrefetchParityChunkDecodesCorrectly(t *testing.T) {
 		t.Errorf("workflow = %q, want decode", lrep.Workflow)
 	}
 	dictsEqual(t, rig.dicts, got)
+}
+
+// loseNode fails a machine and swaps in an empty replacement.
+func loseNode(t *testing.T, rig *testRig, node int) {
+	t.Helper()
+	if err := rig.clus.Fail(node); err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.clus.Replace(node); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// verifyClean requires parity to match data on every segment.
+func verifyClean(t *testing.T, rig *testRig) {
+	t.Helper()
+	if vr, err := rig.ckpt.VerifyIntegrity(); err != nil || len(vr.CorruptSegments) != 0 {
+		t.Fatalf("VerifyIntegrity: %v, %+v", err, vr)
+	}
+}
+
+// TestLoadAfterAbortedRebuildSeesNoResidue: a Load that dies mid-rebuild
+// leaves rebuild contributions in the mailboxes of the chunk it was
+// rebuilding. They are the right size for the next Load's windows, so if it
+// received them it would XOR them in and adopt the wrong bytes under a valid
+// checksum. The next round runs under fresh tags and never sees them.
+func TestLoadAfterAbortedRebuildSeesNoResidue(t *testing.T) {
+	rig, net := newChaosRig(t, 4, 2, 2, 2, chaos.Plan{Seed: 1})
+	ctx := context.Background()
+	if _, err := rig.ckpt.Save(ctx, rig.dicts); err != nil {
+		t.Fatal(err)
+	}
+	// With data chunk 0 lost the rebuild's basis is chunks 1 and 2: the other
+	// data node streams its whole contribution while the first parity node
+	// dies five sends into its own.
+	plan := rig.ckpt.Plan()
+	lost, victim := plan.DataNodes[0], plan.ParityNodes[0]
+	loseNode(t, rig, lost)
+	if err := net.ScheduleKill(victim, 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := rig.ckpt.Load(ctx); err == nil || !net.Killed(victim) {
+		t.Fatalf("load with a basis owner killed mid-rebuild: err %v, killed %v", err, net.Killed(victim))
+	}
+	for rig.clus.Alive(victim) { // the kill hook runs on the victim's goroutine
+		runtime.Gosched()
+	}
+	if err := rig.clus.Replace(victim); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Revive(victim); err != nil {
+		t.Fatal(err)
+	}
+	got, rep, err := rig.ckpt.Load(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.MissingChunks) != 2 {
+		t.Errorf("rebuilt chunks %v, want the two lost ones", rep.MissingChunks)
+	}
+	dictsEqual(t, rig.dicts, got)
+	verifyClean(t, rig)
+}
+
+// TestConcurrentLoadsOnDegradedCluster: two Loads that both find the same
+// chunk missing must not both rebuild it — under the same tags each would
+// consume the other's window contributions. Repairing rounds take turns; the
+// second finds the cluster repaired. The one that queues has not started:
+// its clock, scan phase and watchdog run only while it holds the slot, so the
+// round hooks never see two Loads in flight.
+func TestConcurrentLoadsOnDegradedCluster(t *testing.T) {
+	rig := newRig(t, 4, 2, 2, 2)
+	ctx := context.Background()
+	if _, err := rig.ckpt.Save(ctx, rig.dicts); err != nil {
+		t.Fatal(err)
+	}
+	var inFlight atomic.Int32
+	rig.ckpt.SetRoundHooks(RoundHooks{
+		RoundStart: func(op string, _ int) {
+			if n := inFlight.Add(1); op == OpLoad && n > 1 {
+				t.Errorf("%d repairing rounds in flight: a queued round started before it held the restore slot", n)
+			}
+		},
+		RoundEnd: func(string, int, error) { inFlight.Add(-1) },
+	})
+	for round := 0; round < 4; round++ {
+		loseNode(t, rig, rig.ckpt.Plan().DataNodes[round%2])
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got, _, err := rig.ckpt.Load(ctx)
+				if err != nil {
+					t.Errorf("round %d load %d: %v", round, i, err)
+					return
+				}
+				for rank := range got {
+					if !got[rank].Equal(rig.dicts[rank]) {
+						t.Errorf("round %d load %d: rank %d differs from the saved state", round, i, rank)
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		verifyClean(t, rig)
+	}
+}
+
+// TestRestoreDecodesPerSegmentIndex: a code word is the same-index segment
+// of every chunk, so what can be decoded is decided per segment index, not
+// per chunk. Chunk 0 has lost segment 0, chunk 1 segment 1 and chunk 2 its
+// machine: no two whole chunks are intact (Load's whole-chunk view has
+// nothing to stand on), yet every index has at most m = 2 erasures, so
+// LoadPartial decodes both damaged packets — each from a different basis —
+// and PrefetchChunk rebuilds chunk 2 on the replacement byte for byte.
+func TestRestoreDecodesPerSegmentIndex(t *testing.T) {
+	rig := newRig(t, 4, 2, 2, 2)
+	ctx := context.Background()
+	if _, err := rig.ckpt.Save(ctx, rig.dicts); err != nil {
+		t.Fatal(err)
+	}
+	lay := rig.ckpt.layout()
+	var ranks []int
+	for i := 0; i < 2; i++ { // chunk i loses segment i
+		if err := rig.clus.Corrupt(lay.plan.DataNodes[i], lay.keys.segment[i][i], 7); err != nil {
+			t.Fatal(err)
+		}
+		for rank, chunk := range lay.plan.DataGroupOf {
+			if chunk == i && lay.plan.SegmentOf[rank] == i {
+				ranks = append(ranks, rank)
+			}
+		}
+	}
+	victim := lay.plan.ParityNodes[0]
+	var before [][]byte
+	for _, key := range lay.keys.segment[2] {
+		seg, err := rig.clus.View(victim, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before = append(before, seg)
+	}
+	if err := rig.clus.Fail(victim); err != nil {
+		t.Fatal(err)
+	}
+
+	got, rep, err := rig.ckpt.LoadPartial(ctx, ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Workflow != "partial-decode" || !slices.Equal(rep.MissingChunks, []int{0, 1}) {
+		t.Errorf("report = {workflow %q, missing %v}, want partial-decode of chunks [0 1]", rep.Workflow, rep.MissingChunks)
+	}
+	for _, rank := range ranks {
+		if !got[rank].Equal(rig.dicts[rank]) {
+			t.Errorf("rank %d: decoded state differs from the checkpoint", rank)
+		}
+	}
+
+	if err := rig.clus.Replace(victim); err != nil {
+		t.Fatal(err)
+	}
+	if prep, err := rig.ckpt.PrefetchChunk(ctx, victim); err != nil || prep.Segments != len(before) {
+		t.Fatalf("prefetch onto the replacement: %+v, %v", prep, err)
+	}
+	for s, key := range lay.keys.segment[2] {
+		if seg, err := rig.clus.View(victim, key); err != nil || !bytes.Equal(seg, before[s]) {
+			t.Errorf("segment %d of the prefetched chunk differs from the saved one (%v)", s, err)
+		}
+	}
 }

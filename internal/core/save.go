@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,45 +15,65 @@ import (
 	"eccheck/internal/statedict"
 )
 
-// tagTable holds the message tags of the save protocol, rendered once per
-// (layout, epoch). Buffers within one tag stream are sequential, so
-// per-stream FIFO delivery keeps them ordered. Every tag carries the save
-// epoch, which advances whenever a round aborts: messages an aborted round
-// left in the mailboxes (and the sends and receives of its teardown, which
-// outlive it) stay under the old epoch's tags, where no later round looks.
-// The epoch does not advance on a committed round, so the steady state
-// reuses one set of mailboxes.
+// tagTable holds the message tags of the save and restore protocols, rendered
+// once per (layout, epoch). Buffers within one tag stream are sequential, so
+// per-stream FIFO delivery keeps them ordered. Every tag carries the epoch,
+// which advances whenever a round that moves bytes between nodes aborts:
+// messages an aborted round left in the mailboxes (and the sends and
+// receives of its teardown, which outlive it) stay under the old epoch's
+// tags, where no later round looks. The epoch does not advance on a round
+// that completes, so the steady state reuses one set of mailboxes. A table is
+// immutable: a round keeps the one it started with.
 type tagTable struct {
 	lay   *layout
 	epoch int
-	// By rank: the small-component broadcast (the meta message also carries
-	// the worker's ship-set) and the worker's data-segment stream.
+	// Save, by rank: the small-component broadcast (the meta message also
+	// carries the worker's ship-set) and the worker's data-segment stream.
 	smallMeta, smallKeys, data []string
-	// By reduction: partials up the fan-in tree, finished parity to its node.
+	// Save, by reduction: partials up the fan-in tree, finished parity to its
+	// node.
 	xor, parity []string
+	// Restore, by chunk then segment: the rebuild contributions streamed to
+	// a missing chunk's owner.
+	rebuild [][]string
+	// Restore, by rank: the small-component re-broadcast and the worker's
+	// packet on its way to the worker's home node.
+	resyncMeta, resyncKeys, packet []string
 }
 
-// saveTags returns the tag table of the round that holds the save slot.
-func (c *Checkpointer) saveTags(lay *layout) *tagTable {
-	if t := c.tags; t != nil && t.lay == lay && t.epoch == c.saveEpoch {
+// roundTags returns the tag table for a round starting now under lay.
+func (c *Checkpointer) roundTags(lay *layout) *tagTable {
+	e := int(c.epoch.Load())
+	if t := c.tags.Load(); t != nil && t.lay == lay && t.epoch == e {
 		return t
 	}
-	e, plan, world := c.saveEpoch, lay.plan, c.cfg.Topo.World()
+	plan, world := lay.plan, c.cfg.Topo.World()
 	t := &tagTable{
 		lay: lay, epoch: e,
 		smallMeta: make([]string, world), smallKeys: make([]string, world), data: make([]string, world),
 		xor: make([]string, len(plan.Reductions)), parity: make([]string, len(plan.Reductions)),
+		rebuild:    make([][]string, len(lay.keys.segment)),
+		resyncMeta: make([]string, world), resyncKeys: make([]string, world), packet: make([]string, world),
 	}
 	for rank := 0; rank < world; rank++ {
 		t.smallMeta[rank] = fmt.Sprintf("sm/%d/%d", e, rank)
 		t.smallKeys[rank] = fmt.Sprintf("sk/%d/%d", e, rank)
 		t.data[rank] = fmt.Sprintf("pd/%d/%d/%d", e, plan.DataGroupOf[rank], plan.SegmentOf[rank])
+		t.resyncMeta[rank] = fmt.Sprintf("rsm/%d/%d", e, rank)
+		t.resyncKeys[rank] = fmt.Sprintf("rsk/%d/%d", e, rank)
+		t.packet[rank] = fmt.Sprintf("rp/%d/%d", e, rank)
 	}
 	for ri, r := range plan.Reductions {
 		t.xor[ri] = fmt.Sprintf("xr/%d/%d/%d", e, r.Group, r.ParityIndex)
 		t.parity[ri] = fmt.Sprintf("pp/%d/%d/%d", e, r.ParityIndex, r.Group)
 	}
-	c.tags = t
+	for chunk, segs := range lay.keys.segment {
+		t.rebuild[chunk] = make([]string, len(segs))
+		for s := range segs {
+			t.rebuild[chunk][s] = fmt.Sprintf("rc/%d/%d/%d", e, chunk, s)
+		}
+	}
+	c.tags.Store(t)
 	return t
 }
 
@@ -224,19 +245,15 @@ func manifestBlob(version, packetBytes, bufferSize int) []byte {
 }
 
 func parseManifest(blob []byte) (version, packetBytes, bufferSize int, err error) {
-	v, n := binary.Uvarint(blob)
-	if n <= 0 {
-		return 0, 0, 0, fmt.Errorf("core: corrupt manifest")
+	var f [3]int
+	for i := range f {
+		v, n := binary.Uvarint(blob)
+		if n <= 0 || v > math.MaxInt {
+			return 0, 0, 0, fmt.Errorf("core: corrupt manifest")
+		}
+		f[i], blob = int(v), blob[n:]
 	}
-	p, n2 := binary.Uvarint(blob[n:])
-	if n2 <= 0 {
-		return 0, 0, 0, fmt.Errorf("core: corrupt manifest")
-	}
-	b, n3 := binary.Uvarint(blob[n+n2:])
-	if n3 <= 0 {
-		return 0, 0, 0, fmt.Errorf("core: corrupt manifest")
-	}
-	return int(v), int(p), int(b), nil
+	return f[0], f[1], f[2], nil
 }
 
 // reduceKey identifies one buffer of one XOR reduction (by index into the
@@ -857,7 +874,12 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 		xorRecvWG.Wait()
 		close(sendQueue)
 		sendWG.Wait()
-		waitErr = win.failedErr() // a residual data send may have failed
+		// A residual data send may have failed. Everything has drained, so
+		// there is nothing left to tear down: the deferred Put recycles the
+		// packets (the teardown below would close the queue a second time).
+		if err := win.failedErr(); err != nil {
+			return 0, nil, err
+		}
 	}
 	if err := encodeErr; err != nil || waitErr != nil {
 		if err == nil {

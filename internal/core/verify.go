@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -22,102 +21,61 @@ type VerifyReport struct {
 // VerifyIntegrity recomputes the parity of every stored segment from the
 // data chunks and compares it against the stored parity chunks, detecting
 // silent host-memory corruption before it is needed for a recovery. All
-// nodes must be alive and hold their chunks.
+// nodes must be alive and hold their chunks. It reads through the restore
+// engine's deep scan under the shared commit lock, so a save committing
+// meanwhile is seen entirely or not at all.
 func (c *Checkpointer) VerifyIntegrity() (*VerifyReport, error) {
 	started := time.Now()
-	topo := c.cfg.Topo
-	plan := c.layout().plan
-	span := topo.World() / c.cfg.K
-
-	version := 0
-	packetBytes := 0
-	bufSize := 0
-	for node := 0; node < topo.Nodes(); node++ {
+	c.commitMu.RLock()
+	defer c.commitMu.RUnlock()
+	n := c.cfg.Topo.Nodes()
+	rd := &restoreRound{lay: c.layout(), scan: make([]nodeScan, n)}
+	nodes := upTo(n)
+	for _, node := range nodes {
 		if !c.clus.Alive(node) {
 			return nil, fmt.Errorf("core: node %d is failed; cannot verify", node)
 		}
-		blob, err := c.fetch(node, keyManifest())
-		if err != nil {
-			return nil, fmt.Errorf("core: node %d has no checkpoint manifest: %w", node, err)
-		}
-		v, p, b, err := parseManifest(blob)
-		if err != nil {
-			return nil, err
-		}
-		if version == 0 {
-			version, packetBytes, bufSize = v, p, b
-		} else if v != version {
-			return nil, fmt.Errorf("core: version skew: node %d has v%d, expected v%d", node, v, version)
+	}
+	c.scanNodes(rd, nodes, false)
+	c.scanNodes(rd, nodes, true)
+	first := &rd.scan[0]
+	for node := range rd.scan {
+		switch st := &rd.scan[node]; {
+		case st.lost != nil:
+			return nil, fmt.Errorf("core: node %d checkpoint unreadable: %w", node, st.lost)
+		case !st.manifestOK:
+			return nil, fmt.Errorf("core: node %d has no checkpoint manifest: %w", node, cluster.ErrChecksum)
+		case st.version != first.version:
+			return nil, fmt.Errorf("core: version skew: node %d has v%d, expected v%d", node, st.version, first.version)
+		case st.packet != first.packet:
+			return nil, fmt.Errorf("core: node %d has %d-byte packets, expected %d", node, st.packet, first.packet)
 		}
 	}
-	if bufSize <= 0 {
-		bufSize = c.cfg.BufferSize
-	}
+	packetBytes, bufSize := first.packet, first.bufSize
 
-	report := &VerifyReport{Version: version}
-	for seg := 0; seg < span; seg++ {
-		// A checksum mismatch on any stored blob is itself corruption:
-		// record the segment as corrupt instead of failing the scan.
-		segCorrupt := false
-		chunks := make([][]byte, c.cfg.K+c.cfg.M)
-		for j, node := range plan.DataNodes {
-			blob, err := c.fetch(node, keySegment(j, seg))
-			if errors.Is(err, cluster.ErrChecksum) {
-				segCorrupt = true
-				break
-			}
-			if err != nil {
-				return nil, fmt.Errorf("core: data chunk %d segment %d: %w", j, seg, err)
-			}
-			chunks[j] = blob
-		}
-		for i, node := range plan.ParityNodes {
-			if segCorrupt {
-				break
-			}
-			blob, err := c.fetch(node, keySegment(c.cfg.K+i, seg))
-			if errors.Is(err, cluster.ErrChecksum) {
-				segCorrupt = true
-				break
-			}
-			if err != nil {
-				return nil, fmt.Errorf("core: parity chunk %d segment %d: %w", i, seg, err)
-			}
-			chunks[c.cfg.K+i] = blob
-		}
-		if segCorrupt {
-			report.SegmentsChecked++
-			report.CorruptSegments = append(report.CorruptSegments, seg)
-			continue
-		}
-		for idx, ch := range chunks {
-			if len(ch) != packetBytes {
-				return nil, fmt.Errorf("core: chunk %d segment %d has %d bytes, manifest says %d",
-					idx, seg, len(ch), packetBytes)
-			}
+	report := &VerifyReport{Version: first.version}
+	chunks := make([][]byte, n)
+	for seg := range first.segs {
+		report.SegmentsChecked++
+		// A checksum mismatch on any stored blob is itself corruption: the
+		// scan left no view of it, and the segment is recorded as corrupt.
+		segOK := true
+		for chunk := range chunks {
+			chunks[chunk] = rd.scan[c.chunkOwner(rd.lay, chunk)].segs[seg]
+			segOK = segOK && chunks[chunk] != nil
 		}
 		// The coding region is the buffer slice, so verify slice by slice
 		// exactly as the save encoded.
-		segOK := true
-		for lo := 0; lo < packetBytes; lo += bufSize {
-			hi := lo + bufSize
-			if hi > packetBytes {
-				hi = packetBytes
+		views := make([][]byte, n)
+		for lo := 0; segOK && lo < packetBytes; lo += bufSize {
+			for chunk, ch := range chunks {
+				views[chunk] = ch[lo:min(lo+bufSize, packetBytes)]
 			}
-			views := make([][]byte, len(chunks))
-			for idx, ch := range chunks {
-				views[idx] = ch[lo:hi]
-			}
-			ok, err := c.code.Verify(views)
-			if err != nil {
+			var err error
+			if segOK, err = c.code.Verify(views); err != nil {
 				return nil, err
 			}
-			if !ok {
-				segOK = false
-				break
-			}
 		}
-		report.SegmentsChecked++
 		if !segOK {
 			report.CorruptSegments = append(report.CorruptSegments, seg)
 		}

@@ -155,6 +155,9 @@ func decodeMeta(blob []byte) ([]MetaEntry, error) {
 	if err != nil {
 		return nil, err
 	}
+	if count > uint64(len(blob)) { // every entry takes bytes: do not allocate on the blob's say-so
+		return nil, fmt.Errorf("statedict: meta blob of %d bytes claims %d entries", len(blob), count)
+	}
 	out := make([]MetaEntry, 0, count)
 	for i := uint64(0); i < count; i++ {
 		key, err := r.str()
@@ -274,6 +277,9 @@ func decodeTensorKeys(blob []byte) ([]TensorKey, error) {
 	if err != nil {
 		return nil, err
 	}
+	if count > uint64(len(blob)) { // every entry takes bytes: do not allocate on the blob's say-so
+		return nil, fmt.Errorf("statedict: tensor-keys blob of %d bytes claims %d entries", len(blob), count)
+	}
 	out := make([]TensorKey, 0, count)
 	for i := uint64(0); i < count; i++ {
 		key, err := r.str()
@@ -296,11 +302,17 @@ func decodeTensorKeys(blob []byte) ([]TensorKey, error) {
 			return nil, fmt.Errorf("statedict: implausible rank %d for tensor %q", rank, key)
 		}
 		shape := make([]int, rank)
+		size := uint64(dt.Size())
 		for d := range shape {
 			s, err := r.uvarint()
 			if err != nil {
 				return nil, err
 			}
+			// Keep the byte size a positive int: NumBytes multiplies these.
+			if s == 0 || s > math.MaxInt/size {
+				return nil, fmt.Errorf("statedict: implausible dimension %d for tensor %q", s, key)
+			}
+			size *= s
 			shape[d] = int(s)
 		}
 		out = append(out, TensorKey{Key: key, DType: dt, Shape: shape})
