@@ -132,9 +132,13 @@ type System struct {
 	health   *health.Tracker  // always non-nil: protection scoring is cheap
 
 	// killTimers arms the preemption deadlines of non-chaos systems (under
-	// chaos the chaos network owns the deadline). Guarded by timerMu.
+	// chaos the chaos network owns the deadline). killGen is each slot's
+	// leave generation: stopKillTimer advances it, and a deadline lands only
+	// on the machine of the generation it was armed for — a timer that has
+	// already fired cannot be stopped, only voided. Guarded by timerMu.
 	timerMu    sync.Mutex
 	killTimers map[int]*time.Timer
+	killGen    map[int]int
 }
 
 // SaveReport summarises one checkpoint round.
@@ -279,7 +283,7 @@ func Initialize(cfg Config) (*System, error) {
 	}
 	return &System{ckpt: ckpt, net: net, chaosNet: chaosNet, clus: clus, remote: remote,
 		topo: topo, metrics: reg, flight: rec, health: tracker,
-		killTimers: make(map[int]*time.Timer)}, nil
+		killTimers: make(map[int]*time.Timer), killGen: make(map[int]int)}, nil
 }
 
 // RoundHooks observes checkpoint-round lifecycle transitions: RoundStart
@@ -386,6 +390,7 @@ func (s *System) Close() error {
 	for node, t := range s.killTimers {
 		t.Stop()
 		delete(s.killTimers, node)
+		s.killGen[node]++
 	}
 	s.timerMu.Unlock()
 	errCkpt := s.ckpt.Close()
@@ -487,7 +492,7 @@ func (s *System) FailNode(node int) error {
 // stage on the fresh node but commit against a manifest it never staged.
 // The fence makes membership changes and save rounds strictly serial.
 func (s *System) ReplaceNode(node int) error {
-	err := s.ckpt.WithSaveFence(context.Background(), func() error {
+	err := s.ckpt.WithSaveFence(context.Background(), node, func() error {
 		if err := s.clus.Replace(node); err != nil {
 			return err
 		}
@@ -597,14 +602,32 @@ func (s *System) killNode(node int) {
 	s.health.Recompute()
 }
 
-// stopKillTimer disarms a non-chaos preemption deadline, if one is armed.
+// stopKillTimer disarms a non-chaos preemption deadline, if one is armed,
+// and voids one that has fired and not landed yet.
 func (s *System) stopKillTimer(node int) {
 	s.timerMu.Lock()
 	if t, ok := s.killTimers[node]; ok {
 		t.Stop()
 		delete(s.killTimers, node)
 	}
+	s.killGen[node]++
 	s.timerMu.Unlock()
+}
+
+// deadlineKill lands a non-chaos preemption deadline armed under leave
+// generation gen. It holds timerMu across the kill, so a stopKillTimer that
+// returned has either voided the deadline or comes after its kill: AddNode
+// never has the machine it just swapped in killed by the old one's timer.
+func (s *System) deadlineKill(node, gen int) {
+	s.timerMu.Lock()
+	live := s.killGen[node] == gen
+	if live {
+		_ = s.clus.Fail(node)
+	}
+	s.timerMu.Unlock()
+	if live {
+		s.health.Recompute()
+	}
 }
 
 // finishLeave folds a drain outcome into the (report, error) contract
@@ -661,10 +684,8 @@ func (s *System) PreemptNode(ctx context.Context, node int, notice time.Duration
 		if t, ok := s.killTimers[node]; ok {
 			t.Stop()
 		}
-		s.killTimers[node] = time.AfterFunc(notice, func() {
-			_ = s.clus.Fail(node)
-			s.health.Recompute()
-		})
+		gen := s.killGen[node]
+		s.killTimers[node] = time.AfterFunc(notice, func() { s.deadlineKill(node, gen) })
 		s.timerMu.Unlock()
 	}
 	dctx, cancel := context.WithDeadline(ctx, deadline)

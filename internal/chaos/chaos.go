@@ -109,6 +109,10 @@ type Network struct {
 	sends  []int // per-node successful-send counts
 	killAt []int // per-node send threshold; -1 = no kill scheduled
 	killed []bool
+	// gen is each node's kill-state generation, the one owner of "this
+	// machine is doomed": Revive advances it, and a deadline timer kills only
+	// the machine of the generation it was armed for.
+	gen    []int
 	stats  Stats
 	onKill func(node int)
 
@@ -154,6 +158,7 @@ func Wrap(inner transport.Network, plan Plan) (*Network, error) {
 		sends:      make([]int, inner.Size()),
 		killAt:     make([]int, inner.Size()),
 		killed:     make([]bool, inner.Size()),
+		gen:        make([]int, inner.Size()),
 		preemptAt:  make([]int, inner.Size()),
 		noticeDur:  make([]time.Duration, inner.Size()),
 		noticed:    make([]bool, inner.Size()),
@@ -305,7 +310,8 @@ func (n *Network) noticeLocked(node, to int, tag string, notice time.Duration) t
 	if t := n.killTimers[node]; t != nil {
 		t.Stop()
 	}
-	n.killTimers[node] = time.AfterFunc(notice, func() { n.killNow(node) })
+	gen := n.gen[node]
+	n.killTimers[node] = time.AfterFunc(notice, func() { n.killNow(node, gen) })
 	return deadline
 }
 
@@ -317,16 +323,22 @@ func (n *Network) KillNow(node int) error {
 	if node < 0 || node >= n.inner.Size() {
 		return fmt.Errorf("chaos: kill node %d out of range [0, %d)", node, n.inner.Size())
 	}
-	n.killNow(node)
+	n.killNow(node, anyGen)
 	return nil
 }
 
+// anyGen makes killNow kill whatever machine is in the slot now.
+const anyGen = -1
+
 // killNow marks the node killed (if it is not already), mirroring the
 // bookkeeping of a send-threshold kill, and fires the OnKill hook outside
-// the lock. It runs on deadline-timer goroutines and from KillNow.
-func (n *Network) killNow(node int) {
+// the lock. It runs on deadline-timer goroutines and from KillNow. A timer
+// passes the generation it was armed under: one that already fired when
+// Revive swapped the machine (Stop came too late) finds a newer generation
+// and must not kill the replacement.
+func (n *Network) killNow(node, gen int) {
 	n.mu.Lock()
-	if node < 0 || node >= len(n.killed) || n.killed[node] {
+	if node < 0 || node >= len(n.killed) || n.killed[node] || (gen != anyGen && gen != n.gen[node]) {
 		n.mu.Unlock()
 		return
 	}
@@ -372,10 +384,18 @@ func (n *Network) Revive(node int) error {
 	if node < 0 || node >= len(n.killed) {
 		return fmt.Errorf("chaos: revive node %d out of range [0, %d)", node, len(n.killed))
 	}
+	n.reviveLocked(node)
+	return nil
+}
+
+// reviveLocked is Revive's body; the caller holds n.mu.
+func (n *Network) reviveLocked(node int) {
 	n.killed[node] = false
 	n.killAt[node] = -1
 	// Clear any preemption aimed at the old machine: a stale deadline
-	// timer or send threshold must never kill the fresh replacement.
+	// timer or send threshold must never kill the fresh replacement. The
+	// new generation voids a timer that has fired and is waiting for n.mu.
+	n.gen[node]++
 	n.preemptAt[node] = -1
 	n.noticed[node] = false
 	delete(n.deadlines, node)
@@ -383,7 +403,6 @@ func (n *Network) Revive(node int) error {
 		t.Stop()
 		delete(n.killTimers, node)
 	}
-	return nil
 }
 
 // NoticeDeadline returns the pending preemption deadline for a node, or

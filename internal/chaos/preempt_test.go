@@ -160,3 +160,43 @@ func TestReviveDisarmsPendingDeadline(t *testing.T) {
 		t.Fatalf("Notices = %d, want 2", n.Stats().Notices)
 	}
 }
+
+// TestStaleDeadlineTimerCannotKillTheReplacement fires the stale timer on
+// purpose. A deadline timer that has expired cannot be stopped any more: its
+// goroutine may be waiting for the network's lock while Revive swaps the
+// machine under it. The test holds that lock, starts what the timer starts —
+// killNow with the generation the notice was armed under — revives the slot,
+// and only then lets the kill run. It must find a newer generation and leave
+// the replacement alone.
+func TestStaleDeadlineTimerCannotKillTheReplacement(t *testing.T) {
+	n := newChaosNet(t, 2, Plan{})
+	hooked := 0
+	n.SetOnKill(func(int) { hooked++ })
+	if _, err := n.SchedulePreemption(0, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	n.mu.Lock()
+	armed := n.gen[0]
+	fired := make(chan struct{})
+	go func() {
+		defer close(fired)
+		n.killNow(0, armed) // blocks on n.mu, as the expired timer's goroutine does
+	}()
+	n.reviveLocked(0)
+	n.mu.Unlock()
+	<-fired
+	if n.Killed(0) || hooked != 0 || len(n.Stats().Killed) != 0 {
+		t.Fatalf("a deadline timer armed for the old machine killed its replacement (killed %v, hook calls %d)", n.Killed(0), hooked)
+	}
+	// The replacement's own notice is a new generation and does land.
+	if _, err := n.SchedulePreemption(0, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	n.mu.Lock()
+	armed = n.gen[0]
+	n.mu.Unlock()
+	n.killNow(0, armed)
+	if !n.Killed(0) || hooked != 1 {
+		t.Fatalf("the current generation's deadline did not kill (killed %v, hook calls %d)", n.Killed(0), hooked)
+	}
+}

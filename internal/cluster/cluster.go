@@ -130,12 +130,13 @@ func (c *Cluster) checkNode(node int) error {
 	return nil
 }
 
-// Ownership rule: a stored blob is immutable and owned by the store (and
-// the garbage collector) from the moment it is handed over. Nothing writes
-// to it again — an overwrite installs a new slice and leaves the displaced
-// one to the GC — so a slice returned by View stays valid and unchanged for
-// as long as the caller holds it, with no lease or refcount, across later
-// stores, Fail and Replace.
+// Ownership rule: a stored blob is immutable while it is stored. Nothing
+// here writes to a stored slice or recycles one — an overwrite, Delete, Fail
+// and Replace only drop the store's reference — so a slice returned by View
+// stays unchanged for as long as it is stored. The one way a slice leaves
+// with a new owner is Move, which returns the blob it displaced: what the
+// caller does with that buffer, and how it keeps older views of it from
+// being read afterwards, is the caller's contract (see core.HostStore).
 
 // Store copies a blob into a node's host memory; the caller keeps its
 // buffer. Storing on a failed node is an error: its memory does not exist.
@@ -164,24 +165,29 @@ func (c *Cluster) Adopt(node int, key string, blob []byte) error {
 }
 
 // Move renames a blob within a node's host memory without copying it: the
-// stored allocation is reassigned from srcKey to dstKey (replacing any blob
-// at dstKey). Moving a missing key is an error.
-func (c *Cluster) Move(node int, srcKey, dstKey string) error {
+// stored allocation is reassigned from srcKey to dstKey. It returns the blob
+// dstKey held before — the slice itself, untouched, now the caller's; nil
+// when the key was empty. Moving a missing key is an error.
+func (c *Cluster) Move(node int, srcKey, dstKey string) ([]byte, error) {
 	if err := c.checkNode(node); err != nil {
-		return err
+		return nil, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.state[node] == StateGone {
-		return fmt.Errorf("cluster: node %d is failed", node)
+		return nil, fmt.Errorf("cluster: node %d is failed", node)
 	}
 	blob, ok := c.hostMem[node][srcKey]
 	if !ok {
-		return fmt.Errorf("cluster: node %d has no blob %q", node, srcKey)
+		return nil, fmt.Errorf("cluster: node %d has no blob %q", node, srcKey)
 	}
+	if srcKey == dstKey {
+		return nil, nil
+	}
+	displaced := c.hostMem[node][dstKey]
 	delete(c.hostMem[node], srcKey)
 	c.hostMem[node][dstKey] = blob
-	return nil
+	return displaced, nil
 }
 
 // Load reads a private copy of a blob from a node's host memory.
@@ -195,7 +201,7 @@ func (c *Cluster) Load(node int, key string) ([]byte, error) {
 
 // View borrows a stored blob: the stored slice itself, no copy and no
 // allocation. The caller must treat it as read-only; by the ownership rule
-// it never changes underneath the caller.
+// it does not change while it stays stored.
 func (c *Cluster) View(node int, key string) ([]byte, error) {
 	if err := c.checkNode(node); err != nil {
 		return nil, err

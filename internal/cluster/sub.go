@@ -93,11 +93,12 @@ func (s *SubCluster) Load(local int, key string) ([]byte, error) {
 	return s.parent.Load(g, key)
 }
 
-// Move renames a blob on the mapped parent node without copying.
-func (s *SubCluster) Move(local int, srcKey, dstKey string) error {
+// Move renames a blob on the mapped parent node without copying and returns
+// the blob it displaced (see Cluster.Move).
+func (s *SubCluster) Move(local int, srcKey, dstKey string) ([]byte, error) {
 	g, err := s.global(local)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	return s.parent.Move(g, srcKey, dstKey)
 }

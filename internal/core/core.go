@@ -198,15 +198,19 @@ type HostStore interface {
 	Store(node int, key string, blob []byte) error
 	// Load reads a private copy of a blob from a node's host memory.
 	Load(node int, key string) ([]byte, error)
-	// Adopt stores the slice itself, without copying. From this call on
-	// the blob is immutable and owned by the store: the caller never
-	// writes to it again and never recycles it through a buffer pool.
+	// Adopt stores the slice itself, without copying. A stored blob is
+	// immutable while it is stored: the caller never writes to it again and
+	// never recycles it through a buffer pool.
 	Adopt(node int, key string, blob []byte) error
-	// View borrows the stored slice, without copying. Read-only; by the
-	// hand-off rule above it never changes underneath the caller.
+	// View borrows the stored slice, without copying. Read-only, and good
+	// only while the key cannot be committed over: hold commitMu shared (a
+	// restore round, VerifyIntegrity) or the save slot (a drain, a
+	// membership change) for as long as the view is read.
 	View(node int, key string) ([]byte, error)
-	// Move renames a blob within a node's host memory without copying it.
-	Move(node int, srcKey, dstKey string) error
+	// Move renames a blob within a node's host memory without copying it
+	// and returns the blob it displaced (nil if none), now the caller's: a
+	// commit keeps displaced segments as the next round's staging buffers.
+	Move(node int, srcKey, dstKey string) ([]byte, error)
 	// Has reports whether the node holds the key.
 	Has(node int, key string) bool
 	// Delete removes a blob (a no-op for missing keys).
@@ -262,6 +266,12 @@ type Checkpointer struct {
 	// protocols' message tags rendered for it (see tagTable).
 	epoch atomic.Int64
 	tags  atomic.Pointer[tagTable]
+
+	// spares holds, by node, the segment buffers the last commit displaced:
+	// the next drain's staging area, so a steady-state save allocates no
+	// segment. Set by commitStaged, taken by nodeDrain, cleared by
+	// WithSaveFence, all under the save slot; never host-store keys.
+	spares [][][]byte
 
 	// restoreSlot (capacity 1) is held by a restore round that repairs host
 	// memory, from its scan to its last landing: two such rounds would
@@ -596,6 +606,7 @@ func New(cfg Config, net transport.Network, clus HostStore, remote *remotestore.
 		remote:    remote,
 		phaseHist: buildPhaseHistograms(cfg.Metrics, cfg.Topo.Nodes()),
 		custody:   make(map[int]*custodyRecord),
+		spares:    make([][][]byte, cfg.Topo.Nodes()),
 
 		restoreSlot: make(chan struct{}, 1),
 	}
@@ -880,15 +891,28 @@ func keyStaged(key string) string { return stagePrefix + key }
 // complete new one. Commit is pure local host-memory work — no network —
 // and a node that dies inside this window loses its whole memory anyway,
 // which the erasure code absorbs like any machine failure.
+// The segments it displaces — the previous version, which no reader can
+// still hold: commitMu is held exclusively, under the save slot — become the
+// node's spare set, replacing whatever it was.
 func (c *Checkpointer) commitStaged(keys *keyTable) error {
+	span := c.cfg.Topo.World() / c.cfg.K
 	for node := 0; node < c.cfg.Topo.Nodes(); node++ {
-		// Rename staged blobs in key order (manifest last): zero-copy and
-		// leaves no staging keys behind.
-		for i, key := range keys.commit[node] {
-			if err := c.clus.Move(node, keys.staged[node][i], key); err != nil {
+		// Rename staged blobs in key order (a node's key set ends in its span
+		// segments and then the manifest): zero-copy and leaves no staging
+		// keys behind.
+		commit := keys.commit[node]
+		var spare [][]byte
+		for i, key := range commit {
+			old, err := c.clus.Move(node, keys.staged[node][i], key)
+			if err != nil {
 				return fmt.Errorf("core: node %d commit %q: %w", node, key, err)
 			}
+			if seg := i - (len(commit) - 1 - span); old != nil && seg >= 0 && seg < span {
+				retire(old)
+				spare = append(spare, old)
+			}
 		}
+		c.spares[node] = spare
 	}
 	return nil
 }

@@ -47,10 +47,14 @@ var saveKinds = []struct {
 // of the same kind runs on the same cluster and its bytes are checked too:
 // whatever the aborted round left in the mailboxes must not reach it.
 //
-// Content 2 differs from content 1 in two windows of every worker's packet
+// Consecutive contents differ in two windows of every worker's packet
 // (stampVersion), so the SaveIncremental rows exercise a real, sparse delta.
+// Two versions are committed before the swept round, so it assembles its
+// segments in the buffers the second commit displaced (poisoned under the
+// race detector), like every round of a long-running job.
 func TestCrashSweep(t *testing.T) {
 	const victim = 1
+	const v0 = 2 // the committed version when the swept round starts
 	ctx := context.Background()
 	// One set of contents for every rig (rounds only read them): 1.1 MB over
 	// 4×2 workers in 16 KiB windows, nine windows per packet.
@@ -65,15 +69,17 @@ func TestCrashSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stamped := [][]*statedict.StateDict{nil, stampVersion(dicts, 1), stampVersion(dicts, 2), stampVersion(dicts, 3)}
+	stamped := [][]*statedict.StateDict{nil, stampVersion(dicts, 1), stampVersion(dicts, 2), stampVersion(dicts, 3), stampVersion(dicts, 4)}
 	setup := func(t *testing.T) (*testRig, *chaos.Network, [][]*statedict.StateDict) {
 		rig, net := newChaosRigOver(t, dicts, 4, 2, 2, 2, chaos.Plan{Seed: 1}, func(c *Config) {
 			c.IncrementalCache = true
 			c.BufferSize = 16 << 10
 		})
 		contents := append([][]*statedict.StateDict(nil), stamped...)
-		if _, err := rig.ckpt.Save(ctx, contents[1]); err != nil {
-			t.Fatalf("save v1: %v", err)
+		for v := 1; v <= v0; v++ {
+			if _, err := rig.ckpt.Save(ctx, contents[v]); err != nil {
+				t.Fatalf("save v%d: %v", v, err)
+			}
 		}
 		return rig, net, contents
 	}
@@ -127,7 +133,7 @@ func TestCrashSweep(t *testing.T) {
 		t.Run(kind.name, func(t *testing.T) {
 			rig, net, contents := setup(t)
 			before := net.SendCount(victim)
-			if err := kind.run(ctx, rig.ckpt, contents[2]); err != nil {
+			if err := kind.run(ctx, rig.ckpt, contents[v0+1]); err != nil {
 				t.Fatalf("counting round: %v", err)
 			}
 			sends := net.SendCount(victim) - before
@@ -140,18 +146,18 @@ func TestCrashSweep(t *testing.T) {
 				if err := net.ScheduleKill(victim, i); err != nil {
 					t.Fatal(err)
 				}
-				err := kind.run(ctx, rig.ckpt, contents[2])
+				err := kind.run(ctx, rig.ckpt, contents[v0+1])
 				settle(t, rig, net, victim, i, err)
 				if err != nil {
 					aborted++
 				}
-				v := recoverAndCheck(t, rig, contents, 1, 2)
-				if (err == nil) != (v == 2) {
+				v := recoverAndCheck(t, rig, contents, v0, v0+1)
+				if (err == nil) != (v == v0+1) {
 					t.Fatalf("kill at send %d: round error %v but version %d recovered", i+1, err, v)
 				}
 				// The next round of the same kind commits, and commits the
 				// right bytes.
-				contents[v+1] = contents[3]
+				contents[v+1] = contents[v0+2]
 				if err := kind.run(ctx, rig.ckpt, contents[v+1]); err != nil {
 					t.Fatalf("kill at send %d: next round: %v", i+1, err)
 				}
@@ -216,11 +222,11 @@ func TestCrashSweep(t *testing.T) {
 				if err != nil {
 					aborted++
 				}
-				recoverAndCheck(t, rig, contents, 1)
-				if _, err := rig.ckpt.Save(ctx, contents[2]); err != nil {
+				recoverAndCheck(t, rig, contents, v0)
+				if _, err := rig.ckpt.Save(ctx, contents[v0+1]); err != nil {
 					t.Fatalf("kill at send %d: next save: %v", i+1, err)
 				}
-				recoverAndCheck(t, rig, contents, 2)
+				recoverAndCheck(t, rig, contents, v0+1)
 				verifyClean(t, rig)
 				_ = rig.ckpt.Close()
 				_ = net.Close()

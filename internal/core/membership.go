@@ -106,16 +106,20 @@ type JoinReport struct {
 	Elapsed time.Duration
 }
 
-// WithSaveFence runs fn while holding the save slot: no save round can
-// start or drain concurrently, and Close aborts a round that is merely
-// waiting here. It is the fence membership mutations (and the root
-// ReplaceNode) use to serialize against the SaveAsync background drain.
-func (c *Checkpointer) WithSaveFence(ctx context.Context, fn func() error) error {
+// WithSaveFence runs fn — the swap of node's machine for a fresh one — while
+// holding the save slot: no save round can start or drain concurrently, and
+// Close aborts a round that is merely waiting here. It is the fence the root
+// ReplaceNode uses to serialize against the SaveAsync background drain. A
+// replaced machine starts cold: the node's spare segments go with the old one.
+func (c *Checkpointer) WithSaveFence(ctx context.Context, node int, fn func() error) error {
 	h := newSaveHandle()
 	if err := c.acquireSave(ctx, true, h); err != nil {
 		return err
 	}
 	err := fn()
+	if err == nil {
+		c.spares[node] = nil
+	}
 	c.releaseSave(h)
 	h.complete(nil, err)
 	return err

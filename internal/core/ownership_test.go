@@ -4,20 +4,26 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
+	"eccheck/internal/chaos"
 	"eccheck/internal/cluster"
+	"eccheck/internal/obs"
 	"eccheck/internal/statedict"
 )
 
 // The engine hands finished buffers to host memory instead of copying them
-// in, and reads them back as borrowed views. These tests pin the hand-off
-// rule that makes that safe: a stored blob is immutable from the moment it
-// is handed over, so no later round, failure or replacement can change the
-// bytes behind a view.
+// in, reads them back as borrowed views, and takes the segment buffers a
+// commit displaces back as the next round's staging area. These tests pin the
+// rule that makes that safe: a stored blob is immutable while it is stored,
+// and a displaced segment is next written by the following round's drain —
+// after every reader that could hold a view of it has let go.
 
 // stampVersion clones dicts as checkpoint content number i: every rank's
 // iteration counter and the edges of its first tensor carry i, so a
@@ -33,43 +39,317 @@ func stampVersion(dicts []*statedict.StateDict, i int) []*statedict.StateDict {
 	return out
 }
 
-func TestViewSurvivesLaterCommitFailAndReplace(t *testing.T) {
-	rig := newRig(t, 4, 2, 2, 2, func(c *Config) { c.RemotePersistEvery = -1 })
+// TestViewSurvivesFailReplaceRebuildAndAbortedSave: everything short of a
+// commit leaves the bytes behind a view alone — the node failing and being
+// replaced, the rebuild onto the fresh machine, and a save round that aborts
+// (it wrote into the spare set, never into what is stored).
+func TestViewSurvivesFailReplaceRebuildAndAbortedSave(t *testing.T) {
+	rig, net := newChaosRig(t, 4, 2, 2, 2, chaos.Plan{Seed: 5})
 	ctx := context.Background()
-	if _, err := rig.ckpt.Save(ctx, rig.dicts); err != nil {
-		t.Fatal(err)
+	contents := stampVersion(rig.dicts, 2)
+	for _, dicts := range [][]*statedict.StateDict{rig.dicts, contents} { // the second commit fills the spare sets
+		if _, err := rig.ckpt.Save(ctx, dicts); err != nil {
+			t.Fatal(err)
+		}
 	}
-	node := rig.ckpt.Plan().DataNodes[0]
+	node, victim := rig.ckpt.Plan().DataNodes[0], rig.ckpt.Plan().ParityNodes[0]
 	key := keySegment(rig.ckpt.Plan().ChunkOfNode[node], 0)
 	view, err := rig.ckpt.fetch(node, key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := append([]byte(nil), view...)
+	check := func(when string) {
+		t.Helper()
+		if !bytes.Equal(view, want) {
+			t.Fatalf("%s changed the bytes behind a borrowed view", when)
+		}
+	}
 
-	next := stampVersion(rig.dicts, 2)
-	if _, err := rig.ckpt.Save(ctx, next); err != nil {
+	if err := net.ScheduleKill(victim, 12); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(view, want) {
-		t.Fatal("a later Save commit changed the bytes behind a borrowed view")
+	if _, err := rig.ckpt.Save(ctx, stampVersion(rig.dicts, 3)); err == nil {
+		t.Fatal("save with a machine killed mid-round reported success")
 	}
-	if now, err := rig.ckpt.fetch(node, key); err != nil || bytes.Equal(now, want) {
-		t.Fatalf("segment did not change across the commit (err %v): the test is not exercising an overwrite", err)
-	}
+	check("an aborted save")
+	replaceFenced(t, rig, net, victim)
 	if err := rig.clus.Fail(node); err != nil {
 		t.Fatal(err)
 	}
-	if err := rig.clus.Replace(node); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := rig.ckpt.Load(ctx) // rebuilds the chunk onto the fresh machine
+	check("the node failing")
+	replaceFenced(t, rig, net, node)
+	got, _, err := rig.ckpt.Load(ctx) // rebuilds both chunks onto the fresh machines
 	if err != nil {
 		t.Fatal(err)
 	}
-	dictsEqual(t, next, got)
-	if !bytes.Equal(view, want) {
-		t.Fatal("Fail, Replace and the rebuild changed the bytes behind a borrowed view")
+	dictsEqual(t, contents, got)
+	check("Replace and the rebuild")
+}
+
+// replaceFenced swaps a dead machine for an empty one the way the root
+// package does: behind the save fence, which also forgets the node's spares.
+func replaceFenced(t *testing.T, rig *testRig, net *chaos.Network, node int) {
+	t.Helper()
+	for rig.clus.Alive(node) { // a chaos kill's hook runs on the victim's goroutine
+		runtime.Gosched()
+	}
+	err := rig.ckpt.WithSaveFence(context.Background(), node, func() error {
+		if err := rig.clus.Replace(node); err != nil {
+			return err
+		}
+		return net.Revive(node)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rig.ckpt.spares[node] != nil {
+		t.Fatalf("node %d was replaced and still has %d spare segments", node, len(rig.ckpt.spares[node]))
+	}
+}
+
+// TestHeldViewBlocksTheCommit: a reader that holds commitMu shared keeps the
+// next commit — the only thing that retires what it is reading — waiting,
+// and the commit goes through the moment it lets go.
+func TestHeldViewBlocksTheCommit(t *testing.T) {
+	rig := newRig(t, 4, 2, 2, 2, func(c *Config) { c.RemotePersistEvery = -1 })
+	ctx := context.Background()
+	for i := 1; i <= 2; i++ {
+		if _, err := rig.ckpt.Save(ctx, stampVersion(rig.dicts, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	node := rig.ckpt.Plan().ParityNodes[0]
+	rig.ckpt.commitMu.RLock()
+	view, err := rig.ckpt.fetch(node, keySegment(rig.ckpt.Plan().ChunkOfNode[node], 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(nil), view...)
+	h, err := rig.ckpt.SaveAsync(ctx, stampVersion(rig.dicts, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A queued writer turns new readers away: that is the drain at its commit.
+	for rig.ckpt.commitMu.TryRLock() {
+		rig.ckpt.commitMu.RUnlock()
+		runtime.Gosched()
+	}
+	if rig.ckpt.commitMu.TryLock() {
+		t.Fatal("commit lock was free under a reader")
+	}
+	select {
+	case <-h.Done():
+		t.Fatal("the round committed under a reader holding the commit lock")
+	default:
+	}
+	if rig.ckpt.Version() != 2 || !bytes.Equal(view, want) {
+		t.Fatalf("version %d, view intact %v: the commit did not wait", rig.ckpt.Version(), bytes.Equal(view, want))
+	}
+	rig.ckpt.commitMu.RUnlock()
+	if _, err := h.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if rig.ckpt.Version() != 3 {
+		t.Fatalf("version %d after the reader let go, want 3", rig.ckpt.Version())
+	}
+}
+
+// TestNoBufferIsBothStoredAndSpare: across full, delta and aborted rounds no
+// buffer is ever a stored blob and a spare at once, no two nodes share one, a
+// spare set never outgrows one version, an aborted round leaves none behind,
+// and the operator counters tell recycled segments from allocated ones.
+func TestNoBufferIsBothStoredAndSpare(t *testing.T) {
+	reg := obs.NewRegistry()
+	rig, net := newChaosRig(t, 4, 2, 2, 2, chaos.Plan{Seed: 3}, func(c *Config) {
+		c.IncrementalCache = true
+		c.Metrics = reg
+	})
+	ctx := context.Background()
+	span := rig.topo.World() / 2
+	check := func(when string) {
+		t.Helper()
+		owner := map[*byte]string{}
+		for node := 0; node < rig.topo.Nodes(); node++ {
+			for _, key := range rig.clus.Keys(node) {
+				if blob, err := rig.clus.View(node, key); err == nil && len(blob) > 0 {
+					owner[unsafe.SliceData(blob)] = fmt.Sprintf("node %d key %q", node, key)
+				}
+			}
+		}
+		for node, set := range rig.ckpt.spares {
+			if len(set) > span {
+				t.Errorf("%s: node %d holds %d spare segments, more than one version's %d", when, node, len(set), span)
+			}
+			for _, seg := range set {
+				if who, dup := owner[unsafe.SliceData(seg)]; dup {
+					t.Errorf("%s: a spare of node %d is also %s", when, node, who)
+				}
+				owner[unsafe.SliceData(seg)] = fmt.Sprintf("a spare of node %d", node)
+			}
+		}
+	}
+	counters := func() (recycled, allocated int64) {
+		snap := reg.Snapshot()
+		recycled, _ = snap.Counter("save_segments_recycled_total")
+		allocated, _ = snap.Counter("save_segments_allocated_total")
+		return
+	}
+
+	committed := rig.dicts
+	for i, kind := range []string{"full", "full", "delta", "abort", "full", "delta", "delta", "abort", "full", "full"} {
+		next := stampVersion(rig.dicts, i+1)
+		recycledBefore, allocatedBefore := counters()
+		switch kind {
+		case "full":
+			if _, err := rig.ckpt.Save(ctx, next); err != nil {
+				t.Fatalf("round %d: %v", i, err)
+			}
+			committed = next
+		case "delta":
+			rep, err := rig.ckpt.SaveIncremental(ctx, next)
+			if err != nil || rep.Full {
+				t.Fatalf("round %d: delta round: %+v, %v", i, rep, err)
+			}
+			committed = next
+		case "abort":
+			victim := i % rig.topo.Nodes()
+			if err := net.ScheduleKill(victim, 9+i); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rig.ckpt.Save(ctx, next); err == nil {
+				t.Fatalf("round %d: save with node %d killed mid-round reported success", i, victim)
+			}
+			for node, set := range rig.ckpt.spares {
+				if set != nil {
+					t.Errorf("round %d aborted and node %d still has %d spare segments", i, node, len(set))
+				}
+			}
+			replaceFenced(t, rig, net, victim)
+			got, _, err := rig.ckpt.Load(ctx)
+			if err != nil {
+				t.Fatalf("round %d: load after the abort: %v", i, err)
+			}
+			dictsEqual(t, committed, got)
+		}
+		check(fmt.Sprintf("after round %d (%s)", i, kind))
+		// Steady state — the round before this one committed too — allocates
+		// nothing; the first round and the one after an abort allocate it all.
+		recycled, allocated := counters()
+		recycled, allocated = recycled-recycledBefore, allocated-allocatedBefore
+		segments := int64(rig.topo.Nodes() * span)
+		switch {
+		case i == 0 || i == 1 || i == 4 || i == 8:
+			if recycled != 0 || allocated != segments {
+				t.Errorf("round %d (cold): %d segments recycled, %d allocated; want 0, %d", i, recycled, allocated, segments)
+			}
+		case kind != "abort":
+			if recycled != segments || allocated != 0 {
+				t.Errorf("round %d (warm): %d segments recycled, %d allocated; want %d, 0", i, recycled, allocated, segments)
+			}
+		}
+	}
+	got, _, err := rig.ckpt.Load(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dictsEqual(t, committed, got)
+	verifyClean(t, rig)
+}
+
+// TestSteadyStateSaveAllocatesNoSegments is the allocation gate of the
+// double-buffered segment store: once two rounds have committed, a save —
+// full or delta — assembles its segments in the buffers the last commit
+// displaced, so what it allocates is a fraction of the tensor payload, where
+// allocating the coded checkpoint afresh costs (k+m)/k of it. A replaced
+// machine starts cold: the first save after it allocates that node's chunk
+// and no more, the second nothing again. The own-packet cache of the delta
+// path is stored by copy every round; the gate accounts for it by name.
+func TestSteadyStateSaveAllocatesNoSegments(t *testing.T) {
+	var probe [1]byte
+	if retire(probe[:]); probe[0] != 0 {
+		t.Skip("the race detector drops pooled buffers at random: allocation is not a function of the code under test")
+	}
+	// A pooled buffer that a collection cycle dropped, or that sits in another
+	// P's private slot, is allocated again inside the measured window: no
+	// collections and one P, so the count is the code's.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const limit = 0.25 // of the tensor payload
+	ctx := context.Background()
+	for _, shape := range []struct {
+		name              string
+		nodes, gpus, k, m int
+	}{{"k2m2", 4, 2, 2, 2}, {"k4m4", 8, 1, 4, 4}} {
+		// allocated runs one save round over fresh content and returns what it
+		// allocated and its per-worker packet size, both in tensor payloads.
+		round := 0
+		allocated := func(t *testing.T, rig *testRig, delta bool) (alloc, packet float64) {
+			t.Helper()
+			round++
+			dicts, payload := stampVersion(rig.dicts, round), 0
+			for _, sd := range dicts {
+				payload += sd.TensorBytes()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			h, err := rig.ckpt.startSave(ctx, dicts, saveMode{delta: delta})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := h.Wait(ctx)
+			runtime.ReadMemStats(&after)
+			if err != nil || h.delta != delta {
+				t.Fatalf("round %d: delta %v, want %v; %v", round, h.delta, delta, err)
+			}
+			return float64(after.TotalAlloc-before.TotalAlloc) / float64(payload), float64(rep.PacketBytes) / float64(payload)
+		}
+		t.Run(shape.name, func(t *testing.T) {
+			rig := newRig(t, shape.nodes, shape.gpus, shape.k, shape.m, func(c *Config) { c.RemotePersistEvery = -1 })
+			cold, packet := allocated(t, rig, false)
+			allocated(t, rig, false)
+			if chunks := float64(rig.topo.World()/shape.k*rig.topo.Nodes()) * packet; cold < chunks {
+				t.Fatalf("the first save allocated %.2f x payload, less than the %.2f of its own segments", cold, chunks)
+			}
+			for i := 0; i < 3; i++ {
+				if got, _ := allocated(t, rig, false); got > limit {
+					t.Errorf("steady-state save allocated %.2f x the tensor payload, want <= %.2f (first save: %.2f)", got, limit, cold)
+				}
+			}
+
+			victim := rig.ckpt.Plan().ParityNodes[0]
+			if err := rig.clus.Fail(victim); err != nil {
+				t.Fatal(err)
+			}
+			err := rig.ckpt.WithSaveFence(ctx, victim, func() error { return rig.clus.Replace(victim) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := rig.ckpt.Load(ctx); err != nil {
+				t.Fatal(err)
+			}
+			chunk := float64(rig.topo.World()/shape.k) * packet // one node's segments
+			if got, _ := allocated(t, rig, false); got < chunk || got > chunk+limit {
+				t.Errorf("first save after a replacement allocated %.2f x payload, want the replaced node's chunk %.2f and at most %.2f more", got, chunk, limit)
+			}
+			if got, _ := allocated(t, rig, false); got > limit {
+				t.Errorf("second save after a replacement allocated %.2f x payload, want <= %.2f", got, limit)
+			}
+		})
+		t.Run(shape.name+"/delta", func(t *testing.T) {
+			rig := newRig(t, shape.nodes, shape.gpus, shape.k, shape.m, func(c *Config) {
+				c.IncrementalCache = true
+				c.RemotePersistEvery = -1
+			})
+			_, packet := allocated(t, rig, false)
+			allocated(t, rig, false)
+			ownPackets := float64(rig.topo.World()) * packet // the cache, re-stored by copy
+			for _, delta := range []bool{true, false, true} {
+				if got, _ := allocated(t, rig, delta); got > ownPackets+limit {
+					t.Errorf("steady-state save (delta %v) allocated %.2f x the tensor payload, want <= %.2f for the own-packet cache + %.2f", delta, got, ownPackets, limit)
+				}
+			}
+		})
 	}
 }
 

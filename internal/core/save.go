@@ -333,6 +333,10 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 	if !snap.end.IsZero() {
 		pc.mark = snap.end // charge the goroutine handoff to the drain
 	}
+	// The node's spare segments leave with this round, committed or not: on
+	// the error paths a straggling receiver may still write into them.
+	spare := c.spares[node]
+	c.spares[node] = nil
 
 	ep, err := c.endpoint(node)
 	if err != nil {
@@ -429,15 +433,20 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 	myChunk := plan.ChunkOfNode[node]
 	// The segments are assembled directly in the buffers host memory will
 	// own: exact-size with footer room, sealed and adopted at promote, never
-	// pooled. They start as the round's base — zeroes, or on a delta round
-	// the committed segments — and every shipped buffer range of every
-	// segment is then written exactly once (local data, P2P data, finalized
-	// parity, or P2P parity). Allocating host memory's blobs is promote
-	// work, as it was when the store allocated them itself at commit.
+	// pooled. Each is the buffer the last commit displaced on this node when
+	// one of this shape is spare, else a fresh one. Its content does not
+	// matter: on a delta round it starts as a copy of the committed segment,
+	// and otherwise every buffer range of every segment is written exactly
+	// once (local data, P2P data, finalized parity, or P2P parity).
 	pc.Switch(PhasePromote)
-	chunkSegs := make([][]byte, span)
+	chunkSegs, recycled := make([][]byte, span), 0
 	for s := range chunkSegs {
-		chunkSegs[s] = cluster.NewBlob(packetBytes)
+		if s < len(spare) && cap(spare[s]) == packetBytes+cluster.FooterLen {
+			chunkSegs[s] = spare[s][:packetBytes]
+			recycled++
+		} else {
+			chunkSegs[s] = cluster.NewBlob(packetBytes)
+		}
 		if !delta {
 			continue
 		}
@@ -450,6 +459,8 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 		}
 		copy(chunkSegs[s], base)
 	}
+	c.cfg.Metrics.Counter("save_segments_recycled_total").Add(int64(recycled))
+	c.cfg.Metrics.Counter("save_segments_allocated_total").Add(int64(span - recycled))
 	pc.Switch(PhaseStage)
 
 	sliceBounds := func(b int) (int, int) {

@@ -1,9 +1,14 @@
 package harness
 
 import (
+	"context"
+	"sort"
 	"strings"
 	"testing"
 	"time"
+
+	"eccheck/internal/model"
+	"eccheck/internal/obs/flight"
 )
 
 func TestRestoreStudySmall(t *testing.T) {
@@ -47,10 +52,15 @@ func TestRestoreStudySmall(t *testing.T) {
 		t.Errorf("remote restore degenerate: serial %v, parallel %v, workers %d",
 			res.RemoteSerial, res.RemoteParallel, res.RemoteWorkers)
 	}
-	// With a 100µs stall per remote Get and a 4-wide pool over 8 ranks the
-	// pooled sweep overlaps stalls the serial one pays in sequence.
-	if res.RemoteSpeedup <= 1 {
-		t.Errorf("remote speedup = %.2f, want > 1 (pool overlaps the stall)", res.RemoteSpeedup)
+	// That the pool overlaps the stalls the serial sweep pays in sequence is
+	// counted, not timed: a wall-clock speedup > 1 is the host's to give.
+	cfg.RemoteStall = 2 * time.Millisecond
+	cfg.MoE = model.DefaultMoEConfig(res.World)
+	if got := remoteGetsInFlight(t, cfg, 1); got != 1 {
+		t.Errorf("serial remote restore had %d Gets in flight at once, want 1", got)
+	}
+	if got := remoteGetsInFlight(t, cfg, 4); got <= 1 || got > 4 {
+		t.Errorf("remote restore with 4 workers had %d Gets in flight at once, want 2..4", got)
 	}
 	if res.FullDeadlineExceeded {
 		t.Error("a one-minute budget must not be exceeded by an in-process restore")
@@ -61,6 +71,45 @@ func TestRestoreStudySmall(t *testing.T) {
 			t.Errorf("study table missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// remoteGetsInFlight restores from the remote tier with the given pool width
+// and returns the most Gets the store had in flight at once, counted from the
+// store's own flight record of each Get (call to return, stall included).
+func remoteGetsInFlight(t *testing.T, cfg RestoreConfig, workers int) int {
+	t.Helper()
+	rig, err := newRestoreRig(cfg, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rig.close()
+	rec := flight.New(1 << 10)
+	rig.remote.SetFlight(rec)
+	if _, err := rig.ckpt.LoadFromRemote(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	type edge struct {
+		at    time.Duration
+		delta int
+	}
+	var edges []edge
+	for _, ev := range rec.Snapshot() {
+		if ev.Type == flight.EvRemote && ev.Op == "get" {
+			edges = append(edges, edge{ev.TS, +1}, edge{ev.TS + ev.Dur, -1})
+		}
+	}
+	if len(edges) < 2*cfg.Nodes*cfg.GPUsPerNode {
+		t.Fatalf("%d Get edges recorded for %d ranks", len(edges), cfg.Nodes*cfg.GPUsPerNode)
+	}
+	sort.Slice(edges, func(i, j int) bool { // a Get that ends when another starts does not overlap it
+		return edges[i].at < edges[j].at || edges[i].at == edges[j].at && edges[i].delta < edges[j].delta
+	})
+	inFlight, most := 0, 0
+	for _, e := range edges {
+		inFlight += e.delta
+		most = max(most, inFlight)
+	}
+	return most
 }
 
 func TestDefaultRestoreConfig(t *testing.T) {
