@@ -29,6 +29,8 @@ test:
 # is the lock-free metrics layer they all record into, so both are part of
 # the gate despite the longer runtime. The root package exercises the
 # public SaveAsync/Close lifecycle (snapshot-and-drain, close-during-save).
+# Both run their grouped-layout tests (TestGrouped*: every operation on 8
+# machines as 2 × (2+2)) here too.
 # The enumerated crash sweep is the slowest test under the detector and has
 # its own target below, so it runs once per `make check`, not twice.
 race:
@@ -42,8 +44,12 @@ race:
 # data machine): a basis owner is killed at each of its sends, and the
 # recovery after it must return the committed version, the next save commit,
 # and parity match data; plus the one landing-order cut the send sweep cannot
-# reach. Under the race detector (~1.5 min); takes no TESTFLAGS, so -short
-# never trims it.
+# reach. Membership rounds (DrainNode, and AddNode taking the blobs back from
+# the custodian): the machine that ships the blobs is killed at each of its
+# sends, a report that says the blobs arrived is followed by a Load that
+# rebuilds nothing, and anything else degrades to the crash-leave path. Every
+# row runs on the flat layout and on 8 machines as 2 × (2+2). Under the race
+# detector (~5 min); takes no TESTFLAGS, so -short never trims it.
 crash-sweep:
 	$(GO) test -race -run 'TestCrashSweep' -count=1 ./internal/core
 
@@ -92,11 +98,12 @@ bench-smoke:
 	$(GO) test -C bench ./...
 
 # Repetition gate for the tests that race real timers and deadlines: the
-# elastic-membership, preemption and health tests of the root package and the
-# fault injector twenty times each, the harness studies five times, all at
-# full size. A test that passes one run in three is a bug here, not a rerun.
+# elastic-membership, preemption and health tests of the root package (the
+# grouped-layout ones included) and the fault injector twenty times each, the
+# harness studies five times, all at full size. A test that passes one run in
+# three is a bug here, not a rerun.
 flake:
-	$(GO) test -count=20 -run 'TestPreempt|TestZeroNotice|TestNoticeExpires|TestRemoveAndAdd|TestReplaceNodeFenced|TestStaleKillTimer|TestHealthAPI' .
+	$(GO) test -count=20 -run 'TestPreempt|TestZeroNotice|TestNoticeExpires|TestRemoveAndAdd|TestReplaceNodeFenced|TestStaleKillTimer|TestHealthAPI|TestGrouped' .
 	$(GO) test -count=20 ./internal/chaos
 	$(GO) test -count=5 ./internal/harness
 
@@ -108,9 +115,10 @@ chaos-soak:
 
 # Scale-out smoke: one streaming save round at 64 simulated nodes (the
 # smallest size where the hierarchical fan-in tree goes multi-level with
-# the default arity of 8). Fails if the pipeline cannot complete at that
-# scale or the measurement comes back degenerate — the guard that keeps
-# the BENCH_6.json sweep reproducible without running the full thing.
+# the default arity of 8), flat (one 32+32 code group) and as 8 × (4+4) on
+# the same engine. Fails if the pipeline cannot complete at that scale in
+# either layout or a measurement comes back degenerate — the guard that
+# keeps the BENCH_6.json sweep reproducible without running the full thing.
 scale-smoke:
 	$(GO) run ./cmd/eccheck-bench -scale-smoke
 

@@ -4,8 +4,8 @@ package main
 // sizes (4 → 256 simulated nodes), against the phase-coarse baseline
 // (PipelineDepth 1) at every point. runScaleOut produces the committed
 // BENCH_6.json snapshot; runScaleSmoke is the CI guard — a single
-// 64-node point with reduced rounds that fails if the sweep cannot run
-// at that scale.
+// 64-node point with reduced rounds, flat and as 8 × (4+4), that fails if
+// the sweep cannot run at that scale.
 
 import (
 	"encoding/json"
@@ -55,10 +55,10 @@ type scaleDump struct {
 	// protocol overhead, not bandwidth).
 	Rows         []scaleRowJSON `json:"rows"`
 	ScalingSlope float64        `json:"scaling_slope"`
-	// GroupedRows repeat the sweep in the paper's grouped scheme
-	// (independent instances of GroupSize nodes each), whose per-node
-	// cost is constant by construction — the slope contrast against the
-	// flat rows is the scaling story.
+	// GroupedRows repeat the sweep in the paper's grouped scheme (the
+	// same engine laid out as independent code groups of GroupSize nodes
+	// each), whose per-node cost is constant by construction — the slope
+	// contrast against the flat rows is the scaling story.
 	GroupSize           int            `json:"grouped_group_size"`
 	GroupedRows         []scaleRowJSON `json:"grouped_rows"`
 	GroupedScalingSlope float64        `json:"grouped_scaling_slope"`
@@ -143,25 +143,30 @@ func runScaleOut(path string) error {
 }
 
 // runScaleSmoke runs the single 64-node point with reduced rounds — the
-// `make scale-smoke` CI guard. It fails if the streaming pipeline cannot
-// complete a round at 64 nodes or the measurement comes back degenerate.
+// `make scale-smoke` CI guard — twice on the one engine: flat (one 32+32
+// code group) and grouped (8 × (4+4)). It fails if the streaming pipeline
+// cannot complete a round at 64 nodes in either layout or a measurement
+// comes back degenerate.
 func runScaleSmoke() error {
-	rows, err := harness.ScaleOutStudy(os.Stdout, harness.ScaleConfig{
-		NodeCounts:    []int{64},
-		PerRankBytes:  32 << 10,
-		BufferSize:    8 << 10,
-		PipelineDepth: 3,
-		GroupFanIn:    8,
-		LinkLatency:   20 * time.Microsecond,
-		LinkGBps:      12.5,
-		Rounds:        2,
-		Baseline:      true,
-	})
-	if err != nil {
-		return err
-	}
-	if len(rows) != 1 || rows[0].Elapsed <= 0 || rows[0].AggMBps <= 0 {
-		return fmt.Errorf("scale smoke: degenerate measurement: %+v", rows)
+	for _, groupSize := range []int{0, 8} {
+		rows, err := harness.ScaleOutStudy(os.Stdout, harness.ScaleConfig{
+			NodeCounts:    []int{64},
+			GroupSize:     groupSize,
+			PerRankBytes:  32 << 10,
+			BufferSize:    8 << 10,
+			PipelineDepth: 3,
+			GroupFanIn:    8,
+			LinkLatency:   20 * time.Microsecond,
+			LinkGBps:      12.5,
+			Rounds:        2,
+			Baseline:      true,
+		})
+		if err != nil {
+			return err
+		}
+		if len(rows) != 1 || rows[0].Elapsed <= 0 || rows[0].AggMBps <= 0 {
+			return fmt.Errorf("scale smoke (group size %d): degenerate measurement: %+v", groupSize, rows)
+		}
 	}
 	return nil
 }

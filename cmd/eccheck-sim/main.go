@@ -59,7 +59,7 @@ func main() {
 
 func run() int {
 	var (
-		nodes     = flag.Int("nodes", 4, "machine count (k+m)")
+		nodes     = flag.Int("nodes", 4, "machine count (k+m, or a multiple of it: groups of k+m nodes)")
 		gpus      = flag.Int("gpus", 2, "GPUs per machine")
 		k         = flag.Int("k", 2, "data nodes")
 		m         = flag.Int("m", 2, "parity nodes")

@@ -98,7 +98,7 @@ func dispatch(ctx context.Context, cli *daemon.Client, cmd string, args []string
 		fs := flag.NewFlagSet("register", flag.ContinueOnError)
 		spec := daemon.JobSpec{ID: id}
 		fs.StringVar(&spec.Tenant, "tenant", "", "quota tenant")
-		fs.IntVar(&spec.Nodes, "nodes", 0, "machine count (k+m)")
+		fs.IntVar(&spec.Nodes, "nodes", 0, "machine count (k+m, or a multiple of it: groups of k+m nodes)")
 		fs.IntVar(&spec.GPUsPerNode, "gpus", 0, "GPUs per machine")
 		fs.IntVar(&spec.K, "k", 0, "data nodes")
 		fs.IntVar(&spec.M, "m", 0, "parity nodes")

@@ -82,9 +82,14 @@
 // Config.GroupFanIn bounds each XOR reduction's aggregation arity, so
 // partials fold through a deterministic tree instead of concentrating
 // k−1 streams on the target's machine. For clusters beyond tens of
-// nodes, InitializeGrouped applies the protocol independently within
-// fixed-size node groups, keeping per-node cost constant as the cluster
-// grows. The commit barrier attributes synchronization skew: each
+// nodes, give Initialize a multiple of K+M machines — Config{Nodes: 16,
+// K: 2, M: 2} is four groups of four: groups are contiguous ranges of
+// K+M nodes, each an independent (K, M) code inside the same round,
+// version and commit, so per-node cost stays constant as the cluster
+// grows and every System operation (async and delta saves, partial
+// loads, prefetch, membership, health) works as on a flat layout. The
+// price is the failure budget: M machines per group, not M anywhere.
+// The commit barrier attributes synchronization skew: each
 // SaveReport names the round's slowest machine (StragglerNode,
 // StragglerLag), and finished nodes' waiting time lands in their own
 // "straggle" phase lane so every per-node partition still sums to the

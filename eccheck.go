@@ -34,7 +34,13 @@ const (
 
 // Config parameterises Initialize.
 type Config struct {
-	// Nodes is the machine count n = K + M.
+	// Nodes is the machine count: K + M, or a multiple G·(K+M) of it for
+	// group-based checkpointing (the paper's §V-F scaling scheme). Groups are
+	// contiguous ranges of K+M nodes — nodes g·(K+M) through (g+1)·(K+M)−1
+	// form group g — and each is an independent (K, M) code inside the same
+	// round, version and commit: per-node traffic stays m·s however large the
+	// cluster, and the system survives any M failures in every group at once
+	// (but not M+1 in one).
 	Nodes int
 	// GPUsPerNode is the worker count per machine.
 	GPUsPerNode int
@@ -42,8 +48,8 @@ type Config struct {
 	// parallelism is inferred).
 	TPDegree int
 	PPStages int
-	// K data nodes and M parity nodes; the system tolerates any M
-	// concurrent machine failures.
+	// K data nodes and M parity nodes per group; the system tolerates any M
+	// concurrent machine failures in each group.
 	K, M int
 	// BufferSize is the streaming window size (default 64 MB): each
 	// worker's packet is encoded, reduced and placed one BufferSize window
@@ -513,20 +519,22 @@ func (s *System) AliveNodes() []int { return s.clus.AliveNodes() }
 func (s *System) NodeMemoryBytes(node int) int { return s.clus.MemoryBytes(node) }
 
 // DataNodes returns the machines selected (by the sweep-line algorithm) to
-// store data chunks.
+// store data chunks: K per group, group by group.
 func (s *System) DataNodes() []int {
 	return append([]int(nil), s.ckpt.Plan().DataNodes...)
 }
 
-// ParityNodes returns the machines storing parity chunks.
+// ParityNodes returns the machines storing parity chunks: M per group, group
+// by group.
 func (s *System) ParityNodes() []int {
 	return append([]int(nil), s.ckpt.Plan().ParityNodes...)
 }
 
 // FaultTolerance returns the number of additional concurrent machine
-// failures the system survives right now: the code's parity count m minus
-// the slots currently unable to serve their chunk (dead machines, and
-// fresh joiners whose chunk has not been restored or rebuilt yet). A
+// failures the system survives right now wherever they land: the code's
+// parity count m minus the slots of the worst-hit group currently unable to
+// serve their chunk (dead machines, and fresh joiners whose chunk has not
+// been restored or rebuilt yet). A
 // healthy cluster reports m; a completed drain+AddNode cycle returns to m
 // immediately, while a crash leave stays below m until the next Load
 // rebuilds the lost chunk.

@@ -154,8 +154,8 @@ func TestPublicAPICodec(t *testing.T) {
 }
 
 func TestInitializeValidation(t *testing.T) {
-	if _, err := eccheck.Initialize(eccheck.Config{Nodes: 4, GPUsPerNode: 1, TPDegree: 1, PPStages: 4, K: 1, M: 1}); err == nil {
-		t.Error("k+m != nodes: want error")
+	if _, err := eccheck.Initialize(eccheck.Config{Nodes: 4, GPUsPerNode: 1, TPDegree: 1, PPStages: 4, K: 2, M: 1}); err == nil {
+		t.Error("nodes not a multiple of k+m: want error")
 	}
 	if _, err := eccheck.Initialize(eccheck.Config{Nodes: 0}); err == nil {
 		t.Error("zero nodes: want error")

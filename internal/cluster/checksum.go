@@ -24,7 +24,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // BlobStore is the minimal node-addressed blob interface the checksum
 // helpers need: an adopting put and a borrowing read (see the ownership
-// rule on Cluster.Adopt). Cluster and SubCluster both implement it.
+// rule on Cluster.Adopt). Cluster implements it, and so do the wrappers
+// the engine's tests put around one.
 type BlobStore interface {
 	Adopt(node int, key string, blob []byte) error
 	View(node int, key string) ([]byte, error)
@@ -113,15 +114,6 @@ func (c *Cluster) Delete(node int, key string) error {
 	}
 	delete(c.hostMem[node], key)
 	return nil
-}
-
-// Delete removes a blob from the mapped parent node.
-func (s *SubCluster) Delete(local int, key string) error {
-	g, err := s.global(local)
-	if err != nil {
-		return err
-	}
-	return s.parent.Delete(g, key)
 }
 
 // Corrupt flips one bit of a stored blob, the fault-injection primitive for

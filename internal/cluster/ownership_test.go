@@ -191,58 +191,46 @@ func TestChecksumFoldsInOrder(t *testing.T) {
 
 // TestMoveReturnsTheDisplacedSlice: Move hands the caller the blob the
 // destination key held — the slice itself, untouched — and nil when the key
-// was empty; through a SubCluster too. What happens to that buffer next is
-// the caller's business, never the store's.
+// was empty. What happens to that buffer next is the caller's business, never
+// the store's.
 func TestMoveReturnsTheDisplacedSlice(t *testing.T) {
 	c, err := New(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := Sub(c, []int{2, 3})
+	const node = 1
+	oldBlob, newBlob := NewBlob(64), NewBlob(64)
+	for i := range oldBlob {
+		oldBlob[i], newBlob[i] = byte(i), byte(255-i)
+	}
+	want := append([]byte(nil), oldBlob...)
+	if err := AdoptSummed(c, node, "final", oldBlob); err != nil {
+		t.Fatal(err)
+	}
+	if err := AdoptSummed(c, node, "staged", newBlob); err != nil {
+		t.Fatal(err)
+	}
+	displaced, err := c.Move(node, "staged", "final")
 	if err != nil {
 		t.Fatal(err)
 	}
-	type mover interface {
-		BlobStore
-		Move(node int, srcKey, dstKey string) ([]byte, error)
+	if len(displaced) != len(oldBlob)+FooterLen || &displaced[0] != &oldBlob[0] {
+		t.Errorf("Move returned %d bytes at %p, want the displaced slice itself (%d bytes at %p)",
+			len(displaced), displaced, len(oldBlob)+FooterLen, oldBlob)
 	}
-	for name, tc := range map[string]struct {
-		store mover
-		node  int
-	}{"cluster": {c, 1}, "sub": {sub, 1}} {
-		oldBlob, newBlob := NewBlob(64), NewBlob(64)
-		for i := range oldBlob {
-			oldBlob[i], newBlob[i] = byte(i), byte(255-i)
-		}
-		want := append([]byte(nil), oldBlob...)
-		if err := AdoptSummed(tc.store, tc.node, "final", oldBlob); err != nil {
-			t.Fatal(err)
-		}
-		if err := AdoptSummed(tc.store, tc.node, "staged", newBlob); err != nil {
-			t.Fatal(err)
-		}
-		displaced, err := tc.store.Move(tc.node, "staged", "final")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(displaced) != len(oldBlob)+FooterLen || &displaced[0] != &oldBlob[0] {
-			t.Errorf("%s: Move returned %d bytes at %p, want the displaced slice itself (%d bytes at %p)",
-				name, len(displaced), displaced, len(oldBlob)+FooterLen, oldBlob)
-		}
-		if !bytes.Equal(displaced[:len(want)], want) {
-			t.Errorf("%s: Move touched the displaced blob", name)
-		}
-		if now, err := ViewSummed(tc.store, tc.node, "final"); err != nil || &now[0] != &newBlob[0] {
-			t.Errorf("%s: final key does not hold the moved slice (err %v)", name, err)
-		}
-		if got, err := tc.store.Move(tc.node, "final", "empty"); err != nil || got != nil {
-			t.Errorf("%s: move onto an empty key returned %v, %v; want nil, nil", name, got, err)
-		}
-		if got, err := tc.store.Move(tc.node, "empty", "empty"); err != nil || got != nil {
-			t.Errorf("%s: move onto itself returned %v, %v; want nil, nil (the blob stays stored)", name, got, err)
-		}
-		if _, err := tc.store.Move(tc.node, "missing", "empty"); err == nil {
-			t.Errorf("%s: moving a missing key: want error", name)
-		}
+	if !bytes.Equal(displaced[:len(want)], want) {
+		t.Errorf("Move touched the displaced blob")
+	}
+	if now, err := ViewSummed(c, node, "final"); err != nil || &now[0] != &newBlob[0] {
+		t.Errorf("final key does not hold the moved slice (err %v)", err)
+	}
+	if got, err := c.Move(node, "final", "empty"); err != nil || got != nil {
+		t.Errorf("move onto an empty key returned %v, %v; want nil, nil", got, err)
+	}
+	if got, err := c.Move(node, "empty", "empty"); err != nil || got != nil {
+		t.Errorf("move onto itself returned %v, %v; want nil, nil (the blob stays stored)", got, err)
+	}
+	if _, err := c.Move(node, "missing", "empty"); err == nil {
+		t.Errorf("moving a missing key: want error")
 	}
 }

@@ -400,10 +400,16 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 	phases := meanPhases(nodePhases)
 	phases[PhasePromote] += commitTime
 
+	// Every node of a code group observed the group's broadcast volume.
+	smallBytes := 0
+	for cg := 0; cg < lay.plan.Groups(); cg++ {
+		first, _ := lay.plan.NodeRange(cg)
+		smallBytes += smallTotal[first]
+	}
 	report := &SaveReport{
 		Version:       version,
 		PacketBytes:   packetBytes,
-		SmallBytes:    smallTotal[0],
+		SmallBytes:    smallBytes,
 		Phases:        phases,
 		NodePhases:    nodePhases,
 		StragglerNode: stragglerNode,
@@ -425,15 +431,13 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 		report.RemotePersisted = true
 
 		// Garbage-collect persisted versions beyond the retention bound.
-		if c.cfg.RemoteRetain > 0 {
-			expired := version - c.cfg.RemoteRetain*c.cfg.RemotePersistEvery
-			for v := expired; v > 0; v -= c.cfg.RemotePersistEvery {
-				if !c.remote.Has(remoteKey(c.cfg.RemotePrefix, v, 0)) {
-					break
-				}
-				for rank := 0; rank < c.cfg.Topo.World(); rank++ {
-					c.remote.Delete(remoteKey(c.cfg.RemotePrefix, v, rank))
-				}
+		expired := version - remoteRetain*c.cfg.RemotePersistEvery
+		for v := expired; v > 0; v -= c.cfg.RemotePersistEvery {
+			if !c.remote.Has(remoteKey(v, 0)) {
+				break
+			}
+			for rank := 0; rank < c.cfg.Topo.World(); rank++ {
+				c.remote.Delete(remoteKey(v, rank))
 			}
 		}
 		persistTime := time.Since(persistStart)
@@ -462,19 +466,21 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 
 // persistCommitted serializes every worker's state from the committed
 // checkpoint in host memory and writes it to the remote tier: the packet
-// comes out of the worker's data chunk segment, the small components off
-// node 0 (every node holds the full broadcast set after a commit).
+// comes out of the worker's data chunk segment, the small components off the
+// first node of the worker's code group (every node holds its group's
+// broadcast set after a commit).
 func (c *Checkpointer) persistCommitted(ctx context.Context, version, packetBytes int) error {
 	lay := c.layout()
 	persist := func(rank int) error {
-		j := lay.plan.DataGroupOf[rank]
-		packet, err := c.fetch(lay.plan.DataNodes[j], lay.keys.segment[j][lay.plan.SegmentOf[rank]])
+		cg, j := lay.plan.GroupOfRank(rank), lay.plan.DataGroupOf[rank]
+		packet, err := c.fetch(lay.plan.ChunkOwner(cg, j), lay.keys.segment[j][lay.plan.SegmentOf[rank]])
 		if err != nil {
 			return err
 		}
+		first, _ := lay.plan.NodeRange(cg)
 		var sm [2][]byte
 		for i, key := range [2]string{lay.keys.smallMeta[rank], lay.keys.smallKeys[rank]} {
-			if sm[i], err = c.fetch(0, key); err != nil {
+			if sm[i], err = c.fetch(first, key); err != nil {
 				return err
 			}
 		}
@@ -486,7 +492,7 @@ func (c *Checkpointer) persistCommitted(ctx context.Context, version, packetByte
 		if err != nil {
 			return err
 		}
-		_, err = c.remote.Put(ctx, 0, remoteKey(c.cfg.RemotePrefix, version, rank), blob)
+		_, err = c.remote.Put(ctx, 0, remoteKey(version, rank), blob)
 		return err
 	}
 	for rank := 0; rank < c.cfg.Topo.World(); rank++ {

@@ -67,14 +67,22 @@ const (
 	// fetches, partial-restore reassembly) when Config.RestoreWorkers is
 	// unset.
 	DefaultRestoreWorkers = 8
+	// remoteRetain is how many persisted checkpoint versions stay in remote
+	// storage: the newest, and the one before it for a reader that started
+	// before the newest landed. Older ones are deleted after each persist.
+	remoteRetain = 2
 )
 
 // Config parameterises a Checkpointer.
 type Config struct {
-	// Topo is the training topology; the node count must equal K+M.
+	// Topo is the training topology; the node count must be a multiple of
+	// K+M. Each K+M consecutive nodes form one code group (see
+	// placement.Plan): G·(K+M) nodes checkpoint as G independent groups
+	// inside the same round, version and commit.
 	Topo *parallel.Topology
-	// K and M are the erasure-code parameters: K data nodes, M parity
-	// nodes, tolerating any M concurrent machine failures.
+	// K and M are the erasure-code parameters: K data nodes and M parity
+	// nodes per code group, tolerating any M concurrent machine failures in
+	// each group.
 	K, M int
 	// BufferSize is the streaming window size in bytes: each node's packet
 	// is split into buffer windows of this size and the windows stream
@@ -102,13 +110,6 @@ type Config struct {
 	// RemotePersistEvery persists every Nth checkpoint to remote storage
 	// (step 4); 0 disables remote persistence.
 	RemotePersistEvery int
-	// RemotePrefix namespaces remote-store keys (used by grouped
-	// checkpointing so groups do not collide).
-	RemotePrefix string
-	// RemoteRetain bounds how many persisted checkpoint versions stay in
-	// remote storage; older ones are garbage-collected after each persist.
-	// 0 keeps everything.
-	RemoteRetain int
 	// IncrementalCache makes every node retain its own workers' packets in
 	// host memory so SaveIncremental can diff against them. Costs one
 	// extra packet of memory per worker.
@@ -185,8 +186,8 @@ func (c Config) withDefaults() Config {
 }
 
 // HostStore is the volatile per-node host memory the engine checkpoints
-// into. cluster.Cluster implements it; cluster.Sub provides the group-view
-// used by grouped checkpointing.
+// into. cluster.Cluster implements it; tests substitute fault-injecting
+// wrappers through it.
 type HostStore interface {
 	// Nodes returns the node count.
 	Nodes() int
@@ -217,10 +218,7 @@ type HostStore interface {
 	Delete(node int, key string) error
 }
 
-var (
-	_ HostStore = (*cluster.Cluster)(nil)
-	_ HostStore = (*cluster.SubCluster)(nil)
-)
+var _ HostStore = (*cluster.Cluster)(nil)
 
 // Checkpointer is the ECCheck engine bound to a cluster, a network and an
 // optional remote store. It corresponds to the paper's eccheck.initialize:
@@ -475,7 +473,7 @@ type keyTable struct {
 	smallMeta []string   // by rank
 	smallKeys []string   // by rank
 	ownPacket []string   // by rank
-	segment   [][]string // by chunk, then segment
+	segment   [][]string // by chunk (of any code group), then segment
 	// commit is each node's full key set in commit order (manifest last);
 	// staged holds the keyStaged counterparts, index-aligned. stagedOf
 	// maps a final key to its staged key for the save path's stage().
@@ -489,7 +487,7 @@ func buildKeyTable(cfg *Config, plan *placement.Plan) keyTable {
 	world := cfg.Topo.World()
 	nodes := cfg.Topo.Nodes()
 	g := cfg.Topo.GPUsPerNode()
-	span := world / cfg.K
+	span := plan.Span()
 	t := keyTable{
 		smallMeta: make([]string, world),
 		smallKeys: make([]string, world),
@@ -511,8 +509,10 @@ func buildKeyTable(cfg *Config, plan *placement.Plan) keyTable {
 		}
 	}
 	for node := 0; node < nodes; node++ {
-		keys := make([]string, 0, 2*world+g+span+1)
-		for rank := 0; rank < world; rank++ {
+		// A node holds the small components of its code group's workers.
+		lo, hi := plan.RankRange(plan.GroupOfNode(node))
+		keys := make([]string, 0, 2*(hi-lo)+g+span+1)
+		for rank := lo; rank < hi; rank++ {
 			keys = append(keys, t.smallMeta[rank], t.smallKeys[rank])
 		}
 		if cfg.IncrementalCache {
@@ -895,7 +895,7 @@ func keyStaged(key string) string { return stagePrefix + key }
 // still hold: commitMu is held exclusively, under the save slot — become the
 // node's spare set, replacing whatever it was.
 func (c *Checkpointer) commitStaged(keys *keyTable) error {
-	span := c.cfg.Topo.World() / c.cfg.K
+	span := len(keys.segment[0])
 	for node := 0; node < c.cfg.Topo.Nodes(); node++ {
 		// Rename staged blobs in key order (a node's key set ends in its span
 		// segments and then the manifest): zero-copy and leaves no staging
@@ -948,6 +948,6 @@ func (c *Checkpointer) CorruptChunkByte(node int) error {
 	return c.clus.Adopt(node, key, raw)
 }
 
-func remoteKey(prefix string, version, rank int) string {
-	return fmt.Sprintf("eccheck/%sv%d/rank%d", prefix, version, rank)
+func remoteKey(version, rank int) string {
+	return fmt.Sprintf("eccheck/v%d/rank%d", version, rank)
 }

@@ -37,28 +37,37 @@ var saveKinds = []struct {
 	}},
 }
 
-// TestCrashSweep enumerates the crash points of a save round instead of
-// sampling them. For each kind of round it runs the round once to count the
-// victim's sends N, then re-runs it once per i in [0, N] with the victim
-// killed at its (i+1)-th send (i = N: no kill), replaces the machine,
-// recovers, and checks the one invariant: Load returns the new version or
-// the previous one, byte-identical to what was saved under that version —
-// never a mixture — and no staged key is left anywhere. Then one more round
-// of the same kind runs on the same cluster and its bytes are checked too:
-// whatever the aborted round left in the mailboxes must not reach it.
+// TestCrashSweep enumerates the crash points of a round instead of sampling
+// them, on the flat layout (4 machines, one 2+2 code group) and, as
+// TestCrashSweep/Grouped, on a 2-group one (8 machines as 2 × (2+2)): the
+// victims sit in group 0, and recovery checks every rank of both groups.
+func TestCrashSweep(t *testing.T) {
+	crashSweep(t, 4, 2)
+	t.Run("Grouped", func(t *testing.T) { crashSweep(t, 8, 1) })
+}
+
+// crashSweep runs every row on one layout. For each kind of round it runs the
+// round once to count the victim's sends N, then re-runs it once per i in
+// [0, N] with the victim killed at its (i+1)-th send (i = N: no kill),
+// replaces the machine, recovers, and checks the one invariant: Load returns
+// the new version or the previous one, byte-identical to what was saved
+// under that version — never a mixture — and no staged key is left anywhere.
+// Then one more round of the same kind runs on the same cluster and its
+// bytes are checked too: whatever the aborted round left in the mailboxes
+// must not reach it.
 //
 // Consecutive contents differ in two windows of every worker's packet
 // (stampVersion), so the SaveIncremental rows exercise a real, sparse delta.
 // Two versions are committed before the swept round, so it assembles its
 // segments in the buffers the second commit displaced (poisoned under the
 // race detector), like every round of a long-running job.
-func TestCrashSweep(t *testing.T) {
+func crashSweep(t *testing.T, nodes, gpus int) {
 	const victim = 1
 	const v0 = 2 // the committed version when the swept round starts
 	ctx := context.Background()
 	// One set of contents for every rig (rounds only read them): 1.1 MB over
-	// 4×2 workers in 16 KiB windows, nine windows per packet.
-	topo, err := parallel.NewTopology(4, 2, 2, 4)
+	// eight workers in 16 KiB windows, nine windows per packet.
+	topo, err := parallel.NewTopology(nodes, gpus, gpus, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +80,7 @@ func TestCrashSweep(t *testing.T) {
 	}
 	stamped := [][]*statedict.StateDict{nil, stampVersion(dicts, 1), stampVersion(dicts, 2), stampVersion(dicts, 3), stampVersion(dicts, 4)}
 	setup := func(t *testing.T) (*testRig, *chaos.Network, [][]*statedict.StateDict) {
-		rig, net := newChaosRigOver(t, dicts, 4, 2, 2, 2, chaos.Plan{Seed: 1}, func(c *Config) {
+		rig, net := newChaosRigOver(t, dicts, nodes, gpus, 2, 2, chaos.Plan{Seed: 1}, func(c *Config) {
 			c.IncrementalCache = true
 			c.BufferSize = 16 << 10
 		})
@@ -85,12 +94,14 @@ func TestCrashSweep(t *testing.T) {
 	}
 	// recoverAndCheck loads and requires exactly the content saved as the
 	// recovered version, on every rank, with the staging areas empty.
+	var lastLoad *LoadReport
 	recoverAndCheck := func(t *testing.T, rig *testRig, contents [][]*statedict.StateDict, allowed ...int) int {
 		t.Helper()
 		got, rep, err := rig.ckpt.Load(ctx)
 		if err != nil {
 			t.Fatalf("load: %v", err)
 		}
+		lastLoad = rep
 		ok := false
 		for _, v := range allowed {
 			ok = ok || rep.Version == v
@@ -237,6 +248,140 @@ func TestCrashSweep(t *testing.T) {
 			}
 		})
 	}
+
+	// Membership rounds: a drained leave and the join that takes the blobs
+	// back, each cut at every send of the machine that ships them. Custody is
+	// never silently lost: a drain or a join that reports the blobs arrived is
+	// followed by a Load that rebuilds nothing, and one that does not degrades
+	// to the crash-leave path — either way Load returns the committed version
+	// byte for byte and the next save commits onto matching parity.
+	afterJoin := func(t *testing.T, rig *testRig, contents [][]*statedict.StateDict, i int, restored bool) {
+		t.Helper()
+		if restored && rig.ckpt.DegradedSlots() != 0 {
+			t.Fatalf("kill at send %d: join reported the blobs restored, yet %d slots are degraded", i+1, rig.ckpt.DegradedSlots())
+		}
+		recoverAndCheck(t, rig, contents, v0)
+		if restored && len(lastLoad.MissingChunks) != 0 {
+			t.Fatalf("kill at send %d: load after a restored join rebuilt chunks %v", i+1, lastLoad.MissingChunks)
+		}
+		if _, err := rig.ckpt.Save(ctx, contents[v0+1]); err != nil {
+			t.Fatalf("kill at send %d: next save: %v", i+1, err)
+		}
+		recoverAndCheck(t, rig, contents, v0+1)
+		verifyClean(t, rig)
+	}
+	custodyKeys := func(rig *testRig) (left []string) {
+		for node := 0; node < nodes; node++ {
+			for _, key := range rig.clus.Keys(node) {
+				if strings.HasPrefix(key, "custody/") {
+					left = append(left, key)
+				}
+			}
+		}
+		return left
+	}
+	t.Run("DrainNode", func(t *testing.T) {
+		rig, net, _ := setup(t)
+		doomed := rig.ckpt.Plan().DataNodes[0]
+		before := net.SendCount(doomed)
+		if rep, err := rig.ckpt.DrainNode(ctx, doomed); err != nil || !rep.Completed {
+			t.Fatalf("counting round: %+v, %v", rep, err)
+		}
+		sends := net.SendCount(doomed) - before
+		if sends == 0 {
+			t.Fatal("the drained node sent nothing: nothing to enumerate")
+		}
+		aborted := 0
+		for i := 0; i <= sends; i++ {
+			rig, net, contents := setup(t)
+			if err := net.ScheduleKill(doomed, i); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := rig.ckpt.DrainNode(ctx, doomed)
+			if (err == nil) != rep.Completed {
+				t.Fatalf("kill at send %d: drain error %v with Completed=%v", i+1, err, rep.Completed)
+			}
+			if err == nil { // the leave itself, once the drain is through
+				if ferr := rig.clus.Fail(doomed); ferr != nil {
+					t.Fatal(ferr)
+				}
+			} else {
+				aborted++
+				if left := custodyKeys(rig); len(left) != 0 {
+					t.Fatalf("kill at send %d: failed drain left custody blobs %v", i+1, left)
+				}
+			}
+			settle(t, rig, net, doomed, i, err)
+			if err == nil {
+				if rerr := rig.clus.Replace(doomed); rerr != nil {
+					t.Fatal(rerr)
+				}
+			}
+			join, jerr := rig.ckpt.RepairNode(ctx, doomed)
+			if jerr != nil || join.Restored != rep.Completed {
+				t.Fatalf("kill at send %d: drain completed=%v, join %+v, %v", i+1, rep.Completed, join, jerr)
+			}
+			afterJoin(t, rig, contents, i, join.Restored)
+			if left := custodyKeys(rig); len(left) != 0 {
+				t.Fatalf("kill at send %d: custody blobs outlive the join: %v", i+1, left)
+			}
+			_ = rig.ckpt.Close()
+			_ = net.Close()
+		}
+		t.Logf("%d crash points, %d aborted drains", sends+1, aborted)
+		if aborted == 0 {
+			t.Error("no kill aborted a drain: the sweep enumerated nothing")
+		}
+	})
+	t.Run("AddNode", func(t *testing.T) {
+		// The slot left through a completed drain and an empty machine took
+		// it; the custodian is killed at each send of the hand-back.
+		drained := func() (*testRig, *chaos.Network, [][]*statedict.StateDict, int, int) {
+			rig, net, contents := setup(t)
+			doomed := rig.ckpt.Plan().DataNodes[0]
+			rep, err := rig.ckpt.DrainNode(ctx, doomed)
+			if err != nil || !rep.Completed {
+				t.Fatalf("drain: %+v, %v", rep, err)
+			}
+			loseNode(t, rig, doomed)
+			return rig, net, contents, doomed, rep.Custodian
+		}
+		rig, net, _, doomed, custodian := drained()
+		before := net.SendCount(custodian)
+		if join, err := rig.ckpt.RepairNode(ctx, doomed); err != nil || !join.Restored {
+			t.Fatalf("counting round: %+v, %v", join, err)
+		}
+		sends := net.SendCount(custodian) - before
+		if sends == 0 {
+			t.Fatal("the custodian sent nothing: nothing to enumerate")
+		}
+		aborted := 0
+		for i := 0; i <= sends; i++ {
+			rig, net, contents, doomed, custodian := drained()
+			if err := net.ScheduleKill(custodian, i); err != nil {
+				t.Fatal(err)
+			}
+			join, err := rig.ckpt.RepairNode(ctx, doomed)
+			settle(t, rig, net, custodian, i, err)
+			if err != nil {
+				// The custody copy died with the custodian. The retried join
+				// must notice, not hand back an empty set as restored.
+				aborted++
+				if join, err = rig.ckpt.RepairNode(ctx, doomed); err != nil || join.Restored {
+					t.Fatalf("kill at send %d: join retried after the custodian died: %+v, %v", i+1, join, err)
+				}
+			} else if !join.Restored {
+				t.Fatalf("kill at send %d never fired, yet the join restored nothing: %+v", i+1, join)
+			}
+			afterJoin(t, rig, contents, i, join.Restored)
+			_ = rig.ckpt.Close()
+			_ = net.Close()
+		}
+		t.Logf("%d crash points, %d aborted joins", sends+1, aborted)
+		if aborted == 0 {
+			t.Error("no kill aborted a join: the sweep enumerated nothing")
+		}
+	})
 }
 
 // TestCrashSweepLandingOrder is the crash point of a repair that the send

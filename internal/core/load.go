@@ -27,7 +27,7 @@ func (c *Checkpointer) Load(ctx context.Context) ([]*statedict.StateDict, *LoadR
 	rd, err := c.restore(ctx, restoreReq{op: OpLoad, want: upTo(c.cfg.Topo.World()), repair: repairAll})
 	if reg := c.cfg.Metrics; reg != nil && err == nil {
 		reg.Counter("load_rounds_total").Inc()
-		reg.Counter("load_rebuilt_chunks_total").Add(int64(len(rd.missing)))
+		reg.Counter("load_rebuilt_chunks_total").Add(int64(len(rd.report.MissingChunks)))
 		reg.Counter("load_corrupt_blobs_total").Add(rd.corrupt.Load())
 	}
 	return rd.dicts, rd.report, err
@@ -35,7 +35,8 @@ func (c *Checkpointer) Load(ctx context.Context) ([]*statedict.StateDict, *LoadR
 
 // PrefetchReport summarizes a warm-standby parity prefetch (PrefetchChunk).
 type PrefetchReport struct {
-	// Node is the prefetching node; Chunk is the chunk it hosts.
+	// Node is the prefetching node; Chunk is the chunk of its code group it
+	// hosts.
 	Node, Chunk int
 	// Version is the checkpoint version the chunk was rebuilt at.
 	Version int
@@ -43,7 +44,7 @@ type PrefetchReport struct {
 	// chunk was already intact).
 	Segments int
 	// SmallsCopied is how many small-component blobs were copied onto the
-	// node (meta + keys per rank).
+	// node (meta + keys per rank of its code group).
 	SmallsCopied int
 	// AlreadyIntact reports the node already served the latest version
 	// with a complete chunk, so nothing was rebuilt.
@@ -76,14 +77,17 @@ func (c *Checkpointer) PrefetchChunk(ctx context.Context, node int) (*PrefetchRe
 	if err != nil {
 		return nil, err
 	}
-	world := c.cfg.Topo.World()
-	rep := &PrefetchReport{Node: node, Chunk: rd.lay.plan.ChunkOfNode[node], Version: rd.version,
+	plan := rd.lay.plan
+	cg := plan.GroupOfNode(node)
+	gp := &rd.groups[cg]
+	rep := &PrefetchReport{Node: node, Chunk: plan.ChunkOfNode[node], Version: rd.version,
 		BytesFetched: rd.report.BytesFetched, Elapsed: rd.report.Elapsed}
-	if len(rd.missing) > 0 {
-		rep.Segments = world / c.cfg.K
+	if len(gp.missing) > 0 {
+		rep.Segments = plan.Span()
 	}
-	if slices.Contains(rd.needSmall, node) {
-		rep.SmallsCopied = 2 * world
+	if slices.Contains(gp.needSmall, node) {
+		rankLo, rankHi := plan.RankRange(cg)
+		rep.SmallsCopied = 2 * (rankHi - rankLo)
 	}
 	rep.AlreadyIntact = rep.Segments+rep.SmallsCopied == 0
 	if reg := c.cfg.Metrics; reg != nil && !rep.AlreadyIntact {
@@ -98,11 +102,14 @@ func (c *Checkpointer) PrefetchChunk(ctx context.Context, node int) (*PrefetchRe
 // small components and redistributes the wanted packets over the transport.
 func (c *Checkpointer) serveDistributed(ctx context.Context, cancel context.CancelFunc, rd *restoreRound) error {
 	rd.workflow = "replacement" // every data chunk survives: rebuilding is re-encoding
-	if len(rd.missing) > 0 && rd.missing[0] < c.cfg.K {
-		rd.workflow = "decode"
-	}
-	if err := c.transforms(rd.decode); err != nil {
-		return err
+	for cg := range rd.groups {
+		gp := &rd.groups[cg]
+		if len(gp.missing) > 0 && gp.missing[0] < c.cfg.K {
+			rd.workflow = "decode"
+		}
+		if err := c.transforms(gp.decode); err != nil {
+			return err
+		}
 	}
 	rd.pc.Stop() // the coordinator only waits from here on
 	rd.tags = c.roundTags(rd.lay)
@@ -147,7 +154,13 @@ func (c *Checkpointer) serveDistributed(ctx context.Context, cancel context.Canc
 // partition (see LoadPhases).
 func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound) (map[string]time.Duration, error) {
 	topo, plan, keys, tags := c.cfg.Topo, rd.lay.plan, &rd.lay.keys, rd.tags
-	world := topo.World()
+	// The node's round runs inside its code group: the chunks it rebuilds
+	// from and for, the small components it holds, and the wanted ranks whose
+	// packets it serves or receives are the group's.
+	cg := plan.GroupOfNode(node)
+	gp := &rd.groups[cg]
+	rankLo, rankHi := plan.RankRange(cg)
+	want := rd.wantIn(rankLo, rankHi)
 	pc := newPhaseClock(PhaseFetch)
 	pc.emitTo(c.cfg.Flight, rd.req.op, node, rd.version)
 	pc.watchTo(c.wd, rd.req.op, node, rd.version)
@@ -158,7 +171,7 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 		return nil, err
 	}
 	myChunk := plan.ChunkOfNode[node]
-	rebuild := slices.Contains(rd.missing, myChunk)
+	rebuild := slices.Contains(gp.missing, myChunk)
 
 	// This node's chunk segments: an intact chunk is served from the views
 	// the scan verified (read-only); a missing one is rebuilt into fresh —
@@ -187,8 +200,8 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 			for s, tag := range tags.rebuild[myChunk] {
 				for lo := 0; lo < rd.packetBytes; lo += rd.bufSize {
 					hi := min(lo+rd.bufSize, rd.packetBytes)
-					for _, basisChunk := range rd.decode[s].basis {
-						payload, err := ep.Recv(ctx, c.chunkOwner(rd.lay, basisChunk), tag)
+					for _, basisChunk := range gp.decode[s].basis {
+						payload, err := ep.Recv(ctx, plan.ChunkOwner(cg, basisChunk), tag)
 						if err != nil {
 							rebuildErr = err
 							return
@@ -210,16 +223,16 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 			}
 		}()
 	}
-	for row, missingChunk := range rd.missing {
-		dstNode := c.chunkOwner(rd.lay, missingChunk)
+	for row, missingChunk := range gp.missing {
+		dstNode := plan.ChunkOwner(cg, missingChunk)
 		for s, tag := range tags.rebuild[missingChunk] {
-			pos := slices.Index(rd.decode[s].basis, myChunk)
+			pos := slices.Index(gp.decode[s].basis, myChunk)
 			for lo := 0; pos != -1 && lo < rd.packetBytes; lo += rd.bufSize {
 				hi := min(lo+rd.bufSize, rd.packetBytes)
 				// Pooled, not zeroed: the scalar multiply fully overwrites
 				// it, and Send copies before returning.
 				contribution := c.buf.Get(hi - lo)
-				err := c.scalarMulPooled(rd.decode[s].tm.At(row, pos), contribution, chunkSegs[s][lo:hi])
+				err := c.scalarMulPooled(gp.decode[s].tm.At(row, pos), contribution, chunkSegs[s][lo:hi])
 				if err == nil {
 					err = ep.Send(ctx, dstNode, tag, contribution)
 				}
@@ -254,16 +267,16 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 	pc.Switch(PhaseSmallSync)
 
 	// --- Phase R2: re-broadcast small components to nodes that lost them. ---
-	if node == rd.smallSources[0] {
+	if node == gp.smallSources[0] {
 		// Each rank's meta/keys blob is loop-invariant across peers, so it is
 		// fetched (and checksummed) exactly once and re-sent to every peer
 		// that needs it.
-		for rank := 0; len(rd.needSmall) > 0 && rank < world; rank++ {
-			sm, err := c.smallsOf(rd, rd.smallSources[:1], rank)
+		for rank := rankLo; len(gp.needSmall) > 0 && rank < rankHi; rank++ {
+			sm, err := c.smallsOf(rd, gp.smallSources[:1], rank)
 			if err != nil {
 				return nil, err
 			}
-			for _, peer := range rd.needSmall {
+			for _, peer := range gp.needSmall {
 				if err := ep.Send(ctx, peer, tags.resyncMeta[rank], sm[0]); err != nil {
 					return nil, err
 				}
@@ -273,9 +286,9 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 			}
 		}
 	}
-	if slices.Contains(rd.needSmall, node) {
+	if slices.Contains(gp.needSmall, node) {
 		land := func(tag, key string) error {
-			blob, err := ep.Recv(ctx, rd.smallSources[0], tag)
+			blob, err := ep.Recv(ctx, gp.smallSources[0], tag)
 			if err != nil {
 				return err
 			}
@@ -284,7 +297,7 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 			c.buf.Put(blob)
 			return err
 		}
-		for rank := 0; rank < world; rank++ {
+		for rank := rankLo; rank < rankHi; rank++ {
 			if err := land(tags.resyncMeta[rank], keys.smallMeta[rank]); err != nil {
 				return nil, err
 			}
@@ -304,18 +317,18 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 	// resumes. Data nodes serve the segments of their (possibly just rebuilt)
 	// chunk; a worker's home node reassembles it.
 	g := topo.GPUsPerNode()
-	for _, w := range rd.req.want {
+	for _, w := range want {
 		if home := w / g; plan.DataGroupOf[w] == myChunk && home != node {
 			if err := ep.Send(ctx, home, tags.packet[w], chunkSegs[plan.SegmentOf[w]]); err != nil {
 				return nil, err
 			}
 		}
 	}
-	for _, w := range rd.req.want {
+	for _, w := range want {
 		if w/g != node {
 			continue
 		}
-		srcNode := plan.DataNodes[plan.DataGroupOf[w]]
+		srcNode := plan.ChunkOwner(cg, plan.DataGroupOf[w])
 		var packet []byte
 		if srcNode == node {
 			packet = chunkSegs[plan.SegmentOf[w]]

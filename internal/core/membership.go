@@ -12,11 +12,11 @@ import (
 
 // Elastic membership: preemption-aware leave (drain) and join (repair).
 //
-// The node count of a deployment is fixed by the code (k+m machines, one
-// chunk each), so membership changes are slot-preserving: a leaving node
-// vacates its slot (Alive→Draining→Gone) and a joining machine refills it
-// as a fresh, empty node. What varies is how much checkpoint state
-// survives the transition:
+// The node count of a deployment is fixed by the code (k+m machines per code
+// group, one chunk each), so membership changes are slot-preserving: a
+// leaving node vacates its slot (Alive→Draining→Gone) and a joining machine
+// refills it as a fresh, empty node. What varies is how much checkpoint
+// state survives the transition:
 //
 //   - Drained leave: the doomed node ships its committed blobs to a live
 //     custodian before the kill lands. The joiner gets them back intact,
@@ -26,8 +26,11 @@ import (
 //     The join re-runs sweep-line placement avoiding the empty machine
 //     (demoting it to parity duty), migrates the chunks the new plan
 //     moved between intact machines, and leaves at most the dead slot's
-//     former chunk for the next Load's corruption-as-erasure rebuild —
-//     only affected groups are re-encoded.
+//     former chunk for the next Load's corruption-as-erasure rebuild.
+//
+// A slot's custodian, the machines a reseat moves chunks between and the
+// chunks it re-homes all belong to the slot's code group; other groups are
+// not touched.
 //
 // Every mutation here holds the single save slot, so membership changes
 // serialize against Save/SaveAsync/SaveIncremental drains; reseats
@@ -52,11 +55,6 @@ type custodyRecord struct {
 func keyCustody(node int, key string) string {
 	return fmt.Sprintf("custody/%d/", node) + key
 }
-
-// Custody-transfer wire tags (one FIFO stream per blob index).
-func tagCustody(node, i int) string  { return fmt.Sprintf("cu/%d/%d", node, i) }
-func tagRestore(node, i int) string  { return fmt.Sprintf("cj/%d/%d", node, i) }
-func tagMigrate(chunk, i int) string { return fmt.Sprintf("mv/%d/%d", chunk, i) }
 
 // DrainReport describes the outcome of draining a node.
 type DrainReport struct {
@@ -149,13 +147,15 @@ func (c *Checkpointer) waitLoadsIdle(ctx context.Context) error {
 	}
 }
 
-// shipBlobs moves blobs from srcNode to dstNode over the transport. Each
-// pair is (source key, destination key); blobs travel raw, so checksum
-// footers arrive intact. Missing source blobs are flagged over the wire
-// and skipped. It returns the destination keys actually stored and the
-// bytes moved — also on error, so callers can clean up a partial
-// transfer.
-func (c *Checkpointer) shipBlobs(ctx context.Context, srcNode, dstNode int, pairs [][2]string, tag func(i int) string) (stored []string, bytes int64, err error) {
+// shipBlobs moves blobs from srcNode to dstNode over the transport, as one
+// stream under tag (one of the round's custody, rejoin or migrate tags): a
+// presence flag per pair, then the blob if present. Each pair is (source key,
+// destination key); blobs travel raw, so checksum footers arrive intact.
+// Missing source blobs are flagged and skipped. It returns the destination
+// keys actually stored and the bytes moved — also on error, so callers can
+// clean up a partial transfer; a transfer that fails advances the epoch, so
+// what it left in the mailbox stays under its own tag.
+func (c *Checkpointer) shipBlobs(ctx context.Context, srcNode, dstNode int, pairs [][2]string, tag string) (stored []string, bytes int64, err error) {
 	srcEP, err := c.endpoint(srcNode)
 	if err != nil {
 		return nil, 0, err
@@ -164,32 +164,39 @@ func (c *Checkpointer) shipBlobs(ctx context.Context, srcNode, dstNode int, pair
 	if err != nil {
 		return nil, 0, err
 	}
-	sendErr := make(chan error, 1)
-	go func() {
-		for i, pair := range pairs {
+	// A failed send ends the receive loop at once, not at its next deadline.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	send := func() error {
+		for _, pair := range pairs {
 			blob, lerr := c.clus.View(srcNode, pair[0]) // Send copies
 			if lerr != nil {
 				// Absent at the source (e.g. an own-packet cache a prior
 				// recovery did not refresh): flag and move on.
-				if serr := srcEP.Send(ctx, dstNode, tag(i), []byte{0}); serr != nil {
-					sendErr <- serr
-					return
+				if serr := srcEP.Send(ctx, dstNode, tag, []byte{0}); serr != nil {
+					return serr
 				}
 				continue
 			}
-			if serr := srcEP.Send(ctx, dstNode, tag(i), []byte{1}); serr != nil {
-				sendErr <- serr
-				return
+			if serr := srcEP.Send(ctx, dstNode, tag, []byte{1}); serr != nil {
+				return serr
 			}
-			if serr := srcEP.Send(ctx, dstNode, tag(i), blob); serr != nil {
-				sendErr <- serr
-				return
+			if serr := srcEP.Send(ctx, dstNode, tag, blob); serr != nil {
+				return serr
 			}
 		}
-		sendErr <- nil
+		return nil
+	}
+	sendErr := make(chan error, 1)
+	go func() {
+		serr := send()
+		if serr != nil {
+			cancel()
+		}
+		sendErr <- serr
 	}()
-	for i, pair := range pairs {
-		flag, rerr := dstEP.Recv(ctx, srcNode, tag(i))
+	for _, pair := range pairs {
+		flag, rerr := dstEP.Recv(ctx, srcNode, tag)
 		if rerr != nil {
 			err = rerr
 			break
@@ -199,7 +206,7 @@ func (c *Checkpointer) shipBlobs(ctx context.Context, srcNode, dstNode int, pair
 		if !present {
 			continue
 		}
-		blob, rerr := dstEP.Recv(ctx, srcNode, tag(i))
+		blob, rerr := dstEP.Recv(ctx, srcNode, tag)
 		if rerr != nil {
 			err = rerr
 			break
@@ -213,17 +220,21 @@ func (c *Checkpointer) shipBlobs(ctx context.Context, srcNode, dstNode int, pair
 		bytes += int64(len(blob))
 		c.buf.Put(blob)
 	}
-	if werr := <-sendErr; err == nil && werr != nil {
+	if werr := <-sendErr; werr != nil {
 		err = werr
+	}
+	if err != nil {
+		c.epoch.Add(1)
 	}
 	return stored, bytes, err
 }
 
-// pickCustodian returns the first alive node after doomed in ring order.
-func (c *Checkpointer) pickCustodian(doomed int) (int, error) {
-	n := c.cfg.Topo.Nodes()
-	for off := 1; off < n; off++ {
-		cand := (doomed + off) % n
+// pickCustodian returns the first alive node after doomed in ring order
+// within doomed's code group.
+func (c *Checkpointer) pickCustodian(lay *layout, doomed int) (int, error) {
+	lo, hi := lay.plan.NodeRange(lay.plan.GroupOfNode(doomed))
+	for off := 1; off < hi-lo; off++ {
+		cand := lo + (doomed-lo+off)%(hi-lo)
 		if c.clus.Alive(cand) {
 			return cand, nil
 		}
@@ -295,7 +306,8 @@ func (c *Checkpointer) drainLocked(ctx context.Context, node int, started time.T
 		c.cfg.Flight.Membership("drain", node, -1, 0)
 		return rep, nil
 	}
-	custodian, err := c.pickCustodian(node)
+	lay := c.layout()
+	custodian, err := c.pickCustodian(lay, node)
 	if err != nil {
 		return degrade(err)
 	}
@@ -308,7 +320,6 @@ func (c *Checkpointer) drainLocked(ctx context.Context, node int, started time.T
 	// same packet each save). Skipping them halves the custody payload of
 	// a data slot; the restore rebuilds each with a local copy from the
 	// shipped segment, never touching the wire.
-	lay := c.layout()
 	derived := map[string]string{}
 	if chunk := lay.plan.ChunkOfNode[node]; c.cfg.IncrementalCache && chunk < c.cfg.K {
 		g := c.cfg.Topo.GPUsPerNode()
@@ -326,7 +337,7 @@ func (c *Checkpointer) drainLocked(ctx context.Context, node int, started time.T
 		}
 		pairs = append(pairs, [2]string{key, keyCustody(node, key)})
 	}
-	stored, bytes, err := c.shipBlobs(ctx, node, custodian, pairs, func(i int) string { return tagCustody(node, i) })
+	stored, bytes, err := c.shipBlobs(ctx, node, custodian, pairs, c.roundTags(lay).custody[node])
 	rep.Blobs = len(stored)
 	rep.BytesMoved = bytes
 	if err != nil {
@@ -412,52 +423,15 @@ func (c *Checkpointer) repairLocked(ctx context.Context, node int) (*JoinReport,
 	c.memMu.Unlock()
 	if record != nil && !c.clus.Alive(record.custodian) {
 		// The custodian died too; its copy is gone with its memory.
-		c.memMu.Lock()
-		delete(c.custody, node)
-		c.memMu.Unlock()
+		c.forgetCustody(node)
 		record = nil
 	}
 	if record != nil {
-		pairs := make([][2]string, len(record.keys))
-		for i, key := range record.keys {
-			pairs[i] = [2]string{keyCustody(node, key), key}
+		restored, err := c.restoreCustody(ctx, node, record, rep)
+		if restored || err != nil {
+			rep.Elapsed = time.Since(started)
+			return rep, err
 		}
-		stored, bytes, err := c.shipBlobs(ctx, record.custodian, node, pairs, func(i int) string { return tagRestore(node, i) })
-		rep.Blobs = len(stored)
-		rep.BytesMoved = bytes
-		if err != nil {
-			// The record stays: a retry after a transient failure can still
-			// restore (shipBlobs overwrites cleanly).
-			return rep, fmt.Errorf("core: restore node %d from custodian %d: %w", node, record.custodian, err)
-		}
-		// Rebuild the own-packet caches the drain deduplicated: each is a
-		// byte-identical twin of one of the just-restored chunk segments,
-		// so a local copy on the joiner recreates it for free. A segment
-		// the drain flagged absent leaves its twin absent too — the next
-		// SaveIncremental then ships every window, exactly as it would have
-		// without the dedup.
-		for ownKey, segKey := range record.derived {
-			if blob, lerr := c.clus.View(node, segKey); lerr == nil {
-				if serr := c.clus.Store(node, ownKey, blob); serr != nil {
-					return rep, fmt.Errorf("core: rebuild own-packet cache %q on node %d: %w", ownKey, node, serr)
-				}
-			}
-		}
-		for _, key := range record.keys {
-			_ = c.clus.Delete(record.custodian, keyCustody(node, key))
-		}
-		c.memMu.Lock()
-		delete(c.custody, node)
-		c.memMu.Unlock()
-		rep.Restored = true
-		rep.Custodian = record.custodian
-		rep.Elapsed = time.Since(started)
-		c.cfg.Flight.Membership("restore", node, record.custodian, bytes)
-		if reg := c.cfg.Metrics; reg != nil {
-			reg.Counter("membership_restores_total").Inc()
-			reg.Counter("membership_restore_bytes_total").Add(bytes)
-		}
-		return rep, nil
 	}
 
 	if c.Version() == 0 {
@@ -481,6 +455,63 @@ func (c *Checkpointer) repairLocked(ctx context.Context, node int) (*JoinReport,
 	return rep, nil
 }
 
+// forgetCustody drops the custody record of a slot.
+func (c *Checkpointer) forgetCustody(node int) {
+	c.memMu.Lock()
+	delete(c.custody, node)
+	c.memMu.Unlock()
+}
+
+// restoreCustody hands a drained slot's blobs back from its custodian. It
+// reports false when the custodian no longer holds them — it was itself
+// replaced since the drain — and the slot is a crash leave after all.
+func (c *Checkpointer) restoreCustody(ctx context.Context, node int, record *custodyRecord, rep *JoinReport) (bool, error) {
+	pairs := make([][2]string, len(record.keys))
+	for i, key := range record.keys {
+		pairs[i] = [2]string{keyCustody(node, key), key}
+	}
+	stored, bytes, err := c.shipBlobs(ctx, record.custodian, node, pairs, c.roundTags(c.layout()).rejoin[node])
+	if err != nil {
+		// The record stays: a retry after a transient failure can still
+		// restore (shipBlobs overwrites cleanly).
+		rep.Blobs, rep.BytesMoved = len(stored), bytes
+		return false, fmt.Errorf("core: restore node %d from custodian %d: %w", node, record.custodian, err)
+	}
+	if len(stored) < len(record.keys) {
+		c.forgetCustody(node)
+		for _, key := range stored {
+			_ = c.clus.Delete(node, key)
+		}
+		return false, nil
+	}
+	// Rebuild the own-packet caches the drain deduplicated: each is a
+	// byte-identical twin of one of the just-restored chunk segments,
+	// so a local copy on the joiner recreates it for free. A segment
+	// the drain flagged absent leaves its twin absent too — the next
+	// SaveIncremental then ships every window, exactly as it would have
+	// without the dedup.
+	for ownKey, segKey := range record.derived {
+		if blob, lerr := c.clus.View(node, segKey); lerr == nil {
+			if serr := c.clus.Store(node, ownKey, blob); serr != nil {
+				return false, fmt.Errorf("core: rebuild own-packet cache %q on node %d: %w", ownKey, node, serr)
+			}
+		}
+	}
+	for _, key := range record.keys {
+		_ = c.clus.Delete(record.custodian, keyCustody(node, key))
+	}
+	c.forgetCustody(node)
+	rep.Blobs, rep.BytesMoved = len(stored), bytes
+	rep.Restored = true
+	rep.Custodian = record.custodian
+	c.cfg.Flight.Membership("restore", node, record.custodian, bytes)
+	if reg := c.cfg.Metrics; reg != nil {
+		reg.Counter("membership_restores_total").Inc()
+		reg.Counter("membership_restore_bytes_total").Add(bytes)
+	}
+	return true, nil
+}
+
 // reseatLocked recompiles placement around a crash-joined data slot and
 // migrates the moved chunks between intact machines. The joiner is barred
 // from data duty (it has nothing to contribute), so every surviving data
@@ -489,7 +520,7 @@ func (c *Checkpointer) repairLocked(ctx context.Context, node int) (*JoinReport,
 // decode. Demoting churning slots to parity also means a repeat failure
 // of the same slot costs only a parity re-encode, not a decode.
 func (c *Checkpointer) reseatLocked(ctx context.Context, node int, lay *layout, rep *JoinReport) error {
-	newPlan, err := placement.NewAvoiding(c.cfg.Topo, c.cfg.K, c.cfg.M, []int{node})
+	newPlan, err := lay.plan.Reseat(node)
 	if err != nil {
 		return fmt.Errorf("core: reseat around node %d: %w", node, err)
 	}
@@ -497,7 +528,8 @@ func (c *Checkpointer) reseatLocked(ctx context.Context, node int, lay *layout, 
 	if err != nil {
 		return fmt.Errorf("core: reseat around node %d: %w", node, err)
 	}
-	span := c.cfg.Topo.World() / c.cfg.K
+	span := lay.plan.Span()
+	tags := c.roundTags(lay)
 	var bytes int64
 	blobs := 0
 	for _, mv := range moves {
@@ -519,8 +551,7 @@ func (c *Checkpointer) reseatLocked(ctx context.Context, node int, lay *layout, 
 		if !c.clus.Has(mv.To, keyManifest()) {
 			pairs = append(pairs, [2]string{keyManifest(), keyManifest()})
 		}
-		chunk := mv.Chunk
-		stored, moved, err := c.shipBlobs(ctx, mv.From, mv.To, pairs, func(i int) string { return tagMigrate(chunk, i) })
+		stored, moved, err := c.shipBlobs(ctx, mv.From, mv.To, pairs, tags.migrate[mv.Chunk])
 		blobs += len(stored)
 		bytes += moved
 		if err != nil {
@@ -558,34 +589,37 @@ func (c *Checkpointer) reseatLocked(ctx context.Context, node int, lay *layout, 
 	return nil
 }
 
-// DegradedSlots counts machine slots currently unable to serve their
-// chunk: dead slots, plus alive slots missing committed chunk blobs (a
-// crash-joined machine before its rebuild). Before the first committed
-// save only dead slots count. The root FaultTolerance subtracts this from
-// m: a completed drain+restore keeps it at zero, a crash leave holds it
-// above zero until the next Load rebuilds.
+// DegradedSlots counts the machine slots of the worst-hit code group that are
+// currently unable to serve their chunk: dead slots, plus alive slots missing
+// committed chunk blobs (a crash-joined machine before its rebuild). Before
+// the first committed save only dead slots count. Each group tolerates m
+// lost slots, so the root FaultTolerance subtracts this from m: a completed
+// drain+restore keeps it at zero, a crash leave holds it above zero until
+// the next Load rebuilds.
 func (c *Checkpointer) DegradedSlots() int {
 	lay := c.layout()
-	n := c.cfg.Topo.Nodes()
-	span := c.cfg.Topo.World() / c.cfg.K
 	version := c.version.Load()
-	degraded := 0
-	for node := 0; node < n; node++ {
-		if !c.clus.Alive(node) {
-			degraded++
-			continue
+	worst := 0
+	for cg := 0; cg < lay.plan.Groups(); cg++ {
+		degraded := 0
+		lo, hi := lay.plan.NodeRange(cg)
+		for node := lo; node < hi; node++ {
+			if !c.clus.Alive(node) {
+				degraded++
+				continue
+			}
+			if version == 0 {
+				continue
+			}
+			ok := c.clus.Has(node, keyManifest())
+			for _, key := range lay.keys.segment[lay.plan.ChunkOfNode[node]] {
+				ok = ok && c.clus.Has(node, key)
+			}
+			if !ok {
+				degraded++
+			}
 		}
-		if version == 0 {
-			continue
-		}
-		ok := c.clus.Has(node, keyManifest())
-		chunk := lay.plan.ChunkOfNode[node]
-		for s := 0; ok && s < span; s++ {
-			ok = c.clus.Has(node, lay.keys.segment[chunk][s])
-		}
-		if !ok {
-			degraded++
-		}
+		worst = max(worst, degraded)
 	}
-	return degraded
+	return worst
 }

@@ -402,6 +402,13 @@ func (s *storeHook) Adopt(node int, key string, blob []byte) error {
 	return s.HostStore.Adopt(node, key, blob)
 }
 
+func (s *storeHook) Store(node int, key string, blob []byte) error {
+	if err := s.call("store", node, key); err != nil {
+		return err
+	}
+	return s.HostStore.Store(node, key, blob)
+}
+
 // TestConcurrentLoadAndDeltaSaveNeverMixVersions is the same race with delta
 // rounds: they stage and commit like every other round, so a recovery that
 // overlaps one reads the version before it or the version after it.

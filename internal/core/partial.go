@@ -71,7 +71,7 @@ func (c *Checkpointer) serveDirect(rd *restoreRound) error {
 	packets := make([][]byte, len(want))
 	_ = c.forEachBounded(len(want), func(i int) error {
 		chunk := plan.DataGroupOf[want[i]]
-		if owner := c.chunkOwner(lay, chunk); rd.scan[owner].holds(rd.version) {
+		if owner := plan.ChunkOwner(plan.GroupOfRank(want[i]), chunk); rd.scan[owner].holds(rd.version) {
 			packets[i], _ = c.read(rd, owner, keys.segment[chunk][plan.SegmentOf[want[i]]])
 		}
 		return nil
@@ -83,16 +83,16 @@ func (c *Checkpointer) serveDirect(rd *restoreRound) error {
 		return err
 	}
 	rd.workflow = "partial"
-	if len(rd.missing) > 0 {
+	if slices.Contains(decoded, true) {
 		rd.workflow = "partial-decode"
 	}
 
 	// Small components: any node whose manifest parses at the target version
-	// holds the full broadcast set.
+	// holds its code group's broadcast set.
 	pc.Switch(PhaseSmallSync)
 	smalls := make([][2][]byte, len(want))
 	if err := c.forEachBounded(len(want), func(i int) (err error) {
-		smalls[i], err = c.smallsOf(rd, rd.smallSources, want[i])
+		smalls[i], err = c.smallsOf(rd, rd.groups[plan.GroupOfRank(want[i])].smallSources, want[i])
 		return err
 	}); err != nil {
 		return err
@@ -110,8 +110,9 @@ func (c *Checkpointer) serveDirect(rd *restoreRound) error {
 
 // decodeLost fills every nil packet by decoding it through the erasure code
 // and reports which ones it filled (those live in pooled buffers). A packet
-// is one segment of its chunk, so the lost packets are grouped by segment
-// index (see segPlan) and each index gets its own basis: the first k chunks
+// is one segment of its chunk, so the lost packets are grouped by code group
+// and segment index (see segPlan) and each index gets its own basis: the
+// first k chunks of the group
 // believed intact whose segment at that index reads cleanly, excluding only
 // the chunks whose packet at that index is being decoded. A candidate that
 // fails anyway (lost since the scan) is skipped in favor of the next, and
@@ -121,52 +122,63 @@ func (c *Checkpointer) serveDirect(rd *restoreRound) error {
 // a single region yields garbage for any non-unit coefficient.
 func (c *Checkpointer) decodeLost(rd *restoreRound, packets [][]byte) ([]bool, error) {
 	lay, want, plan := rd.lay, rd.req.want, rd.lay.plan
+	span := plan.Span()
 	decoded := make([]bool, len(want))
 	for i, rank := range want {
 		if packets[i] != nil {
 			continue
 		}
 		decoded[i] = true
-		chunk, p := plan.DataGroupOf[rank], &rd.decode[plan.SegmentOf[rank]]
-		p.missing, rd.missing = append(p.missing, chunk), append(rd.missing, chunk)
+		gp := &rd.groups[plan.GroupOfRank(rank)]
+		chunk, p := plan.DataGroupOf[rank], &gp.decode[plan.SegmentOf[rank]]
+		p.missing, gp.missing = append(p.missing, chunk), append(gp.missing, chunk)
 		slices.Sort(p.missing)
 	}
-	slices.Sort(rd.missing)
-	rd.missing = slices.Compact(rd.missing)
-	srcs := make([][][]byte, len(rd.decode)) // by segment index, then basis position
-	if err := c.forEachBounded(len(rd.decode), func(s int) error {
-		p := &rd.decode[s]
-		if len(p.missing) == 0 {
+	for cg := range rd.groups {
+		gp := &rd.groups[cg]
+		slices.Sort(gp.missing)
+		gp.missing = slices.Compact(gp.missing)
+	}
+	// By code group then segment index, then basis position. An unplanned
+	// group has no decode plans and is skipped.
+	srcs := make([][][]byte, len(rd.groups)*span)
+	if err := c.forEachBounded(len(srcs), func(i int) error {
+		cg, s := i/span, i%span
+		gp := &rd.groups[cg]
+		if gp.decode == nil || len(gp.decode[s].missing) == 0 {
 			return nil
 		}
-		for _, cand := range rd.intact {
+		p := &gp.decode[s]
+		for _, cand := range gp.intact {
 			if len(p.basis) == c.cfg.K {
 				break
 			}
 			if slices.Contains(p.missing, cand) {
 				continue
 			}
-			seg, err := c.read(rd, c.chunkOwner(lay, cand), lay.keys.segment[cand][s])
+			seg, err := c.read(rd, plan.ChunkOwner(cg, cand), lay.keys.segment[cand][s])
 			if err == nil && len(seg) == rd.packetBytes {
-				p.basis, srcs[s] = append(p.basis, cand), append(srcs[s], seg)
+				p.basis, srcs[i] = append(p.basis, cand), append(srcs[i], seg)
 			}
 		}
 		if len(p.basis) < c.cfg.K {
-			return fmt.Errorf("core: only %d of %d basis chunks reachable to decode segment %d of chunks %v", len(p.basis), c.cfg.K, s, p.missing)
+			return fmt.Errorf("core: group %d: only %d of %d basis chunks reachable to decode segment %d of chunks %v", cg, len(p.basis), c.cfg.K, s, p.missing)
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	if err := c.transforms(rd.decode); err != nil {
-		return nil, err
+	for cg := range rd.groups {
+		if err := c.transforms(rd.groups[cg].decode); err != nil {
+			return nil, err
+		}
 	}
 	return decoded, c.forEachBounded(len(want), func(i int) error {
 		if !decoded[i] {
 			return nil
 		}
-		s := plan.SegmentOf[want[i]]
-		p := &rd.decode[s]
+		cg, s := plan.GroupOfRank(want[i]), plan.SegmentOf[want[i]]
+		p := &rd.groups[cg].decode[s]
 		row := slices.Index(p.missing, plan.DataGroupOf[want[i]])
 		out, term := c.buf.Get(rd.packetBytes), c.buf.Get(min(rd.bufSize, rd.packetBytes))
 		defer c.buf.Put(term)
@@ -175,7 +187,7 @@ func (c *Checkpointer) decodeLost(rd *restoreRound, packets [][]byte) ([]bool, e
 		for lo := 0; lo < rd.packetBytes; lo += rd.bufSize {
 			hi := min(lo+rd.bufSize, rd.packetBytes)
 			for pos := range p.basis {
-				err := c.scalarMulPooled(p.tm.At(row, pos), term[:hi-lo], srcs[s][pos][lo:hi])
+				err := c.scalarMulPooled(p.tm.At(row, pos), term[:hi-lo], srcs[cg*span+s][pos][lo:hi])
 				if err == nil {
 					err = gf.XORSlice(out[lo:hi], term[:hi-lo])
 				}
@@ -226,7 +238,7 @@ func (c *Checkpointer) serveRemote(ctx context.Context, cancel context.CancelFun
 	ctx = c.opCtx(ctx)
 	return c.forEachBounded(len(rd.req.want), func(i int) error {
 		rank := rd.req.want[i]
-		blob, _, err := c.remote.Get(ctx, 0, remoteKey(c.cfg.RemotePrefix, rd.version, rank))
+		blob, _, err := c.remote.Get(ctx, 0, remoteKey(rd.version, rank))
 		if err == nil {
 			rd.fetched.Add(int64(len(blob)))
 			rd.dicts[rank], err = serialize.Unmarshal(blob)
@@ -240,13 +252,12 @@ func (c *Checkpointer) serveRemote(ctx context.Context, cancel context.CancelFun
 }
 
 // latestRemoteVersion discovers the newest fully-addressable checkpoint
-// version in the remote store by listing its catalog under this
-// checkpointer's key prefix. It must not consult the in-memory version
-// counter: after a catastrophic failure the restoring process is brand
-// new and its counter is zero, yet the remote tier still holds the
-// checkpoint.
+// version in the remote store by listing its catalog. It must not consult
+// the in-memory version counter: after a catastrophic failure the restoring
+// process is brand new and its counter is zero, yet the remote tier still
+// holds the checkpoint.
 func (c *Checkpointer) latestRemoteVersion() (int, error) {
-	prefix := fmt.Sprintf("eccheck/%sv", c.cfg.RemotePrefix)
+	const prefix = "eccheck/v"
 	latest := 0
 	for _, key := range c.remote.Keys(prefix) {
 		var v, rank int

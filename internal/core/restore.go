@@ -68,15 +68,9 @@ type restoreRound struct {
 	// size and the buffer size it was encoded with — decode must slice
 	// packets identically because the coding region is the buffer slice.
 	version, packetBytes, bufSize int
-	// intact are the chunks whose owner serves version, ascending; missing
-	// the chunks the round rebuilds (of repaired nodes) or decodes around
-	// (direct rounds), ascending; decode says, per segment index, what is
-	// computed from which chunks.
-	intact, missing []int
-	decode          []segPlan
-	// needSmall are the repaired nodes that lost their small components,
-	// smallSources the nodes that serve them at version; both ascending.
-	needSmall, smallSources []int
+	// groups is the plan, code group by code group; a group the request does
+	// not touch (no wanted rank, no repaired node) is left unplanned.
+	groups []groupPlan
 	// part marks the nodes that run the distributed protocol.
 	part []bool
 
@@ -84,6 +78,33 @@ type restoreRound struct {
 	dicts      []*statedict.StateDict // by rank; nil where not wanted
 	nodePhases []map[string]time.Duration
 	report     *LoadReport
+}
+
+// groupPlan is one code group's share of a restore plan. Groups share no
+// chunk, so each is planned, rebuilt and decoded on its own; chunk indices are
+// the group's.
+type groupPlan struct {
+	// intact are the chunks whose owner serves the round's version,
+	// ascending; missing the chunks the round rebuilds (of repaired nodes) or
+	// decodes around (direct rounds), ascending; decode says, per segment
+	// index, what is computed from which chunks.
+	intact, missing []int
+	decode          []segPlan
+	// needSmall are the repaired nodes that lost their small components,
+	// smallSources the nodes that serve them at version; both ascending.
+	needSmall, smallSources []int
+}
+
+// missingChunks lists every chunk the round rebuilt or decoded around, as
+// cluster-wide chunk ids (group·(k+m) + the group's chunk index).
+func (rd *restoreRound) missingChunks(size int) []int {
+	var out []int
+	for cg := range rd.groups {
+		for _, chunk := range rd.groups[cg].missing {
+			out = append(out, cg*size+chunk)
+		}
+	}
+	return out
 }
 
 // segPlan is the decode plan of one segment index. A code word is the
@@ -202,23 +223,24 @@ func (c *Checkpointer) restore(ctx context.Context, req restoreReq) (rd *restore
 	for ph, d := range coord {
 		phases[ph] += d
 	}
+	size := c.cfg.K + c.cfg.M
 	rd.report = &LoadReport{
 		Version:       rd.version,
 		Workflow:      rd.workflow,
-		MissingChunks: rd.missing,
+		MissingChunks: rd.missingChunks(size),
 		CorruptBlobs:  int(rd.corrupt.Load()),
 		Elapsed:       elapsed,
 		Phases:        phases,
 		BytesFetched:  rd.fetched.Load(),
 	}
-	for _, chunk := range rd.missing {
-		if rd.scan[c.chunkOwner(rd.lay, chunk)].corrupt {
-			rd.report.CorruptedChunks = append(rd.report.CorruptedChunks, chunk)
+	for _, id := range rd.report.MissingChunks {
+		if rd.scan[rd.lay.plan.ChunkOwner(id/size, id%size)].corrupt {
+			rd.report.CorruptedChunks = append(rd.report.CorruptedChunks, id)
 		}
 	}
 	c.observeRestore(req.op, elapsed)
 	c.cfg.Flight.RoundEnd(req.op, rd.version, nil)
-	if len(rd.missing) > 0 {
+	if len(rd.report.MissingChunks) > 0 {
 		// The round succeeded around something lost or corrupt: attach the
 		// event tail so the degradation is diagnosable from the report alone.
 		rd.report.Postmortem = c.cfg.Flight.TailSince(pmStart, flight.DefaultPostmortemEvents)
@@ -304,7 +326,6 @@ func (st *nodeScan) holds(version int) bool {
 // a manifest that does not parse. The scan reads through borrowed views: no
 // blob is copied, and what it allocates is O(keys), not O(bytes).
 func (c *Checkpointer) scanNodes(rd *restoreRound, nodes []int, deep bool) {
-	world := c.cfg.Topo.World()
 	keys := &rd.lay.keys
 	var wg sync.WaitGroup
 	for _, node := range nodes {
@@ -359,7 +380,8 @@ func (c *Checkpointer) scanNodes(rd *restoreRound, nodes []int, deep bool) {
 				}
 				st.segs[s] = seg
 			}
-			for rank := 0; rank < world && st.smallsOK; rank++ {
+			rankLo, rankHi := rd.lay.plan.RankRange(rd.lay.plan.GroupOfNode(node))
+			for rank := rankLo; rank < rankHi && st.smallsOK; rank++ {
 				_, okMeta := read(keys.smallMeta[rank], false)
 				_, okKeys := read(keys.smallKeys[rank], false)
 				st.smallsOK = okMeta && okKeys
@@ -370,13 +392,13 @@ func (c *Checkpointer) scanNodes(rd *restoreRound, nodes []int, deep bool) {
 }
 
 // plan derives the round's plan from what the scan knows so far: the latest
-// version any node serves, the chunks intact at it, what the request's
-// repairs have to rebuild and from which basis, who lacks small components
-// and who serves them, and which nodes take part. It is cheap and runs again
-// whenever a deeper scan changes the picture.
+// version any node serves and, for every code group the request touches, the
+// chunks intact at it, what the request's repairs have to rebuild and from
+// which basis, who lacks small components and who serves them, and which
+// nodes take part. It is cheap and runs again whenever a deeper scan changes
+// the picture. A group that cannot be planned fails the round.
 func (c *Checkpointer) plan(rd *restoreRound) error {
-	topo, plan := c.cfg.Topo, rd.lay.plan
-	n := topo.Nodes()
+	plan := rd.lay.plan
 	rd.version = 0
 	for i := range rd.scan {
 		if st := &rd.scan[i]; st.manifestOK && st.chunkOK && st.version > rd.version {
@@ -386,55 +408,80 @@ func (c *Checkpointer) plan(rd *restoreRound) error {
 	if rd.version == 0 {
 		return fmt.Errorf("core: no intact in-memory checkpoint found; recover from remote storage")
 	}
-	rd.intact, rd.missing, rd.needSmall, rd.smallSources = nil, nil, nil, nil
-	rd.part = make([]bool, n)
-	for chunk := 0; chunk < n; chunk++ {
-		switch node := c.chunkOwner(rd.lay, chunk); {
+	rd.groups = make([]groupPlan, plan.Groups())
+	rd.part = make([]bool, c.cfg.Topo.Nodes())
+	for cg := range rd.groups {
+		nodeLo, nodeHi := plan.NodeRange(cg)
+		want := rd.wantIn(plan.RankRange(cg))
+		repairs := rd.req.repair == repairAll || (rd.req.repair >= nodeLo && rd.req.repair < nodeHi)
+		if len(want) == 0 && !repairs {
+			continue
+		}
+		if err := c.planGroup(rd, cg); err != nil {
+			return fmt.Errorf("core: group %d: %w", cg, err)
+		}
+		// A wanted rank's packet travels from its data chunk's owner to its home.
+		for _, w := range want {
+			rd.part[plan.ChunkOwner(cg, plan.DataGroupOf[w])], rd.part[w/c.cfg.Topo.GPUsPerNode()] = true, true
+		}
+	}
+	return nil
+}
+
+// wantIn returns the wanted ranks in [lo, hi): want is ascending.
+func (rd *restoreRound) wantIn(lo, hi int) []int {
+	i, _ := slices.BinarySearch(rd.req.want, lo)
+	j, _ := slices.BinarySearch(rd.req.want, hi)
+	return rd.req.want[i:j]
+}
+
+// planGroup plans one code group at the round's version.
+func (c *Checkpointer) planGroup(rd *restoreRound, cg int) error {
+	plan, gp := rd.lay.plan, &rd.groups[cg]
+	size := c.cfg.K + c.cfg.M
+	for chunk := 0; chunk < size; chunk++ {
+		switch node := plan.ChunkOwner(cg, chunk); {
 		case rd.scan[node].holds(rd.version):
-			rd.intact = append(rd.intact, chunk)
+			gp.intact = append(gp.intact, chunk)
 		case rd.repairs(node):
-			rd.missing = append(rd.missing, chunk)
+			gp.missing = append(gp.missing, chunk)
 			rd.part[node] = true
 		}
 	}
-	for node := range rd.scan {
+	nodeLo, nodeHi := plan.NodeRange(cg)
+	for node := nodeLo; node < nodeHi; node++ {
 		if st := &rd.scan[node]; st.manifestOK && st.version == rd.version && st.smallsOK {
-			rd.smallSources = append(rd.smallSources, node)
+			gp.smallSources = append(gp.smallSources, node)
 		} else if rd.repairs(node) {
-			rd.needSmall, rd.part[node] = append(rd.needSmall, node), true
+			gp.needSmall, rd.part[node] = append(gp.needSmall, node), true
 		}
 	}
-	if len(rd.smallSources) == 0 {
-		return fmt.Errorf("core: no node holds intact small components; recover from remote storage")
+	if len(gp.smallSources) == 0 {
+		return fmt.Errorf("no node holds intact small components; recover from remote storage")
 	}
 	// Each segment index is rebuilt from the first k chunks that serve it: a
 	// chunk that is not itself rebuilt serves every segment the deep scan did
 	// not fault. With every data chunk intact these are the data chunks: the
 	// transform rows are then plain generator rows and the rebuild is
 	// literally a re-encode (the replacement workflow).
-	rd.decode = make([]segPlan, len(rd.lay.keys.segment[0]))
-	for s := 0; s < len(rd.decode) && len(rd.missing) > 0; s++ {
-		p := &rd.decode[s]
-		p.missing = rd.missing
-		for chunk := 0; chunk < n && len(p.basis) < c.cfg.K; chunk++ {
-			owner := c.chunkOwner(rd.lay, chunk)
+	gp.decode = make([]segPlan, plan.Span())
+	for s := 0; s < len(gp.decode) && len(gp.missing) > 0; s++ {
+		p := &gp.decode[s]
+		p.missing = gp.missing
+		for chunk := 0; chunk < size && len(p.basis) < c.cfg.K; chunk++ {
+			owner := plan.ChunkOwner(cg, chunk)
 			if st := &rd.scan[owner]; st.manifestOK && st.version == rd.version &&
-				!slices.Contains(rd.missing, chunk) && (!st.deep || st.segs[s] != nil) {
+				!slices.Contains(gp.missing, chunk) && (!st.deep || st.segs[s] != nil) {
 				p.basis, rd.part[owner] = append(p.basis, chunk), true
 			}
 		}
 		if len(p.basis) < c.cfg.K {
-			return fmt.Errorf("core: only %d of %d chunks survive (need k=%d); recover from remote storage",
-				len(p.basis), n, c.cfg.K)
+			return fmt.Errorf("only %d of %d chunks survive (need k=%d); recover from remote storage",
+				len(p.basis), size, c.cfg.K)
 		}
 	}
-	if len(rd.needSmall) > 0 {
-		rd.part[rd.smallSources[0]] = true // it re-broadcasts them
-	}
-	// A wanted rank's packet travels from its data chunk's owner to its home.
-	g := topo.GPUsPerNode()
-	for _, w := range rd.req.want {
-		rd.part[plan.DataNodes[plan.DataGroupOf[w]]], rd.part[w/g] = true, true
+	if len(gp.needSmall) > 0 {
+		rd.part[gp.smallSources[0]] = true // it re-broadcasts them
 	}
 	return nil
 }
@@ -446,14 +493,6 @@ func upTo(n int) []int {
 		all[i] = i
 	}
 	return all
-}
-
-// chunkOwner returns the node that hosts a chunk under the given layout.
-func (c *Checkpointer) chunkOwner(lay *layout, chunk int) int {
-	if chunk < c.cfg.K {
-		return lay.plan.DataNodes[chunk]
-	}
-	return lay.plan.ParityNodes[chunk-c.cfg.K]
 }
 
 // read borrows a checksummed blob for the round, crediting its size to

@@ -231,7 +231,7 @@ func TestLoadPartialDegradesToDecodeUnderChaos(t *testing.T) {
 	// segment from the k surviving chunks instead of failing.
 	lay := rig.ckpt.layout()
 	chunk := lay.plan.DataGroupOf[0]
-	owner := rig.ckpt.chunkOwner(lay, chunk)
+	owner := lay.plan.ChunkOwner(0, chunk)
 	chaos.arm(owner)
 
 	got, rep, err := rig.ckpt.LoadPartial(ctx, []int{0})

@@ -35,8 +35,7 @@ func TestRemoteRetentionGC(t *testing.T) {
 		K:                  2,
 		M:                  2,
 		BufferSize:         64 << 10,
-		RemotePersistEvery: 1, // persist every save
-		RemoteRetain:       2, // keep the two newest persisted versions
+		RemotePersistEvery: 1, // persist every save; the two newest persisted versions stay
 	}, net, clus, remote)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +59,7 @@ func TestRemoteRetentionGC(t *testing.T) {
 	// Versions 4 and 5 survive; 1-3 are collected.
 	for v := 1; v <= 5; v++ {
 		has := remote.Has(fmt.Sprintf("eccheck/v%d/rank0", v))
-		want := v >= 4
+		want := v > 5-remoteRetain
 		if has != want {
 			t.Errorf("version %d present = %v, want %v", v, has, want)
 		}
@@ -74,53 +73,6 @@ func TestRemoteRetentionGC(t *testing.T) {
 	for rank := range dicts {
 		if !dicts[rank].Equal(got[rank]) {
 			t.Errorf("rank %d differs from remote restore", rank)
-		}
-	}
-}
-
-func TestRemoteRetentionDisabledKeepsAll(t *testing.T) {
-	topo, err := parallel.NewTopology(4, 1, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := transport.NewMemory(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = net.Close() }()
-	clus, err := cluster.New(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, err := remotestore.New(1e12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt, err := New(Config{
-		Topo: topo, K: 2, M: 2, BufferSize: 64 << 10,
-		RemotePersistEvery: 1,
-	}, net, clus, remote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ckpt.Close()
-
-	opt := model.NewBuildOptions()
-	opt.Scale = 64
-	opt.Seed = 5
-	dicts, err := model.BuildClusterStateDicts(model.GPT2_345M(), topo, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		if _, err := ckpt.Save(ctx, dicts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for v := 1; v <= 3; v++ {
-		if !remote.Has(fmt.Sprintf("eccheck/v%d/rank0", v)) {
-			t.Errorf("version %d missing with retention disabled", v)
 		}
 	}
 }

@@ -17,7 +17,9 @@ import (
 
 // tagTable holds the message tags of the save and restore protocols, rendered
 // once per (layout, epoch). Buffers within one tag stream are sequential, so
-// per-stream FIFO delivery keeps them ordered. Every tag carries the epoch,
+// per-stream FIFO delivery keeps them ordered. Code groups share no machine,
+// and a mailbox is a (sender, receiver, tag) triple, so the tags name ranks,
+// reductions and chunks without naming the group. Every tag carries the epoch,
 // which advances whenever a round that moves bytes between nodes aborts:
 // messages an aborted round left in the mailboxes (and the sends and
 // receives of its teardown, which outlive it) stay under the old epoch's
@@ -39,6 +41,9 @@ type tagTable struct {
 	// Restore, by rank: the small-component re-broadcast and the worker's
 	// packet on its way to the worker's home node.
 	resyncMeta, resyncKeys, packet []string
+	// Membership, one stream of blobs each: by node, its blobs to its
+	// custodian and back; by chunk, the chunk's segments to its new owner.
+	custody, rejoin, migrate []string
 }
 
 // roundTags returns the tag table for a round starting now under lay.
@@ -54,6 +59,12 @@ func (c *Checkpointer) roundTags(lay *layout) *tagTable {
 		xor: make([]string, len(plan.Reductions)), parity: make([]string, len(plan.Reductions)),
 		rebuild:    make([][]string, len(lay.keys.segment)),
 		resyncMeta: make([]string, world), resyncKeys: make([]string, world), packet: make([]string, world),
+		custody: make([]string, c.cfg.Topo.Nodes()), rejoin: make([]string, c.cfg.Topo.Nodes()),
+		migrate: make([]string, len(lay.keys.segment)),
+	}
+	for node := range t.custody {
+		t.custody[node] = fmt.Sprintf("cu/%d/%d", e, node)
+		t.rejoin[node] = fmt.Sprintf("cj/%d/%d", e, node)
 	}
 	for rank := 0; rank < world; rank++ {
 		t.smallMeta[rank] = fmt.Sprintf("sm/%d/%d", e, rank)
@@ -68,6 +79,7 @@ func (c *Checkpointer) roundTags(lay *layout) *tagTable {
 		t.parity[ri] = fmt.Sprintf("pp/%d/%d/%d", e, r.ParityIndex, r.Group)
 	}
 	for chunk, segs := range lay.keys.segment {
+		t.migrate[chunk] = fmt.Sprintf("mv/%d/%d", e, chunk)
 		t.rebuild[chunk] = make([]string, len(segs))
 		for s := range segs {
 			t.rebuild[chunk][s] = fmt.Sprintf("rc/%d/%d/%d", e, chunk, s)
@@ -319,8 +331,16 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 	plan := lay.plan
 	node := snap.node
 	g := topo.GPUsPerNode()
-	world := topo.World()
-	span := world / c.cfg.K
+	// The node's round runs inside its code group: its peers, the ranks whose
+	// small components and ship-sets it holds, and its reductions (indexed
+	// from here on by position in the group's range) are the group's.
+	cg := plan.GroupOfNode(node)
+	nodeLo, nodeHi := plan.NodeRange(cg)
+	rankLo, rankHi := plan.RankRange(cg)
+	redLo, redHi := plan.ReductionRange(cg)
+	reds, routes := plan.Reductions[redLo:redHi], lay.routes[redLo:redHi]
+	xorTags, parityTags := tags.xor[redLo:redHi], tags.parity[redLo:redHi]
+	span := plan.Span()
 	bufSize := c.cfg.BufferSize
 	numBuffers := c.numBuffers(packetBytes)
 	packets := snap.packets
@@ -371,15 +391,16 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 	// rank's meta message ends in its ship-set, which the node keeps for the
 	// round (one backing array) and strips before staging the blob. ---
 	shipBytes := shipSetBytes(numBuffers)
-	shipBuf := make([]byte, world*shipBytes)
-	ships := make([]shipSet, world)
+	shipBuf := make([]byte, (rankHi-rankLo)*shipBytes)
+	shipOf := func(rank int) shipSet {
+		return shipBuf[(rank-rankLo)*shipBytes : (rank-rankLo+1)*shipBytes]
+	}
 	stageSmalls := func(rank int, metaMsg, keys []byte) (int, error) {
 		cut := len(metaMsg) - shipBytes
 		if cut < 0 {
 			return 0, fmt.Errorf("core: rank %d meta message has %d bytes, shorter than its %d-byte ship-set", rank, len(metaMsg), shipBytes)
 		}
-		ships[rank] = shipBuf[rank*shipBytes : (rank+1)*shipBytes]
-		copy(ships[rank], metaMsg[cut:])
+		copy(shipOf(rank), metaMsg[cut:])
 		if err := stage(lay.keys.smallMeta[rank], metaMsg[:cut]); err != nil {
 			return 0, err
 		}
@@ -388,7 +409,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 	smallBytes := 0
 	for _, w := range localWorkers {
 		blobs := smalls[w]
-		for peer := 0; peer < topo.Nodes(); peer++ {
+		for peer := nodeLo; peer < nodeHi; peer++ {
 			if peer == node {
 				continue
 			}
@@ -400,7 +421,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 			}
 		}
 	}
-	for rank := 0; rank < world; rank++ {
+	for rank := rankLo; rank < rankHi; rank++ {
 		srcNode, err := topo.NodeOf(rank)
 		if err != nil {
 			return 0, nil, err
@@ -469,9 +490,9 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 
 	// Per-(reduction, worker) coding coefficients, looked up once: the
 	// buffer loop must not take fallible lookups per window.
-	coefs := make([]map[int]int, len(plan.Reductions))
-	for ri, r := range plan.Reductions {
-		myWorkers := lay.routes[ri].workersOf[node]
+	coefs := make([]map[int]int, len(reds))
+	for ri, r := range reds {
+		myWorkers := routes[ri].workersOf[node]
 		coefs[ri] = make(map[int]int, len(myWorkers))
 		for _, w := range myWorkers {
 			coef, err := c.code.ParityCoefficient(r.ParityIndex, plan.DataGroupOf[w])
@@ -498,25 +519,25 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 	var shipsBelow func(u shipSet, rt *reduceRoute, n int) shipSet
 	shipsBelow = func(u shipSet, rt *reduceRoute, n int) shipSet {
 		for _, w := range rt.workersOf[n] {
-			u.or(ships[w])
+			u.or(shipOf(w))
 		}
 		for _, child := range rt.tree.Children[n] {
 			shipsBelow(u, rt, child)
 		}
 		return u
 	}
-	partialIn := make([][]inbound, len(lay.routes)) // by reduction, one per tree child
-	var landIn []inbound                            // parity and data segments landing in this node's chunk
-	for ri, r := range plan.Reductions {
-		rt := &lay.routes[ri]
+	partialIn := make([][]inbound, len(routes)) // by reduction, one per tree child
+	var landIn []inbound                        // parity and data segments landing in this node's chunk
+	for ri, r := range reds {
+		rt := &routes[ri]
 		for _, child := range rt.tree.Children[node] {
-			partialIn[ri] = append(partialIn[ri], inbound{from: child, tag: tags.xor[ri], ship: shipsBelow(make(shipSet, shipBytes), rt, child)})
+			partialIn[ri] = append(partialIn[ri], inbound{from: child, tag: xorTags[ri], ship: shipsBelow(make(shipSet, shipBytes), rt, child)})
 		}
 		if myChunk == c.cfg.K+r.ParityIndex && rt.targetNode != node {
-			landIn = append(landIn, inbound{from: rt.targetNode, tag: tags.parity[ri], ship: shipsBelow(make(shipSet, shipBytes), rt, rt.targetNode), seg: r.Group})
+			landIn = append(landIn, inbound{from: rt.targetNode, tag: parityTags[ri], ship: shipsBelow(make(shipSet, shipBytes), rt, rt.targetNode), seg: r.Group})
 		}
 	}
-	for w := 0; w < world && myChunk < c.cfg.K; w++ {
+	for w := rankLo; w < rankHi && myChunk < c.cfg.K; w++ {
 		if plan.DataGroupOf[w] != myChunk {
 			continue
 		}
@@ -525,15 +546,15 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 			return 0, nil, err
 		}
 		if srcNode != node {
-			landIn = append(landIn, inbound{from: srcNode, tag: tags.data[w], ship: ships[w], seg: plan.SegmentOf[w]})
+			landIn = append(landIn, inbound{from: srcNode, tag: tags.data[w], ship: shipOf(w), seg: plan.SegmentOf[w]})
 		}
 	}
 	// owed counts the contributions this node folds for window b of
 	// reduction ri: its shipping local workers plus its shipping children.
 	owed := func(ri, b int) int {
 		n := 0
-		for _, w := range lay.routes[ri].workersOf[node] {
-			if ships[w].has(b) {
+		for _, w := range routes[ri].workersOf[node] {
+			if shipOf(w).has(b) {
 				n++
 			}
 		}
@@ -552,7 +573,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 	// data stream that carries the window.
 	win := newBufWindow(numBuffers, c.cfg.PipelineDepth, func(b int) int {
 		n := 1
-		for ri := range lay.routes {
+		for ri := range routes {
 			if owed(ri, b) > 0 {
 				n++
 			}
@@ -590,7 +611,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 	var (
 		accMu   sync.Mutex
 		accs    = map[reduceKey]*reduceState{}
-		cursors = make([]foldCursor, len(lay.routes))
+		cursors = make([]foldCursor, len(routes))
 	)
 	// recvXorNs accumulates XOR-reduce time spent on receiver goroutines;
 	// it overlaps the main goroutine's barrier wait and is re-attributed
@@ -661,7 +682,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 	// the send goes through. Ownership of the accumulator leaves the fold
 	// state here.
 	emit := func(ri int) {
-		rt, r, cur := &lay.routes[ri], &plan.Reductions[ri], &cursors[ri]
+		rt, r, cur := &routes[ri], &reds[ri], &cursors[ri]
 		cur.mu.Lock()
 		defer cur.mu.Unlock()
 		for ; cur.next < numBuffers; cur.next++ {
@@ -683,11 +704,11 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 			if !done {
 				return
 			}
-			switch dstNode := plan.ParityNodes[r.ParityIndex]; {
+			switch dstNode := plan.ChunkOwner(cg, c.cfg.K+r.ParityIndex); {
 			case rt.targetNode != node:
-				sendQueue <- outMsg{dstNode: rt.tree.Parent[node], tag: tags.xor[ri], payload: st.acc, pooled: true, land: k.buf}
+				sendQueue <- outMsg{dstNode: rt.tree.Parent[node], tag: xorTags[ri], payload: st.acc, pooled: true, land: k.buf}
 			case dstNode != node:
-				sendQueue <- outMsg{dstNode: dstNode, tag: tags.parity[ri], payload: st.acc, pooled: true, land: k.buf}
+				sendQueue <- outMsg{dstNode: dstNode, tag: parityTags[ri], payload: st.acc, pooled: true, land: k.buf}
 			default:
 				lo, _ := sliceBounds(k.buf)
 				landRange(r.Group, lo, st.acc)
@@ -809,7 +830,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 			// it last (the local landing or the sender) recycles.
 			for i, w := range localWorkers {
 				srcs[i] = nil
-				if !ships[w].has(b) {
+				if !shipOf(w).has(b) {
 					continue
 				}
 				srcs[i] = packets[w][lo:hi]
@@ -825,8 +846,8 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 			// Encoding stage: every shipping local worker contributes to each
 			// of its reduction group's m reductions; contributions fold into
 			// the node-local accumulator, which forwards up the tree.
-			for ri := range lay.routes {
-				for _, w := range lay.routes[ri].workersOf[node] {
+			for ri := range routes {
+				for _, w := range routes[ri].workersOf[node] {
 					src := srcs[w-node*g]
 					if src == nil {
 						continue
@@ -850,7 +871,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 					continue
 				}
 				j := plan.DataGroupOf[w]
-				if dstNode := plan.DataNodes[j]; dstNode != node {
+				if dstNode := plan.ChunkOwner(cg, j); dstNode != node {
 					pc.Switch(PhaseP2P)
 					sendQueue <- outMsg{dstNode: dstNode, tag: tags.data[w], payload: src, pooled: delta, land: -1}
 					continue

@@ -252,17 +252,18 @@ func (c *Checkpointer) TimedRecover(opt TimedOptions, failedNodes []int) (*Timed
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	if len(failedNodes) > c.cfg.M {
-		return nil, fmt.Errorf("core: %d failures exceed fault tolerance m=%d", len(failedNodes), c.cfg.M)
-	}
 	res := opt.Resources
 	topo := c.cfg.Topo
+	plan := c.Plan()
 	s := opt.PacketBytes
 	g := int64(topo.GPUsPerNode())
-	span := int64(topo.World() / c.cfg.K)
-	chunkBytes := span * s
+	chunkBytes := int64(plan.Span()) * s
 
+	// Code groups recover concurrently and independently, so the worst-hit
+	// group sets the pace.
 	failed := map[int]bool{}
+	perGroup := make([]int, plan.Groups())
+	worst := 0
 	dataLost := false
 	for _, node := range failedNodes {
 		if node < 0 || node >= topo.Nodes() {
@@ -272,9 +273,15 @@ func (c *Checkpointer) TimedRecover(opt TimedOptions, failedNodes []int) (*Timed
 			return nil, fmt.Errorf("core: node %d listed twice", node)
 		}
 		failed[node] = true
-		if c.Plan().Roles[node] == placement.RoleData {
+		cg := plan.GroupOfNode(node)
+		perGroup[cg]++
+		worst = max(worst, perGroup[cg])
+		if plan.Roles[node] == placement.RoleData {
 			dataLost = true
 		}
+	}
+	if worst > c.cfg.M {
+		return nil, fmt.Errorf("core: %d failures in one group exceed fault tolerance m=%d", worst, c.cfg.M)
 	}
 
 	nic := res.NICBandwidth
@@ -296,7 +303,7 @@ func (c *Checkpointer) TimedRecover(opt TimedOptions, failedNodes []int) (*Timed
 		if err != nil {
 			return nil, err
 		}
-		encodeDur, err := simnet.DurationForBytes(int64(len(failedNodes))*chunkBytes, res.EncodeRate)
+		encodeDur, err := simnet.DurationForBytes(int64(worst)*chunkBytes, res.EncodeRate)
 		if err != nil {
 			return nil, err
 		}
@@ -311,7 +318,7 @@ func (c *Checkpointer) TimedRecover(opt TimedOptions, failedNodes []int) (*Timed
 	if err != nil {
 		return nil, err
 	}
-	encodeDur, err := simnet.DurationForBytes(int64(len(failedNodes))*chunkBytes, res.EncodeRate)
+	encodeDur, err := simnet.DurationForBytes(int64(worst)*chunkBytes, res.EncodeRate)
 	if err != nil {
 		return nil, err
 	}

@@ -11,10 +11,12 @@ import (
 type VerifyReport struct {
 	// Version is the checkpoint version scanned.
 	Version int
-	// SegmentsChecked is the number of (segment) code words verified.
+	// SegmentsChecked is the number of (segment) code words verified:
+	// every segment index of every code group.
 	SegmentsChecked int
-	// CorruptSegments lists segment indices whose parity does not match
-	// their data (empty means the checkpoint is consistent).
+	// CorruptSegments lists the segments whose parity does not match their
+	// data, as group·(segments per chunk) + segment index (empty means the
+	// checkpoint is consistent).
 	CorruptSegments []int
 }
 
@@ -54,19 +56,21 @@ func (c *Checkpointer) VerifyIntegrity() (*VerifyReport, error) {
 	packetBytes, bufSize := first.packet, first.bufSize
 
 	report := &VerifyReport{Version: first.version}
-	chunks := make([][]byte, n)
-	for seg := range first.segs {
+	plan, span := rd.lay.plan, rd.lay.plan.Span()
+	chunks := make([][]byte, c.cfg.K+c.cfg.M)
+	views := make([][]byte, len(chunks))
+	for id := 0; id < plan.Groups()*span; id++ {
+		cg, seg := id/span, id%span
 		report.SegmentsChecked++
 		// A checksum mismatch on any stored blob is itself corruption: the
 		// scan left no view of it, and the segment is recorded as corrupt.
 		segOK := true
 		for chunk := range chunks {
-			chunks[chunk] = rd.scan[c.chunkOwner(rd.lay, chunk)].segs[seg]
+			chunks[chunk] = rd.scan[plan.ChunkOwner(cg, chunk)].segs[seg]
 			segOK = segOK && chunks[chunk] != nil
 		}
 		// The coding region is the buffer slice, so verify slice by slice
 		// exactly as the save encoded.
-		views := make([][]byte, n)
 		for lo := 0; segOK && lo < packetBytes; lo += bufSize {
 			for chunk, ch := range chunks {
 				views[chunk] = ch[lo:min(lo+bufSize, packetBytes)]
@@ -77,7 +81,7 @@ func (c *Checkpointer) VerifyIntegrity() (*VerifyReport, error) {
 			}
 		}
 		if !segOK {
-			report.CorruptSegments = append(report.CorruptSegments, seg)
+			report.CorruptSegments = append(report.CorruptSegments, id)
 		}
 	}
 	if reg := c.cfg.Metrics; reg != nil {

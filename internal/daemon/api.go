@@ -17,12 +17,14 @@ type JobSpec struct {
 	// Tenant is the quota-accounting principal the job belongs to.
 	// Defaults to "default".
 	Tenant string `json:"tenant,omitempty"`
-	// Nodes is the machine count n = K+M (default 4).
+	// Nodes is the machine count (default 4): K+M, or a multiple of it for
+	// a grouped job — groups are contiguous ranges of K+M nodes, each an
+	// independent (K, M) code inside the same round.
 	Nodes int `json:"nodes,omitempty"`
 	// GPUsPerNode is the worker count per machine (default 2).
 	GPUsPerNode int `json:"gpus_per_node,omitempty"`
 	// K and M are the erasure-code parameters (default 2+2). The job
-	// tolerates any M concurrent machine failures.
+	// tolerates any M concurrent machine failures in each group.
 	K int `json:"k,omitempty"`
 	M int `json:"m,omitempty"`
 	// BufferBytes is the streaming window size (default 256 KiB — the
@@ -97,11 +99,11 @@ func (s JobSpec) validate() error {
 	if s.ID == "" {
 		return fmt.Errorf("%w: job id is required", ErrBadRequest)
 	}
-	if s.Nodes != s.K+s.M {
-		return fmt.Errorf("%w: nodes (%d) must equal k+m (%d+%d)", ErrBadRequest, s.Nodes, s.K, s.M)
-	}
 	if s.K <= 0 || s.M <= 0 {
 		return fmt.Errorf("%w: k and m must be positive (got k=%d m=%d)", ErrBadRequest, s.K, s.M)
+	}
+	if s.Nodes <= 0 || s.Nodes%(s.K+s.M) != 0 {
+		return fmt.Errorf("%w: nodes (%d) must be a positive multiple of k+m (%d+%d): groups are contiguous ranges of k+m nodes", ErrBadRequest, s.Nodes, s.K, s.M)
 	}
 	return nil
 }

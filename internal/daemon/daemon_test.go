@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"eccheck"
 	"eccheck/internal/obs"
 )
 
@@ -309,5 +310,67 @@ func TestStatusJSONShape(t *testing.T) {
 		if !strings.Contains(string(raw), key) {
 			t.Errorf("status JSON lost key %s: %s", key, raw)
 		}
+	}
+}
+
+// TestHTTPGroupedJob hosts a job whose fleet is two (2+2) code groups — 8
+// nodes, selected by nothing but the node count — through save, one machine
+// lost in each group, a byte-verified load, and the health margin back at m
+// once the load has repaired both.
+func TestHTTPGroupedJob(t *testing.T) {
+	d, cli := startDaemon(t, Config{})
+	ctx := context.Background()
+
+	spec := testSpec("wide", "team")
+	spec.Nodes, spec.GPUsPerNode, spec.K, spec.M = 8, 1, 2, 2
+	st, err := cli.Register(ctx, spec)
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	if st.Nodes != 8 || st.K != 2 || st.M != 2 || st.FaultTolerance != 2 {
+		t.Fatalf("registered %d nodes %d+%d tolerance %d, want 8 nodes 2+2 tolerance 2", st.Nodes, st.K, st.M, st.FaultTolerance)
+	}
+	// The reservation is the coded footprint, exactly: every group expands
+	// its share of the payload by (k+m)/k.
+	j, err := d.lookup("wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload int64
+	for _, sd := range j.dicts {
+		payload += int64(sd.TensorBytes())
+	}
+	if st.MemoryReservedBytes != payload*2 {
+		t.Fatalf("reserved %d bytes for %d bytes of payload, want (k+m)/k = 2x", st.MemoryReservedBytes, payload)
+	}
+	spec.ID, spec.Nodes = "ragged", 6
+	if _, err := cli.Register(ctx, spec); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("6 nodes with k+m = 4: %v, want ErrBadRequest", err)
+	}
+
+	if _, err := cli.Save(ctx, "wide", SaveRequest{Steps: 2}); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	for _, node := range []int{1, 6} { // one machine in each group, replaced empty
+		if _, err := cli.Fail(ctx, "wide", FailRequest{Node: node}); err != nil {
+			t.Fatalf("fail node %d: %v", node, err)
+		}
+	}
+	hr, err := cli.Health(ctx, "wide")
+	if err != nil {
+		t.Fatalf("health: %v", err)
+	}
+	if hr.Margin != 1 || hr.Level != eccheck.HealthDegraded {
+		t.Fatalf("one machine lost in each group: %s margin %d, want degraded with margin m-1 = 1", hr.Level, hr.Margin)
+	}
+	load, err := cli.Load(ctx, "wide")
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if load.VerifiedStep != 2 || len(load.Report.MissingChunks) != 2 {
+		t.Fatalf("load verified step %d and rebuilt %v, want step 2 and one chunk in each group", load.VerifiedStep, load.Report.MissingChunks)
+	}
+	if hr, err = cli.Health(ctx, "wide"); err != nil || hr.Margin != 2 || hr.Level != eccheck.HealthOK {
+		t.Fatalf("health after the load's repair: %+v, %v; want ok with margin m = 2", hr, err)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"eccheck/internal/core"
 	"eccheck/internal/model"
 	"eccheck/internal/parallel"
-	"eccheck/internal/placement"
 	"eccheck/internal/reliability"
 	"eccheck/internal/transport"
 )
@@ -72,33 +71,25 @@ func GroupSizeStudy(w io.Writer) ([]GroupSizeRow, error) {
 			return nil, err
 		}
 
-		// Communication: per-node packets from the group's plan.
-		subTopo, err := parallel.NewTopology(gs, gpus, gpus, gs)
+		// Communication and timing: the one engine over the full cluster,
+		// laid out as `groups` code groups. Groups run concurrently on
+		// disjoint machines, so the cluster checkpoint time is the slowest
+		// group's and per-node packets are the same in every group.
+		net, err := transport.NewMemory(nodes)
 		if err != nil {
 			return nil, err
 		}
-		plan, err := placement.New(subTopo, k, m)
-		if err != nil {
-			return nil, err
-		}
-		perNode := float64(plan.CommVolume().Total()) / float64(subTopo.World())
-
-		// Timing: one group's timed save (groups run concurrently, so the
-		// cluster checkpoint time is the group time).
-		net, err := transport.NewMemory(gs)
-		if err != nil {
-			return nil, err
-		}
-		clus, err := cluster.New(gs, gpus)
+		clus, err := cluster.New(nodes, gpus)
 		if err != nil {
 			_ = net.Close()
 			return nil, err
 		}
-		ckpt, err := core.New(core.Config{Topo: subTopo, K: k, M: m}, net, clus, nil)
+		ckpt, err := core.New(core.Config{Topo: fullTopo, K: k, M: m}, net, clus, nil)
 		if err != nil {
 			_ = net.Close()
 			return nil, err
 		}
+		perNode := float64(ckpt.Plan().CommVolume().Total()) / float64(fullTopo.World())
 		rep, err := ckpt.TimedSave(core.TimedOptions{Resources: res, PacketBytes: shard, Pipeline: true})
 		ckpt.Close()
 		_ = net.Close()

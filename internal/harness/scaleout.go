@@ -92,7 +92,7 @@ func DefaultGroupedScaleConfig() ScaleConfig {
 // ScaleRow is one node-count point of the scale-out sweep.
 type ScaleRow struct {
 	// Nodes, World, K, M describe the point's cluster (one GPU per node).
-	// Groups is how many independent erasure instances ran: 1 in flat
+	// Groups is how many independent code groups the round ran: 1 in flat
 	// mode, Nodes/GroupSize in grouped mode (where K and M are per group).
 	Nodes  int
 	World  int
@@ -226,7 +226,7 @@ func scalePoint(cfg ScaleConfig, nodes int) (ScaleRow, error) {
 	if err != nil {
 		return ScaleRow{}, err
 	}
-	elapsed, rep, err := scaleRounds(cfg, nodes, cfg.PipelineDepth, dicts)
+	elapsed, rep, err := scaleRounds(cfg, nodes, k, m, cfg.PipelineDepth, dicts)
 	if err != nil {
 		return ScaleRow{}, err
 	}
@@ -250,7 +250,7 @@ func scalePoint(cfg ScaleConfig, nodes int) (ScaleRow, error) {
 	}
 	row.PerNodeMBps = row.AggMBps / float64(nodes)
 	if cfg.Baseline {
-		base, _, err := scaleRounds(cfg, nodes, 1, dicts)
+		base, _, err := scaleRounds(cfg, nodes, k, m, 1, dicts)
 		if err != nil {
 			return ScaleRow{}, err
 		}
@@ -260,17 +260,12 @@ func scalePoint(cfg ScaleConfig, nodes int) (ScaleRow, error) {
 	return row, nil
 }
 
-// scaleReport is the slice of a save report the sweep keeps per point.
-type scaleReport struct {
-	PacketBytes   int
-	StragglerNode int
-	StragglerLag  time.Duration
-}
-
-// scaleRounds builds one system at the given pipeline depth, runs a
-// warm-up round plus cfg.Rounds measured ones, and returns the median round
-// wall time and the last round's report slice.
-func scaleRounds(cfg ScaleConfig, nodes, depth int, dicts []*statedict.StateDict) (time.Duration, *scaleReport, error) {
+// scaleRounds builds one engine over nodes machines with a (k, m) code — one
+// flat code group when k+m is the node count, the paper's grouped scheme of
+// nodes/(k+m) independent groups otherwise — at the given pipeline depth,
+// runs a warm-up round plus cfg.Rounds measured ones, and returns the median
+// round wall time and the last round's report.
+func scaleRounds(cfg ScaleConfig, nodes, k, m, depth int, dicts []*statedict.StateDict) (time.Duration, *core.SaveReport, error) {
 	net, err := transport.NewMemory(nodes)
 	if err != nil {
 		return 0, nil, err
@@ -284,22 +279,14 @@ func scaleRounds(cfg ScaleConfig, nodes, depth int, dicts []*statedict.StateDict
 	if err != nil {
 		return 0, nil, err
 	}
-	if cfg.GroupSize > 0 {
-		return groupedRounds(cfg, nodes, depth, dicts, net, clus)
-	}
-	return flatRounds(cfg, nodes, depth, dicts, net, clus)
-}
-
-// flatRounds measures one cluster-wide (k = m = nodes/2) instance.
-func flatRounds(cfg ScaleConfig, nodes, depth int, dicts []*statedict.StateDict, net transport.Network, clus *cluster.Cluster) (time.Duration, *scaleReport, error) {
 	topo, err := parallel.NewTopology(nodes, 1, 1, 1)
 	if err != nil {
 		return 0, nil, err
 	}
 	ckpt, err := core.New(core.Config{
 		Topo:          topo,
-		K:             nodes / 2,
-		M:             nodes / 2,
+		K:             k,
+		M:             m,
 		BufferSize:    cfg.BufferSize,
 		PipelineDepth: depth,
 		GroupFanIn:    cfg.GroupFanIn,
@@ -322,56 +309,7 @@ func flatRounds(cfg ScaleConfig, nodes, depth int, dicts []*statedict.StateDict,
 		}
 		laps[i] = time.Since(start)
 	}
-	return medianDuration(laps),
-		&scaleReport{PacketBytes: rep.PacketBytes, StragglerNode: rep.StragglerNode, StragglerLag: rep.StragglerLag}, nil
-}
-
-// groupedRounds measures the paper's grouped scheme: nodes/GroupSize
-// independent (k = m = GroupSize/2) instances saving concurrently. The
-// reported straggler is the worst across groups, with its node index
-// mapped back to the cluster.
-func groupedRounds(cfg ScaleConfig, nodes, depth int, dicts []*statedict.StateDict, net transport.Network, clus *cluster.Cluster) (time.Duration, *scaleReport, error) {
-	topo, err := parallel.NewTopology(nodes, 1, 1, 1)
-	if err != nil {
-		return 0, nil, err
-	}
-	ckpt, err := core.NewGrouped(core.GroupedConfig{
-		Topo:               topo,
-		GroupSize:          cfg.GroupSize,
-		K:                  cfg.GroupSize / 2,
-		M:                  cfg.GroupSize / 2,
-		BufferSize:         cfg.BufferSize,
-		PipelineDepth:      depth,
-		GroupFanIn:         cfg.GroupFanIn,
-		RemotePersistEvery: -1,
-	}, net, clus, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer ckpt.Close()
-
-	ctx := context.Background()
-	if _, err := ckpt.Save(ctx, dicts); err != nil {
-		return 0, nil, err
-	}
-	var rep *core.GroupedSaveReport
-	laps := make([]time.Duration, cfg.Rounds)
-	for i := 0; i < cfg.Rounds; i++ {
-		start := time.Now()
-		if rep, err = ckpt.Save(ctx, dicts); err != nil {
-			return 0, nil, err
-		}
-		laps[i] = time.Since(start)
-	}
-	out := &scaleReport{StragglerNode: -1}
-	for gi, grep := range rep.Groups {
-		out.PacketBytes = grep.PacketBytes
-		if grep.StragglerLag >= out.StragglerLag {
-			out.StragglerLag = grep.StragglerLag
-			out.StragglerNode = gi*cfg.GroupSize + grep.StragglerNode
-		}
-	}
-	return medianDuration(laps), out, nil
+	return medianDuration(laps), rep, nil
 }
 
 // medianDuration returns the median of the measured laps — the sweep's

@@ -1,0 +1,135 @@
+package placement
+
+import (
+	"reflect"
+	"testing"
+)
+
+// A grouped plan is the flat plan of one group repeated over contiguous
+// machine ranges: same roles, reductions and transfers, offset by the
+// group's machines and workers, and nothing crossing a group boundary.
+func TestGroupedPlanIsTheFlatPlanPerGroup(t *testing.T) {
+	const groups, size, gpus = 3, 4, 2
+	flat, err := New(topo(t, size, gpus, gpus, size), 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(topo(t, groups*size, gpus, gpus, groups*size), 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Groups() != groups || p.Span() != flat.Span() || flat.Groups() != 1 {
+		t.Fatalf("Groups %d Span %d; flat Groups %d Span %d", p.Groups(), p.Span(), flat.Groups(), flat.Span())
+	}
+	if len(p.DataNodes) != groups*2 || len(p.ParityNodes) != groups*2 ||
+		len(p.Reductions) != groups*len(flat.Reductions) || len(p.Transfers) != groups*len(flat.Transfers) {
+		t.Fatalf("shape: %d data, %d parity, %d reductions, %d transfers",
+			len(p.DataNodes), len(p.ParityNodes), len(p.Reductions), len(p.Transfers))
+	}
+	for cg := 0; cg < groups; cg++ {
+		nodeLo, nodeHi := p.NodeRange(cg)
+		rankLo, rankHi := p.RankRange(cg)
+		if nodeLo != cg*size || nodeHi != (cg+1)*size || rankLo != nodeLo*gpus || rankHi != nodeHi*gpus {
+			t.Fatalf("group %d ranges: nodes [%d,%d) ranks [%d,%d)", cg, nodeLo, nodeHi, rankLo, rankHi)
+		}
+		for chunk := 0; chunk < size; chunk++ {
+			if got, want := p.ChunkOwner(cg, chunk), flat.ChunkOwner(0, chunk)+nodeLo; got != want {
+				t.Errorf("group %d chunk %d on machine %d, want %d", cg, chunk, got, want)
+			}
+		}
+		for node := nodeLo; node < nodeHi; node++ {
+			if p.GroupOfNode(node) != cg || p.Roles[node] != flat.Roles[node-nodeLo] || p.ChunkOfNode[node] != flat.ChunkOfNode[node-nodeLo] {
+				t.Errorf("machine %d: group %d role %v chunk %d", node, p.GroupOfNode(node), p.Roles[node], p.ChunkOfNode[node])
+			}
+		}
+		for w := rankLo; w < rankHi; w++ {
+			if p.GroupOfRank(w) != cg || p.DataGroupOf[w] != flat.DataGroupOf[w-rankLo] || p.SegmentOf[w] != flat.SegmentOf[w-rankLo] {
+				t.Errorf("worker %d: group %d data group %d segment %d", w, p.GroupOfRank(w), p.DataGroupOf[w], p.SegmentOf[w])
+			}
+		}
+		redLo, redHi := p.ReductionRange(cg)
+		for ri, r := range p.Reductions[redLo:redHi] {
+			want := flat.Reductions[ri]
+			want.CodeGroup, want.Target = cg, want.Target+rankLo
+			want.Workers = append([]int(nil), want.Workers...)
+			for i := range want.Workers {
+				want.Workers[i] += rankLo
+			}
+			if !reflect.DeepEqual(r, want) {
+				t.Errorf("group %d reduction %d = %+v, want %+v", cg, ri, r, want)
+			}
+		}
+	}
+	for _, tr := range p.Transfers {
+		if p.GroupOfNode(tr.SrcNode) != p.GroupOfNode(tr.DstNode) || p.GroupOfRank(tr.SrcWorker) != p.GroupOfNode(tr.SrcNode) {
+			t.Errorf("transfer %+v crosses a group boundary", tr)
+		}
+	}
+	// §V-F: total traffic is m·W whatever the grouping.
+	if got, want := p.CommVolume().Total(), p.ClosedFormTotal(); got != want {
+		t.Errorf("communication volume %d packets, closed form %d", got, want)
+	}
+}
+
+func TestGroupedPlanValidation(t *testing.T) {
+	tt := topo(t, 8, 2, 2, 8)
+	if _, err := New(tt, 2, 1); err == nil {
+		t.Error("k+m not dividing the node count: want error")
+	}
+	if _, err := New(tt, 3, 1); err == nil {
+		t.Error("k not dividing a group's workers: want error")
+	}
+	if _, err := NewWithDataNodes(tt, 2, 2, []int{0, 2}); err == nil {
+		t.Error("data nodes for one group only: want error")
+	}
+	if _, err := NewWithDataNodes(tt, 2, 2, []int{0, 4, 5, 6}); err == nil {
+		t.Error("group 0's data node on a machine of group 1: want error")
+	}
+	if _, err := NewWithDataNodes(tt, 2, 2, []int{0, 0, 4, 6}); err == nil {
+		t.Error("duplicate data node: want error")
+	}
+	if _, err := NewAvoiding(tt, 2, 2, []int{0, 1, 2}); err == nil {
+		t.Error("avoiding more machines of one group than it has parity slots: want error")
+	}
+	if _, err := NewAvoiding(tt, 2, 2, []int{0, 1, 4, 5}); err != nil {
+		t.Errorf("avoiding m machines in each group: %v", err)
+	}
+}
+
+// Reseat recompiles the machine's own group and leaves every other group's
+// placement — including one an earlier reseat produced — alone.
+func TestReseatTouchesOneGroup(t *testing.T) {
+	p, err := New(topo(t, 8, 2, 2, 8), 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := p.Reseat(p.DataNodes[2]) // group 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Roles[p.DataNodes[2]] != RoleParity {
+		t.Fatalf("reseated machine %d still on data duty: %v", p.DataNodes[2], first.DataNodes)
+	}
+	second, err := first.Reseat(p.DataNodes[0]) // group 0
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(second.DataNodes[2:], first.DataNodes[2:]) {
+		t.Errorf("reseating group 0 moved group 1's data nodes: %v -> %v", first.DataNodes, second.DataNodes)
+	}
+	moves, err := Diff(first, second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(moves) == 0 {
+		t.Fatal("reseat around a data node produced no moves")
+	}
+	for _, mv := range moves {
+		if p.GroupOfNode(mv.From) != 0 || p.GroupOfNode(mv.To) != 0 {
+			t.Errorf("move %+v outside group 0", mv)
+		}
+	}
+	if _, err := p.Reseat(8); err == nil {
+		t.Error("machine out of range: want error")
+	}
+}

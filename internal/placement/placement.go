@@ -39,7 +39,9 @@ func (r Role) String() string {
 // Reduction describes one XOR reduction: the workers of a reduction group
 // combine their encoded packets for one parity index onto a target worker.
 type Reduction struct {
-	// Group is the index of the reduction group.
+	// CodeGroup is the code group the reduction runs in.
+	CodeGroup int
+	// Group is the index of the reduction group within its code group.
 	Group int
 	// ParityIndex identifies which parity chunk (0..m-1) this result
 	// belongs to.
@@ -80,36 +82,83 @@ type Transfer struct {
 	SegmentIndex int
 }
 
-// Plan is the full communication structure of a checkpointing round.
+// Plan is the full communication structure of a checkpointing round: one or
+// more independent (K, M) code groups, each over a contiguous range of K+M
+// machines (group g is machines g·(K+M) through (g+1)·(K+M)−1) and the
+// workers they host. Groups share the code and nothing else — no reduction
+// or transfer crosses a group boundary — so per-machine traffic stays m·s
+// however many groups the cluster has (the paper's §V-F scaling scheme).
+// Machine and worker indices are cluster-wide; chunk, segment and parity
+// indices are the group's own.
 type Plan struct {
-	// K and M are the erasure-code parameters; K+M equals the node count.
+	// K and M are the erasure-code parameters; the node count is a multiple
+	// of K+M.
 	K, M int
 	// Topo is the training topology the plan was compiled for.
 	Topo *parallel.Topology
-	// DataNodes[j] is the machine storing data chunk j.
+	// DataNodes[g·K+j] is the machine storing data chunk j of group g.
 	DataNodes []int
-	// ParityNodes[i] is the machine storing parity chunk i.
+	// ParityNodes[g·M+i] is the machine storing parity chunk i of group g.
 	ParityNodes []int
 	// Roles[node] is each machine's role.
 	Roles []Role
-	// ChunkOfNode[node] is the chunk the machine stores: j for data chunk
-	// j, K+i for parity chunk i.
+	// ChunkOfNode[node] is the chunk of its group the machine stores: j for
+	// data chunk j, K+i for parity chunk i.
 	ChunkOfNode []int
-	// DataGroupOf[worker] is the data group (chunk) a worker's packet
-	// belongs to.
+	// DataGroupOf[worker] is the data group (chunk) of its code group a
+	// worker's packet belongs to.
 	DataGroupOf []int
 	// SegmentOf[worker] is the worker's relative index within its data
 	// group: its packet's segment position inside the chunk.
 	SegmentOf []int
-	// Reductions lists every XOR reduction (W/k groups × m parity indices).
+	// Reductions lists every XOR reduction, code group by code group
+	// (Span() reduction groups × M parity indices each).
 	Reductions []Reduction
 	// Transfers lists every P2P packet movement.
 	Transfers []Transfer
 }
 
+// Groups returns the number of code groups.
+func (p *Plan) Groups() int { return p.Topo.Nodes() / (p.K + p.M) }
+
+// Span returns the segments per chunk: the workers of one code group over K.
+func (p *Plan) Span() int { return (p.K + p.M) * p.Topo.GPUsPerNode() / p.K }
+
+// GroupOfNode returns the code group a machine belongs to.
+func (p *Plan) GroupOfNode(node int) int { return node / (p.K + p.M) }
+
+// GroupOfRank returns the code group a worker belongs to.
+func (p *Plan) GroupOfRank(rank int) int { return p.GroupOfNode(rank / p.Topo.GPUsPerNode()) }
+
+// NodeRange returns the machines [lo, hi) of a code group.
+func (p *Plan) NodeRange(group int) (lo, hi int) {
+	return group * (p.K + p.M), (group + 1) * (p.K + p.M)
+}
+
+// RankRange returns the workers [lo, hi) of a code group.
+func (p *Plan) RankRange(group int) (lo, hi int) {
+	lo, hi = p.NodeRange(group)
+	return lo * p.Topo.GPUsPerNode(), hi * p.Topo.GPUsPerNode()
+}
+
+// ReductionRange returns the indices [lo, hi) of a code group's reductions.
+func (p *Plan) ReductionRange(group int) (lo, hi int) {
+	per := p.Span() * p.M
+	return group * per, (group + 1) * per
+}
+
+// ChunkOwner returns the machine storing a chunk of a code group.
+func (p *Plan) ChunkOwner(group, chunk int) int {
+	if chunk < p.K {
+		return p.DataNodes[group*p.K+chunk]
+	}
+	return p.ParityNodes[group*p.M+chunk-p.K]
+}
+
 // New compiles a plan with the paper's sweep-line data/parity node
-// selection. k must divide the world size and k+m must equal the number of
-// machines (each machine stores exactly one chunk).
+// selection. The machine count must be a multiple of k+m — each k+m
+// consecutive machines form one code group and each machine stores exactly
+// one chunk of its group — and k must divide a group's worker count.
 func New(topo *parallel.Topology, k, m int) (*Plan, error) {
 	return NewAvoiding(topo, k, m, nil)
 }
@@ -124,24 +173,80 @@ func NewAvoiding(topo *parallel.Topology, k, m int, avoid []int) (*Plan, error) 
 	if err := validateParams(topo, k, m); err != nil {
 		return nil, err
 	}
-	if len(avoid) > m {
-		return nil, fmt.Errorf("placement: cannot avoid %d machines with only m=%d parity slots", len(avoid), m)
+	for _, node := range avoid {
+		if node < 0 || node >= topo.Nodes() {
+			return nil, fmt.Errorf("placement: avoided machine %d out of range [0, %d)", node, topo.Nodes())
+		}
 	}
-	origins := topo.OriginGroups()
-	dataGroups, err := topo.DataGroups(k)
+	var dataNodes []int
+	for group := 0; group < topo.Nodes()/(k+m); group++ {
+		sel, err := selectDataNodes(topo, k, m, group, avoid)
+		if err != nil {
+			return nil, err
+		}
+		dataNodes = append(dataNodes, sel...)
+	}
+	return NewWithDataNodes(topo, k, m, dataNodes)
+}
+
+// groupTopology is the shape of one code group on its own: k+m machines of
+// the cluster's GPU count. Every group has it, so the origin, data and
+// reduction group structure is computed on it and offset per group.
+func groupTopology(topo *parallel.Topology, k, m int) (*parallel.Topology, error) {
+	return parallel.NewTopology(k+m, topo.GPUsPerNode(), 1, 1)
+}
+
+// selectDataNodes runs the sweep-line selection inside one code group: the
+// group's machines against the k equal spans of the group's workers, with
+// the avoided machines that fall in the group barred from data duty.
+func selectDataNodes(topo *parallel.Topology, k, m, group int, avoid []int) ([]int, error) {
+	lo, size := group*(k+m), k+m
+	sub, err := groupTopology(topo, k, m)
 	if err != nil {
 		return nil, err
 	}
-	sel, err := sweepline.SelectDataNodesAvoiding(origins, dataGroups, avoid)
+	dataGroups, err := sub.DataGroups(k)
 	if err != nil {
 		return nil, err
 	}
-	return NewWithDataNodes(topo, k, m, sel.DataNodes)
+	var barred []int
+	for _, node := range avoid {
+		if node >= lo && node < lo+size {
+			barred = append(barred, node-lo)
+		}
+	}
+	if len(barred) > m {
+		return nil, fmt.Errorf("placement: cannot avoid %d machines of group %d with only m=%d parity slots", len(barred), group, m)
+	}
+	sel, err := sweepline.SelectDataNodesAvoiding(sub.OriginGroups(), dataGroups, barred)
+	if err != nil {
+		return nil, err
+	}
+	for j := range sel.DataNodes {
+		sel.DataNodes[j] += lo
+	}
+	return sel.DataNodes, nil
+}
+
+// Reseat recompiles the plan with one machine barred from data duty in its
+// code group; every other group keeps the placement it has.
+func (p *Plan) Reseat(node int) (*Plan, error) {
+	if node < 0 || node >= p.Topo.Nodes() {
+		return nil, fmt.Errorf("placement: machine %d out of range [0, %d)", node, p.Topo.Nodes())
+	}
+	group := p.GroupOfNode(node)
+	sel, err := selectDataNodes(p.Topo, p.K, p.M, group, []int{node})
+	if err != nil {
+		return nil, err
+	}
+	dataNodes := append([]int(nil), p.DataNodes...)
+	copy(dataNodes[group*p.K:], sel)
+	return NewWithDataNodes(p.Topo, p.K, p.M, dataNodes)
 }
 
 // ChunkMove records one chunk whose storing machine changed between two
-// plans: chunk Chunk (j for data chunk j, K+i for parity chunk i) moved
-// from machine From to machine To.
+// plans: chunk Chunk (j for data chunk j, K+i for parity chunk i) of the code
+// group both machines belong to moved from machine From to machine To.
 type ChunkMove struct {
 	Chunk int
 	From  int
@@ -149,11 +254,11 @@ type ChunkMove struct {
 }
 
 // Diff lists the chunks whose storing machine differs between two plans
-// compiled for the same topology and code parameters, ascending by chunk
-// index. Chunk contents are location-independent (parity bytes do not
-// depend on which machine stores them), so a diff is exactly the set of
-// blobs a membership change must migrate or re-encode — unaffected
-// chunks, and their parity, stay valid in place.
+// compiled for the same topology and code parameters, ascending by code
+// group, then chunk index. Chunk contents are location-independent (parity
+// bytes do not depend on which machine stores them), so a diff is exactly
+// the set of blobs a membership change must migrate or re-encode —
+// unaffected chunks, and their parity, stay valid in place.
 func Diff(oldPlan, newPlan *Plan) ([]ChunkMove, error) {
 	if oldPlan == nil || newPlan == nil {
 		return nil, fmt.Errorf("placement: diff of nil plan")
@@ -166,17 +271,13 @@ func Diff(oldPlan, newPlan *Plan) ([]ChunkMove, error) {
 		return nil, fmt.Errorf("placement: diff across node counts %d vs %d",
 			oldPlan.Topo.Nodes(), newPlan.Topo.Nodes())
 	}
-	nodeOf := func(p *Plan, chunk int) int {
-		if chunk < p.K {
-			return p.DataNodes[chunk]
-		}
-		return p.ParityNodes[chunk-p.K]
-	}
 	var moves []ChunkMove
-	for chunk := 0; chunk < oldPlan.K+oldPlan.M; chunk++ {
-		from, to := nodeOf(oldPlan, chunk), nodeOf(newPlan, chunk)
-		if from != to {
-			moves = append(moves, ChunkMove{Chunk: chunk, From: from, To: to})
+	for group := 0; group < oldPlan.Groups(); group++ {
+		for chunk := 0; chunk < oldPlan.K+oldPlan.M; chunk++ {
+			from, to := oldPlan.ChunkOwner(group, chunk), newPlan.ChunkOwner(group, chunk)
+			if from != to {
+				moves = append(moves, ChunkMove{Chunk: chunk, From: from, To: to})
+			}
 		}
 	}
 	return moves, nil
@@ -186,51 +287,33 @@ func validateParams(topo *parallel.Topology, k, m int) error {
 	if k <= 0 || m <= 0 {
 		return fmt.Errorf("placement: k and m must be positive (k=%d, m=%d)", k, m)
 	}
-	if k+m != topo.Nodes() {
-		return fmt.Errorf("placement: k+m = %d must equal node count %d", k+m, topo.Nodes())
+	if topo.Nodes()%(k+m) != 0 {
+		return fmt.Errorf("placement: node count %d must be a multiple of k+m = %d (groups are contiguous ranges of k+m nodes)", topo.Nodes(), k+m)
 	}
-	if topo.World()%k != 0 {
-		return fmt.Errorf("placement: k=%d does not divide world size %d", k, topo.World())
+	if gw := (k + m) * topo.GPUsPerNode(); gw%k != 0 {
+		return fmt.Errorf("placement: k=%d does not divide a group's %d workers", k, gw)
 	}
 	return nil
 }
 
 // NewWithDataNodes compiles a plan with an explicit data-node assignment
-// (dataNodes[j] stores data chunk j). It exists for ablations comparing
-// the sweep-line selection against naive assignments; production callers
-// should use New.
+// (dataNodes[g·k+j] stores data chunk j of code group g, and is one of that
+// group's machines). It exists for ablations comparing the sweep-line
+// selection against naive assignments; production callers should use New.
 func NewWithDataNodes(topo *parallel.Topology, k, m int, dataNodes []int) (*Plan, error) {
 	if err := validateParams(topo, k, m); err != nil {
 		return nil, err
 	}
 	n := topo.Nodes()
 	world := topo.World()
-	if len(dataNodes) != k {
-		return nil, fmt.Errorf("placement: got %d data nodes, want k=%d", len(dataNodes), k)
+	if len(dataNodes) != n/(k+m)*k {
+		return nil, fmt.Errorf("placement: got %d data nodes, want k=%d for each of %d groups", len(dataNodes), k, n/(k+m))
 	}
-	seen := make(map[int]bool, k)
-	for _, node := range dataNodes {
-		if node < 0 || node >= n {
-			return nil, fmt.Errorf("placement: data node %d out of range [0, %d)", node, n)
-		}
-		if seen[node] {
-			return nil, fmt.Errorf("placement: duplicate data node %d", node)
-		}
-		seen[node] = true
-	}
-	var parityNodes []int
-	for node := 0; node < n; node++ {
-		if !seen[node] {
-			parityNodes = append(parityNodes, node)
-		}
-	}
-
 	p := &Plan{
 		K:           k,
 		M:           m,
 		Topo:        topo,
 		DataNodes:   append([]int(nil), dataNodes...),
-		ParityNodes: parityNodes,
 		Roles:       make([]Role, n),
 		ChunkOfNode: make([]int, n),
 		DataGroupOf: make([]int, world),
@@ -240,17 +323,28 @@ func NewWithDataNodes(topo *parallel.Topology, k, m int, dataNodes []int) (*Plan
 		p.Roles[node] = RoleParity
 		p.ChunkOfNode[node] = -1
 	}
-	for j, node := range p.DataNodes {
+	for i, node := range p.DataNodes {
+		group := i / k
+		if lo, hi := p.NodeRange(group); node < lo || node >= hi {
+			return nil, fmt.Errorf("placement: data node %d out of group %d's range [%d, %d)", node, group, lo, hi)
+		}
+		if p.Roles[node] == RoleData {
+			return nil, fmt.Errorf("placement: duplicate data node %d", node)
+		}
 		p.Roles[node] = RoleData
-		p.ChunkOfNode[node] = j
+		p.ChunkOfNode[node] = i % k
 	}
-	for i, node := range p.ParityNodes {
-		p.ChunkOfNode[node] = k + i
+	// A group's parity chunks go to its remaining machines in ascending order.
+	for node := 0; node < n; node++ {
+		if p.Roles[node] == RoleParity {
+			p.ChunkOfNode[node] = k + len(p.ParityNodes)%m
+			p.ParityNodes = append(p.ParityNodes, node)
+		}
 	}
 
-	span := world / k
+	span := p.Span()
 	for w := 0; w < world; w++ {
-		p.DataGroupOf[w] = w / span
+		p.DataGroupOf[w] = w / span % k
 		p.SegmentOf[w] = w % span
 	}
 
@@ -261,52 +355,57 @@ func NewWithDataNodes(topo *parallel.Topology, k, m int, dataNodes []int) (*Plan
 	return p, nil
 }
 
-// parityNodeOfIndex returns the machine storing parity chunk i.
-func (p *Plan) parityNodeOfIndex(i int) int { return p.ParityNodes[i] }
-
-// buildReductions forms the W/k reduction groups and assigns the m XOR
-// reduction targets in each, preferring workers that already live on the
-// destination parity node and otherwise applying the paper's k=m / k>m /
-// k<m assignment rules.
+// buildReductions forms each code group's Span() reduction groups — group r
+// holds the workers with relative index r inside each of the k data groups —
+// and assigns the m XOR reduction targets in each, preferring workers that
+// already live on the destination parity node and otherwise applying the
+// paper's k=m / k>m / k<m assignment rules.
 func (p *Plan) buildReductions() error {
-	groups, err := p.Topo.ReductionGroups(p.K)
+	k, m, g := p.K, p.M, p.Topo.GPUsPerNode()
+	sub, err := groupTopology(p.Topo, k, m)
 	if err != nil {
 		return err
 	}
-	k, m := p.K, p.M
-	for gIdx, workers := range groups {
-		// Workers on parity nodes, by parity index.
-		onParity := make(map[int]int, m) // parity index -> worker
-		for _, w := range workers {
-			node, err := p.Topo.NodeOf(w)
-			if err != nil {
-				return err
-			}
-			if p.Roles[node] == RoleParity {
-				pi := p.ChunkOfNode[node] - k
-				if _, exists := onParity[pi]; !exists {
-					onParity[pi] = w
+	groups, err := sub.ReductionGroups(k)
+	if err != nil {
+		return err
+	}
+	for cg := 0; cg < p.Groups(); cg++ {
+		base, _ := p.RankRange(cg)
+		for r, local := range groups {
+			workers := make([]int, k)
+			// Workers on parity nodes, by parity index.
+			onParity := make(map[int]int, m) // parity index -> worker
+			for j := range workers {
+				w := base + local[j]
+				workers[j] = w
+				if node := w / g; p.Roles[node] == RoleParity {
+					pi := p.ChunkOfNode[node] - k
+					if _, exists := onParity[pi]; !exists {
+						onParity[pi] = w
+					}
 				}
 			}
-		}
 
-		// Fallback target sequence over the group's workers for parity
-		// indices with no co-located parity worker.
-		fallback := fallbackTargets(workers, k, m)
-		fb := 0
-		for pi := 0; pi < m; pi++ {
-			target, colocated := onParity[pi]
-			if !colocated {
-				target = fallback[fb]
-				fb++
+			// Fallback target sequence over the group's workers for parity
+			// indices with no co-located parity worker.
+			fallback := fallbackTargets(workers, k, m)
+			fb := 0
+			for pi := 0; pi < m; pi++ {
+				target, colocated := onParity[pi]
+				if !colocated {
+					target = fallback[fb]
+					fb++
+				}
+				p.Reductions = append(p.Reductions, Reduction{
+					CodeGroup:          cg,
+					Group:              r,
+					ParityIndex:        pi,
+					Workers:            append([]int(nil), workers...),
+					Target:             target,
+					TargetOnParityNode: colocated,
+				})
 			}
-			p.Reductions = append(p.Reductions, Reduction{
-				Group:              gIdx,
-				ParityIndex:        pi,
-				Workers:            append([]int(nil), workers...),
-				Target:             target,
-				TargetOnParityNode: colocated,
-			})
 		}
 	}
 	return nil
@@ -342,7 +441,7 @@ func (p *Plan) buildTransfers() {
 	for w := 0; w < p.Topo.World(); w++ {
 		j := p.DataGroupOf[w]
 		srcNode, _ := p.Topo.NodeOf(w)
-		dst := p.DataNodes[j]
+		dst := p.ChunkOwner(p.GroupOfRank(w), j)
 		if srcNode == dst {
 			continue
 		}
@@ -358,7 +457,7 @@ func (p *Plan) buildTransfers() {
 	// Parity packets: from reduction target to parity node.
 	for _, r := range p.Reductions {
 		srcNode, _ := p.Topo.NodeOf(r.Target)
-		dst := p.parityNodeOfIndex(r.ParityIndex)
+		dst := p.ChunkOwner(r.CodeGroup, p.K+r.ParityIndex)
 		if srcNode == dst {
 			continue
 		}
