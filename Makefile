@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race crash-sweep fuzz-smoke smoke doclint allocgate bench-smoke flake chaos-soak scale-smoke restore-smoke daemon-smoke health-smoke vulncheck metrics-demo trace-demo
+.PHONY: check fmt vet build test race crash-sweep fuzz-smoke smoke doclint allocgate bench-smoke flake chaos-soak daemon-smoke health-smoke vulncheck metrics-demo trace-demo
 
 # The full gate: what CI (and a pre-commit run) should execute.
 check: fmt vet build test race crash-sweep smoke doclint allocgate bench-smoke
@@ -17,8 +17,8 @@ vet:
 build:
 	$(GO) build ./...
 
-# TESTFLAGS lets CI pass -short, keeping full-size stress tests and 64 MB
-# benchmarks out of the PR gate while the weekly benchmark job runs them.
+# TESTFLAGS lets CI pass -short, keeping the full-size stress tests and the
+# 64-machine rounds out of the PR gate.
 TESTFLAGS ?=
 
 test:
@@ -99,38 +99,20 @@ bench-smoke:
 
 # Repetition gate for the tests that race real timers and deadlines: the
 # elastic-membership, preemption and health tests of the root package (the
-# grouped-layout ones included) and the fault injector twenty times each, the
-# harness studies five times, all at full size. A test that passes one run in
-# three is a bug here, not a rerun.
+# grouped-layout ones included) and the fault injector twenty times each, all
+# at full size. A test that passes one run in three is a bug here, not a rerun.
+# The harness studies that are left assert shapes and counts, never a timing
+# margin, so they run twice only to catch order dependence.
 flake:
 	$(GO) test -count=20 -run 'TestPreempt|TestZeroNotice|TestNoticeExpires|TestRemoveAndAdd|TestReplaceNodeFenced|TestStaleKillTimer|TestHealthAPI|TestGrouped' .
 	$(GO) test -count=20 ./internal/chaos
-	$(GO) test -count=5 ./internal/harness
+	$(GO) test -count=2 ./internal/harness
 
 # Randomized elastic-membership churn (preempt/drain/rejoin racing saves
 # and loads) under the race detector. Seeded and bounded; TESTFLAGS=-short
 # shrinks the round count for a quick local run — CI runs it at full size.
 chaos-soak:
 	$(GO) test -race -run 'TestChaosSoakMembershipChurn' -count=1 $(TESTFLAGS) .
-
-# Scale-out smoke: one streaming save round at 64 simulated nodes (the
-# smallest size where the hierarchical fan-in tree goes multi-level with
-# the default arity of 8), flat (one 32+32 code group) and as 8 × (4+4) on
-# the same engine. Fails if the pipeline cannot complete at that scale in
-# either layout or a measurement comes back degenerate — the guard that
-# keeps the BENCH_6.json sweep reproducible without running the full thing.
-scale-smoke:
-	$(GO) run ./cmd/eccheck-bench -scale-smoke
-
-# Fast-restore smoke: a budgeted 16-node restore sweep under the race
-# detector — full load, lazy partial load of the hot MoE ranks, and the
-# catastrophic remote path serial vs pooled. Fails if the partial restore
-# stops fetching strictly fewer bytes than the full one or the pooled
-# remote restore stops beating the serial baseline — the guard that keeps
-# the BENCH_7.json restore story reproducible without running the full
-# study.
-restore-smoke:
-	$(GO) run -race ./cmd/eccheck-bench -restore-smoke
 
 # End-to-end service gate for the eccheckd control plane: builds the real
 # binary, boots it on a loopback port, registers two jobs over HTTP, drives

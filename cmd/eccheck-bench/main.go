@@ -9,14 +9,10 @@
 //	eccheck-bench fig10 fig13
 //	eccheck-bench -list
 //	eccheck-bench -metrics-out metrics.json fig11
-//	eccheck-bench -bench-out BENCH.json
-//	eccheck-bench -bench-out BENCH.json -nodes 8
-//	eccheck-bench -stall-out BENCH_STALL.json
-//	eccheck-bench -elastic-out BENCH_5.json
-//	eccheck-bench -scale-out BENCH_6.json
-//	eccheck-bench -scale-smoke
-//	eccheck-bench -restore-out BENCH_7.json
-//	eccheck-bench -restore-smoke
+//
+// Every experiment prints text. Performance numbers that are recorded,
+// compared and gated come from the repository benchmark instead
+// (bash bench/run.sh, see bench/README.md).
 //
 // -metrics-out additionally runs one fully instrumented functional
 // checkpoint round (save, integrity verification, failure, recovery) on a
@@ -35,7 +31,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"eccheck"
 	"eccheck/internal/harness"
@@ -99,30 +94,15 @@ func experiments() []experiment {
 			_, err := harness.FrequencyStudy(w)
 			return err
 		})},
-		{"incremental", "delta-update volume vs changed state fraction (functional layer)", wrap(func(w io.Writer) error {
-			_, err := harness.IncrementalStudy(w)
-			return err
-		})},
-		{"async", "SaveAsync stall vs background drain across model scales (functional layer)", wrap(func(w io.Writer) error {
-			_, err := harness.AsyncStudy(w)
-			return err
-		})},
 		{"elastic", "membership churn: crash+full re-encode vs drain+delta parity (functional layer)", wrap(func(w io.Writer) error {
 			_, err := harness.ElasticStudy(w)
 			return err
 		})},
-		{"scaleout", "streaming pipeline vs phase-coarse baseline across node counts (functional layer)", wrap(func(w io.Writer) error {
-			_, err := harness.ScaleOutStudy(w, harness.ScaleConfig{
-				NodeCounts:    []int{4, 16, 64},
-				PerRankBytes:  16 << 10,
-				BufferSize:    4 << 10,
-				PipelineDepth: 3,
-				GroupFanIn:    8,
-				LinkLatency:   20 * time.Microsecond,
-				LinkGBps:      12.5,
-				Rounds:        2,
-				Baseline:      true,
-			})
+		{"scaleout", "streaming save round across node counts, flat and grouped (functional layer)", wrap(func(w io.Writer) error {
+			if _, err := harness.ScaleOutStudy(w, harness.DefaultScaleConfig()); err != nil {
+				return err
+			}
+			_, err := harness.ScaleOutStudy(w, harness.DefaultGroupedScaleConfig())
 			return err
 		})},
 	}
@@ -185,14 +165,6 @@ func dumpMetrics(path string) error {
 func run() int {
 	list := flag.Bool("list", false, "list available experiments and exit")
 	metricsOut := flag.String("metrics-out", "", "run an instrumented functional round and write its metric snapshot as JSON to this file")
-	benchOut := flag.String("bench-out", "", "measure steady-state save rounds, encode bandwidth and the XOR kernel (throughput, allocs/op, B/op) and write the JSON snapshot to this file")
-	nodes := flag.Int("nodes", 4, "node count for the -bench-out save-round cluster (multiple of 4; k=m=nodes/2)")
-	scaleOut := flag.String("scale-out", "", "run the 4-256 node streaming scale-out sweep with phase-coarse baselines and write the JSON snapshot (BENCH_6.json schema) to this file")
-	scaleSmoke := flag.Bool("scale-smoke", false, "run the quick 64-node streaming smoke point (the CI scale guard) and exit")
-	restoreOut := flag.String("restore-out", "", "run the fast-restore study (full vs lazy partial vs remote serial/pooled on the MoE workload) and write the JSON snapshot (BENCH_7.json schema) to this file")
-	restoreSmoke := flag.Bool("restore-smoke", false, "run the quick 16-node budgeted restore sweep (the CI restore guard) and exit")
-	stallOut := flag.String("stall-out", "", "measure sync Save wall time vs SaveAsync blocking time vs the offload-phase floor and write the JSON snapshot to this file")
-	elasticOut := flag.String("elastic-out", "", "measure the membership-churn byte and wall-time breakdown (crash+full re-encode vs drain+delta parity) and write the JSON snapshot to this file")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof on this address while experiments run (experiments build their own systems, so /metrics and /trace are empty here; use eccheck-sim -debug-addr for those)")
 	flag.Parse()
 
@@ -215,9 +187,7 @@ func run() int {
 	}
 
 	selected := flag.Args()
-	if len(selected) == 0 && *metricsOut == "" && *benchOut == "" && *stallOut == "" &&
-		*elasticOut == "" && *scaleOut == "" && !*scaleSmoke &&
-		*restoreOut == "" && !*restoreSmoke {
+	if len(selected) == 0 && *metricsOut == "" {
 		for _, e := range exps {
 			selected = append(selected, e.name)
 		}
@@ -250,58 +220,6 @@ func run() int {
 			failed = true
 		} else {
 			fmt.Fprintf(os.Stderr, "wrote metrics snapshot to %s\n", *metricsOut)
-		}
-	}
-	if *benchOut != "" {
-		if err := runBenchOut(*benchOut, *nodes); err != nil {
-			fmt.Fprintf(os.Stderr, "bench dump: %v\n", err)
-			failed = true
-		} else {
-			fmt.Fprintf(os.Stderr, "wrote bench snapshot to %s\n", *benchOut)
-		}
-	}
-	if *stallOut != "" {
-		if err := runStallOut(*stallOut); err != nil {
-			fmt.Fprintf(os.Stderr, "stall dump: %v\n", err)
-			failed = true
-		} else {
-			fmt.Fprintf(os.Stderr, "wrote stall snapshot to %s\n", *stallOut)
-		}
-	}
-	if *elasticOut != "" {
-		if err := runElasticOut(*elasticOut); err != nil {
-			fmt.Fprintf(os.Stderr, "elastic dump: %v\n", err)
-			failed = true
-		} else {
-			fmt.Fprintf(os.Stderr, "wrote elastic snapshot to %s\n", *elasticOut)
-		}
-	}
-	if *scaleOut != "" {
-		if err := runScaleOut(*scaleOut); err != nil {
-			fmt.Fprintf(os.Stderr, "scale-out dump: %v\n", err)
-			failed = true
-		} else {
-			fmt.Fprintf(os.Stderr, "wrote scale-out snapshot to %s\n", *scaleOut)
-		}
-	}
-	if *scaleSmoke {
-		if err := runScaleSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "scale smoke: %v\n", err)
-			failed = true
-		}
-	}
-	if *restoreOut != "" {
-		if err := runRestoreOut(*restoreOut); err != nil {
-			fmt.Fprintf(os.Stderr, "restore dump: %v\n", err)
-			failed = true
-		} else {
-			fmt.Fprintf(os.Stderr, "wrote restore snapshot to %s\n", *restoreOut)
-		}
-	}
-	if *restoreSmoke {
-		if err := runRestoreSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "restore smoke: %v\n", err)
-			failed = true
 		}
 	}
 	if failed {

@@ -8,9 +8,6 @@ import (
 
 func TestExperimentRegistry(t *testing.T) {
 	exps := experiments()
-	if len(exps) < 10 {
-		t.Fatalf("only %d experiments registered", len(exps))
-	}
 	seen := map[string]bool{}
 	for _, e := range exps {
 		if e.name == "" || e.desc == "" || e.run == nil {
@@ -21,10 +18,15 @@ func TestExperimentRegistry(t *testing.T) {
 		}
 		seen[e.name] = true
 	}
-	for _, want := range []string{"table1", "fig3", "fig4", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "ablation", "groupsize"} {
-		if !seen[want] {
-			t.Errorf("missing experiment %q", want)
+	want := []string{"table1", "fig3", "fig4", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
+		"ablation", "groupsize", "frequency", "elastic", "scaleout"}
+	for _, name := range want {
+		if !seen[name] {
+			t.Errorf("missing experiment %q", name)
 		}
+	}
+	if len(exps) != len(want) {
+		t.Errorf("%d experiments registered, want exactly %v", len(exps), want)
 	}
 }
 

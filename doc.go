@@ -75,13 +75,12 @@
 //
 // Step 3 advances per buffer window, not per phase: encode, XOR
 // reduction and P2P placement for window i+1 overlap the commit of
-// window i. Two Config knobs govern the overlap at scale.
-// Config.PipelineDepth bounds how many windows a node holds in flight
-// (1 recovers the phase-coarse protocol; the bound also caps the pooled
-// staging footprint at PipelineDepth × BufferSize per node), and
-// Config.GroupFanIn bounds each XOR reduction's aggregation arity, so
-// partials fold through a deterministic tree instead of concentrating
-// k−1 streams on the target's machine. For clusters beyond tens of
+// window i. The overlap is bounded by two constants, not options: a node
+// holds at most 12 windows in flight (the paper's data-buffer count, which
+// caps the pooled staging footprint at 12 × Config.BufferSize per node),
+// and an XOR reduction with more than 8 source machines folds its partials
+// through a deterministic 8-ary tree instead of concentrating k−1 streams
+// on the target's machine. For clusters beyond tens of
 // nodes, give Initialize a multiple of K+M machines — Config{Nodes: 16,
 // K: 2, M: 2} is four groups of four: groups are contiguous ranges of
 // K+M nodes, each an independent (K, M) code inside the same round,

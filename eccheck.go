@@ -53,19 +53,10 @@ type Config struct {
 	K, M int
 	// BufferSize is the streaming window size (default 64 MB): each
 	// worker's packet is encoded, reduced and placed one BufferSize window
-	// at a time, so it is the granularity of pipeline overlap.
+	// at a time, so it is the granularity of pipeline overlap. A node
+	// holds at most 12 windows in flight (the paper's data-buffer count),
+	// which makes 12 × BufferSize its staging footprint.
 	BufferSize int
-	// PipelineDepth bounds how many buffer windows a node may hold in
-	// flight at once in the streaming save pipeline. 1 disables
-	// cross-window overlap (the phase-coarse baseline: a window must fully
-	// commit before the next one starts); 0 selects the default depth.
-	PipelineDepth int
-	// GroupFanIn bounds the XOR-reduction fan-in per machine: partial
-	// accumulations aggregate over a GroupFanIn-ary tree of the
-	// contributing machines instead of all k converging on one target, so
-	// per-machine ingest stays flat as the cluster scales. 0 disables the
-	// tree (every contributor forwards straight to the reduction target).
-	GroupFanIn int
 	// RemotePersistEvery persists every Nth checkpoint to remote storage;
 	// 0 keeps the default (10), negative disables.
 	RemotePersistEvery int
@@ -91,11 +82,6 @@ type Config struct {
 	// crashing mid-save surfaces as a bounded error instead of a hang.
 	// 0 selects the default (60s); negative disables deadlines.
 	OpTimeout time.Duration
-	// RestoreWorkers bounds the fan-out of the coordinator-side restore
-	// paths: the remote rank fetch pool in LoadFromRemote and the per-stage
-	// worker pools of LoadPartial. 0 selects the default (8); 1 is the
-	// serial baseline the restore bench compares against.
-	RestoreWorkers int
 	// LoadBudget is the restore-latency SLO. It is observational, not a
 	// hard deadline: a recovery that overruns still completes, but its
 	// LoadReport comes back with DeadlineExceeded set, a postmortem event
@@ -245,12 +231,9 @@ func Initialize(cfg Config) (*System, error) {
 		K:                  cfg.K,
 		M:                  cfg.M,
 		BufferSize:         cfg.BufferSize,
-		PipelineDepth:      cfg.PipelineDepth,
-		GroupFanIn:         cfg.GroupFanIn,
 		RemotePersistEvery: persistEvery,
 		IncrementalCache:   cfg.Incremental,
 		OpTimeout:          cfg.OpTimeout,
-		RestoreWorkers:     cfg.RestoreWorkers,
 		LoadBudget:         cfg.LoadBudget,
 		Metrics:            reg,
 		Flight:             rec,

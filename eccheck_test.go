@@ -166,11 +166,6 @@ func TestInitializeValidation(t *testing.T) {
 		t.Error("bad transport: want error")
 	}
 	if _, err := eccheck.Initialize(eccheck.Config{
-		Nodes: 4, GPUsPerNode: 1, TPDegree: 1, PPStages: 4, K: 2, M: 2, RestoreWorkers: -1,
-	}); err == nil {
-		t.Error("negative restore workers: want error")
-	}
-	if _, err := eccheck.Initialize(eccheck.Config{
 		Nodes: 4, GPUsPerNode: 1, TPDegree: 1, PPStages: 4, K: 2, M: 2, LoadBudget: -time.Second,
 	}); err == nil {
 		t.Error("negative load budget: want error")

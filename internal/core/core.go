@@ -49,24 +49,35 @@ import (
 const (
 	// DefaultBufferSize is the paper's 64 MB pipeline buffer.
 	DefaultBufferSize = 64 << 20
-	// DefaultDataBuffers and DefaultEncodingBuffers bound the pipeline
-	// depth per worker (12 data + 24 encoding buffers in the paper).
-	DefaultDataBuffers     = 12
-	DefaultEncodingBuffers = 24
-	// DefaultPipelineDepth is the default bound on buffer windows in
-	// flight per node: the streaming save's encode loop may run this many
-	// windows ahead of the slowest outstanding delivery, matching the
-	// paper's data-buffer budget.
-	DefaultPipelineDepth = DefaultDataBuffers
+	// pipelineDepth bounds the buffer windows a node holds in flight: the
+	// streaming save's encode loop runs at most this many windows ahead of
+	// the slowest outstanding delivery, so the pooled staging footprint is
+	// pipelineDepth × BufferSize per node. encodingBuffers sizes a node's
+	// outbound send queue. Both are the paper's one evaluated setting (12
+	// data + 24 encoding buffers, §VI), not options: no depth sweep on the
+	// hosts this repository is measured on separated one depth from another
+	// (DESIGN.md §10).
+	pipelineDepth   = 12
+	encodingBuffers = 24
+	// reduceFanIn bounds the XOR-reduction fan-in per machine: a reduction
+	// with more source machines than this aggregates over a tree of that
+	// arity (placement.BuildFanInTree), so no machine folds more than
+	// reduceFanIn concurrent partial streams at any cluster size; a
+	// reduction with at most reduceFanIn sources is the flat tree. A
+	// constant because the tree changes no byte and no layout, only which
+	// machine folds which stream.
+	reduceFanIn = 8
+	// restoreWorkers bounds the coordinator-side restore fan-out
+	// (LoadFromRemote's per-rank fetch+decode, LoadPartial's per-rank
+	// fetch, decode and reassembly). A constant because the work is
+	// latency-bound waits on independent blobs, so any width above one
+	// overlaps them, and no caller has needed another.
+	restoreWorkers = 8
 	// DefaultRemotePersistEvery persists to remote storage every Nth save.
 	DefaultRemotePersistEvery = 10
 	// DefaultOpTimeout bounds every protocol Send/Recv so a crashed peer
 	// turns into an error instead of a hang.
 	DefaultOpTimeout = 60 * time.Second
-	// DefaultRestoreWorkers bounds the restore fan-out (parallel remote
-	// fetches, partial-restore reassembly) when Config.RestoreWorkers is
-	// unset.
-	DefaultRestoreWorkers = 8
 	// remoteRetain is how many persisted checkpoint versions stay in remote
 	// storage: the newest, and the one before it for a reader that started
 	// before the newest landed. Older ones are deleted after each persist.
@@ -90,23 +101,6 @@ type Config struct {
 	// communication for window i+1 overlap the commit of window i.
 	// Defaults to DefaultBufferSize.
 	BufferSize int
-	// PipelineDepth bounds how many buffer windows one node may hold in
-	// flight at once: the encode loop blocks when this many windows have
-	// uncommitted deliveries, keeping the pooled-buffer footprint
-	// proportional to the depth instead of the packet size. 1 disables
-	// cross-window overlap (the phase-coarse baseline); 0 selects
-	// DefaultPipelineDepth.
-	PipelineDepth int
-	// GroupFanIn bounds the XOR-reduction fan-in per machine: reductions
-	// aggregate over a fan-in-bounded tree of the participating machines
-	// (see placement.BuildFanInTree), so no machine folds more than this
-	// many concurrent partial streams regardless of cluster size. 0
-	// disables the tree (flat reduction: the target folds every source
-	// directly), which is fine up to a few dozen nodes.
-	GroupFanIn int
-	// EncoderThreads sizes the CPU thread pool accelerating encoding.
-	// Defaults to GOMAXPROCS.
-	EncoderThreads int
 	// RemotePersistEvery persists every Nth checkpoint to remote storage
 	// (step 4); 0 disables remote persistence.
 	RemotePersistEvery int
@@ -119,14 +113,6 @@ type Config struct {
 	// peer that crashed mid-round. 0 selects DefaultOpTimeout; negative
 	// disables deadlines.
 	OpTimeout time.Duration
-	// RestoreWorkers bounds the worker pool the coordinator-side restore
-	// executors fan out over: the availability scan runs one worker per
-	// node regardless, but LoadFromRemote's per-rank fetch+decode and
-	// LoadPartial's per-rank fetch, decode and reassembly are capped at
-	// this many concurrent workers. 0 selects DefaultRestoreWorkers; 1
-	// restores the serial baseline (useful for measuring the parallel
-	// speedup).
-	RestoreWorkers int
 	// LoadBudget is the restore-latency SLO: when positive, every Load,
 	// LoadPartial and LoadFromRemote stamps its report with the budget and
 	// sets DeadlineExceeded when the round's wall time overran it. The
@@ -161,8 +147,6 @@ type Config struct {
 	// are rejected (a threshold under the observed p99 would flag
 	// healthy rounds).
 	WatchdogFactor float64
-	// CodeOptions tune the Cauchy Reed-Solomon code.
-	CodeOptions []erasure.Option
 }
 
 // withDefaults fills unset fields.
@@ -170,17 +154,11 @@ func (c Config) withDefaults() Config {
 	if c.BufferSize == 0 {
 		c.BufferSize = DefaultBufferSize
 	}
-	if c.PipelineDepth == 0 {
-		c.PipelineDepth = DefaultPipelineDepth
-	}
 	if c.RemotePersistEvery == 0 {
 		c.RemotePersistEvery = DefaultRemotePersistEvery
 	}
 	if c.OpTimeout == 0 {
 		c.OpTimeout = DefaultOpTimeout
-	}
-	if c.RestoreWorkers == 0 {
-		c.RestoreWorkers = DefaultRestoreWorkers
 	}
 	return c
 }
@@ -337,7 +315,7 @@ func newLayout(cfg *Config, plan *placement.Plan) (*layout, error) {
 		}
 		routes[ri] = reduceRoute{
 			targetNode: targetNode,
-			tree:       placement.BuildFanInTree(sources, targetNode, cfg.GroupFanIn),
+			tree:       placement.BuildFanInTree(sources, targetNode, reduceFanIn),
 			workersOf:  workersOf,
 		}
 	}
@@ -562,15 +540,6 @@ func New(cfg Config, net transport.Network, clus HostStore, remote *remotestore.
 		return nil, fmt.Errorf("core: buffer size %d must be a multiple of 64 (the coding alignment)",
 			cfg.BufferSize)
 	}
-	if cfg.PipelineDepth < 1 {
-		return nil, fmt.Errorf("core: pipeline depth must be at least 1, got %d", cfg.PipelineDepth)
-	}
-	if cfg.GroupFanIn < 0 {
-		return nil, fmt.Errorf("core: group fan-in must be non-negative, got %d", cfg.GroupFanIn)
-	}
-	if cfg.RestoreWorkers < 1 {
-		return nil, fmt.Errorf("core: restore workers must be at least 1, got %d", cfg.RestoreWorkers)
-	}
 	if cfg.LoadBudget < 0 {
 		return nil, fmt.Errorf("core: load budget must be non-negative, got %v", cfg.LoadBudget)
 	}
@@ -581,7 +550,7 @@ func New(cfg Config, net transport.Network, clus HostStore, remote *remotestore.
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	code, err := erasure.New(cfg.K, cfg.M, cfg.CodeOptions...)
+	code, err := erasure.New(cfg.K, cfg.M)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -599,7 +568,7 @@ func New(cfg Config, net transport.Network, clus HostStore, remote *remotestore.
 	c := &Checkpointer{
 		cfg:       cfg,
 		code:      code,
-		pool:      ecpool.NewPool(cfg.EncoderThreads),
+		pool:      ecpool.NewPool(0),
 		buf:       bufpool.Default,
 		net:       net,
 		clus:      clus,

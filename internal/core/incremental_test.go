@@ -212,6 +212,29 @@ func TestIncrementalChainOfUpdates(t *testing.T) {
 	dictsEqual(t, current, got)
 }
 
+// TestIncrementalVolumeTracksChange: the windows a delta ships grow with the
+// number of workers whose tensors changed, from none at all.
+func TestIncrementalVolumeTracksChange(t *testing.T) {
+	rig := incrementalRig(t)
+	ctx := context.Background()
+	if _, err := rig.ckpt.Save(ctx, rig.dicts); err != nil {
+		t.Fatal(err)
+	}
+	current, shipped := rig.dicts, -1
+	for step, ranks := range [][]int{nil, {2}, {0, 4, 7}, {0, 1, 2, 3, 4, 5, 6, 7}} {
+		current = mutateSomeTensors(current, ranks, int64(300+step))
+		rep, err := rig.ckpt.SaveIncremental(ctx, current)
+		if err != nil {
+			t.Fatalf("%d changed workers: %v", len(ranks), err)
+		}
+		if rep.Full || rep.ChangedBuffers <= shipped || rep.ChangedBuffers > rep.TotalBuffers {
+			t.Fatalf("%d changed workers shipped %d of %d buffers (full=%v) after %d for fewer",
+				len(ranks), rep.ChangedBuffers, rep.TotalBuffers, rep.Full, shipped)
+		}
+		shipped = rep.ChangedBuffers
+	}
+}
+
 // TestDeltaRoundIsASaveRound: a delta round is observed exactly like a full
 // one. Its flight timeline has the same kinds of event on every node, and
 // the SaveReport the engine builds for it partitions the round's wall time

@@ -69,7 +69,7 @@ func (c *Checkpointer) serveDirect(rd *restoreRound) error {
 	// decoded below.
 	pc.Switch(PhaseFetch)
 	packets := make([][]byte, len(want))
-	_ = c.forEachBounded(len(want), func(i int) error {
+	_ = forEachBounded(len(want), func(i int) error {
 		chunk := plan.DataGroupOf[want[i]]
 		if owner := plan.ChunkOwner(plan.GroupOfRank(want[i]), chunk); rd.scan[owner].holds(rd.version) {
 			packets[i], _ = c.read(rd, owner, keys.segment[chunk][plan.SegmentOf[want[i]]])
@@ -91,7 +91,7 @@ func (c *Checkpointer) serveDirect(rd *restoreRound) error {
 	// holds its code group's broadcast set.
 	pc.Switch(PhaseSmallSync)
 	smalls := make([][2][]byte, len(want))
-	if err := c.forEachBounded(len(want), func(i int) (err error) {
+	if err := forEachBounded(len(want), func(i int) (err error) {
 		smalls[i], err = c.smallsOf(rd, rd.groups[plan.GroupOfRank(want[i])].smallSources, want[i])
 		return err
 	}); err != nil {
@@ -99,7 +99,7 @@ func (c *Checkpointer) serveDirect(rd *restoreRound) error {
 	}
 
 	pc.Switch(PhaseRedistribute)
-	return c.forEachBounded(len(want), func(i int) (err error) {
+	return forEachBounded(len(want), func(i int) (err error) {
 		rd.dicts[want[i]], err = assemblePacket(want[i], smalls[i][0], smalls[i][1], packets[i])
 		if decoded[i] {
 			c.buf.Put(packets[i])
@@ -142,7 +142,7 @@ func (c *Checkpointer) decodeLost(rd *restoreRound, packets [][]byte) ([]bool, e
 	// By code group then segment index, then basis position. An unplanned
 	// group has no decode plans and is skipped.
 	srcs := make([][][]byte, len(rd.groups)*span)
-	if err := c.forEachBounded(len(srcs), func(i int) error {
+	if err := forEachBounded(len(srcs), func(i int) error {
 		cg, s := i/span, i%span
 		gp := &rd.groups[cg]
 		if gp.decode == nil || len(gp.decode[s].missing) == 0 {
@@ -173,7 +173,7 @@ func (c *Checkpointer) decodeLost(rd *restoreRound, packets [][]byte) ([]bool, e
 			return nil, err
 		}
 	}
-	return decoded, c.forEachBounded(len(want), func(i int) error {
+	return decoded, forEachBounded(len(want), func(i int) error {
 		if !decoded[i] {
 			return nil
 		}
@@ -206,7 +206,7 @@ func (c *Checkpointer) decodeLost(rd *restoreRound, packets [][]byte) ([]bool, e
 // catalog — discovery deliberately ignores the in-memory version counter,
 // because the caller that needs this path most is a freshly restarted
 // process whose counter is zero. Ranks are fetched by a bounded worker
-// pool (Config.RestoreWorkers) and each blob is deserialized as soon as
+// pool (restoreWorkers) and each blob is deserialized as soon as
 // it arrives, so decode overlaps the remaining transfers.
 //
 // The context bounds the whole recovery: each remote fetch honors both
@@ -236,7 +236,7 @@ func (c *Checkpointer) serveRemote(ctx context.Context, cancel context.CancelFun
 	}
 	rd.pc.Switch(PhaseFetch)
 	ctx = c.opCtx(ctx)
-	return c.forEachBounded(len(rd.req.want), func(i int) error {
+	return forEachBounded(len(rd.req.want), func(i int) error {
 		rank := rd.req.want[i]
 		blob, _, err := c.remote.Get(ctx, 0, remoteKey(rd.version, rank))
 		if err == nil {

@@ -4,12 +4,29 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"eccheck/internal/chaos"
 )
+
+// awaitAcquireEntered yields until the encode loop is inside acquire(b).
+// acquire stamps enterAt[b] and reaches its credit wait under one hold of
+// w.mu, so seeing the stamp from under the lock means the caller is parked
+// on the credit (or already past it).
+func awaitAcquireEntered(w *bufWindow, b int) {
+	for {
+		w.mu.Lock()
+		entered := !w.enterAt[b].IsZero()
+		w.mu.Unlock()
+		if entered {
+			return
+		}
+		runtime.Gosched()
+	}
+}
 
 // TestBufWindowStatsPartition checks the window's timing ledger: for every
 // committed buffer the interval from entering acquire to commit partitions
@@ -28,9 +45,12 @@ func TestBufWindowStatsPartition(t *testing.T) {
 		wg.Add(1)
 		go func(b int) {
 			defer wg.Done()
-			// Deliveries trickle in so buffers stay in flight long enough
-			// for later acquires to stall on the depth bound.
-			time.Sleep(time.Duration(1+b%3) * time.Millisecond)
+			// Buffer b stays in flight until the encode loop is blocked on
+			// the credit it holds, so every buffer past the first depth
+			// stalls.
+			if b+depth < buffers {
+				awaitAcquireEntered(w, b+depth)
+			}
 			w.landOne(b)
 			w.landOne(b)
 		}(b)
@@ -59,10 +79,10 @@ func TestBufWindowStatsPartition(t *testing.T) {
 			stalled = true
 		}
 	}
-	// With 2 credits and millisecond-slow deliveries, at least one later
-	// buffer must have waited for a credit.
+	// With 2 credits and deliveries held until the loop blocks, at least
+	// one later buffer must have waited for a credit.
 	if !stalled {
-		t.Error("no buffer ever stalled despite depth 2 and slow deliveries")
+		t.Error("no buffer ever stalled despite depth 2 and held deliveries")
 	}
 	if got := w.MaxInFlight(); got > depth {
 		t.Fatalf("max in-flight %d exceeds depth %d", got, depth)
@@ -137,9 +157,9 @@ func TestBufWindowDepthBound(t *testing.T) {
 	w := newBufWindow(buffers, depth, func(int) int { return 1 })
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(42))
-	delays := make([]time.Duration, buffers)
-	for b := range delays {
-		delays[b] = time.Duration(rng.Intn(500)) * time.Microsecond
+	yields := make([]int, buffers) // delivery jitter in scheduler yields, not wall time
+	for b := range yields {
+		yields[b] = rng.Intn(64)
 	}
 
 	var wg sync.WaitGroup
@@ -150,7 +170,9 @@ func TestBufWindowDepthBound(t *testing.T) {
 		wg.Add(1)
 		go func(b int) {
 			defer wg.Done()
-			time.Sleep(delays[b])
+			for i := 0; i < yields[b]; i++ {
+				runtime.Gosched()
+			}
 			w.landOne(b)
 		}(b)
 	}
@@ -180,7 +202,7 @@ func TestBufWindowFailUnblocks(t *testing.T) {
 		// Blocks: buffer 0 holds the only credit and never lands.
 		acquired <- w.acquire(ctx, 1)
 	}()
-	time.Sleep(2 * time.Millisecond)
+	awaitAcquireEntered(w, 1)
 	w.fail(boom)
 	w.fail(errors.New("second error must not displace the first"))
 	if err := <-acquired; !errors.Is(err, boom) {
@@ -204,7 +226,7 @@ func TestBufWindowAcquireHonorsCancel(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- w.acquire(ctx, 1) }()
-	time.Sleep(2 * time.Millisecond)
+	awaitAcquireEntered(w, 1)
 	cancel()
 	select {
 	case err := <-done:
@@ -217,14 +239,13 @@ func TestBufWindowAcquireHonorsCancel(t *testing.T) {
 }
 
 // TestSaveKilledMidWindowKeepsPreviousCheckpoint is the streaming-pipeline
-// chaos test: with small buffer windows and a deep in-flight bound, a node
-// dies partway through a round — several windows committed, several in
-// flight. The save must fail without promoting anything, and the previous
-// checkpoint must stay fully recoverable.
+// chaos test: with 4 KiB buffer windows (several times pipelineDepth per
+// packet) a node dies partway through a round — several windows committed,
+// several in flight. The save must fail without promoting anything, and the
+// previous checkpoint must stay fully recoverable.
 func TestSaveKilledMidWindowKeepsPreviousCheckpoint(t *testing.T) {
 	rig, net := newChaosRig(t, 4, 2, 2, 2, chaos.Plan{Seed: 3}, func(c *Config) {
-		c.BufferSize = 4 << 10 // many windows per packet
-		c.PipelineDepth = 2    // bounded overlap, so the kill lands mid-window
+		c.BufferSize = 4 << 10 // well over pipelineDepth windows per packet, so the kill lands mid-window
 	})
 	ctx := context.Background()
 	if _, err := rig.ckpt.Save(ctx, rig.dicts); err != nil {

@@ -549,21 +549,12 @@ func assemblePacket(rank int, meta, keys, packet []byte) (*statedict.StateDict, 
 }
 
 // forEachBounded runs fn(i) for every i in [0, n) across at most
-// Config.RestoreWorkers goroutines and joins the errors. With one worker it
-// degenerates to a plain loop — the serial baseline the bench compares
-// against.
-func (c *Checkpointer) forEachBounded(n int, fn func(i int) error) error {
+// restoreWorkers goroutines and joins the errors.
+func forEachBounded(n int, fn func(i int) error) error {
 	errs := make([]error, n)
-	workers := min(c.cfg.RestoreWorkers, n)
-	if workers <= 1 {
-		for i := range errs {
-			errs[i] = fn(i)
-		}
-		return errors.Join(errs...)
-	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(restoreWorkers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

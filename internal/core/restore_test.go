@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -122,20 +123,51 @@ func TestLoadFromRemoteEmptyStore(t *testing.T) {
 	}
 }
 
-func TestLoadFromRemoteSerialWorker(t *testing.T) {
-	// RestoreWorkers=1 is the serial baseline; it must stay correct.
-	rig := newRig(t, 4, 2, 2, 2, func(c *Config) { c.RestoreWorkers = 1 })
+// TestLoadFromRemotePoolOverlapsGets is the test of the fixed restore pool,
+// counted rather than timed: under a 2 ms remote stall the store's own
+// flight record of each Get (call to return, stall included) must show more
+// than one and at most restoreWorkers Gets in flight at once.
+func TestLoadFromRemotePoolOverlapsGets(t *testing.T) {
+	rig := newRig(t, 4, 4, 2, 2) // 16 ranks: twice the pool
 	ctx := context.Background()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 2; i++ { // RemotePersistEvery 2: v2 is persisted
 		if _, err := rig.ckpt.Save(ctx, rig.dicts); err != nil {
 			t.Fatal(err)
 		}
 	}
+	rec := flight.New(1 << 10)
+	rig.remote.SetFlight(rec)
+	rig.remote.SetStall(2 * time.Millisecond)
 	got, err := rig.ckpt.LoadFromRemote(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dictsEqual(t, rig.dicts, got)
+
+	type edge struct {
+		at    time.Duration
+		delta int
+	}
+	var edges []edge
+	for _, ev := range rec.Snapshot() {
+		if ev.Type == flight.EvRemote && ev.Op == "get" {
+			edges = append(edges, edge{ev.TS, +1}, edge{ev.TS + ev.Dur, -1})
+		}
+	}
+	if len(edges) < 2*len(rig.dicts) {
+		t.Fatalf("%d Get edges recorded for %d ranks", len(edges), len(rig.dicts))
+	}
+	slices.SortFunc(edges, func(a, b edge) int { // a Get that ends when another starts does not overlap it
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.delta, b.delta))
+	})
+	inFlight, most := 0, 0
+	for _, e := range edges {
+		inFlight += e.delta
+		most = max(most, inFlight)
+	}
+	if most <= 1 || most > restoreWorkers {
+		t.Errorf("remote restore had %d Gets in flight at once, want 2..%d", most, restoreWorkers)
+	}
 }
 
 func TestLoadPartialValidationAndFastPath(t *testing.T) {

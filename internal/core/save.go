@@ -303,14 +303,14 @@ type foldCursor struct {
 //
 // The packet is processed as a sequence of buffer windows (Config.
 // BufferSize each). A bufWindow ledger bounds how many windows the node
-// holds in flight (Config.PipelineDepth) and retires a window only when
+// holds in flight (pipelineDepth) and retires a window only when
 // every delivery it owes this node has landed, so encode/XOR/P2P for buffer
 // i+1 overlaps the residual deliveries of buffer i while pooled-buffer
 // usage stays proportional to the depth. XOR reductions aggregate over the
 // fan-in tree compiled into the layout (see reduceRoute): each machine
 // folds its own workers' contributions plus its tree children's partials
 // and forwards a single partial per buffer toward the root, keeping
-// per-machine fan-in bounded by Config.GroupFanIn at any cluster size.
+// per-machine fan-in bounded by reduceFanIn at any cluster size.
 //
 // What ships is a parameter. Each worker's ship-set (broadcast with its
 // small components) names the windows of its packet that carry traffic, and
@@ -571,7 +571,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 	// fold completion per reduction this node folds anything for (root
 	// finalize or partial forward), and one arrival per inbound parity or
 	// data stream that carries the window.
-	win := newBufWindow(numBuffers, c.cfg.PipelineDepth, func(b int) int {
+	win := newBufWindow(numBuffers, pipelineDepth, func(b int) int {
 		n := 1
 		for ri := range routes {
 			if owed(ri, b) > 0 {
@@ -638,7 +638,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 		// the window instead).
 		land int
 	}
-	sendQueue := make(chan outMsg, DefaultEncodingBuffers)
+	sendQueue := make(chan outMsg, encodingBuffers)
 	var sendWG sync.WaitGroup
 	sendWG.Add(1)
 	go func() {
@@ -789,7 +789,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 
 	// Partial receivers: one stream per inbound tree edge. Each child
 	// machine sends exactly one folded partial per buffer it ships, so this
-	// node receives at most GroupFanIn streams per reduction regardless of
+	// node receives at most reduceFanIn streams per reduction regardless of
 	// k. They are also send-queue producers (a completion forwards or
 	// finalizes), so the queue closes only after they exit.
 	var xorRecvWG sync.WaitGroup
@@ -815,8 +815,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 
 	// Encode loop: stream buffer windows through the pipeline under the
 	// credit bound. Admission waits are pipeline backpressure, charged to
-	// p2p; with PipelineDepth 1 the loop degrades to the phase-coarse
-	// baseline (no window starts before the previous one fully commits).
+	// p2p.
 	srcs := make([][]byte, g) // this window's source per local worker; nil when not shipped
 	encodeErr := func() error {
 		for b := 0; b < numBuffers; b++ {

@@ -11,7 +11,7 @@ import (
 // bufWindow is the per-node buffer-window state machine of the streaming
 // save pipeline. Each node's packet is split into fixed-size buffer windows
 // (Config.BufferSize); the encode loop may only work on a bounded number of
-// windows at once (Config.PipelineDepth), and a window retires — releasing
+// windows at once (pipelineDepth), and a window retires — releasing
 // its credit back to the loop — only when every delivery it owes this node
 // has landed: local stage copies, reduction finalizes or partial forwards,
 // and P2P arrivals. Encode/XOR/P2P for buffer i+1 therefore overlaps the

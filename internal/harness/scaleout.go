@@ -18,8 +18,7 @@ import (
 )
 
 // ScaleConfig parameterises the scale-out sweep: the streaming save
-// pipeline measured across cluster sizes, optionally against the
-// phase-coarse baseline (PipelineDepth 1) at every point.
+// pipeline measured across cluster sizes.
 type ScaleConfig struct {
 	// NodeCounts are the simulated cluster sizes, each run with one worker
 	// per node. In flat mode (GroupSize 0) every count must be even and at
@@ -36,52 +35,36 @@ type ScaleConfig struct {
 	// per rank, so aggregate payload grows with the cluster).
 	PerRankBytes int
 	// BufferSize is the streaming window size; PerRankBytes/BufferSize is
-	// the pipeline depth the windowing can exploit.
+	// how many windows a packet streams as.
 	BufferSize int
-	// PipelineDepth and GroupFanIn are the streaming knobs under test
-	// (zero values select the core defaults).
-	PipelineDepth int
-	GroupFanIn    int
 	// LinkLatency and LinkGBps shape the in-process transport like a real
 	// interconnect (transport.WithLink): a fixed per-message cost plus a
-	// serialization bandwidth. Both zero leaves the link ideal — but an
-	// ideal link has no wire time for the pipeline to hide, so the
-	// streaming-vs-phase-coarse margin only means something when shaped.
+	// serialization bandwidth. Both zero leaves the link ideal.
 	LinkLatency time.Duration
 	LinkGBps    float64
 	// Rounds is the number of measured steady-state rounds per point (one
 	// extra warm-up round always runs first).
 	Rounds int
-	// Baseline additionally measures each point with PipelineDepth 1 — the
-	// phase-coarse protocol, where a buffer window must fully commit before
-	// the next one starts — to quantify the streaming overlap win.
-	Baseline bool
 }
 
-// DefaultScaleConfig returns the sweep the committed BENCH_6.json snapshot
-// is produced with: 4 → 256 nodes, 64 KiB per rank split into eight 8 KiB
-// buffer windows, over a 20µs + 12.5 GB/s link (≈ a 100 Gb/s RDMA fabric).
-// PipelineDepth 3 is deliberately shallower than the library default: a
-// shared-host simulation has no spare cores for deep overlap, and windows
-// past ~4 only add live-buffer memory pressure (see EXPERIMENTS.md).
+// DefaultScaleConfig returns the flat sweep `eccheck-bench scaleout` prints:
+// 4 → 256 nodes, 64 KiB per rank split into eight 8 KiB buffer windows, over
+// a 20µs + 12.5 GB/s link (≈ a 100 Gb/s RDMA fabric).
 func DefaultScaleConfig() ScaleConfig {
 	return ScaleConfig{
-		NodeCounts:    []int{4, 16, 64, 256},
-		PerRankBytes:  64 << 10,
-		BufferSize:    8 << 10,
-		PipelineDepth: 3,
-		GroupFanIn:    8,
-		LinkLatency:   20 * time.Microsecond,
-		LinkGBps:      12.5,
-		Rounds:        5,
-		Baseline:      true,
+		NodeCounts:   []int{4, 16, 64, 256},
+		PerRankBytes: 64 << 10,
+		BufferSize:   8 << 10,
+		LinkLatency:  20 * time.Microsecond,
+		LinkGBps:     12.5,
+		Rounds:       5,
 	}
 }
 
-// DefaultGroupedScaleConfig returns the grouped-mode counterpart of the
-// committed snapshot: the same payload, windows and link, but 8 → 512
-// nodes divided into independent groups of 8 (k = m = 4 each), the
-// paper's scheme for keeping per-node cost constant as the cluster grows.
+// DefaultGroupedScaleConfig returns the grouped counterpart: the same
+// payload, windows and link, but 8 → 512 nodes divided into independent
+// groups of 8 (k = m = 4 each), the paper's scheme for keeping per-node cost
+// constant as the cluster grows.
 func DefaultGroupedScaleConfig() ScaleConfig {
 	cfg := DefaultScaleConfig()
 	cfg.NodeCounts = []int{8, 64, 256, 512}
@@ -112,11 +95,6 @@ type ScaleRow struct {
 	// PerNodeMBps divides it by the node count.
 	AggMBps     float64
 	PerNodeMBps float64
-	// Baseline is the median phase-coarse (PipelineDepth 1) round wall
-	// time; zero when the baseline was not measured. Speedup is
-	// Baseline/Elapsed.
-	Baseline time.Duration
-	Speedup  float64
 	// StragglerNode and StragglerLag identify the slowest machine of the
 	// last measured round and how far it ran behind the cluster mean.
 	StragglerNode int
@@ -154,9 +132,7 @@ func ScalingSlope(rows []ScaleRow) float64 {
 
 // ScaleOutStudy measures (on the functional layer, real bytes) the
 // streaming save pipeline across cluster sizes: aggregate throughput per
-// node count, the log-log scaling slope, and — when cfg.Baseline is set —
-// the phase-coarse baseline at the same points, so the streaming overlap
-// win is a measured margin rather than a claim.
+// node count and the log-log scaling slope.
 func ScaleOutStudy(w io.Writer, cfg ScaleConfig) ([]ScaleRow, error) {
 	if len(cfg.NodeCounts) == 0 {
 		cfg = DefaultScaleConfig()
@@ -181,20 +157,15 @@ func ScaleOutStudy(w io.Writer, cfg ScaleConfig) ([]ScaleRow, error) {
 		if cfg.GroupSize > 0 {
 			scheme = fmt.Sprintf("groups of %d, k=m=%d each", cfg.GroupSize, cfg.GroupSize/2)
 		}
-		if err := fprintf(w, "scale-out streaming sweep (1 GPU/node, %s, %dKiB/rank, %dKiB windows, %s)\n%-6s %8s %8s %12s %12s %12s %12s %8s %12s\n",
+		if err := fprintf(w, "scale-out streaming sweep (1 GPU/node, %s, %dKiB/rank, %dKiB windows, %s)\n%-6s %8s %8s %12s %12s %12s %12s\n",
 			scheme, cfg.PerRankBytes>>10, cfg.BufferSize>>10, link,
-			"nodes", "world", "buffers", "payload", "round", "agg MB/s", "baseline", "speedup", "straggle"); err != nil {
+			"nodes", "world", "buffers", "payload", "round", "agg MB/s", "straggle"); err != nil {
 			return nil, err
 		}
 		for _, r := range rows {
-			base, speed := "-", "-"
-			if r.Baseline > 0 {
-				base = r.Baseline.Round(time.Microsecond).String()
-				speed = fmt.Sprintf("%.2fx", r.Speedup)
-			}
-			if err := fprintf(w, "%-6d %8d %8d %10.1fMB %12v %12.1f %12s %8s %12v\n",
+			if err := fprintf(w, "%-6d %8d %8d %10.1fMB %12v %12.1f %12v\n",
 				r.Nodes, r.World, r.Buffers, float64(r.PayloadBytes)/1e6,
-				r.Elapsed.Round(time.Microsecond), r.AggMBps, base, speed,
+				r.Elapsed.Round(time.Microsecond), r.AggMBps,
 				r.StragglerLag.Round(time.Microsecond)); err != nil {
 				return nil, err
 			}
@@ -206,8 +177,7 @@ func ScaleOutStudy(w io.Writer, cfg ScaleConfig) ([]ScaleRow, error) {
 	return rows, nil
 }
 
-// scalePoint measures one node count: steady-state streaming rounds, plus
-// the phase-coarse baseline when configured.
+// scalePoint measures one node count's steady-state streaming rounds.
 func scalePoint(cfg ScaleConfig, nodes int) (ScaleRow, error) {
 	k, m, groups := nodes/2, nodes/2, 1
 	switch {
@@ -226,7 +196,7 @@ func scalePoint(cfg ScaleConfig, nodes int) (ScaleRow, error) {
 	if err != nil {
 		return ScaleRow{}, err
 	}
-	elapsed, rep, err := scaleRounds(cfg, nodes, k, m, cfg.PipelineDepth, dicts)
+	elapsed, rep, err := scaleRounds(cfg, nodes, k, m, dicts)
 	if err != nil {
 		return ScaleRow{}, err
 	}
@@ -249,23 +219,15 @@ func scalePoint(cfg ScaleConfig, nodes int) (ScaleRow, error) {
 		StragglerLag:  rep.StragglerLag,
 	}
 	row.PerNodeMBps = row.AggMBps / float64(nodes)
-	if cfg.Baseline {
-		base, _, err := scaleRounds(cfg, nodes, k, m, 1, dicts)
-		if err != nil {
-			return ScaleRow{}, err
-		}
-		row.Baseline = base
-		row.Speedup = float64(base) / float64(elapsed)
-	}
 	return row, nil
 }
 
 // scaleRounds builds one engine over nodes machines with a (k, m) code — one
 // flat code group when k+m is the node count, the paper's grouped scheme of
-// nodes/(k+m) independent groups otherwise — at the given pipeline depth,
-// runs a warm-up round plus cfg.Rounds measured ones, and returns the median
-// round wall time and the last round's report.
-func scaleRounds(cfg ScaleConfig, nodes, k, m, depth int, dicts []*statedict.StateDict) (time.Duration, *core.SaveReport, error) {
+// nodes/(k+m) independent groups otherwise — runs a warm-up round plus
+// cfg.Rounds measured ones, and returns the median round wall time and the
+// last round's report.
+func scaleRounds(cfg ScaleConfig, nodes, k, m int, dicts []*statedict.StateDict) (time.Duration, *core.SaveReport, error) {
 	net, err := transport.NewMemory(nodes)
 	if err != nil {
 		return 0, nil, err
@@ -284,12 +246,10 @@ func scaleRounds(cfg ScaleConfig, nodes, k, m, depth int, dicts []*statedict.Sta
 		return 0, nil, err
 	}
 	ckpt, err := core.New(core.Config{
-		Topo:          topo,
-		K:             k,
-		M:             m,
-		BufferSize:    cfg.BufferSize,
-		PipelineDepth: depth,
-		GroupFanIn:    cfg.GroupFanIn,
+		Topo:       topo,
+		K:          k,
+		M:          m,
+		BufferSize: cfg.BufferSize,
 	}, net, clus, nil)
 	if err != nil {
 		return 0, nil, err
