@@ -30,16 +30,21 @@ test:
 # the gate despite the longer runtime. The root package exercises the
 # public SaveAsync/Close lifecycle (snapshot-and-drain, close-during-save).
 # Both run their grouped-layout tests (TestGrouped*: every operation on 8
-# machines as 2 × (2+2)) here too.
+# machines as 2 × (2+2)) here too. The delta round's carry rule runs here on
+# poisoned spares: TestSparseDeltaTouchesOnlyItsSegments (exact counts),
+# TestDeltaRoundDoesNotLaunderCorruption, TestIncrementalCorruptCacheFallsBackToFull
+# and the sparse rounds of TestNoBufferIsBothStoredAndSpare.
 # The enumerated crash sweep is the slowest test under the detector and has
 # its own target below, so it runs once per `make check`, not twice.
 race:
 	$(GO) test -race -skip 'TestCrashSweep' $(TESTFLAGS) . ./internal/transport ./internal/cluster ./internal/chaos ./internal/obs ./internal/core ./internal/bufpool ./internal/ecpool
 
 # Every crash point of a round, enumerated. Save rounds (Save, SaveAsync,
-# SaveIncremental with a real delta): a node is killed at each of its sends
-# in turn, and recovery must return the new version or the previous one byte
-# for byte — never a mixture — with the next round committing correct bytes.
+# SaveIncremental with a delta that touches every segment, and
+# SaveIncrementalOneRank with one that touches three and carries the rest): a
+# node is killed at each of its sends in turn, and recovery must return the
+# new version or the previous one byte for byte — never a mixture — with the
+# next round committing correct bytes.
 # Restore rounds (Load and PrefetchChunk on a cluster that already lost a
 # data machine): a basis owner is killed at each of its sends, and the
 # recovery after it must return the committed version, the next save commit,
@@ -81,7 +86,8 @@ doclint:
 # stuck-round watchdog disabled. The steady-state save is gated in bytes: once
 # two rounds have committed, a round assembles its segments in the buffers
 # the last commit displaced and allocates under a quarter of the tensor
-# payload (the coded checkpoint afresh is (k+m)/k of it).
+# payload (the coded checkpoint afresh is (k+m)/k of it) — a delta round
+# that changes one worker included, its restaged own-packet cache and all.
 allocgate:
 	$(GO) test -run 'TestDisabledRecorderZeroAlloc' -count=1 ./internal/obs/flight
 	$(GO) test -run 'TestPhaseClockZeroAllocWithoutRecorder|TestPhaseClockZeroAllocWatchdogDisabled|TestRoundHooksZeroAllocWhenDisabled|TestSteadyStateSaveAllocatesNoSegments' -count=1 ./internal/core

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -233,33 +234,45 @@ func (c *Checkpointer) startSave(ctx context.Context, dicts []*statedict.StateDi
 	// Pure local memory work — decompose, serialize small components, DtoH
 	// packet copy — no network, so a snapshot cannot hang on a peer.
 	snaps := make([]*nodeSnapshot, c.cfg.Topo.Nodes())
-	snapErrc := make(chan error, c.cfg.Topo.Nodes())
-	var snapWG sync.WaitGroup
 	// The per-node section (snapshot through drain) starts here; drainSave
 	// measures synchronization skew against this mark so the phase
 	// breakdown keeps summing to the round's wall time across the
 	// snapshot→drain goroutine handoff.
 	sectionStart := time.Now()
-	for node := 0; node < c.cfg.Topo.Nodes(); node++ {
-		snapWG.Add(1)
-		go func(node int) {
-			defer snapWG.Done()
-			snap, err := c.snapshotNode(node, version, packetBytes, dicts, h.delta)
-			if err != nil {
-				snapErrc <- fmt.Errorf("core: node %d snapshot: %w", node, err)
-				return
-			}
-			snaps[node] = snap
-		}(node)
-	}
-	snapWG.Wait()
-	close(snapErrc)
-	if err := <-snapErrc; err != nil {
-		for _, snap := range snaps {
-			if snap != nil {
-				snap.release(c)
+	snapshot := func() error {
+		snapErrc := make(chan error, len(snaps))
+		var snapWG sync.WaitGroup
+		for node := range snaps {
+			snapWG.Add(1)
+			go func(node int) {
+				defer snapWG.Done()
+				snap, err := c.snapshotNode(node, version, packetBytes, dicts, h.delta)
+				if err != nil {
+					snapErrc <- fmt.Errorf("core: node %d snapshot: %w", node, err)
+				}
+				snaps[node] = snap
+			}(node)
+		}
+		snapWG.Wait()
+		close(snapErrc)
+		err := <-snapErrc
+		if err != nil {
+			for _, snap := range snaps {
+				if snap != nil {
+					snap.release(c)
+				}
 			}
 		}
+		return err
+	}
+	err := snapshot()
+	if errors.Is(err, errNoDeltaBase) {
+		// A cache deltaBase saw is missing, mis-sized or corrupt: the same
+		// round ships every window instead, which also restages every cache.
+		h.delta = false
+		err = snapshot()
+	}
+	if err != nil {
 		saveSpan.End()
 		// Finalize the handle as well as the slot (matching drainSave's fail
 		// path): anything that already captured h as the in-flight round —
@@ -327,6 +340,7 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 	tags := c.roundTags(lay)
 	fail := func(err error) {
 		c.discardStaged(&lay.keys)
+		clear(c.spares) // what the drains did not take goes with what they did
 		// Whatever this round left in flight stays under its own tags.
 		c.epoch.Add(1)
 		c.releaseSave(h)
@@ -371,7 +385,7 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 	// manifest — the blob that announces the new version — lands last.
 	commitStart := time.Now()
 	c.commitMu.Lock()
-	err := c.commitStaged(&lay.keys)
+	err := c.commitStaged(lay)
 	if err == nil {
 		c.version.Store(int64(version))
 	}

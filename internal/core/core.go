@@ -243,9 +243,10 @@ type Checkpointer struct {
 	epoch atomic.Int64
 	tags  atomic.Pointer[tagTable]
 
-	// spares holds, by node, the segment buffers the last commit displaced:
-	// the next drain's staging area, so a steady-state save allocates no
-	// segment. Set by commitStaged, taken by nodeDrain, cleared by
+	// spares holds, by node, the segment buffers commits displaced and no
+	// round has taken since: the next drain's staging area, so a steady-state
+	// save allocates no segment. Added to by commitStaged, taken one per
+	// touched segment by nodeDrain, cleared by an aborted round and by
 	// WithSaveFence, all under the save slot; never host-store keys.
 	spares [][][]byte
 
@@ -860,28 +861,34 @@ func keyStaged(key string) string { return stagePrefix + key }
 // complete new one. Commit is pure local host-memory work — no network —
 // and a node that dies inside this window loses its whole memory anyway,
 // which the erasure code absorbs like any machine failure.
-// The segments it displaces — the previous version, which no reader can
-// still hold: commitMu is held exclusively, under the save slot — become the
-// node's spare set, replacing whatever it was.
-func (c *Checkpointer) commitStaged(keys *keyTable) error {
-	span := len(keys.segment[0])
+// A node commits what it staged: a delta round stages neither the segments
+// nor the own-packet caches it carries (see nodeDrain), and those blobs stay
+// stored as they are. The segments a commit does displace — no reader can
+// still hold them: commitMu is held exclusively, under the save slot — join
+// the node's spare set, which thus never exceeds one version's segments.
+func (c *Checkpointer) commitStaged(lay *layout) error {
+	keys, span := &lay.keys, lay.plan.Span()
 	for node := 0; node < c.cfg.Topo.Nodes(); node++ {
 		// Rename staged blobs in key order (a node's key set ends in its span
 		// segments and then the manifest): zero-copy and leaves no staging
-		// keys behind.
+		// keys behind. The small components come first and, like the manifest,
+		// are staged every round; anything after them may be carried.
 		commit := keys.commit[node]
-		var spare [][]byte
+		lo, hi := lay.plan.RankRange(lay.plan.GroupOfNode(node))
 		for i, key := range commit {
-			old, err := c.clus.Move(node, keys.staged[node][i], key)
+			staged := keys.staged[node][i]
+			if i >= 2*(hi-lo) && i < len(commit)-1 && !c.clus.Has(node, staged) {
+				continue
+			}
+			old, err := c.clus.Move(node, staged, key)
 			if err != nil {
 				return fmt.Errorf("core: node %d commit %q: %w", node, key, err)
 			}
 			if seg := i - (len(commit) - 1 - span); old != nil && seg >= 0 && seg < span {
 				retire(old)
-				spare = append(spare, old)
+				c.spares[node] = append(c.spares[node], old)
 			}
 		}
-		c.spares[node] = spare
 	}
 	return nil
 }

@@ -9,21 +9,25 @@ import (
 
 	"eccheck/internal/chaos"
 	"eccheck/internal/model"
+	"eccheck/internal/obs"
 	"eccheck/internal/parallel"
 	"eccheck/internal/statedict"
 )
 
-// saveKinds are the three entries into the one save engine. Each runs one
-// round to completion and returns its error.
+// saveKinds are the three entries into the one save engine, the last one
+// twice: over contents that change every worker's packet, and (oneRank) over
+// contents that change one worker's, so most segments are carried. Each runs
+// one round to completion and returns its error.
 var saveKinds = []struct {
-	name string
-	run  func(ctx context.Context, c *Checkpointer, dicts []*statedict.StateDict) error
+	name    string
+	oneRank bool
+	run     func(ctx context.Context, c *Checkpointer, dicts []*statedict.StateDict) error
 }{
-	{"Save", func(ctx context.Context, c *Checkpointer, dicts []*statedict.StateDict) error {
+	{"Save", false, func(ctx context.Context, c *Checkpointer, dicts []*statedict.StateDict) error {
 		_, err := c.Save(ctx, dicts)
 		return err
 	}},
-	{"SaveAsync", func(ctx context.Context, c *Checkpointer, dicts []*statedict.StateDict) error {
+	{"SaveAsync", false, func(ctx context.Context, c *Checkpointer, dicts []*statedict.StateDict) error {
 		h, err := c.SaveAsync(ctx, dicts)
 		if err != nil {
 			return err
@@ -31,10 +35,13 @@ var saveKinds = []struct {
 		_, err = h.Wait(ctx)
 		return err
 	}},
-	{"SaveIncremental", func(ctx context.Context, c *Checkpointer, dicts []*statedict.StateDict) error {
-		_, err := c.SaveIncremental(ctx, dicts)
-		return err
-	}},
+	{"SaveIncremental", false, saveIncremental},
+	{"SaveIncrementalOneRank", true, saveIncremental},
+}
+
+func saveIncremental(ctx context.Context, c *Checkpointer, dicts []*statedict.StateDict) error {
+	_, err := c.SaveIncremental(ctx, dicts)
+	return err
 }
 
 // TestCrashSweep enumerates the crash points of a round instead of sampling
@@ -57,7 +64,13 @@ func TestCrashSweep(t *testing.T) {
 // must not reach it.
 //
 // Consecutive contents differ in two windows of every worker's packet
-// (stampVersion), so the SaveIncremental rows exercise a real, sparse delta.
+// (stampVersion), so the SaveIncremental row exercises a real delta that
+// touches every segment. The SaveIncrementalOneRank row changes those two
+// windows of one worker only — the victim's first, so the victim's sends
+// include the delta's windows — and the round carries every segment and cache
+// that worker does not feed: a crash leaves the carried blobs, the restaged
+// ones and the manifests on one version, and a committed round leaves the
+// spare sets whole (the full round after it allocates no segment).
 // Two versions are committed before the swept round, so it assembles its
 // segments in the buffers the second commit displaced (poisoned under the
 // race detector), like every round of a long-running job.
@@ -79,10 +92,12 @@ func crashSweep(t *testing.T, nodes, gpus int) {
 		t.Fatal(err)
 	}
 	stamped := [][]*statedict.StateDict{nil, stampVersion(dicts, 1), stampVersion(dicts, 2), stampVersion(dicts, 3), stampVersion(dicts, 4)}
+	oneRank := [][]*statedict.StateDict{stampRank(stamped[v0], victim*gpus, v0+1), stampRank(stamped[v0], victim*gpus, v0+2)}
 	setup := func(t *testing.T) (*testRig, *chaos.Network, [][]*statedict.StateDict) {
 		rig, net := newChaosRigOver(t, dicts, nodes, gpus, 2, 2, chaos.Plan{Seed: 1}, func(c *Config) {
 			c.IncrementalCache = true
 			c.BufferSize = 16 << 10
+			c.Metrics = obs.NewRegistry()
 		})
 		contents := append([][]*statedict.StateDict(nil), stamped...)
 		for v := 1; v <= v0; v++ {
@@ -142,6 +157,13 @@ func crashSweep(t *testing.T, nodes, gpus int) {
 
 	for _, kind := range saveKinds {
 		t.Run(kind.name, func(t *testing.T) {
+			setup := func(t *testing.T) (*testRig, *chaos.Network, [][]*statedict.StateDict) {
+				rig, net, contents := setup(t)
+				if kind.oneRank {
+					copy(contents[v0+1:], oneRank)
+				}
+				return rig, net, contents
+			}
 			rig, net, contents := setup(t)
 			before := net.SendCount(victim)
 			if err := kind.run(ctx, rig.ckpt, contents[v0+1]); err != nil {
@@ -150,6 +172,11 @@ func crashSweep(t *testing.T, nodes, gpus int) {
 			sends := net.SendCount(victim) - before
 			if sends == 0 {
 				t.Fatal("victim sent nothing: nothing to enumerate")
+			}
+			// One worker feeds its own data segment and the m parity segments of
+			// its index.
+			if carried, want := counterOf(rig, "save_segments_carried_total"), int64(nodes*rig.ckpt.Plan().Span()-3); kind.oneRank && carried != want {
+				t.Fatalf("counting round carried %d segments, want %d", carried, want)
 			}
 			aborted := 0
 			for i := 0; i <= sends; i++ {
@@ -175,6 +202,19 @@ func crashSweep(t *testing.T, nodes, gpus int) {
 				recoverAndCheck(t, rig, contents, v+1)
 				if vr, err := rig.ckpt.VerifyIntegrity(); err != nil || len(vr.CorruptSegments) != 0 {
 					t.Fatalf("kill at send %d: parity does not match data after the next round: %v, %v", i+1, err, vr)
+				}
+				if kind.oneRank {
+					// Two sparse rounds committed on spare sets two full rounds
+					// filled: they gave back what they did not use.
+					allocated := counterOf(rig, "save_segments_allocated_total")
+					contents = append(contents[:v+2], stamped[1])
+					if _, err := rig.ckpt.Save(ctx, contents[v+2]); err != nil {
+						t.Fatalf("kill at send %d: full round after the sparse ones: %v", i+1, err)
+					}
+					recoverAndCheck(t, rig, contents, v+2)
+					if now := counterOf(rig, "save_segments_allocated_total"); err == nil && now != allocated {
+						t.Fatalf("the full round after two committed sparse delta rounds allocated %d segments", now-allocated)
+					}
 				}
 				_ = rig.ckpt.Close()
 				_ = net.Close()

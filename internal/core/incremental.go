@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -23,9 +24,12 @@ import (
 // A delta save is not a protocol of its own. It is the save round (see
 // startSave, nodeDrain) with two parameters changed: each worker's ship-set
 // holds the windows that differ from its cached packet instead of all of
-// them, and the chunk segments start as a copy of the committed ones
-// instead of zeroes. Staging, the commit under commitMu, phase clocks,
-// flight events and the watchdog are the round's own.
+// them, and the chunk segments a shipped window lands in start as a copy of
+// the committed ones instead of zeroes. The other segments, and the cached
+// packet of a worker that ships nothing, are carried: the node neither reads
+// nor restages them and the commit leaves them stored, so the round's
+// segment-sized work follows the ship-sets. Staging, the commit under
+// commitMu, phase clocks, flight events and the watchdog are the round's own.
 
 // keyOwnPacket caches a worker's latest packet on its own node.
 func keyOwnPacket(rank int) string { return fmt.Sprintf("own/%d", rank) }
@@ -40,6 +44,16 @@ func shipSetBytes(numBuffers int) int { return (numBuffers + 7) / 8 }
 
 func (s shipSet) has(b int) bool { return s[b>>3]&(1<<(b&7)) != 0 }
 func (s shipSet) set(b int)      { s[b>>3] |= 1 << (b & 7) }
+
+// none reports whether the set holds no window.
+func (s shipSet) none() bool {
+	for _, b := range s {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // or adds every window of o to s.
 func (s shipSet) or(o shipSet) {
@@ -94,11 +108,15 @@ func (c *Checkpointer) SaveIncremental(ctx context.Context, dicts []*statedict.S
 	return out, nil
 }
 
+// errNoDeltaBase marks a snapshot stage that found a worker's cached packet
+// unusable after deltaBase had granted the delta round.
+var errNoDeltaBase = errors.New("unusable own-packet cache")
+
 // deltaBase reports whether every node still holds what a delta round
 // builds on: a manifest at the committed version and this packet size, and
-// each local worker's cached packet. Before the first save, after a node
-// was replaced, or when the packet size changed it does not, and the round
-// ships everything.
+// each local worker's cached packet (verified when the snapshot stage reads
+// it). Before the first save, after a node was replaced, or when the packet
+// size changed it does not, and the round ships everything.
 func (c *Checkpointer) deltaBase(lay *layout, packetBytes int) bool {
 	version := int(c.version.Load())
 	if version == 0 {

@@ -2,11 +2,16 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"eccheck/internal/chaos"
+	"eccheck/internal/cluster"
+	"eccheck/internal/obs"
 	"eccheck/internal/obs/flight"
 	"eccheck/internal/statedict"
 )
@@ -352,4 +357,199 @@ func TestDeltaRoundsWithScatteredWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	dictsEqual(t, current, got)
+}
+
+// TestSparseDeltaTouchesOnlyItsSegments counts what a delta round does to the
+// payload-sized blobs, on 8 machines × 2 workers with k = m = 4 (32 segments,
+// 16 own-packet caches): it stages the segments the changed workers feed —
+// one data segment and m parity segments each — and those workers' caches,
+// reads only those segments' committed bases, and carries the rest; every
+// node still moves to the new version, and the checkpoint survives the loss
+// of m machines.
+func TestSparseDeltaTouchesOnlyItsSegments(t *testing.T) {
+	hook := &storeHook{}
+	rig, _ := newWrappedRig(t, 8, 2, 4, 4, func(hs HostStore) HostStore {
+		hook.HostStore = hs
+		return hook
+	}, func(c *Config) {
+		c.IncrementalCache = true
+		c.RemotePersistEvery = -1
+		c.Metrics = obs.NewRegistry()
+	})
+	ctx := context.Background()
+	for i := 1; i <= 2; i++ { // the second commit fills the spare sets
+		if _, err := rig.ckpt.Save(ctx, stampVersion(rig.dicts, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var mu sync.Mutex
+	var segsStaged, cachesStaged, basesRead int
+	count := func(op string, _ int, key string) error {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case op == "adopt" && strings.HasPrefix(key, stagePrefix+"chunk/"):
+			segsStaged++
+		case op == "adopt" && strings.HasPrefix(key, stagePrefix+"own/"):
+			cachesStaged++
+		case op == "view" && strings.HasPrefix(key, "chunk/"):
+			basesRead++
+		}
+		return nil
+	}
+	oneTensor := stampVersion(rig.dicts, 2)
+	oneTensor[5] = oneTensor[5].Clone()
+	oneTensor[5].TensorEntries()[0].Tensor.Data()[0] ^= 0xFF
+	for v, tc := range []struct {
+		name                   string
+		next                   []*statedict.StateDict
+		segs, carried, ownPkts int
+	}{
+		{"one tensor of one rank", oneTensor, 5, 27, 1},
+		{"nothing", oneTensor, 0, 32, 0},
+		{"every rank", stampVersion(rig.dicts, 5), 32, 0, 16},
+	} {
+		segsStaged, cachesStaged, basesRead = 0, 0, 0
+		carried, allocated := counterOf(rig, "save_segments_carried_total"), counterOf(rig, "save_segments_allocated_total")
+		hook.fn.Store(&count)
+		rep, err := rig.ckpt.SaveIncremental(ctx, tc.next)
+		hook.fn.Store(nil)
+		if err != nil || rep.Full || rep.Version != 3*v+3 {
+			t.Fatalf("%s changed: %+v, %v", tc.name, rep, err)
+		}
+		carried, allocated = counterOf(rig, "save_segments_carried_total")-carried, counterOf(rig, "save_segments_allocated_total")-allocated
+		if segsStaged != tc.segs || int(carried) != tc.carried || cachesStaged != tc.ownPkts || basesRead > tc.segs || allocated != 0 {
+			t.Errorf("%s changed: %d segments staged, %d carried, %d own-packets restaged, %d committed segments read, %d allocated; want %d, %d, %d, at most %d, 0",
+				tc.name, segsStaged, carried, cachesStaged, basesRead, allocated, tc.segs, tc.carried, tc.ownPkts, tc.segs)
+		}
+		for node := 0; node < rig.topo.Nodes(); node++ {
+			blob, err := rig.ckpt.fetch(node, keyManifest())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _, _, err := parseManifest(blob); err != nil || got != rep.Version {
+				t.Errorf("%s changed: node %d is at version %d (%v), want %d", tc.name, node, got, err, rep.Version)
+			}
+		}
+		verifyClean(t, rig)
+		for _, node := range rig.ckpt.Plan().DataNodes {
+			loseNode(t, rig, node)
+		}
+		got, _, err := rig.ckpt.Load(ctx)
+		if err != nil {
+			t.Fatalf("%s changed: load after losing m machines: %v", tc.name, err)
+		}
+		dictsEqual(t, tc.next, got)
+		// The repaired machines have no caches: a full round restores the base
+		// the next case builds on (and, twice, the spare sets).
+		for i := 0; i < 2; i++ {
+			if _, err := rig.ckpt.Save(ctx, tc.next); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestIncrementalCorruptCacheFallsBackToFull: a cached packet that fails its
+// checksum is no delta base. The round that finds it ships every window
+// instead — which restages every cache — and the round after it is a delta
+// again.
+func TestIncrementalCorruptCacheFallsBackToFull(t *testing.T) {
+	rig := incrementalRig(t)
+	ctx := context.Background()
+	if _, err := rig.ckpt.Save(ctx, rig.dicts); err != nil {
+		t.Fatal(err)
+	}
+	const rank = 3
+	node, key := rank/rig.topo.GPUsPerNode(), keyOwnPacket(rank)
+	if err := rig.clus.Corrupt(node, key, 10); err != nil {
+		t.Fatal(err)
+	}
+	next := mutateSomeTensors(rig.dicts, []int{0}, 2)
+	rep, err := rig.ckpt.SaveIncremental(ctx, next)
+	if err != nil || !rep.Full || rep.Version != 2 {
+		t.Fatalf("delta round over a corrupt cache: %+v, %v; want a full round", rep, err)
+	}
+	verifyClean(t, rig)
+	if _, err := rig.ckpt.fetch(node, key); err != nil {
+		t.Errorf("the full round left the corrupt cache in place: %v", err)
+	}
+	next = mutateSomeTensors(next, []int{rank}, 3)
+	if rep, err = rig.ckpt.SaveIncremental(ctx, next); err != nil || rep.Full {
+		t.Fatalf("round after the fallback: %+v, %v; want a delta", rep, err)
+	}
+	for _, node := range rig.ckpt.Plan().DataNodes {
+		loseNode(t, rig, node)
+	}
+	got, _, err := rig.ckpt.Load(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dictsEqual(t, next, got)
+}
+
+// TestDeltaRoundDoesNotLaunderCorruption: a delta round never reseals bytes it
+// did not verify. A flipped byte in a segment it carries is still there, and
+// still detected, after the commit; a flipped byte in the base of a segment it
+// touches fails the round, which leaves host memory as it found it.
+func TestDeltaRoundDoesNotLaunderCorruption(t *testing.T) {
+	rig := incrementalRig(t)
+	ctx := context.Background()
+	committed := stampVersion(rig.dicts, 2)
+	for _, dicts := range [][]*statedict.StateDict{rig.dicts, committed} {
+		if _, err := rig.ckpt.Save(ctx, dicts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Rank 0 is segment 0 of data chunk 0: a round that changes it alone
+	// touches segment 0 of that chunk and of the parity chunks, and carries
+	// the chunk's segment 1.
+	plan := rig.ckpt.Plan()
+	owner := plan.ChunkOwner(0, 0)
+
+	if err := rig.clus.Corrupt(owner, keySegment(0, 1), 7); err != nil {
+		t.Fatal(err)
+	}
+	next := stampRank(committed, 0, 3)
+	if rep, err := rig.ckpt.SaveIncremental(ctx, next); err != nil || rep.Full {
+		t.Fatalf("delta round carrying a corrupt segment: %+v, %v", rep, err)
+	}
+	committed = next
+	if _, err := rig.ckpt.fetch(owner, keySegment(0, 1)); !errors.Is(err, cluster.ErrChecksum) {
+		t.Fatalf("the carried segment reads %v after the round, want its checksum mismatch", err)
+	}
+	vr, err := rig.ckpt.VerifyIntegrity()
+	if err != nil || len(vr.CorruptSegments) != 1 || vr.CorruptSegments[0] != 1 {
+		t.Fatalf("VerifyIntegrity after the round: %+v, %v; want segment 1 named", vr, err)
+	}
+	got, lrep, err := rig.ckpt.Load(ctx)
+	if err != nil || len(lrep.CorruptedChunks) != 1 || lrep.CorruptedChunks[0] != 0 {
+		t.Fatalf("load: %+v, %v; want chunk 0 rebuilt", lrep, err)
+	}
+	dictsEqual(t, committed, got)
+	verifyClean(t, rig)
+
+	if err := rig.clus.Corrupt(owner, keySegment(0, 0), 7); err != nil {
+		t.Fatal(err)
+	}
+	before := storedSlices(t, rig)
+	if _, err := rig.ckpt.SaveIncremental(ctx, stampRank(committed, 0, 4)); !errors.Is(err, cluster.ErrChecksum) {
+		t.Fatalf("delta round over a corrupt base: %v, want it to fail on the checksum", err)
+	}
+	if v := rig.ckpt.Version(); v != 3 {
+		t.Errorf("version %d after the failed round, want 3", v)
+	}
+	after := storedSlices(t, rig)
+	for key, blob := range after {
+		if strings.Contains(key, stagePrefix) || before[key] != blob {
+			t.Errorf("the failed round left %s staged or replaced", key)
+		}
+	}
+	if len(after) != len(before) {
+		t.Errorf("the failed round left %d stored blobs of %d", len(after), len(before))
+	}
+	if got, _, err = rig.ckpt.Load(ctx); err != nil {
+		t.Fatal(err)
+	}
+	dictsEqual(t, committed, got)
 }

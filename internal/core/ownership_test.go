@@ -14,8 +14,11 @@ import (
 
 	"eccheck/internal/chaos"
 	"eccheck/internal/cluster"
+	"eccheck/internal/model"
 	"eccheck/internal/obs"
+	"eccheck/internal/parallel"
 	"eccheck/internal/statedict"
+	"eccheck/internal/transport"
 )
 
 // The engine hands finished buffers to host memory instead of copying them
@@ -37,6 +40,43 @@ func stampVersion(dicts []*statedict.StateDict, i int) []*statedict.StateDict {
 		data[0], data[len(data)-1] = byte(i), byte(i)
 	}
 	return out
+}
+
+// stampRank clones base as checkpoint content number i in which only one
+// rank's packet changed: every rank's iteration counter carries i, the edges
+// of the first tensor of rank alone do.
+func stampRank(base []*statedict.StateDict, rank, i int) []*statedict.StateDict {
+	out := make([]*statedict.StateDict, len(base))
+	for r, sd := range base {
+		out[r] = sd.Clone()
+		out[r].SetMeta("iteration", statedict.Int(int64(i)))
+	}
+	data := out[rank].TensorEntries()[0].Tensor.Data()
+	data[0], data[len(data)-1] = byte(i), byte(i)
+	return out
+}
+
+// storedSlices maps every blob in host memory, as "node/key", to the slice
+// that is stored: a blob a round did not replace is the same slice after it.
+func storedSlices(t *testing.T, rig *testRig) map[string]*byte {
+	t.Helper()
+	out := map[string]*byte{}
+	for node := 0; node < rig.topo.Nodes(); node++ {
+		for _, key := range rig.clus.Keys(node) {
+			blob, err := rig.clus.View(node, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[fmt.Sprintf("%d/%s", node, key)] = unsafe.SliceData(blob)
+		}
+	}
+	return out
+}
+
+// counterOf reads one counter of the rig's metrics registry.
+func counterOf(rig *testRig, name string) int64 {
+	n, _ := rig.ckpt.cfg.Metrics.Snapshot().Counter(name)
+	return n
 }
 
 // TestViewSurvivesFailReplaceRebuildAndAbortedSave: everything short of a
@@ -155,10 +195,12 @@ func TestHeldViewBlocksTheCommit(t *testing.T) {
 	}
 }
 
-// TestNoBufferIsBothStoredAndSpare: across full, delta and aborted rounds no
-// buffer is ever a stored blob and a spare at once, no two nodes share one, a
-// spare set never outgrows one version, an aborted round leaves none behind,
-// and the operator counters tell recycled segments from allocated ones.
+// TestNoBufferIsBothStoredAndSpare: across full, delta, sparse delta (one
+// worker changed) and aborted rounds no buffer is ever a stored blob and a
+// spare at once, no two nodes share one, a spare set never outgrows one
+// version, an aborted round leaves none behind, a blob a sparse round carries
+// is the same slice after the commit, and the operator counters tell
+// recycled, allocated and carried segments apart.
 func TestNoBufferIsBothStoredAndSpare(t *testing.T) {
 	reg := obs.NewRegistry()
 	rig, net := newChaosRig(t, 4, 2, 2, 2, chaos.Plan{Seed: 3}, func(c *Config) {
@@ -189,18 +231,34 @@ func TestNoBufferIsBothStoredAndSpare(t *testing.T) {
 			}
 		}
 	}
-	counters := func() (recycled, allocated int64) {
-		snap := reg.Snapshot()
-		recycled, _ = snap.Counter("save_segments_recycled_total")
-		allocated, _ = snap.Counter("save_segments_allocated_total")
-		return
+	counters := func() (recycled, allocated, carried int64) {
+		return counterOf(rig, "save_segments_recycled_total"), counterOf(rig, "save_segments_allocated_total"), counterOf(rig, "save_segments_carried_total")
 	}
 
 	committed := rig.dicts
-	for i, kind := range []string{"full", "full", "delta", "abort", "full", "delta", "delta", "abort", "full", "full"} {
+	for i, kind := range []string{"full", "full", "delta", "sparse", "abort", "full", "sparse", "sparse", "delta", "abort", "full", "sparse", "full", "full"} {
 		next := stampVersion(rig.dicts, i+1)
-		recycledBefore, allocatedBefore := counters()
+		recycledBefore, allocatedBefore, carriedBefore := counters()
 		switch kind {
+		case "sparse":
+			// One worker feeds its data segment, the m = 2 parity segments of
+			// its index and its own cache; every other payload blob is carried.
+			next = stampRank(committed, i%rig.topo.World(), i+1)
+			before := storedSlices(t, rig)
+			rep, err := rig.ckpt.SaveIncremental(ctx, next)
+			if err != nil || rep.Full {
+				t.Fatalf("round %d: sparse delta round: %+v, %v", i, rep, err)
+			}
+			committed = next
+			replaced := 0
+			for key, blob := range storedSlices(t, rig) {
+				if payload := strings.Contains(key, "/chunk/") || strings.Contains(key, "/own/"); payload && before[key] != blob {
+					replaced++
+				}
+			}
+			if replaced != 4 {
+				t.Errorf("round %d: a one-worker delta replaced %d segments and caches, want 4", i, replaced)
+			}
 		case "full":
 			if _, err := rig.ckpt.Save(ctx, next); err != nil {
 				t.Fatalf("round %d: %v", i, err)
@@ -235,17 +293,21 @@ func TestNoBufferIsBothStoredAndSpare(t *testing.T) {
 		check(fmt.Sprintf("after round %d (%s)", i, kind))
 		// Steady state — the round before this one committed too — allocates
 		// nothing; the first round and the one after an abort allocate it all.
-		recycled, allocated := counters()
-		recycled, allocated = recycled-recycledBefore, allocated-allocatedBefore
+		recycled, allocated, carried := counters()
+		recycled, allocated, carried = recycled-recycledBefore, allocated-allocatedBefore, carried-carriedBefore
 		segments := int64(rig.topo.Nodes() * span)
 		switch {
-		case i == 0 || i == 1 || i == 4 || i == 8:
-			if recycled != 0 || allocated != segments {
-				t.Errorf("round %d (cold): %d segments recycled, %d allocated; want 0, %d", i, recycled, allocated, segments)
+		case i == 0 || i == 1 || i == 5 || i == 10:
+			if recycled != 0 || allocated != segments || carried != 0 {
+				t.Errorf("round %d (cold): %d segments recycled, %d allocated, %d carried; want 0, %d, 0", i, recycled, allocated, carried, segments)
+			}
+		case kind == "sparse":
+			if recycled != 3 || allocated != 0 || carried != segments-3 {
+				t.Errorf("round %d (sparse): %d segments recycled, %d allocated, %d carried; want 3, 0, %d", i, recycled, allocated, carried, segments-3)
 			}
 		case kind != "abort":
-			if recycled != segments || allocated != 0 {
-				t.Errorf("round %d (warm): %d segments recycled, %d allocated; want %d, 0", i, recycled, allocated, segments)
+			if recycled != segments || allocated != 0 || carried != 0 {
+				t.Errorf("round %d (warm): %d segments recycled, %d allocated, %d carried; want %d, 0, 0", i, recycled, allocated, carried, segments)
 			}
 		}
 	}
@@ -263,8 +325,10 @@ func TestNoBufferIsBothStoredAndSpare(t *testing.T) {
 // displaced, so what it allocates is a fraction of the tensor payload, where
 // allocating the coded checkpoint afresh costs (k+m)/k of it. A replaced
 // machine starts cold: the first save after it allocates that node's chunk
-// and no more, the second nothing again. The own-packet cache of the delta
-// path is stored by copy every round; the gate accounts for it by name.
+// and no more, the second nothing again. A worker's own-packet cache is
+// stored by copy in every round the worker ships a window in: a round that
+// changes every worker is allowed the caches by name, a delta round that
+// changes one worker stays under the same quarter in total.
 func TestSteadyStateSaveAllocatesNoSegments(t *testing.T) {
 	var probe [1]byte
 	if retire(probe[:]); probe[0] != 0 {
@@ -284,10 +348,16 @@ func TestSteadyStateSaveAllocatesNoSegments(t *testing.T) {
 		// allocated runs one save round over fresh content and returns what it
 		// allocated and its per-worker packet size, both in tensor payloads.
 		round := 0
-		allocated := func(t *testing.T, rig *testRig, delta bool) (alloc, packet float64) {
+		var dicts []*statedict.StateDict
+		allocated := func(t *testing.T, rig *testRig, delta bool, oneRank ...int) (alloc, packet float64) {
 			t.Helper()
 			round++
-			dicts, payload := stampVersion(rig.dicts, round), 0
+			if len(oneRank) == 0 {
+				dicts = stampVersion(rig.dicts, round)
+			} else {
+				dicts = stampRank(dicts, oneRank[0], round)
+			}
+			payload := 0
 			for _, sd := range dicts {
 				payload += sd.TensorBytes()
 			}
@@ -337,7 +407,27 @@ func TestSteadyStateSaveAllocatesNoSegments(t *testing.T) {
 			}
 		})
 		t.Run(shape.name+"/delta", func(t *testing.T) {
-			rig := newRig(t, shape.nodes, shape.gpus, shape.k, shape.m, func(c *Config) {
+			// Two workers a machine and a model four times the default rig's: one
+			// packet — the cache a one-worker round restages — is an eighth of
+			// the payload or less (a quarter on k4m4's 8 x 1, whose first
+			// pipeline stage holds the embeddings), and the small components,
+			// staged on every node every round, a twentieth.
+			const gpus = 2
+			topo, err := parallel.NewTopology(shape.nodes, gpus, gpus, shape.nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buildOpt := model.NewBuildOptions()
+			buildOpt.Scale, buildOpt.Seed = 16, 1234
+			dicts, err := model.BuildClusterStateDicts(model.GPT2_345M(), topo, buildOpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net, err := transport.NewMemory(shape.nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rig := newRigOn(t, net, dicts, shape.nodes, gpus, shape.k, shape.m, func(c *Config) {
 				c.IncrementalCache = true
 				c.RemotePersistEvery = -1
 			})
@@ -347,6 +437,9 @@ func TestSteadyStateSaveAllocatesNoSegments(t *testing.T) {
 			for _, delta := range []bool{true, false, true} {
 				if got, _ := allocated(t, rig, delta); got > ownPackets+limit {
 					t.Errorf("steady-state save (delta %v) allocated %.2f x the tensor payload, want <= %.2f for the own-packet cache + %.2f", delta, got, ownPackets, limit)
+				}
+				if got, _ := allocated(t, rig, true, round%rig.topo.World()); got > limit {
+					t.Errorf("delta round with one changed worker allocated %.2f x the tensor payload, want <= %.2f in total", got, limit)
 				}
 			}
 		})

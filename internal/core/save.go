@@ -204,7 +204,7 @@ func (c *Checkpointer) snapshotNode(node, version, packetBytes int, dicts []*sta
 		}
 		if err != nil {
 			snap.release(c)
-			return nil, fmt.Errorf("rank %d delta base: %w", w, err)
+			return nil, fmt.Errorf("rank %d delta base: %w: %w", w, errNoDeltaBase, err)
 		}
 		snap.olds[w] = old
 		for b := 0; b < numBuffers; b++ {
@@ -319,12 +319,15 @@ type foldCursor struct {
 // segments; a delta round (snap.olds set) ships new ⊕ old for the windows
 // that changed onto a copy of the committed segments — by linearity of the
 // code, the data segment moves by the difference and parity segment i by
-// its coefficient multiple, folded through the same trees.
+// its coefficient multiple, folded through the same trees — and only for the
+// segments those windows land in: the rest are carried (see the set-up of
+// step 3).
 //
-// Every blob is written under a staged key; the caller promotes the staging
-// area only after all nodes finish, so an aborted round never damages the
-// committed checkpoint. Every Send/Recv carries the configured deadline, so
-// a peer that crashes mid-round turns into a bounded error, not a hang.
+// Every blob the round writes goes under a staged key; the caller promotes
+// the staging area only after all nodes finish, so an aborted round never
+// damages the committed checkpoint. Every Send/Recv carries the configured
+// deadline, so a peer that crashes mid-round turns into a bounded error, not
+// a hang.
 func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *tagTable, version, packetBytes int) (int, map[string]time.Duration, error) {
 	topo := c.cfg.Topo
 	lay := tags.lay
@@ -353,10 +356,6 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 	if !snap.end.IsZero() {
 		pc.mark = snap.end // charge the goroutine handoff to the drain
 	}
-	// The node's spare segments leave with this round, committed or not: on
-	// the error paths a straggling receiver may still write into them.
-	spare := c.spares[node]
-	c.spares[node] = nil
 
 	ep, err := c.endpoint(node)
 	if err != nil {
@@ -454,16 +453,38 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 	myChunk := plan.ChunkOfNode[node]
 	// The segments are assembled directly in the buffers host memory will
 	// own: exact-size with footer room, sealed and adopted at promote, never
-	// pooled. Each is the buffer the last commit displaced on this node when
-	// one of this shape is spare, else a fresh one. Its content does not
-	// matter: on a delta round it starts as a copy of the committed segment,
-	// and otherwise every buffer range of every segment is written exactly
-	// once (local data, P2P data, finalized parity, or P2P parity).
+	// pooled. Each is a buffer an earlier commit displaced on this node when
+	// one of this shape is spare, else a fresh one; it leaves the spare set
+	// here, committed or not (on the error paths a straggling receiver may
+	// still write into it). Its content does not matter: on a delta round it
+	// starts as a copy of the committed segment, and otherwise every buffer
+	// range of every segment is written exactly once (local data, P2P data,
+	// finalized parity, or P2P parity).
+	//
+	// Only touched segments are built: a segment no shipping worker feeds — its
+	// own worker on a data node, any worker of its segment index on a parity
+	// node — has no writer stream and no fold this round, and is carried: the
+	// committed blob stays stored under its key across the commit, unread, and
+	// no spare is taken for it. What is left of the spare set stays the node's.
 	pc.Switch(PhasePromote)
-	chunkSegs, recycled := make([][]byte, span), 0
+	touched := make([]bool, span)
+	for w := rankLo; w < rankHi; w++ {
+		if (myChunk >= c.cfg.K || plan.DataGroupOf[w] == myChunk) && !shipOf(w).none() {
+			touched[plan.SegmentOf[w]] = true
+		}
+	}
+	chunkSegs, recycled, carried := make([][]byte, span), 0, 0
 	for s := range chunkSegs {
-		if s < len(spare) && cap(spare[s]) == packetBytes+cluster.FooterLen {
-			chunkSegs[s] = spare[s][:packetBytes]
+		if !touched[s] {
+			carried++
+			continue
+		}
+		var spare []byte
+		if n := len(c.spares[node]); n > 0 {
+			spare, c.spares[node] = c.spares[node][n-1], c.spares[node][:n-1]
+		}
+		if cap(spare) == packetBytes+cluster.FooterLen {
+			chunkSegs[s] = spare[:packetBytes]
 			recycled++
 		} else {
 			chunkSegs[s] = cluster.NewBlob(packetBytes)
@@ -481,7 +502,8 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 		copy(chunkSegs[s], base)
 	}
 	c.cfg.Metrics.Counter("save_segments_recycled_total").Add(int64(recycled))
-	c.cfg.Metrics.Counter("save_segments_allocated_total").Add(int64(span - recycled))
+	c.cfg.Metrics.Counter("save_segments_allocated_total").Add(int64(span - carried - recycled))
+	c.cfg.Metrics.Counter("save_segments_carried_total").Add(int64(carried))
 	pc.Switch(PhaseStage)
 
 	sliceBounds := func(b int) (int, int) {
@@ -931,10 +953,14 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 		return 0, nil, err
 	}
 
-	// Cache this node's own packets for incremental saves.
+	// Cache this node's own packets for incremental saves; the cache of a
+	// worker that shipped nothing already holds these bytes and is carried.
 	pc.Switch(PhasePromote)
 	if c.cfg.IncrementalCache {
 		for _, w := range localWorkers {
+			if shipOf(w).none() {
+				continue
+			}
 			if err := stage(lay.keys.ownPacket[w], packets[w]); err != nil {
 				return 0, nil, err
 			}
@@ -950,6 +976,9 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 	// receiver goroutine may still write into them, so they are dropped for
 	// the GC — never adopted, never reused.
 	for s := range chunkSegs {
+		if !touched[s] {
+			continue
+		}
 		crc := cluster.Checksum(segCRC[s], chunkSegs[s][segSummed[s]:packetBytes])
 		if err := cluster.AdoptSealed(c.clus, node, lay.keys.stagedOf[lay.keys.segment[myChunk][s]], chunkSegs[s], crc); err != nil {
 			return 0, nil, err
