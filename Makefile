@@ -34,6 +34,9 @@ test:
 # poisoned spares: TestSparseDeltaTouchesOnlyItsSegments (exact counts),
 # TestDeltaRoundDoesNotLaunderCorruption, TestIncrementalCorruptCacheFallsBackToFull
 # and the sparse rounds of TestNoBufferIsBothStoredAndSpare.
+# internal/transport runs TestTransportConformance here: both transports, bare
+# and under every wrapper, held to borrow-until-return, per-stream FIFO with
+# concurrent senders on one connection, and exact send counters.
 # The enumerated crash sweep is the slowest test under the detector and has
 # its own target below, so it runs once per `make check`, not twice.
 race:
@@ -58,14 +61,16 @@ race:
 crash-sweep:
 	$(GO) test -race -run 'TestCrashSweep' -count=1 ./internal/core
 
-# Native fuzzing of the decoders on the restore path, ten seconds each: a
+# Native fuzzing, ten seconds each, of the decoders on the restore path — a
 # manifest and a worker's (meta, keys, packet) triple, seeded from a real
-# round. They must not panic or allocate by a length field's say-so, and
-# whatever decodes must survive a round trip. One target per invocation is a
-# `go test -fuzz` rule.
+# round — and of the TCP frame reader, which reads what a peer's socket sends.
+# They must not panic or allocate by a length field's say-so (the frame
+# reader: by a field outside its limits), and whatever decodes must survive a
+# round trip. One target per invocation is a `go test -fuzz` rule.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseManifest' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzAssemblePacket' -fuzztime=10s ./internal/core
+	$(GO) test -run '^$$' -fuzz 'FuzzTCPReadFrame' -fuzztime=10s ./internal/transport
 
 # Seeded chaos smoke test: replication head-to-head, a mid-save kill, and
 # a corruption-as-erasure recovery, all deterministic.
@@ -88,10 +93,13 @@ doclint:
 # the last commit displaced and allocates under a quarter of the tensor
 # payload (the coded checkpoint afresh is (k+m)/k of it) — a delta round
 # that changes one worker included, its restaged own-packet cache and all.
+# The TCP data path is gated the same way: a steady-state 1 MiB Send + Recv
+# allocates under 1 KiB and takes one pooled buffer, the receiver's payload.
 allocgate:
 	$(GO) test -run 'TestDisabledRecorderZeroAlloc' -count=1 ./internal/obs/flight
 	$(GO) test -run 'TestPhaseClockZeroAllocWithoutRecorder|TestPhaseClockZeroAllocWatchdogDisabled|TestRoundHooksZeroAllocWhenDisabled|TestSteadyStateSaveAllocatesNoSegments' -count=1 ./internal/core
 	$(GO) test -run 'TestMembershipStateZeroAlloc' -count=1 ./internal/cluster
+	$(GO) test -run 'TestTCPSendAllocatesNoFrame' -count=1 ./internal/transport
 
 # The repository benchmark (bench/, BENCHMARK.json) is its own module, so
 # the root `go vet ./...` and `go test ./...` never compile it. Its layer

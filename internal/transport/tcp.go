@@ -3,9 +3,11 @@ package transport
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -15,14 +17,23 @@ import (
 )
 
 // TCP transport: every node runs a listener; peers dial lazily and keep one
-// connection per direction. Frames are length-prefixed:
+// connection per direction. Frames are length-prefixed, little-endian:
 //
 //	uint32 from | uint32 tagLen | tag bytes | uint32 payloadLen | payload
 //
-// A reader goroutine per accepted connection demultiplexes frames into the
-// same (from, tag) mailbox structure the memory transport uses.
+// One rule governs the data path: the transport borrows the caller's bytes
+// until Send returns and never copies them in user space. A send renders the
+// 12 + len(tag) header bytes into a scratch kept on the connection and hands
+// header and payload to the socket as one vectored write (writev); it takes
+// no buffer from the pool and allocates nothing. A reader goroutine per
+// accepted connection reads each frame's payload straight into a pooled
+// buffer and delivers it to the (from, tag) mailbox; the tag string of a
+// stream is allocated once, when its mailbox is created, not per frame.
 
-const maxFrameSize = 1 << 30 // 1 GiB guard against corrupt length fields
+const (
+	maxFrameSize = 1 << 30 // 1 GiB guard against corrupt length fields
+	maxTagLen    = 4096    // longest tag a frame may carry
+)
 
 // TCPEndpoint is one node of a TCP network. Create one per node with
 // NewTCPEndpoint, then exchange the Addr()s and Connect the mesh (or rely
@@ -35,7 +46,7 @@ type TCPEndpoint struct {
 	mu       sync.Mutex
 	conns    map[int]*tcpConn // outbound connections by destination
 	accepted map[net.Conn]bool
-	boxes    map[mailboxKey]chan []byte
+	boxes    map[int]map[string]chan []byte // mailboxes by sender, then tag
 
 	// Dial instrumentation; nil counters are no-ops, so the fields stay
 	// nil until SetMetrics installs a registry.
@@ -46,6 +57,8 @@ type TCPEndpoint struct {
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 	closed    chan struct{}
+	peersOnce sync.Once
+	peersSet  chan struct{} // closed by the first SetPeers
 }
 
 // SetMetrics installs dial-path counters for the endpoint:
@@ -82,8 +95,9 @@ func NewTCPEndpoint(rank int, listenAddr string) (*TCPEndpoint, error) {
 		ln:       ln,
 		conns:    make(map[int]*tcpConn),
 		accepted: make(map[net.Conn]bool),
-		boxes:    make(map[mailboxKey]chan []byte),
+		boxes:    make(map[int]map[string]chan []byte),
 		closed:   make(chan struct{}),
+		peersSet: make(chan struct{}),
 	}
 	e.wg.Add(1)
 	go e.acceptLoop()
@@ -98,6 +112,7 @@ func (e *TCPEndpoint) SetPeers(addrs []string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.peers = append([]string(nil), addrs...)
+	e.peersOnce.Do(func() { close(e.peersSet) })
 }
 
 // Rank returns the endpoint's node index.
@@ -126,38 +141,22 @@ func (e *TCPEndpoint) acceptLoop() {
 
 func (e *TCPEndpoint) readLoop(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
-	var hdr [4]byte
+	// A peer may connect and send the moment the listener is up; its frames
+	// wait in the socket until there is a peer table to check their sender
+	// against.
+	select {
+	case <-e.peersSet:
+	case <-e.closed:
+		return
+	}
+	hdr := make([]byte, maxTagLen+4) // one per connection, never per frame
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return
-		}
-		from := int(binary.LittleEndian.Uint32(hdr[:]))
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return
-		}
-		tagLen := binary.LittleEndian.Uint32(hdr[:])
-		if tagLen > 4096 {
-			return
-		}
-		tag := make([]byte, tagLen)
-		if _, err := io.ReadFull(conn, tag); err != nil {
-			return
-		}
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return
-		}
-		payloadLen := binary.LittleEndian.Uint32(hdr[:])
-		if payloadLen > maxFrameSize {
-			return
-		}
-		// Pooled: ownership passes to the Recv caller with the mailbox send.
-		payload := bufpool.Get(int(payloadLen))
-		if _, err := io.ReadFull(conn, payload); err != nil {
-			bufpool.Put(payload)
-			return
+		box, payload, err := e.readFrame(conn, hdr)
+		if err != nil {
+			return // EOF, or a frame no peer of ours wrote: the stream is unusable
 		}
 		select {
-		case e.box(mailboxKey{from: from, to: e.rank, tag: string(tag)}) <- payload:
+		case box <- payload:
 		case <-e.closed:
 			bufpool.Put(payload)
 			return
@@ -165,13 +164,75 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 	}
 }
 
-func (e *TCPEndpoint) box(k mailboxKey) chan []byte {
+// readFrame reads one frame from r and returns the mailbox it is addressed to
+// and its payload in a pooled buffer the caller owns. The fixed header fields
+// arrive in two reads (from | tagLen, then tag | payloadLen) through hdr, a
+// scratch of maxTagLen+4 bytes. Every field is checked before anything is
+// allocated on its say-so: a frame with an oversized tag or payload, or a
+// sender that is not a peer, is an error, and so is a truncated one — its
+// payload buffer goes back to the pool and nothing is delivered.
+func (e *TCPEndpoint) readFrame(r io.Reader, hdr []byte) (chan []byte, []byte, error) {
+	if _, err := io.ReadFull(r, hdr[:8]); err != nil {
+		return nil, nil, err
+	}
+	from := binary.LittleEndian.Uint32(hdr[0:])
+	tagLen := binary.LittleEndian.Uint32(hdr[4:])
+	if tagLen > maxTagLen {
+		return nil, nil, fmt.Errorf("transport: frame tag of %d bytes exceeds the %d-byte limit", tagLen, maxTagLen)
+	}
+	if _, err := io.ReadFull(r, hdr[:tagLen+4]); err != nil {
+		return nil, nil, err
+	}
+	payloadLen := binary.LittleEndian.Uint32(hdr[tagLen:])
+	if payloadLen > maxFrameSize {
+		return nil, nil, fmt.Errorf("transport: frame payload of %d bytes exceeds the frame limit", payloadLen)
+	}
+	box, err := e.frameBox(from, hdr[:tagLen])
+	if err != nil {
+		return nil, nil, err
+	}
+	// Pooled: ownership passes to the Recv caller with the mailbox send.
+	payload := bufpool.Get(int(payloadLen))
+	if _, err := io.ReadFull(r, payload); err != nil {
+		bufpool.Put(payload)
+		return nil, nil, err
+	}
+	return box, payload, nil
+}
+
+// frameBox returns the mailbox of a received frame. Indexing the map with
+// string(tag) does not allocate; the tag becomes a string only when the
+// stream's mailbox does not exist yet.
+func (e *TCPEndpoint) frameBox(from uint32, tag []byte) (chan []byte, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ch, ok := e.boxes[k]
+	if int64(from) >= int64(len(e.peers)) {
+		return nil, fmt.Errorf("transport: frame from node %d, outside [0, %d)", from, len(e.peers))
+	}
+	if ch, ok := e.boxes[int(from)][string(tag)]; ok {
+		return ch, nil
+	}
+	return e.boxLocked(int(from), string(tag)), nil
+}
+
+func (e *TCPEndpoint) box(from int, tag string) chan []byte {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.boxLocked(from, tag)
+}
+
+// boxLocked returns (creating if needed) the mailbox of a stream; the caller
+// holds e.mu.
+func (e *TCPEndpoint) boxLocked(from int, tag string) chan []byte {
+	byTag := e.boxes[from]
+	if byTag == nil {
+		byTag = make(map[string]chan []byte)
+		e.boxes[from] = byTag
+	}
+	ch, ok := byTag[tag]
 	if !ok {
 		ch = make(chan []byte, 256)
-		e.boxes[k] = ch
+		byTag[tag] = ch
 	}
 	return ch
 }
@@ -179,10 +240,34 @@ func (e *TCPEndpoint) box(k mailboxKey) chan []byte {
 // tcpConn pairs a lazily dialed connection with its write mutex so one slow
 // write never blocks the whole endpoint (readers need e.mu to deliver
 // frames). c is nil until the first successful dial and reset to nil on a
-// write failure, so the next send redials.
+// write failure, so the next send redials. hdr, vec and bufs are the framing
+// state of the write in progress, kept here so a send allocates nothing.
 type tcpConn struct {
-	mu sync.Mutex
-	c  net.Conn
+	mu   sync.Mutex
+	c    net.Conn
+	hdr  []byte      // header scratch, grown once to the longest tag sent
+	vec  [2][]byte   // backing array of bufs: header, the caller's payload
+	bufs net.Buffers // what writev consumes
+}
+
+// appendFrameHeader appends everything of a frame that precedes its payload.
+func appendFrameHeader(dst []byte, from int, tag string, payloadLen int) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(from))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(tag)))
+	dst = append(dst, tag...)
+	return binary.LittleEndian.AppendUint32(dst, uint32(payloadLen))
+}
+
+// writeFrame hands the header and the caller's payload to the socket as one
+// vectored write; the caller holds tc.mu, so frames never interleave. The
+// payload is only borrowed: no reference to it survives the return.
+func (tc *tcpConn) writeFrame(from int, tag string, payload []byte) error {
+	tc.hdr = appendFrameHeader(tc.hdr[:0], from, tag, len(payload))
+	tc.vec = [2][]byte{tc.hdr, payload}
+	tc.bufs = tc.vec[:]
+	_, err := tc.bufs.WriteTo(tc.c)
+	tc.vec = [2][]byte{}
+	return err
 }
 
 // Dial retry parameters: peers start in arbitrary order (a replacement
@@ -259,12 +344,19 @@ func (e *TCPEndpoint) dialRetry(ctx context.Context, to int, addr string) (net.C
 	}
 }
 
-// Send frames and writes the payload to the destination node. Writes to one
-// destination are serialized; the per-destination connection preserves
-// (from, tag) FIFO order like the memory transport.
+// Send writes one frame to the destination node: header and payload in one
+// writev, the payload borrowed until the write returns and never copied in
+// user space. Writes to one destination are serialized; the per-destination
+// connection preserves (from, tag) FIFO order like the memory transport. An
+// op timeout on the context is the write's deadline. A failed write closes
+// the connection — a partial frame poisons the stream — and the next send
+// redials.
 func (e *TCPEndpoint) Send(ctx context.Context, to int, tag string, payload []byte) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("transport: send to %d: %w", to, err)
+	}
+	if len(tag) > maxTagLen {
+		return fmt.Errorf("transport: tag of %d bytes exceeds the %d-byte limit", len(tag), maxTagLen)
 	}
 	if len(payload) > maxFrameSize {
 		return fmt.Errorf("transport: payload of %d bytes exceeds frame limit", len(payload))
@@ -273,20 +365,6 @@ func (e *TCPEndpoint) Send(ctx context.Context, to int, tag string, payload []by
 	if err != nil {
 		return err
 	}
-	// Framing scratch is pooled; the appends below stay within the
-	// requested capacity, so the buffer is recycled after the write.
-	raw := bufpool.Get(12 + len(tag) + len(payload))
-	defer bufpool.Put(raw)
-	frame := raw[:0]
-	var u [4]byte
-	binary.LittleEndian.PutUint32(u[:], uint32(e.rank))
-	frame = append(frame, u[:]...)
-	binary.LittleEndian.PutUint32(u[:], uint32(len(tag)))
-	frame = append(frame, u[:]...)
-	frame = append(frame, tag...)
-	binary.LittleEndian.PutUint32(u[:], uint32(len(payload)))
-	frame = append(frame, u[:]...)
-	frame = append(frame, payload...)
 
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
@@ -297,9 +375,21 @@ func (e *TCPEndpoint) Send(ctx context.Context, to int, tag string, payload []by
 		}
 		tc.c = c
 	}
-	if _, err := tc.c.Write(frame); err != nil {
+	// The zero time clears the deadline a bounded send left on the socket.
+	var deadline time.Time
+	if d := opTimeout(ctx); d > 0 {
+		deadline = time.Now().Add(d)
+	}
+	err = tc.c.SetWriteDeadline(deadline)
+	if err == nil {
+		err = tc.writeFrame(e.rank, tag, payload)
+	}
+	if err != nil {
 		_ = tc.c.Close()
 		tc.c = nil // next send redials
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			err = context.DeadlineExceeded
+		}
 		return fmt.Errorf("transport: write to peer %d: %w", to, err)
 	}
 	return nil
@@ -307,7 +397,7 @@ func (e *TCPEndpoint) Send(ctx context.Context, to int, tag string, payload []by
 
 // Recv blocks until a frame from the peer with the tag arrives.
 func (e *TCPEndpoint) Recv(ctx context.Context, from int, tag string) ([]byte, error) {
-	ch := e.box(mailboxKey{from: from, to: e.rank, tag: tag})
+	ch := e.box(from, tag)
 	tm, timeout := opTimer(ctx)
 	defer putOpTimer(tm)
 	select {

@@ -92,8 +92,10 @@ type Endpoint interface {
 	Rank() int
 	// Send delivers payload to node `to` under the given tag. It blocks
 	// only on backpressure, not on the receiver posting a Recv first. The
-	// payload is copied (or fully written) before Send returns, so the
-	// caller may immediately reuse or recycle its buffer.
+	// payload is borrowed until Send returns and never after: by then it
+	// is fully written to the socket (TCP, straight from the caller's
+	// bytes) or copied (memory), so the caller may immediately reuse or
+	// recycle its buffer.
 	Send(ctx context.Context, to int, tag string, payload []byte) error
 	// Recv returns the next payload sent by node `from` under the tag,
 	// blocking until one arrives or the context is done. The returned
