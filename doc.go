@@ -112,13 +112,14 @@
 //
 // Preemptible machines announce a deadline before they die. PreemptNode
 // drains the doomed machine's coded blobs to a custodian node before the
-// kill lands; AddNode restores them verbatim onto the replacement, so the
-// next Load runs with zero erasure rebuilds and FaultTolerance returns to
-// m without re-encoding. A drain that loses its race against the deadline
-// is reported (with a flight-recorder postmortem), not errored, and
-// recovery falls back to the crash path: AddNode re-runs sweep-line
-// placement avoiding the empty machine, migrates only the chunks the new
-// plan moved, and leaves exactly one chunk for the next Load to rebuild.
+// kill lands; AddNode restores them verbatim onto the replacement, with
+// no erasure rebuild. A drain that loses its race against the deadline is
+// reported (with a flight-recorder postmortem), not errored, and the join
+// falls back to the crash path: AddNode rebuilds the slot's chunk in place
+// from k survivors, the restore round PrefetchNode runs. Restored from
+// custody, or rebuilt in place — either way FaultTolerance is m when
+// AddNode returns, placement is what Initialize compiled, and the next
+// Load rebuilds nothing.
 // RemoveNode is the graceful leave; OnPreemptionNotice surfaces injected
 // (Config.Chaos) preemption notices to the training loop. All membership
 // mutations — including ReplaceNode — are fenced behind the save slot, so

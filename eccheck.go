@@ -481,7 +481,7 @@ func (s *System) FailNode(node int) error {
 // stage on the fresh node but commit against a manifest it never staged.
 // The fence makes membership changes and save rounds strictly serial.
 func (s *System) ReplaceNode(node int) error {
-	err := s.ckpt.WithSaveFence(context.Background(), node, func() error {
+	return s.ckpt.WithSaveFence(context.Background(), node, func() error {
 		if err := s.clus.Replace(node); err != nil {
 			return err
 		}
@@ -490,8 +490,6 @@ func (s *System) ReplaceNode(node int) error {
 		}
 		return nil
 	})
-	s.health.Recompute()
-	return err
 }
 
 // AliveNodes lists the currently healthy machines.
@@ -516,11 +514,10 @@ func (s *System) ParityNodes() []int {
 // FaultTolerance returns the number of additional concurrent machine
 // failures the system survives right now wherever they land: the code's
 // parity count m minus the slots of the worst-hit group currently unable to
-// serve their chunk (dead machines, and fresh joiners whose chunk has not
-// been restored or rebuilt yet). A
-// healthy cluster reports m; a completed drain+AddNode cycle returns to m
-// immediately, while a crash leave stays below m until the next Load
-// rebuilds the lost chunk.
+// serve their chunk (dead machines, and machines swapped in by ReplaceNode
+// whose chunk no AddNode, PrefetchNode or Load has landed yet). A healthy
+// cluster reports m, and so does one whose every vacated slot's AddNode has
+// returned — restored from custody or rebuilt in place.
 func (s *System) FaultTolerance() int {
 	ft := s.ckpt.Code().M() - s.ckpt.DegradedSlots()
 	if ft < 0 {
@@ -703,12 +700,15 @@ func (s *System) RemoveNode(ctx context.Context, node int) (*DrainReport, error)
 // AddNode refills a vacated (dead) slot with a fresh machine and repairs
 // its share of the checkpoint. If the slot left through a completed drain
 // (RemoveNode, or PreemptNode with enough notice), the custodian hands
-// every blob back and full FaultTolerance returns immediately with zero
-// rebuilds. If the slot crashed holding a data chunk, placement is
-// recompiled around the empty machine (the joiner is demoted to parity
-// duty), intact chunks migrate to their new homes, and only the lost
-// chunk is left for the next Load to re-encode. The replacement itself is
-// fenced behind the save slot like ReplaceNode.
+// every blob back with zero rebuilds. Otherwise — a crash leave, a drain
+// that lost its race, a custodian that died since — the slot's chunk is
+// rebuilt in place from k survivors, the restore round PrefetchNode runs
+// (JoinReport.Rebuilt). Either way FaultTolerance is m and the slot is on
+// the duty Initialize gave it when AddNode returns nil; when the rebuild
+// cannot finish (fewer than k chunks survive, a survivor dies mid-round)
+// AddNode returns the round's error, the slot stays an erasure and a retry
+// is idempotent. The replacement itself is fenced behind the save slot like
+// ReplaceNode.
 func (s *System) AddNode(ctx context.Context, node int) (*JoinReport, error) {
 	s.stopKillTimer(node)
 	if err := s.ReplaceNode(node); err != nil {

@@ -3,6 +3,8 @@ package eccheck_test
 import (
 	"context"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -107,8 +109,8 @@ func TestPreemptWithNoticeLoadsWithZeroRebuilds(t *testing.T) {
 	if !join.Restored || join.Custodian != rep.Custodian {
 		t.Fatalf("join did not restore from custody: %+v", join)
 	}
-	if join.Reseated {
-		t.Fatalf("custody restore must not reseat placement: %+v", join)
+	if join.Rebuilt != nil {
+		t.Fatalf("custody restore must not rebuild anything: %+v", join)
 	}
 	if join.Blobs != rep.Blobs || join.BytesMoved != rep.BytesMoved {
 		t.Fatalf("restore moved %d blobs/%d bytes, drain moved %d/%d",
@@ -148,9 +150,37 @@ func TestPreemptWithNoticeLoadsWithZeroRebuilds(t *testing.T) {
 	}
 }
 
-// Zero notice is a plain crash: nothing drains, the join reseats
-// placement around the empty machine (demoting it to parity), and the
-// next Load decodes exactly the one lost chunk.
+// requireWholeAfterJoin is the contract of a crash join, checked immediately
+// after AddNode returned: the lost chunk was rebuilt in place, so the margin
+// is back at m, placement is what Initialize compiled, and the following Load
+// rebuilds nothing.
+func requireWholeAfterJoin(t *testing.T, sys *eccheck.System, dicts []*eccheck.StateDict, join *eccheck.JoinReport, dataNodes []int) {
+	t.Helper()
+	if join.Restored {
+		t.Fatal("nothing was drained; join cannot restore")
+	}
+	if join.Rebuilt == nil || join.Rebuilt.AlreadyIntact || join.Rebuilt.Segments == 0 {
+		t.Fatalf("crash join must rebuild the lost chunk in place: %+v", join.Rebuilt)
+	}
+	if sys.FaultTolerance() != 2 {
+		t.Fatalf("FaultTolerance = %d when AddNode returned, want 2", sys.FaultTolerance())
+	}
+	if got := sys.DataNodes(); !reflect.DeepEqual(got, dataNodes) {
+		t.Fatalf("a join moved the data nodes: %v -> %v", dataNodes, got)
+	}
+	got, lrep, err := sys.Load(context.Background())
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if len(lrep.MissingChunks) != 0 {
+		t.Fatalf("Load after the join rebuilt chunks %v", lrep.MissingChunks)
+	}
+	wantDicts(t, dicts, got)
+}
+
+// Zero notice is a plain crash: nothing drains, and the join rebuilds the
+// lost chunk in place through the erasure code — the slot is whole, on the
+// data duty it always had, when AddNode returns.
 func TestZeroNoticeRecoversViaRebuild(t *testing.T) {
 	sys, dicts := elasticSystem(t, false, nil)
 	ctx := context.Background()
@@ -158,7 +188,8 @@ func TestZeroNoticeRecoversViaRebuild(t *testing.T) {
 	if _, err := sys.Save(ctx, dicts); err != nil {
 		t.Fatal(err)
 	}
-	victim := sys.DataNodes()[0]
+	dataNodes := sys.DataNodes()
+	victim := dataNodes[0]
 	rep, err := sys.PreemptNode(ctx, victim, 0)
 	if err != nil {
 		t.Fatalf("PreemptNode(0): %v", err)
@@ -171,41 +202,11 @@ func TestZeroNoticeRecoversViaRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AddNode: %v", err)
 	}
-	if join.Restored {
-		t.Fatal("nothing was drained; join cannot restore")
-	}
-	if !join.Reseated || len(join.Moves) == 0 {
-		t.Fatalf("crash join of a data node must reseat placement: %+v", join)
-	}
-	// The joiner was demoted: it no longer holds a data chunk.
-	for _, n := range sys.DataNodes() {
-		if n == victim {
-			t.Fatalf("joiner %d still on data duty after reseat: %v", victim, sys.DataNodes())
-		}
-	}
-	if sys.FaultTolerance() >= 2 {
-		t.Fatalf("FaultTolerance = %d before the rebuild, want < 2", sys.FaultTolerance())
-	}
-
-	got, lrep, err := sys.Load(ctx)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if len(lrep.MissingChunks) != 1 {
-		t.Fatalf("MissingChunks = %v, want exactly the lost chunk", lrep.MissingChunks)
-	}
-	for rank := range dicts {
-		if !dicts[rank].Equal(got[rank]) {
-			t.Fatalf("rank %d: recovered dict differs", rank)
-		}
-	}
-	if sys.FaultTolerance() != 2 {
-		t.Fatalf("FaultTolerance = %d after rebuild, want 2", sys.FaultTolerance())
-	}
+	requireWholeAfterJoin(t, sys, dicts, join, dataNodes)
 }
 
 // A notice too short for the transfer: the deadline kills the node
-// mid-drain, the partial custody copy is discarded, and recovery falls
+// mid-drain, the partial custody copy is discarded, and the join falls
 // back to the erasure rebuild — the crash-only path, now with a
 // postmortem attached to the drain report.
 func TestNoticeExpiresMidDrainDegradesToRebuild(t *testing.T) {
@@ -217,7 +218,8 @@ func TestNoticeExpiresMidDrainDegradesToRebuild(t *testing.T) {
 	if _, err := sys.Save(ctx, dicts); err != nil {
 		t.Fatal(err)
 	}
-	victim := sys.DataNodes()[0]
+	dataNodes := sys.DataNodes()
+	victim := dataNodes[0]
 	rep, err := sys.PreemptNode(ctx, victim, 25*time.Millisecond)
 	if err != nil {
 		t.Fatalf("PreemptNode: %v", err)
@@ -236,25 +238,11 @@ func TestNoticeExpiresMidDrainDegradesToRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AddNode: %v", err)
 	}
-	if join.Restored {
-		t.Fatal("a failed drain must not leave restorable custody")
-	}
-	got, lrep, err := sys.Load(ctx)
-	if err != nil {
-		t.Fatalf("Load after degraded drain: %v", err)
-	}
-	if len(lrep.MissingChunks) == 0 {
-		t.Fatal("degraded drain should force a rebuild")
-	}
-	for rank := range dicts {
-		if !dicts[rank].Equal(got[rank]) {
-			t.Fatalf("rank %d: recovered dict differs", rank)
-		}
-	}
+	requireWholeAfterJoin(t, sys, dicts, join, dataNodes)
 }
 
 // RemoveNode is the unbounded graceful leave; a parity slot drains and
-// restores just like a data slot, with no reseat needed on rejoin.
+// restores just like a data slot.
 func TestRemoveAndAddParityNode(t *testing.T) {
 	sys, dicts := elasticSystem(t, false, nil)
 	ctx := context.Background()
@@ -273,7 +261,7 @@ func TestRemoveAndAddParityNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AddNode: %v", err)
 	}
-	if !join.Restored || join.Reseated {
+	if !join.Restored || join.Rebuilt != nil {
 		t.Fatalf("parity rejoin: %+v", join)
 	}
 	if sys.FaultTolerance() != 2 {
@@ -415,8 +403,15 @@ func TestCloseAbortsInFlightDrain(t *testing.T) {
 		defer close(done)
 		_, _ = sys.PreemptNode(ctx, victim, 30*time.Second)
 	}()
-	// Let the drain start shipping, then tear the system down.
-	time.Sleep(5 * time.Millisecond)
+	// Tear the system down once the drain holds the save slot and ships.
+	for membershipEvents(sys, "drain_begin") == 0 {
+		select {
+		case <-done:
+			t.Fatal("PreemptNode returned before its drain began")
+		default:
+			runtime.Gosched()
+		}
+	}
 	_ = sys.Close()
 	select {
 	case <-done:

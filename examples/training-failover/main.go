@@ -204,12 +204,12 @@ func run() error {
 			if err != nil {
 				return fmt.Errorf("add node %d: %w", victim, err)
 			}
-			if join.Reseated {
-				fmt.Printf("iter %2d: placement reseated around the empty machine (%d chunk moves); joiner demoted to parity\n",
-					iter, len(join.Moves))
+			if join.Rebuilt != nil {
+				fmt.Printf("iter %2d: replacement joined: chunk %d rebuilt in place from the survivors, fault tolerance %d/2\n",
+					iter, join.Rebuilt.Chunk, sys.FaultTolerance())
 			}
-			// Fall through to the rollback below: the lost chunk must be
-			// rebuilt through the erasure code, exactly like a crash.
+			// Fall through to the rollback below: the machine's workers lost
+			// their state, exactly like a crash — but the load rebuilds nothing.
 			failures[iter] = nil
 		}
 

@@ -2,6 +2,7 @@ package eccheck_test
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -200,7 +201,7 @@ func TestGroupedEveryOperation(t *testing.T) {
 
 	// Membership: a drained leave in group 1 parks its blobs inside the group
 	// and comes back with zero rebuilds; a crash leave of a data slot in
-	// group 0 reseats group 0 only.
+	// group 0 is rebuilt in place by the join, inside group 0.
 	drain, err := sys.RemoveNode(ctx, 5)
 	if err != nil || !drain.Completed {
 		t.Fatalf("RemoveNode: %+v, %v", drain, err)
@@ -217,19 +218,21 @@ func TestGroupedEveryOperation(t *testing.T) {
 	}
 	before := sys.DataNodes()
 	join, err = sys.AddNode(ctx, data[1])
-	if err != nil || !join.Reseated {
+	if err != nil || join.Rebuilt == nil || join.Rebuilt.Segments == 0 {
 		t.Fatalf("AddNode after crash leave: %+v, %v", join, err)
 	}
-	after := sys.DataNodes()
-	if before[2] != after[2] || before[3] != after[3] {
-		t.Errorf("reseat of group 0 moved group 1's data nodes: %v -> %v", before, after)
+	if after := sys.DataNodes(); !reflect.DeepEqual(before, after) {
+		t.Errorf("a join moved the data nodes: %v -> %v", before, after)
+	}
+	if ft := sys.FaultTolerance(); ft != 2 {
+		t.Errorf("fault tolerance %d when AddNode returned, want 2", ft)
 	}
 	got, lrep, err = sys.Load(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lrep.MissingChunks) != 1 {
-		t.Errorf("load after reseat rebuilt %v, want the one lost chunk", lrep.MissingChunks)
+	if len(lrep.MissingChunks) != 0 {
+		t.Errorf("load after the join rebuilt %v, want nothing", lrep.MissingChunks)
 	}
 	wantDicts(t, dicts, got)
 	if vr, err := sys.VerifyIntegrity(); err != nil || len(vr.CorruptSegments) != 0 {

@@ -115,6 +115,11 @@ type Network struct {
 	gen    []int
 	stats  Stats
 	onKill func(node int)
+	// killing[node] is open while the node's OnKill hook runs and closed
+	// once it has returned (nil: no hook ran). Whoever learns that the node
+	// is killed — Killed, its next Send or Recv, a second KillNow — waits on
+	// it, so "killed" is never observed ahead of what the hook destroys.
+	killing []chan struct{}
 
 	// Preemption state: per-node notice send threshold (-1 = none), the
 	// warning window, whether the notice has fired, its kill deadline, and
@@ -159,6 +164,7 @@ func Wrap(inner transport.Network, plan Plan) (*Network, error) {
 		killAt:     make([]int, inner.Size()),
 		killed:     make([]bool, inner.Size()),
 		gen:        make([]int, inner.Size()),
+		killing:    make([]chan struct{}, inner.Size()),
 		preemptAt:  make([]int, inner.Size()),
 		noticeDur:  make([]time.Duration, inner.Size()),
 		noticed:    make([]bool, inner.Size()),
@@ -236,7 +242,8 @@ func (n *Network) SetLogger(l *slog.Logger) {
 // SetOnKill installs a hook fired exactly once per killed node, outside the
 // network's locks. Deployments use it to destroy the node's volatile host
 // memory at the instant its transport dies, so a kill is a full machine
-// crash.
+// crash: nobody observes the node as killed (Killed, ErrKilled) before the
+// hook has returned. The hook must not ask the network about the node.
 func (n *Network) SetOnKill(fn func(node int)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -338,15 +345,28 @@ const anyGen = -1
 // and must not kill the replacement.
 func (n *Network) killNow(node, gen int) {
 	n.mu.Lock()
-	if node < 0 || node >= len(n.killed) || n.killed[node] || (gen != anyGen && gen != n.gen[node]) {
+	if node < 0 || node >= len(n.killed) || (gen != anyGen && gen != n.gen[node]) {
 		n.mu.Unlock()
 		return
 	}
-	hook := n.markKilledLocked(node, -1, "preempt")
+	hook := n.killSettled(node)
+	if !n.killed[node] {
+		hook = n.markKilledLocked(node, -1, "preempt")
+	}
 	n.mu.Unlock()
 	if hook != nil {
 		hook()
 	}
+}
+
+// killSettled returns a wait for the OnKill hook of a killed node to have
+// returned, or nil when there is nothing to wait for; the caller holds n.mu
+// and calls the result after releasing it.
+func (n *Network) killSettled(node int) func() {
+	if done := n.killing[node]; done != nil {
+		return func() { <-done }
+	}
+	return nil
 }
 
 // markKilledLocked flips a node to killed and performs all kill
@@ -370,7 +390,12 @@ func (n *Network) markKilledLocked(node, to int, tag string) func() {
 	}
 	delete(n.deadlines, node)
 	if fn := n.onKill; fn != nil {
-		return func() { fn(node) }
+		done := make(chan struct{})
+		n.killing[node] = done
+		return func() {
+			fn(node)
+			close(done)
+		}
 	}
 	return nil
 }
@@ -391,6 +416,7 @@ func (n *Network) Revive(node int) error {
 // reviveLocked is Revive's body; the caller holds n.mu.
 func (n *Network) reviveLocked(node int) {
 	n.killed[node] = false
+	n.killing[node] = nil
 	n.killAt[node] = -1
 	// Clear any preemption aimed at the old machine: a stale deadline
 	// timer or send threshold must never kill the fresh replacement. The
@@ -414,11 +440,20 @@ func (n *Network) NoticeDeadline(node int) (time.Time, bool) {
 	return d, ok
 }
 
-// Killed reports whether the schedule has killed the node.
+// Killed reports whether the schedule has killed the node; when it has, the
+// OnKill hook has returned.
 func (n *Network) Killed(node int) bool {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	return node >= 0 && node < len(n.killed) && n.killed[node]
+	if node < 0 || node >= len(n.killed) || !n.killed[node] {
+		n.mu.Unlock()
+		return false
+	}
+	settled := n.killSettled(node)
+	n.mu.Unlock()
+	if settled != nil {
+		settled()
+	}
+	return true
 }
 
 // SendCount returns how many send attempts the node has made.
@@ -478,13 +513,13 @@ const (
 // preemption schedules and rolls the probabilistic faults. to and tag
 // identify the send for the flight-recorder event an injected fault
 // emits. The returned delay applies only to delivered sends. The hook (a
-// kill's OnKill or a notice's OnNotice, if any) is returned for the
-// caller to fire outside the lock.
+// kill's OnKill, the wait for one in flight, or a notice's OnNotice, if
+// any) is returned for the caller to fire outside the lock.
 func (n *Network) judgeSend(node, to int, tag string) (verdict sendVerdict, delay time.Duration, hook func()) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.killed[node] {
-		return verdictKilled, 0, nil
+		return verdictKilled, 0, n.killSettled(node)
 	}
 	n.stats.Sends++
 	n.sends[node]++

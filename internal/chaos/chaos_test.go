@@ -3,6 +3,9 @@ package chaos
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -250,5 +253,57 @@ func TestLatencyDelaysDelivery(t *testing.T) {
 	defer cancel()
 	if err := ep0.Send(ctx, 1, "t", []byte("late")); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("send under expired deadline: want DeadlineExceeded, got %v", err)
+	}
+}
+
+// TestKilledIsNotObservedAheadOfTheHook: the send that trips the kill runs the
+// OnKill hook after the network's lock is released, so the victim's other
+// goroutines could see the node killed — and fail their round — before the
+// hook had destroyed anything. Every way of learning of the kill (Killed, the
+// victim's next Send and Recv, a second KillNow) returns only once the hook
+// has.
+func TestKilledIsNotObservedAheadOfTheHook(t *testing.T) {
+	n := newChaosNet(t, 2, Plan{Kills: []Kill{{Node: 0, AfterSends: 0}}})
+	entered, release := make(chan struct{}), make(chan struct{})
+	var destroyed atomic.Bool
+	n.SetOnKill(func(int) {
+		close(entered)
+		<-release
+		destroyed.Store(true)
+	})
+	ep0, _ := n.Endpoint(0)
+	ctx := context.Background()
+	go func() { _ = ep0.Send(ctx, 1, "t", nil) }() // trips the kill, runs the hook
+	<-entered
+
+	observers := []func(){
+		func() { n.Killed(0) },
+		func() { _ = ep0.Send(ctx, 1, "t", nil) },
+		func() { _, _ = ep0.Recv(ctx, 1, "t") },
+		func() { _ = n.KillNow(0) },
+	}
+	early := make(chan int, len(observers))
+	var wg sync.WaitGroup
+	for i, observe := range observers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			observe()
+			if !destroyed.Load() {
+				early <- i
+			}
+		}()
+	}
+	for i := 0; i < 100; i++ {
+		runtime.Gosched() // every chance to return while the hook is held
+	}
+	close(release)
+	wg.Wait()
+	close(early)
+	for i := range early {
+		t.Errorf("observer %d learned of the kill before the OnKill hook returned", i)
+	}
+	if got := n.Stats().Killed; len(got) != 1 {
+		t.Errorf("Stats.Killed = %v, want one kill", got)
 	}
 }

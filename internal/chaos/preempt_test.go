@@ -41,6 +41,8 @@ func TestPlannedPreemptionNoticeThenKill(t *testing.T) {
 	n.SetOnNotice(func(node int, deadline time.Time) {
 		noticeCh <- fired{node, deadline}
 	})
+	killCh := make(chan int, 1)
+	n.SetOnKill(func(node int) { killCh <- node })
 
 	ep0, _ := n.Endpoint(0)
 	ep1, _ := n.Endpoint(1)
@@ -79,12 +81,13 @@ func TestPlannedPreemptionNoticeThenKill(t *testing.T) {
 		t.Fatal("node killed before its deadline")
 	}
 	// The deadline lands.
-	deadline := time.Now().Add(2 * time.Second)
-	for !n.Killed(0) {
-		if time.Now().After(deadline) {
-			t.Fatal("node 0 never killed after notice expiry")
+	select {
+	case node := <-killCh:
+		if node != 0 || !n.Killed(0) {
+			t.Fatalf("deadline killed node %d (node 0 killed: %v)", node, n.Killed(0))
 		}
-		time.Sleep(5 * time.Millisecond)
+	case <-time.After(2 * time.Second):
+		t.Fatal("node 0 never killed after notice expiry")
 	}
 	stats := n.Stats()
 	if stats.Notices != 1 {
@@ -148,6 +151,8 @@ func TestReviveDisarmsPendingDeadline(t *testing.T) {
 	if _, ok := n.NoticeDeadline(0); ok {
 		t.Fatal("revived node still has a notice deadline")
 	}
+	// Nothing announces a timer that does not fire: outwait the disarmed
+	// deadline.
 	time.Sleep(notice + 50*time.Millisecond)
 	if n.Killed(0) {
 		t.Fatal("stale preemption timer killed the replacement")

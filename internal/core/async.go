@@ -337,7 +337,7 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 	// The layout cannot change while the save slot is held, so one load
 	// covers the whole drain.
 	lay := c.layout()
-	tags := c.roundTags(lay)
+	tags := c.roundTags()
 	fail := func(err error) {
 		c.discardStaged(&lay.keys)
 		clear(c.spares) // what the drains did not take goes with what they did

@@ -213,10 +213,9 @@ type Checkpointer struct {
 	// (op, node, phase); nil when metrics are off.
 	phaseHist map[string][]map[string]*obs.Histogram
 
-	// lay is the current placement layout (plan + derived key table).
-	// Membership reseats swap it atomically; every round loads the pointer
-	// once at entry, so a round always sees one consistent layout.
-	lay atomic.Pointer[layout]
+	// lay is the placement layout (plan, key table, reduction routing),
+	// compiled in New and never replaced.
+	lay *layout
 
 	// version is the latest committed checkpoint version. It advances only
 	// at a save round's commit barrier (possibly on a background drain
@@ -269,8 +268,7 @@ type Checkpointer struct {
 }
 
 // layout bundles a compiled placement plan with its derived key table and
-// reduction routing. The three always change together (a reseat recompiles
-// them all), so they live behind one atomic pointer.
+// reduction routing.
 type layout struct {
 	plan *placement.Plan
 	keys keyTable
@@ -323,10 +321,8 @@ func newLayout(cfg *Config, plan *placement.Plan) (*layout, error) {
 	return &layout{plan: plan, keys: buildKeyTable(cfg, plan), routes: routes}, nil
 }
 
-// layout returns the current placement layout. Call it once per round and
-// use the snapshot throughout; re-reading mid-round could observe a
-// membership reseat.
-func (c *Checkpointer) layout() *layout { return c.lay.Load() }
+// layout returns the placement layout, fixed at construction.
+func (c *Checkpointer) layout() *layout { return c.lay }
 
 // Lifecycle errors (test with errors.Is).
 var (
@@ -580,11 +576,9 @@ func New(cfg Config, net transport.Network, clus HostStore, remote *remotestore.
 
 		restoreSlot: make(chan struct{}, 1),
 	}
-	lay, err := newLayout(&cfg, plan)
-	if err != nil {
+	if c.lay, err = newLayout(&cfg, plan); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	c.lay.Store(lay)
 	if cfg.WatchdogFactor > 0 {
 		c.wd = newWatchdog(c, cfg.WatchdogFactor)
 	}
@@ -731,8 +725,7 @@ func (e *deadlineEndpoint) Recv(ctx context.Context, from int, tag string) ([]by
 
 func (e *deadlineEndpoint) Close() error { return e.ep.Close() }
 
-// Plan returns the compiled communication plan currently in effect (a
-// membership reseat swaps it).
+// Plan returns the compiled communication plan, fixed at construction.
 func (c *Checkpointer) Plan() *placement.Plan { return c.layout().plan }
 
 // Code returns the erasure code in use.

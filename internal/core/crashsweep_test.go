@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -140,9 +139,6 @@ func crashSweep(t *testing.T, nodes, gpus int) {
 		if net.Killed(victim) {
 			if err == nil {
 				t.Fatalf("kill at send %d: the round lost a machine and reported success", i+1)
-			}
-			for rig.clus.Alive(victim) { // the kill hook runs on the victim's goroutine
-				runtime.Gosched()
 			}
 			if err := rig.clus.Replace(victim); err != nil {
 				t.Fatal(err)
@@ -289,20 +285,20 @@ func crashSweep(t *testing.T, nodes, gpus int) {
 		})
 	}
 
-	// Membership rounds: a drained leave and the join that takes the blobs
-	// back, each cut at every send of the machine that ships them. Custody is
-	// never silently lost: a drain or a join that reports the blobs arrived is
-	// followed by a Load that rebuilds nothing, and one that does not degrades
-	// to the crash-leave path — either way Load returns the committed version
-	// byte for byte and the next save commits onto matching parity.
-	afterJoin := func(t *testing.T, rig *testRig, contents [][]*statedict.StateDict, i int, restored bool) {
+	// Membership rounds: a drained leave, and the join — the custodian's
+	// hand-back, or the in-place rebuild of a slot lost without a drain — each
+	// cut at every send of the machine that ships the bytes. Custody is never
+	// silently lost, and a join that returns nil leaves the slot whole: no
+	// degraded slot, a Load that rebuilds nothing and returns the committed
+	// version byte for byte, and a next save that commits onto matching parity.
+	afterJoin := func(t *testing.T, rig *testRig, contents [][]*statedict.StateDict, i int) {
 		t.Helper()
-		if restored && rig.ckpt.DegradedSlots() != 0 {
-			t.Fatalf("kill at send %d: join reported the blobs restored, yet %d slots are degraded", i+1, rig.ckpt.DegradedSlots())
+		if n := rig.ckpt.DegradedSlots(); n != 0 {
+			t.Fatalf("kill at send %d: every vacated slot was joined, yet %d slots are degraded", i+1, n)
 		}
 		recoverAndCheck(t, rig, contents, v0)
-		if restored && len(lastLoad.MissingChunks) != 0 {
-			t.Fatalf("kill at send %d: load after a restored join rebuilt chunks %v", i+1, lastLoad.MissingChunks)
+		if len(lastLoad.MissingChunks) != 0 {
+			t.Fatalf("kill at send %d: load after the join rebuilt chunks %v", i+1, lastLoad.MissingChunks)
 		}
 		if _, err := rig.ckpt.Save(ctx, contents[v0+1]); err != nil {
 			t.Fatalf("kill at send %d: next save: %v", i+1, err)
@@ -358,10 +354,10 @@ func crashSweep(t *testing.T, nodes, gpus int) {
 				}
 			}
 			join, jerr := rig.ckpt.RepairNode(ctx, doomed)
-			if jerr != nil || join.Restored != rep.Completed {
+			if jerr != nil || join.Restored != rep.Completed || (join.Rebuilt == nil) != rep.Completed {
 				t.Fatalf("kill at send %d: drain completed=%v, join %+v, %v", i+1, rep.Completed, join, jerr)
 			}
-			afterJoin(t, rig, contents, i, join.Restored)
+			afterJoin(t, rig, contents, i)
 			if left := custodyKeys(rig); len(left) != 0 {
 				t.Fatalf("kill at send %d: custody blobs outlive the join: %v", i+1, left)
 			}
@@ -373,47 +369,49 @@ func crashSweep(t *testing.T, nodes, gpus int) {
 			t.Error("no kill aborted a drain: the sweep enumerated nothing")
 		}
 	})
-	t.Run("AddNode", func(t *testing.T) {
-		// The slot left through a completed drain and an empty machine took
-		// it; the custodian is killed at each send of the hand-back.
-		drained := func() (*testRig, *chaos.Network, [][]*statedict.StateDict, int, int) {
+	// joinSweep cuts the join of a vacated slot at every send of victim, the
+	// machine that ships it the bytes. leave vacates the slot and names both.
+	joinSweep := func(t *testing.T, custody bool, leave func(rig *testRig) (slot, victim int)) {
+		vacated := func() (*testRig, *chaos.Network, [][]*statedict.StateDict, int, int) {
 			rig, net, contents := setup(t)
-			doomed := rig.ckpt.Plan().DataNodes[0]
-			rep, err := rig.ckpt.DrainNode(ctx, doomed)
-			if err != nil || !rep.Completed {
-				t.Fatalf("drain: %+v, %v", rep, err)
-			}
-			loseNode(t, rig, doomed)
-			return rig, net, contents, doomed, rep.Custodian
+			slot, victim := leave(rig)
+			return rig, net, contents, slot, victim
 		}
-		rig, net, _, doomed, custodian := drained()
-		before := net.SendCount(custodian)
-		if join, err := rig.ckpt.RepairNode(ctx, doomed); err != nil || !join.Restored {
+		rig, net, _, slot, victim := vacated()
+		before := net.SendCount(victim)
+		if join, err := rig.ckpt.RepairNode(ctx, slot); err != nil || join.Restored != custody || (join.Rebuilt == nil) != custody {
 			t.Fatalf("counting round: %+v, %v", join, err)
 		}
-		sends := net.SendCount(custodian) - before
+		sends := net.SendCount(victim) - before
 		if sends == 0 {
-			t.Fatal("the custodian sent nothing: nothing to enumerate")
+			t.Fatal("the victim sent nothing: nothing to enumerate")
 		}
 		aborted := 0
 		for i := 0; i <= sends; i++ {
-			rig, net, contents, doomed, custodian := drained()
-			if err := net.ScheduleKill(custodian, i); err != nil {
+			rig, net, contents, slot, victim := vacated()
+			if err := net.ScheduleKill(victim, i); err != nil {
 				t.Fatal(err)
 			}
-			join, err := rig.ckpt.RepairNode(ctx, doomed)
-			settle(t, rig, net, custodian, i, err)
+			join, err := rig.ckpt.RepairNode(ctx, slot)
+			settle(t, rig, net, victim, i, err)
 			if err != nil {
-				// The custody copy died with the custodian. The retried join
-				// must notice, not hand back an empty set as restored.
+				// What the victim held — the custody copy, a basis chunk — died
+				// with it, and an empty machine took its slot too. Both are crash
+				// joins now; the retried one must notice, not hand back an empty
+				// set as restored, and each ends whole.
 				aborted++
-				if join, err = rig.ckpt.RepairNode(ctx, doomed); err != nil || join.Restored {
-					t.Fatalf("kill at send %d: join retried after the custodian died: %+v, %v", i+1, join, err)
+				for _, node := range []int{slot, victim} {
+					if join, err = rig.ckpt.RepairNode(ctx, node); err != nil || join.Restored || join.Rebuilt == nil {
+						t.Fatalf("kill at send %d: join of node %d after the victim died: %+v, %v", i+1, node, join, err)
+					}
 				}
-			} else if !join.Restored {
-				t.Fatalf("kill at send %d never fired, yet the join restored nothing: %+v", i+1, join)
+			} else if join.Restored != custody {
+				t.Fatalf("kill at send %d never fired, yet the join reports %+v", i+1, join)
 			}
-			afterJoin(t, rig, contents, i, join.Restored)
+			afterJoin(t, rig, contents, i)
+			if left := custodyKeys(rig); len(left) != 0 {
+				t.Fatalf("kill at send %d: custody blobs outlive the join: %v", i+1, left)
+			}
 			_ = rig.ckpt.Close()
 			_ = net.Close()
 		}
@@ -421,6 +419,35 @@ func crashSweep(t *testing.T, nodes, gpus int) {
 		if aborted == 0 {
 			t.Error("no kill aborted a join: the sweep enumerated nothing")
 		}
+	}
+	t.Run("AddNode", func(t *testing.T) {
+		// The slot left through a completed drain and an empty machine took
+		// it; the custodian is killed at each send of the hand-back.
+		joinSweep(t, true, func(rig *testRig) (int, int) {
+			doomed := rig.ckpt.Plan().DataNodes[0]
+			rep, err := rig.ckpt.DrainNode(ctx, doomed)
+			if err != nil || !rep.Completed {
+				t.Fatalf("drain: %+v, %v", rep, err)
+			}
+			loseNode(t, rig, doomed)
+			return doomed, rep.Custodian
+		})
+		// The slot — a data chunk's, a parity chunk's — was lost without a
+		// drain; a basis owner of the rebuild is killed at each of its sends.
+		t.Run("CrashData", func(t *testing.T) {
+			joinSweep(t, false, func(rig *testRig) (int, int) {
+				plan := rig.ckpt.Plan()
+				loseNode(t, rig, plan.DataNodes[0])
+				return plan.DataNodes[0], plan.DataNodes[1]
+			})
+		})
+		t.Run("CrashParity", func(t *testing.T) {
+			joinSweep(t, false, func(rig *testRig) (int, int) {
+				plan := rig.ckpt.Plan()
+				loseNode(t, rig, plan.ParityNodes[0])
+				return plan.ParityNodes[0], plan.DataNodes[1]
+			})
+		})
 	})
 }
 

@@ -112,7 +112,7 @@ func (c *Checkpointer) serveDistributed(ctx context.Context, cancel context.Canc
 		}
 	}
 	rd.pc.Stop() // the coordinator only waits from here on
-	rd.tags = c.roundTags(rd.lay)
+	rd.tags = c.roundTags()
 	n := c.cfg.Topo.Nodes()
 	// Every node's error is kept, not just the first: a multi-node failure's
 	// postmortem must attribute each failed node, and under cancellation the

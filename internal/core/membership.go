@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"eccheck/internal/placement"
-
 	"eccheck/internal/obs/flight"
 )
 
@@ -19,23 +17,19 @@ import (
 // state survives the transition:
 //
 //   - Drained leave: the doomed node ships its committed blobs to a live
-//     custodian before the kill lands. The joiner gets them back intact,
-//     so the next Load is a pure replacement round with ZERO erasure
-//     rebuilds.
+//     custodian before the kill lands. The joiner gets them back intact.
 //   - Crash leave (no or insufficient notice): the slot's blobs are gone.
-//     The join re-runs sweep-line placement avoiding the empty machine
-//     (demoting it to parity duty), migrates the chunks the new plan
-//     moved between intact machines, and leaves at most the dead slot's
-//     former chunk for the next Load's corruption-as-erasure rebuild.
+//     The join is a restore request: the joiner's chunk is rebuilt in place
+//     from k survivors, exactly as PrefetchChunk would.
 //
-// A slot's custodian, the machines a reseat moves chunks between and the
-// chunks it re-homes all belong to the slot's code group; other groups are
-// not touched.
+// Either way the slot serves its chunk again when the join returns, and
+// placement — fixed at construction — is not touched. A slot's custodian
+// and the survivors it is rebuilt from belong to the slot's code group;
+// other groups are not involved.
 //
-// Every mutation here holds the single save slot, so membership changes
-// serialize against Save/SaveAsync/SaveIncremental drains; reseats
-// additionally wait for in-flight loads to finish before swapping the
-// layout pointer.
+// Custody transfers hold the single save slot (fenced), so they serialize
+// against Save/SaveAsync/SaveIncremental drains; the rebuild is fenced by
+// the restore engine's own gates.
 
 // custodyRecord tracks the blobs a drained slot parked on a custodian.
 type custodyRecord struct {
@@ -85,70 +79,63 @@ type JoinReport struct {
 	// Node is the joined node.
 	Node int
 	// Restored reports whether a custody record covered the slot: the
-	// blobs came back verbatim and no erasure rebuild is needed.
+	// blobs came back verbatim and nothing was rebuilt.
 	Restored bool
 	// Custodian is the node the blobs came back from (-1 when none).
 	Custodian int
-	// Reseated reports whether placement was recompiled around the empty
-	// machine (crash-leave of a data slot).
-	Reseated bool
-	// Moves lists the chunks the reseat migrated or reassigned.
-	Moves []placement.ChunkMove
-	// Blobs and BytesMoved count the transferred payload.
+	// Blobs and BytesMoved count the payload the custodian handed back.
 	Blobs      int
 	BytesMoved int64
-	// RebuildPending reports that at least one chunk has no intact copy
-	// and the next Load must rebuild it through the erasure code.
-	RebuildPending bool
+	// Rebuilt is the report of the restore round that rebuilt the slot's
+	// chunk in place when custody did not cover it; nil when Restored, or
+	// when there was no committed checkpoint to rebuild.
+	Rebuilt *PrefetchReport
 	// Elapsed is the repair's wall time.
 	Elapsed time.Duration
 }
 
-// WithSaveFence runs fn — the swap of node's machine for a fresh one — while
-// holding the save slot: no save round can start or drain concurrently, and
-// Close aborts a round that is merely waiting here. It is the fence the root
-// ReplaceNode uses to serialize against the SaveAsync background drain. A
-// replaced machine starts cold: the node's spare segments go with the old one.
-func (c *Checkpointer) WithSaveFence(ctx context.Context, node int, fn func() error) error {
+// fenced runs fn — one membership step on node — holding the save slot: no
+// save round can start or drain concurrently, and Close cancels fn's context
+// (or a step merely waiting for the slot). The outcome is logged under step
+// and the protection score recomputed.
+func (c *Checkpointer) fenced(ctx context.Context, step string, node int, fn func(ctx context.Context) error) error {
 	h := newSaveHandle()
 	if err := c.acquireSave(ctx, true, h); err != nil {
 		return err
 	}
-	err := fn()
-	if err == nil {
-		c.spares[node] = nil
-	}
+	ctx, cancel := context.WithCancel(ctx)
+	h.setCancel(cancel)
+	err := fn(ctx)
+	cancel()
 	c.releaseSave(h)
 	h.complete(nil, err)
+	if l := c.cfg.Logger; l != nil {
+		if err != nil {
+			l.Error("membership step failed", "step", step, "node", node, "err", err)
+		} else {
+			l.Info("membership step", "step", step, "node", node)
+		}
+	}
+	c.cfg.Health.Recompute()
 	return err
 }
 
-// waitLoadsIdle blocks until no load round is in flight, honoring ctx.
-// Callers hold the save slot, so no new save can interleave; loads may
-// still start concurrently — the caller's mutation must tolerate that or
-// the operator must quiesce loads (the documented contract for reseats).
-func (c *Checkpointer) waitLoadsIdle(ctx context.Context) error {
-	for {
-		c.lc.mu.Lock()
-		var waiting *oneRound
-		for _, r := range c.lc.loads {
-			waiting = r
-			break
+// WithSaveFence runs fn — the swap of node's machine for a fresh one —
+// fenced. It is how the root ReplaceNode serializes against the SaveAsync
+// background drain. A replaced machine starts cold: the node's spare
+// segments go with the old one.
+func (c *Checkpointer) WithSaveFence(ctx context.Context, node int, fn func() error) error {
+	return c.fenced(ctx, "replace", node, func(context.Context) error {
+		err := fn()
+		if err == nil {
+			c.spares[node] = nil
 		}
-		c.lc.mu.Unlock()
-		if waiting == nil {
-			return nil
-		}
-		select {
-		case <-waiting.done:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
+		return err
+	})
 }
 
 // shipBlobs moves blobs from srcNode to dstNode over the transport, as one
-// stream under tag (one of the round's custody, rejoin or migrate tags): a
+// stream under tag (one of the round's custody or rejoin tags): a
 // presence flag per pair, then the blob if present. Each pair is (source key,
 // destination key); blobs travel raw, so checksum footers arrive intact.
 // Missing source blobs are flagged and skipped. It returns the destination
@@ -243,13 +230,12 @@ func (c *Checkpointer) pickCustodian(lay *layout, doomed int) (int, error) {
 }
 
 // DrainNode ships a doomed node's committed checkpoint blobs to a live
-// custodian before the node dies, holding the save slot so no save round
-// interleaves. On success the slot's state survives the kill: a later
-// RepairNode on the refilled slot restores the blobs verbatim and the
-// next Load runs with zero erasure rebuilds. On failure (notice expired,
-// transfer error) the partial custody copy is discarded and the returned
-// report explains the degradation alongside the error — recovery then
-// falls back to the corruption-as-erasure rebuild path, which is exactly
+// custodian before the node dies, fenced so no save round interleaves. On
+// success the slot's state survives the kill: a later RepairNode on the
+// refilled slot restores the blobs verbatim, with no erasure rebuild. On
+// failure (notice expired, transfer error) the partial custody copy is
+// discarded and the returned report explains the degradation alongside the
+// error — the join then rebuilds the chunk through the code, which is exactly
 // the crash-only behavior the drain tries to improve on.
 //
 // Saves cannot commit while any node is dead, so a registered custody
@@ -262,30 +248,16 @@ func (c *Checkpointer) DrainNode(ctx context.Context, node int) (*DrainReport, e
 	if !c.clus.Alive(node) {
 		return nil, fmt.Errorf("core: node %d is failed; nothing to drain", node)
 	}
-	h := newSaveHandle()
-	if err := c.acquireSave(ctx, true, h); err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	h.setCancel(cancel)
-	started := time.Now()
-	pmStart := c.cfg.Flight.Cursor()
-	rep, err := c.drainLocked(ctx, node, started, pmStart)
-	cancel()
-	c.releaseSave(h)
-	h.complete(nil, err)
-	if l := c.cfg.Logger; l != nil {
-		if err != nil {
-			l.Error("drain failed", "node", node, "err", err)
-		} else {
-			l.Info("node drained", "node", node, "custodian", rep.Custodian, "bytes", rep.BytesMoved)
-		}
-	}
-	c.cfg.Health.Recompute()
+	var rep *DrainReport
+	err := c.fenced(ctx, "drain", node, func(ctx context.Context) (err error) {
+		rep, err = c.drainLocked(ctx, node)
+		return err
+	})
 	return rep, err
 }
 
-func (c *Checkpointer) drainLocked(ctx context.Context, node int, started time.Time, pmStart uint64) (*DrainReport, error) {
+func (c *Checkpointer) drainLocked(ctx context.Context, node int) (*DrainReport, error) {
+	started, pmStart := time.Now(), c.cfg.Flight.Cursor()
 	rep := &DrainReport{Node: node, Custodian: -1, Version: c.Version()}
 	degrade := func(err error) (*DrainReport, error) {
 		rep.Completed = false
@@ -337,7 +309,7 @@ func (c *Checkpointer) drainLocked(ctx context.Context, node int, started time.T
 		}
 		pairs = append(pairs, [2]string{key, keyCustody(node, key)})
 	}
-	stored, bytes, err := c.shipBlobs(ctx, node, custodian, pairs, c.roundTags(lay).custody[node])
+	stored, bytes, err := c.shipBlobs(ctx, node, custodian, pairs, c.roundTags().custody[node])
 	rep.Blobs = len(stored)
 	rep.BytesMoved = bytes
 	if err != nil {
@@ -369,20 +341,23 @@ func (c *Checkpointer) drainLocked(ctx context.Context, node int, started time.T
 	return rep, nil
 }
 
-// RepairNode restores a freshly joined (replaced, empty) node's share of
-// the checkpoint, holding the save slot. Three cases, best first:
+// RepairNode makes a freshly joined (replaced, empty) node serve its chunk
+// again. Two cases:
 //
-//   - A custody record covers the slot (the leave was drained): the
-//     custodian hands every blob back verbatim and deletes its copies.
-//     The next Load sees a fully intact cluster — zero rebuilds.
-//   - No custody and the slot held a data chunk (crash leave): placement
-//     is recompiled avoiding the empty machine (sweep-line with the
-//     joiner barred from data duty), the chunks the new plan moved
-//     between intact machines are migrated, and the layout is swapped
-//     atomically. Only the dead slot's former chunk is left for the next
-//     Load to re-encode.
-//   - No custody, parity slot: nothing moves; the next Load re-encodes
-//     the one parity chunk in place.
+//   - A live custody record covers the slot (the leave was drained): the
+//     custodian hands every blob back verbatim, fenced, and deletes its
+//     copies.
+//   - Anything else (crash leave of a data or parity slot, custodian dead or
+//     wiped since): one restore request rebuilds the node's chunk in place
+//     from k survivors and re-lands small components and manifest — the
+//     PrefetchChunk round, fenced by the restore engine's own gates after the
+//     save slot is released. A save that slips in between makes the node whole
+//     by itself and the round reports AlreadyIntact.
+//
+// When it returns nil the slot is whole: DegradedSlots no longer counts it.
+// When the rebuild cannot finish (fewer than k chunks survive, a basis owner
+// dies mid-round) it returns that round's error, the joiner stays an erasure,
+// and a retry is idempotent.
 func (c *Checkpointer) RepairNode(ctx context.Context, node int) (*JoinReport, error) {
 	if node < 0 || node >= c.cfg.Topo.Nodes() {
 		return nil, fmt.Errorf("core: node %d out of range [0, %d)", node, c.cfg.Topo.Nodes())
@@ -390,69 +365,17 @@ func (c *Checkpointer) RepairNode(ctx context.Context, node int) (*JoinReport, e
 	if !c.clus.Alive(node) {
 		return nil, fmt.Errorf("core: node %d is failed; replace it before repairing", node)
 	}
-	h := newSaveHandle()
-	if err := c.acquireSave(ctx, true, h); err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	h.setCancel(cancel)
-	rep, err := c.repairLocked(ctx, node)
-	cancel()
-	c.releaseSave(h)
-	h.complete(nil, err)
-	if l := c.cfg.Logger; l != nil {
-		if err != nil {
-			l.Error("repair failed", "node", node, "err", err)
-		} else {
-			l.Info("node repaired", "node", node, "custodian", rep.Custodian, "bytes", rep.BytesMoved)
-		}
-	}
-	c.cfg.Health.Recompute()
-	return rep, err
-}
-
-func (c *Checkpointer) repairLocked(ctx context.Context, node int) (*JoinReport, error) {
 	started := time.Now()
 	rep := &JoinReport{Node: node, Custodian: -1}
-	if err := c.waitLoadsIdle(ctx); err != nil {
-		return nil, err
-	}
-
-	c.memMu.Lock()
-	record := c.custody[node]
-	c.memMu.Unlock()
-	if record != nil && !c.clus.Alive(record.custodian) {
-		// The custodian died too; its copy is gone with its memory.
-		c.forgetCustody(node)
-		record = nil
-	}
-	if record != nil {
-		restored, err := c.restoreCustody(ctx, node, record, rep)
-		if restored || err != nil {
-			rep.Elapsed = time.Since(started)
-			return rep, err
-		}
-	}
-
-	if c.Version() == 0 {
-		// No committed checkpoint: an empty joiner is already whole.
-		rep.Elapsed = time.Since(started)
-		return rep, nil
-	}
-	lay := c.layout()
-	if lay.plan.ChunkOfNode[node] >= c.cfg.K {
-		// Parity slot lost without a drain: placement is untouched and the
-		// next Load's replacement workflow re-encodes this one chunk.
-		rep.RebuildPending = true
-		rep.Elapsed = time.Since(started)
-		c.cfg.Flight.Membership("rebuild_pending", node, -1, 0)
-		return rep, nil
-	}
-	if err := c.reseatLocked(ctx, node, lay, rep); err != nil {
-		return rep, err
+	err := c.fenced(ctx, "join", node, func(ctx context.Context) error {
+		return c.restoreCustody(ctx, node, rep)
+	})
+	// Without a committed checkpoint an empty joiner is already whole.
+	if err == nil && !rep.Restored && c.Version() > 0 {
+		rep.Rebuilt, err = c.PrefetchChunk(ctx, node)
 	}
 	rep.Elapsed = time.Since(started)
-	return rep, nil
+	return rep, err
 }
 
 // forgetCustody drops the custody record of a slot.
@@ -462,27 +385,39 @@ func (c *Checkpointer) forgetCustody(node int) {
 	c.memMu.Unlock()
 }
 
-// restoreCustody hands a drained slot's blobs back from its custodian. It
-// reports false when the custodian no longer holds them — it was itself
-// replaced since the drain — and the slot is a crash leave after all.
-func (c *Checkpointer) restoreCustody(ctx context.Context, node int, record *custodyRecord, rep *JoinReport) (bool, error) {
+// restoreCustody hands a drained slot's blobs back from its custodian and
+// marks rep Restored. It leaves rep untouched when no live custodian holds
+// them — no record, or the custodian died or was replaced since the drain —
+// and the slot is a crash leave after all.
+func (c *Checkpointer) restoreCustody(ctx context.Context, node int, rep *JoinReport) error {
+	c.memMu.Lock()
+	record := c.custody[node]
+	c.memMu.Unlock()
+	if record == nil {
+		return nil
+	}
+	if !c.clus.Alive(record.custodian) {
+		// The custodian died too; its copy is gone with its memory.
+		c.forgetCustody(node)
+		return nil
+	}
 	pairs := make([][2]string, len(record.keys))
 	for i, key := range record.keys {
 		pairs[i] = [2]string{keyCustody(node, key), key}
 	}
-	stored, bytes, err := c.shipBlobs(ctx, record.custodian, node, pairs, c.roundTags(c.layout()).rejoin[node])
+	stored, bytes, err := c.shipBlobs(ctx, record.custodian, node, pairs, c.roundTags().rejoin[node])
 	if err != nil {
 		// The record stays: a retry after a transient failure can still
 		// restore (shipBlobs overwrites cleanly).
 		rep.Blobs, rep.BytesMoved = len(stored), bytes
-		return false, fmt.Errorf("core: restore node %d from custodian %d: %w", node, record.custodian, err)
+		return fmt.Errorf("core: restore node %d from custodian %d: %w", node, record.custodian, err)
 	}
 	if len(stored) < len(record.keys) {
 		c.forgetCustody(node)
 		for _, key := range stored {
 			_ = c.clus.Delete(node, key)
 		}
-		return false, nil
+		return nil
 	}
 	// Rebuild the own-packet caches the drain deduplicated: each is a
 	// byte-identical twin of one of the just-restored chunk segments,
@@ -493,7 +428,7 @@ func (c *Checkpointer) restoreCustody(ctx context.Context, node int, record *cus
 	for ownKey, segKey := range record.derived {
 		if blob, lerr := c.clus.View(node, segKey); lerr == nil {
 			if serr := c.clus.Store(node, ownKey, blob); serr != nil {
-				return false, fmt.Errorf("core: rebuild own-packet cache %q on node %d: %w", ownKey, node, serr)
+				return fmt.Errorf("core: rebuild own-packet cache %q on node %d: %w", ownKey, node, serr)
 			}
 		}
 	}
@@ -509,93 +444,16 @@ func (c *Checkpointer) restoreCustody(ctx context.Context, node int, record *cus
 		reg.Counter("membership_restores_total").Inc()
 		reg.Counter("membership_restore_bytes_total").Add(bytes)
 	}
-	return true, nil
-}
-
-// reseatLocked recompiles placement around a crash-joined data slot and
-// migrates the moved chunks between intact machines. The joiner is barred
-// from data duty (it has nothing to contribute), so every surviving data
-// chunk keeps an intact home and exactly one chunk — the dead slot's
-// former data chunk, now homed elsewhere — is left for the next Load to
-// decode. Demoting churning slots to parity also means a repeat failure
-// of the same slot costs only a parity re-encode, not a decode.
-func (c *Checkpointer) reseatLocked(ctx context.Context, node int, lay *layout, rep *JoinReport) error {
-	newPlan, err := lay.plan.Reseat(node)
-	if err != nil {
-		return fmt.Errorf("core: reseat around node %d: %w", node, err)
-	}
-	moves, err := placement.Diff(lay.plan, newPlan)
-	if err != nil {
-		return fmt.Errorf("core: reseat around node %d: %w", node, err)
-	}
-	span := lay.plan.Span()
-	tags := c.roundTags(lay)
-	var bytes int64
-	blobs := 0
-	for _, mv := range moves {
-		if mv.From == node {
-			// The dead slot's former chunk: no intact copy exists; the next
-			// Load rebuilds it at its new home through the erasure code.
-			rep.RebuildPending = true
-			c.cfg.Flight.Membership("rebuild_pending", mv.To, node, 0)
-			continue
-		}
-		// Chunk keys are chunk-indexed, not node-indexed, so a migration is
-		// a same-key copy to the new owner. The manifest rides along for
-		// owners that lack one (the joiner); flags skip anything absent.
-		pairs := make([][2]string, 0, span+1)
-		for s := 0; s < span; s++ {
-			key := keySegment(mv.Chunk, s)
-			pairs = append(pairs, [2]string{key, key})
-		}
-		if !c.clus.Has(mv.To, keyManifest()) {
-			pairs = append(pairs, [2]string{keyManifest(), keyManifest()})
-		}
-		stored, moved, err := c.shipBlobs(ctx, mv.From, mv.To, pairs, tags.migrate[mv.Chunk])
-		blobs += len(stored)
-		bytes += moved
-		if err != nil {
-			// Migrated copies are extra (sources untouched, layout not yet
-			// swapped): drop them and leave the old layout in force.
-			for _, key := range stored {
-				_ = c.clus.Delete(mv.To, key)
-			}
-			return fmt.Errorf("core: migrate chunk %d from %d to %d: %w", mv.Chunk, mv.From, mv.To, err)
-		}
-	}
-	// All copies landed; retire the stale sources and publish the layout.
-	for _, mv := range moves {
-		if mv.From == node {
-			continue
-		}
-		for s := 0; s < span; s++ {
-			_ = c.clus.Delete(mv.From, keySegment(mv.Chunk, s))
-		}
-	}
-	newLay, err := newLayout(&c.cfg, newPlan)
-	if err != nil {
-		return fmt.Errorf("core: reseat layout: %w", err)
-	}
-	c.lay.Store(newLay)
-	rep.Reseated = true
-	rep.Moves = moves
-	rep.Blobs += blobs
-	rep.BytesMoved += bytes
-	c.cfg.Flight.Membership("reseat", node, -1, bytes)
-	if reg := c.cfg.Metrics; reg != nil {
-		reg.Counter("membership_reseats_total").Inc()
-		reg.Counter("membership_reseat_bytes_total").Add(bytes)
-	}
 	return nil
 }
 
 // DegradedSlots counts the machine slots of the worst-hit code group that are
 // currently unable to serve their chunk: dead slots, plus alive slots missing
-// committed chunk blobs (a crash-joined machine before its rebuild). Before
-// the first committed save only dead slots count. Each group tolerates m
-// lost slots, so the root FaultTolerance subtracts this from m: a completed
-// drain+restore keeps it at zero, a crash leave holds it above zero until
-// the next Load rebuilds.
+// committed chunk blobs (a replaced machine nobody has joined or loaded
+// onto yet). Before the first committed save only dead slots count. Each
+// group tolerates m lost slots, so the root FaultTolerance subtracts this
+// from m; it is back at zero when the last vacated slot's RepairNode
+// returns.
 func (c *Checkpointer) DegradedSlots() int {
 	lay := c.layout()
 	version := c.version.Load()

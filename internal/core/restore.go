@@ -55,7 +55,7 @@ const (
 // round. The plan fields are fixed before anything executes.
 type restoreRound struct {
 	req  restoreReq
-	lay  *layout   // snapshot the whole round runs under
+	lay  *layout   // the checkpointer's layout, fixed at construction
 	tags *tagTable // set on rounds that move bytes between nodes
 	// pc is the coordinator's phase clock (node -1 on the timeline).
 	pc *phaseClock

@@ -5,7 +5,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -669,9 +668,6 @@ func TestLoadAfterAbortedRebuildSeesNoResidue(t *testing.T) {
 	}
 	if _, _, err := rig.ckpt.Load(ctx); err == nil || !net.Killed(victim) {
 		t.Fatalf("load with a basis owner killed mid-rebuild: err %v, killed %v", err, net.Killed(victim))
-	}
-	for rig.clus.Alive(victim) { // the kill hook runs on the victim's goroutine
-		runtime.Gosched()
 	}
 	if err := rig.clus.Replace(victim); err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 )
 
 // tagTable holds the message tags of the save and restore protocols, rendered
-// once per (layout, epoch). Buffers within one tag stream are sequential, so
+// once per epoch. Buffers within one tag stream are sequential, so
 // per-stream FIFO delivery keeps them ordered. Code groups share no machine,
 // and a mailbox is a (sender, receiver, tag) triple, so the tags name ranks,
 // reductions and chunks without naming the group. Every tag carries the epoch,
@@ -41,17 +41,18 @@ type tagTable struct {
 	// Restore, by rank: the small-component re-broadcast and the worker's
 	// packet on its way to the worker's home node.
 	resyncMeta, resyncKeys, packet []string
-	// Membership, one stream of blobs each: by node, its blobs to its
-	// custodian and back; by chunk, the chunk's segments to its new owner.
-	custody, rejoin, migrate []string
+	// Membership, one stream of blobs each, by node: its blobs to its
+	// custodian and back.
+	custody, rejoin []string
 }
 
-// roundTags returns the tag table for a round starting now under lay.
-func (c *Checkpointer) roundTags(lay *layout) *tagTable {
+// roundTags returns the tag table for a round starting now.
+func (c *Checkpointer) roundTags() *tagTable {
 	e := int(c.epoch.Load())
-	if t := c.tags.Load(); t != nil && t.lay == lay && t.epoch == e {
+	if t := c.tags.Load(); t != nil && t.epoch == e {
 		return t
 	}
+	lay := c.lay
 	plan, world := lay.plan, c.cfg.Topo.World()
 	t := &tagTable{
 		lay: lay, epoch: e,
@@ -60,7 +61,6 @@ func (c *Checkpointer) roundTags(lay *layout) *tagTable {
 		rebuild:    make([][]string, len(lay.keys.segment)),
 		resyncMeta: make([]string, world), resyncKeys: make([]string, world), packet: make([]string, world),
 		custody: make([]string, c.cfg.Topo.Nodes()), rejoin: make([]string, c.cfg.Topo.Nodes()),
-		migrate: make([]string, len(lay.keys.segment)),
 	}
 	for node := range t.custody {
 		t.custody[node] = fmt.Sprintf("cu/%d/%d", e, node)
@@ -79,7 +79,6 @@ func (c *Checkpointer) roundTags(lay *layout) *tagTable {
 		t.parity[ri] = fmt.Sprintf("pp/%d/%d/%d", e, r.ParityIndex, r.Group)
 	}
 	for chunk, segs := range lay.keys.segment {
-		t.migrate[chunk] = fmt.Sprintf("mv/%d/%d", e, chunk)
 		t.rebuild[chunk] = make([]string, len(segs))
 		for s := range segs {
 			t.rebuild[chunk][s] = fmt.Sprintf("rc/%d/%d/%d", e, chunk, s)

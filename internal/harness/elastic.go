@@ -25,16 +25,17 @@ type ElasticPath struct {
 	// LeaveBytes is the traffic of the leave itself: zero for a crash,
 	// the custody transfer for a drain.
 	LeaveBytes int64
-	// RepairBytes is the join-side repair traffic: chunk migration after
-	// a reseat, or the custody hand-back.
+	// RepairBytes is the join-side repair traffic: the in-place erasure
+	// rebuild of the lost chunk, or the custody hand-back.
 	RepairBytes int64
-	// RecoveryBytes is the Load's traffic (erasure rebuild for the crash
-	// path, pure redistribution for the drained path).
+	// RecoveryBytes is the Load's traffic: pure redistribution on both
+	// paths, the join having made the slot whole.
 	RecoveryBytes int64
 	// CheckpointBytes is the next save: a full re-encode after the crash,
 	// a delta-parity update after the drain.
 	CheckpointBytes int64
-	// RebuiltChunks counts chunks the Load had to reconstruct.
+	// RebuiltChunks counts chunks reconstructed through the code, at the
+	// join or by the Load.
 	RebuiltChunks int
 	// Wall is the wall time of the whole sequence.
 	Wall time.Duration
@@ -47,8 +48,8 @@ func (p ElasticPath) TotalBytes() int64 {
 
 // ElasticResult compares the two strategies on identical state and churn.
 type ElasticResult struct {
-	// Full is the crash path: no drain, placement reseat, erasure
-	// rebuild, full re-encode of the next checkpoint.
+	// Full is the crash path: no drain, erasure rebuild at the join, full
+	// re-encode of the next checkpoint.
 	Full ElasticPath
 	// Delta is the elastic path: preemption drain to a custodian, custody
 	// restore on rejoin, zero-rebuild recovery, delta-parity checkpoint.
@@ -132,7 +133,7 @@ func mutateOneBuffer(dicts []*statedict.StateDict) {
 // ElasticStudy measures the elastic-membership claim end to end: when a
 // data node leaves and rejoins between checkpoints, a drained leave plus
 // delta-parity repair moves a small fraction of the bytes the crash path
-// (reseat, erasure rebuild, full re-encode) moves, at matching wall-time
+// (erasure rebuild, full re-encode) moves, at matching wall-time
 // savings. Both paths run on identical state, identical churn, and the
 // same one-buffer-per-worker mutation.
 func ElasticStudy(w io.Writer) (*ElasticResult, error) {
@@ -180,17 +181,21 @@ func ElasticStudy(w io.Writer) (*ElasticResult, error) {
 		if err := rig.clus.Replace(victim); err != nil {
 			return path, err
 		}
-		if _, err := rig.ckpt.RepairNode(ctx, victim); err != nil {
+		join, err := rig.ckpt.RepairNode(ctx, victim)
+		if err != nil {
 			return path, err
 		}
 		path.RepairBytes = rig.sendBytes()
+		if join.Rebuilt != nil && !join.Rebuilt.AlreadyIntact {
+			path.RebuiltChunks++
+		}
 
 		loaded, lrep, err := rig.ckpt.Load(ctx)
 		if err != nil {
 			return path, err
 		}
 		path.RecoveryBytes = rig.sendBytes()
-		path.RebuiltChunks = len(lrep.MissingChunks)
+		path.RebuiltChunks += len(lrep.MissingChunks)
 
 		mutateOneBuffer(loaded)
 		if drained {

@@ -52,8 +52,8 @@ const (
 	EvLinkBusy
 	// EvRemote is a remote-store put or get (Op "put"/"get").
 	EvRemote
-	// EvMembership is a membership-protocol step: drains, custody
-	// restores, reseats and joins (Op names the step).
+	// EvMembership is a membership-protocol step: drains and custody
+	// restores (Op names the step).
 	EvMembership
 	// EvBuffer is a closed buffer-window span of the streaming save
 	// pipeline: one node's pipeline buffer from the instant the encode
@@ -411,9 +411,8 @@ func (r *Recorder) Stuck(op string, node, round int, phase string, elapsed, thre
 }
 
 // Membership records one membership-protocol step: op names the step
-// ("drain", "drain_failed", "restore", "reseat", "rebuild_pending"), node
-// is the subject machine, peer its counterpart (custodian or move target,
-// -1 when none) and bytes the payload moved.
+// ("drain_begin", "drain", "drain_failed", "restore"), node is the subject
+// machine, peer its custodian (-1 when none) and bytes the payload moved.
 func (r *Recorder) Membership(op string, node, peer int, bytes int64) {
 	if r == nil {
 		return

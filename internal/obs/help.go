@@ -53,8 +53,6 @@ var metricHelp = map[string]string{
 	"membership_drains_total":         "Planned node drains completed.",
 	"membership_drain_failures_total": "Planned node drains that failed.",
 	"membership_drain_bytes_total":    "Checkpoint bytes handed off by draining nodes.",
-	"membership_reseats_total":        "Chunk reseats onto joining nodes.",
-	"membership_reseat_bytes_total":   "Checkpoint bytes reseated onto joining nodes.",
 	"membership_restores_total":       "Delta-parity repairs restoring full redundancy.",
 	"membership_restore_bytes_total":  "Bytes rebuilt by delta-parity repairs.",
 

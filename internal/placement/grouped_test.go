@@ -88,48 +88,4 @@ func TestGroupedPlanValidation(t *testing.T) {
 	if _, err := NewWithDataNodes(tt, 2, 2, []int{0, 0, 4, 6}); err == nil {
 		t.Error("duplicate data node: want error")
 	}
-	if _, err := NewAvoiding(tt, 2, 2, []int{0, 1, 2}); err == nil {
-		t.Error("avoiding more machines of one group than it has parity slots: want error")
-	}
-	if _, err := NewAvoiding(tt, 2, 2, []int{0, 1, 4, 5}); err != nil {
-		t.Errorf("avoiding m machines in each group: %v", err)
-	}
-}
-
-// Reseat recompiles the machine's own group and leaves every other group's
-// placement — including one an earlier reseat produced — alone.
-func TestReseatTouchesOneGroup(t *testing.T) {
-	p, err := New(topo(t, 8, 2, 2, 8), 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := p.Reseat(p.DataNodes[2]) // group 1
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Roles[p.DataNodes[2]] != RoleParity {
-		t.Fatalf("reseated machine %d still on data duty: %v", p.DataNodes[2], first.DataNodes)
-	}
-	second, err := first.Reseat(p.DataNodes[0]) // group 0
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(second.DataNodes[2:], first.DataNodes[2:]) {
-		t.Errorf("reseating group 0 moved group 1's data nodes: %v -> %v", first.DataNodes, second.DataNodes)
-	}
-	moves, err := Diff(first, second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(moves) == 0 {
-		t.Fatal("reseat around a data node produced no moves")
-	}
-	for _, mv := range moves {
-		if p.GroupOfNode(mv.From) != 0 || p.GroupOfNode(mv.To) != 0 {
-			t.Errorf("move %+v outside group 0", mv)
-		}
-	}
-	if _, err := p.Reseat(8); err == nil {
-		t.Error("machine out of range: want error")
-	}
 }

@@ -160,27 +160,12 @@ func (p *Plan) ChunkOwner(group, chunk int) int {
 // consecutive machines form one code group and each machine stores exactly
 // one chunk of its group — and k must divide a group's worker count.
 func New(topo *parallel.Topology, k, m int) (*Plan, error) {
-	return NewAvoiding(topo, k, m, nil)
-}
-
-// NewAvoiding compiles a plan like New but bars the avoid set from
-// data-node duty: avoided machines are assigned parity chunks. Elastic
-// membership re-placement compiles the post-join plan this way, so a
-// fresh (empty) machine is demoted to parity and every surviving data
-// chunk keeps a machine that already stores it — only the avoided
-// machines' former chunks need repair.
-func NewAvoiding(topo *parallel.Topology, k, m int, avoid []int) (*Plan, error) {
 	if err := validateParams(topo, k, m); err != nil {
 		return nil, err
 	}
-	for _, node := range avoid {
-		if node < 0 || node >= topo.Nodes() {
-			return nil, fmt.Errorf("placement: avoided machine %d out of range [0, %d)", node, topo.Nodes())
-		}
-	}
 	var dataNodes []int
 	for group := 0; group < topo.Nodes()/(k+m); group++ {
-		sel, err := selectDataNodes(topo, k, m, group, avoid)
+		sel, err := selectDataNodes(topo, k, m, group)
 		if err != nil {
 			return nil, err
 		}
@@ -197,10 +182,8 @@ func groupTopology(topo *parallel.Topology, k, m int) (*parallel.Topology, error
 }
 
 // selectDataNodes runs the sweep-line selection inside one code group: the
-// group's machines against the k equal spans of the group's workers, with
-// the avoided machines that fall in the group barred from data duty.
-func selectDataNodes(topo *parallel.Topology, k, m, group int, avoid []int) ([]int, error) {
-	lo, size := group*(k+m), k+m
+// group's machines against the k equal spans of the group's workers.
+func selectDataNodes(topo *parallel.Topology, k, m, group int) ([]int, error) {
 	sub, err := groupTopology(topo, k, m)
 	if err != nil {
 		return nil, err
@@ -209,78 +192,14 @@ func selectDataNodes(topo *parallel.Topology, k, m, group int, avoid []int) ([]i
 	if err != nil {
 		return nil, err
 	}
-	var barred []int
-	for _, node := range avoid {
-		if node >= lo && node < lo+size {
-			barred = append(barred, node-lo)
-		}
-	}
-	if len(barred) > m {
-		return nil, fmt.Errorf("placement: cannot avoid %d machines of group %d with only m=%d parity slots", len(barred), group, m)
-	}
-	sel, err := sweepline.SelectDataNodesAvoiding(sub.OriginGroups(), dataGroups, barred)
+	sel, err := sweepline.SelectDataNodes(sub.OriginGroups(), dataGroups)
 	if err != nil {
 		return nil, err
 	}
 	for j := range sel.DataNodes {
-		sel.DataNodes[j] += lo
+		sel.DataNodes[j] += group * (k + m)
 	}
 	return sel.DataNodes, nil
-}
-
-// Reseat recompiles the plan with one machine barred from data duty in its
-// code group; every other group keeps the placement it has.
-func (p *Plan) Reseat(node int) (*Plan, error) {
-	if node < 0 || node >= p.Topo.Nodes() {
-		return nil, fmt.Errorf("placement: machine %d out of range [0, %d)", node, p.Topo.Nodes())
-	}
-	group := p.GroupOfNode(node)
-	sel, err := selectDataNodes(p.Topo, p.K, p.M, group, []int{node})
-	if err != nil {
-		return nil, err
-	}
-	dataNodes := append([]int(nil), p.DataNodes...)
-	copy(dataNodes[group*p.K:], sel)
-	return NewWithDataNodes(p.Topo, p.K, p.M, dataNodes)
-}
-
-// ChunkMove records one chunk whose storing machine changed between two
-// plans: chunk Chunk (j for data chunk j, K+i for parity chunk i) of the code
-// group both machines belong to moved from machine From to machine To.
-type ChunkMove struct {
-	Chunk int
-	From  int
-	To    int
-}
-
-// Diff lists the chunks whose storing machine differs between two plans
-// compiled for the same topology and code parameters, ascending by code
-// group, then chunk index. Chunk contents are location-independent (parity
-// bytes do not depend on which machine stores them), so a diff is exactly
-// the set of blobs a membership change must migrate or re-encode —
-// unaffected chunks, and their parity, stay valid in place.
-func Diff(oldPlan, newPlan *Plan) ([]ChunkMove, error) {
-	if oldPlan == nil || newPlan == nil {
-		return nil, fmt.Errorf("placement: diff of nil plan")
-	}
-	if oldPlan.K != newPlan.K || oldPlan.M != newPlan.M {
-		return nil, fmt.Errorf("placement: diff across code parameters (%d,%d) vs (%d,%d)",
-			oldPlan.K, oldPlan.M, newPlan.K, newPlan.M)
-	}
-	if oldPlan.Topo.Nodes() != newPlan.Topo.Nodes() {
-		return nil, fmt.Errorf("placement: diff across node counts %d vs %d",
-			oldPlan.Topo.Nodes(), newPlan.Topo.Nodes())
-	}
-	var moves []ChunkMove
-	for group := 0; group < oldPlan.Groups(); group++ {
-		for chunk := 0; chunk < oldPlan.K+oldPlan.M; chunk++ {
-			from, to := oldPlan.ChunkOwner(group, chunk), newPlan.ChunkOwner(group, chunk)
-			if from != to {
-				moves = append(moves, ChunkMove{Chunk: chunk, From: from, To: to})
-			}
-		}
-	}
-	return moves, nil
 }
 
 func validateParams(topo *parallel.Topology, k, m int) error {

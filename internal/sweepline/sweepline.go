@@ -157,27 +157,10 @@ type Selection struct {
 // the group with the larger overlap wins and the other takes its best
 // remaining machine.
 func SelectDataNodes(originGroups, dataGroups []parallel.Interval) (*Selection, error) {
-	return SelectDataNodesAvoiding(originGroups, dataGroups, nil)
-}
-
-// SelectDataNodesAvoiding is SelectDataNodes with a set of machines barred
-// from data-node duty: avoided machines can only end up parity nodes.
-// Elastic re-placement uses it to demote a freshly joined (empty) machine
-// to parity, so at most its one former chunk needs re-encoding while every
-// intact data chunk keeps an intact home.
-func SelectDataNodesAvoiding(originGroups, dataGroups []parallel.Interval, avoid []int) (*Selection, error) {
 	k := len(dataGroups)
 	n := len(originGroups)
-	banned := make(map[int]bool, len(avoid))
-	for _, machine := range avoid {
-		if machine < 0 || machine >= n {
-			return nil, fmt.Errorf("sweepline: avoided machine %d out of range [0, %d)", machine, n)
-		}
-		banned[machine] = true
-	}
-	if k > n-len(banned) {
-		return nil, fmt.Errorf("sweepline: %d data groups exceed %d available machines (%d avoided)",
-			k, n-len(banned), len(banned))
+	if k > n {
+		return nil, fmt.Errorf("sweepline: %d data groups exceed %d machines", k, n)
 	}
 	pairings, err := MaxOverlapPairing(originGroups, dataGroups)
 	if err != nil {
@@ -188,7 +171,7 @@ func SelectDataNodesAvoiding(originGroups, dataGroups []parallel.Interval, avoid
 		DataNodes: make([]int, k),
 		Overlaps:  make([]int, k),
 	}
-	taken := make(map[int]bool, k+len(banned))
+	taken := make(map[int]bool, k)
 
 	// Assign in descending overlap order so contested machines go to the
 	// group that benefits most; break ties toward the earlier data group to
@@ -204,8 +187,8 @@ func SelectDataNodesAvoiding(originGroups, dataGroups []parallel.Interval, avoid
 	for _, j := range order {
 		choice := pairings[j].OriginIndex
 		overlap := pairings[j].Overlap
-		if taken[choice] || banned[choice] {
-			choice, overlap = bestRemaining(originGroups, dataGroups[j], taken, banned)
+		if taken[choice] {
+			choice, overlap = bestRemaining(originGroups, dataGroups[j], taken)
 			if choice < 0 {
 				return nil, fmt.Errorf("sweepline: no machine left for data group %d", j)
 			}
@@ -223,10 +206,10 @@ func SelectDataNodesAvoiding(originGroups, dataGroups []parallel.Interval, avoid
 	return sel, nil
 }
 
-func bestRemaining(originGroups []parallel.Interval, dg parallel.Interval, taken, banned map[int]bool) (int, int) {
+func bestRemaining(originGroups []parallel.Interval, dg parallel.Interval, taken map[int]bool) (int, int) {
 	best, bestOverlap := -1, -1
 	for i, og := range originGroups {
-		if taken[i] || banned[i] {
+		if taken[i] {
 			continue
 		}
 		if ov := og.Overlap(dg); ov > bestOverlap {

@@ -128,8 +128,9 @@ type ChaosPreemption = chaos.Preemption
 type DrainReport = core.DrainReport
 
 // JoinReport describes the outcome of AddNode: whether the slot's blobs
-// were restored from custody, whether placement was reseated around a
-// crash-joined machine, and what moved.
+// were restored from custody or its chunk was rebuilt in place through the
+// erasure code (Rebuilt) — either way FaultTolerance is m when AddNode
+// returns — and what moved.
 type JoinReport = core.JoinReport
 
 // Codec is the underlying systematic Cauchy Reed-Solomon code, exposed for
