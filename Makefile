@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race crash-sweep fuzz-smoke smoke doclint allocgate bench-smoke flake chaos-soak daemon-smoke health-smoke vulncheck metrics-demo trace-demo
+.PHONY: check fmt vet build test race crash-sweep fuzz-smoke smoke doclint allocgate bench-smoke purego flake chaos-soak daemon-smoke health-smoke vulncheck metrics-demo trace-demo
 
 # The full gate: what CI (and a pre-commit run) should execute.
-check: fmt vet build test race crash-sweep smoke doclint allocgate bench-smoke
+check: fmt vet build test race crash-sweep smoke doclint allocgate bench-smoke purego
 
 # Formatting is part of the gate: fail loudly with the offending files
 # rather than letting gofmt drift accumulate.
@@ -113,6 +113,13 @@ allocgate:
 bench-smoke:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
+
+# The coding packages on the XOR kernel's portable fallback. gf.XORSlice and
+# gf.XORInto run on crypto/subtle.XORBytes, which is assembly on amd64,
+# arm64, ppc64x and loong64 and a generic Go loop elsewhere; the purego tag
+# selects that loop here, so the platforms without the assembly are tested.
+purego:
+	$(GO) test -tags purego -count=1 ./internal/gf ./internal/bitmatrix ./internal/erasure
 
 # Repetition gate for the tests that race real timers and deadlines: the
 # elastic-membership, preemption and health tests of the root package (the

@@ -283,15 +283,13 @@ const (
 	minTileBytes    = 4 << 10
 )
 
-// tileBytes returns the per-packet tile width for this schedule, a multiple
-// of 8 so tiled XOR stays on the aligned word kernel.
+// tileBytes returns the per-packet tile width for this schedule.
 func (s *Schedule) tileBytes() int {
 	packets := (s.K + s.DstChunks) * s.W
 	if packets <= 0 {
 		return minTileBytes
 	}
 	t := tileTargetBytes / packets
-	t &^= 7
 	if t < minTileBytes {
 		t = minTileBytes
 	}
@@ -380,7 +378,9 @@ func (s *Schedule) executeOps(data, out [][]byte, lo, hi, psize int) error {
 		return buf[base+lo : base+hi], nil
 	}
 
-	for _, op := range s.Ops {
+	ops := s.Ops
+	for i := 0; i < len(ops); i++ {
+		op := ops[i]
 		src, err := packet(op.SrcChunk, op.SrcPacket)
 		if err != nil {
 			return err
@@ -391,6 +391,24 @@ func (s *Schedule) executeOps(data, out [][]byte, lo, hi, psize int) error {
 		}
 		switch op.Kind {
 		case OpCopy:
+			// A row's copy and the XOR after it into the same packet run as
+			// one three-operand pass, so dst is written once, not twice. The
+			// XOR's source must not be dst itself: the copy overwrites it.
+			if i+1 < len(ops) {
+				next := ops[i+1]
+				if next.Kind == OpXOR && next.DstChunk == op.DstChunk && next.DstPacket == op.DstPacket &&
+					(next.SrcChunk != op.DstChunk || next.SrcPacket != op.DstPacket) {
+					src2, err := packet(next.SrcChunk, next.SrcPacket)
+					if err != nil {
+						return err
+					}
+					if err := gf.XORInto(dst, src, src2); err != nil {
+						return err
+					}
+					i++
+					continue
+				}
+			}
 			copy(dst, src)
 		case OpXOR:
 			if err := gf.XORSlice(dst, src); err != nil {

@@ -2,6 +2,7 @@ package bitmatrix
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -254,7 +255,7 @@ func TestExecuteRangeMatchesExecute(t *testing.T) {
 
 // TestTiledExecuteMatchesReference uses packets wide enough that Execute
 // must split them into several cache tiles, and checks the result against
-// untiled op-by-op execution and against plain field arithmetic.
+// one untiled pass of the op list and against plain field arithmetic.
 func TestTiledExecuteMatchesReference(t *testing.T) {
 	f := gf.MustField(8)
 	w := int(f.W())
@@ -387,5 +388,174 @@ func TestCompileEmptyRowFails(t *testing.T) {
 	}
 	if _, err := CompileSmart(bm, 1, 1, 8); err == nil {
 		t.Error("empty output row: want error")
+	}
+}
+
+// executeUnfused is the reference executor: every op on its own, a copy or
+// a two-operand XOR over the whole packet, no tiles and no fusion.
+func executeUnfused(t *testing.T, s *Schedule, data, out [][]byte) {
+	t.Helper()
+	psize := len(data[0]) / s.W
+	packet := func(chunk, pkt int) []byte {
+		buf := data
+		if chunk >= s.K {
+			buf, chunk = out, chunk-s.K
+		}
+		return buf[chunk][pkt*psize : (pkt+1)*psize]
+	}
+	for _, op := range s.Ops {
+		dst, src := packet(op.DstChunk, op.DstPacket), packet(op.SrcChunk, op.SrcPacket)
+		if op.Kind == OpCopy {
+			copy(dst, src)
+		} else if err := gf.XORSlice(dst, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// encodeSchedules compiles the parity rows of the (k, m) generator the way
+// erasure.New does, plain and smart.
+func encodeSchedules(t *testing.T, f *gf.Field, k, m int) map[string]*Schedule {
+	t.Helper()
+	gen, err := cauchy.Generator(f, k, m, cauchy.Options{Improve: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]int, m)
+	for i := range rows {
+		rows[i] = k + i
+	}
+	parity, err := gen.SubMatrix(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return compileBoth(t, f, parity)
+}
+
+// compileBoth compiles mat's bitmatrix both ways, keyed "plain" and "smart".
+func compileBoth(t *testing.T, f *gf.Field, mat *gf.Matrix) map[string]*Schedule {
+	t.Helper()
+	bm, err := FromMatrix(f, mat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]*Schedule{}
+	for name, compile := range map[string]func(*Bitmatrix, int, int, int) (*Schedule, error){
+		"plain": Compile,
+		"smart": CompileSmart,
+	} {
+		s, err := compile(bm, mat.Cols(), mat.Rows(), int(f.W()))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out[name] = s
+	}
+	return out
+}
+
+// runChecked executes s through Execute and through ExecuteRange split at
+// uneven offsets, and fails unless both equal want. It also fails if
+// execution touched the program: fusion happens at run time only, so Ops
+// and XORCount are what Compile emitted.
+func runChecked(t *testing.T, name string, s *Schedule, data [][]byte, want [][]byte) {
+	t.Helper()
+	ops, xors := append([]Op(nil), s.Ops...), s.XORCount()
+	size := len(data[0])
+	psize := size / s.W
+	// nil splits: Execute; otherwise ExecuteRange over each [splits[i], splits[i+1]).
+	for _, splits := range [][]int{nil, {0, 7, psize / 2, psize - 1, psize}} {
+		got := make([][]byte, len(want))
+		for i := range got {
+			got[i] = make([]byte, size)
+		}
+		if splits == nil {
+			if err := s.Execute(data, got); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		for i := 0; i+1 < len(splits); i++ {
+			if err := s.ExecuteRange(data, got, splits[i], splits[i+1]); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("%s splits %v: output %d mismatch", name, splits, i)
+			}
+		}
+	}
+	if s.XORCount() != xors || len(s.Ops) != len(ops) {
+		t.Fatalf("%s: execution changed the program: %d ops / %d XORs, was %d / %d", name, len(s.Ops), s.XORCount(), len(ops), xors)
+	}
+	for i := range ops {
+		if s.Ops[i] != ops[i] {
+			t.Fatalf("%s: execution changed op %d", name, i)
+		}
+	}
+}
+
+// TestScalarSchedulesMatchMul runs the schedule of every nonzero GF(2^8)
+// coefficient — the only schedules a save or restore round executes — plain
+// and smart, whole and split into ranges, against per-symbol f.Mul.
+func TestScalarSchedulesMatchMul(t *testing.T) {
+	f := gf.MustField(8)
+	r := rand.New(rand.NewSource(31))
+	data := makeData(r, 1, 8*203) // 203-byte packets: vector body plus both tails
+	for c := 1; c < 256; c++ {
+		mat, err := f.NewMatrix(1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mat.Set(0, 0, c)
+		want := referenceEncode(t, f, mat, data)
+		for name, s := range compileBoth(t, f, mat) {
+			runChecked(t, fmt.Sprintf("coef %d %s", c, name), s, data, want)
+		}
+	}
+}
+
+// TestFusedEncodeMatchesUnfused runs the k2m2, k4m4 and k8m8 encode
+// schedules over packets wider than three tiles against op-by-op execution,
+// and pins their XOR counts (bitmatrix.xors_per_encode_* of the benchmark).
+func TestFusedEncodeMatchesUnfused(t *testing.T) {
+	f := gf.MustField(8)
+	r := rand.New(rand.NewSource(37))
+	wantXORs := map[[2]int]map[string]int{
+		{2, 2}: {"plain": 26, "smart": 20},
+		{4, 4}: {"plain": 283, "smart": 245},
+		{8, 8}: {"plain": 1482, "smart": 1297},
+	}
+	for _, km := range [][2]int{{2, 2}, {4, 4}, {8, 8}} {
+		for name, s := range encodeSchedules(t, f, km[0], km[1]) {
+			label := fmt.Sprintf("k%dm%d %s", km[0], km[1], name)
+			if got := s.XORCount(); got != wantXORs[km][name] {
+				t.Errorf("%s: XORCount %d, want %d", label, got, wantXORs[km][name])
+			}
+			size := (3*s.tileBytes() + 123) * s.W
+			data := makeData(r, km[0], size)
+			want := make([][]byte, km[1])
+			for i := range want {
+				want[i] = make([]byte, size)
+			}
+			executeUnfused(t, s, data, want)
+			runChecked(t, label, s, data, want)
+		}
+	}
+}
+
+// TestFusionKeepsOpOrder: a copy followed by an XOR whose source is the
+// destination packet itself is not fused — run in order, the XOR reads what
+// the copy wrote and the packet ends up zero.
+func TestFusionKeepsOpOrder(t *testing.T) {
+	s := &Schedule{W: 1, K: 1, DstChunks: 1, Ops: []Op{
+		{Kind: OpCopy, SrcChunk: 0, DstChunk: 1},
+		{Kind: OpXOR, SrcChunk: 1, DstChunk: 1},
+	}}
+	data, out := [][]byte{{1, 2, 3}}, [][]byte{{9, 9, 9}}
+	if err := s.Execute(data, out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out[0], []byte{0, 0, 0}) {
+		t.Fatalf("copy then self-XOR = %v, want zeros", out[0])
 	}
 }

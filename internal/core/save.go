@@ -857,8 +857,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 				if delta {
 					pc.Switch(PhaseEncode)
 					srcs[i] = c.buf.Get(hi - lo)
-					copy(srcs[i], packets[w][lo:hi])
-					if err := gf.XORSlice(srcs[i], snap.olds[w][lo:hi]); err != nil {
+					if err := gf.XORInto(srcs[i], packets[w][lo:hi], snap.olds[w][lo:hi]); err != nil {
 						return err
 					}
 				}

@@ -82,21 +82,16 @@ func (p *Pool) run(fns []func() error) error {
 	return firstErr
 }
 
-// splitRange divides [0, total) into at most parts contiguous sub-ranges
-// whose boundaries are multiples of align (except possibly the last).
-func splitRange(total, parts, align int) [][2]int {
+// splitRange divides [0, total) into at most parts contiguous sub-ranges of
+// equal length (except possibly the last).
+func splitRange(total, parts int) [][2]int {
 	if total <= 0 {
 		return nil
 	}
-	if parts <= 1 || total <= align {
+	if parts <= 1 {
 		return [][2]int{{0, total}}
 	}
 	chunk := (total + parts - 1) / parts
-	// Round the chunk up to the alignment so the XOR kernel stays on
-	// 8-byte words.
-	if rem := chunk % align; rem != 0 {
-		chunk += align - rem
-	}
 	var out [][2]int
 	for lo := 0; lo < total; lo += chunk {
 		hi := lo + chunk
@@ -116,7 +111,7 @@ func (p *Pool) Encode(code *erasure.Code, data, parity [][]byte) error {
 		return fmt.Errorf("ecpool: no data chunks")
 	}
 	psize := len(data[0]) / int(code.WordSize())
-	ranges := splitRange(psize, p.workers, 8)
+	ranges := splitRange(psize, p.workers)
 	if len(ranges) == 0 {
 		return fmt.Errorf("ecpool: empty chunks")
 	}
@@ -135,7 +130,7 @@ func (p *Pool) RunSchedule(sched *bitmatrix.Schedule, data, out [][]byte) error 
 		return fmt.Errorf("ecpool: no data chunks")
 	}
 	psize := len(data[0]) / sched.W
-	ranges := splitRange(psize, p.workers, 8)
+	ranges := splitRange(psize, p.workers)
 	if len(ranges) == 0 {
 		return fmt.Errorf("ecpool: empty chunks")
 	}
@@ -161,7 +156,7 @@ func (p *Pool) XORReduce(dst []byte, srcs [][]byte) error {
 	if len(srcs) == 0 {
 		return nil
 	}
-	ranges := splitRange(len(dst), p.workers, 8)
+	ranges := splitRange(len(dst), p.workers)
 	if len(ranges) == 0 {
 		return nil
 	}
@@ -187,7 +182,7 @@ func (p *Pool) XOR(dst, src []byte) error {
 	if len(dst) != len(src) {
 		return fmt.Errorf("ecpool: xor length mismatch: dst=%d src=%d", len(dst), len(src))
 	}
-	ranges := splitRange(len(dst), p.workers, 8)
+	ranges := splitRange(len(dst), p.workers)
 	if len(ranges) == 0 {
 		return nil
 	}

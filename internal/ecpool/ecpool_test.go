@@ -11,23 +11,24 @@ import (
 
 func TestSplitRange(t *testing.T) {
 	for _, tc := range []struct {
-		total, parts, align int
-		wantParts           int
+		total, parts int
+		wantParts    int
 	}{
-		{0, 4, 8, 0},
-		{5, 4, 8, 1},   // smaller than alignment: single range
-		{64, 1, 8, 1},  // one worker
-		{64, 4, 8, 4},  // even split
-		{100, 4, 8, 4}, // uneven, aligned interior boundaries
-		{8, 16, 8, 1},
+		{0, 4, 0},
+		{5, 4, 3},   // ceil(5/4) = 2 bytes a range
+		{64, 1, 1},  // one worker
+		{64, 4, 4},  // even split
+		{100, 4, 4}, // uneven
+		{101, 4, 4}, // ragged last range
+		{8, 16, 8},  // more workers than bytes
 	} {
-		got := splitRange(tc.total, tc.parts, tc.align)
+		got := splitRange(tc.total, tc.parts)
 		if len(got) != tc.wantParts {
-			t.Errorf("splitRange(%d, %d, %d) = %d parts, want %d",
-				tc.total, tc.parts, tc.align, len(got), tc.wantParts)
+			t.Errorf("splitRange(%d, %d) = %d parts, want %d",
+				tc.total, tc.parts, len(got), tc.wantParts)
 			continue
 		}
-		// Ranges must tile [0, total) exactly with aligned interior bounds.
+		// Ranges must tile [0, total) exactly.
 		next := 0
 		for i, rg := range got {
 			if rg[0] != next {
@@ -35,9 +36,6 @@ func TestSplitRange(t *testing.T) {
 			}
 			if rg[0] >= rg[1] {
 				t.Errorf("range %d is empty: %v", i, rg)
-			}
-			if i < len(got)-1 && rg[1]%tc.align != 0 {
-				t.Errorf("interior boundary %d not aligned to %d", rg[1], tc.align)
 			}
 			next = rg[1]
 		}

@@ -96,8 +96,10 @@ func (c *Code) Generator() *gf.Matrix { return c.gen.Clone() }
 func (c *Code) EncodeXORCount() int { return c.enc.XORCount() }
 
 // ChunkAlign returns the smallest chunk size >= size that the code can
-// operate on: a multiple of 8·w bytes so each of the w packets is
-// 8-byte aligned for the wide XOR kernel.
+// operate on: a multiple of 8·w bytes. The schedules need only w (a chunk
+// is w packets) and the XOR kernel no alignment; the factor 8 is the
+// format: core validates BufferSize against the same 8·w, and it keeps
+// packet sizes, so stored layouts, what they were.
 func (c *Code) ChunkAlign(size int) int {
 	unit := 8 * int(c.cfg.w)
 	if size%unit == 0 {

@@ -4,8 +4,8 @@
 // All operations are table-driven: a Field carries logarithm and
 // anti-logarithm tables generated from a primitive polynomial, so that
 // multiplication and division are two table lookups and one modular add.
-// The package also provides slice kernels (MulSlice, MulAddSlice) used by
-// the region-encoding hot path.
+// The package also provides the region kernels of the encoding hot path,
+// XORSlice and XORInto.
 package gf
 
 import (
@@ -26,13 +26,12 @@ const (
 // Field is an instance of GF(2^w). It is immutable after construction and
 // safe for concurrent use.
 type Field struct {
-	w       uint   // word size in bits
-	size    int    // 2^w
-	max     int    // 2^w - 1 (multiplicative group order)
-	poly    int    // primitive polynomial
-	logTbl  []int  // logTbl[x] = log_α(x), x in [1, 2^w)
-	expTbl  []int  // expTbl[i] = α^i, extended to 2*max to skip a mod
-	mulTbl8 []byte // full 256x256 multiplication table, only for w=8
+	w      uint  // word size in bits
+	size   int   // 2^w
+	max    int   // 2^w - 1 (multiplicative group order)
+	poly   int   // primitive polynomial
+	logTbl []int // logTbl[x] = log_α(x), x in [1, 2^w)
+	expTbl []int // expTbl[i] = α^i, extended to 2*max to skip a mod
 }
 
 var (
@@ -69,9 +68,6 @@ func NewField(w uint) (*Field, error) {
 		poly: poly,
 	}
 	f.buildTables()
-	if w == 8 {
-		f.buildMulTable8()
-	}
 	fieldCache[w] = f
 	return f, nil
 }
@@ -102,17 +98,6 @@ func (f *Field) buildTables() {
 	// a modulo by the group order.
 	for i := f.max; i < 2*f.max; i++ {
 		f.expTbl[i] = f.expTbl[i-f.max]
-	}
-}
-
-func (f *Field) buildMulTable8() {
-	f.mulTbl8 = make([]byte, 256*256)
-	for a := 1; a < 256; a++ {
-		row := f.mulTbl8[a*256:]
-		la := f.logTbl[a]
-		for b := 1; b < 256; b++ {
-			row[b] = byte(f.expTbl[la+f.logTbl[b]])
-		}
 	}
 }
 

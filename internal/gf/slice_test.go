@@ -3,6 +3,7 @@ package gf
 import (
 	"bytes"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -35,29 +36,80 @@ func TestXORSliceLengthMismatch(t *testing.T) {
 	if err := XORSlice(make([]byte, 4), make([]byte, 5)); err == nil {
 		t.Error("want error for mismatched lengths")
 	}
+	if err := XORInto(make([]byte, 4), make([]byte, 4), make([]byte, 5)); err == nil {
+		t.Error("XORInto: want error for a mismatched b")
+	}
+	if err := XORInto(make([]byte, 4), make([]byte, 3), make([]byte, 4)); err == nil {
+		t.Error("XORInto: want error for a mismatched a")
+	}
 }
 
-// TestXORSliceMisaligned drives the fallback path: slices whose base is not
-// 8-byte aligned (in every alignment combination) must still XOR correctly.
+// TestXORSliceMisaligned holds both kernels to a byte loop at every length
+// 0..300 and every pair of base offsets mod 8: the vectorised body, its
+// 8-byte and 1-byte tails, and operands that share no alignment.
 func TestXORSliceMisaligned(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	for dOff := 0; dOff < 8; dOff++ {
-		for sOff := 0; sOff < 8; sOff++ {
-			n := 129
-			dRaw := randomBytes(r, n+dOff)
-			sRaw := randomBytes(r, n+sOff)
-			dst, src := dRaw[dOff:], sRaw[sOff:]
-			want := make([]byte, n)
-			for i := range want {
-				want[i] = dst[i] ^ src[i]
-			}
-			if err := XORSlice(dst, src); err != nil {
-				t.Fatalf("offsets (%d,%d): %v", dOff, sOff, err)
-			}
-			if !bytes.Equal(dst, want) {
-				t.Fatalf("offsets (%d,%d): mismatch", dOff, sOff)
+	for n := 0; n <= 300; n++ {
+		for dOff := 0; dOff < 8; dOff++ {
+			for sOff := 0; sOff < 8; sOff++ {
+				dst := randomBytes(r, n+dOff)[dOff:]
+				a := randomBytes(r, n+sOff)[sOff:]
+				b := randomBytes(r, n+7-sOff)[7-sOff:]
+				want := make([]byte, n)
+				for i := range want {
+					want[i] = dst[i] ^ a[i]
+				}
+				if err := XORSlice(dst, a); err != nil {
+					t.Fatalf("XORSlice n=%d offsets (%d,%d): %v", n, dOff, sOff, err)
+				}
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("XORSlice n=%d offsets (%d,%d): mismatch", n, dOff, sOff)
+				}
+				for i := range want {
+					want[i] = a[i] ^ b[i]
+				}
+				if err := XORInto(dst, a, b); err != nil {
+					t.Fatalf("XORInto n=%d offsets (%d,%d): %v", n, dOff, sOff, err)
+				}
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("XORInto n=%d offsets (%d,%d): mismatch", n, dOff, sOff)
+				}
 			}
 		}
+	}
+}
+
+// TestXOROverlap pins the aliasing contract: an operand that is dst itself
+// is fine, one that overlaps dst at another offset is an error — never the
+// standard library kernel's panic — and leaves dst untouched.
+func TestXOROverlap(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	buf := randomBytes(r, 65)
+	orig := append([]byte(nil), buf...)
+	dst, shifted := buf[:64], buf[1:]
+	if err := XORSlice(dst, shifted); err == nil {
+		t.Error("XORSlice with src shifted one byte over dst: want error")
+	}
+	if err := XORInto(dst, shifted, make([]byte, 64)); err == nil {
+		t.Error("XORInto with a shifted one byte over dst: want error")
+	}
+	if err := XORInto(dst, make([]byte, 64), shifted); err == nil {
+		t.Error("XORInto with b shifted one byte over dst: want error")
+	}
+	if !bytes.Equal(buf, orig) {
+		t.Error("a rejected overlap wrote to dst")
+	}
+
+	if err := XORSlice(dst, dst); err != nil {
+		t.Fatalf("XORSlice(b, b): %v", err)
+	}
+	if !bytes.Equal(dst, make([]byte, 64)) {
+		t.Error("XORSlice(b, b) is not all zeros")
+	}
+	b := randomBytes(r, 64)
+	a := append([]byte(nil), b...)
+	if err := XORInto(b, b, a); err != nil || !bytes.Equal(b, make([]byte, 64)) {
+		t.Errorf("XORInto(b, b, copy of b) = %v, want zeros", err)
 	}
 }
 
@@ -81,76 +133,6 @@ func TestXORSliceSelfInverse(t *testing.T) {
 	}
 }
 
-func TestMulSlice8MatchesScalar(t *testing.T) {
-	f := MustField(8)
-	r := rand.New(rand.NewSource(2))
-	src := randomBytes(r, 333)
-	for _, c := range []byte{0, 1, 2, 3, 29, 255} {
-		dst := make([]byte, len(src))
-		if err := f.MulSlice8(c, dst, src); err != nil {
-			t.Fatalf("c=%d: %v", c, err)
-		}
-		for i := range src {
-			want := byte(f.Mul(int(c), int(src[i])))
-			if dst[i] != want {
-				t.Fatalf("c=%d i=%d: got %d want %d", c, i, dst[i], want)
-			}
-		}
-	}
-}
-
-func TestMulSlice8ZeroClearsDst(t *testing.T) {
-	f := MustField(8)
-	dst := []byte{1, 2, 3, 4}
-	if err := f.MulSlice8(0, dst, []byte{9, 9, 9, 9}); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range dst {
-		if v != 0 {
-			t.Fatalf("dst[%d] = %d, want 0", i, v)
-		}
-	}
-}
-
-func TestMulAddSlice8MatchesScalar(t *testing.T) {
-	f := MustField(8)
-	r := rand.New(rand.NewSource(3))
-	src := randomBytes(r, 257)
-	base := randomBytes(r, 257)
-	for _, c := range []byte{0, 1, 2, 142, 255} {
-		dst := append([]byte(nil), base...)
-		if err := f.MulAddSlice8(c, dst, src); err != nil {
-			t.Fatalf("c=%d: %v", c, err)
-		}
-		for i := range src {
-			want := base[i] ^ byte(f.Mul(int(c), int(src[i])))
-			if dst[i] != want {
-				t.Fatalf("c=%d i=%d: got %d want %d", c, i, dst[i], want)
-			}
-		}
-	}
-}
-
-func TestMulSliceRequiresW8(t *testing.T) {
-	f := MustField(4)
-	if err := f.MulSlice8(2, make([]byte, 4), make([]byte, 4)); err == nil {
-		t.Error("MulSlice8 on GF(2^4): want error")
-	}
-	if err := f.MulAddSlice8(2, make([]byte, 4), make([]byte, 4)); err == nil {
-		t.Error("MulAddSlice8 on GF(2^4): want error")
-	}
-}
-
-func TestMulSliceLengthMismatch(t *testing.T) {
-	f := MustField(8)
-	if err := f.MulSlice8(2, make([]byte, 3), make([]byte, 4)); err == nil {
-		t.Error("want error for mismatched lengths")
-	}
-	if err := f.MulAddSlice8(2, make([]byte, 3), make([]byte, 4)); err == nil {
-		t.Error("want error for mismatched lengths")
-	}
-}
-
 func BenchmarkXORSlice64MB(b *testing.B) {
 	if testing.Short() {
 		b.Skip("full-size XOR benchmark skipped in -short mode")
@@ -166,38 +148,26 @@ func BenchmarkXORSlice64MB(b *testing.B) {
 	}
 }
 
-// BenchmarkXORSliceKernel compares the direct uint64 word kernel against the
-// previous binary.LittleEndian round-trip body on the same 1 MB region.
+// BenchmarkXORSliceKernel times both kernels at the sizes the rounds use: a
+// 4 KiB tile, a 64 KiB window and a 1 MiB window (gf.xor_gbps's size).
 func BenchmarkXORSliceKernel(b *testing.B) {
-	dst := make([]byte, 1<<20)
-	src := make([]byte, 1<<20)
-	b.Run("word", func(b *testing.B) {
-		b.SetBytes(int64(len(dst)))
-		for i := 0; i < b.N; i++ {
-			if err := XORSlice(dst, src); err != nil {
-				b.Fatal(err)
+	for _, size := range []int{4 << 10, 64 << 10, 1 << 20} {
+		dst, x, y := make([]byte, size), make([]byte, size), make([]byte, size)
+		b.Run("XORSlice/"+strconv.Itoa(size), func(b *testing.B) {
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				if err := XORSlice(dst, x); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("littleEndian", func(b *testing.B) {
-		b.SetBytes(int64(len(dst)))
-		for i := 0; i < b.N; i++ {
-			if err := xorSliceUnaligned(dst, src); err != nil {
-				b.Fatal(err)
+		})
+		b.Run("XORInto/"+strconv.Itoa(size), func(b *testing.B) {
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				if err := XORInto(dst, x, y); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-}
-
-func BenchmarkMulAddSlice8(b *testing.B) {
-	f := MustField(8)
-	dst := make([]byte, 1<<20)
-	src := make([]byte, 1<<20)
-	b.SetBytes(int64(len(dst)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.MulAddSlice8(29, dst, src); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }
