@@ -35,8 +35,13 @@ test:
 # TestDeltaRoundDoesNotLaunderCorruption, TestIncrementalCorruptCacheFallsBackToFull
 # and the sparse rounds of TestNoBufferIsBothStoredAndSpare.
 # internal/transport runs TestTransportConformance here: both transports, bare
-# and under every wrapper, held to borrow-until-return, per-stream FIFO with
-# concurrent senders on one connection, and exact send counters.
+# and under every wrapper, held to borrow-until-return, the SendOwned
+# hand-over (the memory transport delivers the sender's slice itself),
+# per-stream FIFO with concurrent senders on one connection, and exact send
+# counters. Under the detector a payload SendOwned takes and does not deliver
+# (TCP, or a wrapper that only overrides Send) is overwritten with 0xDB before
+# it goes back to the pool (internal/transport/poison_race.go): a sender that
+# still reads it gets 0xDB, and a read that overlaps the poison is a race.
 # The enumerated crash sweep is the slowest test under the detector and has
 # its own target below, so it runs once per `make check`, not twice.
 race:
@@ -98,11 +103,14 @@ doclint:
 # that changes one worker included, its restaged own-packet cache and all.
 # The TCP data path is gated the same way: a steady-state 1 MiB Send + Recv
 # allocates under 1 KiB and takes one pooled buffer, the receiver's payload.
+# On the memory transport a steady-state 1 MiB SendOwned + Recv takes no
+# pooled buffer and allocates nothing (the sender's buffer is the receiver's
+# payload), and a plain Send takes exactly one, its copy.
 allocgate:
 	$(GO) test -run 'TestDisabledRecorderZeroAlloc' -count=1 ./internal/obs/flight
 	$(GO) test -run 'TestPhaseClockZeroAllocWithoutRecorder|TestPhaseClockZeroAllocWatchdogDisabled|TestRoundHooksZeroAllocWhenDisabled|TestSteadyStateSaveAllocatesNoSegments' -count=1 ./internal/core
 	$(GO) test -run 'TestMembershipStateZeroAlloc' -count=1 ./internal/cluster
-	$(GO) test -run 'TestTCPSendAllocatesNoFrame' -count=1 ./internal/transport
+	$(GO) test -run 'TestTCPSendAllocatesNoFrame|TestMemorySendOwnedTakesNoBuffer' -count=1 ./internal/transport
 
 # The repository benchmark (bench/, BENCHMARK.json) is its own module, so
 # the root `go vet ./...` and `go test ./...` never compile it. Its layer

@@ -1,8 +1,9 @@
 // Package bufpool provides a size-classed []byte pool for the checkpoint
 // hot path. A steady-state save round moves the same buffer population every
-// interval — packets, pipeline slices, XOR accumulators, transport copies,
-// checksum frames — so recycling them through a pool removes effectively all
-// large allocations from the round.
+// interval — packets, pipeline slices, XOR accumulators, received transport
+// payloads, checksum frames — so recycling them through a pool removes
+// effectively all large allocations from the round. A payload sent with
+// transport.SendOwned moves from sender to receiver as the same pooled buffer.
 //
 // Ownership rules (see DESIGN.md §"Buffer-pool ownership"):
 //

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"eccheck/internal/bufpool"
 	"eccheck/internal/obs"
 	"eccheck/internal/obs/flight"
 	"eccheck/internal/transport"
@@ -571,17 +572,37 @@ type chaosEndpoint struct {
 func (e *chaosEndpoint) Rank() int { return e.ep.Rank() }
 
 func (e *chaosEndpoint) Send(ctx context.Context, to int, tag string, payload []byte) error {
+	if deliver, err := e.admit(ctx, to, tag); !deliver {
+		return err
+	}
+	return e.ep.Send(ctx, to, tag, payload)
+}
+
+// SendOwned judges the send like Send and forwards the payload's ownership
+// with it; a payload the verdict does not deliver goes back to the pool.
+func (e *chaosEndpoint) SendOwned(ctx context.Context, to int, tag string, payload []byte) error {
+	if deliver, err := e.admit(ctx, to, tag); !deliver {
+		bufpool.Put(payload)
+		return err
+	}
+	return transport.SendOwned(ctx, e.ep, to, tag, payload)
+}
+
+// admit applies the plan's verdict on one send and waits out its injected
+// latency. It reports whether the message goes on to the inner endpoint and,
+// when it does not, what the sender sees: nil for a drop.
+func (e *chaosEndpoint) admit(ctx context.Context, to int, tag string) (bool, error) {
 	verdict, delay, hook := e.net.judgeSend(e.ep.Rank(), to, tag)
 	if hook != nil {
 		hook()
 	}
 	switch verdict {
 	case verdictKilled:
-		return fmt.Errorf("chaos: node %d send to %d tag %q: %w", e.ep.Rank(), to, tag, ErrKilled)
+		return false, fmt.Errorf("chaos: node %d send to %d tag %q: %w", e.ep.Rank(), to, tag, ErrKilled)
 	case verdictDrop:
-		return nil // the sender believes it succeeded
+		return false, nil // the sender believes it succeeded
 	case verdictError:
-		return fmt.Errorf("chaos: node %d send to %d tag %q: %w", e.ep.Rank(), to, tag, ErrInjected)
+		return false, fmt.Errorf("chaos: node %d send to %d tag %q: %w", e.ep.Rank(), to, tag, ErrInjected)
 	}
 	if delay > 0 {
 		timer := time.NewTimer(delay)
@@ -589,10 +610,10 @@ func (e *chaosEndpoint) Send(ctx context.Context, to int, tag string, payload []
 		select {
 		case <-timer.C:
 		case <-ctx.Done():
-			return fmt.Errorf("chaos: send to %d tag %q: %w", to, tag, ctx.Err())
+			return false, fmt.Errorf("chaos: send to %d tag %q: %w", to, tag, ctx.Err())
 		}
 	}
-	return e.ep.Send(ctx, to, tag, payload)
+	return true, nil
 }
 
 func (e *chaosEndpoint) Recv(ctx context.Context, from int, tag string) ([]byte, error) {
@@ -607,5 +628,6 @@ func (e *chaosEndpoint) Close() error { return e.ep.Close() }
 var (
 	_ transport.Network      = (*Network)(nil)
 	_ transport.Endpoint     = (*chaosEndpoint)(nil)
+	_ transport.OwnedSender  = (*chaosEndpoint)(nil)
 	_ transport.FlightSetter = (*Network)(nil)
 )

@@ -719,6 +719,10 @@ func (e *deadlineEndpoint) Send(ctx context.Context, to int, tag string, payload
 	return e.ep.Send(e.wrap(ctx), to, tag, payload)
 }
 
+func (e *deadlineEndpoint) SendOwned(ctx context.Context, to int, tag string, payload []byte) error {
+	return transport.SendOwned(e.wrap(ctx), e.ep, to, tag, payload)
+}
+
 func (e *deadlineEndpoint) Recv(ctx context.Context, from int, tag string) ([]byte, error) {
 	return e.ep.Recv(e.wrap(ctx), from, tag)
 }

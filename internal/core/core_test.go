@@ -445,7 +445,7 @@ func TestSaveOverTCPTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt, err := New(Config{Topo: topo, K: 2, M: 2, BufferSize: 32 << 10}, net, clus, nil)
+	ckpt, err := New(Config{Topo: topo, K: 2, M: 2, BufferSize: 32 << 10, IncrementalCache: true}, net, clus, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,13 +454,18 @@ func TestSaveOverTCPTransport(t *testing.T) {
 	buildOpt := model.NewBuildOptions()
 	buildOpt.Scale = 64
 	buildOpt.Seed = 5
-	dicts, err := model.BuildClusterStateDicts(model.GPT2_345M(), topo, buildOpt)
+	base, err := model.BuildClusterStateDicts(model.GPT2_345M(), topo, buildOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := ckpt.Save(ctx, dicts); err != nil {
+	if _, err := ckpt.Save(ctx, base); err != nil {
 		t.Fatal(err)
+	}
+	// A delta round sends its data windows through the TCP transport too.
+	dicts := mutateSomeTensors(base, []int{0, 1, 2, 3}, 101)
+	if rep, err := ckpt.SaveIncremental(ctx, dicts); err != nil || rep.Full {
+		t.Fatalf("delta round over TCP: %+v, %v", rep, err)
 	}
 	if err := clus.Fail(0); err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"eccheck/internal/cluster"
 	"eccheck/internal/gf"
 	"eccheck/internal/statedict"
+	"eccheck/internal/transport"
 )
 
 // Load recovers the latest checkpoint from the distributed in-memory
@@ -230,14 +231,13 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 			for lo := 0; pos != -1 && lo < rd.packetBytes; lo += rd.bufSize {
 				hi := min(lo+rd.bufSize, rd.packetBytes)
 				// Pooled, not zeroed: the scalar multiply fully overwrites
-				// it, and Send copies before returning.
+				// it. Ownership passes to the transport with SendOwned.
 				contribution := c.buf.Get(hi - lo)
-				err := c.scalarMulPooled(gp.decode[s].tm.At(row, pos), contribution, chunkSegs[s][lo:hi])
-				if err == nil {
-					err = ep.Send(ctx, dstNode, tag, contribution)
+				if err := c.scalarMulPooled(gp.decode[s].tm.At(row, pos), contribution, chunkSegs[s][lo:hi]); err != nil {
+					c.buf.Put(contribution)
+					return nil, err
 				}
-				c.buf.Put(contribution)
-				if err != nil {
+				if err := transport.SendOwned(ctx, ep, dstNode, tag, contribution); err != nil {
 					return nil, err
 				}
 			}

@@ -13,6 +13,7 @@ import (
 	"eccheck/internal/cluster"
 	"eccheck/internal/gf"
 	"eccheck/internal/statedict"
+	"eccheck/internal/transport"
 )
 
 // tagTable holds the message tags of the save and restore protocols, rendered
@@ -650,9 +651,10 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 		tag     string
 		payload []byte
 		// pooled marks payloads owned by the queue (folded partials, parity
-		// segments, delta windows): recycled after the send. A full round's
-		// data-segment payloads alias the worker packets and are recycled by
-		// nodeDrain instead.
+		// segments, delta windows): the sender hands them to the transport
+		// with transport.SendOwned, which recycles what it does not deliver.
+		// A full round's data-segment payloads alias the worker packets, go
+		// out through Send and are recycled by nodeDrain instead.
 		pooled bool
 		// land, when non-negative, is the buffer whose delivery this send
 		// completes; it lands after a successful send (a failed one poisons
@@ -666,16 +668,21 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 		defer sendWG.Done()
 		var sendErr error
 		for msg := range sendQueue {
-			if sendErr == nil {
-				if err := ep.Send(ctx, msg.dstNode, msg.tag, msg.payload); err != nil {
-					sendErr = err
-					fail(err)
-				} else if msg.land >= 0 {
-					win.landOne(msg.land)
+			if sendErr != nil {
+				if msg.pooled {
+					c.buf.Put(msg.payload)
 				}
+				continue
 			}
 			if msg.pooled {
-				c.buf.Put(msg.payload)
+				sendErr = transport.SendOwned(ctx, ep, msg.dstNode, msg.tag, msg.payload)
+			} else {
+				sendErr = ep.Send(ctx, msg.dstNode, msg.tag, msg.payload)
+			}
+			if sendErr != nil {
+				fail(sendErr)
+			} else if msg.land >= 0 {
+				win.landOne(msg.land)
 			}
 		}
 	}()

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"eccheck/internal/bufpool"
 	"eccheck/internal/chaos"
@@ -17,16 +18,20 @@ import (
 )
 
 // TestTransportConformance holds both transports, bare and under every
-// wrapper the system stacks on them, to the three properties the checkpoint
+// wrapper the system stacks on them, to the four properties the checkpoint
 // protocol leans on:
 //
 //	borrow  the sender overwrites its buffer the moment Send returns and the
 //	        receiver still gets the original bytes
+//	owned   a pooled buffer given to SendOwned arrives intact, and on the
+//	        memory transport it is the very slice the receiver gets — every
+//	        wrapper forwards the hand-over — while the link still charges
+//	        its cost
 //	fifo    frames of one (from, tag) stream arrive whole and in order while
 //	        1 MiB and 16-byte frames on several tags from concurrent senders
 //	        share every connection to one destination
 //	counts  transport_sends_total and transport_send_bytes_total read exactly
-//	        what was sent
+//	        what was sent, owned sends included
 func TestTransportConformance(t *testing.T) {
 	transports := []struct {
 		name string
@@ -35,23 +40,26 @@ func TestTransportConformance(t *testing.T) {
 		{"memory", transport.NewMemory},
 		{"tcp", transport.NewTCPLoopback},
 	}
+	link := transport.LinkProfile{Latency: 20 * time.Microsecond, GBps: 8}
 	// Every layer but "bare" sits under WithMetrics, so the counters are held
-	// to the sends whatever is stacked beneath them.
+	// to the sends whatever is stacked beneath them. cost is the least time
+	// the layer holds a send of n bytes.
 	layers := []struct {
 		name string
 		wrap func(transport.Network) (transport.Network, error)
+		cost func(n int) time.Duration
 	}{
-		{"bare", nil},
-		{"metrics", func(n transport.Network) (transport.Network, error) { return n, nil }},
+		{"bare", nil, nil},
+		{"metrics", func(n transport.Network) (transport.Network, error) { return n, nil }, nil},
 		{"flight", func(n transport.Network) (transport.Network, error) {
 			return transport.WithFlight(n, flight.New(64)), nil
-		}},
+		}, nil},
 		{"link", func(n transport.Network) (transport.Network, error) {
-			return transport.WithLink(n, transport.LinkProfile{Latency: 20 * time.Microsecond, GBps: 8}), nil
-		}},
+			return transport.WithLink(n, link), nil
+		}, func(n int) time.Duration { return link.Latency + time.Duration(float64(n)/link.GBps) }},
 		{"chaos", func(n transport.Network) (transport.Network, error) {
 			return chaos.Wrap(n, chaos.Plan{Seed: 1, Jitter: 100 * time.Microsecond})
-		}},
+		}, nil},
 	}
 	const size, dest = 3, 2
 	for _, tr := range transports {
@@ -79,6 +87,9 @@ func TestTransportConformance(t *testing.T) {
 				ctx := transport.WithOpTimeout(context.Background(), 20*time.Second)
 				sent := make([]traffic, size) // by sender, all to dest
 				t.Run("borrow", func(t *testing.T) { sent[0].add(borrow(t, ctx, eps[0], eps[dest])) })
+				t.Run("owned", func(t *testing.T) {
+					sent[0].add(owned(t, ctx, eps[0], eps[dest], tr.name == "memory", layer.cost))
+				})
 				t.Run("fifo", func(t *testing.T) {
 					for from, tr := range fifo(t, ctx, eps[:dest], eps[dest]) {
 						sent[from].add(tr)
@@ -125,6 +136,41 @@ func borrow(t *testing.T, ctx context.Context, src, dst transport.Endpoint) (sen
 		if len(got) != n || bytes.Count(got, []byte{0xA5}) != n {
 			t.Fatalf("%d-byte payload: the receiver saw the sender's buffer after Send returned (%d bytes, %d intact)",
 				n, len(got), bytes.Count(got, []byte{0xA5}))
+		}
+		bufpool.Put(got)
+	}
+	return sent
+}
+
+// owned hands a small and a large pooled payload to SendOwned and receives
+// them: the bytes arrive intact, handedOver says the receiver must get the
+// sender's slice itself, and a non-nil cost is the least time a send may take.
+// The sender touches nothing but the slice's address after the hand-over; the
+// receiver puts the payload back.
+func owned(t *testing.T, ctx context.Context, src, dst transport.Endpoint, handedOver bool, cost func(int) time.Duration) (sent traffic) {
+	for _, n := range []int{16, 4 << 20} {
+		payload := bufpool.Get(n)
+		for i := range payload {
+			payload[i] = 0xC3
+		}
+		base := unsafe.SliceData(payload)
+		start := time.Now()
+		if err := transport.SendOwned(ctx, src, dst.Rank(), "owned", payload); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); cost != nil && took < cost(n) {
+			t.Errorf("%d-byte owned send took %v, under the link's %v", n, took, cost(n))
+		}
+		sent.add(traffic{1, int64(n)})
+		got, err := dst.Recv(ctx, src.Rank(), "owned")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != n || bytes.Count(got, []byte{0xC3}) != n {
+			t.Fatalf("%d-byte owned payload arrived as %d bytes, %d intact", n, len(got), bytes.Count(got, []byte{0xC3}))
+		}
+		if handedOver && unsafe.SliceData(got) != base {
+			t.Errorf("%d-byte owned payload was copied on its way: a layer does not forward SendOwned", n)
 		}
 		bufpool.Put(got)
 	}

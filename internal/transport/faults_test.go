@@ -6,6 +6,9 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"eccheck/internal/bufpool"
+	"eccheck/internal/obs"
 )
 
 // TestTCPDialRetryOutOfOrderStartup is the startup-race regression test: a
@@ -27,6 +30,9 @@ func TestTCPDialRetryOutOfOrderStartup(t *testing.T) {
 	}
 	defer func() { _ = early.Close() }()
 	early.SetPeers([]string{early.Addr(), lateAddr})
+	reg := obs.NewRegistry()
+	early.SetMetrics(reg)
+	retries := reg.Counter("transport_dial_retries_total", obs.L("node", "0"))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -37,7 +43,8 @@ func TestTCPDialRetryOutOfOrderStartup(t *testing.T) {
 		sent <- early.Send(ctx, 1, "boot", []byte("hello-late-peer"))
 	}()
 
-	time.Sleep(200 * time.Millisecond)
+	// The peer comes up only once a dial was refused and is being retried.
+	waitUntil(t, "a dial retry", func() bool { return retries.Value() >= 1 })
 	late, err := NewTCPEndpoint(1, lateAddr)
 	if err != nil {
 		t.Fatalf("late listener on reserved port: %v", err)
@@ -126,8 +133,10 @@ func TestMemorySendAfterCloseErrPeerGone(t *testing.T) {
 	}
 }
 
-// TestMemoryCloseUnblocksInFlightSendWithErrPeerGone fills a mailbox until
-// the sender blocks on backpressure, then closes the network under it.
+// TestMemoryCloseUnblocksInFlightSendWithErrPeerGone fills a mailbox with
+// owned sends until the sender blocks on backpressure, then closes the
+// network under it: the blocked send fails with ErrPeerGone and its payload,
+// which was never delivered, goes back to the pool.
 func TestMemoryCloseUnblocksInFlightSendWithErrPeerGone(t *testing.T) {
 	n, err := NewMemory(2)
 	if err != nil {
@@ -135,18 +144,23 @@ func TestMemoryCloseUnblocksInFlightSendWithErrPeerGone(t *testing.T) {
 	}
 	ep0, _ := n.Endpoint(0)
 	ctx := context.Background()
+	reg := obs.NewRegistry()
+	bufpool.Default.SetMetrics(reg)
+	defer bufpool.Default.SetMetrics(nil)
+	puts := reg.Counter("bufpool_puts_total")
 
 	blocked := make(chan error, 1)
 	go func() {
 		// Mailbox buffer is 256; the 257th send blocks with no receiver.
-		for i := 0; ; i++ {
-			if err := ep0.Send(ctx, 1, "full", []byte{byte(i)}); err != nil {
+		for {
+			if err := SendOwned(ctx, ep0, 1, "full", bufpool.Get(1)); err != nil {
 				blocked <- err
 				return
 			}
 		}
 	}()
-	time.Sleep(50 * time.Millisecond)
+	box, _ := n.(*memNetwork).box(mailboxKey{from: 0, to: 1, tag: "full"})
+	waitUntil(t, "a full mailbox", func() bool { return len(box) == cap(box) && cap(box) == 256 })
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -157,5 +171,24 @@ func TestMemoryCloseUnblocksInFlightSendWithErrPeerGone(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("blocked send never unblocked on close")
+	}
+	if got := puts.Value(); got != 1 {
+		t.Errorf("%d buffers went back to the pool, want 1: the undelivered payload", got)
+	}
+}
+
+// waitUntil polls cond every millisecond until it holds, failing the test
+// after five seconds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	deadline := time.After(5 * time.Second)
+	for !cond() {
+		select {
+		case <-tick.C:
+		case <-deadline:
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }

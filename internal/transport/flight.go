@@ -69,6 +69,13 @@ func (e *flightEndpoint) Send(ctx context.Context, to int, tag string, payload [
 	return err
 }
 
+func (e *flightEndpoint) SendOwned(ctx context.Context, to int, tag string, payload []byte) error {
+	start := time.Now()
+	err := SendOwned(ctx, e.ep, to, tag, payload)
+	e.rec.Send(e.node, to, tag, int64(len(payload)), start, time.Since(start), err)
+	return err
+}
+
 func (e *flightEndpoint) Recv(ctx context.Context, from int, tag string) ([]byte, error) {
 	start := time.Now()
 	payload, err := e.ep.Recv(ctx, from, tag)

@@ -71,7 +71,23 @@ type linkEndpoint struct {
 }
 
 func (e *linkEndpoint) Send(ctx context.Context, to int, tag string, payload []byte) error {
-	if d := e.link.cost(len(payload)); d > 0 {
+	if err := e.occupy(ctx, len(payload)); err != nil {
+		return err
+	}
+	return e.Endpoint.Send(ctx, to, tag, payload)
+}
+
+func (e *linkEndpoint) SendOwned(ctx context.Context, to int, tag string, payload []byte) error {
+	if err := e.occupy(ctx, len(payload)); err != nil {
+		release(payload)
+		return err
+	}
+	return SendOwned(ctx, e.Endpoint, to, tag, payload)
+}
+
+// occupy holds the sender for the link cost of an n-byte message.
+func (e *linkEndpoint) occupy(ctx context.Context, n int) error {
+	if d := e.link.cost(n); d > 0 {
 		t := time.NewTimer(d)
 		select {
 		case <-t.C:
@@ -80,5 +96,5 @@ func (e *linkEndpoint) Send(ctx context.Context, to int, tag string, payload []b
 			return ctx.Err()
 		}
 	}
-	return e.Endpoint.Send(ctx, to, tag, payload)
+	return nil
 }

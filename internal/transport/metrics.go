@@ -109,14 +109,22 @@ type metricsEndpoint struct {
 func (e *metricsEndpoint) Rank() int { return e.ep.Rank() }
 
 func (e *metricsEndpoint) Send(ctx context.Context, to int, tag string, payload []byte) error {
-	err := e.ep.Send(ctx, to, tag, payload)
+	return e.countSend(to, len(payload), e.ep.Send(ctx, to, tag, payload))
+}
+
+func (e *metricsEndpoint) SendOwned(ctx context.Context, to int, tag string, payload []byte) error {
+	return e.countSend(to, len(payload), SendOwned(ctx, e.ep, to, tag, payload))
+}
+
+// countSend records the outcome of a send of n bytes to node to.
+func (e *metricsEndpoint) countSend(to, n int, err error) error {
 	if err != nil {
 		e.net.sendErrors[e.node].Inc()
 		return err
 	}
 	if to >= 0 && to < e.net.size {
 		e.net.sends[e.node][to].Inc()
-		e.net.sendBytes[e.node][to].Add(int64(len(payload)))
+		e.net.sendBytes[e.node][to].Add(int64(n))
 	}
 	return nil
 }

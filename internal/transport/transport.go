@@ -86,7 +86,9 @@ func putOpTimer(t *time.Timer) {
 
 // Endpoint is one node's attachment to the network. Implementations must
 // honor a WithOpTimeout bound on the context: each individual operation
-// fails with context.DeadlineExceeded once the bound elapses.
+// fails with context.DeadlineExceeded once the bound elapses. A payload the
+// sender is about to recycle anyway goes through SendOwned instead of Send,
+// which hands the buffer itself over where the endpoint can take it.
 type Endpoint interface {
 	// Rank returns this endpoint's node index.
 	Rank() int
@@ -105,6 +107,42 @@ type Endpoint interface {
 	Recv(ctx context.Context, from int, tag string) ([]byte, error)
 	// Close releases the endpoint's resources.
 	Close() error
+}
+
+// OwnedSender is implemented by endpoints that can take ownership of a
+// payload instead of borrowing it: the memory transport, which then enqueues
+// the slice itself, and every wrapper that forwards to it. It is a separate
+// interface, not a method of Endpoint, so a wrapper that embeds an Endpoint
+// and overrides only Send is never skipped by a promoted method: it is not an
+// OwnedSender, and SendOwned goes through its Send. Call it through
+// SendOwned.
+type OwnedSender interface {
+	// SendOwned delivers payload like Send but takes ownership of it, on
+	// every return, error or not. The receiver's Recv may return this very
+	// slice.
+	SendOwned(ctx context.Context, to int, tag string, payload []byte) error
+}
+
+// SendOwned sends a payload the caller owns and gives it up: payload must come
+// from bufpool.Default, and the caller must not read, write or Put it after
+// the call, whatever it returns. An endpoint that is an OwnedSender takes it
+// over; any other gets it through Send, after which it goes back to the pool.
+// Either way a payload that is not delivered is recycled, so the call costs
+// no more than Send followed by a Put and, on the memory transport, saves the
+// copy.
+func SendOwned(ctx context.Context, ep Endpoint, to int, tag string, payload []byte) error {
+	if o, ok := ep.(OwnedSender); ok {
+		return o.SendOwned(ctx, to, tag, payload)
+	}
+	err := ep.Send(ctx, to, tag, payload)
+	release(payload)
+	return err
+}
+
+// release recycles a payload the transport owns and did not deliver.
+func release(payload []byte) {
+	poison(payload)
+	bufpool.Put(payload)
 }
 
 // Network is a set of connected endpoints.
@@ -190,37 +228,49 @@ type memEndpoint struct {
 
 func (e *memEndpoint) Rank() int { return e.rank }
 
+// Send copies the payload into a pooled buffer, so the sender may reuse its
+// own the moment Send returns, exactly like a real network write, and hands
+// the copy over.
 func (e *memEndpoint) Send(ctx context.Context, to int, tag string, payload []byte) error {
-	if to < 0 || to >= e.net.size {
-		return fmt.Errorf("transport: send to node %d out of range [0, %d)", to, e.net.size)
-	}
-	// Copy so the sender may immediately reuse its buffer, exactly like a
-	// real network write. The copy is pooled; ownership passes to the
-	// receiver with the channel send.
 	cp := bufpool.Get(len(payload))
 	copy(cp, payload)
+	return e.deliver(ctx, to, tag, cp)
+}
+
+// SendOwned enqueues the caller's slice itself.
+func (e *memEndpoint) SendOwned(ctx context.Context, to int, tag string, payload []byte) error {
+	return e.deliver(ctx, to, tag, payload)
+}
+
+// deliver enqueues a payload the transport owns: ownership passes to the
+// receiver with the channel send, and a payload that is not delivered goes
+// back to the pool.
+func (e *memEndpoint) deliver(ctx context.Context, to int, tag string, payload []byte) error {
+	if to < 0 || to >= e.net.size {
+		release(payload)
+		return fmt.Errorf("transport: send to node %d out of range [0, %d)", to, e.net.size)
+	}
 	ch, err := e.net.box(mailboxKey{from: e.rank, to: to, tag: tag})
 	if err != nil {
-		bufpool.Put(cp)
+		release(payload)
 		return fmt.Errorf("transport: send to %d tag %q: %w", to, tag, err)
 	}
 	tm, timeout := opTimer(ctx)
 	defer putOpTimer(tm)
 	select {
-	case ch <- cp:
+	case ch <- payload:
 		return nil
 	case <-e.net.closed:
 		// The receiver died under us (network torn down mid-send): report
 		// it distinguishably so callers do not mistake it for backpressure.
-		bufpool.Put(cp)
-		return fmt.Errorf("transport: send to %d tag %q: %w", to, tag, ErrPeerGone)
+		err = ErrPeerGone
 	case <-timeout:
-		bufpool.Put(cp)
-		return fmt.Errorf("transport: send to %d tag %q: %w", to, tag, context.DeadlineExceeded)
+		err = context.DeadlineExceeded
 	case <-ctx.Done():
-		bufpool.Put(cp)
-		return fmt.Errorf("transport: send to %d tag %q: %w", to, tag, ctx.Err())
+		err = ctx.Err()
 	}
+	release(payload)
+	return fmt.Errorf("transport: send to %d tag %q: %w", to, tag, err)
 }
 
 func (e *memEndpoint) Recv(ctx context.Context, from int, tag string) ([]byte, error) {

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
+
+	"eccheck/internal/bufpool"
 )
 
 // networkUnderTest runs a suite against both implementations.
@@ -283,6 +287,9 @@ func TestNetworkCloseUnblocksRecv(t *testing.T) {
 		_, err := ep.Recv(context.Background(), 0, "t")
 		done <- err
 	}()
+	// The event this waits for — the Recv goroutine parked in its select — is
+	// one nothing outside the runtime can observe. The sleep makes it likely
+	// that Close finds the Recv blocked; the test holds either way.
 	time.Sleep(10 * time.Millisecond)
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
@@ -294,5 +301,76 @@ func TestNetworkCloseUnblocksRecv(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Error("recv did not unblock on close")
+	}
+}
+
+// TestMemorySendOwnedTakesNoBuffer is the allocation gate of the hand-over
+// on the memory transport: a steady-state 1 MiB SendOwned + Recv passes the
+// sender's buffer itself to the receiver, so it takes no buffer from the pool
+// and allocates nothing, where a plain Send takes exactly one buffer, its
+// copy.
+func TestMemorySendOwnedTakesNoBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers at random: allocation is not a function of the code under test")
+	}
+	// No collections and one P, as in TestTCPSendAllocatesNoFrame: a pooled
+	// buffer a cycle dropped would be allocated again inside the window.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	n, err := NewMemory(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = n.Close() }()
+	src, _ := n.Endpoint(0)
+	dst, _ := n.Endpoint(1)
+	gets := poolGets(t)
+	ctx := WithOpTimeout(context.Background(), 10*time.Second)
+	const size, frames = 1 << 20, 64
+	payload := bufpool.Get(size)
+	// measure runs frames operations after a warm-up (mailbox, op timer) and
+	// returns the pool Gets and the bytes allocated per operation.
+	measure := func(op func()) (getsPerOp float64, bytesPerOp uint64) {
+		for i := 0; i < 4; i++ {
+			op()
+		}
+		var before, after runtime.MemStats
+		getsBefore := gets()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < frames; i++ {
+			op()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(gets()-getsBefore) / frames, (after.TotalAlloc - before.TotalAlloc) / frames
+	}
+	recv := func() []byte {
+		got, err := dst.Recv(ctx, 0, "pp/0/1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != size {
+			t.Fatalf("received %d bytes, sent %d", len(got), size)
+		}
+		return got
+	}
+
+	// The receiver hands the buffer straight back for the next send.
+	g, b := measure(func() {
+		if err := SendOwned(ctx, src, 1, "pp/0/1", payload); err != nil {
+			t.Fatal(err)
+		}
+		payload = recv()
+	})
+	if g != 0 || b != 0 {
+		t.Errorf("a 1 MiB SendOwned+Recv takes %.2f pool buffers and allocates %d bytes, want none", g, b)
+	}
+	g, _ = measure(func() {
+		if err := src.Send(ctx, 1, "pp/0/1", payload); err != nil {
+			t.Fatal(err)
+		}
+		bufpool.Put(recv())
+	})
+	if g != 1 {
+		t.Errorf("a 1 MiB Send+Recv takes %.2f pool buffers, want exactly one, its copy", g)
 	}
 }
