@@ -71,13 +71,15 @@ crash-sweep:
 
 # Native fuzzing, ten seconds each, of the decoders on the restore path — a
 # manifest and a worker's (meta, keys, packet) triple, seeded from a real
-# round — and of the TCP frame reader, which reads what a peer's socket sends.
-# They must not panic or allocate by a length field's say-so (the frame
-# reader: by a field outside its limits), and whatever decodes must survive a
-# round trip. One target per invocation is a `go test -fuzz` rule.
+# round, and the serialized rank blob LoadFromRemote reads from the remote
+# tier — and of the TCP frame reader, which reads what a peer's socket sends.
+# They must not panic or allocate by a length or count field's say-so (the
+# frame reader: by a field outside its limits), and whatever decodes must
+# survive a round trip. One target per invocation is a `go test -fuzz` rule.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseManifest' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzAssemblePacket' -fuzztime=10s ./internal/core
+	$(GO) test -run '^$$' -fuzz 'FuzzUnmarshal' -fuzztime=10s ./internal/serialize
 	$(GO) test -run '^$$' -fuzz 'FuzzTCPReadFrame' -fuzztime=10s ./internal/transport
 
 # Seeded chaos smoke test: replication head-to-head, a mid-save kill, and
@@ -105,10 +107,12 @@ doclint:
 # allocates under 1 KiB and takes one pooled buffer, the receiver's payload.
 # On the memory transport a steady-state 1 MiB SendOwned + Recv takes no
 # pooled buffer and allocates nothing (the sender's buffer is the receiver's
-# payload), and a plain Send takes exactly one, its copy.
+# payload), and a plain Send takes exactly one, its copy. A LoadPartial that
+# decodes takes exactly one pooled buffer per decoded packet, the packet
+# itself: its basis terms multiply-accumulate straight into it.
 allocgate:
 	$(GO) test -run 'TestDisabledRecorderZeroAlloc' -count=1 ./internal/obs/flight
-	$(GO) test -run 'TestPhaseClockZeroAllocWithoutRecorder|TestPhaseClockZeroAllocWatchdogDisabled|TestRoundHooksZeroAllocWhenDisabled|TestSteadyStateSaveAllocatesNoSegments' -count=1 ./internal/core
+	$(GO) test -run 'TestPhaseClockZeroAllocWithoutRecorder|TestPhaseClockZeroAllocWatchdogDisabled|TestRoundHooksZeroAllocWhenDisabled|TestSteadyStateSaveAllocatesNoSegments|TestPartialDecodeTakesOneBufferPerPacket' -count=1 ./internal/core
 	$(GO) test -run 'TestMembershipStateZeroAlloc' -count=1 ./internal/cluster
 	$(GO) test -run 'TestTCPSendAllocatesNoFrame|TestMemorySendOwnedTakesNoBuffer' -count=1 ./internal/transport
 

@@ -641,16 +641,22 @@ func (c *Checkpointer) Close() error {
 	return nil
 }
 
-// scalarMulPooled computes dst = coef · src, splitting the region across
-// the checkpointer's CPU thread pool — the paper's thread-pool
-// acceleration of encoding. Small regions fall back to the serial path to
-// avoid dispatch overhead.
-func (c *Checkpointer) scalarMulPooled(coef int, dst, src []byte) error {
+// scalarMulPooled computes dst = coef · src, or dst ^= coef · src with add,
+// splitting the region across the checkpointer's CPU thread pool — the
+// paper's thread-pool acceleration of encoding. Small regions fall back to
+// the serial path to avoid dispatch overhead.
+func (c *Checkpointer) scalarMulPooled(coef int, dst, src []byte, add bool) error {
 	const poolThreshold = 256 << 10
 	if coef == 0 || len(dst) < poolThreshold || c.pool.Workers() <= 1 {
+		if add {
+			return c.code.ScalarMulAdd(coef, dst, src)
+		}
 		return c.code.ScalarMulInto(coef, dst, src)
 	}
-	sched, err := c.code.ScalarSchedule(coef)
+	if len(dst) != len(src) {
+		return fmt.Errorf("core: scalar multiply of %d bytes into %d", len(src), len(dst))
+	}
+	sched, err := c.code.ScalarSchedule(coef, add)
 	if err != nil {
 		return err
 	}

@@ -233,7 +233,7 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 				// Pooled, not zeroed: the scalar multiply fully overwrites
 				// it. Ownership passes to the transport with SendOwned.
 				contribution := c.buf.Get(hi - lo)
-				if err := c.scalarMulPooled(gp.decode[s].tm.At(row, pos), contribution, chunkSegs[s][lo:hi]); err != nil {
+				if err := c.scalarMulPooled(gp.decode[s].tm.At(row, pos), contribution, chunkSegs[s][lo:hi], false); err != nil {
 					c.buf.Put(contribution)
 					return nil, err
 				}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"eccheck/internal/gf"
 	"eccheck/internal/serialize"
 	"eccheck/internal/statedict"
 )
@@ -180,18 +179,14 @@ func (c *Checkpointer) decodeLost(rd *restoreRound, packets [][]byte) ([]bool, e
 		cg, s := plan.GroupOfRank(want[i]), plan.SegmentOf[want[i]]
 		p := &rd.groups[cg].decode[s]
 		row := slices.Index(p.missing, plan.DataGroupOf[want[i]])
-		out, term := c.buf.Get(rd.packetBytes), c.buf.Get(min(rd.bufSize, rd.packetBytes))
-		defer c.buf.Put(term)
+		out := c.buf.Get(rd.packetBytes)
 		packets[i] = out
-		clear(out) // pooled buffers carry stale bytes; the terms XOR onto zero
+		// The pooled packet holds stale bytes: the first basis term of each
+		// window overwrites them, and the others accumulate onto it in place.
 		for lo := 0; lo < rd.packetBytes; lo += rd.bufSize {
 			hi := min(lo+rd.bufSize, rd.packetBytes)
 			for pos := range p.basis {
-				err := c.scalarMulPooled(p.tm.At(row, pos), term[:hi-lo], srcs[cg*span+s][pos][lo:hi])
-				if err == nil {
-					err = gf.XORSlice(out[lo:hi], term[:hi-lo])
-				}
-				if err != nil {
+				if err := c.scalarMulPooled(p.tm.At(row, pos), out[lo:hi], srcs[cg*span+s][pos][lo:hi], pos > 0); err != nil {
 					return fmt.Errorf("core: rank %d: %w", want[i], err)
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"sync"
@@ -12,9 +13,14 @@ import (
 	"testing"
 	"time"
 
+	"eccheck/internal/bufpool"
 	"eccheck/internal/chaos"
 	"eccheck/internal/cluster"
+	"eccheck/internal/ecpool"
+	"eccheck/internal/erasure"
+	"eccheck/internal/gf"
 	"eccheck/internal/model"
+	"eccheck/internal/obs"
 	"eccheck/internal/obs/flight"
 	"eccheck/internal/parallel"
 	"eccheck/internal/remotestore"
@@ -570,6 +576,97 @@ func TestLoadPartialDecodesPerBufferSlice(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPartialDecodeTakesOneBufferPerPacket is the allocation gate of the
+// partial decode: a lost packet is decoded straight into its own pooled
+// buffer — the first basis term multiplied in, the others multiply-
+// accumulated onto it — so a decoding LoadPartial takes exactly one
+// bufpool Get per decoded packet and none for a term, a scratch window or a
+// packet served directly.
+func TestPartialDecodeTakesOneBufferPerPacket(t *testing.T) {
+	rig := newRig(t, 4, 2, 2, 2)
+	ctx := context.Background()
+	rep, err := rig.ckpt.Save(ctx, rig.dicts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PacketBytes <= rig.ckpt.cfg.BufferSize {
+		t.Fatalf("packet of %d bytes fits one %d-byte buffer: a term buffer would be one window, not a packet", rep.PacketBytes, rig.ckpt.cfg.BufferSize)
+	}
+	lay := rig.ckpt.layout()
+	victim := lay.plan.DataNodes[0]
+	if err := rig.clus.Fail(victim); err != nil {
+		t.Fatal(err)
+	}
+	decoded := 0
+	for _, chunk := range lay.plan.DataGroupOf {
+		if lay.plan.DataNodes[chunk] == victim {
+			decoded++
+		}
+	}
+	reg := obs.NewRegistry()
+	bufpool.Default.SetMetrics(reg)
+	t.Cleanup(func() { bufpool.Default.SetMetrics(nil) })
+	hits, misses := reg.Counter("bufpool_hits_total"), reg.Counter("bufpool_misses_total")
+	got, prep, err := rig.ckpt.LoadPartial(ctx, upTo(rig.topo.World()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prep.Workflow != "partial-decode" {
+		t.Fatalf("workflow = %q, want partial-decode", prep.Workflow)
+	}
+	for rank, sd := range got {
+		if !sd.Equal(rig.dicts[rank]) {
+			t.Errorf("rank %d: restored state differs from the checkpoint", rank)
+		}
+	}
+	if gets := hits.Value() + misses.Value(); gets != int64(decoded) {
+		t.Errorf("LoadPartial decoding %d packets took %d pooled buffers, want exactly %d", decoded, gets, decoded)
+	}
+}
+
+// scalarMulPooled splits a region of at least 256 KiB across the engine's
+// thread pool (ecpool.RunSchedule); both of its forms must still be the
+// serial ScalarMulInto, and ScalarMulInto followed by XORSlice, byte for byte.
+func TestScalarMulPooledMatchesSerial(t *testing.T) {
+	code, err := erasure.New(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Checkpointer{code: code, pool: ecpool.NewPool(3)}
+	defer c.pool.Close()
+	r := rand.New(rand.NewSource(27))
+	for _, n := range []int{256 << 10, 256<<10 + 192, 1 << 20} {
+		src, dst := make([]byte, n), make([]byte, n)
+		r.Read(src)
+		r.Read(dst)
+		want, term := make([]byte, n), make([]byte, n)
+		for _, coef := range []int{0, 1, 2, 4, 5, 0x8e, 255} {
+			if err := code.ScalarMulInto(coef, term, src); err != nil {
+				t.Fatal(err)
+			}
+			copy(want, dst)
+			if err := gf.XORSlice(want, term); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.scalarMulPooled(coef, dst, src, true); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("n=%d coef=%d: pooled mul-add differs from mul then XOR", n, coef)
+			}
+			if err := c.scalarMulPooled(coef, dst, src, false); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(dst, term) {
+				t.Fatalf("n=%d coef=%d: pooled mul differs from ScalarMulInto", n, coef)
+			}
+		}
+	}
+	if err := c.scalarMulPooled(3, make([]byte, 256<<10), make([]byte, 128<<10), true); err == nil {
+		t.Error("length mismatch: want error")
 	}
 }
 

@@ -882,7 +882,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 					// Pooled, not zeroed: the scalar multiply fully
 					// overwrites the region. Ownership passes to contribute.
 					contribution := c.buf.Get(hi - lo)
-					if err := c.scalarMulPooled(coefs[ri][w], contribution, src); err != nil {
+					if err := c.scalarMulPooled(coefs[ri][w], contribution, src, false); err != nil {
 						c.buf.Put(contribution)
 						return err
 					}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -56,9 +57,12 @@ func (c *Checkpointer) VerifyIntegrity() (*VerifyReport, error) {
 	packetBytes, bufSize := first.packet, first.bufSize
 
 	report := &VerifyReport{Version: first.version}
-	plan, span := rd.lay.plan, rd.lay.plan.Span()
-	chunks := make([][]byte, c.cfg.K+c.cfg.M)
-	views := make([][]byte, len(chunks))
+	plan, span, k := rd.lay.plan, rd.lay.plan.Span(), c.cfg.K
+	chunks := make([][]byte, k+c.cfg.M)
+	// Each parity window is re-encoded into one scratch window with the save's
+	// own arithmetic, Σ_j E[k+i][j]·data_j, and compared with the stored one.
+	scratch := c.buf.Get(min(bufSize, packetBytes))
+	defer c.buf.Put(scratch)
 	for id := 0; id < plan.Groups()*span; id++ {
 		cg, seg := id/span, id%span
 		report.SegmentsChecked++
@@ -72,12 +76,19 @@ func (c *Checkpointer) VerifyIntegrity() (*VerifyReport, error) {
 		// The coding region is the buffer slice, so verify slice by slice
 		// exactly as the save encoded.
 		for lo := 0; segOK && lo < packetBytes; lo += bufSize {
-			for chunk, ch := range chunks {
-				views[chunk] = ch[lo:min(lo+bufSize, packetBytes)]
-			}
-			var err error
-			if segOK, err = c.code.Verify(views); err != nil {
-				return nil, err
+			hi := min(lo+bufSize, packetBytes)
+			fresh := scratch[:hi-lo]
+			for i := 0; segOK && i < c.cfg.M; i++ {
+				for j, data := range chunks[:k] {
+					coef, err := c.code.ParityCoefficient(i, j)
+					if err == nil {
+						err = c.scalarMulPooled(coef, fresh, data[lo:hi], j > 0)
+					}
+					if err != nil {
+						return nil, err
+					}
+				}
+				segOK = bytes.Equal(fresh, chunks[k+i][lo:hi])
 			}
 		}
 		if !segOK {

@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
+
+	"eccheck/internal/cluster"
 )
 
 func TestVerifyIntegrityClean(t *testing.T) {
@@ -51,6 +54,54 @@ func TestVerifyIntegrityDetectsCorruption(t *testing.T) {
 	}
 	if len(rep.CorruptSegments) != 1 || rep.CorruptSegments[0] != 2 {
 		t.Errorf("CorruptSegments = %v, want [2]", rep.CorruptSegments)
+	}
+}
+
+// TestVerifyIntegrityDetectsRecomputedMismatch rewrites one stored segment
+// with a valid checksum, so the scan passes it and only the re-encode of
+// parity from data can tell. The flipped byte sits past the first
+// BufferSize window, so a segment of several coding windows is judged on
+// all of them. Exactly that segment must be reported corrupt.
+func TestVerifyIntegrityDetectsRecomputedMismatch(t *testing.T) {
+	for _, shape := range []struct {
+		name              string
+		nodes, gpus, k, m int
+	}{{"k2m2", 4, 2, 2, 2}, {"k4m4", 8, 1, 4, 4}} {
+		for _, parity := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/parity=%v", shape.name, parity), func(t *testing.T) {
+				rig := newRig(t, shape.nodes, shape.gpus, shape.k, shape.m)
+				rep, err := rig.ckpt.Save(context.Background(), rig.dicts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bufSize := rig.ckpt.cfg.BufferSize
+				if rep.PacketBytes <= bufSize {
+					t.Fatalf("packet of %d bytes is one %d-byte window", rep.PacketBytes, bufSize)
+				}
+				plan := rig.ckpt.Plan()
+				chunk, seg := 0, plan.Span()-1
+				if parity {
+					chunk = shape.k + shape.m - 1
+				}
+				node := plan.ChunkOwner(0, chunk)
+				stored, err := rig.ckpt.fetch(node, keySegment(chunk, seg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rewritten := append([]byte(nil), stored...)
+				rewritten[bufSize+13] ^= 0x5a
+				if err := cluster.StoreSummed(rig.clus, node, keySegment(chunk, seg), rewritten); err != nil {
+					t.Fatal(err)
+				}
+				vrep, err := rig.ckpt.VerifyIntegrity()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(vrep.CorruptSegments) != 1 || vrep.CorruptSegments[0] != seg {
+					t.Errorf("CorruptSegments = %v, want [%d]", vrep.CorruptSegments, seg)
+				}
+			})
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package erasure
 import (
 	"fmt"
 	"testing"
+
+	"eccheck/internal/gf"
 )
 
 func benchChunks(k, m, size int) (data, parity [][]byte) {
@@ -90,6 +92,8 @@ func BenchmarkReconstruct(b *testing.B) {
 	}
 }
 
+// BenchmarkScalarMul times dst = coef·src, and dst ^= coef·src both as one
+// ScalarMulAdd pass and as the ScalarMulInto-then-XORSlice it replaces.
 func BenchmarkScalarMul(b *testing.B) {
 	code, err := New(2, 2)
 	if err != nil {
@@ -98,6 +102,7 @@ func BenchmarkScalarMul(b *testing.B) {
 	size := code.ChunkAlign(4 << 20)
 	src := make([]byte, size)
 	dst := make([]byte, size)
+	term := make([]byte, size)
 	coef, err := code.ParityCoefficient(1, 0)
 	if err != nil {
 		b.Fatal(err)
@@ -108,11 +113,26 @@ func BenchmarkScalarMul(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.SetBytes(int64(size))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := code.ScalarMulInto(coef, dst, src); err != nil {
-			b.Fatal(err)
-		}
+	for _, v := range []struct {
+		name string
+		op   func() error
+	}{
+		{"mul", func() error { return code.ScalarMulInto(coef, dst, src) }},
+		{"muladd", func() error { return code.ScalarMulAdd(coef, dst, src) }},
+		{"mul_then_xor", func() error {
+			if err := code.ScalarMulInto(coef, term, src); err != nil {
+				return err
+			}
+			return gf.XORSlice(dst, term)
+		}},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				if err := v.op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

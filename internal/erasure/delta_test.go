@@ -7,8 +7,9 @@ import (
 )
 
 // Delta-parity repair must be byte-identical to a full re-encode: for any
-// data-chunk mutation Δ, P_i ^= coef(i,j)·Δ lands every parity chunk on
-// exactly the bytes Encode would produce from the mutated data.
+// data-chunk mutation Δ, P_i ^= coef(i,j)·Δ — UpdateParity, m ScalarMulAdd
+// calls in place — lands every parity chunk on exactly the bytes Encode
+// would produce from the mutated data.
 func TestDeltaParityMatchesFullReencode(t *testing.T) {
 	for _, km := range [][2]int{{2, 2}, {3, 2}, {4, 3}} {
 		k, m := km[0], km[1]
@@ -105,7 +106,10 @@ func TestDeltaParityValidation(t *testing.T) {
 	if err := c.UpdateParity(2, make([]byte, size), good); err == nil {
 		t.Error("data group out of range: want error")
 	}
-	if err := c.DeltaParity(2, 0, make([]byte, size), make([]byte, size)); err == nil {
-		t.Error("parity index out of range: want error")
+	if err := c.UpdateParity(-1, make([]byte, size), good); err == nil {
+		t.Error("negative data group: want error")
+	}
+	if err := c.UpdateParity(0, make([]byte, size-64), good); err == nil {
+		t.Error("delta shorter than the parity regions: want error")
 	}
 }

@@ -115,16 +115,16 @@ func (c *Code) compile(rows []int) (*bitmatrix.Schedule, error) {
 	if err != nil {
 		return nil, fmt.Errorf("erasure: %w", err)
 	}
-	return c.compileMatrix(sub)
+	return c.compileMatrix(sub, c.cfg.smart)
 }
 
-func (c *Code) compileMatrix(m *gf.Matrix) (*bitmatrix.Schedule, error) {
+func (c *Code) compileMatrix(m *gf.Matrix, smart bool) (*bitmatrix.Schedule, error) {
 	bm, err := bitmatrix.FromMatrix(c.field, m)
 	if err != nil {
 		return nil, fmt.Errorf("erasure: %w", err)
 	}
 	w := int(c.cfg.w)
-	if c.cfg.smart {
+	if smart {
 		s, err := bitmatrix.CompileSmart(bm, m.Cols(), m.Rows(), w)
 		if err != nil {
 			return nil, fmt.Errorf("erasure: %w", err)
@@ -235,7 +235,7 @@ func (c *Code) TransformSchedule(available, wanted []int) (*bitmatrix.Schedule, 
 	if err != nil {
 		return nil, fmt.Errorf("erasure: %w", err)
 	}
-	return c.compileMatrix(transform)
+	return c.compileMatrix(transform, c.cfg.smart)
 }
 
 // Reconstruct fills in the missing (nil) chunks of a full chunk vector.
@@ -289,39 +289,4 @@ func (c *Code) Reconstruct(chunks [][]byte) error {
 		chunks[idx] = out[i]
 	}
 	return nil
-}
-
-// Verify recomputes the parity chunks and reports whether they match the
-// provided ones. All k+m chunks must be present.
-func (c *Code) Verify(chunks [][]byte) (bool, error) {
-	if len(chunks) != c.k+c.m {
-		return false, fmt.Errorf("erasure: got %d chunks, want %d", len(chunks), c.k+c.m)
-	}
-	size := -1
-	for i, ch := range chunks {
-		if ch == nil {
-			return false, fmt.Errorf("erasure: chunk %d is nil", i)
-		}
-		if size == -1 {
-			size = len(ch)
-		} else if len(ch) != size {
-			return false, fmt.Errorf("erasure: chunk %d has size %d, want %d", i, len(ch), size)
-		}
-	}
-	fresh := make([][]byte, c.m)
-	for i := range fresh {
-		fresh[i] = make([]byte, size)
-	}
-	if err := c.Encode(chunks[:c.k], fresh); err != nil {
-		return false, err
-	}
-	for i := range fresh {
-		got := chunks[c.k+i]
-		for b := range fresh[i] {
-			if fresh[i][b] != got[b] {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
 }

@@ -61,6 +61,10 @@ func TestChunkAlign(t *testing.T) {
 	}
 }
 
+// TestEncodeThenVerify re-encodes Encode's parity the way VerifyIntegrity
+// checks a stored checkpoint — Σ_j E[k+i][j]·data_j, accumulated with
+// ScalarMulAdd — and requires it byte for byte, then sees one flipped
+// parity byte.
 func TestEncodeThenVerify(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for _, tc := range []struct{ k, m int }{{2, 2}, {4, 2}, {3, 3}, {6, 2}, {2, 4}} {
@@ -69,21 +73,31 @@ func TestEncodeThenVerify(t *testing.T) {
 			t.Fatal(err)
 		}
 		chunks := encodeAll(t, c, r, 256)
-		ok, err := c.Verify(chunks)
-		if err != nil {
-			t.Fatal(err)
+		reencodes := func() bool {
+			fresh := make([]byte, 256)
+			for i := 0; i < tc.m; i++ {
+				clear(fresh)
+				for j := 0; j < tc.k; j++ {
+					coef, err := c.ParityCoefficient(i, j)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := c.ScalarMulAdd(coef, fresh, chunks[j]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !bytes.Equal(fresh, chunks[tc.k+i]) {
+					return false
+				}
+			}
+			return true
 		}
-		if !ok {
-			t.Errorf("k=%d m=%d: verify failed on fresh encoding", tc.k, tc.m)
+		if !reencodes() {
+			t.Errorf("k=%d m=%d: re-encode differs from a fresh encoding", tc.k, tc.m)
 		}
-		// Corrupt a byte: verify must fail.
-		chunks[tc.k][3] ^= 0xff
-		ok, err = c.Verify(chunks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			t.Errorf("k=%d m=%d: verify passed on corrupted parity", tc.k, tc.m)
+		chunks[tc.k+tc.m-1][3] ^= 0xff
+		if reencodes() {
+			t.Errorf("k=%d m=%d: re-encode matches corrupted parity", tc.k, tc.m)
 		}
 	}
 }

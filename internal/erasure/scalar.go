@@ -17,19 +17,28 @@ import (
 // schedule and memoised.
 
 // ScalarSchedule returns a 1-chunk-in, 1-chunk-out XOR schedule computing
-// dst = coef · src over GF(2^w). The coefficient must be nonzero (a zero
-// contribution is simply skipped by callers). Schedules are cached on the
-// Code.
-func (c *Code) ScalarSchedule(coef int) (*bitmatrix.Schedule, error) {
+// dst = coef · src over GF(2^w), or dst ^= coef · src when accumulate is
+// set. The coefficient must be nonzero (a zero contribution is simply
+// skipped by callers). Schedules are cached on the Code.
+//
+// An accumulating schedule is the plain expansion of coef with every op an
+// OpXOR into dst, never a smart one: a smart row starts as a copy of an
+// earlier output packet, and in an accumulator that packet also holds what
+// dst held before.
+func (c *Code) ScalarSchedule(coef int, accumulate bool) (*bitmatrix.Schedule, error) {
 	if coef <= 0 || coef >= c.field.Size() {
 		return nil, fmt.Errorf("erasure: coefficient %d outside (0, 2^%d)", coef, c.cfg.w)
+	}
+	key := coef // an accumulating schedule is cached under -coef
+	if accumulate {
+		key = -coef
 	}
 	c.scalarMu.Lock()
 	defer c.scalarMu.Unlock()
 	if c.scalarSchedules == nil {
 		c.scalarSchedules = make(map[int]*bitmatrix.Schedule)
 	}
-	if s, ok := c.scalarSchedules[coef]; ok {
+	if s, ok := c.scalarSchedules[key]; ok {
 		return s, nil
 	}
 	mat, err := c.field.NewMatrix(1, 1)
@@ -37,11 +46,16 @@ func (c *Code) ScalarSchedule(coef int) (*bitmatrix.Schedule, error) {
 		return nil, fmt.Errorf("erasure: %w", err)
 	}
 	mat.Set(0, 0, coef)
-	s, err := c.compileMatrix(mat)
+	s, err := c.compileMatrix(mat, c.cfg.smart && !accumulate)
 	if err != nil {
 		return nil, err
 	}
-	c.scalarSchedules[coef] = s
+	if accumulate {
+		for i := range s.Ops {
+			s.Ops[i].Kind = bitmatrix.OpXOR
+		}
+	}
+	c.scalarSchedules[key] = s
 	return s, nil
 }
 
@@ -69,48 +83,51 @@ func (c *Code) ScalarMulInto(coef int, dst, src []byte) error {
 		clear(dst)
 		return nil
 	}
-	s, err := c.ScalarSchedule(coef)
+	s, err := c.ScalarSchedule(coef, false)
 	if err != nil {
 		return err
 	}
 	return s.Execute([][]byte{src}, [][]byte{dst})
 }
 
-// DeltaParity computes dst = E[k+parityIndex][dataGroup] · delta: the
-// parity-side image enc(Δ) of a data-region delta. By linearity of the
-// code, XORing dst into the stored parity region keeps it identical to a
-// full re-encode of the changed data — the ECRM-style incremental parity
-// repair elastic membership and SaveIncremental rely on. dst and delta
-// must be equal-length, ChunkAlign-ed buffers.
-func (c *Code) DeltaParity(parityIndex, dataGroup int, dst, delta []byte) error {
-	coef, err := c.ParityCoefficient(parityIndex, dataGroup)
+// ScalarMulAdd computes dst ^= coef · src in one pass over dst. Every linear
+// use of the code is a sum of these: a decode is Σ coef·basis, and a parity
+// update after a data change Δ is P ^= coef·Δ (ECRM's linearity). src and
+// dst must be equal-length, ChunkAlign-ed and must not overlap. A zero
+// coefficient leaves dst as it is.
+func (c *Code) ScalarMulAdd(coef int, dst, src []byte) error {
+	if len(dst) != len(src) {
+		return fmt.Errorf("erasure: scalar mul-add length mismatch: dst=%d src=%d", len(dst), len(src))
+	}
+	switch coef {
+	case 0:
+		return nil
+	case 1:
+		return gf.XORSlice(dst, src)
+	}
+	s, err := c.ScalarSchedule(coef, true)
 	if err != nil {
 		return err
 	}
-	return c.ScalarMulInto(coef, dst, delta)
+	return s.Execute([][]byte{src}, [][]byte{dst})
 }
 
 // UpdateParity applies the incremental repair P_i ^= E[k+i][dataGroup]·Δ
 // in place for every parity region after a data-group region changed by
 // delta. parity[i] is parity chunk i's region covering the same bytes;
 // all regions and delta must be equal length. The result is byte-
-// identical to re-encoding the full data. A scratch buffer is allocated
-// per call; the hot incremental-save path streams DeltaParity into pooled
-// buffers instead.
+// identical to re-encoding the full data.
 func (c *Code) UpdateParity(dataGroup int, delta []byte, parity [][]byte) error {
 	if len(parity) != c.m {
 		return fmt.Errorf("erasure: got %d parity regions, want m=%d", len(parity), c.m)
 	}
-	scratch := make([]byte, len(delta))
 	for i, p := range parity {
-		if len(p) != len(delta) {
-			return fmt.Errorf("erasure: parity region %d has %d bytes, delta %d", i, len(p), len(delta))
-		}
-		if err := c.DeltaParity(i, dataGroup, scratch, delta); err != nil {
+		coef, err := c.ParityCoefficient(i, dataGroup)
+		if err != nil {
 			return err
 		}
-		if err := gf.XORSlice(p, scratch); err != nil {
-			return err
+		if err := c.ScalarMulAdd(coef, p, delta); err != nil {
+			return fmt.Errorf("erasure: parity region %d: %w", i, err)
 		}
 	}
 	return nil

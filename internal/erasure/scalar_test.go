@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"eccheck/internal/gf"
 )
 
 // The distributed per-worker encoding must agree with chunk-level encoding:
@@ -145,25 +147,43 @@ func TestScalarScheduleCachedAndValidated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := c.ScalarSchedule(3)
+	for _, accumulate := range []bool{false, true} {
+		s1, err := c.ScalarSchedule(3, accumulate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, err := c.ScalarSchedule(3, accumulate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s1 != s2 {
+			t.Errorf("accumulate=%v: scalar schedule not cached", accumulate)
+		}
+		if _, err := c.ScalarSchedule(0, accumulate); err == nil {
+			t.Error("coef 0: want error")
+		}
+		if _, err := c.ScalarSchedule(256, accumulate); err == nil {
+			t.Error("coef 256 outside GF(2^8): want error")
+		}
+		if _, err := c.ScalarSchedule(-1, accumulate); err == nil {
+			t.Error("negative coef: want error")
+		}
+	}
+	// The accumulating schedule is the plain expansion, all XORs into dst:
+	// one op per one of B(coef), where the smart dst = coef·src may copy.
+	mul, err := c.ScalarSchedule(5, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := c.ScalarSchedule(3)
+	add, err := c.ScalarSchedule(5, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1 != s2 {
-		t.Error("scalar schedule not cached")
+	if mul == add {
+		t.Fatal("mul and mul-add share one cached schedule")
 	}
-	if _, err := c.ScalarSchedule(0); err == nil {
-		t.Error("coef 0: want error")
-	}
-	if _, err := c.ScalarSchedule(256); err == nil {
-		t.Error("coef 256 outside GF(2^8): want error")
-	}
-	if _, err := c.ScalarSchedule(-1); err == nil {
-		t.Error("negative coef: want error")
+	if add.XORCount() != len(add.Ops) || len(add.Ops) != 22 {
+		t.Errorf("mul-add schedule for 5: %d ops, %d of them XORs; want 22 XORs", len(add.Ops), add.XORCount())
 	}
 }
 
@@ -217,5 +237,70 @@ func TestParityCoefficientValidation(t *testing.T) {
 	gen := c.Generator()
 	if coef != gen.At(3, 0) {
 		t.Errorf("coefficient %d != generator entry %d", coef, gen.At(3, 0))
+	}
+}
+
+// ScalarMulAdd is ScalarMulInto followed by XORSlice, in one pass: byte for
+// byte, for every coefficient of GF(2^8) at several aligned lengths, and for
+// a sample of GF(2^4) and GF(2^16), onto a dirty dst.
+func TestScalarMulAddMatchesMulThenXOR(t *testing.T) {
+	every := make([]int, 256)
+	for i := range every {
+		every[i] = i
+	}
+	r := rand.New(rand.NewSource(63))
+	for _, tc := range []struct {
+		w     uint
+		sizes []int
+		coefs []int
+	}{
+		{8, []int{1, 200, 5000, 70 << 10}, every},
+		{4, []int{1000}, []int{1, 2, 7, 9, 15}},
+		{16, []int{1000}, []int{1, 2, 7, 9, 15, 0xbeef}},
+	} {
+		c, err := New(2, 2, WithWordSize(tc.w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range tc.sizes {
+			n := c.ChunkAlign(size)
+			src, dst := make([]byte, n), make([]byte, n)
+			r.Read(src)
+			r.Read(dst)
+			want, term := make([]byte, n), make([]byte, n)
+			for _, coef := range tc.coefs {
+				if err := c.ScalarMulInto(coef, term, src); err != nil {
+					t.Fatal(err)
+				}
+				copy(want, dst)
+				if err := gf.XORSlice(want, term); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.ScalarMulAdd(coef, dst, src); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("w=%d n=%d coef=%d: mul-add differs from mul then XOR", tc.w, n, coef)
+				}
+			}
+		}
+	}
+}
+
+func TestScalarMulAddValidation(t *testing.T) {
+	c, err := New(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := c.ChunkAlign(64)
+	for _, coef := range []int{0, 1, 2} {
+		if err := c.ScalarMulAdd(coef, make([]byte, n), make([]byte, 2*n)); err == nil {
+			t.Errorf("coef %d, length mismatch: want error", coef)
+		}
+	}
+	for _, coef := range []int{-1, 256} {
+		if err := c.ScalarMulAdd(coef, make([]byte, n), make([]byte, n)); err == nil {
+			t.Errorf("coef %d outside GF(2^8): want error", coef)
+		}
 	}
 }

@@ -91,6 +91,12 @@ func Unmarshal(stream []byte) (*statedict.StateDict, error) {
 		return nil, fmt.Errorf("serialize: truncated tensor count at offset %d", off)
 	}
 	off += used
+	// Every tensor costs at least its one-byte length varint, so a count
+	// beyond the bytes left is hostile or corrupt: reject it before it sizes
+	// an allocation.
+	if count > uint64(len(stream)-off) {
+		return nil, fmt.Errorf("serialize: tensor count %d exceeds remaining %d bytes", count, len(stream)-off)
+	}
 	buffers := make([][]byte, count)
 	for i := range buffers {
 		view, err := next()

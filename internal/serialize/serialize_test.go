@@ -108,6 +108,9 @@ func TestUnmarshalErrors(t *testing.T) {
 	if _, err := Unmarshal(append(append([]byte(nil), stream...), 0x00)); err == nil {
 		t.Error("trailing bytes: want error")
 	}
+	if _, err := Unmarshal(hostileCount()); err == nil {
+		t.Error("tensor count 2^40 in a 13-byte stream: want error")
+	}
 }
 
 func TestEmptyDictRoundTrip(t *testing.T) {
