@@ -97,8 +97,8 @@ doclint:
 # the save hot path must be 0 allocs/op — these tests fail otherwise.
 # Membership-quiescent state queries (Alive/Draining/State/Generation)
 # sit on the same hot path and are gated too, as are the round-lifecycle
-# fan-out with no logger/health tracker and the phase clock with the
-# stuck-round watchdog disabled. The steady-state save is gated in bytes: once
+# fan-out (roundStart/roundEnd) with no logger, health tracker or flight
+# recorder, and the phase clock with the stuck-round watchdog disabled. The steady-state save is gated in bytes: once
 # two rounds have committed, a round assembles its segments in the buffers
 # the last commit displaced and allocates under a quarter of the tensor
 # payload (the coded checkpoint afresh is (k+m)/k of it) — a delta round
@@ -112,7 +112,7 @@ doclint:
 # itself: its basis terms multiply-accumulate straight into it.
 allocgate:
 	$(GO) test -run 'TestDisabledRecorderZeroAlloc' -count=1 ./internal/obs/flight
-	$(GO) test -run 'TestPhaseClockZeroAllocWithoutRecorder|TestPhaseClockZeroAllocWatchdogDisabled|TestRoundHooksZeroAllocWhenDisabled|TestSteadyStateSaveAllocatesNoSegments|TestPartialDecodeTakesOneBufferPerPacket' -count=1 ./internal/core
+	$(GO) test -run 'TestPhaseClockZeroAllocWithoutRecorder|TestPhaseClockZeroAllocWatchdogDisabled|TestRoundLifecycleZeroAllocWhenDisabled|TestSteadyStateSaveAllocatesNoSegments|TestPartialDecodeTakesOneBufferPerPacket' -count=1 ./internal/core
 	$(GO) test -run 'TestMembershipStateZeroAlloc' -count=1 ./internal/cluster
 	$(GO) test -run 'TestTCPSendAllocatesNoFrame|TestMemorySendOwnedTakesNoBuffer' -count=1 ./internal/transport
 
@@ -135,14 +135,15 @@ purego:
 
 # Repetition gate for the tests that race real timers and deadlines: the
 # elastic-membership, preemption and health tests of the root package (the
-# grouped-layout ones included) and the fault injector twenty times each, all
+# grouped-layout ones included, and both notices that expire mid-drain: under
+# chaos and without it) and the fault injector twenty times each, all
 # at full size. A test that passes one run in three is a bug here, not a rerun.
 # The harness studies that are left assert shapes and counts, never a timing
 # margin, so they run twice only to catch order dependence. The mid-window
 # kill runs under the race detector: a round that returns ahead of the kill
 # hook (the machine not yet failed) showed there once in thirty-two runs.
 flake:
-	$(GO) test -count=20 -run 'TestPreempt|TestZeroNotice|TestNoticeExpires|TestRemoveAndAdd|TestReplaceNodeFenced|TestStaleKillTimer|TestHealthAPI|TestGrouped' .
+	$(GO) test -count=20 -run 'TestPreempt|TestZeroNotice|TestNoticeExpires|TestRemoveAndAdd|TestReplaceNodeFenced|TestHealthAPI|TestGrouped' .
 	$(GO) test -count=20 ./internal/chaos
 	$(GO) test -count=2 ./internal/harness
 	$(GO) test -race -count=20 -run TestSaveKilledMidWindowKeepsPreviousCheckpoint ./internal/core

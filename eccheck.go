@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"sync"
 	"time"
 
 	"eccheck/internal/chaos"
@@ -122,15 +121,6 @@ type System struct {
 	metrics  *obs.Registry
 	flight   *flight.Recorder // non-nil when Config.FlightEvents > 0
 	health   *health.Tracker  // always non-nil: protection scoring is cheap
-
-	// killTimers arms the preemption deadlines of non-chaos systems (under
-	// chaos the chaos network owns the deadline). killGen is each slot's
-	// leave generation: stopKillTimer advances it, and a deadline lands only
-	// on the machine of the generation it was armed for — a timer that has
-	// already fired cannot be stopped, only voided. Guarded by timerMu.
-	timerMu    sync.Mutex
-	killTimers map[int]*time.Timer
-	killGen    map[int]int
 }
 
 // SaveReport summarises one checkpoint round.
@@ -271,22 +261,8 @@ func Initialize(cfg Config) (*System, error) {
 		chaosNet.SetLogger(cfg.Logger)
 	}
 	return &System{ckpt: ckpt, net: net, chaosNet: chaosNet, clus: clus, remote: remote,
-		topo: topo, metrics: reg, flight: rec, health: tracker,
-		killTimers: make(map[int]*time.Timer), killGen: make(map[int]int)}, nil
+		topo: topo, metrics: reg, flight: rec, health: tracker}, nil
 }
-
-// RoundHooks observes checkpoint-round lifecycle transitions: RoundStart
-// when a save or load round enters flight, RoundEnd exactly once when it
-// leaves (committed or aborted), including SaveAsync drains that finish on
-// background goroutines long after SaveAsync returned. The eccheckd job
-// registry uses them to account rounds per job; see core.RoundHooks for
-// the callback contract.
-type RoundHooks = core.RoundHooks
-
-// SetRoundHooks installs (or clears, with the zero value) the lifecycle
-// hooks. Callbacks run on protocol goroutines and must not call back into
-// the System.
-func (s *System) SetRoundHooks(h RoundHooks) { s.ckpt.SetRoundHooks(h) }
 
 // Metrics returns a point-in-time snapshot of every counter and histogram
 // the system has recorded: per-phase save/load timings
@@ -375,13 +351,6 @@ func (s *System) ServeDebug(addr string) (*DebugServer, error) {
 // previous committed version remains loadable). A round that managed to
 // commit before the cancellation landed is not an error.
 func (s *System) Close() error {
-	s.timerMu.Lock()
-	for node, t := range s.killTimers {
-		t.Stop()
-		delete(s.killTimers, node)
-		s.killGen[node]++
-	}
-	s.timerMu.Unlock()
 	errCkpt := s.ckpt.Close()
 	errNet := s.net.Close()
 	return errors.Join(errCkpt, errNet)
@@ -576,11 +545,10 @@ func (s *System) CorruptChunk(node int) error {
 	return s.ckpt.CorruptChunkByte(node)
 }
 
-// killNode makes the preemption deadline land: under chaos the chaos
-// network kills the node (destroying its host memory via the OnKill
-// hook), otherwise the cluster slot fails directly. Idempotent.
+// killNode ends a leave: under chaos the chaos network kills the node
+// (destroying its host memory via the OnKill hook), otherwise the cluster
+// slot fails directly. Idempotent.
 func (s *System) killNode(node int) {
-	s.stopKillTimer(node)
 	if s.chaosNet != nil {
 		// The chaos OnKill hook recomputes health.
 		_ = s.chaosNet.KillNow(node)
@@ -588,34 +556,6 @@ func (s *System) killNode(node int) {
 	}
 	_ = s.clus.Fail(node)
 	s.health.Recompute()
-}
-
-// stopKillTimer disarms a non-chaos preemption deadline, if one is armed,
-// and voids one that has fired and not landed yet.
-func (s *System) stopKillTimer(node int) {
-	s.timerMu.Lock()
-	if t, ok := s.killTimers[node]; ok {
-		t.Stop()
-		delete(s.killTimers, node)
-	}
-	s.killGen[node]++
-	s.timerMu.Unlock()
-}
-
-// deadlineKill lands a non-chaos preemption deadline armed under leave
-// generation gen. It holds timerMu across the kill, so a stopKillTimer that
-// returned has either voided the deadline or comes after its kill: AddNode
-// never has the machine it just swapped in killed by the old one's timer.
-func (s *System) deadlineKill(node, gen int) {
-	s.timerMu.Lock()
-	live := s.killGen[node] == gen
-	if live {
-		_ = s.clus.Fail(node)
-	}
-	s.timerMu.Unlock()
-	if live {
-		s.health.Recompute()
-	}
 }
 
 // finishLeave folds a drain outcome into the (report, error) contract
@@ -641,12 +581,12 @@ func (s *System) finishLeave(node int, rep *DrainReport, err error) (*DrainRepor
 
 // PreemptNode delivers a spot-style preemption notice for node: the node
 // has `notice` time left, drains its committed checkpoint blobs to a live
-// custodian (see RemoveNode), and is killed when the deadline lands —
-// whether or not the drain finished. With sufficient notice the returned
-// report has Completed true and the slot's state survives; when the
-// notice expires mid-drain the report explains the degradation (with a
-// flight-recorder postmortem when enabled) and recovery falls back to the
-// erasure rebuild, exactly as if the node had crashed. A zero or negative
+// custodian (see RemoveNode), and is killed before PreemptNode returns,
+// which the deadline bounds — whether or not the drain finished. With
+// sufficient notice the returned report has Completed true and the slot's
+// state survives; when the notice expires mid-drain the report explains the
+// degradation (with a flight-recorder postmortem when enabled) and recovery
+// falls back to the erasure rebuild, exactly as if the node had crashed. A zero or negative
 // notice kills immediately. Under chaos the chaos network owns the
 // deadline (SchedulePreemption), so a plan-scheduled notice and an
 // explicit PreemptNode agree on when the kill lands.
@@ -658,7 +598,10 @@ func (s *System) PreemptNode(ctx context.Context, node int, notice time.Duration
 	if err := s.clus.BeginDrain(node); err != nil {
 		return nil, err
 	}
-	var deadline time.Time
+	// Without chaos the drain's context is the deadline: it bounds the wait
+	// for the save slot and every blob transfer, and finishLeave kills the
+	// node before PreemptNode returns, finished or not.
+	deadline := time.Now().Add(notice)
 	if s.chaosNet != nil {
 		d, err := s.chaosNet.SchedulePreemption(node, notice)
 		if err != nil {
@@ -666,15 +609,6 @@ func (s *System) PreemptNode(ctx context.Context, node int, notice time.Duration
 			return nil, err
 		}
 		deadline = d
-	} else {
-		deadline = time.Now().Add(notice)
-		s.timerMu.Lock()
-		if t, ok := s.killTimers[node]; ok {
-			t.Stop()
-		}
-		gen := s.killGen[node]
-		s.killTimers[node] = time.AfterFunc(notice, func() { s.deadlineKill(node, gen) })
-		s.timerMu.Unlock()
 	}
 	dctx, cancel := context.WithDeadline(ctx, deadline)
 	rep, err := s.ckpt.DrainNode(dctx, node)
@@ -710,7 +644,6 @@ func (s *System) RemoveNode(ctx context.Context, node int) (*DrainReport, error)
 // is idempotent. The replacement itself is fenced behind the save slot like
 // ReplaceNode.
 func (s *System) AddNode(ctx context.Context, node int) (*JoinReport, error) {
-	s.stopKillTimer(node)
 	if err := s.ReplaceNode(node); err != nil {
 		return nil, err
 	}

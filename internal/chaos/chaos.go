@@ -125,12 +125,12 @@ type Network struct {
 	// Preemption state: per-node notice send threshold (-1 = none), the
 	// warning window, whether the notice has fired, its kill deadline, and
 	// the timer that lands the kill when the node does not surrender early.
-	preemptAt  []int
-	noticeDur  []time.Duration
-	noticed    []bool
-	deadlines  map[int]time.Time
-	killTimers map[int]*time.Timer
-	onNotice   func(node int, deadline time.Time)
+	preemptAt      []int
+	noticeDur      []time.Duration
+	noticed        []bool
+	deadlines      map[int]time.Time
+	deadlineTimers map[int]*time.Timer
+	onNotice       func(node int, deadline time.Time)
 
 	// Injected-fault counters by kind; nil (no-op) until SetMetrics.
 	mSends   *obs.Counter
@@ -158,19 +158,19 @@ func Wrap(inner transport.Network, plan Plan) (*Network, error) {
 			plan.DropProb, plan.ErrProb)
 	}
 	n := &Network{
-		inner:      inner,
-		plan:       plan,
-		rng:        rand.New(rand.NewSource(plan.Seed)),
-		sends:      make([]int, inner.Size()),
-		killAt:     make([]int, inner.Size()),
-		killed:     make([]bool, inner.Size()),
-		gen:        make([]int, inner.Size()),
-		killing:    make([]chan struct{}, inner.Size()),
-		preemptAt:  make([]int, inner.Size()),
-		noticeDur:  make([]time.Duration, inner.Size()),
-		noticed:    make([]bool, inner.Size()),
-		deadlines:  make(map[int]time.Time),
-		killTimers: make(map[int]*time.Timer),
+		inner:          inner,
+		plan:           plan,
+		rng:            rand.New(rand.NewSource(plan.Seed)),
+		sends:          make([]int, inner.Size()),
+		killAt:         make([]int, inner.Size()),
+		killed:         make([]bool, inner.Size()),
+		gen:            make([]int, inner.Size()),
+		killing:        make([]chan struct{}, inner.Size()),
+		preemptAt:      make([]int, inner.Size()),
+		noticeDur:      make([]time.Duration, inner.Size()),
+		noticed:        make([]bool, inner.Size()),
+		deadlines:      make(map[int]time.Time),
+		deadlineTimers: make(map[int]*time.Timer),
 	}
 	for i := range n.killAt {
 		n.killAt[i] = -1
@@ -315,11 +315,11 @@ func (n *Network) noticeLocked(node, to int, tag string, notice time.Duration) t
 	if n.log != nil {
 		n.log.Warn("chaos verdict", "verdict", "notice", "node", node, "peer", to, "tag", tag, "deadline", deadline)
 	}
-	if t := n.killTimers[node]; t != nil {
+	if t := n.deadlineTimers[node]; t != nil {
 		t.Stop()
 	}
 	gen := n.gen[node]
-	n.killTimers[node] = time.AfterFunc(notice, func() { n.killNow(node, gen) })
+	n.deadlineTimers[node] = time.AfterFunc(notice, func() { n.killNow(node, gen) })
 	return deadline
 }
 
@@ -385,9 +385,9 @@ func (n *Network) markKilledLocked(node, to int, tag string) func() {
 	if n.log != nil {
 		n.log.Warn("chaos verdict", "verdict", "kill", "node", node, "peer", to, "tag", tag)
 	}
-	if t := n.killTimers[node]; t != nil {
+	if t := n.deadlineTimers[node]; t != nil {
 		t.Stop()
-		delete(n.killTimers, node)
+		delete(n.deadlineTimers, node)
 	}
 	delete(n.deadlines, node)
 	if fn := n.onKill; fn != nil {
@@ -426,9 +426,9 @@ func (n *Network) reviveLocked(node int) {
 	n.preemptAt[node] = -1
 	n.noticed[node] = false
 	delete(n.deadlines, node)
-	if t := n.killTimers[node]; t != nil {
+	if t := n.deadlineTimers[node]; t != nil {
 		t.Stop()
-		delete(n.killTimers, node)
+		delete(n.deadlineTimers, node)
 	}
 }
 
@@ -483,9 +483,9 @@ func (n *Network) Size() int { return n.inner.Size() }
 // network.
 func (n *Network) Close() error {
 	n.mu.Lock()
-	for node, t := range n.killTimers {
+	for node, t := range n.deadlineTimers {
 		t.Stop()
-		delete(n.killTimers, node)
+		delete(n.deadlineTimers, node)
 	}
 	n.mu.Unlock()
 	return n.inner.Close()

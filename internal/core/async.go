@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"eccheck/internal/obs"
 	"eccheck/internal/obs/flight"
 	"eccheck/internal/serialize"
 	"eccheck/internal/statedict"
@@ -147,14 +146,24 @@ type saveMode struct {
 	waitInflight bool
 	// detach unbinds the drain from the caller's context cancellation:
 	// after SaveAsync returns, cancelling the caller's context must not
-	// kill the background round. Context values (op deadlines, span
-	// parents) are preserved.
+	// kill the background round. Context values (the op deadline) are
+	// preserved.
 	detach bool
 	// delta asks for a delta round (SaveIncremental): ship only the buffer
 	// windows that changed, onto a copy of the committed checkpoint. The
 	// round grants it when every node still holds that base (deltaBase) and
 	// otherwise ships every window over a zero base, like Save.
 	delta bool
+}
+
+// op names the round on every surface: health, log, flight and watchdog.
+// The save_phase_ns histograms stay keyed "save": they name the protocol,
+// which a delta round shares.
+func (m saveMode) op() string {
+	if m.delta {
+		return OpIncremental
+	}
+	return OpSave
 }
 
 // SaveAsync checkpoints all workers' state dicts with the snapshot-and-
@@ -216,19 +225,18 @@ func (c *Checkpointer) startSave(ctx context.Context, dicts []*statedict.StateDi
 		return nil, err
 	}
 	version := int(c.version.Load()) + 1
-	op := OpSave
-	if mode.delta {
-		op = OpIncremental
-	}
+	op := mode.op()
 	c.roundStart(op, version)
 	h.onFinal = func(_ *SaveReport, err error) { c.roundEnd(op, version, err) }
 	h.delta = mode.delta && c.deltaBase(c.layout(), packetBytes)
 
-	ctx, saveSpan := obs.StartSpan(ctx, c.cfg.Metrics, "save")
+	// Every transport and remote-tier operation of the round — the drain
+	// and the persist included — is bounded by the per-op deadline.
+	ctx = c.opCtx(ctx)
 	// Everything the round emits after this cursor belongs to it; a
 	// failed round attaches that tail to its report as the postmortem.
 	pmStart := c.cfg.Flight.Cursor()
-	c.cfg.Flight.RoundBegin("save", version)
+	c.cfg.Flight.RoundBegin(op, version)
 
 	// --- Snapshot stage (blocking): step 1 on every node in parallel.
 	// Pure local memory work — decompose, serialize small components, DtoH
@@ -246,7 +254,7 @@ func (c *Checkpointer) startSave(ctx context.Context, dicts []*statedict.StateDi
 			snapWG.Add(1)
 			go func(node int) {
 				defer snapWG.Done()
-				snap, err := c.snapshotNode(node, version, packetBytes, dicts, h.delta)
+				snap, err := c.snapshotNode(op, node, version, packetBytes, dicts, h.delta)
 				if err != nil {
 					snapErrc <- fmt.Errorf("core: node %d snapshot: %w", node, err)
 				}
@@ -273,7 +281,6 @@ func (c *Checkpointer) startSave(ctx context.Context, dicts []*statedict.StateDi
 		err = snapshot()
 	}
 	if err != nil {
-		saveSpan.End()
 		// Finalize the handle as well as the slot (matching drainSave's fail
 		// path): anything that already captured h as the in-flight round —
 		// Close, a queued SaveAsync, a Load waiting for the drain — is
@@ -296,7 +303,6 @@ func (c *Checkpointer) startSave(ctx context.Context, dicts []*statedict.StateDi
 	drainCtx, cancel := context.WithCancel(drainCtx)
 	h.setCancel(cancel)
 	go func() {
-		defer saveSpan.End()
 		defer cancel()
 		c.drainSave(drainCtx, h, snaps, version, packetBytes, started, sectionStart, mode, pmStart)
 	}()
@@ -310,7 +316,7 @@ func (c *Checkpointer) startSave(ctx context.Context, dicts []*statedict.StateDi
 // postmortem). The round's terminal event is emitted first so the tail
 // includes it. The error itself travels separately (SaveHandle.Err).
 func (c *Checkpointer) failedSaveReport(version, packetBytes int, started time.Time, h *SaveHandle, mode saveMode, err error, pmStart uint64) *SaveReport {
-	c.cfg.Flight.RoundEnd("save", version, err)
+	c.cfg.Flight.RoundEnd(mode.op(), version, err)
 	report := &SaveReport{
 		Version:     version,
 		PacketBytes: packetBytes,
@@ -338,6 +344,7 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 	// covers the whole drain.
 	lay := c.layout()
 	tags := c.roundTags()
+	op := mode.op()
 	fail := func(err error) {
 		c.discardStaged(&lay.keys)
 		clear(c.spares) // what the drains did not take goes with what they did
@@ -358,7 +365,7 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
-			small, phases, err := c.nodeDrain(ctx, snaps[node], tags, version, packetBytes)
+			small, phases, err := c.nodeDrain(ctx, op, snaps[node], tags, version, packetBytes)
 			if err != nil {
 				errc <- fmt.Errorf("core: node %d save: %w", node, err)
 				cancel()
@@ -396,7 +403,7 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 	}
 	commitTime := time.Since(commitStart)
 	// The commit barrier is cluster-wide work (node -1 on the timeline).
-	c.cfg.Flight.Phase("save", -1, version, PhasePromote, commitStart, commitTime)
+	c.cfg.Flight.Phase(op, -1, version, PhasePromote, commitStart, commitTime)
 
 	// Straggler-tolerant commit barrier accounting: each node's partition
 	// covers that node's own timeline, but the round lasts as long as its
@@ -437,8 +444,7 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 	// not reach the durable tier.
 	if c.remote != nil && c.cfg.RemotePersistEvery > 0 && version%c.cfg.RemotePersistEvery == 0 {
 		persistStart := time.Now()
-		pctx := c.opCtx(ctx)
-		if err := c.persistCommitted(pctx, version, packetBytes); err != nil {
+		if err := c.persistCommitted(ctx, version, packetBytes); err != nil {
 			fail(err)
 			return
 		}
@@ -456,7 +462,7 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 		}
 		persistTime := time.Since(persistStart)
 		phases[PhasePersist] += persistTime
-		c.cfg.Flight.Phase("save", -1, version, PhasePersist, persistStart, persistTime)
+		c.cfg.Flight.Phase(op, -1, version, PhasePersist, persistStart, persistTime)
 	}
 	report.Elapsed = time.Since(started)
 	if mode.detach {
@@ -473,7 +479,7 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 		reg.Histogram("save_stall_ns").ObserveDuration(report.StallNs)
 		reg.Histogram("save_overlap_ns").ObserveDuration(report.OverlapNs)
 	}
-	c.cfg.Flight.RoundEnd("save", version, nil)
+	c.cfg.Flight.RoundEnd(op, version, nil)
 	c.releaseSave(h)
 	h.complete(report, nil)
 }
@@ -524,8 +530,9 @@ func (c *Checkpointer) isClosed() bool {
 	return c.lc.closed
 }
 
-// opCtx attaches the configured per-op deadline to ctx (for I/O outside
-// the transport endpoints, such as remote-tier puts and gets).
+// opCtx attaches the configured per-op deadline to ctx. Each round root
+// (startSave, restore, fenced) calls it once, so every transport Send/Recv
+// and remote-tier put or get below it is bounded by OpTimeout.
 func (c *Checkpointer) opCtx(ctx context.Context) context.Context {
 	if c.cfg.OpTimeout <= 0 {
 		return ctx

@@ -545,8 +545,9 @@ func TestCloseCleanLoadNotReportedAborted(t *testing.T) {
 }
 
 // TestRoundEndVisibleWhenWaitReturns pins the completion order of a save
-// handle: the RoundEnd fan-out (hooks, health, log) runs before Done closes,
-// so whoever Wait releases reads health that already counts the round.
+// handle: the round-end fan-out (health and its event sink, log) runs before
+// Done closes, so whoever Wait releases reads health that already counts the
+// round and a sink that already saw its end event.
 func TestRoundEndVisibleWhenWaitReturns(t *testing.T) {
 	tracker := health.NewTracker(func() health.Probe { return health.Probe{} })
 	rig := newRig(t, 4, 2, 2, 2, func(c *Config) {
@@ -554,12 +555,15 @@ func TestRoundEndVisibleWhenWaitReturns(t *testing.T) {
 		c.Health = tracker
 	})
 	var ended atomic.Int32
-	rig.ckpt.SetRoundHooks(RoundHooks{RoundEnd: func(string, int, error) {
+	tracker.SetSink(func(ev health.Event) {
+		if ev.Kind != health.KindRound || ev.State != "end" {
+			return
+		}
 		for i := 0; i < 100; i++ {
 			runtime.Gosched() // give a waiter released too early every chance to run first
 		}
 		ended.Add(1)
-	}})
+	})
 	ctx := context.Background()
 	for i := 1; i <= 5; i++ {
 		h, err := rig.ckpt.SaveAsync(ctx, rig.dicts)
@@ -570,7 +574,7 @@ func TestRoundEndVisibleWhenWaitReturns(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := int(ended.Load()); got != i {
-			t.Fatalf("round %d: Wait returned with %d RoundEnd calls finished", i, got)
+			t.Fatalf("round %d: Wait returned with %d round-end events delivered", i, got)
 		}
 		if rep := tracker.Report(); rep.SaveWindow != i || rep.SaveSuccess != i {
 			t.Fatalf("round %d: health right after Wait counts %d/%d saves", i, rep.SaveSuccess, rep.SaveWindow)

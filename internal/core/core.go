@@ -259,10 +259,6 @@ type Checkpointer struct {
 	memMu   sync.Mutex
 	custody map[int]*custodyRecord
 
-	// hooks is the installed round-lifecycle observer set (SetRoundHooks);
-	// nil until installed.
-	hooks hookSet
-
 	// wd is the stuck-round watchdog; nil when Config.WatchdogFactor is 0.
 	wd *watchdog
 }
@@ -677,63 +673,6 @@ func (c *Checkpointer) store(node int, key string, blob []byte) error {
 func (c *Checkpointer) fetch(node int, key string) ([]byte, error) {
 	return cluster.ViewSummed(c.clus, node, key)
 }
-
-// endpoint returns the node's transport endpoint with the configured
-// per-operation deadline applied to every Send and Recv.
-func (c *Checkpointer) endpoint(node int) (transport.Endpoint, error) {
-	ep, err := c.net.Endpoint(node)
-	if err != nil {
-		return nil, err
-	}
-	if c.cfg.OpTimeout <= 0 {
-		return ep, nil
-	}
-	return &deadlineEndpoint{ep: ep, d: c.cfg.OpTimeout}, nil
-}
-
-// deadlineEndpoint bounds every individual operation: a peer that crashed
-// mid-round surfaces as a deadline error rather than an unbounded hang.
-// The bound rides the context as a transport.WithOpTimeout value — built
-// once per parent context and reused, where a context.WithTimeout per
-// operation would allocate a context, Done channel and timer on every
-// Send/Recv of the hot path.
-type deadlineEndpoint struct {
-	ep transport.Endpoint
-	d  time.Duration
-
-	mu      sync.Mutex
-	parent  context.Context
-	wrapped context.Context
-}
-
-func (e *deadlineEndpoint) Rank() int { return e.ep.Rank() }
-
-// wrap returns ctx with the op timeout attached, caching the wrapped
-// context: within a round every operation shares the round's context, so
-// the wrapping allocates once, not per operation.
-func (e *deadlineEndpoint) wrap(ctx context.Context) context.Context {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ctx != e.parent {
-		e.parent = ctx
-		e.wrapped = transport.WithOpTimeout(ctx, e.d)
-	}
-	return e.wrapped
-}
-
-func (e *deadlineEndpoint) Send(ctx context.Context, to int, tag string, payload []byte) error {
-	return e.ep.Send(e.wrap(ctx), to, tag, payload)
-}
-
-func (e *deadlineEndpoint) SendOwned(ctx context.Context, to int, tag string, payload []byte) error {
-	return transport.SendOwned(e.wrap(ctx), e.ep, to, tag, payload)
-}
-
-func (e *deadlineEndpoint) Recv(ctx context.Context, from int, tag string) ([]byte, error) {
-	return e.ep.Recv(e.wrap(ctx), from, tag)
-}
-
-func (e *deadlineEndpoint) Close() error { return e.ep.Close() }
 
 // Plan returns the compiled communication plan, fixed at construction.
 func (c *Checkpointer) Plan() *placement.Plan { return c.layout().plan }

@@ -65,7 +65,7 @@ func (e *spyEndpoint) SendOwned(ctx context.Context, to int, tag string, payload
 }
 
 // TestQueueOwnedPayloadsAreHandedOver: under the wrappers a deployment
-// stacks — chaos (jitter only), flight, metrics and the op deadline — every
+// stacks — chaos (jitter only), flight and metrics — every
 // payload a round owns and would recycle after sending reaches the memory
 // transport as a hand-over: XOR partials (xr), parity segments (pp), a delta
 // round's data windows (pd) and a restore's basis terms (rc). A full round's

@@ -13,6 +13,7 @@ import (
 	"eccheck/internal/cluster"
 	"eccheck/internal/obs"
 	"eccheck/internal/obs/flight"
+	"eccheck/internal/obs/health"
 	"eccheck/internal/statedict"
 )
 
@@ -243,13 +244,31 @@ func TestIncrementalVolumeTracksChange(t *testing.T) {
 // TestDeltaRoundIsASaveRound: a delta round is observed exactly like a full
 // one. Its flight timeline has the same kinds of event on every node, and
 // the SaveReport the engine builds for it partitions the round's wall time
-// into the canonical phases (the TestSaveReportPhases invariant).
+// into the canonical phases (the TestSaveReportPhases invariant). It has one
+// name, OpIncremental, on every surface — each of its flight events, its
+// health round events and the watchdog's phase history — so a join on (op,
+// round) across the event stream and the timeline finds it; only
+// save_phase_ns stays keyed "save", because it names the protocol.
 func TestDeltaRoundIsASaveRound(t *testing.T) {
 	rec := flight.New(4096)
+	tracker := health.NewTracker(func() health.Probe { return health.Probe{} })
+	var mu sync.Mutex
+	var roundEvents []health.Event
+	tracker.SetSink(func(ev health.Event) {
+		if ev.Kind == health.KindRound && ev.Version == 2 {
+			mu.Lock()
+			roundEvents = append(roundEvents, ev)
+			mu.Unlock()
+		}
+	})
+	reg := obs.NewRegistry()
 	rig := newRig(t, 4, 2, 2, 2, func(cfg *Config) {
 		cfg.IncrementalCache = true
 		cfg.RemotePersistEvery = -1
 		cfg.Flight = rec
+		cfg.Health = tracker
+		cfg.Metrics = reg
+		cfg.WatchdogFactor = 1000
 	})
 	ctx := context.Background()
 	if _, err := rig.ckpt.Save(ctx, rig.dicts); err != nil {
@@ -273,9 +292,31 @@ func TestDeltaRoundIsASaveRound(t *testing.T) {
 	}
 	kinds := map[int]map[kind]bool{1: {}, 2: {}}
 	for _, e := range rec.Snapshot() {
-		if e.Op == "save" && kinds[e.Round] != nil {
+		if kinds[e.Round] != nil {
 			kinds[e.Round][kind{e.Type, e.Node}] = true
 		}
+		if e.Round == 2 && e.Op != OpIncremental {
+			t.Errorf("delta round's %v event on node %d is labelled %q, want %q", e.Type, e.Node, e.Op, OpIncremental)
+		}
+	}
+	mu.Lock()
+	if len(roundEvents) != 2 {
+		t.Errorf("delta round has %d health round events, want start and end", len(roundEvents))
+	}
+	for _, ev := range roundEvents {
+		if ev.Op != OpIncremental {
+			t.Errorf("delta round's health %s event is labelled %q, want %q", ev.State, ev.Op, OpIncremental)
+		}
+	}
+	mu.Unlock()
+	rig.ckpt.wd.mu.Lock()
+	_, watched := rig.ckpt.wd.hist[[2]string{OpIncremental, PhaseP2P}]
+	rig.ckpt.wd.mu.Unlock()
+	if !watched {
+		t.Error("the watchdog has no phase history under the delta round's op")
+	}
+	if hp, ok := reg.Snapshot().Histogram("save_phase_ns", obs.L("phase", PhaseP2P), obs.L("node", "0")); !ok || hp.Count != 2 {
+		t.Errorf("save_phase_ns{p2p,node 0} holds %d observations, want one per round", hp.Count)
 	}
 	for k := range kinds[1] {
 		if !kinds[2][k] {

@@ -167,7 +167,7 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 	pc.watchTo(c.wd, rd.req.op, node, rd.version)
 	defer pc.unwatch()
 
-	ep, err := c.endpoint(node)
+	ep, err := c.net.Endpoint(node)
 	if err != nil {
 		return nil, err
 	}

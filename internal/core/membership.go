@@ -96,14 +96,15 @@ type JoinReport struct {
 
 // fenced runs fn — one membership step on node — holding the save slot: no
 // save round can start or drain concurrently, and Close cancels fn's context
-// (or a step merely waiting for the slot). The outcome is logged under step
-// and the protection score recomputed.
+// (or a step merely waiting for the slot). fn's context carries the per-op
+// deadline, so every blob transfer of the step is bounded by it. The outcome
+// is logged under step and the protection score recomputed.
 func (c *Checkpointer) fenced(ctx context.Context, step string, node int, fn func(ctx context.Context) error) error {
 	h := newSaveHandle()
 	if err := c.acquireSave(ctx, true, h); err != nil {
 		return err
 	}
-	ctx, cancel := context.WithCancel(ctx)
+	ctx, cancel := context.WithCancel(c.opCtx(ctx))
 	h.setCancel(cancel)
 	err := fn(ctx)
 	cancel()
@@ -143,11 +144,11 @@ func (c *Checkpointer) WithSaveFence(ctx context.Context, node int, fn func() er
 // clean up a partial transfer; a transfer that fails advances the epoch, so
 // what it left in the mailbox stays under its own tag.
 func (c *Checkpointer) shipBlobs(ctx context.Context, srcNode, dstNode int, pairs [][2]string, tag string) (stored []string, bytes int64, err error) {
-	srcEP, err := c.endpoint(srcNode)
+	srcEP, err := c.net.Endpoint(srcNode)
 	if err != nil {
 		return nil, 0, err
 	}
-	dstEP, err := c.endpoint(dstNode)
+	dstEP, err := c.net.Endpoint(dstNode)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -230,7 +230,6 @@ func (c *Checkpointer) serveRemote(ctx context.Context, cancel context.CancelFun
 		rd.version, rd.pc.round = v, v
 	}
 	rd.pc.Switch(PhaseFetch)
-	ctx = c.opCtx(ctx)
 	return forEachBounded(len(rd.req.want), func(i int) error {
 		rank := rd.req.want[i]
 		blob, _, err := c.remote.Get(ctx, 0, remoteKey(rd.version, rank))

@@ -30,7 +30,7 @@ import (
 // whose depth follows from the request, one plan, and one landing order for a
 // repaired node — segments, small components, manifest last.
 type restoreReq struct {
-	// op is the round's name on every surface (hooks, flight, span, phase
+	// op is the round's name on every surface (health, log, flight, phase
 	// clocks, metrics labels): one of the Op* restore constants.
 	op string
 	// want lists the ranks whose state dicts go back to the caller, ascending
@@ -184,8 +184,9 @@ func (c *Checkpointer) restore(ctx context.Context, req restoreReq) (rd *restore
 	// The round's clock, phases and watchdog start once it holds its gates:
 	// queueing behind a drain or another repair is not this round's work.
 	started := time.Now()
-	ctx, span := obs.StartSpan(ctx, c.cfg.Metrics, req.op)
-	defer span.End()
+	// Every transport and remote-tier operation of the round is bounded by
+	// the per-op deadline.
+	ctx = c.opCtx(ctx)
 	// Everything the round emits after this cursor belongs to it.
 	pmStart := c.cfg.Flight.Cursor()
 	c.roundStart(req.op, req.version)

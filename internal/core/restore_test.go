@@ -22,6 +22,7 @@ import (
 	"eccheck/internal/model"
 	"eccheck/internal/obs"
 	"eccheck/internal/obs/flight"
+	"eccheck/internal/obs/health"
 	"eccheck/internal/parallel"
 	"eccheck/internal/remotestore"
 	"eccheck/internal/transport"
@@ -788,21 +789,25 @@ func TestLoadAfterAbortedRebuildSeesNoResidue(t *testing.T) {
 // consume the other's window contributions. Repairing rounds take turns; the
 // second finds the cluster repaired. The one that queues has not started:
 // its clock, scan phase and watchdog run only while it holds the slot, so the
-// round hooks never see two Loads in flight.
+// health event stream never shows two Loads in flight.
 func TestConcurrentLoadsOnDegradedCluster(t *testing.T) {
-	rig := newRig(t, 4, 2, 2, 2)
+	tracker := health.NewTracker(func() health.Probe { return health.Probe{} })
+	rig := newRig(t, 4, 2, 2, 2, func(c *Config) { c.Health = tracker })
 	ctx := context.Background()
 	if _, err := rig.ckpt.Save(ctx, rig.dicts); err != nil {
 		t.Fatal(err)
 	}
 	var inFlight atomic.Int32
-	rig.ckpt.SetRoundHooks(RoundHooks{
-		RoundStart: func(op string, _ int) {
-			if n := inFlight.Add(1); op == OpLoad && n > 1 {
+	tracker.SetSink(func(ev health.Event) {
+		switch {
+		case ev.Kind != health.KindRound:
+		case ev.State == "start":
+			if n := inFlight.Add(1); ev.Op == OpLoad && n > 1 {
 				t.Errorf("%d repairing rounds in flight: a queued round started before it held the restore slot", n)
 			}
-		},
-		RoundEnd: func(string, int, error) { inFlight.Add(-1) },
+		default:
+			inFlight.Add(-1)
+		}
 	})
 	for round := 0; round < 4; round++ {
 		loseNode(t, rig, rig.ckpt.Plan().DataNodes[round%2])

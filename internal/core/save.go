@@ -154,14 +154,14 @@ func (s *nodeSnapshot) release(c *Checkpointer) {
 // ship-set: every buffer window on a full round, the windows that differ
 // from the worker's cached packet on a delta round. Pure local memory work,
 // no network.
-func (c *Checkpointer) snapshotNode(node, version, packetBytes int, dicts []*statedict.StateDict, delta bool) (*nodeSnapshot, error) {
+func (c *Checkpointer) snapshotNode(op string, node, version, packetBytes int, dicts []*statedict.StateDict, delta bool) (*nodeSnapshot, error) {
 	g := c.cfg.Topo.GPUsPerNode()
 	bufSize := c.cfg.BufferSize
 	numBuffers := c.numBuffers(packetBytes)
 	ownPacket := c.layout().keys.ownPacket
 	pc := newPhaseClock(PhaseSerialize)
-	pc.emitTo(c.cfg.Flight, "save", node, version)
-	pc.watchTo(c.wd, "save", node, version)
+	pc.emitTo(c.cfg.Flight, op, node, version)
+	pc.watchTo(c.wd, op, node, version)
 	defer pc.unwatch()
 	snap := &nodeSnapshot{
 		node:    node,
@@ -328,7 +328,7 @@ type foldCursor struct {
 // damages the committed checkpoint. Every Send/Recv carries the configured
 // deadline, so a peer that crashes mid-round turns into a bounded error, not
 // a hang.
-func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *tagTable, version, packetBytes int) (int, map[string]time.Duration, error) {
+func (c *Checkpointer) nodeDrain(ctx context.Context, op string, snap *nodeSnapshot, tags *tagTable, version, packetBytes int) (int, map[string]time.Duration, error) {
 	topo := c.cfg.Topo
 	lay := tags.lay
 	plan := lay.plan
@@ -350,14 +350,14 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 	smalls := snap.smalls
 	delta := snap.olds != nil
 	pc := newPhaseClock(PhaseP2P)
-	pc.emitTo(c.cfg.Flight, "save", node, version)
-	pc.watchTo(c.wd, "save", node, version)
+	pc.emitTo(c.cfg.Flight, op, node, version)
+	pc.watchTo(c.wd, op, node, version)
 	defer pc.unwatch()
 	if !snap.end.IsZero() {
 		pc.mark = snap.end // charge the goroutine handoff to the drain
 	}
 
-	ep, err := c.endpoint(node)
+	ep, err := c.net.Endpoint(node)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -607,7 +607,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, snap *nodeSnapshot, tags *
 		}
 		return n
 	})
-	win.emitTo(c.cfg.Flight, node, version)
+	win.emitTo(c.cfg.Flight, op, node, version)
 	fail := win.fail
 
 	// Each segment has exactly one writer stream and that stream delivers

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -214,18 +215,19 @@ func TestPhaseClockWatchdogSampling(t *testing.T) {
 	pc.unwatch()
 }
 
-// TestRoundHooksZeroAllocWhenDisabled is an alloc gate (make allocgate
-// runs it in CI): with no hooks, no health tracker and no logger, the
-// round lifecycle fan-out must cost two nil checks — the library default
-// stays free.
-func TestRoundHooksZeroAllocWhenDisabled(t *testing.T) {
+// TestRoundLifecycleZeroAllocWhenDisabled is an alloc gate (make allocgate
+// runs it in CI): with no health tracker, no logger and no flight recorder,
+// the round lifecycle fan-out must cost nil checks only — the library
+// default stays free.
+func TestRoundLifecycleZeroAllocWhenDisabled(t *testing.T) {
 	c := &Checkpointer{}
+	failed := errors.New("round failed")
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.roundStart("save", 1)
-		c.roundEnd("save", 1, nil)
+		c.roundStart(OpSave, 1)
+		c.roundEnd(OpSave, 1, failed)
 	})
 	if allocs != 0 {
-		t.Fatalf("disabled round hooks: %.1f allocs/op, want 0", allocs)
+		t.Fatalf("disabled round lifecycle: %.1f allocs/op, want 0", allocs)
 	}
 }
 

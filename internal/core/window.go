@@ -46,6 +46,7 @@ type bufWindow struct {
 	// Flight emission context: every buffer commit lands as an EvBuffer
 	// span from acquire to the last delivery. rec nil disables emission.
 	rec   *flight.Recorder
+	op    string
 	node  int
 	round int
 }
@@ -73,10 +74,10 @@ func newBufWindow(numBuffers, depth int, expect func(b int) int) *bufWindow {
 	return w
 }
 
-// emitTo routes buffer-commit spans to the flight recorder for (node,
-// round) on the save timeline.
-func (w *bufWindow) emitTo(rec *flight.Recorder, node, round int) {
-	w.rec, w.node, w.round = rec, node, round
+// emitTo routes buffer-commit spans to the flight recorder for (op, node,
+// round).
+func (w *bufWindow) emitTo(rec *flight.Recorder, op string, node, round int) {
+	w.rec, w.op, w.node, w.round = rec, op, node, round
 }
 
 // acquire blocks until a window credit is free (fewer than depth buffers in
@@ -145,7 +146,7 @@ func (w *bufWindow) commitLocked(b int) {
 		w.watermark++
 	}
 	if w.rec != nil && !w.began[b].IsZero() {
-		w.rec.Buffer("save", w.node, w.round, b, w.began[b], w.commitAt[b].Sub(w.began[b]))
+		w.rec.Buffer(w.op, w.node, w.round, b, w.began[b], w.commitAt[b].Sub(w.began[b]))
 	}
 	w.cond.Broadcast()
 }

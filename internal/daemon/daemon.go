@@ -133,7 +133,7 @@ func (d *Daemon) lookup(id string) (*job, error) {
 }
 
 // Register creates a job from spec: defaults, validation, quota
-// reservation, fleet construction, lifecycle hooks, registry insertion.
+// reservation, fleet construction, event wiring, registry insertion.
 func (d *Daemon) Register(spec JobSpec) (*JobStatus, error) {
 	done, err := d.beginOp()
 	if err != nil {
@@ -181,30 +181,26 @@ func (d *Daemon) Register(spec JobSpec) (*JobStatus, error) {
 		return nil, err
 	}
 
-	// Round-lifecycle hooks: every round the job's System runs — the
-	// HTTP-driven ones and any background drain — lands in the daemon
-	// registry under the job's label, which is what makes admission
-	// serialization observable at /metrics.
-	j.sys.SetRoundHooks(eccheck.RoundHooks{
-		RoundStart: func(op string, version int) {
-			d.reg.Counter("eccheckd_job_rounds_started_total",
-				obs.L("job", spec.ID), obs.L("op", op)).Inc()
-		},
-		RoundEnd: func(op string, version int, err error) {
-			d.reg.Counter("eccheckd_job_rounds_finished_total",
-				obs.L("job", spec.ID), obs.L("op", op)).Inc()
-			if err != nil {
-				d.reg.Counter("eccheckd_job_round_failures_total",
-					obs.L("job", spec.ID), obs.L("op", op)).Inc()
-			}
-		},
-	})
-
 	// Fan the job's protection timeline into the daemon's event bus: the
 	// sink stamps each event with the job id so per-job SSE filters work.
+	// Its round events are also the job's round accounting — every round
+	// the System runs, the HTTP-driven ones and any background drain, lands
+	// in the daemon registry under the job's label, which is what makes
+	// admission serialization observable at /metrics.
 	tr := j.sys.HealthTracker()
 	tr.SetSink(func(ev health.Event) {
 		ev.Job = spec.ID
+		if ev.Kind == health.KindRound {
+			labels := []obs.Label{obs.L("job", ev.Job), obs.L("op", ev.Op)}
+			if ev.State == "start" {
+				d.reg.Counter("eccheckd_job_rounds_started_total", labels...).Inc()
+			} else {
+				d.reg.Counter("eccheckd_job_rounds_finished_total", labels...).Inc()
+				if ev.Err != "" {
+					d.reg.Counter("eccheckd_job_round_failures_total", labels...).Inc()
+				}
+			}
+		}
 		d.bus.Publish(ev)
 	})
 	// The tracker's initial recompute (Unprotected, "no committed

@@ -2,13 +2,12 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"sync"
 	"testing"
 )
 
 // TestSnapshotDuringWrites races Snapshot/WriteText/WriteJSON against
-// counter increments and span closes. Under -race this certifies that
+// counter increments and histogram observations. Under -race this certifies that
 // rendering a live registry is safe; the final snapshot must also see
 // every increment once the writers join.
 func TestSnapshotDuringWrites(t *testing.T) {
@@ -22,10 +21,10 @@ func TestSnapshotDuringWrites(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			c := reg.Counter("hits_total")
+			h := reg.Histogram("round_ns", L("op", "save"))
 			for i := 0; i < perG; i++ {
 				c.Inc()
-				_, span := StartSpan(context.Background(), reg, "save")
-				span.End()
+				h.Observe(int64(i))
 			}
 		}(g)
 	}
@@ -65,7 +64,7 @@ func TestSnapshotDuringWrites(t *testing.T) {
 	if v, ok := snap.Counter("hits_total"); !ok || v != goroutines*perG {
 		t.Fatalf("final counter = %d/%v, want %d", v, ok, goroutines*perG)
 	}
-	if hp, ok := snap.Histogram("span_ns", L("span", "save")); !ok || hp.Count != goroutines*perG {
-		t.Fatalf("final span count = %+v/%v, want %d", hp, ok, goroutines*perG)
+	if hp, ok := snap.Histogram("round_ns", L("op", "save")); !ok || hp.Count != goroutines*perG {
+		t.Fatalf("final histogram count = %+v/%v, want %d", hp, ok, goroutines*perG)
 	}
 }

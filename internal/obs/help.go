@@ -81,8 +81,6 @@ var metricHelp = map[string]string{
 	"save_incremental_rounds_total": "Save rounds that used the incremental hash cache.",
 	"save_incremental_ns":           "Incremental hash-check time in nanoseconds.",
 
-	"span_ns": "Generic operation span duration in nanoseconds.",
-
 	"transport_sends_total":         "Messages sent over the transport.",
 	"transport_send_bytes_total":    "Payload bytes sent over the transport.",
 	"transport_recvs_total":         "Messages received over the transport.",

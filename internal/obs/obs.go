@@ -1,7 +1,7 @@
 // Package obs is the dependency-free observability layer of the system:
-// monotonic counters, streaming log-bucketed histograms, and span-based
-// phase tracing, collected in a Registry and rendered as Prometheus-style
-// exposition text or a machine-readable JSON snapshot.
+// monotonic counters and streaming log-bucketed histograms, collected in a
+// Registry and rendered as Prometheus-style exposition text or a
+// machine-readable JSON snapshot.
 //
 // Design constraints, in order:
 //

@@ -49,10 +49,6 @@ func TestNilSafety(t *testing.T) {
 	if len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
 		t.Fatalf("nil registry snapshot not empty")
 	}
-	var sp *Span
-	if sp.End() != 0 || sp.Path() != "" {
-		t.Fatalf("nil span misbehaved")
-	}
 }
 
 func TestHistogramAggregates(t *testing.T) {
