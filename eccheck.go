@@ -64,10 +64,12 @@ type Config struct {
 	RemoteBandwidth float64
 	// DisableRemote turns off the remote persistence tier entirely.
 	DisableRemote bool
-	// Incremental enables delta checkpointing: nodes cache their workers'
-	// packets (one extra packet of host memory each) and SaveIncremental
-	// ships only changed buffer slices, updating data and parity chunks in
-	// place via the code's linearity.
+	// Incremental enables delta checkpointing: SaveIncremental ships only
+	// changed buffer slices, updating data and parity chunks in place via the
+	// code's linearity. A worker diffs against its data chunk's segment when
+	// that chunk is stored on its own machine; the others cache their packets,
+	// one extra packet of host memory per worker whose data chunk is stored
+	// on another machine.
 	Incremental bool
 	// Transport selects the node interconnect (default TransportMemory).
 	Transport TransportKind

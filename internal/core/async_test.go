@@ -305,13 +305,29 @@ func TestCloseAbortsInFlightDrain(t *testing.T) {
 	}
 }
 
+// roundStartSignal returns a health tracker whose event sink closes the
+// returned channel once the first round of op has started: the round holds
+// its slot and is registered for cancellation.
+func roundStartSignal(op string) (*health.Tracker, <-chan struct{}) {
+	tracker := health.NewTracker(func() health.Probe { return health.Probe{} })
+	started := make(chan struct{})
+	var once sync.Once
+	tracker.SetSink(func(ev health.Event) {
+		if ev.Kind == health.KindRound && ev.State == "start" && ev.Op == op {
+			once.Do(func() { close(started) })
+		}
+	})
+	return tracker, started
+}
+
 // TestCloseConcurrentWithSave races Close against a synchronous Save from
 // another goroutine (the regression shape for the lifecycle races this
 // package guards against; run under -race). Every outcome must be one of:
 // the save committed before Close, or the save failed with a typed
 // lifecycle error.
 func TestCloseConcurrentWithSave(t *testing.T) {
-	rig, _ := newChaosRig(t, 4, 2, 2, 2, slowPlan(time.Millisecond))
+	tracker, started := roundStartSignal(OpSave)
+	rig, _ := newChaosRig(t, 4, 2, 2, 2, slowPlan(time.Millisecond), func(c *Config) { c.Health = tracker })
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
@@ -321,8 +337,8 @@ func TestCloseConcurrentWithSave(t *testing.T) {
 		defer wg.Done()
 		_, saveErr = rig.ckpt.Save(ctx, rig.dicts)
 	}()
-	// Give the save a head start into its round, then slam the door.
-	time.Sleep(2 * time.Millisecond)
+	// Once the save owns the slot and its round has begun, slam the door.
+	<-started
 	_ = rig.ckpt.Close()
 	wg.Wait()
 

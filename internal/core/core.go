@@ -105,8 +105,10 @@ type Config struct {
 	// (step 4); 0 disables remote persistence.
 	RemotePersistEvery int
 	// IncrementalCache makes every node retain its own workers' packets in
-	// host memory so SaveIncremental can diff against them. Costs one
-	// extra packet of memory per worker.
+	// host memory so SaveIncremental can diff against them. A worker whose
+	// data chunk is stored on its own machine diffs against that chunk's
+	// segment, so the cost is one extra packet of memory per worker whose
+	// data chunk is stored on another machine.
 	IncrementalCache bool
 	// OpTimeout is the deadline applied to every individual Send/Recv of
 	// the save and load protocols, bounding how long a round can hang on a
@@ -443,7 +445,7 @@ func (c *Checkpointer) registerLoad(cancel context.CancelFunc) (func(error), err
 type keyTable struct {
 	smallMeta []string   // by rank
 	smallKeys []string   // by rank
-	ownPacket []string   // by rank
+	base      []baseKey  // by rank
 	segment   [][]string // by chunk (of any code group), then segment
 	// commit is each node's full key set in commit order (manifest last);
 	// staged holds the keyStaged counterparts, index-aligned. stagedOf
@@ -451,6 +453,16 @@ type keyTable struct {
 	commit   [][]string
 	staged   [][]string
 	stagedOf map[string]string
+}
+
+// baseKey is a rank's delta base: the key, on the rank's own node, of its
+// packet as the committed checkpoint holds it.
+type baseKey struct {
+	key string
+	// cache marks the own-packet cache own/<rank>, a blob kept for the delta
+	// alone; otherwise key is the rank's data segment, which the round
+	// rewrites anyway.
+	cache bool
 }
 
 // buildKeyTable renders the keys for one compiled plan.
@@ -462,21 +474,29 @@ func buildKeyTable(cfg *Config, plan *placement.Plan) keyTable {
 	t := keyTable{
 		smallMeta: make([]string, world),
 		smallKeys: make([]string, world),
-		ownPacket: make([]string, world),
+		base:      make([]baseKey, world),
 		segment:   make([][]string, cfg.K+cfg.M),
 		commit:    make([][]string, nodes),
 		staged:    make([][]string, nodes),
 		stagedOf:  make(map[string]string),
 	}
-	for rank := 0; rank < world; rank++ {
-		t.smallMeta[rank] = fmt.Sprintf("small/%d/meta", rank)
-		t.smallKeys[rank] = fmt.Sprintf("small/%d/keys", rank)
-		t.ownPacket[rank] = keyOwnPacket(rank)
-	}
 	for chunk := range t.segment {
 		t.segment[chunk] = make([]string, span)
 		for s := 0; s < span; s++ {
 			t.segment[chunk][s] = keySegment(chunk, s)
+		}
+	}
+	for rank := 0; rank < world; rank++ {
+		t.smallMeta[rank] = fmt.Sprintf("small/%d/meta", rank)
+		t.smallKeys[rank] = fmt.Sprintf("small/%d/keys", rank)
+		// The code is systematic: a data chunk's segment is its worker's raw
+		// packet. A rank whose data chunk is stored on its own node diffs
+		// against that segment; any other keeps a cache, the only local copy.
+		j := plan.DataGroupOf[rank]
+		if plan.ChunkOwner(plan.GroupOfRank(rank), j) == rank/g {
+			t.base[rank] = baseKey{key: t.segment[j][plan.SegmentOf[rank]]}
+		} else {
+			t.base[rank] = baseKey{key: keyOwnPacket(rank), cache: true}
 		}
 	}
 	for node := 0; node < nodes; node++ {
@@ -486,9 +506,9 @@ func buildKeyTable(cfg *Config, plan *placement.Plan) keyTable {
 		for rank := lo; rank < hi; rank++ {
 			keys = append(keys, t.smallMeta[rank], t.smallKeys[rank])
 		}
-		if cfg.IncrementalCache {
-			for w := node * g; w < (node+1)*g; w++ {
-				keys = append(keys, t.ownPacket[w])
+		for w := node * g; w < (node+1)*g && cfg.IncrementalCache; w++ {
+			if t.base[w].cache {
+				keys = append(keys, t.base[w].key)
 			}
 		}
 		chunk := plan.ChunkOfNode[node]

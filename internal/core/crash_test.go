@@ -323,6 +323,8 @@ func (e *lateFailEndpoint) Send(ctx context.Context, to int, tag string, payload
 	hit := tag == e.net.tag && e.net.sent[tag] == e.net.nth
 	e.net.mu.Unlock()
 	if hit {
+		// The sleep is the injected fault itself, not a wait for an event: a
+		// link that hangs for a while and then drops the message.
 		time.Sleep(300 * time.Millisecond)
 		return errors.New("injected: link dropped")
 	}

@@ -12,9 +12,12 @@ import (
 // Incremental checkpointing exploits the linearity of the erasure code:
 // if a worker's packet changes by Δ, every coded quantity updates by a
 // scalar multiple of Δ — the data chunk's segment by Δ itself and parity
-// chunk i's segment by E[k+i][j]·Δ. Workers therefore cache their previous
+// chunk i's segment by E[k+i][j]·Δ. Workers therefore keep their previous
 // packets, diff buffer-by-buffer against the new state, and ship only the
-// changed windows. Between optimizer steps most large language model state
+// changed windows. The code is systematic, so a worker whose data chunk is
+// stored on its own node already has its previous packet there, as its
+// segment; only the others cache it (keyTable.base). Between optimizer
+// steps most large language model state
 // (optimizer moments in particular) changes everywhere, but sparse or
 // partially frozen training regimes change a small fraction, and the
 // update volume becomes proportional to the changed fraction — the idea
@@ -23,15 +26,16 @@ import (
 //
 // A delta save is not a protocol of its own. It is the save round (see
 // startSave, nodeDrain) with two parameters changed: each worker's ship-set
-// holds the windows that differ from its cached packet instead of all of
+// holds the windows that differ from its delta base instead of all of
 // them, and the chunk segments a shipped window lands in start as a copy of
-// the committed ones instead of zeroes. The other segments, and the cached
-// packet of a worker that ships nothing, are carried: the node neither reads
+// the committed ones instead of zeroes. The other segments, and the cache of
+// a worker that ships nothing, are carried: the node neither reads
 // nor restages them and the commit leaves them stored, so the round's
 // segment-sized work follows the ship-sets. Staging, the commit under
 // commitMu, phase clocks, flight events and the watchdog are the round's own.
 
-// keyOwnPacket caches a worker's latest packet on its own node.
+// keyOwnPacket caches a worker's latest packet on its own node when its data
+// chunk is stored on another.
 func keyOwnPacket(rank int) string { return fmt.Sprintf("own/%d", rank) }
 
 // shipSet is one worker's bitmap over the buffer windows of its packet:
@@ -108,15 +112,15 @@ func (c *Checkpointer) SaveIncremental(ctx context.Context, dicts []*statedict.S
 	return out, nil
 }
 
-// errNoDeltaBase marks a snapshot stage that found a worker's cached packet
+// errNoDeltaBase marks a snapshot stage that found a worker's delta base
 // unusable after deltaBase had granted the delta round.
-var errNoDeltaBase = errors.New("unusable own-packet cache")
+var errNoDeltaBase = errors.New("unusable delta base")
 
 // deltaBase reports whether every node still holds what a delta round
 // builds on: a manifest at the committed version and this packet size, and
-// each local worker's cached packet (verified when the snapshot stage reads
-// it). Before the first save, after a node was replaced, or when the packet
-// size changed it does not, and the round ships everything.
+// each local worker's base key (verified when the snapshot stage reads it).
+// Before the first save, after a node that keeps caches was replaced, or when
+// the packet size changed it does not, and the round ships everything.
 func (c *Checkpointer) deltaBase(lay *layout, packetBytes int) bool {
 	version := int(c.version.Load())
 	if version == 0 {
@@ -132,7 +136,7 @@ func (c *Checkpointer) deltaBase(lay *layout, packetBytes int) bool {
 			return false
 		}
 		for w := node * g; w < (node+1)*g; w++ {
-			if !c.clus.Has(node, lay.keys.ownPacket[w]) {
+			if !c.clus.Has(node, lay.keys.base[w].key) {
 				return false
 			}
 		}

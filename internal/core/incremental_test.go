@@ -11,10 +11,14 @@ import (
 
 	"eccheck/internal/chaos"
 	"eccheck/internal/cluster"
+	"eccheck/internal/model"
 	"eccheck/internal/obs"
 	"eccheck/internal/obs/flight"
 	"eccheck/internal/obs/health"
+	"eccheck/internal/parallel"
+	"eccheck/internal/placement"
 	"eccheck/internal/statedict"
+	"eccheck/internal/transport"
 )
 
 func incrementalRig(t *testing.T) *testRig {
@@ -402,11 +406,12 @@ func TestDeltaRoundsWithScatteredWindows(t *testing.T) {
 
 // TestSparseDeltaTouchesOnlyItsSegments counts what a delta round does to the
 // payload-sized blobs, on 8 machines × 2 workers with k = m = 4 (32 segments,
-// 16 own-packet caches): it stages the segments the changed workers feed —
-// one data segment and m parity segments each — and those workers' caches,
-// reads only those segments' committed bases, and carries the rest; every
-// node still moves to the new version, and the checkpoint survives the loss
-// of m machines.
+// 8 own-packet caches: the workers on the 4 parity machines; the other 8 diff
+// against their own data segments): it stages the segments the changed
+// workers feed — one data segment and m parity segments each — and the caches
+// of those that keep one, reads those segments' committed bases and the 8
+// segment bases of the snapshot, and carries the rest; every node still moves
+// to the new version, and the checkpoint survives the loss of m machines.
 func TestSparseDeltaTouchesOnlyItsSegments(t *testing.T) {
 	hook := &storeHook{}
 	rig, _ := newWrappedRig(t, 8, 2, 4, 4, func(hs HostStore) HostStore {
@@ -441,14 +446,17 @@ func TestSparseDeltaTouchesOnlyItsSegments(t *testing.T) {
 	oneTensor := stampVersion(rig.dicts, 2)
 	oneTensor[5] = oneTensor[5].Clone()
 	oneTensor[5].TensorEntries()[0].Tensor.Data()[0] ^= 0xFF
+	if rig.ckpt.layout().keys.base[5].cache {
+		t.Fatal("rank 5 keeps an own-packet cache: the counts below assume it diffs against its segment")
+	}
 	for v, tc := range []struct {
-		name                   string
-		next                   []*statedict.StateDict
-		segs, carried, ownPkts int
+		name                          string
+		next                          []*statedict.StateDict
+		segs, carried, ownPkts, views int
 	}{
-		{"one tensor of one rank", oneTensor, 5, 27, 1},
-		{"nothing", oneTensor, 0, 32, 0},
-		{"every rank", stampVersion(rig.dicts, 5), 32, 0, 16},
+		{"one tensor of one rank", oneTensor, 5, 27, 0, 13},
+		{"nothing", oneTensor, 0, 32, 0, 8},
+		{"every rank", stampVersion(rig.dicts, 5), 32, 0, 8, 40},
 	} {
 		segsStaged, cachesStaged, basesRead = 0, 0, 0
 		carried, allocated := counterOf(rig, "save_segments_carried_total"), counterOf(rig, "save_segments_allocated_total")
@@ -459,9 +467,9 @@ func TestSparseDeltaTouchesOnlyItsSegments(t *testing.T) {
 			t.Fatalf("%s changed: %+v, %v", tc.name, rep, err)
 		}
 		carried, allocated = counterOf(rig, "save_segments_carried_total")-carried, counterOf(rig, "save_segments_allocated_total")-allocated
-		if segsStaged != tc.segs || int(carried) != tc.carried || cachesStaged != tc.ownPkts || basesRead > tc.segs || allocated != 0 {
-			t.Errorf("%s changed: %d segments staged, %d carried, %d own-packets restaged, %d committed segments read, %d allocated; want %d, %d, %d, at most %d, 0",
-				tc.name, segsStaged, carried, cachesStaged, basesRead, allocated, tc.segs, tc.carried, tc.ownPkts, tc.segs)
+		if segsStaged != tc.segs || int(carried) != tc.carried || cachesStaged != tc.ownPkts || basesRead != tc.views || allocated != 0 {
+			t.Errorf("%s changed: %d segments staged, %d carried, %d own-packets restaged, %d committed segments read, %d allocated; want %d, %d, %d, %d, 0",
+				tc.name, segsStaged, carried, cachesStaged, basesRead, allocated, tc.segs, tc.carried, tc.ownPkts, tc.views)
 		}
 		for node := 0; node < rig.topo.Nodes(); node++ {
 			blob, err := rig.ckpt.fetch(node, keyManifest())
@@ -481,8 +489,9 @@ func TestSparseDeltaTouchesOnlyItsSegments(t *testing.T) {
 			t.Fatalf("%s changed: load after losing m machines: %v", tc.name, err)
 		}
 		dictsEqual(t, tc.next, got)
-		// The repaired machines have no caches: a full round restores the base
-		// the next case builds on (and, twice, the spare sets).
+		// The repaired data machines hold their segments, the base of their
+		// workers, but no spare segments: two full rounds refill the spare sets
+		// the next case counts on.
 		for i := 0; i < 2; i++ {
 			if _, err := rig.ckpt.Save(ctx, tc.next); err != nil {
 				t.Fatal(err)
@@ -531,8 +540,10 @@ func TestIncrementalCorruptCacheFallsBackToFull(t *testing.T) {
 
 // TestDeltaRoundDoesNotLaunderCorruption: a delta round never reseals bytes it
 // did not verify. A flipped byte in a segment it carries is still there, and
-// still detected, after the commit; a flipped byte in the base of a segment it
-// touches fails the round, which leaves host memory as it found it.
+// still detected, after the commit; a flipped byte in the base of a parity
+// segment it touches fails the round, which leaves host memory as it found
+// it; a flipped byte in a worker's own data segment — its delta base — makes
+// the round a full one, which rewrites the segment from live state.
 func TestDeltaRoundDoesNotLaunderCorruption(t *testing.T) {
 	rig := incrementalRig(t)
 	ctx := context.Background()
@@ -542,13 +553,14 @@ func TestDeltaRoundDoesNotLaunderCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Rank 0 is segment 0 of data chunk 0: a round that changes it alone
-	// touches segment 0 of that chunk and of the parity chunks, and carries
-	// the chunk's segment 1.
+	// Rank 0 is segment 0 of data chunk 0, stored on its own node: a round
+	// that changes it alone touches segment 0 of that chunk and of the parity
+	// chunks, and carries their segment 1. No snapshot reads a parity
+	// segment; the drain reads the base of each one it touches.
 	plan := rig.ckpt.Plan()
-	owner := plan.ChunkOwner(0, 0)
+	parity := plan.ChunkOwner(0, plan.K)
 
-	if err := rig.clus.Corrupt(owner, keySegment(0, 1), 7); err != nil {
+	if err := rig.clus.Corrupt(parity, keySegment(plan.K, 1), 7); err != nil {
 		t.Fatal(err)
 	}
 	next := stampRank(committed, 0, 3)
@@ -556,7 +568,7 @@ func TestDeltaRoundDoesNotLaunderCorruption(t *testing.T) {
 		t.Fatalf("delta round carrying a corrupt segment: %+v, %v", rep, err)
 	}
 	committed = next
-	if _, err := rig.ckpt.fetch(owner, keySegment(0, 1)); !errors.Is(err, cluster.ErrChecksum) {
+	if _, err := rig.ckpt.fetch(parity, keySegment(plan.K, 1)); !errors.Is(err, cluster.ErrChecksum) {
 		t.Fatalf("the carried segment reads %v after the round, want its checksum mismatch", err)
 	}
 	vr, err := rig.ckpt.VerifyIntegrity()
@@ -564,13 +576,13 @@ func TestDeltaRoundDoesNotLaunderCorruption(t *testing.T) {
 		t.Fatalf("VerifyIntegrity after the round: %+v, %v; want segment 1 named", vr, err)
 	}
 	got, lrep, err := rig.ckpt.Load(ctx)
-	if err != nil || len(lrep.CorruptedChunks) != 1 || lrep.CorruptedChunks[0] != 0 {
-		t.Fatalf("load: %+v, %v; want chunk 0 rebuilt", lrep, err)
+	if err != nil || len(lrep.CorruptedChunks) != 1 || lrep.CorruptedChunks[0] != plan.K {
+		t.Fatalf("load: %+v, %v; want chunk %d rebuilt", lrep, err, plan.K)
 	}
 	dictsEqual(t, committed, got)
 	verifyClean(t, rig)
 
-	if err := rig.clus.Corrupt(owner, keySegment(0, 0), 7); err != nil {
+	if err := rig.clus.Corrupt(parity, keySegment(plan.K, 0), 7); err != nil {
 		t.Fatal(err)
 	}
 	before := storedSlices(t, rig)
@@ -593,4 +605,192 @@ func TestDeltaRoundDoesNotLaunderCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	dictsEqual(t, committed, got)
+
+	owner := plan.ChunkOwner(0, 0)
+	if err := rig.clus.Corrupt(owner, keySegment(0, 0), 7); err != nil {
+		t.Fatal(err)
+	}
+	next = stampRank(committed, 0, 4)
+	if rep, err := rig.ckpt.SaveIncremental(ctx, next); err != nil || !rep.Full || rep.Version != 4 {
+		t.Fatalf("delta round over a corrupt own segment: %+v, %v; want a full round", rep, err)
+	}
+	verifyClean(t, rig)
+	if got, _, err = rig.ckpt.Load(ctx); err != nil {
+		t.Fatal(err)
+	}
+	dictsEqual(t, next, got)
+}
+
+// requireOneCopy walks every node's keys. No node holds an own-packet cache
+// but the caches of its own workers whose data chunk is stored on another
+// machine: a worker whose data chunk is stored on its own node diffs against
+// that chunk's segment, and no round, restore or membership step may leave a
+// twin of it. When granted, every worker's delta base is on its node, the
+// cache-based ones' caches included, and the engine grants the delta.
+func requireOneCopy(t *testing.T, rig *testRig, when string, packetBytes int, granted bool) {
+	t.Helper()
+	plan, g := rig.ckpt.Plan(), rig.topo.GPUsPerNode()
+	// base is where rank w's packet as committed must be on its node, and
+	// whether that is a cache: the plan decides, not the engine's key table.
+	base := func(w int) (string, bool) {
+		j := plan.DataGroupOf[w]
+		if plan.ChunkOwner(plan.GroupOfRank(w), j) == w/g {
+			return keySegment(j, plan.SegmentOf[w]), false
+		}
+		return keyOwnPacket(w), true
+	}
+	for node := 0; node < rig.topo.Nodes(); node++ {
+		for _, key := range rig.clus.Keys(node) {
+			if !strings.Contains(key, "own/") {
+				continue
+			}
+			mine := false
+			for w := node * g; w < (node+1)*g; w++ {
+				cache, cached := base(w)
+				mine = mine || (cached && key == cache)
+			}
+			if !mine {
+				t.Errorf("%s: node %d holds %q, not the cache of a worker of its own whose data chunk is elsewhere", when, node, key)
+			}
+		}
+	}
+	if !granted {
+		return
+	}
+	for w := 0; w < rig.topo.World(); w++ {
+		if key, _ := base(w); !rig.clus.Has(w/g, key) {
+			t.Errorf("%s: rank %d's delta base %q is not on node %d", when, w, key, w/g)
+		}
+	}
+	if !rig.ckpt.deltaBase(rig.ckpt.layout(), packetBytes) {
+		t.Errorf("%s: the engine refuses a delta", when)
+	}
+}
+
+// TestOneCopyOfEachPacketPerMachine: after every kind of round — Save,
+// SaveIncremental, Load, a drained leave joined back from custody, a crash
+// leave of a data and of a parity slot rebuilt in place — no machine holds a
+// second copy of a packet it stores as a data segment, and the delta bases
+// are whole wherever a delta is granted. Only the crash-joined parity slot
+// loses its workers' caches, and the round after it is a full one that
+// restages them.
+func TestOneCopyOfEachPacketPerMachine(t *testing.T) {
+	for _, shape := range []struct {
+		name              string
+		nodes, gpus, k, m int
+	}{{"4x(2+2)", 4, 2, 2, 2}, {"8x(4+4)", 8, 2, 4, 4}, {"2x(2+2)", 8, 2, 2, 2}} {
+		t.Run(shape.name, func(t *testing.T) {
+			// A model a quarter of the default rig's: the walk counts keys, not bytes.
+			topo, err := parallel.NewTopology(shape.nodes, shape.gpus, shape.gpus, shape.nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buildOpt := model.NewBuildOptions()
+			buildOpt.Scale = 128
+			dicts, err := model.BuildClusterStateDicts(model.GPT2_345M(), topo, buildOpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net, err := transport.NewMemory(shape.nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rig := newRigOn(t, net, dicts, shape.nodes, shape.gpus, shape.k, shape.m, func(c *Config) {
+				c.IncrementalCache = true
+				c.RemotePersistEvery = -1
+				c.BufferSize = 16 << 10
+			})
+			ctx := context.Background()
+			plan := rig.ckpt.Plan()
+			rep, err := rig.ckpt.Save(ctx, stampVersion(rig.dicts, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			packet := rep.PacketBytes
+			requireOneCopy(t, rig, "Save", packet, true)
+
+			v := 1
+			delta := func(when string, full bool) {
+				t.Helper()
+				v++
+				next := stampRank(stampVersion(rig.dicts, v-1), v%rig.topo.World(), v)
+				rep, err := rig.ckpt.SaveIncremental(ctx, next)
+				if err != nil || rep.Full != full || rep.Version != v {
+					t.Fatalf("%s: SaveIncremental %+v, %v; want full=%v at version %d", when, rep, err, full, v)
+				}
+				requireOneCopy(t, rig, when+", SaveIncremental", packet, true)
+				got, _, err := rig.ckpt.Load(ctx)
+				if err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+				dictsEqual(t, next, got)
+				requireOneCopy(t, rig, when+", Load", packet, true)
+			}
+			delta("after Save", false)
+
+			for _, node := range []int{plan.DataNodes[0], plan.ParityNodes[0]} {
+				drep, err := rig.ckpt.DrainNode(ctx, node)
+				if err != nil || !drep.Completed {
+					t.Fatalf("drain node %d: %+v, %v", node, drep, err)
+				}
+				loseNode(t, rig, node)
+				if join, err := rig.ckpt.RepairNode(ctx, node); err != nil || !join.Restored {
+					t.Fatalf("join node %d: %+v, %v", node, join, err)
+				}
+				requireOneCopy(t, rig, "custody join", packet, true)
+				delta("after a custody join", false)
+			}
+
+			for _, slot := range []struct {
+				node int
+				kept bool
+			}{{plan.DataNodes[0], true}, {plan.ParityNodes[0], false}} {
+				loseNode(t, rig, slot.node)
+				if join, err := rig.ckpt.RepairNode(ctx, slot.node); err != nil || join.Restored || join.Rebuilt == nil {
+					t.Fatalf("crash join of node %d: %+v, %v", slot.node, join, err)
+				}
+				requireOneCopy(t, rig, "crash join", packet, slot.kept)
+				delta("after a crash join", !slot.kept)
+			}
+		})
+	}
+}
+
+// TestCrashJoinedDataSlotKeepsDeltaBase: the join that rebuilds a data slot
+// lost without a drain rebuilds its workers' delta bases with it — their data
+// segments — so the next SaveIncremental is a delta. A parity slot's workers
+// diff against caches, which no rebuild restores: the next one is full.
+func TestCrashJoinedDataSlotKeepsDeltaBase(t *testing.T) {
+	for _, slot := range []struct {
+		name string
+		node func(*placement.Plan) int
+		full bool
+	}{
+		{"data", func(p *placement.Plan) int { return p.DataNodes[0] }, false},
+		{"parity", func(p *placement.Plan) int { return p.ParityNodes[0] }, true},
+	} {
+		t.Run(slot.name, func(t *testing.T) {
+			rig := incrementalRig(t)
+			ctx := context.Background()
+			if _, err := rig.ckpt.Save(ctx, rig.dicts); err != nil {
+				t.Fatal(err)
+			}
+			node := slot.node(rig.ckpt.Plan())
+			loseNode(t, rig, node)
+			if join, err := rig.ckpt.RepairNode(ctx, node); err != nil || join.Restored || join.Rebuilt == nil {
+				t.Fatalf("crash join of node %d: %+v, %v", node, join, err)
+			}
+			next := mutateSomeTensors(rig.dicts, []int{0, 3}, 2)
+			rep, err := rig.ckpt.SaveIncremental(ctx, next)
+			if err != nil || rep.Full != slot.full {
+				t.Fatalf("SaveIncremental after the crash join: %+v, %v; want full=%v", rep, err, slot.full)
+			}
+			verifyClean(t, rig)
+			got, _, err := rig.ckpt.Load(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dictsEqual(t, next, got)
+		})
+	}
 }

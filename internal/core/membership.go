@@ -38,11 +38,6 @@ type custodyRecord struct {
 	// the custodian holds each under keyCustody(node, key).
 	keys  []string
 	bytes int64
-	// derived maps own-packet cache keys that were NOT shipped (their
-	// bytes duplicate one of the node's own chunk segments — the code is
-	// systematic, so a data chunk's segments are the group's raw worker
-	// packets) to the segment key to copy from locally at restore time.
-	derived map[string]string
 }
 
 // keyCustody namespaces a drained node's blob on its custodian.
@@ -287,27 +282,9 @@ func (c *Checkpointer) drainLocked(ctx context.Context, node int) (*DrainReport,
 	rep.Custodian = custodian
 	c.cfg.Flight.Membership("drain_begin", node, custodian, 0)
 
-	// Own-packet caches on a DATA node duplicate the node's own chunk
-	// segments byte for byte (systematic code: a data chunk's segments ARE
-	// the group's raw worker packets, and both blobs are staged from the
-	// same packet each save). Skipping them halves the custody payload of
-	// a data slot; the restore rebuilds each with a local copy from the
-	// shipped segment, never touching the wire.
-	derived := map[string]string{}
-	if chunk := lay.plan.ChunkOfNode[node]; c.cfg.IncrementalCache && chunk < c.cfg.K {
-		g := c.cfg.Topo.GPUsPerNode()
-		for w := node * g; w < (node+1)*g; w++ {
-			if lay.plan.DataGroupOf[w] == chunk {
-				derived[lay.keys.ownPacket[w]] = lay.keys.segment[chunk][lay.plan.SegmentOf[w]]
-			}
-		}
-	}
 	keys := lay.keys.commit[node]
 	pairs := make([][2]string, 0, len(keys))
 	for _, key := range keys {
-		if _, dup := derived[key]; dup {
-			continue
-		}
 		pairs = append(pairs, [2]string{key, keyCustody(node, key)})
 	}
 	stored, bytes, err := c.shipBlobs(ctx, node, custodian, pairs, c.roundTags().custody[node])
@@ -330,7 +307,7 @@ func (c *Checkpointer) drainLocked(ctx context.Context, node int) (*DrainReport,
 		finals[i] = key[len(prefix):]
 	}
 	c.memMu.Lock()
-	c.custody[node] = &custodyRecord{custodian: custodian, keys: finals, bytes: bytes, derived: derived}
+	c.custody[node] = &custodyRecord{custodian: custodian, keys: finals, bytes: bytes}
 	c.memMu.Unlock()
 	rep.Completed = true
 	rep.Elapsed = time.Since(started)
@@ -419,19 +396,6 @@ func (c *Checkpointer) restoreCustody(ctx context.Context, node int, rep *JoinRe
 			_ = c.clus.Delete(node, key)
 		}
 		return nil
-	}
-	// Rebuild the own-packet caches the drain deduplicated: each is a
-	// byte-identical twin of one of the just-restored chunk segments,
-	// so a local copy on the joiner recreates it for free. A segment
-	// the drain flagged absent leaves its twin absent too — the next
-	// SaveIncremental then ships every window, exactly as it would have
-	// without the dedup.
-	for ownKey, segKey := range record.derived {
-		if blob, lerr := c.clus.View(node, segKey); lerr == nil {
-			if serr := c.clus.Store(node, ownKey, blob); serr != nil {
-				return fmt.Errorf("core: rebuild own-packet cache %q on node %d: %w", ownKey, node, serr)
-			}
-		}
 	}
 	for _, key := range record.keys {
 		_ = c.clus.Delete(record.custodian, keyCustody(node, key))

@@ -242,8 +242,10 @@ func TestNoBufferIsBothStoredAndSpare(t *testing.T) {
 		switch kind {
 		case "sparse":
 			// One worker feeds its data segment, the m = 2 parity segments of
-			// its index and its own cache; every other payload blob is carried.
-			next = stampRank(committed, i%rig.topo.World(), i+1)
+			// its index and its own cache if it keeps one; every other payload
+			// blob is carried.
+			rank := i % rig.topo.World()
+			next = stampRank(committed, rank, i+1)
 			before := storedSlices(t, rig)
 			rep, err := rig.ckpt.SaveIncremental(ctx, next)
 			if err != nil || rep.Full {
@@ -256,8 +258,12 @@ func TestNoBufferIsBothStoredAndSpare(t *testing.T) {
 					replaced++
 				}
 			}
-			if replaced != 4 {
-				t.Errorf("round %d: a one-worker delta replaced %d segments and caches, want 4", i, replaced)
+			want := 3
+			if rig.ckpt.layout().keys.base[rank].cache {
+				want++
+			}
+			if replaced != want {
+				t.Errorf("round %d: a one-worker delta replaced %d segments and caches, want %d", i, replaced, want)
 			}
 		case "full":
 			if _, err := rig.ckpt.Save(ctx, next); err != nil {
@@ -325,10 +331,11 @@ func TestNoBufferIsBothStoredAndSpare(t *testing.T) {
 // displaced, so what it allocates is a fraction of the tensor payload, where
 // allocating the coded checkpoint afresh costs (k+m)/k of it. A replaced
 // machine starts cold: the first save after it allocates that node's chunk
-// and no more, the second nothing again. A worker's own-packet cache is
-// stored by copy in every round the worker ships a window in: a round that
-// changes every worker is allowed the caches by name, a delta round that
-// changes one worker stays under the same quarter in total.
+// and no more, the second nothing again. A worker whose data chunk is stored
+// on another machine keeps an own-packet cache, stored by copy in every round
+// the worker ships a window in: a round that changes every worker is allowed
+// those caches by name, a delta round that changes one worker stays under
+// the same quarter in total.
 func TestSteadyStateSaveAllocatesNoSegments(t *testing.T) {
 	var probe [1]byte
 	if retire(probe[:]); probe[0] != 0 {
@@ -433,7 +440,13 @@ func TestSteadyStateSaveAllocatesNoSegments(t *testing.T) {
 			})
 			_, packet := allocated(t, rig, false)
 			allocated(t, rig, false)
-			ownPackets := float64(rig.topo.World()) * packet // the cache, re-stored by copy
+			cached := 0 // the workers whose data chunk is stored on another machine
+			for _, base := range rig.ckpt.layout().keys.base {
+				if base.cache {
+					cached++
+				}
+			}
+			ownPackets := float64(cached) * packet // the caches, re-stored by copy
 			for _, delta := range []bool{true, false, true} {
 				if got, _ := allocated(t, rig, delta); got > ownPackets+limit {
 					t.Errorf("steady-state save (delta %v) allocated %.2f x the tensor payload, want <= %.2f for the own-packet cache + %.2f", delta, got, ownPackets, limit)

@@ -47,7 +47,11 @@ func TestLoadFromRemoteBoundedOnHungTier(t *testing.T) {
 // then closes the checkpointer mid-restore: the restore must unwind with a
 // typed abort and Close must wait for it.
 func TestCloseCancelsInFlightRemoteLoad(t *testing.T) {
-	rig := newRig(t, 4, 2, 2, 2, func(c *Config) { c.OpTimeout = 30 * time.Second })
+	tracker, started := roundStartSignal(OpRemoteLoad)
+	rig := newRig(t, 4, 2, 2, 2, func(c *Config) {
+		c.OpTimeout = 30 * time.Second
+		c.Health = tracker
+	})
 	ctx := context.Background()
 
 	if _, err := rig.ckpt.Save(ctx, rig.dicts); err != nil {
@@ -65,8 +69,11 @@ func TestCloseCancelsInFlightRemoteLoad(t *testing.T) {
 		defer wg.Done()
 		_, loadErr = rig.ckpt.LoadFromRemote(ctx, 0)
 	}()
-	// Let the restore get into its stalled fetch, then close.
-	time.Sleep(20 * time.Millisecond)
+	// The round starts once it is registered for cancellation; close then.
+	// Whether it has reached the store's stalled fetch yet is not observable,
+	// and does not matter: the tier stalls every fetch past the test's end,
+	// so only Close's cancellation can end the round.
+	<-started
 	start := time.Now()
 	closeErr := rig.ckpt.Close()
 	wg.Wait()

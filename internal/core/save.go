@@ -121,8 +121,8 @@ type nodeSnapshot struct {
 	// as it goes on the wire in step 2.
 	smalls map[int][2][]byte
 	// olds is rank -> the worker's packet as the committed checkpoint holds
-	// it (a borrowed view of the own-packet cache): what a delta round's
-	// windows are XORed against. Nil on a full round.
+	// it (a borrowed view of its delta base, keyTable.base): what a delta
+	// round's windows are XORed against. Nil on a full round.
 	olds map[int][]byte
 	// shipped counts the buffer windows in the local workers' ship-sets.
 	shipped int
@@ -152,13 +152,13 @@ func (s *nodeSnapshot) release(c *Checkpointer) {
 // and offload their tensor data into contiguous packets (the DtoH copy —
 // the only work the training loop stalls on), then fix each worker's
 // ship-set: every buffer window on a full round, the windows that differ
-// from the worker's cached packet on a delta round. Pure local memory work,
+// from the worker's delta base on a delta round. Pure local memory work,
 // no network.
 func (c *Checkpointer) snapshotNode(op string, node, version, packetBytes int, dicts []*statedict.StateDict, delta bool) (*nodeSnapshot, error) {
 	g := c.cfg.Topo.GPUsPerNode()
 	bufSize := c.cfg.BufferSize
 	numBuffers := c.numBuffers(packetBytes)
-	ownPacket := c.layout().keys.ownPacket
+	base := c.layout().keys.base
 	pc := newPhaseClock(PhaseSerialize)
 	pc.emitTo(c.cfg.Flight, op, node, version)
 	pc.watchTo(c.wd, op, node, version)
@@ -198,9 +198,9 @@ func (c *Checkpointer) snapshotNode(op string, node, version, packetBytes int, d
 			snap.shipped += numBuffers
 			continue
 		}
-		old, err := c.fetch(node, ownPacket[w])
+		old, err := c.fetch(node, base[w].key)
 		if err == nil && len(old) != packetBytes {
-			err = fmt.Errorf("cached packet has %d bytes, want %d", len(old), packetBytes)
+			err = fmt.Errorf("stored packet has %d bytes, want %d", len(old), packetBytes)
 		}
 		if err != nil {
 			snap.release(c)
@@ -372,7 +372,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, op string, snap *nodeSnaps
 		localWorkers = append(localWorkers, w)
 	}
 	// Packets stay referenced until the pipeline drains: data-segment sends
-	// alias them and the incremental cache stages them. The happy path (and
+	// alias them and the own-packet caches stage them. The happy path (and
 	// any error before the pipeline spun up) recycles them via this deferred
 	// Put, which runs only after the send queue drained; error paths after
 	// spin-up hand recycling to the async teardown instead, which recycles
@@ -958,15 +958,17 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, op string, snap *nodeSnaps
 		return 0, nil, err
 	}
 
-	// Cache this node's own packets for incremental saves; the cache of a
-	// worker that shipped nothing already holds these bytes and is carried.
+	// Cache the packets of this node's workers whose delta base is a cache
+	// for incremental saves; the others' new bytes are in their segments
+	// already, and the cache of a worker that shipped nothing already holds
+	// these bytes and is carried.
 	pc.Switch(PhasePromote)
 	if c.cfg.IncrementalCache {
 		for _, w := range localWorkers {
-			if shipOf(w).none() {
+			if !lay.keys.base[w].cache || shipOf(w).none() {
 				continue
 			}
-			if err := stage(lay.keys.ownPacket[w], packets[w]); err != nil {
+			if err := stage(lay.keys.base[w].key, packets[w]); err != nil {
 				return 0, nil, err
 			}
 		}

@@ -172,40 +172,48 @@ func (j *job) load(ctx context.Context) (*eccheck.LoadReport, int, error) {
 	dicts, rep, err := j.sys.Load(ctx)
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	verified, err := j.restored(dicts, rep, err)
+	if err == nil {
+		j.dicts = dicts
+		j.step = j.ckptStep
+	}
+	return rep, verified, err
+}
+
+// restored books a load round under j.mu: the round's error, or a recovered
+// rank whose step metadata is missing or is not the checkpoint's step, is a
+// job failure. dicts is indexed by rank, nil for a rank the round did not
+// restore. It returns the step the round verified: on a mismatch, the step
+// the offending rank recovered.
+func (j *job) restored(dicts []*eccheck.StateDict, rep *eccheck.LoadReport, err error) (step int, failed error) {
+	defer func() {
+		if failed != nil {
+			j.failures++
+			j.lastErr = failed.Error()
+		}
+	}()
 	if err != nil {
-		j.failures++
-		j.lastErr = err.Error()
 		if rep != nil {
 			j.lastLoad = rep
 		}
-		return rep, 0, err
+		return 0, err
 	}
-	verified := 0
 	for rank, sd := range dicts {
+		if sd == nil {
+			continue
+		}
 		v, ok := sd.Meta(metaStepKey)
 		if !ok {
-			j.failures++
-			err := fmt.Errorf("daemon: rank %d recovered without %s metadata", rank, metaStepKey)
-			j.lastErr = err.Error()
-			return rep, 0, err
+			return 0, fmt.Errorf("daemon: rank %d recovered without %s metadata", rank, metaStepKey)
 		}
-		it, _ := v.AsInt()
-		if rank == 0 {
-			verified = int(it)
-		}
-		if int(it) != j.ckptStep {
-			j.failures++
-			err := fmt.Errorf("daemon: rank %d recovered step %d, checkpoint was %d", rank, it, j.ckptStep)
-			j.lastErr = err.Error()
-			return rep, int(it), err
+		if it, _ := v.AsInt(); int(it) != j.ckptStep {
+			return int(it), fmt.Errorf("daemon: rank %d recovered step %d, checkpoint was %d", rank, it, j.ckptStep)
 		}
 	}
 	j.loads++
 	j.lastLoad = rep
 	j.lastErr = ""
-	j.dicts = dicts
-	j.step = j.ckptStep
-	return rep, verified, nil
+	return j.ckptStep, nil
 }
 
 // loadPartial lazily restores only the requested ranks, verifies their
@@ -230,46 +238,20 @@ func (j *job) loadPartial(ctx context.Context, ranks []int) (*eccheck.LoadReport
 	defer j.opMu.Unlock()
 	j.begin("load")
 	defer j.end()
-	dicts, rep, err := j.sys.LoadPartial(ctx, ranks)
+	restored, rep, err := j.sys.LoadPartial(ctx, ranks)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err != nil {
-		j.failures++
-		j.lastErr = err.Error()
-		if rep != nil {
-			j.lastLoad = rep
-		}
-		return rep, 0, err
+	dicts := make([]*eccheck.StateDict, world)
+	for rank, sd := range restored {
+		dicts[rank] = sd
 	}
-	verified := 0
-	first := true
-	for rank, sd := range dicts {
-		v, ok := sd.Meta(metaStepKey)
-		if !ok {
-			j.failures++
-			err := fmt.Errorf("daemon: rank %d recovered without %s metadata", rank, metaStepKey)
-			j.lastErr = err.Error()
-			return rep, 0, err
-		}
-		it, _ := v.AsInt()
-		if first || rank == 0 {
-			verified = int(it)
-			first = false
-		}
-		if int(it) != j.ckptStep {
-			j.failures++
-			err := fmt.Errorf("daemon: rank %d recovered step %d, checkpoint was %d", rank, it, j.ckptStep)
-			j.lastErr = err.Error()
-			return rep, int(it), err
+	verified, err := j.restored(dicts, rep, err)
+	if err == nil {
+		for rank, sd := range restored {
+			j.dicts[rank] = sd
 		}
 	}
-	for rank, sd := range dicts {
-		j.dicts[rank] = sd
-	}
-	j.loads++
-	j.lastLoad = rep
-	j.lastErr = ""
-	return rep, verified, nil
+	return rep, verified, err
 }
 
 // fail injects a machine failure (and by default an immediate empty

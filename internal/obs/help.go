@@ -78,8 +78,8 @@ var metricHelp = map[string]string{
 	"save_stall_ns":                 "Training time blocked by a save round, in nanoseconds.",
 	"save_overlap_ns":               "Save work overlapped with training, in nanoseconds.",
 	"save_phase_ns":                 "Per-phase save/load time in nanoseconds.",
-	"save_incremental_rounds_total": "Save rounds that used the incremental hash cache.",
-	"save_incremental_ns":           "Incremental hash-check time in nanoseconds.",
+	"save_incremental_rounds_total": "SaveIncremental rounds that shipped a delta rather than falling back to a full round.",
+	"save_incremental_ns":           "Wall time of SaveIncremental rounds that shipped a delta, in nanoseconds.",
 
 	"transport_sends_total":         "Messages sent over the transport.",
 	"transport_send_bytes_total":    "Payload bytes sent over the transport.",
