@@ -32,8 +32,10 @@ test:
 # Both run their grouped-layout tests (TestGrouped*: every operation on 8
 # machines as 2 × (2+2)) here too. The delta round's carry rule runs here on
 # poisoned spares: TestSparseDeltaTouchesOnlyItsSegments (exact counts),
-# TestDeltaRoundDoesNotLaunderCorruption, TestIncrementalCorruptCacheFallsBackToFull
-# and the sparse rounds of TestNoBufferIsBothStoredAndSpare. So does its base
+# TestDeltaRoundDoesNotLaunderCorruption, TestDeltaRoundCorruptionAtWindowGranularity
+# (one flipped byte in a window or its footer sum, used or not by the round),
+# TestIncrementalCorruptCacheFallsBackToFull and the sparse rounds of
+# TestNoBufferIsBothStoredAndSpare. So does its base
 # rule — a worker whose data chunk is on its own machine diffs against that
 # segment and keeps no cache: TestOneCopyOfEachPacketPerMachine walks every
 # machine's keys after every kind of round, and
@@ -75,15 +77,20 @@ crash-sweep:
 
 # Native fuzzing, ten seconds each, of the decoders on the restore path — a
 # manifest and a worker's (meta, keys, packet) triple, seeded from a real
-# round, the metadata and tensor-keys blobs on their own, seeded from a real
-# decomposition, and the serialized rank blob LoadFromRemote reads from the
-# remote tier — and of the TCP frame reader, which reads what a peer's socket sends.
+# round, the remote catalog's key parser behind LoadFromRemote's discovery
+# (held to remoteKey and a grammar model), the per-window checksum footer of
+# every host-memory blob, the metadata and tensor-keys blobs on their own,
+# seeded from a real decomposition, and the serialized rank blob
+# LoadFromRemote reads from the remote tier — and of the TCP frame reader,
+# which reads what a peer's socket sends.
 # They must not panic or allocate by a length or count field's say-so (the
 # frame reader: by a field outside its limits), and whatever decodes must
 # survive a round trip. One target per invocation is a `go test -fuzz` rule.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseManifest' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzAssemblePacket' -fuzztime=10s ./internal/core
+	$(GO) test -run '^$$' -fuzz 'FuzzParseRemoteKey' -fuzztime=10s ./internal/core
+	$(GO) test -run '^$$' -fuzz 'FuzzViewSummed' -fuzztime=10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeMeta' -fuzztime=10s ./internal/statedict
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeTensorKeys' -fuzztime=10s ./internal/statedict
 	$(GO) test -run '^$$' -fuzz 'FuzzUnmarshal' -fuzztime=10s ./internal/serialize

@@ -104,9 +104,10 @@
 // crash; the staged commit guarantees the previous checkpoint stays
 // loadable. Peers hanging instead of failing: Config.OpTimeout bounds every
 // protocol Send/Recv. Silent host-memory corruption: every blob carries a
-// checksum footer, and a mismatch at load time is folded into the erasure
-// model — the chunk counts as missing and is rebuilt through the code
-// (see System.CorruptChunk and VerifyIntegrity).
+// footer of CRC-32C sums, one per BufferSize window (a delta save checks
+// only the windows it uses), and a mismatch at load time is folded into the
+// erasure model — the chunk counts as missing and is rebuilt through the
+// code (see System.CorruptChunk and VerifyIntegrity).
 //
 // # Elastic membership
 //

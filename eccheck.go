@@ -54,7 +54,9 @@ type Config struct {
 	// worker's packet is encoded, reduced and placed one BufferSize window
 	// at a time, so it is the granularity of pipeline overlap. A node
 	// holds at most 12 windows in flight (the paper's data-buffer count),
-	// which makes 12 × BufferSize its staging footprint.
+	// which makes 12 × BufferSize its staging footprint. It is also the
+	// checksum granularity: every stored blob carries one CRC-32C per
+	// window, so a delta save verifies only the windows it reads.
 	BufferSize int
 	// RemotePersistEvery persists every Nth checkpoint to remote storage;
 	// 0 keeps the default (10), negative disables.

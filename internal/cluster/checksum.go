@@ -5,20 +5,32 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 )
 
 // Host-memory blobs are volatile and uninspected between checkpoints, so a
 // silently flipped bit is indistinguishable from good data until a recovery
-// depends on it. Every blob the engine stores therefore carries a CRC32
-// (Castagnoli) footer; fetch verifies it and surfaces mismatches as
-// ErrChecksum, which the load path treats exactly like an erased chunk.
+// depends on it. Every blob the engine stores therefore carries a CRC-32C
+// (Castagnoli) footer: one sum per window of the blob, in window order, so a
+// reader that uses a few windows verifies those and no others. A blob of at
+// most one window carries one sum over all of it. ViewSummed verifies every
+// window and surfaces a mismatch as ErrChecksum, which the load path treats
+// exactly like an erased chunk.
+//
+// The framed layout is the payload, then SumLen bytes per window
+// (little-endian), and nothing else: the window size is the reader's, never
+// stored, and it fixes the only payload length a framed length can have.
 
-// ErrChecksum marks a blob whose stored CRC32 footer does not match its
-// payload: silent host-memory corruption.
+// ErrChecksum marks a blob whose stored CRC-32C footer does not match its
+// payload, or whose length fits no footer: silent host-memory corruption.
 var ErrChecksum = errors.New("cluster: blob checksum mismatch")
 
-// FooterLen is the CRC32 footer size appended to every checksummed blob.
-const FooterLen = 4
+// SumLen is the size of one window's sum in a blob's footer.
+const SumLen = 4
+
+// oneWindow is the window size under which every blob is one window: the
+// footer is one sum over the whole payload.
+const oneWindow = math.MaxInt
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -31,70 +43,163 @@ type BlobStore interface {
 	View(node int, key string) ([]byte, error)
 }
 
-// NewBlob returns a zeroed n-byte payload buffer with FooterLen bytes of
-// spare capacity: the shape AdoptSummed seals in place. Payload-sized
-// producers assemble their bytes directly in one and hand it over, so the
-// stored value is the buffer they wrote, never a copy of it.
-func NewBlob(n int) []byte { return make([]byte, n, n+FooterLen) }
-
-// Checksum extends a running blob checksum over the next payload bytes
-// (start from 0). A producer that writes its payload strictly in order can
-// fold each piece in while it is still cache-hot and seal with AdoptSealed,
-// instead of paying one cold pass over the whole blob in AdoptSummed.
-func Checksum(crc uint32, p []byte) uint32 { return crc32.Update(crc, crcTable, p) }
-
-// AdoptSummed seals payload's CRC32 footer into its spare capacity and
-// hands the framed slice to the store without copying it. payload must
-// come from NewBlob (cap >= len + FooterLen) and, like any adopted blob,
-// must never be written again or recycled by the caller.
-func AdoptSummed(s BlobStore, node int, key string, payload []byte) error {
-	return AdoptSealed(s, node, key, payload, Checksum(0, payload))
+// windows is the number of window sums an n-byte payload carries: one per
+// window of the given size (positive, as every window argument here), the
+// last possibly shorter, and one for an empty payload.
+func windows(n, window int) int {
+	if n <= window {
+		return 1
+	}
+	return (n-1)/window + 1
 }
 
-// AdoptSealed is AdoptSummed with the payload's checksum already folded
-// by the caller (Checksum over every payload byte, in order).
-func AdoptSealed(s BlobStore, node int, key string, payload []byte, crc uint32) error {
-	n := len(payload)
-	if cap(payload)-n < FooterLen {
+// FramedLen is the stored length of an n-byte payload: the payload and its
+// footer.
+func FramedLen(n, window int) int { return n + SumLen*windows(n, window) }
+
+// NewBlob returns a zeroed n-byte payload buffer with its footer's room as
+// spare capacity: the shape AdoptSummed and AdoptSealed store in place.
+// Payload-sized producers assemble their bytes directly in one and hand it
+// over, so the stored value is the buffer they wrote, never a copy of it.
+func NewBlob(n, window int) []byte { return make([]byte, n, FramedLen(n, window)) }
+
+// checksum returns the CRC-32C of p: the sum of a window whose bytes p is.
+func checksum(p []byte) uint32 { return crc32.Checksum(p, crcTable) }
+
+// windowBounds is window b's byte range in an n-byte payload.
+func windowBounds(n, window, b int) (int, int) {
+	lo := b * window
+	return lo, min(lo+window, n)
+}
+
+// SealWindows writes into blob's footer room (its spare capacity, see
+// NewBlob) the sum of every window that overlaps blob[lo:hi]. A producer
+// that finishes its payload range by range seals each range while it is
+// still cache-hot; one that finishes window by window seals exactly the
+// windows it wrote.
+func SealWindows(blob []byte, window, lo, hi int) {
+	n := len(blob)
+	footer := blob[n:FramedLen(n, window)]
+	last := 0 // an empty payload's one window
+	if hi > lo {
+		last = (hi - 1) / window
+	} else if n > 0 {
+		return
+	}
+	for b := lo / window; b <= last; b++ {
+		wlo, whi := windowBounds(n, window, b)
+		binary.LittleEndian.PutUint32(footer[b*SumLen:], checksum(blob[wlo:whi]))
+	}
+}
+
+// VerifyWindow checks window b of payload against its sum in sums (a
+// footer as ViewFramed returns it). A mismatch wraps ErrChecksum.
+func VerifyWindow(payload, sums []byte, window, b int) error {
+	lo, hi := windowBounds(len(payload), window, b)
+	if checksum(payload[lo:hi]) != binary.LittleEndian.Uint32(sums[b*SumLen:]) {
+		return fmt.Errorf("cluster: window %d: %w", b, ErrChecksum)
+	}
+	return nil
+}
+
+// AdoptSummed seals every window of payload into its footer room and hands
+// the framed slice to the store without copying it. payload must come from
+// NewBlob with the same window and, like any adopted blob, must never be
+// written again or recycled by the caller.
+func AdoptSummed(s BlobStore, node int, key string, payload []byte, window int) error {
+	if err := footerRoom(key, payload, window); err != nil {
+		return err
+	}
+	SealWindows(payload, window, 0, len(payload))
+	return AdoptSealed(s, node, key, payload, window)
+}
+
+// AdoptSealed is AdoptSummed with every window's sum already in the footer
+// room (SealWindows over every payload byte, or a copied footer whose
+// windows still hold the bytes they were summed over).
+func AdoptSealed(s BlobStore, node int, key string, payload []byte, window int) error {
+	if err := footerRoom(key, payload, window); err != nil {
+		return err
+	}
+	return s.Adopt(node, key, payload[:FramedLen(len(payload), window)])
+}
+
+func footerRoom(key string, payload []byte, window int) error {
+	if cap(payload) < FramedLen(len(payload), window) {
 		return fmt.Errorf("cluster: blob %q has no spare capacity for its checksum footer", key)
 	}
-	framed := payload[:n+FooterLen]
-	binary.LittleEndian.PutUint32(framed[n:], crc)
-	return s.Adopt(node, key, framed)
+	return nil
 }
 
-// StoreSummed writes a copy of blob under key with a CRC32 footer, so any
-// later in-memory corruption is detectable at fetch time. The caller keeps
-// its buffer: the one copy made here is the stored value.
-func StoreSummed(s BlobStore, node int, key string, blob []byte) error {
-	framed := NewBlob(len(blob))
+// StoreWindows writes a copy of blob under key with a footer of window
+// sums, so any later in-memory corruption is detectable when it is read.
+// The caller keeps its buffer: the one copy made here is the stored value.
+func StoreWindows(s BlobStore, node int, key string, blob []byte, window int) error {
+	framed := NewBlob(len(blob), window)
 	copy(framed, blob)
-	return AdoptSummed(s, node, key, framed)
+	return AdoptSummed(s, node, key, framed, window)
 }
 
-// ViewSummed borrows a checksummed blob and verifies its footer, returning
-// the stored payload itself (footer excluded, capacity clipped) — no copy.
-// The result is read-only. A mismatch wraps ErrChecksum.
-func ViewSummed(s BlobStore, node int, key string) ([]byte, error) {
+// StoreSummed is StoreWindows with one window: a 4-byte footer over the
+// whole blob.
+func StoreSummed(s BlobStore, node int, key string, blob []byte) error {
+	return StoreWindows(s, node, key, blob, oneWindow)
+}
+
+// frame splits a framed blob into its payload and footer without reading
+// either. A length no payload frames to under the window fails.
+func frame(framed []byte, window int) (payload, sums []byte, ok bool) {
+	nw := 1
+	if len(framed)-SumLen > window {
+		// n > window: len = n + SumLen·ceil(n/window), so ceil(len/(window+SumLen))
+		// is the only window count the length can carry.
+		nw = (len(framed)-1)/(window+SumLen) + 1
+	}
+	n := len(framed) - SumLen*nw
+	if n < 0 || windows(n, window) != nw {
+		return nil, nil, false
+	}
+	return framed[:n:n], framed[n:], true
+}
+
+// ViewFramed borrows a checksummed blob without verifying it: the stored
+// payload (capacity clipped) and its window sums, both read-only. Its
+// framing is checked; a reader verifies each window it uses with
+// VerifyWindow before it trusts the window's bytes.
+func ViewFramed(s BlobStore, node int, key string, window int) (payload, sums []byte, err error) {
 	framed, err := s.View(node, key)
+	if err != nil {
+		return nil, nil, err
+	}
+	payload, sums, ok := frame(framed, window)
+	if !ok {
+		return nil, nil, fmt.Errorf("cluster: node %d blob %q of %d bytes frames no payload: %w",
+			node, key, len(framed), ErrChecksum)
+	}
+	return payload, sums, nil
+}
+
+// ViewSummed borrows a checksummed blob and verifies every window,
+// returning the stored payload itself (footer excluded, capacity clipped) —
+// no copy. The result is read-only. A mismatch wraps ErrChecksum.
+func ViewSummed(s BlobStore, node int, key string, window int) ([]byte, error) {
+	payload, sums, err := ViewFramed(s, node, key, window)
 	if err != nil {
 		return nil, err
 	}
-	n := len(framed) - FooterLen
-	if n < 0 {
-		return nil, fmt.Errorf("cluster: node %d blob %q of %d bytes has no checksum footer: %w",
-			node, key, len(framed), ErrChecksum)
+	for b := range len(sums) / SumLen {
+		if err := VerifyWindow(payload, sums, window, b); err != nil {
+			return nil, fmt.Errorf("cluster: node %d blob %q: %w", node, key, err)
+		}
 	}
-	if crc32.Checksum(framed[:n], crcTable) != binary.LittleEndian.Uint32(framed[n:]) {
-		return nil, fmt.Errorf("cluster: node %d blob %q: %w", node, key, ErrChecksum)
-	}
-	return framed[:n:n], nil
+	return payload, nil
 }
 
-// FetchSummed reads a private copy of a checksummed blob's payload,
-// verifying its footer. A mismatch wraps ErrChecksum.
+// FetchSummed reads a private copy of a one-window checksummed blob's
+// payload (see StoreSummed), verifying its footer. A mismatch wraps
+// ErrChecksum.
 func FetchSummed(s BlobStore, node int, key string) ([]byte, error) {
-	payload, err := ViewSummed(s, node, key)
+	payload, err := ViewSummed(s, node, key, oneWindow)
 	if err != nil {
 		return nil, err
 	}

@@ -1,0 +1,164 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"runtime"
+	"testing"
+)
+
+// The footer format: a payload, then one little-endian CRC-32C per window.
+// These tests pin it from outside the helpers that write it.
+
+// TestOneWindowFooterIsFourBytes: a blob of at most one window — an empty
+// one included — is stored as its payload followed by one CRC-32C over all
+// of it, whatever helper stored it.
+func TestOneWindowFooterIsFourBytes(t *testing.T) {
+	c, err := New(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, 100, 4096} {
+		payload := bytes.Repeat([]byte{0x5c}, n)
+		want := binary.LittleEndian.AppendUint32(append([]byte(nil), payload...),
+			crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+		for _, window := range []int{4096, 1 << 20, oneWindow} {
+			if err := StoreWindows(c, 0, "k", payload, window); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := c.View(0, "k"); !bytes.Equal(got, want) {
+				t.Errorf("%d bytes under %d-byte windows stored as %x, want %x", n, window, got, want)
+			}
+		}
+		if err := StoreSummed(c, 0, "k", payload); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := c.View(0, "k"); !bytes.Equal(got, want) {
+			t.Errorf("StoreSummed of %d bytes stored %x, want %x", n, got, want)
+		}
+	}
+}
+
+// TestEveryWindowFlipIsDetected: a flipped bit in any window's bytes or in
+// any byte of its sum fails ViewSummed, and VerifyWindow pins it on that
+// window alone.
+func TestEveryWindowFlipIsDetected(t *testing.T) {
+	c, err := New(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const window, n = 64, 64*5 + 17 // six windows, the last one short
+	payload := make([]byte, n)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	if err := StoreWindows(c, 0, "k", payload, window); err != nil {
+		t.Fatal(err)
+	}
+	framed, _ := c.View(0, "k")
+	if len(framed) != n+6*SumLen {
+		t.Fatalf("stored %d bytes, want %d", len(framed), n+6*SumLen)
+	}
+	for off := range framed {
+		if err := c.Corrupt(0, "k", off); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ViewSummed(c, 0, "k", window); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("flip at byte %d: ViewSummed = %v, want ErrChecksum", off, err)
+		}
+		flipped := off / window
+		if off >= n {
+			flipped = (off - n) / SumLen
+		}
+		got, sums, err := ViewFramed(c, 0, "k", window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < 6; b++ {
+			if err := VerifyWindow(got, sums, window, b); (err != nil) != (b == flipped) {
+				t.Fatalf("flip at byte %d (window %d): VerifyWindow(%d) = %v", off, flipped, b, err)
+			}
+		}
+		if err := c.Adopt(0, "k", framed); err != nil { // undo the flip
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestBadFramingIsAChecksumError: a stored blob cut short or grown by any
+// number of bytes either frames no payload or fails a window — ErrChecksum
+// either way, never a panic.
+func TestBadFramingIsAChecksumError(t *testing.T) {
+	c, err := New(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const window = 16
+	payload := bytes.Repeat([]byte{0xa7, 0x13, 0x42}, 20)
+	if err := StoreWindows(c, 0, "k", payload, window); err != nil {
+		t.Fatal(err)
+	}
+	framed, _ := c.View(0, "k")
+	for l := 0; l <= len(framed)+3*window; l++ {
+		if l == len(framed) {
+			continue
+		}
+		raw := make([]byte, l)
+		copy(raw, framed)
+		if err := c.Adopt(0, "bad", raw); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ViewSummed(c, 0, "bad", window); !errors.Is(err, ErrChecksum) {
+			t.Errorf("%d stored bytes of %d: ViewSummed = %v, want ErrChecksum", l, len(framed), err)
+		}
+	}
+}
+
+// FuzzViewSummed: arbitrary stored bytes read under an arbitrary window.
+// The reader never panics, allocates no more than the input's length
+// allows, and whatever verifies re-seals to the very bytes it was read from.
+func FuzzViewSummed(f *testing.F) {
+	c, err := New(2, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []struct {
+		n, window int
+	}{{0, 8}, {5, 8}, {8, 8}, {9, 8}, {100, 16}} {
+		if err := StoreWindows(c, 0, "seed", bytes.Repeat([]byte{0x3c}, seed.n), seed.window); err != nil {
+			f.Fatal(err)
+		}
+		framed, _ := c.View(0, "seed")
+		f.Add(framed, uint16(seed.window-1))
+		f.Add(framed[:len(framed)/2], uint16(seed.window-1))
+	}
+	f.Fuzz(func(t *testing.T, framed []byte, w uint16) {
+		window := int(w) + 1
+		if err := c.Adopt(0, "k", framed); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		payload, err := ViewSummed(c, 0, "k", window)
+		runtime.ReadMemStats(&after)
+		// The fuzzing engine allocates beside the target, so the bound is the
+		// decoders' fuzz contract: proportional to the input, plus a constant.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(framed)+1<<16); got > limit {
+			t.Fatalf("reading %d bytes allocated %d, limit %d", len(framed), got, limit)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrChecksum) {
+				t.Fatalf("ViewSummed = %v, want ErrChecksum or a payload", err)
+			}
+			return
+		}
+		if err := StoreWindows(c, 1, "k", payload, window); err != nil {
+			t.Fatal(err)
+		}
+		if resealed, _ := c.View(1, "k"); !bytes.Equal(resealed, framed) {
+			t.Fatalf("a verified blob of %d bytes re-seals to %d different bytes", len(framed), len(resealed))
+		}
+	})
+}

@@ -7,6 +7,11 @@
 // preemption notice passes through a Draining state first: its memory and
 // transport still work, so it can hand its checkpoint responsibilities to
 // a successor before the kill lands.
+//
+// The checksum helpers (checksum.go) frame what the engine stores: a blob
+// is its payload followed by one CRC-32C per window, where the window is the
+// engine's buffer size (core.Config.BufferSize). A reader verifies the
+// windows it uses; ViewSummed verifies them all.
 package cluster
 
 import (

@@ -46,14 +46,15 @@ func TestAdoptSummedStoresTheSliceItself(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := NewBlob(1 << 10)
+	const window = 256
+	blob := NewBlob(1<<10, window)
 	for i := range blob {
 		blob[i] = byte(i)
 	}
-	if err := AdoptSummed(c, 0, "k", blob); err != nil {
+	if err := AdoptSummed(c, 0, "k", blob, window); err != nil {
 		t.Fatal(err)
 	}
-	view, err := ViewSummed(c, 0, "k")
+	view, err := ViewSummed(c, 0, "k", window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +64,13 @@ func TestAdoptSummedStoresTheSliceItself(t *testing.T) {
 	if len(view) != len(blob) || cap(view) != len(blob) {
 		t.Errorf("view len/cap = %d/%d, want %d/%d (footer clipped off)", len(view), cap(view), len(blob), len(blob))
 	}
-	// The footer is the only overhead host memory accounts for: no spare or
-	// staging capacity may become visible.
-	if got, want := c.MemoryBytes(0), len(blob)+FooterLen; got != want {
+	// The footer — one sum per window — is the only overhead host memory
+	// accounts for: no spare or staging capacity may become visible.
+	if got, want := c.MemoryBytes(0), len(blob)+4*SumLen; got != want {
 		t.Errorf("MemoryBytes = %d, want %d", got, want)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		if _, err := ViewSummed(c, 0, "k"); err != nil {
+		if _, err := ViewSummed(c, 0, "k", window); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -82,7 +83,11 @@ func TestAdoptSummedNeedsFooterRoom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := AdoptSummed(c, 0, "k", make([]byte, 16)); err == nil {
+	if err := AdoptSummed(c, 0, "k", make([]byte, 16), oneWindow); err == nil {
+		t.Error("adopting a blob without spare footer capacity: want error")
+	}
+	// Room for one sum is not room for two windows' sums.
+	if err := AdoptSummed(c, 0, "k", NewBlob(16, 16)[:16:20], 8); err == nil {
 		t.Error("adopting a blob without spare footer capacity: want error")
 	}
 	if c.Has(0, "k") {
@@ -101,7 +106,7 @@ func TestViewSurvivesOverwriteFailReplace(t *testing.T) {
 	if err := StoreSummed(c, 1, "k", old); err != nil {
 		t.Fatal(err)
 	}
-	view, err := ViewSummed(c, 1, "k")
+	view, err := ViewSummed(c, 1, "k", oneWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +154,7 @@ func TestCorruptIsCopyOnWrite(t *testing.T) {
 	if err := StoreSummed(c, 0, "k", want); err != nil {
 		t.Fatal(err)
 	}
-	view, err := ViewSummed(c, 0, "k")
+	view, err := ViewSummed(c, 0, "k", oneWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +164,7 @@ func TestCorruptIsCopyOnWrite(t *testing.T) {
 	if !bytes.Equal(view, want) {
 		t.Errorf("Corrupt changed bytes behind a verified view: %q", view)
 	}
-	if _, err := ViewSummed(c, 0, "k"); !errors.Is(err, ErrChecksum) {
+	if _, err := ViewSummed(c, 0, "k", oneWindow); !errors.Is(err, ErrChecksum) {
 		t.Errorf("view after Corrupt: err = %v, want ErrChecksum", err)
 	}
 	if _, err := FetchSummed(c, 0, "k"); !errors.Is(err, ErrChecksum) {
@@ -167,25 +172,39 @@ func TestCorruptIsCopyOnWrite(t *testing.T) {
 	}
 }
 
-func TestChecksumFoldsInOrder(t *testing.T) {
+// TestWindowSumsSealInOrder: a producer that lands its payload range by
+// range seals each range's windows as it goes, whatever the range size, and
+// the stored blob verifies; a window it left unsealed does not.
+func TestWindowSumsSealInOrder(t *testing.T) {
 	c, err := New(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := NewBlob(3000)
-	var crc uint32
-	for lo := 0; lo < len(blob); lo += 1024 {
-		hi := min(lo+1024, len(blob))
-		for i := lo; i < hi; i++ {
-			blob[i] = byte(i * 31)
+	const window = 1024
+	for _, step := range []int{window, 700, 2500} {
+		blob := NewBlob(3000, window)
+		for lo := 0; lo < len(blob); lo += step {
+			hi := min(lo+step, len(blob))
+			for i := lo; i < hi; i++ {
+				blob[i] = byte(i * 31)
+			}
+			SealWindows(blob, window, lo, hi)
 		}
-		crc = Checksum(crc, blob[lo:hi])
+		if err := AdoptSealed(c, 0, "k", blob, window); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ViewSummed(c, 0, "k", window); err != nil {
+			t.Errorf("ranges of %d bytes: sealed windows do not verify: %v", step, err)
+		}
 	}
-	if err := AdoptSealed(c, 0, "k", blob, crc); err != nil {
+	blob := NewBlob(3000, window)
+	blob[2999] = 1
+	SealWindows(blob, window, 0, 2*window)
+	if err := AdoptSealed(c, 0, "k", blob, window); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ViewSummed(c, 0, "k"); err != nil {
-		t.Errorf("piecewise-folded checksum does not verify: %v", err)
+	if _, err := ViewSummed(c, 0, "k", window); !errors.Is(err, ErrChecksum) {
+		t.Errorf("a window left unsealed verifies: %v", err)
 	}
 }
 
@@ -199,29 +218,29 @@ func TestMoveReturnsTheDisplacedSlice(t *testing.T) {
 		t.Fatal(err)
 	}
 	const node = 1
-	oldBlob, newBlob := NewBlob(64), NewBlob(64)
+	oldBlob, newBlob := NewBlob(64, oneWindow), NewBlob(64, oneWindow)
 	for i := range oldBlob {
 		oldBlob[i], newBlob[i] = byte(i), byte(255-i)
 	}
 	want := append([]byte(nil), oldBlob...)
-	if err := AdoptSummed(c, node, "final", oldBlob); err != nil {
+	if err := AdoptSummed(c, node, "final", oldBlob, oneWindow); err != nil {
 		t.Fatal(err)
 	}
-	if err := AdoptSummed(c, node, "staged", newBlob); err != nil {
+	if err := AdoptSummed(c, node, "staged", newBlob, oneWindow); err != nil {
 		t.Fatal(err)
 	}
 	displaced, err := c.Move(node, "staged", "final")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(displaced) != len(oldBlob)+FooterLen || &displaced[0] != &oldBlob[0] {
+	if len(displaced) != len(oldBlob)+SumLen || &displaced[0] != &oldBlob[0] {
 		t.Errorf("Move returned %d bytes at %p, want the displaced slice itself (%d bytes at %p)",
-			len(displaced), displaced, len(oldBlob)+FooterLen, oldBlob)
+			len(displaced), displaced, len(oldBlob)+SumLen, oldBlob)
 	}
 	if !bytes.Equal(displaced[:len(want)], want) {
 		t.Errorf("Move touched the displaced blob")
 	}
-	if now, err := ViewSummed(c, node, "final"); err != nil || &now[0] != &newBlob[0] {
+	if now, err := ViewSummed(c, node, "final", oneWindow); err != nil || &now[0] != &newBlob[0] {
 		t.Errorf("final key does not hold the moved slice (err %v)", err)
 	}
 	if got, err := c.Move(node, "final", "empty"); err != nil || got != nil {

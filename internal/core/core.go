@@ -28,6 +28,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,7 +100,9 @@ type Config struct {
 	// BufferSize is the streaming window size in bytes: each node's packet
 	// is split into buffer windows of this size and the windows stream
 	// through the save pipeline, so encoding, XOR reduction and P2P
-	// communication for window i+1 overlap the commit of window i.
+	// communication for window i+1 overlap the commit of window i. It is
+	// also the checksum granularity: every stored blob carries one CRC-32C
+	// per window, so a delta round verifies only the windows it reads.
 	// Defaults to DefaultBufferSize.
 	BufferSize int
 	// RemotePersistEvery persists every Nth checkpoint to remote storage
@@ -679,19 +683,20 @@ func (c *Checkpointer) scalarMulPooled(coef int, dst, src []byte, add bool) erro
 	return c.pool.RunSchedule(sched, [][]byte{src}, [][]byte{dst})
 }
 
-// store writes a copy of a blob into a node's host memory with a CRC32
-// footer, so silent corruption is detectable when the blob is next fetched.
-// For small blobs and buffers the caller goes on using; payload-sized
-// producers build their bytes in a cluster.NewBlob and adopt it instead.
+// store writes a copy of a blob into a node's host memory with a footer of
+// CRC-32C sums, one per BufferSize window, so silent corruption is
+// detectable when the blob is next read. For small blobs and buffers the
+// caller goes on using; payload-sized producers build their bytes in a
+// cluster.NewBlob and adopt it instead.
 func (c *Checkpointer) store(node int, key string, blob []byte) error {
-	return cluster.StoreSummed(c.clus, node, key, blob)
+	return cluster.StoreWindows(c.clus, node, key, blob, c.cfg.BufferSize)
 }
 
-// fetch borrows a checksummed blob, verifying its footer: the result is the
-// stored payload itself and must not be written. Mismatches wrap
+// fetch borrows a checksummed blob, verifying every window: the result is
+// the stored payload itself and must not be written. Mismatches wrap
 // cluster.ErrChecksum and are treated by recovery as erasures.
 func (c *Checkpointer) fetch(node int, key string) ([]byte, error) {
-	return cluster.ViewSummed(c.clus, node, key)
+	return cluster.ViewSummed(c.clus, node, key, c.cfg.BufferSize)
 }
 
 // Plan returns the compiled communication plan, fixed at construction.
@@ -886,6 +891,38 @@ func (c *Checkpointer) CorruptChunkByte(node int) error {
 	return c.clus.Adopt(node, key, raw)
 }
 
+// remoteKeyPrefix starts every key of the remote tier's catalog.
+const remoteKeyPrefix = "eccheck/v"
+
+// remoteKey names one rank's serialized state dict of one persisted version
+// in the remote tier.
 func remoteKey(version, rank int) string {
-	return fmt.Sprintf("eccheck/v%d/rank%d", version, rank)
+	return fmt.Sprintf(remoteKeyPrefix+"%d/rank%d", version, rank)
+}
+
+// parseRemoteKey is remoteKey's inverse: it accepts exactly the keys
+// remoteKey writes for a non-negative version and rank — no sign, padding
+// or trailing bytes — so a stray object in the catalog names no version.
+func parseRemoteKey(key string) (version, rank int, ok bool) {
+	rest, ok := strings.CutPrefix(key, remoteKeyPrefix)
+	if !ok {
+		return 0, 0, false
+	}
+	v, r, ok := strings.Cut(rest, "/rank")
+	if !ok {
+		return 0, 0, false
+	}
+	if version, ok = parseDecimal(v); !ok {
+		return 0, 0, false
+	}
+	if rank, ok = parseDecimal(r); !ok {
+		return 0, 0, false
+	}
+	return version, rank, true
+}
+
+// parseDecimal parses a non-negative int written the way %d writes one.
+func parseDecimal(s string) (int, bool) {
+	n, err := strconv.Atoi(s)
+	return n, err == nil && n >= 0 && strconv.Itoa(n) == s
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"regexp"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"eccheck/internal/statedict"
@@ -125,6 +127,43 @@ func FuzzAssemblePacket(f *testing.F) {
 		repacked, err := assemblePacket(0, dec.MetaBlob, dec.KeysBlob, bytes.Join(dec.TensorData, nil))
 		if err != nil || !repacked.Equal(first) {
 			t.Fatalf("assembled dict does not survive a round trip: %v", err)
+		}
+	})
+}
+
+// remoteKeyModel is the remote catalog's key grammar as a regular
+// expression: remoteKey's output for a non-negative version and rank.
+var remoteKeyModel = regexp.MustCompile(`^eccheck/v(0|[1-9][0-9]*)/rank(0|[1-9][0-9]*)$`)
+
+// FuzzParseRemoteKey holds the catalog parser behind LoadFromRemote's
+// discovery to remoteKey: a key parses iff remoteKey writes it, checked
+// against the grammar (and the int range) on arbitrary keys, and as a round
+// trip from arbitrary versions and ranks.
+func FuzzParseRemoteKey(f *testing.F) {
+	for _, key := range []string{remoteKey(9, 0), remoteKey(0, 17), "eccheck/v9/rank0.partial",
+		"eccheck/v+9/rank0", "eccheck/v9/rank00", "eccheck/v-1/rank0", "eccheck/v9/rank", "eccheck/v/rank0",
+		"eccheck/v99999999999999999999/rank0", ""} {
+		f.Add(key, uint32(8), uint32(3))
+	}
+	f.Fuzz(func(t *testing.T, key string, version, rank uint32) {
+		var v, r int
+		var ok bool
+		allocBound(t, len(key), func() { v, r, ok = parseRemoteKey(key) })
+		want := false
+		if m := remoteKeyModel.FindStringSubmatch(key); m != nil {
+			_, errV := strconv.Atoi(m[1])
+			_, errR := strconv.Atoi(m[2])
+			want = errV == nil && errR == nil
+		}
+		if ok != want {
+			t.Fatalf("parseRemoteKey(%q) ok = %v, the grammar says %v", key, ok, want)
+		}
+		if ok && remoteKey(v, r) != key {
+			t.Fatalf("parseRemoteKey(%q) = %d, %d, which remoteKey writes as %q", key, v, r, remoteKey(v, r))
+		}
+		key = remoteKey(int(version), int(rank))
+		if v, r, ok = parseRemoteKey(key); !ok || v != int(version) || r != int(rank) {
+			t.Fatalf("parseRemoteKey(%q) = %d, %d, %v; want %d, %d", key, v, r, ok, version, rank)
 		}
 	})
 }

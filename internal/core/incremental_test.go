@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -619,6 +621,163 @@ func TestDeltaRoundDoesNotLaunderCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	dictsEqual(t, next, got)
+}
+
+// changedWindows lists the buffer windows in which rank's packet differs
+// between two checkpoint contents: the windows a delta round from a to b
+// ships for that rank, and lands in its segments.
+func changedWindows(t *testing.T, rig *testRig, a, b []*statedict.StateDict, rank int) []int {
+	t.Helper()
+	packet := func(sd *statedict.StateDict) []byte {
+		dec, err := sd.Decompose()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Join(dec.TensorData, nil)
+	}
+	pa, pb := packet(a[rank]), packet(b[rank])
+	window := rig.ckpt.cfg.BufferSize
+	var out []int
+	for lo := 0; lo < len(pa); lo += window {
+		hi := min(lo+window, len(pa))
+		if !bytes.Equal(pa[lo:hi], pb[lo:hi]) {
+			out = append(out, lo/window)
+		}
+	}
+	return out
+}
+
+// TestDeltaRoundCorruptionAtWindowGranularity: a blob carries one checksum
+// per buffer window and a delta round verifies exactly the base windows it
+// uses. One flipped byte — in a window's bytes or in its sum in the footer —
+// is found by whichever read uses that window, and outlives a round that
+// does not use it:
+//   - a segment-based rank's own base, in a window its change leaves alone:
+//     the snapshot's exact compare sees the window differ from the live
+//     packet, its sum refuses it as a delta base, and the round is a full
+//     one that rewrites the segment from live state;
+//   - a window of a touched segment that nothing lands in — a cache-based
+//     rank's data segment, a parity segment, or the sum of such a window:
+//     the round is a delta that keeps the window's old sum, so the blob
+//     still fails its checksum, VerifyIntegrity names the segment, and Load
+//     rebuilds the chunk byte for byte;
+//   - a window a delta lands in, or its sum: the round fails on the checksum
+//     and leaves host memory slice for slice as it found it.
+func TestDeltaRoundCorruptionAtWindowGranularity(t *testing.T) {
+	const (
+		full    = "full"    // the round falls back to shipping every window
+		carried = "carried" // a delta round; the corrupt window survives it
+		refused = "refused" // the round fails on the checksum
+	)
+	for _, tc := range []struct {
+		name   string
+		cache  bool // the changed rank keeps an own-packet cache
+		parity bool // the flip is in the parity segment, not the data one
+		landed bool // the flipped window is one the change lands in
+		footer bool // the flip is in the window's sum, not its bytes
+		want   string
+	}{
+		{"own base/unchanged window", false, false, false, false, full},
+		{"cached rank's data segment/unlanded window", true, false, false, false, carried},
+		{"parity/unlanded window", false, true, false, false, carried},
+		{"parity/landed window", false, true, true, false, refused},
+		{"parity/unlanded window's sum", false, true, false, true, carried},
+		{"parity/landed window's sum", false, true, true, true, refused},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rig := incrementalRig(t)
+			ctx := context.Background()
+			committed := stampVersion(rig.dicts, 2)
+			for _, dicts := range [][]*statedict.StateDict{rig.dicts, committed} {
+				if _, err := rig.ckpt.Save(ctx, dicts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			plan, keys := rig.ckpt.Plan(), &rig.ckpt.layout().keys
+			rank := 0
+			for keys.base[rank].cache != tc.cache {
+				rank++
+			}
+			next := stampRank(committed, rank, 3)
+			changed := changedWindows(t, rig, committed, next, rank)
+			window := changed[0]
+			if !tc.landed {
+				for window = 0; slices.Contains(changed, window); window++ {
+				}
+			}
+			blob, err := rig.ckpt.fetch(0, keyManifest())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, packetBytes, bufSize, err := parseManifest(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if window >= rig.ckpt.numBuffers(packetBytes) {
+				t.Fatalf("rank %d changes all %d windows of its packet", rank, window)
+			}
+			cg, chunk, seg := plan.GroupOfRank(rank), plan.DataGroupOf[rank], plan.SegmentOf[rank]
+			if tc.parity {
+				chunk = plan.K
+			}
+			node, key := plan.ChunkOwner(cg, chunk), keySegment(chunk, seg)
+			offset := window*bufSize + 1
+			if tc.footer {
+				offset = packetBytes + window*cluster.SumLen + 1
+			}
+			if err := rig.clus.Corrupt(node, key, offset); err != nil {
+				t.Fatal(err)
+			}
+			before := storedSlices(t, rig)
+			rep, err := rig.ckpt.SaveIncremental(ctx, next)
+			switch tc.want {
+			case full:
+				if err != nil || !rep.Full || rep.Version != 3 {
+					t.Fatalf("round: %+v, %v; want a full round", rep, err)
+				}
+				verifyClean(t, rig)
+			case carried:
+				if err != nil || rep.Full || rep.Version != 3 {
+					t.Fatalf("round: %+v, %v; want a delta", rep, err)
+				}
+				if _, err := rig.ckpt.fetch(node, key); !errors.Is(err, cluster.ErrChecksum) {
+					t.Fatalf("the touched segment reads %v after the round, want its checksum mismatch", err)
+				}
+				vr, err := rig.ckpt.VerifyIntegrity()
+				if id := cg*plan.Span() + seg; err != nil || !slices.Equal(vr.CorruptSegments, []int{id}) {
+					t.Fatalf("VerifyIntegrity after the round: %+v, %v; want segment %d named", vr, err, id)
+				}
+			case refused:
+				if !errors.Is(err, cluster.ErrChecksum) {
+					t.Fatalf("round: %+v, %v; want it to fail on the checksum", rep, err)
+				}
+				if v := rig.ckpt.Version(); v != 2 {
+					t.Errorf("version %d after the failed round, want 2", v)
+				}
+				after := storedSlices(t, rig)
+				for key, blob := range after {
+					if strings.Contains(key, stagePrefix) || before[key] != blob {
+						t.Errorf("the failed round left %s staged or replaced", key)
+					}
+				}
+				if len(after) != len(before) {
+					t.Errorf("the failed round left %d stored blobs of %d", len(after), len(before))
+				}
+				next = committed
+			}
+			got, lrep, err := rig.ckpt.Load(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.want == carried && !slices.Equal(lrep.CorruptedChunks, []int{chunk}) {
+				t.Errorf("load rebuilt %v, want chunk %d", lrep.CorruptedChunks, chunk)
+			}
+			dictsEqual(t, next, got)
+			if tc.want != refused {
+				verifyClean(t, rig)
+			}
+		})
+	}
 }
 
 // requireOneCopy walks every node's keys. No node holds an own-packet cache

@@ -179,12 +179,11 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 	// and therefore zero — buffers the rebuild XOR-accumulates into, which
 	// host memory adopts once it is done.
 	chunkSegs := rd.scan[node].segs
-	var segCRC []uint32 // running checksums of the segments being rebuilt
+	window := c.cfg.BufferSize // the checksum window
 	if rebuild {
 		chunkSegs = make([][]byte, len(keys.segment[myChunk]))
-		segCRC = make([]uint32, len(chunkSegs))
 		for s := range chunkSegs {
-			chunkSegs[s] = cluster.NewBlob(rd.packetBytes)
+			chunkSegs[s] = cluster.NewBlob(rd.packetBytes, window)
 		}
 	}
 	pc.Switch(PhaseRebuild)
@@ -217,9 +216,9 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 							return
 						}
 					}
-					// The slice is final and still cache-hot: fold it into
-					// the segment's checksum now (slices finish in order).
-					segCRC[s] = cluster.Checksum(segCRC[s], chunkSegs[s][lo:hi])
+					// The slice is final and still cache-hot: seal the sums
+					// of its windows now (slices finish in order).
+					cluster.SealWindows(chunkSegs[s], window, lo, hi)
 				}
 			}
 		}()
@@ -259,7 +258,7 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 			return nil, err
 		}
 		for s, key := range keys.segment[myChunk] {
-			if err := cluster.AdoptSealed(c.clus, node, key, chunkSegs[s], segCRC[s]); err != nil {
+			if err := cluster.AdoptSealed(c.clus, node, key, chunkSegs[s], window); err != nil {
 				return nil, err
 			}
 		}

@@ -13,7 +13,6 @@ import (
 	"unsafe"
 
 	"eccheck/internal/chaos"
-	"eccheck/internal/cluster"
 	"eccheck/internal/model"
 	"eccheck/internal/obs"
 	"eccheck/internal/parallel"
@@ -670,7 +669,7 @@ func TestEveryStoredKeyVerifiesAfterRounds(t *testing.T) {
 			if strings.HasPrefix(key, stagePrefix) {
 				t.Errorf("node %d: staging key %q outlived its round", node, key)
 			}
-			if _, err := cluster.FetchSummed(rig.clus, node, key); err != nil {
+			if _, err := rig.ckpt.fetch(node, key); err != nil {
 				t.Errorf("node %d key %q: %v", node, key, err)
 			}
 		}

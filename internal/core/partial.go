@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 
+	"eccheck/internal/cluster"
 	"eccheck/internal/serialize"
 	"eccheck/internal/statedict"
 )
@@ -119,9 +121,13 @@ func (c *Checkpointer) serveDirect(rd *restoreRound) error {
 // decoded one bufSize slice at a time — the coding region is the buffer slice
 // the save encoded (the manifest records its size), so decoding the packet as
 // a single region yields garbage for any non-unit coefficient.
+//
+// The bases are picked unverified and each basis window is checked against
+// its sum just before it is decoded from, while it is cache-hot. Only if one
+// fails does the decode start over, verifying every candidate whole as it is
+// picked: the corrupt one is booked and skipped for the next.
 func (c *Checkpointer) decodeLost(rd *restoreRound, packets [][]byte) ([]bool, error) {
-	lay, want, plan := rd.lay, rd.req.want, rd.lay.plan
-	span := plan.Span()
+	want, plan := rd.req.want, rd.lay.plan
 	decoded := make([]bool, len(want))
 	for i, rank := range want {
 		if packets[i] != nil {
@@ -138,9 +144,33 @@ func (c *Checkpointer) decodeLost(rd *restoreRound, packets [][]byte) ([]bool, e
 		slices.Sort(gp.missing)
 		gp.missing = slices.Compact(gp.missing)
 	}
-	// By code group then segment index, then basis position. An unplanned
-	// group has no decode plans and is skipped.
+	// A checksum window is a coding window unless the manifest says
+	// otherwise; then every basis is verified whole.
+	err := c.decodeFrom(rd, packets, decoded, rd.bufSize != c.cfg.BufferSize)
+	if errors.Is(err, cluster.ErrChecksum) {
+		for i, d := range decoded {
+			if d && packets[i] != nil {
+				c.buf.Put(packets[i])
+				packets[i] = nil
+			}
+		}
+		err = c.decodeFrom(rd, packets, decoded, true)
+	}
+	return decoded, err
+}
+
+// decodeFrom picks each lost segment index's basis and decodes the decoded
+// ranks' packets into pooled buffers. whole verifies every candidate as it is
+// picked; otherwise each basis window is verified as it is used, and a
+// mismatch fails the call with cluster.ErrChecksum.
+func (c *Checkpointer) decodeFrom(rd *restoreRound, packets [][]byte, decoded []bool, whole bool) error {
+	lay, want, plan := rd.lay, rd.req.want, rd.lay.plan
+	span := plan.Span()
+	// By code group then segment index, then basis position: the basis
+	// segments and, read unverified, their window sums. An unplanned group
+	// has no decode plans and is skipped.
 	srcs := make([][][]byte, len(rd.groups)*span)
+	sums := make([][][]byte, len(rd.groups)*span)
 	if err := forEachBounded(len(srcs), func(i int) error {
 		cg, s := i/span, i%span
 		gp := &rd.groups[cg]
@@ -148,6 +178,7 @@ func (c *Checkpointer) decodeLost(rd *restoreRound, packets [][]byte) ([]bool, e
 			return nil
 		}
 		p := &gp.decode[s]
+		p.basis, p.tm = p.basis[:0], nil
 		for _, cand := range gp.intact {
 			if len(p.basis) == c.cfg.K {
 				break
@@ -155,9 +186,16 @@ func (c *Checkpointer) decodeLost(rd *restoreRound, packets [][]byte) ([]bool, e
 			if slices.Contains(p.missing, cand) {
 				continue
 			}
-			seg, err := c.read(rd, plan.ChunkOwner(cg, cand), lay.keys.segment[cand][s])
+			node, key := plan.ChunkOwner(cg, cand), lay.keys.segment[cand][s]
+			var seg, sum []byte
+			var err error
+			if whole {
+				seg, err = c.read(rd, node, key)
+			} else if seg, sum, err = cluster.ViewFramed(c.clus, node, key, c.cfg.BufferSize); err == nil {
+				rd.fetched.Add(int64(len(seg)))
+			}
 			if err == nil && len(seg) == rd.packetBytes {
-				p.basis, srcs[i] = append(p.basis, cand), append(srcs[i], seg)
+				p.basis, srcs[i], sums[i] = append(p.basis, cand), append(srcs[i], seg), append(sums[i], sum)
 			}
 		}
 		if len(p.basis) < c.cfg.K {
@@ -165,19 +203,19 @@ func (c *Checkpointer) decodeLost(rd *restoreRound, packets [][]byte) ([]bool, e
 		}
 		return nil
 	}); err != nil {
-		return nil, err
+		return err
 	}
 	for cg := range rd.groups {
 		if err := c.transforms(rd.groups[cg].decode); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return decoded, forEachBounded(len(want), func(i int) error {
+	return forEachBounded(len(want), func(i int) error {
 		if !decoded[i] {
 			return nil
 		}
 		cg, s := plan.GroupOfRank(want[i]), plan.SegmentOf[want[i]]
-		p := &rd.groups[cg].decode[s]
+		p, basis, basisSums := &rd.groups[cg].decode[s], srcs[cg*span+s], sums[cg*span+s]
 		row := slices.Index(p.missing, plan.DataGroupOf[want[i]])
 		out := c.buf.Get(rd.packetBytes)
 		packets[i] = out
@@ -186,7 +224,12 @@ func (c *Checkpointer) decodeLost(rd *restoreRound, packets [][]byte) ([]bool, e
 		for lo := 0; lo < rd.packetBytes; lo += rd.bufSize {
 			hi := min(lo+rd.bufSize, rd.packetBytes)
 			for pos := range p.basis {
-				if err := c.scalarMulPooled(p.tm.At(row, pos), out[lo:hi], srcs[cg*span+s][pos][lo:hi], pos > 0); err != nil {
+				if !whole {
+					if err := cluster.VerifyWindow(basis[pos], basisSums[pos], rd.bufSize, lo/rd.bufSize); err != nil {
+						return err
+					}
+				}
+				if err := c.scalarMulPooled(p.tm.At(row, pos), out[lo:hi], basis[pos][lo:hi], pos > 0); err != nil {
 					return fmt.Errorf("core: rank %d: %w", want[i], err)
 				}
 			}
@@ -251,11 +294,10 @@ func (c *Checkpointer) serveRemote(ctx context.Context, cancel context.CancelFun
 // process is brand new and its counter is zero, yet the remote tier still
 // holds the checkpoint.
 func (c *Checkpointer) latestRemoteVersion() (int, error) {
-	const prefix = "eccheck/v"
 	latest := 0
-	for _, key := range c.remote.Keys(prefix) {
-		var v, rank int
-		if _, err := fmt.Sscanf(key[len(prefix):], "%d/rank%d", &v, &rank); err != nil {
+	for _, key := range c.remote.Keys(remoteKeyPrefix) {
+		v, rank, ok := parseRemoteKey(key)
+		if !ok {
 			continue
 		}
 		// Rank 0 anchors a version: persistCommitted writes ranks in order,

@@ -122,6 +122,30 @@ func TestLoadFromRemoteFreshProcess(t *testing.T) {
 	dictsEqual(t, rig.dicts, got)
 }
 
+// TestLoadFromRemoteIgnoresStrayKeys: version discovery reads only keys
+// remoteKey writes. Objects that merely start like one — a trailing suffix,
+// a sign, a padded rank — name no version, so LoadFromRemote(ctx, 0) returns
+// the newest complete checkpoint beside them.
+func TestLoadFromRemoteIgnoresStrayKeys(t *testing.T) {
+	rig := newRig(t, 4, 2, 2, 2, func(c *Config) { c.RemotePersistEvery = 8 })
+	ctx := context.Background()
+	for i := 1; i <= 8; i++ {
+		if _, err := rig.ckpt.Save(ctx, stampVersion(rig.dicts, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, stray := range []string{"eccheck/v9/rank0.partial", "eccheck/v+10/rank0", "eccheck/v11/rank00", "eccheck/v012/rank0"} {
+		if _, err := rig.remote.Put(ctx, 0, stray, []byte("not a checkpoint")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := rig.ckpt.LoadFromRemote(ctx, 0)
+	if err != nil {
+		t.Fatalf("LoadFromRemote beside stray keys: %v", err)
+	}
+	dictsEqual(t, stampVersion(rig.dicts, 8), got)
+}
+
 func TestLoadFromRemoteEmptyStore(t *testing.T) {
 	rig := newRig(t, 4, 2, 2, 2)
 	if _, err := rig.ckpt.LoadFromRemote(context.Background(), 0); err == nil {
@@ -570,6 +594,58 @@ func TestLoadPartialDecodesPerBufferSlice(t *testing.T) {
 			if prep.Workflow != "partial-decode" || len(prep.MissingChunks) != tc.lose {
 				t.Errorf("report = {workflow %q, missing %v}, want partial-decode of %d chunks",
 					prep.Workflow, prep.MissingChunks, tc.lose)
+			}
+			for _, rank := range ranks {
+				if !got[rank].Equal(rig.dicts[rank]) {
+					t.Errorf("rank %d: decoded state differs from the checkpoint", rank)
+				}
+			}
+		})
+	}
+}
+
+// TestLoadPartialSkipsABasisWindowThatFailsItsSum: a partial decode reads
+// its basis segments unverified and checks each window against its sum just
+// before it decodes from it. A flipped byte in one window of a basis segment,
+// or in that window's sum, is caught there: the decode starts over with whole
+// bases verified, books the corrupt blob, decodes from the next candidate,
+// and returns the checkpoint byte for byte.
+func TestLoadPartialSkipsABasisWindowThatFailsItsSum(t *testing.T) {
+	for _, footer := range []bool{false, true} {
+		t.Run(fmt.Sprintf("footer=%v", footer), func(t *testing.T) {
+			rig := newRig(t, 4, 2, 2, 2)
+			ctx := context.Background()
+			rep, err := rig.ckpt.Save(ctx, rig.dicts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bufSize := rig.ckpt.cfg.BufferSize
+			if rep.PacketBytes <= 2*bufSize {
+				t.Fatalf("packet of %d bytes has no middle %d-byte window", rep.PacketBytes, bufSize)
+			}
+			plan := rig.ckpt.Plan()
+			loseNode(t, rig, plan.ChunkOwner(0, 0))
+			var ranks []int
+			for rank, chunk := range plan.DataGroupOf {
+				if chunk == 0 {
+					ranks = append(ranks, rank)
+				}
+			}
+			// Chunk 1 is the first basis candidate of every segment index.
+			offset := bufSize + 5
+			if footer {
+				offset = rep.PacketBytes + cluster.SumLen + 2
+			}
+			if err := rig.clus.Corrupt(plan.ChunkOwner(0, 1), keySegment(1, plan.SegmentOf[ranks[0]]), offset); err != nil {
+				t.Fatal(err)
+			}
+			got, prep, err := rig.ckpt.LoadPartial(ctx, ranks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prep.Workflow != "partial-decode" || prep.CorruptBlobs != 1 {
+				t.Errorf("report = {workflow %q, corrupt blobs %d}, want partial-decode with the corrupt basis booked",
+					prep.Workflow, prep.CorruptBlobs)
 			}
 			for _, rank := range ranks {
 				if !got[rank].Equal(rig.dicts[rank]) {

@@ -198,22 +198,28 @@ func (c *Checkpointer) snapshotNode(op string, node, version, packetBytes int, d
 			snap.shipped += numBuffers
 			continue
 		}
-		old, err := c.fetch(node, base[w].key)
+		// The base is read unverified: a window equal to the new packet's is
+		// not used, and a window that differs is checked against its own sum
+		// before it can become a delta.
+		old, sums, err := cluster.ViewFramed(c.clus, node, base[w].key, bufSize)
 		if err == nil && len(old) != packetBytes {
 			err = fmt.Errorf("stored packet has %d bytes, want %d", len(old), packetBytes)
+		}
+		for b := 0; err == nil && b < numBuffers; b++ {
+			lo, hi := b*bufSize, min((b+1)*bufSize, packetBytes)
+			if bytes.Equal(pkt[lo:hi], old[lo:hi]) {
+				continue
+			}
+			if err = cluster.VerifyWindow(old, sums, bufSize, b); err == nil {
+				ship.set(b)
+				snap.shipped++
+			}
 		}
 		if err != nil {
 			snap.release(c)
 			return nil, fmt.Errorf("rank %d delta base: %w: %w", w, errNoDeltaBase, err)
 		}
 		snap.olds[w] = old
-		for b := 0; b < numBuffers; b++ {
-			lo, hi := b*bufSize, min((b+1)*bufSize, packetBytes)
-			if !bytes.Equal(pkt[lo:hi], old[lo:hi]) {
-				ship.set(b)
-				snap.shipped++
-			}
-		}
 	}
 	snap.phases = pc.Stop()
 	snap.end = time.Now()
@@ -466,16 +472,25 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, op string, snap *nodeSnaps
 	// node — has no writer stream and no fold this round, and is carried: the
 	// committed blob stays stored under its key across the commit, unread, and
 	// no spare is taken for it. What is left of the spare set stays the node's.
+	// lands[s] holds the windows written into segment s (nil: carried): the
+	// union of the ship-sets of the workers that feed it.
 	pc.Switch(PhasePromote)
-	touched := make([]bool, span)
+	lands := make([]shipSet, span)
 	for w := rankLo; w < rankHi; w++ {
 		if (myChunk >= c.cfg.K || plan.DataGroupOf[w] == myChunk) && !shipOf(w).none() {
-			touched[plan.SegmentOf[w]] = true
+			s := plan.SegmentOf[w]
+			if lands[s] == nil {
+				lands[s] = make(shipSet, shipBytes)
+			}
+			lands[s].or(shipOf(w))
 		}
+	}
+	sliceBounds := func(b int) (int, int) {
+		return b * bufSize, min((b+1)*bufSize, packetBytes)
 	}
 	chunkSegs, recycled, carried := make([][]byte, span), 0, 0
 	for s := range chunkSegs {
-		if !touched[s] {
+		if lands[s] == nil {
 			carried++
 			continue
 		}
@@ -483,32 +498,41 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, op string, snap *nodeSnaps
 		if n := len(c.spares[node]); n > 0 {
 			spare, c.spares[node] = c.spares[node][n-1], c.spares[node][:n-1]
 		}
-		if cap(spare) == packetBytes+cluster.FooterLen {
+		if cap(spare) == cluster.FramedLen(packetBytes, bufSize) {
 			chunkSegs[s] = spare[:packetBytes]
 			recycled++
 		} else {
-			chunkSegs[s] = cluster.NewBlob(packetBytes)
+			chunkSegs[s] = cluster.NewBlob(packetBytes, bufSize)
 		}
 		if !delta {
 			continue
 		}
-		base, err := c.fetch(node, lay.keys.segment[myChunk][s])
+		// The committed bytes and their window sums, read unverified and
+		// copied window by window. A window the round lands on is checked
+		// against its sum while its copy is cache-hot: no unchecked base byte
+		// is XORed onto and resealed. Every other window keeps the sum it was
+		// committed with, so a corrupt one stays detectable.
+		base, sums, err := cluster.ViewFramed(c.clus, node, lay.keys.segment[myChunk][s], bufSize)
 		if err == nil && len(base) != packetBytes {
 			err = fmt.Errorf("committed segment has %d bytes, want %d", len(base), packetBytes)
+		}
+		seg := chunkSegs[s]
+		for b := 0; err == nil && b < numBuffers; b++ {
+			lo, hi := sliceBounds(b)
+			copy(seg[lo:hi], base[lo:hi])
+			if lands[s].has(b) {
+				err = cluster.VerifyWindow(seg, sums, bufSize, b)
+			}
 		}
 		if err != nil {
 			return 0, nil, fmt.Errorf("core: delta base chunk %d segment %d: %w", myChunk, s, err)
 		}
-		copy(chunkSegs[s], base)
+		copy(seg[packetBytes:cap(seg)], sums)
 	}
 	c.cfg.Metrics.Counter("save_segments_recycled_total").Add(int64(recycled))
 	c.cfg.Metrics.Counter("save_segments_allocated_total").Add(int64(span - carried - recycled))
 	c.cfg.Metrics.Counter("save_segments_carried_total").Add(int64(carried))
 	pc.Switch(PhaseStage)
-
-	sliceBounds := func(b int) (int, int) {
-		return b * bufSize, min((b+1)*bufSize, packetBytes)
-	}
 
 	// Per-(reduction, worker) coding coefficients, looked up once: the
 	// buffer loop must not take fallible lookups per window.
@@ -610,14 +634,11 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, op string, snap *nodeSnaps
 	win.emitTo(c.cfg.Flight, op, node, version)
 	fail := win.fail
 
-	// Each segment has exactly one writer stream and that stream delivers
-	// its buffer ranges in ascending order, so the writer folds the segment
-	// into its running checksum as it goes, while the range is still
-	// cache-hot: first the base bytes of any windows the stream skipped, then
-	// the range itself. The window ledger orders those writes before the
-	// promote below reads them.
-	segCRC := make([]uint32, span)
-	segSummed := make([]int, span) // bytes of the segment already folded
+	// Each window of a segment is landed by exactly one writer, once — onto
+	// a base window verified above on a delta round — and the writer seals
+	// the window's sum into the segment's footer while the bytes are still
+	// cache-hot. The window ledger orders those writes before the promote
+	// below reads them.
 	landRange := func(seg, lo int, src []byte) {
 		hi := lo + len(src)
 		if !delta {
@@ -625,8 +646,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, op string, snap *nodeSnaps
 		} else if err := gf.XORSlice(chunkSegs[seg][lo:hi], src); err != nil {
 			fail(err)
 		}
-		segCRC[seg] = cluster.Checksum(segCRC[seg], chunkSegs[seg][segSummed[seg]:hi])
-		segSummed[seg] = hi
+		cluster.SealWindows(chunkSegs[seg], bufSize, lo, hi)
 	}
 
 	// Fold state for reductions this node participates in.
@@ -700,10 +720,10 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, op string, snap *nodeSnaps
 	}
 
 	// emit hands reduction ri's completed folds on, in buffer order: the
-	// streams they feed are matched to buffers by position, and the segment
-	// checksum folds in order. Folds complete in buffer order only when every
-	// contributor ships every window, so a fold that completes ahead of an
-	// earlier owed one waits in accs until that one has gone. At the tree
+	// streams they feed are matched to buffers by position. Folds complete
+	// in buffer order only when every contributor ships every window, so a
+	// fold that completes ahead of an earlier owed one waits in accs until
+	// that one has gone. At the tree
 	// root the parity bytes land in the local chunk when this node stores
 	// the parity chunk, or ship to the parity node; every other machine
 	// forwards its partial one hop up the tree, and the delivery lands once
@@ -976,18 +996,16 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, op string, snap *nodeSnaps
 
 	// Stage the chunk and manifest; the caller commits after the barrier.
 	// Every window retired, and a delivery lands only after its bytes (and
-	// their checksum fold) are in the segment, so nothing writes to a
-	// segment again: fold in whatever base the writer left behind its last
-	// range, seal the footer and hand the buffer itself to host memory. Only
-	// this success path hands segments over; on error paths a straggling
-	// receiver goroutine may still write into them, so they are dropped for
-	// the GC — never adopted, never reused.
+	// their sum) are in the segment, so nothing writes to a segment again:
+	// hand the buffer itself, footer sealed, to host memory. Only this
+	// success path hands segments over; on error paths a straggling receiver
+	// goroutine may still write into them, so they are dropped for the GC —
+	// never adopted, never reused.
 	for s := range chunkSegs {
-		if !touched[s] {
+		if lands[s] == nil {
 			continue
 		}
-		crc := cluster.Checksum(segCRC[s], chunkSegs[s][segSummed[s]:packetBytes])
-		if err := cluster.AdoptSealed(c.clus, node, lay.keys.stagedOf[lay.keys.segment[myChunk][s]], chunkSegs[s], crc); err != nil {
+		if err := cluster.AdoptSealed(c.clus, node, lay.keys.stagedOf[lay.keys.segment[myChunk][s]], chunkSegs[s], bufSize); err != nil {
 			return 0, nil, err
 		}
 	}

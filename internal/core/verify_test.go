@@ -90,7 +90,7 @@ func TestVerifyIntegrityDetectsRecomputedMismatch(t *testing.T) {
 				}
 				rewritten := append([]byte(nil), stored...)
 				rewritten[bufSize+13] ^= 0x5a
-				if err := cluster.StoreSummed(rig.clus, node, keySegment(chunk, seg), rewritten); err != nil {
+				if err := cluster.StoreWindows(rig.clus, node, keySegment(chunk, seg), rewritten, bufSize); err != nil {
 					t.Fatal(err)
 				}
 				vrep, err := rig.ckpt.VerifyIntegrity()

@@ -135,10 +135,11 @@ func TestDrainConsumesButKeepsSeq(t *testing.T) {
 
 func TestConcurrentAppendAndDrain(t *testing.T) {
 	r := New(64)
-	var wg sync.WaitGroup
+	var wg, recording sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
+		recording.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			start := time.Now()
@@ -150,12 +151,13 @@ func TestConcurrentAppendAndDrain(t *testing.T) {
 				}
 				r.Send(g, (g+1)%4, fmt.Sprintf("t/%d", g), int64(i), start, time.Microsecond, nil)
 				r.Phase("save", g, 1, "encode", start, time.Millisecond)
+				if i == 0 {
+					recording.Done()
+				}
 			}
 		}(g)
 	}
-	for r.Cursor() == 0 {
-		time.Sleep(time.Microsecond)
-	}
+	recording.Wait() // every writer has appended: drains now race all four
 	var drained int
 	for i := 0; i < 200; i++ {
 		drained += len(r.Drain())

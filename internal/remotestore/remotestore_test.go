@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -167,13 +168,15 @@ func TestStallHonorsOpTimeout(t *testing.T) {
 		t.Fatalf("stalled put: err = %v, want DeadlineExceeded", err)
 	}
 
-	// Plain cancellation interrupts the stall too.
+	// Plain cancellation interrupts the stall too: cancel once the stalled
+	// Get has asked for its context's Done channel, the one it parks on.
 	cctx, cancel := context.WithCancel(context.Background())
+	parked := &doneWatch{Context: cctx, asked: make(chan struct{})}
 	go func() {
-		time.Sleep(20 * time.Millisecond)
+		<-parked.asked
 		cancel()
 	}()
-	if _, _, err := s.Get(cctx, 0, "k"); !errors.Is(err, context.Canceled) {
+	if _, _, err := s.Get(parked, 0, "k"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled get: err = %v, want Canceled", err)
 	}
 
@@ -182,4 +185,17 @@ func TestStallHonorsOpTimeout(t *testing.T) {
 	if _, _, err := s.Get(context.Background(), 0, "k"); err != nil {
 		t.Fatalf("get after clearing stall: %v", err)
 	}
+}
+
+// doneWatch is a context that closes asked the first time its Done channel is
+// taken: the moment a stalled operation starts waiting on it.
+type doneWatch struct {
+	context.Context
+	once  sync.Once
+	asked chan struct{}
+}
+
+func (c *doneWatch) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.asked) })
+	return c.Context.Done()
 }
