@@ -82,7 +82,9 @@ crash-sweep:
 # every host-memory blob, the metadata and tensor-keys blobs on their own,
 # seeded from a real decomposition, and the serialized rank blob
 # LoadFromRemote reads from the remote tier — and of the TCP frame reader,
-# which reads what a peer's socket sends.
+# which reads what a peer's socket sends, and the daemon's job registration
+# body (decode, defaults and bounds: every rejection a 400, every accepted
+# spec inside the registration bounds).
 # They must not panic or allocate by a length or count field's say-so (the
 # frame reader: by a field outside its limits), and whatever decodes must
 # survive a round trip. One target per invocation is a `go test -fuzz` rule.
@@ -95,6 +97,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeTensorKeys' -fuzztime=10s ./internal/statedict
 	$(GO) test -run '^$$' -fuzz 'FuzzUnmarshal' -fuzztime=10s ./internal/serialize
 	$(GO) test -run '^$$' -fuzz 'FuzzTCPReadFrame' -fuzztime=10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz 'FuzzJobSpec' -fuzztime=10s ./internal/daemon
 
 # Seeded chaos smoke test: replication head-to-head, a mid-save kill, and
 # a corruption-as-erasure recovery, all deterministic.
@@ -102,14 +105,19 @@ smoke:
 	$(GO) run ./examples/faulttolerance
 
 # The public API is the operator surface: every exported identifier in the
-# root package must carry a doc comment.
+# root package must carry a doc comment. The reachability pass then fails on
+# any function no program reaches — roots: the root API, every main and init,
+# package initialisers, and other packages' tests — unless
+# cmd/doclint/unreached.txt (at most 10 entries) names it with a reason. It
+# lists, without failing, the functions only bench/ reaches.
 doclint:
 	$(GO) run ./cmd/doclint .
+	$(GO) run ./cmd/doclint -reach . cmd/doclint/unreached.txt
 
 # Allocation gate: the flight recorder must be free when disabled. Every
 # emitter on a nil recorder and the phase clock's per-buffer Switch on
 # the save hot path must be 0 allocs/op — these tests fail otherwise.
-# Membership-quiescent state queries (Alive/Draining/State/Generation)
+# Membership-quiescent state queries (Alive/Draining/State)
 # sit on the same hot path and are gated too, as are the round-lifecycle
 # fan-out (roundStart/roundEnd) with no logger, health tracker or flight
 # recorder, and the phase clock with the stuck-round watchdog disabled. The steady-state save is gated in bytes: once

@@ -5,7 +5,8 @@
 //
 // Usage:
 //
-//	doclint [package-dir ...]   # default: .
+//	doclint [package-dir ...]                # default: .
+//	doclint -reach MODULE-DIR ALLOWLIST      # see reach.go
 //
 // Exits non-zero listing every exported const, var, func, type, method and
 // struct field group that lacks a doc comment. Grouped declarations
@@ -37,6 +38,9 @@ func main() {
 }
 
 func run() int {
+	if len(os.Args) == 4 && os.Args[1] == "-reach" {
+		return runReach(os.Args[2], os.Args[3])
+	}
 	dirs := os.Args[1:]
 	if len(dirs) == 0 {
 		dirs = []string{"."}

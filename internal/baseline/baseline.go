@@ -12,9 +12,9 @@
 //     peers' checkpoints in host memory; recovery fetches the replica, and
 //     is impossible when a whole group fails.
 //
-// Each baseline has a functional implementation (real bytes, used by the
-// fault-tolerance comparisons and examples) and a timing model (used by the
-// figure harness).
+// Each baseline has a timing model (used by the figure harness). Base3 also
+// has a functional implementation (real bytes, used by the fault-tolerance
+// comparisons and examples).
 package baseline
 
 import (
@@ -23,147 +23,9 @@ import (
 
 	"eccheck/internal/cluster"
 	"eccheck/internal/parallel"
-	"eccheck/internal/remotestore"
 	"eccheck/internal/serialize"
 	"eccheck/internal/statedict"
 )
-
-// Checkpointer is the interface all baselines (and adapters over ECCheck)
-// satisfy for functional comparisons.
-type Checkpointer interface {
-	// Save checkpoints all workers' state dicts (indexed by world rank).
-	Save(ctx context.Context, dicts []*statedict.StateDict) error
-	// Load recovers all workers' state dicts.
-	Load(ctx context.Context) ([]*statedict.StateDict, error)
-}
-
-// --- Base1: synchronous remote checkpointing. ---
-
-// Base1 serializes and writes every shard to remote storage synchronously.
-type Base1 struct {
-	topo    *parallel.Topology
-	remote  *remotestore.Store
-	version int
-}
-
-// NewBase1 constructs the synchronous remote-storage baseline.
-func NewBase1(topo *parallel.Topology, remote *remotestore.Store) (*Base1, error) {
-	if topo == nil || remote == nil {
-		return nil, fmt.Errorf("baseline: base1 needs a topology and a remote store")
-	}
-	return &Base1{topo: topo, remote: remote}, nil
-}
-
-func base1Key(version, rank int) string { return fmt.Sprintf("base1/v%d/rank%d", version, rank) }
-
-// Save implements Checkpointer.
-func (b *Base1) Save(ctx context.Context, dicts []*statedict.StateDict) error {
-	if len(dicts) != b.topo.World() {
-		return fmt.Errorf("baseline: base1 got %d dicts, want %d", len(dicts), b.topo.World())
-	}
-	version := b.version + 1
-	for rank, sd := range dicts {
-		blob, err := serialize.Marshal(sd)
-		if err != nil {
-			return fmt.Errorf("baseline: base1 rank %d: %w", rank, err)
-		}
-		if _, err := b.remote.Put(ctx, 0, base1Key(version, rank), blob); err != nil {
-			return err
-		}
-	}
-	b.version = version
-	return nil
-}
-
-// Load implements Checkpointer.
-func (b *Base1) Load(ctx context.Context) ([]*statedict.StateDict, error) {
-	if b.version == 0 {
-		return nil, fmt.Errorf("baseline: base1 has no checkpoint")
-	}
-	out := make([]*statedict.StateDict, b.topo.World())
-	for rank := range out {
-		blob, _, err := b.remote.Get(ctx, 0, base1Key(b.version, rank))
-		if err != nil {
-			return nil, err
-		}
-		sd, err := serialize.Unmarshal(blob)
-		if err != nil {
-			return nil, fmt.Errorf("baseline: base1 rank %d: %w", rank, err)
-		}
-		out[rank] = sd
-	}
-	return out, nil
-}
-
-// --- Base2: two-phase snapshot + async persist. ---
-
-// Base2 snapshots to host memory, then persists asynchronously. The
-// functional implementation performs the persist before returning (the
-// asynchrony matters only to the timing model) but keeps the snapshot
-// semantics: the persisted bytes are the snapshot, immune to training
-// mutations after Save is called.
-type Base2 struct {
-	topo    *parallel.Topology
-	remote  *remotestore.Store
-	version int
-}
-
-// NewBase2 constructs the two-phase baseline.
-func NewBase2(topo *parallel.Topology, remote *remotestore.Store) (*Base2, error) {
-	if topo == nil || remote == nil {
-		return nil, fmt.Errorf("baseline: base2 needs a topology and a remote store")
-	}
-	return &Base2{topo: topo, remote: remote}, nil
-}
-
-func base2Key(version, rank int) string { return fmt.Sprintf("base2/v%d/rank%d", version, rank) }
-
-// Save implements Checkpointer.
-func (b *Base2) Save(ctx context.Context, dicts []*statedict.StateDict) error {
-	if len(dicts) != b.topo.World() {
-		return fmt.Errorf("baseline: base2 got %d dicts, want %d", len(dicts), b.topo.World())
-	}
-	version := b.version + 1
-	// Phase 1: snapshot (the clone is the GPU→CPU copy).
-	snapshots := make([]*statedict.StateDict, len(dicts))
-	for rank, sd := range dicts {
-		snapshots[rank] = sd.Clone()
-	}
-	// Phase 2: persist the snapshot.
-	for rank, snap := range snapshots {
-		blob, err := serialize.Marshal(snap)
-		if err != nil {
-			return fmt.Errorf("baseline: base2 rank %d: %w", rank, err)
-		}
-		if _, err := b.remote.Put(ctx, 0, base2Key(version, rank), blob); err != nil {
-			return err
-		}
-	}
-	b.version = version
-	return nil
-}
-
-// Load implements Checkpointer.
-func (b *Base2) Load(ctx context.Context) ([]*statedict.StateDict, error) {
-	if b.version == 0 {
-		return nil, fmt.Errorf("baseline: base2 has no checkpoint")
-	}
-	out := make([]*statedict.StateDict, b.topo.World())
-	for rank := range out {
-		blob, _, err := b.remote.Get(ctx, 0, base2Key(b.version, rank))
-		if err != nil {
-			return nil, err
-		}
-		sd, err := serialize.Unmarshal(blob)
-		if err != nil {
-			return nil, fmt.Errorf("baseline: base2 rank %d: %w", rank, err)
-		}
-		out[rank] = sd
-	}
-	return out, nil
-}
-
-// --- Base3: GEMINI-style replication groups. ---
 
 // Base3 stores each worker's checkpoint on its own node and replicates it
 // to every other node of its fixed group.
@@ -202,8 +64,9 @@ func (b *Base3) GroupOf(node int) []int {
 
 func base3Key(version, rank int) string { return fmt.Sprintf("base3/v%d/rank%d", version, rank) }
 
-// Save implements Checkpointer: every node stores its workers' serialized
-// shards and replicates them to all group peers.
+// Save checkpoints all workers' state dicts (indexed by world rank): every
+// node stores its workers' serialized shards and replicates them to all
+// group peers.
 func (b *Base3) Save(_ context.Context, dicts []*statedict.StateDict) error {
 	if len(dicts) != b.topo.World() {
 		return fmt.Errorf("baseline: base3 got %d dicts, want %d", len(dicts), b.topo.World())
@@ -228,8 +91,8 @@ func (b *Base3) Save(_ context.Context, dicts []*statedict.StateDict) error {
 	return nil
 }
 
-// Load implements Checkpointer: each worker's shard is fetched from any
-// live group member. When an entire group has failed, recovery is
+// Load recovers all workers' state dicts: each worker's shard is fetched
+// from any live group member. When an entire group has failed, recovery is
 // impossible — the weakness erasure coding removes.
 func (b *Base3) Load(_ context.Context) ([]*statedict.StateDict, error) {
 	if b.version == 0 {
@@ -261,12 +124,3 @@ func (b *Base3) Load(_ context.Context) ([]*statedict.StateDict, error) {
 	}
 	return out, nil
 }
-
-// Version returns the latest saved version.
-func (b *Base3) Version() int { return b.version }
-
-var (
-	_ Checkpointer = (*Base1)(nil)
-	_ Checkpointer = (*Base2)(nil)
-	_ Checkpointer = (*Base3)(nil)
-)

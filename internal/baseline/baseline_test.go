@@ -7,12 +7,11 @@ import (
 	"eccheck/internal/cluster"
 	"eccheck/internal/model"
 	"eccheck/internal/parallel"
-	"eccheck/internal/remotestore"
 	"eccheck/internal/statedict"
 	"eccheck/internal/testbed"
 )
 
-func testSetup(t *testing.T) (*parallel.Topology, []*statedict.StateDict, *cluster.Cluster, *remotestore.Store) {
+func testSetup(t *testing.T) (*parallel.Topology, []*statedict.StateDict, *cluster.Cluster) {
 	t.Helper()
 	topo, err := parallel.NewTopology(4, 2, 2, 4)
 	if err != nil {
@@ -29,14 +28,10 @@ func testSetup(t *testing.T) (*parallel.Topology, []*statedict.StateDict, *clust
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := remotestore.New(5e9 / 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return topo, dicts, clus, remote
+	return topo, dicts, clus
 }
 
-func checkRoundTrip(t *testing.T, ck Checkpointer, dicts []*statedict.StateDict) {
+func checkRoundTrip(t *testing.T, ck *Base3, dicts []*statedict.StateDict) {
 	t.Helper()
 	ctx := context.Background()
 	if err := ck.Save(ctx, dicts); err != nil {
@@ -53,45 +48,8 @@ func checkRoundTrip(t *testing.T, ck Checkpointer, dicts []*statedict.StateDict)
 	}
 }
 
-func TestBase1RoundTrip(t *testing.T) {
-	topo, dicts, _, remote := testSetup(t)
-	b, err := NewBase1(topo, remote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkRoundTrip(t, b, dicts)
-}
-
-func TestBase2RoundTripAndSnapshotSemantics(t *testing.T) {
-	topo, dicts, _, remote := testSetup(t)
-	b, err := NewBase2(topo, remote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := b.Save(ctx, dicts); err != nil {
-		t.Fatal(err)
-	}
-	// Mutate the "GPU" state after Save: the persisted snapshot must not
-	// change (two-phase isolation).
-	want := make([]*statedict.StateDict, len(dicts))
-	for rank, sd := range dicts {
-		want[rank] = sd.Clone()
-		sd.TensorEntries()[0].Tensor.Data()[0] ^= 0xFF
-	}
-	got, err := b.Load(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rank := range want {
-		if !want[rank].Equal(got[rank]) {
-			t.Errorf("rank %d: snapshot was not isolated from training mutations", rank)
-		}
-	}
-}
-
 func TestBase3RoundTrip(t *testing.T) {
-	topo, dicts, clus, _ := testSetup(t)
+	topo, dicts, clus := testSetup(t)
 	b, err := NewBase3(topo, clus, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +60,7 @@ func TestBase3RoundTrip(t *testing.T) {
 // GEMINI's grouping survives one failure per group but not a whole group —
 // the exact weakness Fig. 13b and Fig. 15 demonstrate.
 func TestBase3FaultToleranceBoundary(t *testing.T) {
-	topo, dicts, clus, _ := testSetup(t)
+	topo, dicts, clus := testSetup(t)
 	b, err := NewBase3(topo, clus, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +104,7 @@ func TestBase3FaultToleranceBoundary(t *testing.T) {
 }
 
 func TestBase3GroupOf(t *testing.T) {
-	topo, _, clus, _ := testSetup(t)
+	topo, _, clus := testSetup(t)
 	b, err := NewBase3(topo, clus, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -158,16 +116,7 @@ func TestBase3GroupOf(t *testing.T) {
 }
 
 func TestConstructorValidation(t *testing.T) {
-	topo, _, clus, remote := testSetup(t)
-	if _, err := NewBase1(nil, remote); err == nil {
-		t.Error("base1 nil topo: want error")
-	}
-	if _, err := NewBase1(topo, nil); err == nil {
-		t.Error("base1 nil remote: want error")
-	}
-	if _, err := NewBase2(nil, remote); err == nil {
-		t.Error("base2 nil topo: want error")
-	}
+	topo, _, clus := testSetup(t)
 	if _, err := NewBase3(topo, clus, 1); err == nil {
 		t.Error("base3 group size 1: want error")
 	}
@@ -180,16 +129,8 @@ func TestConstructorValidation(t *testing.T) {
 }
 
 func TestLoadBeforeSaveErrors(t *testing.T) {
-	topo, _, clus, remote := testSetup(t)
+	topo, _, clus := testSetup(t)
 	ctx := context.Background()
-	b1, _ := NewBase1(topo, remote)
-	if _, err := b1.Load(ctx); err == nil {
-		t.Error("base1 load before save: want error")
-	}
-	b2, _ := NewBase2(topo, remote)
-	if _, err := b2.Load(ctx); err == nil {
-		t.Error("base2 load before save: want error")
-	}
 	b3, _ := NewBase3(topo, clus, 2)
 	if _, err := b3.Load(ctx); err == nil {
 		t.Error("base3 load before save: want error")

@@ -33,12 +33,6 @@ func New(rows, cols int) (*Bitmatrix, error) {
 	return &Bitmatrix{rows: rows, cols: cols, bits: make([]uint8, rows*cols)}, nil
 }
 
-// Rows returns the number of binary rows.
-func (b *Bitmatrix) Rows() int { return b.rows }
-
-// Cols returns the number of binary columns.
-func (b *Bitmatrix) Cols() int { return b.cols }
-
 // At reports whether the bit at (r, c) is set.
 func (b *Bitmatrix) At(r, c int) bool { return b.bits[r*b.cols+c] != 0 }
 
@@ -49,17 +43,6 @@ func (b *Bitmatrix) Set(r, c int, v bool) {
 	} else {
 		b.bits[r*b.cols+c] = 0
 	}
-}
-
-// Ones returns the number of set bits, the XOR-cost proxy of the matrix.
-func (b *Bitmatrix) Ones() int {
-	n := 0
-	for _, v := range b.bits {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // rowBits returns row r packed into uint64 words for fast Hamming distance.

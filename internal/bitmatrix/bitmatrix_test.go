@@ -72,8 +72,8 @@ func TestFromMatrixIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bm.Rows() != 24 || bm.Cols() != 24 {
-		t.Fatalf("shape %dx%d, want 24x24", bm.Rows(), bm.Cols())
+	if bm.rows != 24 || bm.cols != 24 {
+		t.Fatalf("shape %dx%d, want 24x24", bm.rows, bm.cols)
 	}
 	for r := 0; r < 24; r++ {
 		for c := 0; c < 24; c++ {
@@ -81,25 +81,6 @@ func TestFromMatrixIdentity(t *testing.T) {
 				t.Fatalf("identity bitmatrix wrong at (%d, %d)", r, c)
 			}
 		}
-	}
-}
-
-func TestBitmatrixOnes(t *testing.T) {
-	bm, err := New(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bm.Ones() != 0 {
-		t.Errorf("fresh bitmatrix has %d ones", bm.Ones())
-	}
-	bm.Set(0, 0, true)
-	bm.Set(3, 2, true)
-	if bm.Ones() != 2 {
-		t.Errorf("Ones() = %d, want 2", bm.Ones())
-	}
-	bm.Set(0, 0, false)
-	if bm.Ones() != 1 {
-		t.Errorf("Ones() = %d after clear, want 1", bm.Ones())
 	}
 }
 

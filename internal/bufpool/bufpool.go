@@ -8,7 +8,7 @@
 // Ownership rules (see DESIGN.md §"Buffer-pool ownership"):
 //
 //   - Get hands the caller exclusive ownership of a buffer with arbitrary
-//     prior contents (use GetZeroed when zeroes matter).
+//     prior contents (clear it when zeroes matter).
 //   - Put returns ownership to the pool. The caller must not touch the
 //     buffer afterwards, and must Put a buffer at most once.
 //   - A buffer that outlives its phase — anything reachable from a live
@@ -146,13 +146,6 @@ func (p *Pool) Get(n int) []byte {
 	return make([]byte, size)[:n]
 }
 
-// GetZeroed returns a zeroed buffer of length n.
-func (p *Pool) GetZeroed(n int) []byte {
-	buf := p.Get(n)
-	clear(buf)
-	return buf
-}
-
 // Put returns a buffer to its size class. Only buffers whose capacity is
 // exactly a class size are accepted — typically exactly the buffers Get
 // handed out; anything else is dropped for the garbage collector. The caller
@@ -174,9 +167,6 @@ func (p *Pool) Put(buf []byte) {
 
 // Get returns a buffer of length n from the Default pool.
 func Get(n int) []byte { return Default.Get(n) }
-
-// GetZeroed returns a zeroed buffer of length n from the Default pool.
-func GetZeroed(n int) []byte { return Default.GetZeroed(n) }
 
 // Put returns a buffer to the Default pool.
 func Put(buf []byte) { Default.Put(buf) }

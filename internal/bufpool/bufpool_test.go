@@ -63,12 +63,6 @@ func TestRecycleRoundTrip(t *testing.T) {
 	if len(b) != 900 || cap(b) != 1024 {
 		t.Fatalf("recycled Get: len=%d cap=%d", len(b), cap(b))
 	}
-	z := p.GetZeroed(900)
-	for i, v := range z {
-		if v != 0 {
-			t.Fatalf("GetZeroed: byte %d = %#x, want 0", i, v)
-		}
-	}
 }
 
 func TestPutRejectsForeignCapacity(t *testing.T) {

@@ -148,15 +148,3 @@ func improve(f *gf.Field, c *gf.Matrix) error {
 	}
 	return nil
 }
-
-// TotalOnes returns the total bitmatrix ones of a matrix: a proxy for the
-// XOR cost of encoding with it.
-func TotalOnes(f *gf.Field, m *gf.Matrix) int {
-	total := 0
-	for i := 0; i < m.Rows(); i++ {
-		for j := 0; j < m.Cols(); j++ {
-			total += OnesInBitmatrix(f, m.At(i, j))
-		}
-	}
-	return total
-}

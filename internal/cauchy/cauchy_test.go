@@ -116,7 +116,7 @@ func TestImproveReducesOnes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, was := TotalOnes(f, impParity), TotalOnes(f, plain); got > was {
+		if got, was := totalOnes(f, impParity), totalOnes(f, plain); got > was {
 			t.Errorf("k=%d m=%d: improvement increased ones %d -> %d", tc.k, tc.m, was, got)
 		}
 	}
@@ -158,4 +158,16 @@ func rangeInts(lo, hi int) []int {
 		out = append(out, i)
 	}
 	return out
+}
+
+// totalOnes returns the total bitmatrix ones of a matrix: a proxy for the
+// XOR cost of encoding with it.
+func totalOnes(f *gf.Field, m *gf.Matrix) int {
+	total := 0
+	for i := 0; i < m.Rows(); i++ {
+		for j := 0; j < m.Cols(); j++ {
+			total += OnesInBitmatrix(f, m.At(i, j))
+		}
+	}
+	return total
 }

@@ -432,15 +432,6 @@ func (n *Network) reviveLocked(node int) {
 	}
 }
 
-// NoticeDeadline returns the pending preemption deadline for a node, or
-// false when no notice is outstanding.
-func (n *Network) NoticeDeadline(node int) (time.Time, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	d, ok := n.deadlines[node]
-	return d, ok
-}
-
 // Killed reports whether the schedule has killed the node; when it has, the
 // OnKill hook has returned.
 func (n *Network) Killed(node int) bool {

@@ -74,8 +74,9 @@ func TestPlannedPreemptionNoticeThenKill(t *testing.T) {
 	if until := time.Until(f.deadline); until <= 0 || until > notice {
 		t.Fatalf("deadline %v out of the notice window", until)
 	}
-	if d, ok := n.NoticeDeadline(0); !ok || !d.Equal(f.deadline) {
-		t.Fatalf("NoticeDeadline = (%v, %v), want (%v, true)", d, ok, f.deadline)
+	// A second notice for the doomed node keeps the platform's deadline.
+	if d, err := n.SchedulePreemption(0, time.Hour); err != nil || !d.Equal(f.deadline) {
+		t.Fatalf("SchedulePreemption on a noticed node = (%v, %v), want (%v, nil)", d, err, f.deadline)
 	}
 	if n.Killed(0) {
 		t.Fatal("node killed before its deadline")
@@ -147,9 +148,6 @@ func TestReviveDisarmsPendingDeadline(t *testing.T) {
 	}
 	if err := n.Revive(0); err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := n.NoticeDeadline(0); ok {
-		t.Fatal("revived node still has a notice deadline")
 	}
 	// Nothing announces a timer that does not fire: outwait the disarmed
 	// deadline.

@@ -19,7 +19,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"eccheck/internal/obs"
 )
@@ -63,12 +62,6 @@ type Cluster struct {
 	workers int // per node
 	hostMem []map[string][]byte
 	state   []NodeState
-	// epochs counts how many times each node has been replaced, letting
-	// tests assert a node restarted empty.
-	epochs []int
-	// gen counts membership transitions (drain, fail, replace), so pollers
-	// can detect topology change without scanning every node's state.
-	gen atomic.Uint64
 
 	// Per-node host-memory traffic counters, indexed by node; nil slices
 	// (and the nil Counters inside) are no-ops until SetMetrics.
@@ -114,7 +107,6 @@ func New(nodes, workersPerNode int) (*Cluster, error) {
 		workers: workersPerNode,
 		hostMem: make([]map[string][]byte, nodes),
 		state:   make([]NodeState, nodes),
-		epochs:  make([]int, nodes),
 	}
 	for i := range c.hostMem {
 		c.hostMem[i] = make(map[string][]byte)
@@ -288,7 +280,6 @@ func (c *Cluster) Fail(node int) error {
 	}
 	c.state[node] = StateGone
 	c.hostMem[node] = make(map[string][]byte) // memory is volatile
-	c.gen.Add(1)
 	return nil
 }
 
@@ -309,7 +300,6 @@ func (c *Cluster) BeginDrain(node int) error {
 		return fmt.Errorf("cluster: node %d is failed", node)
 	}
 	c.state[node] = StateDraining
-	c.gen.Add(1)
 	return nil
 }
 
@@ -325,7 +315,6 @@ func (c *Cluster) EndDrain(node int) error {
 		return fmt.Errorf("cluster: node %d is not draining (state %s)", node, c.state[node])
 	}
 	c.state[node] = StateAlive
-	c.gen.Add(1)
 	return nil
 }
 
@@ -341,8 +330,6 @@ func (c *Cluster) Replace(node int) error {
 	}
 	c.state[node] = StateAlive
 	c.hostMem[node] = make(map[string][]byte)
-	c.epochs[node]++
-	c.gen.Add(1)
 	return nil
 }
 
@@ -378,11 +365,6 @@ func (c *Cluster) State(node int) NodeState {
 	return c.state[node]
 }
 
-// Generation returns the membership generation: a counter bumped on every
-// BeginDrain/EndDrain/Fail/Replace. Pollers compare generations to detect
-// topology change without scanning node states.
-func (c *Cluster) Generation() uint64 { return c.gen.Load() }
-
 // AliveNodes returns the indices of all live nodes, ascending.
 func (c *Cluster) AliveNodes() []int {
 	c.mu.RLock()
@@ -407,22 +389,4 @@ func (c *Cluster) FailedNodes() []int {
 		}
 	}
 	return out
-}
-
-// Epoch returns how many times the node has been replaced.
-func (c *Cluster) Epoch(node int) int {
-	if err := c.checkNode(node); err != nil {
-		return -1
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.epochs[node]
-}
-
-// WorkerNode returns the node hosting the given world-rank worker.
-func (c *Cluster) WorkerNode(worker int) (int, error) {
-	if worker < 0 || worker >= c.nodes*c.workers {
-		return 0, fmt.Errorf("cluster: worker %d out of range [0, %d)", worker, c.nodes*c.workers)
-	}
-	return worker / c.workers, nil
 }

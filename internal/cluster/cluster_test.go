@@ -84,9 +84,6 @@ func TestFailureDestroysMemory(t *testing.T) {
 	if c.Has(1, "a") {
 		t.Error("replaced node retained pre-failure memory")
 	}
-	if c.Epoch(1) != 1 {
-		t.Errorf("Epoch = %d, want 1", c.Epoch(1))
-	}
 	if err := c.Replace(1); err == nil {
 		t.Error("replace healthy node: want error")
 	}
@@ -133,23 +130,6 @@ func TestMemoryBytesAndKeys(t *testing.T) {
 	}
 	if got := c.MemoryBytes(1); got != 0 {
 		t.Errorf("empty node bytes = %d", got)
-	}
-}
-
-func TestWorkerNode(t *testing.T) {
-	c, err := New(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node, err := c.WorkerNode(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if node != 2 {
-		t.Errorf("WorkerNode(9) = %d, want 2", node)
-	}
-	if _, err := c.WorkerNode(16); err == nil {
-		t.Error("worker out of range: want error")
 	}
 }
 

@@ -100,39 +100,6 @@ func TestNodeStateString(t *testing.T) {
 	}
 }
 
-// Generation must tick on every membership transition so cached views can
-// detect staleness, and stay put for pure storage traffic.
-func TestGenerationAdvancesOnMembershipChanges(t *testing.T) {
-	c, err := New(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g0 := c.Generation()
-	if err := c.Store(0, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if c.Generation() != g0 {
-		t.Fatal("Store should not advance the generation")
-	}
-	steps := []func() error{
-		func() error { return c.BeginDrain(0) },
-		func() error { return c.EndDrain(0) },
-		func() error { return c.Fail(0) },
-		func() error { return c.Replace(0) },
-	}
-	last := g0
-	for i, step := range steps {
-		if err := step(); err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-		if g := c.Generation(); g <= last {
-			t.Fatalf("step %d: generation %d did not advance past %d", i, g, last)
-		} else {
-			last = g
-		}
-	}
-}
-
 // The membership-quiescent hot path — state queries on a stable cluster —
 // must not allocate (gated by make allocgate).
 func TestMembershipStateZeroAlloc(t *testing.T) {
@@ -141,13 +108,10 @@ func TestMembershipStateZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sink bool
-	var gen uint64
 	allocs := testing.AllocsPerRun(1000, func() {
 		sink = c.Alive(1) && !c.Draining(2) && c.State(3) == StateAlive
-		gen = c.Generation()
 	})
 	_ = sink
-	_ = gen
 	if allocs != 0 {
 		t.Fatalf("membership state queries allocated %.1f times per run, want 0", allocs)
 	}

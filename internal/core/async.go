@@ -442,7 +442,7 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 	// host memory), never from the live dicts: on an async round training
 	// has resumed and may be mutating them, and a torn serialization must
 	// not reach the durable tier.
-	if c.remote != nil && c.cfg.RemotePersistEvery > 0 && version%c.cfg.RemotePersistEvery == 0 {
+	if c.remote != nil && version%c.cfg.RemotePersistEvery == 0 {
 		persistStart := time.Now()
 		if err := c.persistCommitted(ctx, version, packetBytes); err != nil {
 			fail(err)

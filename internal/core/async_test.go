@@ -566,10 +566,7 @@ func TestCloseCleanLoadNotReportedAborted(t *testing.T) {
 // round and a sink that already saw its end event.
 func TestRoundEndVisibleWhenWaitReturns(t *testing.T) {
 	tracker := health.NewTracker(func() health.Probe { return health.Probe{} })
-	rig := newRig(t, 4, 2, 2, 2, func(c *Config) {
-		c.RemotePersistEvery = -1
-		c.Health = tracker
-	})
+	rig := newRig(t, 4, 2, 2, 2, noRemote, func(c *Config) { c.Health = tracker })
 	var ended atomic.Int32
 	tracker.SetSink(func(ev health.Event) {
 		if ev.Kind != health.KindRound || ev.State != "end" {

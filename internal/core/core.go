@@ -106,7 +106,9 @@ type Config struct {
 	// Defaults to DefaultBufferSize.
 	BufferSize int
 	// RemotePersistEvery persists every Nth checkpoint to remote storage
-	// (step 4); 0 disables remote persistence.
+	// (step 4); 0 means DefaultRemotePersistEvery. Negative values are
+	// rejected: a nil remote store, passed to New, is the one way to turn
+	// remote persistence off.
 	RemotePersistEvery int
 	// IncrementalCache makes every node retain its own workers' packets in
 	// host memory so SaveIncremental can diff against them. A worker whose
@@ -556,6 +558,9 @@ func New(cfg Config, net transport.Network, clus HostStore, remote *remotestore.
 	if cfg.BufferSize%64 != 0 {
 		return nil, fmt.Errorf("core: buffer size %d must be a multiple of 64 (the coding alignment)",
 			cfg.BufferSize)
+	}
+	if cfg.RemotePersistEvery < 0 {
+		return nil, fmt.Errorf("core: remote persist interval must be positive, got %d (pass a nil remote store to disable persistence)", cfg.RemotePersistEvery)
 	}
 	if cfg.LoadBudget < 0 {
 		return nil, fmt.Errorf("core: load budget must be non-negative, got %v", cfg.LoadBudget)

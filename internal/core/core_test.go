@@ -45,10 +45,6 @@ func newRigOn(t testing.TB, net transport.Network, dicts []*statedict.StateDict,
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := remotestore.New(5e9 / 8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := Config{
 		Topo:               topo,
 		K:                  k,
@@ -59,6 +55,7 @@ func newRigOn(t testing.TB, net transport.Network, dicts []*statedict.StateDict,
 	for _, opt := range opts {
 		opt(&cfg)
 	}
+	remote := rigRemote(t, &cfg)
 	ckpt, err := New(cfg, net, clus, remote)
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +75,26 @@ func newRigOn(t testing.TB, net transport.Network, dicts []*statedict.StateDict,
 		}
 	}
 	return &testRig{topo: topo, net: net, clus: clus, remote: remote, ckpt: ckpt, dicts: dicts}
+}
+
+// noRemote builds the rig's engine without a remote store, the engine's
+// one way to turn remote persistence off. It marks the config with a
+// negative RemotePersistEvery, which New rejects and rigRemote turns into
+// a nil remote.
+func noRemote(c *Config) { c.RemotePersistEvery = -1 }
+
+// rigRemote is a rig's remote store for cfg: nil under noRemote.
+func rigRemote(t testing.TB, cfg *Config) *remotestore.Store {
+	t.Helper()
+	if cfg.RemotePersistEvery < 0 {
+		cfg.RemotePersistEvery = 0
+		return nil
+	}
+	remote, err := remotestore.New(5e9 / 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return remote
 }
 
 func dictsEqual(t *testing.T, want, got []*statedict.StateDict) {
@@ -133,6 +150,10 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Topo: topo, K: 2, M: 2, BufferSize: 1000}, net, clus, nil); err == nil {
 		t.Error("unaligned buffer: want error")
+	}
+	// A nil remote is the one off switch; a negative interval is not one.
+	if _, err := New(Config{Topo: topo, K: 2, M: 2, RemotePersistEvery: -1}, net, clus, nil); err == nil {
+		t.Error("negative remote persist interval: want error")
 	}
 }
 
@@ -498,12 +519,12 @@ func TestLoadFromRemoteValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noRemote, err := New(Config{Topo: topo, K: 2, M: 2}, net, clus, nil)
+	bare, err := New(Config{Topo: topo, K: 2, M: 2}, net, clus, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer noRemote.Close()
-	if _, err := noRemote.LoadFromRemote(context.Background(), 0); err == nil {
+	defer bare.Close()
+	if _, err := bare.LoadFromRemote(context.Background(), 0); err == nil {
 		t.Error("no remote store: want error")
 	}
 }

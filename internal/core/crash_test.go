@@ -38,7 +38,7 @@ func newChaosRigOver(t *testing.T, dicts []*statedict.StateDict, nodes, gpus, k,
 		t.Fatal(err)
 	}
 	defaults := func(cfg *Config) {
-		cfg.RemotePersistEvery = 0
+		cfg.RemotePersistEvery = DefaultRemotePersistEvery
 		cfg.OpTimeout = 2 * time.Second
 	}
 	rig := newRigOn(t, net, dicts, nodes, gpus, k, m, append([]func(*Config){defaults}, opts...)...)

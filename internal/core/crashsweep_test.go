@@ -464,7 +464,7 @@ func TestCrashSweepLandingOrder(t *testing.T) {
 	rig, clus := newWrappedRig(t, 4, 2, 2, 2, func(hs HostStore) HostStore {
 		hook.HostStore = hs
 		return hook
-	}, func(c *Config) { c.RemotePersistEvery = -1 })
+	}, noRemote)
 	ctx := context.Background()
 	contents := [][]*statedict.StateDict{nil, stampVersion(rig.dicts, 1), stampVersion(rig.dicts, 2), stampVersion(rig.dicts, 3)}
 	if _, err := rig.ckpt.Save(ctx, contents[1]); err != nil {

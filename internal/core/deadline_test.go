@@ -96,10 +96,7 @@ func TestEveryRoundRootBoundsAStuckPeer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rig := newRigOn(t, &swallowNet{Network: inner, prefix: row.stream}, nil, 4, 2, 2, 2, func(c *Config) {
-				c.OpTimeout = opTimeout
-				c.RemotePersistEvery = -1
-			})
+			rig := newRigOn(t, &swallowNet{Network: inner, prefix: row.stream}, nil, 4, 2, 2, 2, noRemote, func(c *Config) { c.OpTimeout = opTimeout })
 			node := -1
 			if row.setup != nil {
 				node = row.setup(t, rig)

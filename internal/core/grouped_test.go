@@ -14,7 +14,7 @@ import (
 // k = m = 2 each: the one Checkpointer, selected by the node count alone.
 func groupedRig(t *testing.T) *testRig {
 	t.Helper()
-	return newRig(t, 8, 2, 2, 2, func(c *Config) { c.RemotePersistEvery = -1 })
+	return newRig(t, 8, 2, 2, 2, noRemote)
 }
 
 func TestGroupedLayoutValidation(t *testing.T) {

@@ -86,9 +86,8 @@ func TestQueueOwnedPayloadsAreHandedOver(t *testing.T) {
 	rig := newRigOn(t, net, nil, 4, 2, 2, 2, func(c *Config) {
 		c.OpTimeout = 5 * time.Second
 		c.IncrementalCache = true
-		c.RemotePersistEvery = -1
 		c.Metrics = reg
-	})
+	}, noRemote)
 	ctx := context.Background()
 	expect := func(round string, owned, borrowed []string) {
 		t.Helper()

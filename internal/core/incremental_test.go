@@ -25,10 +25,7 @@ import (
 
 func incrementalRig(t *testing.T) *testRig {
 	t.Helper()
-	return newRig(t, 4, 2, 2, 2, func(cfg *Config) {
-		cfg.IncrementalCache = true
-		cfg.RemotePersistEvery = -1
-	})
+	return newRig(t, 4, 2, 2, 2, noRemote, func(cfg *Config) { cfg.IncrementalCache = true })
 }
 
 // mutateSomeTensors flips a byte in the first tensor of the given ranks
@@ -270,12 +267,11 @@ func TestDeltaRoundIsASaveRound(t *testing.T) {
 	reg := obs.NewRegistry()
 	rig := newRig(t, 4, 2, 2, 2, func(cfg *Config) {
 		cfg.IncrementalCache = true
-		cfg.RemotePersistEvery = -1
 		cfg.Flight = rec
 		cfg.Health = tracker
 		cfg.Metrics = reg
 		cfg.WatchdogFactor = 1000
-	})
+	}, noRemote)
 	ctx := context.Background()
 	if _, err := rig.ckpt.Save(ctx, rig.dicts); err != nil {
 		t.Fatal(err)
@@ -421,9 +417,8 @@ func TestSparseDeltaTouchesOnlyItsSegments(t *testing.T) {
 		return hook
 	}, func(c *Config) {
 		c.IncrementalCache = true
-		c.RemotePersistEvery = -1
 		c.Metrics = obs.NewRegistry()
-	})
+	}, noRemote)
 	ctx := context.Background()
 	for i := 1; i <= 2; i++ { // the second commit fills the spare sets
 		if _, err := rig.ckpt.Save(ctx, stampVersion(rig.dicts, i)); err != nil {
@@ -856,9 +851,8 @@ func TestOneCopyOfEachPacketPerMachine(t *testing.T) {
 			}
 			rig := newRigOn(t, net, dicts, shape.nodes, shape.gpus, shape.k, shape.m, func(c *Config) {
 				c.IncrementalCache = true
-				c.RemotePersistEvery = -1
 				c.BufferSize = 16 << 10
-			})
+			}, noRemote)
 			ctx := context.Background()
 			plan := rig.ckpt.Plan()
 			rep, err := rig.ckpt.Save(ctx, stampVersion(rig.dicts, 1))

@@ -151,7 +151,7 @@ func replaceFenced(t *testing.T, rig *testRig, net *chaos.Network, node int) {
 // next commit — the only thing that retires what it is reading — waiting,
 // and the commit goes through the moment it lets go.
 func TestHeldViewBlocksTheCommit(t *testing.T) {
-	rig := newRig(t, 4, 2, 2, 2, func(c *Config) { c.RemotePersistEvery = -1 })
+	rig := newRig(t, 4, 2, 2, 2, noRemote)
 	ctx := context.Background()
 	for i := 1; i <= 2; i++ {
 		if _, err := rig.ckpt.Save(ctx, stampVersion(rig.dicts, i)); err != nil {
@@ -381,7 +381,7 @@ func TestSteadyStateSaveAllocatesNoSegments(t *testing.T) {
 			return float64(after.TotalAlloc-before.TotalAlloc) / float64(payload), float64(rep.PacketBytes) / float64(payload)
 		}
 		t.Run(shape.name, func(t *testing.T) {
-			rig := newRig(t, shape.nodes, shape.gpus, shape.k, shape.m, func(c *Config) { c.RemotePersistEvery = -1 })
+			rig := newRig(t, shape.nodes, shape.gpus, shape.k, shape.m, noRemote)
 			cold, packet := allocated(t, rig, false)
 			allocated(t, rig, false)
 			if chunks := float64(rig.topo.World()/shape.k*rig.topo.Nodes()) * packet; cold < chunks {
@@ -433,10 +433,7 @@ func TestSteadyStateSaveAllocatesNoSegments(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rig := newRigOn(t, net, dicts, shape.nodes, gpus, shape.k, shape.m, func(c *Config) {
-				c.IncrementalCache = true
-				c.RemotePersistEvery = -1
-			})
+			rig := newRigOn(t, net, dicts, shape.nodes, gpus, shape.k, shape.m, noRemote, func(c *Config) { c.IncrementalCache = true })
 			_, packet := allocated(t, rig, false)
 			allocated(t, rig, false)
 			cached := 0 // the workers whose data chunk is stored on another machine
@@ -467,7 +464,7 @@ func TestConcurrentLoadAndSaveAsyncNeverMixVersions(t *testing.T) {
 	rig, _ := newWrappedRig(t, 4, 2, 2, 2, func(hs HostStore) HostStore {
 		hook.HostStore = hs
 		return hook
-	}, func(c *Config) { c.RemotePersistEvery = -1 })
+	}, noRemote)
 	loadWhileSaving(t, rig, hook, func(ctx context.Context, dicts []*statedict.StateDict) error {
 		h, err := rig.ckpt.SaveAsync(ctx, dicts)
 		if err != nil {

@@ -189,15 +189,6 @@ func (p *phaseClock) Stop() map[string]time.Duration {
 	return p.phases
 }
 
-// Total sums all charged phases.
-func (p *phaseClock) Total() time.Duration {
-	var t time.Duration
-	for _, d := range p.phases {
-		t += d
-	}
-	return t
-}
-
 // shiftPhase moves up to limit (of the amount available) from one phase to
 // another, keeping the partition's sum constant. Used to re-attribute XOR
 // work done by receiver goroutines out of the main goroutine's barrier

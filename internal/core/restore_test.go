@@ -24,7 +24,6 @@ import (
 	"eccheck/internal/obs/flight"
 	"eccheck/internal/obs/health"
 	"eccheck/internal/parallel"
-	"eccheck/internal/remotestore"
 	"eccheck/internal/transport"
 )
 
@@ -44,10 +43,6 @@ func newWrappedRig(t *testing.T, nodes, gpus, k, m int, wrap func(HostStore) Hos
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := remotestore.New(5e9 / 8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := Config{
 		Topo:               topo,
 		K:                  k,
@@ -58,6 +53,7 @@ func newWrappedRig(t *testing.T, nodes, gpus, k, m int, wrap func(HostStore) Hos
 	for _, opt := range opts {
 		opt(&cfg)
 	}
+	remote := rigRemote(t, &cfg)
 	ckpt, err := New(cfg, net, wrap(clus), remote)
 	if err != nil {
 		t.Fatal(err)

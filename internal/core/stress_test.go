@@ -13,9 +13,8 @@ func TestSaveLoadUnderTransportBackpressure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	rig := newRig(t, 4, 2, 2, 2, func(cfg *Config) {
+	rig := newRig(t, 4, 2, 2, 2, noRemote, func(cfg *Config) {
 		cfg.BufferSize = 192 // hundreds of slices per packet
-		cfg.RemotePersistEvery = -1
 	})
 	ctx := context.Background()
 	rep, err := rig.ckpt.Save(ctx, rig.dicts)

@@ -32,11 +32,8 @@ func wideRig(t *testing.T, nodes, k, m, perRank int, opts ...func(*Config)) *tes
 	if err != nil {
 		t.Fatal(err)
 	}
-	defaults := func(c *Config) {
-		c.BufferSize = 4 << 10
-		c.RemotePersistEvery = -1
-	}
-	return newRigOn(t, net, dicts, nodes, 1, k, m, append([]func(*Config){defaults}, opts...)...)
+	defaults := func(c *Config) { c.BufferSize = 4 << 10 }
+	return newRigOn(t, net, dicts, nodes, 1, k, m, append([]func(*Config){defaults, noRemote}, opts...)...)
 }
 
 // loseDataNodes fails and replaces every data machine: m per code group when

@@ -32,9 +32,7 @@ type bufWindow struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
 	landed    []int       // deliveries landed so far, by buffer
-	enterAt   []time.Time // when the encode loop entered acquire for the buffer
-	began     []time.Time // when the encode loop acquired the buffer
-	commitAt  []time.Time // when the buffer's ledger completed
+	began     []time.Time // when the encode loop acquired the buffer, if rec is set
 	acquired  []bool      // whether the encode loop holds the buffer's credit
 	committed []bool
 	inFlight  int // acquired but not yet fully landed
@@ -61,9 +59,7 @@ func newBufWindow(numBuffers, depth int, expect func(b int) int) *bufWindow {
 		depth:      depth,
 		expected:   make([]int, numBuffers),
 		landed:     make([]int, numBuffers),
-		enterAt:    make([]time.Time, numBuffers),
 		began:      make([]time.Time, numBuffers),
-		commitAt:   make([]time.Time, numBuffers),
 		acquired:   make([]bool, numBuffers),
 		committed:  make([]bool, numBuffers),
 	}
@@ -96,7 +92,6 @@ func (w *bufWindow) acquire(ctx context.Context, b int) error {
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.enterAt[b] = time.Now()
 	for w.inFlight >= w.depth && !w.failed && ctx.Err() == nil {
 		w.cond.Wait()
 	}
@@ -106,7 +101,9 @@ func (w *bufWindow) acquire(ctx context.Context, b int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	w.began[b] = time.Now()
+	if w.rec != nil {
+		w.began[b] = time.Now()
+	}
 	w.acquired[b] = true
 	w.inFlight++
 	if w.inFlight > w.maxFlight {
@@ -140,13 +137,12 @@ func (w *bufWindow) landOne(b int) {
 // the buffer's lifetime lands in the flight recorder as an EvBuffer span.
 func (w *bufWindow) commitLocked(b int) {
 	w.committed[b] = true
-	w.commitAt[b] = time.Now()
 	w.inFlight--
 	for w.watermark < w.numBuffers && w.committed[w.watermark] {
 		w.watermark++
 	}
 	if w.rec != nil && !w.began[b].IsZero() {
-		w.rec.Buffer(w.op, w.node, w.round, b, w.began[b], w.commitAt[b].Sub(w.began[b]))
+		w.rec.Buffer(w.op, w.node, w.round, b, w.began[b], time.Since(w.began[b]))
 	}
 	w.cond.Broadcast()
 }
@@ -212,35 +208,4 @@ func (w *bufWindow) MaxInFlight() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.maxFlight
-}
-
-// bufStat is one committed buffer's timing partition. The interval from
-// the encode loop entering acquire to the buffer's commit splits exactly
-// into Stall (blocked waiting for a window credit) and Overlap (in flight
-// — the time the buffer's encode/XOR/P2P work ran concurrently with its
-// neighbours' commits), so Stall + Overlap == Elapsed by construction and
-// any drift indicates a bookkeeping bug.
-type bufStat struct {
-	Stall   time.Duration
-	Overlap time.Duration
-	Elapsed time.Duration
-}
-
-// stats returns the per-buffer timing partition for every committed
-// buffer; entries for buffers that never committed are zero.
-func (w *bufWindow) stats() []bufStat {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]bufStat, w.numBuffers)
-	for b := 0; b < w.numBuffers; b++ {
-		if !w.committed[b] || w.enterAt[b].IsZero() {
-			continue
-		}
-		out[b] = bufStat{
-			Stall:   w.began[b].Sub(w.enterAt[b]),
-			Overlap: w.commitAt[b].Sub(w.began[b]),
-			Elapsed: w.commitAt[b].Sub(w.enterAt[b]),
-		}
-	}
-	return out
 }

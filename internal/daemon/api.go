@@ -17,11 +17,11 @@ type JobSpec struct {
 	// Tenant is the quota-accounting principal the job belongs to.
 	// Defaults to "default".
 	Tenant string `json:"tenant,omitempty"`
-	// Nodes is the machine count (default 4): K+M, or a multiple of it for
-	// a grouped job — groups are contiguous ranges of K+M nodes, each an
-	// independent (K, M) code inside the same round.
+	// Nodes is the machine count (default 4, at most 64): K+M, or a
+	// multiple of it for a grouped job — groups are contiguous ranges of K+M
+	// nodes, each an independent (K, M) code inside the same round.
 	Nodes int `json:"nodes,omitempty"`
-	// GPUsPerNode is the worker count per machine (default 2).
+	// GPUsPerNode is the worker count per machine (default 2, at most 8).
 	GPUsPerNode int `json:"gpus_per_node,omitempty"`
 	// K and M are the erasure-code parameters (default 2+2). The job
 	// tolerates any M concurrent machine failures in each group.
@@ -32,11 +32,11 @@ type JobSpec struct {
 	// would collapse every save to one window).
 	BufferBytes int `json:"buffer_bytes,omitempty"`
 	// Scale divides the model's hidden size and vocabulary (default 32:
-	// megabyte-sized shards). The scaled hidden size must stay divisible
-	// by GPUsPerNode.
+	// megabyte-sized shards; at least 16). The scaled hidden size must stay
+	// divisible by GPUsPerNode.
 	Scale int `json:"scale,omitempty"`
-	// FlightEvents sizes the job's flight-recorder ring (default 4096;
-	// negative disables recording).
+	// FlightEvents sizes the job's flight-recorder ring (default 4096, at
+	// most 65536; negative disables recording).
 	FlightEvents int `json:"flight_events,omitempty"`
 	// RemoteBandwidth is the job's remote-tier bandwidth reservation in
 	// bytes/second (default 625 MB/s, the paper's 5 Gbps). It is charged
@@ -93,17 +93,35 @@ func (s JobSpec) withDefaults(defaultFlightEvents int, defaultWatchdog float64) 
 	return s
 }
 
-// validate rejects spec shapes Initialize would also reject, early and
-// with a 400 instead of a 500.
+// Registration bounds. Initialize resolves n² per-(node, peer) transport
+// counters and a job's state dicts grow as 1/Scale², so an unbounded spec
+// could pin seconds of CPU and gigabytes of heap before the quota check
+// runs; validate rejects one outside these bounds before anything is built.
+const (
+	maxNodes        = 64
+	maxGPUsPerNode  = 8
+	minScale        = 16 // the largest model a job may build: ≈ 70 MB of state dicts
+	maxFlightEvents = 1 << 16
+)
+
+// validate rejects spec shapes Initialize would also reject, and specs
+// outside the registration bounds, early and with a 400 instead of a 500.
 func (s JobSpec) validate() error {
-	if s.ID == "" {
+	switch {
+	case s.ID == "":
 		return fmt.Errorf("%w: job id is required", ErrBadRequest)
-	}
-	if s.K <= 0 || s.M <= 0 {
-		return fmt.Errorf("%w: k and m must be positive (got k=%d m=%d)", ErrBadRequest, s.K, s.M)
-	}
-	if s.Nodes <= 0 || s.Nodes%(s.K+s.M) != 0 {
+	case s.Nodes <= 0 || s.Nodes > maxNodes:
+		return fmt.Errorf("%w: nodes must be in [1, %d], got %d", ErrBadRequest, maxNodes, s.Nodes)
+	case s.K <= 0 || s.M <= 0 || s.K > s.Nodes || s.M > s.Nodes:
+		return fmt.Errorf("%w: k and m must be in [1, nodes] (got k=%d m=%d)", ErrBadRequest, s.K, s.M)
+	case s.Nodes%(s.K+s.M) != 0:
 		return fmt.Errorf("%w: nodes (%d) must be a positive multiple of k+m (%d+%d): groups are contiguous ranges of k+m nodes", ErrBadRequest, s.Nodes, s.K, s.M)
+	case s.GPUsPerNode <= 0 || s.GPUsPerNode > maxGPUsPerNode:
+		return fmt.Errorf("%w: gpus_per_node must be in [1, %d], got %d", ErrBadRequest, maxGPUsPerNode, s.GPUsPerNode)
+	case s.Scale < minScale:
+		return fmt.Errorf("%w: scale must be at least %d, got %d", ErrBadRequest, minScale, s.Scale)
+	case s.FlightEvents > maxFlightEvents:
+		return fmt.Errorf("%w: flight_events must be at most %d, got %d", ErrBadRequest, maxFlightEvents, s.FlightEvents)
 	}
 	return nil
 }

@@ -104,10 +104,6 @@ func New(cfg Config) *Daemon {
 	return d
 }
 
-// Metrics returns the daemon-level registry: admission, quota and
-// lifecycle counters with per-job labels, served at /metrics.
-func (d *Daemon) Metrics() *obs.Registry { return d.reg }
-
 // beginOp admits one checkpoint-affecting request, rejecting it when the
 // daemon is draining. The returned func must be called when the request
 // finishes.
@@ -420,10 +416,6 @@ func (d *Daemon) Readyz() ReadyzResponse {
 	resp.Ready = !resp.Draining && resp.Worst < eccheck.HealthAtRisk
 	return resp
 }
-
-// Events exposes the daemon's health-event bus (the /v1/events SSE
-// stream subscribes here; tests can too).
-func (d *Daemon) Events() *health.Bus { return d.bus }
 
 // Draining reports whether Shutdown has begun.
 func (d *Daemon) Draining() bool {

@@ -158,7 +158,7 @@ func TestHTTPMemoryQuota(t *testing.T) {
 	if !errors.Is(err, ErrMemoryQuota) {
 		t.Fatalf("wire error does not unwrap to ErrMemoryQuota: %v", err)
 	}
-	if got, ok := d.Metrics().Snapshot().Counter("eccheckd_quota_rejected_total",
+	if got, ok := d.reg.Snapshot().Counter("eccheckd_quota_rejected_total",
 		obs.L("tenant", "greedy"), obs.L("quota", "memory")); !ok || got != 1 {
 		t.Fatalf("quota rejection not counted (got %d, ok=%v)", got, ok)
 	}
@@ -241,7 +241,7 @@ func TestHTTPSaveSlotContention(t *testing.T) {
 	release()
 	wg.Wait()
 
-	snap := d.Metrics().Snapshot()
+	snap := d.reg.Snapshot()
 	for _, id := range []string{"left", "right"} {
 		if results[id] == nil || results[id].Report.Version != 1 {
 			t.Fatalf("job %s did not complete its save round", id)

@@ -53,7 +53,7 @@ func TestHealthTransitions(t *testing.T) {
 			t.Errorf("watch: %v", err)
 		}
 	}()
-	waitFor(t, "SSE subscriber attached", func() bool { return d.Events().Subscribers() == 1 })
+	waitFor(t, "SSE subscriber attached", func() bool { return d.bus.Subscribers() == 1 })
 
 	next := func(what string) healthEv {
 		t.Helper()
@@ -284,7 +284,7 @@ func TestMetricHelpCoverage(t *testing.T) {
 	}
 
 	families := map[string]bool{}
-	for _, snap := range []obs.Snapshot{sys.Metrics(), d.Metrics().Snapshot()} {
+	for _, snap := range []obs.Snapshot{sys.Metrics(), d.reg.Snapshot()} {
 		for _, c := range snap.Counters {
 			families[c.Name] = true
 		}

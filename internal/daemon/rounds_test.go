@@ -20,7 +20,7 @@ func TestRoundCountersFollowTheEventStream(t *testing.T) {
 		defer cancel()
 		_ = d.Shutdown(ctx)
 	})
-	sub := d.Events().Subscribe("rounds", 256)
+	sub := d.bus.Subscribe("rounds", 256)
 	defer sub.Close()
 	ctx := context.Background()
 	if _, err := d.Register(testSpec("rounds", "rounds")); err != nil {
@@ -67,7 +67,7 @@ func TestRoundCountersFollowTheEventStream(t *testing.T) {
 	if len(seen) != len(want) {
 		t.Fatalf("the stream carried rounds of ops %v, want save and load", seen)
 	}
-	snap := d.Metrics().Snapshot()
+	snap := d.reg.Snapshot()
 	for op, w := range want {
 		if got := *seen[op]; got != w {
 			t.Errorf("op %s: the stream carried %+v round events, want %+v", op, got, w)

@@ -18,15 +18,12 @@ import (
 type Option func(*config)
 
 type config struct {
-	w       uint
 	improve bool
 	smart   bool
 }
 
-// WithWordSize selects the GF(2^w) word size (4, 8 or 16). Default is 8.
-func WithWordSize(w uint) Option {
-	return func(c *config) { c.w = w }
-}
+// wordSize is the GF(2^w) word size of every code: w = 8.
+const wordSize = 8
 
 // WithImprovedMatrix enables the ones-minimising Cauchy matrix improvement.
 // Default is on.
@@ -53,13 +50,13 @@ type Code struct {
 }
 
 // New constructs a (k, m) code. k and m must be positive and k+m must fit
-// in the chosen field.
+// in GF(2^8).
 func New(k, m int, opts ...Option) (*Code, error) {
-	cfg := config{w: 8, improve: true, smart: true}
+	cfg := config{improve: true, smart: true}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	field, err := gf.NewField(cfg.w)
+	field, err := gf.NewField(wordSize)
 	if err != nil {
 		return nil, fmt.Errorf("erasure: %w", err)
 	}
@@ -86,7 +83,7 @@ func (c *Code) K() int { return c.k }
 func (c *Code) M() int { return c.m }
 
 // WordSize returns the field word size w.
-func (c *Code) WordSize() uint { return c.cfg.w }
+func (c *Code) WordSize() uint { return wordSize }
 
 // Generator returns a copy of the (k+m)×k generator matrix.
 func (c *Code) Generator() *gf.Matrix { return c.gen.Clone() }
@@ -101,7 +98,7 @@ func (c *Code) EncodeXORCount() int { return c.enc.XORCount() }
 // format: core validates BufferSize against the same 8·w, and it keeps
 // packet sizes, so stored layouts, what they were.
 func (c *Code) ChunkAlign(size int) int {
-	unit := 8 * int(c.cfg.w)
+	unit := 8 * wordSize
 	if size%unit == 0 {
 		return size
 	}
@@ -123,15 +120,14 @@ func (c *Code) compileMatrix(m *gf.Matrix, smart bool) (*bitmatrix.Schedule, err
 	if err != nil {
 		return nil, fmt.Errorf("erasure: %w", err)
 	}
-	w := int(c.cfg.w)
 	if smart {
-		s, err := bitmatrix.CompileSmart(bm, m.Cols(), m.Rows(), w)
+		s, err := bitmatrix.CompileSmart(bm, m.Cols(), m.Rows(), wordSize)
 		if err != nil {
 			return nil, fmt.Errorf("erasure: %w", err)
 		}
 		return s, nil
 	}
-	s, err := bitmatrix.Compile(bm, m.Cols(), m.Rows(), w)
+	s, err := bitmatrix.Compile(bm, m.Cols(), m.Rows(), wordSize)
 	if err != nil {
 		return nil, fmt.Errorf("erasure: %w", err)
 	}
@@ -156,9 +152,9 @@ func (c *Code) checkChunks(chunks [][]byte, want int, label string) (int, error)
 	if size == -1 {
 		return 0, fmt.Errorf("erasure: all %s chunks are nil", label)
 	}
-	if size%(8*int(c.cfg.w)) != 0 {
+	if size%(8*wordSize) != 0 {
 		return 0, fmt.Errorf("erasure: chunk size %d not a multiple of %d (use ChunkAlign)",
-			size, 8*int(c.cfg.w))
+			size, 8*wordSize)
 	}
 	return size, nil
 }

@@ -36,14 +36,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(2, 0); err == nil {
 		t.Error("m=0: want error")
 	}
-	if _, err := New(2, 2, WithWordSize(5)); err == nil {
-		t.Error("w=5: want error")
-	}
-	if _, err := New(200, 200, WithWordSize(8)); err == nil {
-		t.Error("k+m > 2^w: want error")
-	}
-	if _, err := New(200, 200, WithWordSize(16), WithImprovedMatrix(false)); err != nil {
-		t.Errorf("k+m=400 fits GF(2^16): %v", err)
+	if _, err := New(200, 200); err == nil {
+		t.Error("k+m > 2^8: want error")
 	}
 }
 
@@ -293,27 +287,25 @@ func TestEncodeRangeMatchesEncode(t *testing.T) {
 
 func TestOptionCombinationsAllMDS(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
-	for _, w := range []uint{4, 8, 16} {
-		for _, improve := range []bool{false, true} {
-			for _, smart := range []bool{false, true} {
-				c, err := New(3, 2, WithWordSize(w), WithImprovedMatrix(improve), WithSmartSchedule(smart))
-				if err != nil {
-					t.Fatal(err)
-				}
-				size := c.ChunkAlign(100)
-				orig := encodeAll(t, c, r, size)
-				work := make([][]byte, 5)
-				for i := range work {
-					work[i] = append([]byte(nil), orig[i]...)
-				}
-				work[0], work[4] = nil, nil
-				if err := c.Reconstruct(work); err != nil {
-					t.Fatalf("w=%d improve=%v smart=%v: %v", w, improve, smart, err)
-				}
-				for i := range work {
-					if !bytes.Equal(work[i], orig[i]) {
-						t.Errorf("w=%d improve=%v smart=%v: chunk %d mismatch", w, improve, smart, i)
-					}
+	for _, improve := range []bool{false, true} {
+		for _, smart := range []bool{false, true} {
+			c, err := New(3, 2, WithImprovedMatrix(improve), WithSmartSchedule(smart))
+			if err != nil {
+				t.Fatal(err)
+			}
+			size := c.ChunkAlign(100)
+			orig := encodeAll(t, c, r, size)
+			work := make([][]byte, 5)
+			for i := range work {
+				work[i] = append([]byte(nil), orig[i]...)
+			}
+			work[0], work[4] = nil, nil
+			if err := c.Reconstruct(work); err != nil {
+				t.Fatalf("improve=%v smart=%v: %v", improve, smart, err)
+			}
+			for i := range work {
+				if !bytes.Equal(work[i], orig[i]) {
+					t.Errorf("improve=%v smart=%v: chunk %d mismatch", improve, smart, i)
 				}
 			}
 		}

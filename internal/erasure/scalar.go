@@ -27,7 +27,7 @@ import (
 // dst held before.
 func (c *Code) ScalarSchedule(coef int, accumulate bool) (*bitmatrix.Schedule, error) {
 	if coef <= 0 || coef >= c.field.Size() {
-		return nil, fmt.Errorf("erasure: coefficient %d outside (0, 2^%d)", coef, c.cfg.w)
+		return nil, fmt.Errorf("erasure: coefficient %d outside (0, 2^%d)", coef, wordSize)
 	}
 	key := coef // an accumulating schedule is cached under -coef
 	if accumulate {

@@ -241,47 +241,33 @@ func TestParityCoefficientValidation(t *testing.T) {
 }
 
 // ScalarMulAdd is ScalarMulInto followed by XORSlice, in one pass: byte for
-// byte, for every coefficient of GF(2^8) at several aligned lengths, and for
-// a sample of GF(2^4) and GF(2^16), onto a dirty dst.
+// byte, for every coefficient of GF(2^8) at several aligned lengths, onto a
+// dirty dst.
 func TestScalarMulAddMatchesMulThenXOR(t *testing.T) {
-	every := make([]int, 256)
-	for i := range every {
-		every[i] = i
-	}
 	r := rand.New(rand.NewSource(63))
-	for _, tc := range []struct {
-		w     uint
-		sizes []int
-		coefs []int
-	}{
-		{8, []int{1, 200, 5000, 70 << 10}, every},
-		{4, []int{1000}, []int{1, 2, 7, 9, 15}},
-		{16, []int{1000}, []int{1, 2, 7, 9, 15, 0xbeef}},
-	} {
-		c, err := New(2, 2, WithWordSize(tc.w))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, size := range tc.sizes {
-			n := c.ChunkAlign(size)
-			src, dst := make([]byte, n), make([]byte, n)
-			r.Read(src)
-			r.Read(dst)
-			want, term := make([]byte, n), make([]byte, n)
-			for _, coef := range tc.coefs {
-				if err := c.ScalarMulInto(coef, term, src); err != nil {
-					t.Fatal(err)
-				}
-				copy(want, dst)
-				if err := gf.XORSlice(want, term); err != nil {
-					t.Fatal(err)
-				}
-				if err := c.ScalarMulAdd(coef, dst, src); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(dst, want) {
-					t.Fatalf("w=%d n=%d coef=%d: mul-add differs from mul then XOR", tc.w, n, coef)
-				}
+	c, err := New(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{1, 200, 5000, 70 << 10} {
+		n := c.ChunkAlign(size)
+		src, dst := make([]byte, n), make([]byte, n)
+		r.Read(src)
+		r.Read(dst)
+		want, term := make([]byte, n), make([]byte, n)
+		for coef := 0; coef < 256; coef++ {
+			if err := c.ScalarMulInto(coef, term, src); err != nil {
+				t.Fatal(err)
+			}
+			copy(want, dst)
+			if err := gf.XORSlice(want, term); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.ScalarMulAdd(coef, dst, src); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("n=%d coef=%d: mul-add differs from mul then XOR", n, coef)
 			}
 		}
 	}

@@ -107,12 +107,6 @@ func (f *Field) W() uint { return f.w }
 // Size returns the number of field elements, 2^w.
 func (f *Field) Size() int { return f.size }
 
-// Add returns a + b in GF(2^w), which is bitwise XOR.
-func (f *Field) Add(a, b int) int { return a ^ b }
-
-// Sub returns a - b in GF(2^w); in characteristic 2 this equals Add.
-func (f *Field) Sub(a, b int) int { return a ^ b }
-
 // Mul returns a * b in GF(2^w).
 func (f *Field) Mul(a, b int) int {
 	if a == 0 || b == 0 {
@@ -121,57 +115,10 @@ func (f *Field) Mul(a, b int) int {
 	return f.expTbl[f.logTbl[a]+f.logTbl[b]]
 }
 
-// Div returns a / b in GF(2^w). Division by zero returns an error.
-func (f *Field) Div(a, b int) (int, error) {
-	if b == 0 {
-		return 0, fmt.Errorf("gf: division by zero in GF(2^%d)", f.w)
-	}
-	if a == 0 {
-		return 0, nil
-	}
-	d := f.logTbl[a] - f.logTbl[b]
-	if d < 0 {
-		d += f.max
-	}
-	return f.expTbl[d], nil
-}
-
 // Inv returns the multiplicative inverse of a. Zero has no inverse.
 func (f *Field) Inv(a int) (int, error) {
 	if a == 0 {
 		return 0, fmt.Errorf("gf: zero has no inverse in GF(2^%d)", f.w)
 	}
 	return f.expTbl[f.max-f.logTbl[a]], nil
-}
-
-// Exp returns α^i where α is the generator of the multiplicative group.
-func (f *Field) Exp(i int) int {
-	i %= f.max
-	if i < 0 {
-		i += f.max
-	}
-	return f.expTbl[i]
-}
-
-// Log returns log_α(a). Log of zero is undefined and returns an error.
-func (f *Field) Log(a int) (int, error) {
-	if a == 0 {
-		return 0, fmt.Errorf("gf: log of zero is undefined in GF(2^%d)", f.w)
-	}
-	return f.logTbl[a], nil
-}
-
-// Pow returns a^n in GF(2^w) (with a^0 = 1, 0^n = 0 for n > 0).
-func (f *Field) Pow(a, n int) int {
-	if n == 0 {
-		return 1
-	}
-	if a == 0 {
-		return 0
-	}
-	l := (f.logTbl[a] * n) % f.max
-	if l < 0 {
-		l += f.max
-	}
-	return f.expTbl[l]
 }

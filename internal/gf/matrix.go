@@ -56,13 +56,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Row returns a copy of row r.
-func (m *Matrix) Row(r int) []int {
-	out := make([]int, m.cols)
-	copy(out, m.data[r*m.cols:(r+1)*m.cols])
-	return out
-}
-
 // SubMatrix returns the matrix consisting of the given rows of m, in order.
 func (m *Matrix) SubMatrix(rows []int) (*Matrix, error) {
 	out, err := m.f.NewMatrix(len(rows), m.cols)

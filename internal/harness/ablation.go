@@ -56,7 +56,7 @@ func Ablations(w io.Writer) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	shard, err := maxShard(cfg, topo)
+	shard, err := model.MaxShardBytes(cfg, topo)
 	if err != nil {
 		return nil, err
 	}

@@ -46,31 +46,12 @@ func FrequencyStudy(w io.Writer) ([]FrequencyRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	shard, err := maxShard(cfg, topo)
-	if err != nil {
-		return nil, err
-	}
 	res := Resources()
-	in := baseline.TimingInput{
-		Resources:   res,
-		ShardBytes:  shard,
-		World:       topo.World(),
-		GPUsPerNode: topo.GPUsPerNode(),
-	}
-
-	b1, err := baseline.Base1Time(in)
+	in, err := timingInput(cfg, topo, res)
 	if err != nil {
 		return nil, err
 	}
-	b2, err := baseline.Base2Time(in)
-	if err != nil {
-		return nil, err
-	}
-	b3, err := baseline.Base3Time(in, 2)
-	if err != nil {
-		return nil, err
-	}
-	ec, err := ckpt.TimedSave(core.TimedOptions{Resources: res, PacketBytes: shard, Pipeline: true})
+	stall, _, err := saveTimes(ckpt, in)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +65,7 @@ func FrequencyStudy(w io.Writer) ([]FrequencyRow, error) {
 	}
 	// ECCheck recovery: the decode workflow (worst recoverable case).
 	plan := ckpt.Plan()
-	ecRec, err := ckpt.TimedRecover(core.TimedOptions{Resources: res, PacketBytes: shard},
+	ecRec, err := ckpt.TimedRecover(core.TimedOptions{Resources: res, PacketBytes: in.ShardBytes},
 		[]int{plan.DataNodes[0]})
 	if err != nil {
 		return nil, err
@@ -95,10 +76,10 @@ func FrequencyStudy(w io.Writer) ([]FrequencyRow, error) {
 		stall    time.Duration
 		recovery time.Duration
 	}{
-		{"base1", b1.Stall, remoteRec.Resume},
-		{"base2", b2.Stall, remoteRec.Resume},
-		{"base3", b3.Stall, b3Rec.Resume},
-		{"eccheck", ec.Stall, ecRec.Resume},
+		{"base1", stall["base1"], remoteRec.Resume},
+		{"base2", stall["base2"], remoteRec.Resume},
+		{"base3", stall["base3"], b3Rec.Resume},
+		{"eccheck", stall["eccheck"], ecRec.Resume},
 	}
 	var rows []FrequencyRow
 	for _, tc := range cases {

@@ -51,7 +51,7 @@ func GroupSizeStudy(w io.Writer) ([]GroupSizeRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	shard, err := maxShard(cfg, fullTopo)
+	shard, err := model.MaxShardBytes(cfg, fullTopo)
 	if err != nil {
 		return nil, err
 	}

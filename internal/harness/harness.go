@@ -11,6 +11,7 @@ import (
 	"io"
 	"time"
 
+	"eccheck/internal/baseline"
 	"eccheck/internal/cluster"
 	"eccheck/internal/core"
 	"eccheck/internal/model"
@@ -49,9 +50,37 @@ func newPaperCheckpointer(topo *parallel.Topology) (*core.Checkpointer, func(), 
 	return ckpt, cleanup, nil
 }
 
-// maxShard returns the per-worker shard size of a model on a topology.
-func maxShard(cfg model.Config, topo *parallel.Topology) (int64, error) {
-	return model.MaxShardBytes(cfg, topo)
+// timingInput is the timing models' workload: cfg's largest per-worker
+// shard on topo, on the hardware res.
+func timingInput(cfg model.Config, topo *parallel.Topology, res testbed.Resources) (baseline.TimingInput, error) {
+	shard, err := model.MaxShardBytes(cfg, topo)
+	return baseline.TimingInput{Resources: res, ShardBytes: shard, World: topo.World(), GPUsPerNode: topo.GPUsPerNode()}, err
+}
+
+// saveTimes models one checkpoint of in's workload by each of the four
+// methods — the three baselines' timing models and ECCheck's pipelined
+// timed save on ckpt — and returns each method's training stall and total
+// latency, keyed by method name.
+func saveTimes(ckpt *core.Checkpointer, in baseline.TimingInput) (stall, total map[string]time.Duration, err error) {
+	b1, err := baseline.Base1Time(in)
+	if err != nil {
+		return nil, nil, err
+	}
+	b2, err := baseline.Base2Time(in)
+	if err != nil {
+		return nil, nil, err
+	}
+	b3, err := baseline.Base3Time(in, 2)
+	if err != nil {
+		return nil, nil, err
+	}
+	ec, err := ckpt.TimedSave(core.TimedOptions{Resources: in.Resources, PacketBytes: in.ShardBytes, Pipeline: true})
+	if err != nil {
+		return nil, nil, err
+	}
+	stall = map[string]time.Duration{"base1": b1.Stall, "base2": b2.Stall, "base3": b3.Stall, "eccheck": ec.Stall}
+	total = map[string]time.Duration{"base1": b1.Total, "base2": b2.Total, "base3": b3.Total, "eccheck": ec.Total}
+	return stall, total, nil
 }
 
 // seconds renders a duration as seconds with sensible precision.
@@ -64,10 +93,6 @@ func fprintf(w io.Writer, format string, args ...any) error {
 	_, err := fmt.Fprintf(w, format, args...)
 	return err
 }
-
-// Methods enumerates the compared checkpointing systems in the paper's
-// presentation order.
-var Methods = []string{"base1", "base2", "base3", "eccheck"}
 
 // Resources returns the default hardware model for all experiments.
 func Resources() testbed.Resources { return testbed.Paper() }

@@ -37,45 +37,15 @@ func Fig10(w io.Writer) ([]Fig10Row, error) {
 	res := Resources()
 	var rows []Fig10Row
 	for _, cfg := range model.TableI() {
-		shard, err := maxShard(cfg, topo)
+		in, err := timingInput(cfg, topo, res)
 		if err != nil {
 			return nil, err
 		}
-		in := baseline.TimingInput{
-			Resources:   res,
-			ShardBytes:  shard,
-			World:       topo.World(),
-			GPUsPerNode: topo.GPUsPerNode(),
-		}
-		b1, err := baseline.Base1Time(in)
+		_, total, err := saveTimes(ckpt, in)
 		if err != nil {
 			return nil, err
 		}
-		b2, err := baseline.Base2Time(in)
-		if err != nil {
-			return nil, err
-		}
-		b3, err := baseline.Base3Time(in, 2)
-		if err != nil {
-			return nil, err
-		}
-		ec, err := ckpt.TimedSave(core.TimedOptions{
-			Resources:   res,
-			PacketBytes: shard,
-			Pipeline:    true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig10Row{
-			Model: cfg.Name,
-			Total: map[string]time.Duration{
-				"base1":   b1.Total,
-				"base2":   b2.Total,
-				"base3":   b3.Total,
-				"eccheck": ec.Total,
-			},
-		})
+		rows = append(rows, Fig10Row{Model: cfg.Name, Total: total})
 	}
 	if w != nil {
 		if err := fprintf(w, "Fig. 10: checkpointing time (4 nodes x 4 GPUs, k=m=2)\n%-12s %10s %10s %10s %10s\n",
@@ -122,7 +92,7 @@ func Fig11(w io.Writer) ([]Fig11Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		shard, err := maxShard(cfg, topo)
+		shard, err := model.MaxShardBytes(cfg, topo)
 		if err != nil {
 			return nil, err
 		}
@@ -190,29 +160,11 @@ func Fig12(w io.Writer) ([]Fig12Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	shard, err := maxShard(cfg, topo)
+	in, err := timingInput(cfg, topo, res)
 	if err != nil {
 		return nil, err
 	}
-	in := baseline.TimingInput{
-		Resources:   res,
-		ShardBytes:  shard,
-		World:       topo.World(),
-		GPUsPerNode: topo.GPUsPerNode(),
-	}
-	b1, err := baseline.Base1Time(in)
-	if err != nil {
-		return nil, err
-	}
-	b2, err := baseline.Base2Time(in)
-	if err != nil {
-		return nil, err
-	}
-	b3, err := baseline.Base3Time(in, 2)
-	if err != nil {
-		return nil, err
-	}
-	ec, err := ckpt.TimedSave(core.TimedOptions{Resources: res, PacketBytes: shard, Pipeline: true})
+	stall, total, err := saveTimes(ckpt, in)
 	if err != nil {
 		return nil, err
 	}
@@ -230,15 +182,11 @@ func Fig12(w io.Writer) ([]Fig12Point, error) {
 
 	var out []Fig12Point
 	for _, interval := range []int{100, 50, 20, 10, 5} {
-		out = append(out, Fig12Point{
-			IntervalIters: interval,
-			AvgIteration: map[string]time.Duration{
-				"base1":   avg(b1.Stall, b1.Total, interval),
-				"base2":   avg(b2.Stall, b2.Total, interval),
-				"base3":   avg(b3.Stall, b3.Total, interval),
-				"eccheck": avg(ec.Stall, ec.Total, interval),
-			},
-		})
+		pt := Fig12Point{IntervalIters: interval, AvgIteration: map[string]time.Duration{}}
+		for method := range total {
+			pt.AvgIteration[method] = avg(stall[method], total[method], interval)
+		}
+		out = append(out, pt)
 	}
 	if w != nil {
 		if err := fprintf(w, "Fig. 12: avg iteration time vs checkpoint interval (GPT-2 5.3B, baseline iter %s)\n%-9s %10s %10s %10s %10s\n",
@@ -296,15 +244,9 @@ func Fig13(w io.Writer) (*Fig13Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		shard, err := maxShard(cfg, topo)
+		in, err := timingInput(cfg, topo, res)
 		if err != nil {
 			return nil, err
-		}
-		in := baseline.TimingInput{
-			Resources:   res,
-			ShardBytes:  shard,
-			World:       topo.World(),
-			GPUsPerNode: topo.GPUsPerNode(),
 		}
 		remote, err := baseline.Base1RecoverTime(in)
 		if err != nil {
@@ -314,7 +256,7 @@ func Fig13(w io.Writer) (*Fig13Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		opt := core.TimedOptions{Resources: res, PacketBytes: shard}
+		opt := core.TimedOptions{Resources: res, PacketBytes: in.ShardBytes}
 
 		// Scenario A: one parity node fails (all data nodes survive; for
 		// base3 the failure is one node per group, recoverable).
@@ -390,49 +332,20 @@ func Fig14(w io.Writer) ([]Fig14Row, error) {
 		if err != nil {
 			return nil, err
 		}
+		in, err := timingInput(model.ScalabilityConfig(4*gpus), topo, res) // layers scale with GPUs
+		if err != nil {
+			return nil, err
+		}
 		ckpt, cleanup, err := newPaperCheckpointer(topo)
 		if err != nil {
 			return nil, err
 		}
-		cfg := model.ScalabilityConfig(4 * gpus) // layers scale with GPUs
-		shard, err := maxShard(cfg, topo)
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
-		in := baseline.TimingInput{
-			Resources:   res,
-			ShardBytes:  shard,
-			World:       topo.World(),
-			GPUsPerNode: topo.GPUsPerNode(),
-		}
-		b1, err := baseline.Base1Time(in)
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
-		b2, err := baseline.Base2Time(in)
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
-		b3, err := baseline.Base3Time(in, 2)
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
-		ec, err := ckpt.TimedSave(core.TimedOptions{Resources: res, PacketBytes: shard, Pipeline: true})
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
+		_, total, err := saveTimes(ckpt, in)
 		cleanup()
-		rows = append(rows, Fig14Row{
-			GPUs: gpus,
-			Total: map[string]time.Duration{
-				"base1": b1.Total, "base2": b2.Total, "base3": b3.Total, "eccheck": ec.Total,
-			},
-		})
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, Fig14Row{GPUs: gpus, Total: total})
 	}
 	if w != nil {
 		if err := fprintf(w, "Fig. 14: scalability of checkpointing time\n%-6s %10s %10s %10s %10s\n",

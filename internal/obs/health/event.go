@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -140,7 +139,6 @@ func (b *Bus) Publish(ev Event) {
 		select {
 		case s.ch <- ev:
 		default:
-			s.dropped.Add(1)
 			if b.onDrop != nil {
 				b.onDrop()
 			}
@@ -168,19 +166,15 @@ func (b *Bus) Close() {
 
 // Sub is one bus subscription.
 type Sub struct {
-	bus     *Bus
-	job     string
-	ch      chan Event
-	closed  bool // guarded by bus.mu
-	dropped atomic.Uint64
+	bus    *Bus
+	job    string
+	ch     chan Event
+	closed bool // guarded by bus.mu
 }
 
 // Events returns the subscription's channel. It is closed by Sub.Close
 // or Bus.Close; buffered events already delivered remain readable.
 func (s *Sub) Events() <-chan Event { return s.ch }
-
-// Dropped returns how many events this subscriber lost to a full buffer.
-func (s *Sub) Dropped() uint64 { return s.dropped.Load() }
 
 // Close unregisters the subscription and closes its channel.
 func (s *Sub) Close() {

@@ -24,7 +24,6 @@ package obs
 import (
 	"math/bits"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,11 +40,6 @@ type Label struct {
 
 // L builds a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
-
-// LInt builds a Label from an integer value (node and peer indices).
-func LInt(key string, value int) Label {
-	return Label{Key: key, Value: strconv.Itoa(value)}
-}
 
 // canonicalLabels returns the labels sorted by key (value as tiebreak), so
 // a metric's identity does not depend on the order call sites pass labels.

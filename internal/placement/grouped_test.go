@@ -66,7 +66,7 @@ func TestGroupedPlanIsTheFlatPlanPerGroup(t *testing.T) {
 		}
 	}
 	// §V-F: total traffic is m·W whatever the grouping.
-	if got, want := p.CommVolume().Total(), p.ClosedFormTotal(); got != want {
+	if got, want := p.CommVolume().Total(), p.M*p.Topo.World(); got != want {
 		t.Errorf("communication volume %d packets, closed form %d", got, want)
 	}
 }

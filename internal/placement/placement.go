@@ -448,11 +448,6 @@ func (p *Plan) CommVolume() Volume {
 	return v
 }
 
-// ClosedFormTotal returns the paper's §V-F closed form m·W: the total
-// checkpoint communication in packets, independent of the node count for
-// fixed m and shard size.
-func (p *Plan) ClosedFormTotal() int { return p.M * p.Topo.World() }
-
 // FanInTree is the bounded-fan-in aggregation structure of one XOR
 // reduction: a tree over the reduction's participating machines, rooted at
 // the reduction target's machine. Each machine folds its local workers'
@@ -490,17 +485,6 @@ func (t *FanInTree) Depth() int {
 		}
 	}
 	return depth
-}
-
-// MaxFanIn returns the largest child count any machine in the tree folds.
-func (t *FanInTree) MaxFanIn() int {
-	max := 0
-	for _, ch := range t.Children {
-		if len(ch) > max {
-			max = len(ch)
-		}
-	}
-	return max
 }
 
 // BuildFanInTree constructs the deterministic aggregation tree for one

@@ -78,7 +78,7 @@ func TestClosedFormVolume(t *testing.T) {
 			t.Fatalf("nodes=%d k=%d m=%d: %v", tc.nodes, tc.k, tc.m, err)
 		}
 		v := p.CommVolume()
-		if got, want := v.Total(), p.ClosedFormTotal(); got != want {
+		if got, want := v.Total(), p.M*p.Topo.World(); got != want {
 			t.Errorf("nodes=%d gpus=%d k=%d m=%d: total volume %d packets, closed form %d (%+v)",
 				tc.nodes, tc.gpus, tc.k, tc.m, got, want, v)
 		}

@@ -27,7 +27,6 @@ import (
 // Store is a durable object store behind a shared uplink.
 type Store struct {
 	mu      sync.Mutex
-	rate    float64 // aggregate bytes/second
 	objects map[string][]byte
 	uplink  *simnet.Resource
 	// stall makes every operation block for the given real-time duration
@@ -86,14 +85,10 @@ func New(aggregateRate float64) (*Store, error) {
 		return nil, fmt.Errorf("remotestore: %w", err)
 	}
 	return &Store{
-		rate:    aggregateRate,
 		objects: make(map[string][]byte),
 		uplink:  uplink,
 	}, nil
 }
-
-// Rate returns the aggregate bandwidth in bytes/second.
-func (s *Store) Rate() float64 { return s.rate }
 
 // SetStall makes every subsequent Put/Get block for d of real time before
 // executing, modeling a hung or badly degraded remote tier. Stalled
@@ -218,17 +213,6 @@ func (s *Store) Delete(key string) {
 	delete(s.objects, key)
 }
 
-// ObjectBytes returns the stored size of an object, or -1 if absent.
-func (s *Store) ObjectBytes(key string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, ok := s.objects[key]
-	if !ok {
-		return -1
-	}
-	return len(data)
-}
-
 // TotalBytes returns the total stored volume.
 func (s *Store) TotalBytes() int {
 	s.mu.Lock()
@@ -238,12 +222,4 @@ func (s *Store) TotalBytes() int {
 		total += len(d)
 	}
 	return total
-}
-
-// ResetClock clears the uplink's virtual-time queue (objects persist),
-// starting a fresh timing experiment against the same durable contents.
-func (s *Store) ResetClock() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.uplink.Reset()
 }

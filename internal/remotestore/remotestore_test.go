@@ -87,12 +87,6 @@ func TestObjectsPersistAndAccounting(t *testing.T) {
 	if !s.Has("x") || s.Has("z") {
 		t.Error("Has wrong")
 	}
-	if got := s.ObjectBytes("y"); got != 20 {
-		t.Errorf("ObjectBytes = %d", got)
-	}
-	if got := s.ObjectBytes("z"); got != -1 {
-		t.Errorf("ObjectBytes(missing) = %d", got)
-	}
 	if got := s.TotalBytes(); got != 30 {
 		t.Errorf("TotalBytes = %d", got)
 	}
@@ -101,18 +95,8 @@ func TestObjectsPersistAndAccounting(t *testing.T) {
 		t.Error("Delete failed")
 	}
 	s.Delete("x") // idempotent
-
-	// ResetClock clears timing but not durability.
-	s.ResetClock()
-	if !s.Has("y") {
-		t.Error("ResetClock destroyed objects")
-	}
-	span, err := s.Put(context.Background(), 0, "post-reset", make([]byte, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if span.Start != 0 {
-		t.Errorf("post-reset put queued at %v, want 0", span.Start)
+	if got := s.TotalBytes(); got != 20 {
+		t.Errorf("TotalBytes after Delete = %d, want 20", got)
 	}
 }
 

@@ -114,13 +114,3 @@ func Unmarshal(stream []byte) (*statedict.StateDict, error) {
 	}
 	return sd, nil
 }
-
-// StreamOverhead returns the framing bytes Marshal adds beyond the raw
-// payload of a dict, useful for size accounting in the harness.
-func StreamOverhead(sd *statedict.StateDict) (int, error) {
-	stream, err := Marshal(sd)
-	if err != nil {
-		return 0, err
-	}
-	return len(stream) - sd.TensorBytes(), nil
-}

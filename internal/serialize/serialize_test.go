@@ -68,10 +68,7 @@ func TestMarshalCopiesTensorData(t *testing.T) {
 	if len(stream) < sd.TensorBytes() {
 		t.Errorf("stream %dB smaller than tensor payload %dB", len(stream), sd.TensorBytes())
 	}
-	overhead, err := StreamOverhead(sd)
-	if err != nil {
-		t.Fatal(err)
-	}
+	overhead := len(stream) - sd.TensorBytes()
 	if overhead <= 0 {
 		t.Errorf("overhead = %d, want > 0 (framing + small components)", overhead)
 	}

@@ -47,7 +47,6 @@ type Resource struct {
 	name     string
 	rate     float64
 	nextFree time.Duration
-	busyLog  []Span
 	rec      *flight.Recorder
 }
 
@@ -58,15 +57,6 @@ func NewResource(name string, rate float64) (*Resource, error) {
 	}
 	return &Resource{name: name, rate: rate}, nil
 }
-
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
-
-// Rate returns the service rate in bytes/second.
-func (r *Resource) Rate() float64 { return r.rate }
-
-// NextFree returns the earliest instant a new job could start.
-func (r *Resource) NextFree() time.Duration { return r.nextFree }
 
 // SetFlight installs a flight recorder that receives one link-busy
 // event per executed job, stamped in virtual time. A nil recorder
@@ -89,28 +79,9 @@ func (r *Resource) Exec(ready time.Duration, bytes int64) (Span, error) {
 	end := start + d
 	r.nextFree = end
 	if d > 0 {
-		r.busyLog = append(r.busyLog, Span{Start: start, End: end})
 		r.rec.LinkBusy(r.name, start, d, bytes)
 	}
 	return Span{Start: start, End: end}, nil
-}
-
-// BusyLog returns the executed spans, in execution order.
-func (r *Resource) BusyLog() []Span { return append([]Span(nil), r.busyLog...) }
-
-// BusyTime returns the total busy duration.
-func (r *Resource) BusyTime() time.Duration {
-	var total time.Duration
-	for _, s := range r.busyLog {
-		total += s.Len()
-	}
-	return total
-}
-
-// Reset clears the queue and log, reusing the resource for a fresh run.
-func (r *Resource) Reset() {
-	r.nextFree = 0
-	r.busyLog = nil
 }
 
 // Timeline is a set of busy spans (typically profiled training traffic on a
