@@ -40,18 +40,21 @@ test:
 # segment and keeps no cache: TestOneCopyOfEachPacketPerMachine walks every
 # machine's keys after every kind of round, and
 # TestCrashJoinedDataSlotKeepsDeltaBase pins the delta after a crash join.
-# internal/transport runs TestTransportConformance here: both transports, bare
-# and under every wrapper, held to borrow-until-return, the SendOwned
-# hand-over (the memory transport delivers the sender's slice itself),
-# per-stream FIFO with concurrent senders on one connection, and exact send
-# counters. Under the detector a payload SendOwned takes and does not deliver
+# internal/transport runs TestTransportConformance here: both transports, bare,
+# under the observer (counters and flight recorder) and under chaos, held to
+# borrow-until-return, the SendOwned hand-over (the memory transport delivers
+# the sender's slice itself), per-stream FIFO with concurrent senders on one
+# connection, exact send and receive counters, and one flight event per
+# transfer. Under the detector a payload SendOwned takes and does not deliver
 # (TCP, or a wrapper that only overrides Send) is overwritten with 0xDB before
 # it goes back to the pool (internal/transport/poison_race.go): a sender that
 # still reads it gets 0xDB, and a read that overlaps the poison is a race.
+# internal/daemon runs its HTTP handlers, fleet-wide save-slot scheduler and
+# event bus concurrently across jobs.
 # The enumerated crash sweep is the slowest test under the detector and has
 # its own target below, so it runs once per `make check`, not twice.
 race:
-	$(GO) test -race -skip 'TestCrashSweep' $(TESTFLAGS) . ./internal/transport ./internal/cluster ./internal/chaos ./internal/obs ./internal/core ./internal/bufpool ./internal/ecpool
+	$(GO) test -race -skip 'TestCrashSweep' $(TESTFLAGS) . ./internal/transport ./internal/cluster ./internal/chaos ./internal/obs ./internal/core ./internal/bufpool ./internal/ecpool ./internal/daemon
 
 # Every crash point of a round, enumerated. Save rounds (Save, SaveAsync,
 # SaveIncremental with a delta that touches every segment, and
@@ -82,9 +85,11 @@ crash-sweep:
 # every host-memory blob, the metadata and tensor-keys blobs on their own,
 # seeded from a real decomposition, and the serialized rank blob
 # LoadFromRemote reads from the remote tier — and of the TCP frame reader,
-# which reads what a peer's socket sends, and the daemon's job registration
-# body (decode, defaults and bounds: every rejection a 400, every accepted
-# spec inside the registration bounds).
+# which reads what a peer's socket sends, and the daemon's request bodies:
+# job registration (decode, defaults and bounds: every rejection a 400, every
+# accepted spec inside the registration bounds) and the save, load and fail
+# bodies (decode and validation against the largest job shape: every
+# rejection a 400, every accepted request in range).
 # They must not panic or allocate by a length or count field's say-so (the
 # frame reader: by a field outside its limits), and whatever decodes must
 # survive a round trip. One target per invocation is a `go test -fuzz` rule.
@@ -98,6 +103,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzUnmarshal' -fuzztime=10s ./internal/serialize
 	$(GO) test -run '^$$' -fuzz 'FuzzTCPReadFrame' -fuzztime=10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz 'FuzzJobSpec' -fuzztime=10s ./internal/daemon
+	$(GO) test -run '^$$' -fuzz 'FuzzRequestBodies' -fuzztime=10s ./internal/daemon
 
 # Seeded chaos smoke test: replication head-to-head, a mid-save kill, and
 # a corruption-as-erasure recovery, all deterministic.
@@ -129,7 +135,8 @@ doclint:
 # allocates under 1 KiB and takes one pooled buffer, the receiver's payload.
 # On the memory transport a steady-state 1 MiB SendOwned + Recv takes no
 # pooled buffer and allocates nothing (the sender's buffer is the receiver's
-# payload), and a plain Send takes exactly one, its copy. A LoadPartial that
+# payload), and a plain Send takes exactly one, its copy — bare and through
+# the observer, with the flight recorder off and on. A LoadPartial that
 # decodes takes exactly one pooled buffer per decoded packet, the packet
 # itself: its basis terms multiply-accumulate straight into it.
 allocgate:

@@ -165,6 +165,10 @@ func Initialize(cfg Config) (*System, error) {
 		ms.SetMetrics(reg)
 	}
 
+	var rec *flight.Recorder
+	if cfg.FlightEvents > 0 {
+		rec = flight.New(cfg.FlightEvents)
+	}
 	var chaosNet *chaos.Network
 	if cfg.Chaos != nil {
 		chaosNet, err = chaos.Wrap(net, *cfg.Chaos)
@@ -172,22 +176,17 @@ func Initialize(cfg Config) (*System, error) {
 			_ = net.Close()
 			return nil, fmt.Errorf("eccheck: %w", err)
 		}
+		// Injected faults are counted, and their verdicts land in the same
+		// timeline as the wire events.
 		chaosNet.SetMetrics(reg)
+		chaosNet.SetFlight(rec)
 		net = chaosNet
 	}
-	var rec *flight.Recorder
-	if cfg.FlightEvents > 0 {
-		rec = flight.New(cfg.FlightEvents)
-		// The flight wrapper times every send/recv at the wire. It sits
-		// outside chaos so injected latency is part of each span, and
-		// forwards the recorder down to the chaos layer (FlightSetter) so
-		// kill/drop/error verdicts land in the same timeline.
-		net = transport.WithFlight(net, rec)
-	}
-	// Outermost wrapper counts every protocol send/recv per (node, peer);
-	// under chaos it observes what the protocol attempted, while the chaos
-	// counters record what the fault plan did to it.
-	net = transport.WithMetrics(net, reg)
+	// The one observing wrapper counts every protocol send/recv per (node,
+	// peer) and times it into the flight recorder. It sits outside chaos, so
+	// it observes what the protocol attempted and injected latency is part
+	// of each span, while the chaos counters record what the fault plan did.
+	net = transport.Observe(net, reg, rec)
 
 	clus, err := cluster.New(cfg.Nodes, cfg.GPUsPerNode)
 	if err != nil {

@@ -1,10 +1,10 @@
-// Package chaos injects transport-level faults into a running deployment:
-// link latency and jitter, dropped or erroring sends, and node kills armed
-// to fire after a node's Jth send. It wraps any transport.Network, so the
-// same checkpoint protocol that runs over channels or TCP can be exercised
-// under a reproducible failure model — the property ECRM and Checkmate
-// stress: fault tolerance must hold during the checkpoint window, not just
-// between quiescent points.
+// Package chaos injects transport-level faults into a running deployment
+// and shapes its links: link latency and jitter, dropped or erroring sends,
+// and node kills armed to fire after a node's Jth send. It wraps any
+// transport.Network, so the same checkpoint protocol that runs over channels
+// or TCP can be exercised under a reproducible failure model — the property
+// ECRM and Checkmate stress: fault tolerance must hold during the checkpoint
+// window, not just between quiescent points.
 //
 // Determinism: all probabilistic decisions draw from one rand.Rand seeded
 // by Plan.Seed, so a single-goroutine access pattern replays exactly.
@@ -203,9 +203,8 @@ func Wrap(inner transport.Network, plan Plan) (*Network, error) {
 
 // SetMetrics installs counters recording every injected fault by kind:
 // chaos_sends_total (send attempts observed), chaos_dropped_total,
-// chaos_errored_total and chaos_killed_total{node}. It implements
-// transport.MetricsSetter, so wrapping a chaos network with
-// transport.WithMetrics wires these up automatically.
+// chaos_errored_total and chaos_killed_total{node}. A nil registry
+// disables recording.
 func (n *Network) SetMetrics(reg *obs.Registry) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -222,9 +221,7 @@ func (n *Network) SetMetrics(reg *obs.Registry) {
 
 // SetFlight installs a flight recorder that receives one event per
 // injected fault (kill, drop, error) with the victim, peer and wire tag
-// it hit. It implements transport.FlightSetter, so wrapping a chaos
-// network with transport.WithFlight wires this up automatically. A nil
-// recorder disables emission.
+// it hit. A nil recorder disables emission.
 func (n *Network) SetFlight(rec *flight.Recorder) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -617,8 +614,7 @@ func (e *chaosEndpoint) Recv(ctx context.Context, from int, tag string) ([]byte,
 func (e *chaosEndpoint) Close() error { return e.ep.Close() }
 
 var (
-	_ transport.Network      = (*Network)(nil)
-	_ transport.Endpoint     = (*chaosEndpoint)(nil)
-	_ transport.OwnedSender  = (*chaosEndpoint)(nil)
-	_ transport.FlightSetter = (*Network)(nil)
+	_ transport.Network     = (*Network)(nil)
+	_ transport.Endpoint    = (*chaosEndpoint)(nil)
+	_ transport.OwnedSender = (*chaosEndpoint)(nil)
 )

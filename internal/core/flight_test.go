@@ -19,7 +19,7 @@ func TestChaosKillSavePostmortem(t *testing.T) {
 	rig, net := newChaosRig(t, 4, 2, 2, 2, chaos.Plan{Seed: 1},
 		func(c *Config) { c.Flight = rec })
 	// Wire the injector too, so verdict events land in the same timeline
-	// (Initialize does this through transport.WithFlight).
+	// (Initialize does this as well).
 	net.SetFlight(rec)
 	ctx := context.Background()
 

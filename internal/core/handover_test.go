@@ -65,7 +65,7 @@ func (e *spyEndpoint) SendOwned(ctx context.Context, to int, tag string, payload
 }
 
 // TestQueueOwnedPayloadsAreHandedOver: under the wrappers a deployment
-// stacks — chaos (jitter only), flight and metrics — every
+// stacks — chaos (jitter only) and the observer with a flight recorder — every
 // payload a round owns and would recycle after sending reaches the memory
 // transport as a hand-over: XOR partials (xr), parity segments (pp), a delta
 // round's data windows (pd) and a restore's basis terms (rc). A full round's
@@ -82,7 +82,7 @@ func TestQueueOwnedPayloadsAreHandedOver(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	net := transport.WithMetrics(transport.WithFlight(chaosNet, flight.New(1024)), reg)
+	net := transport.Observe(chaosNet, reg, flight.New(1024))
 	rig := newRigOn(t, net, nil, 4, 2, 2, 2, func(c *Config) {
 		c.OpTimeout = 5 * time.Second
 		c.IncrementalCache = true

@@ -172,8 +172,23 @@ type JobStatus struct {
 // SaveRequest is the POST /v1/jobs/{id}/save body.
 type SaveRequest struct {
 	// Steps is how many simulated training iterations to advance before
-	// checkpointing (default 1; 0 also means 1 so an empty body works).
+	// checkpointing (default 1; 0 also means 1 so an empty body works), at
+	// most maxSaveSteps.
 	Steps int `json:"steps,omitempty"`
+}
+
+// maxSaveSteps bounds SaveRequest.Steps. A save advances every rank's state
+// one step at a time while it holds the job and the fleet-wide save slot, so
+// the bound caps how long one request can make every other job's save wait.
+const maxSaveSteps = 1 << 10
+
+// validate rejects a save request outside its bounds, before the save
+// touches the job or queues for the slot.
+func (r SaveRequest) validate(JobSpec) error {
+	if r.Steps < 0 || r.Steps > maxSaveSteps {
+		return fmt.Errorf("%w: steps must be in [0, %d], got %d", ErrBadRequest, maxSaveSteps, r.Steps)
+	}
+	return nil
 }
 
 // SaveResponse is the save route's body: the committed round report plus
@@ -196,6 +211,18 @@ type LoadRequest struct {
 	// see System.LoadPartial). Fault tolerance is not restored by a
 	// partial load.
 	Ranks []int `json:"ranks,omitempty"`
+}
+
+// validate rejects a partial load naming a rank outside the job's world,
+// before the load touches the job. A repeated rank is restored once.
+func (r LoadRequest) validate(spec JobSpec) error {
+	world := spec.Nodes * spec.GPUsPerNode
+	for _, rank := range r.Ranks {
+		if rank < 0 || rank >= world {
+			return fmt.Errorf("%w: rank %d out of range [0,%d)", ErrBadRequest, rank, world)
+		}
+	}
+	return nil
 }
 
 // LoadResponse is the load route's body.
@@ -221,6 +248,15 @@ type FailRequest struct {
 	// empty machine so the next load can rebuild the lost chunk through
 	// the erasure code. Set false to leave the slot dead.
 	Replace *bool `json:"replace,omitempty"`
+}
+
+// validate rejects a failure aimed at a machine outside the job's fleet,
+// before the failure touches the job.
+func (r FailRequest) validate(spec JobSpec) error {
+	if r.Node < 0 || r.Node >= spec.Nodes {
+		return fmt.Errorf("%w: node %d out of range [0,%d)", ErrBadRequest, r.Node, spec.Nodes)
+	}
+	return nil
 }
 
 // ListResponse is the GET /v1/jobs body.

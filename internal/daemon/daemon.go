@@ -236,6 +236,9 @@ func (d *Daemon) Save(ctx context.Context, id string, req SaveRequest) (*SaveRes
 	if err != nil {
 		return nil, err
 	}
+	if err := req.validate(j.spec); err != nil {
+		return nil, err
+	}
 
 	waitStart := time.Now()
 	release, err := d.sched.Acquire(ctx, id)
@@ -280,6 +283,9 @@ func (d *Daemon) Load(ctx context.Context, id string, req LoadRequest) (*LoadRes
 	if err != nil {
 		return nil, err
 	}
+	if err := req.validate(j.spec); err != nil {
+		return nil, err
+	}
 	var (
 		rep      *eccheck.LoadReport
 		verified int
@@ -310,6 +316,9 @@ func (d *Daemon) Fail(id string, req FailRequest) (*JobStatus, error) {
 	defer done()
 	j, err := d.lookup(id)
 	if err != nil {
+		return nil, err
+	}
+	if err := req.validate(j.spec); err != nil {
 		return nil, err
 	}
 	replace := true

@@ -110,7 +110,9 @@ func (j *job) end() {
 
 // advance simulates `steps` training iterations: every shard is mutated
 // deterministically and stamped with the new iteration, so a later load
-// can verify recovery byte-exactly. Caller holds opMu.
+// can verify recovery byte-exactly. A rank whose pipeline stage holds no
+// layer (more stages than the model has layers) has no tensor to mutate and
+// is only stamped. Caller holds opMu.
 func (j *job) advance(steps int) int {
 	j.mu.Lock()
 	start := j.step
@@ -119,9 +121,10 @@ func (j *job) advance(steps int) int {
 	j.mu.Unlock()
 	for s := start + 1; s <= stop; s++ {
 		for rank, sd := range j.dicts {
-			entries := sd.TensorEntries()
-			ts := entries[s%len(entries)].Tensor
-			ts.Data()[(s*31+rank)%ts.NumBytes()] ^= byte(s)
+			if entries := sd.TensorEntries(); len(entries) > 0 {
+				ts := entries[s%len(entries)].Tensor
+				ts.Data()[(s*31+rank)%ts.NumBytes()] ^= byte(s)
+			}
 			sd.SetMeta(metaStepKey, eccheck.IntValue(int64(s)))
 		}
 	}
@@ -132,8 +135,9 @@ func (j *job) advance(steps int) int {
 	return stop
 }
 
-// save advances the simulated training and checkpoints the job. The
-// caller has already acquired the fleet-wide save slot.
+// save advances the simulated training and checkpoints the job. steps has
+// passed SaveRequest.validate and the caller has acquired the fleet-wide
+// save slot.
 func (j *job) save(ctx context.Context, steps int) (*eccheck.SaveReport, error) {
 	if steps <= 0 {
 		steps = 1
@@ -221,19 +225,8 @@ func (j *job) restored(dicts []*eccheck.StateDict, rep *eccheck.LoadReport, err 
 // job's state. Unlike load it does not roll the whole job back: the
 // unrequested ranks keep their live (possibly post-checkpoint) state,
 // exactly the mixed state a serving failover accepts until the rest of
-// the fleet restores.
+// the fleet restores. The ranks have passed LoadRequest.validate.
 func (j *job) loadPartial(ctx context.Context, ranks []int) (*eccheck.LoadReport, int, error) {
-	// Rank validation is a client error (400), not a job failure: check
-	// before the op begins so a typo never pollutes the failure counter.
-	world := j.spec.Nodes * j.spec.GPUsPerNode
-	if len(ranks) == 0 {
-		return nil, 0, fmt.Errorf("%w: partial load needs at least one rank", ErrBadRequest)
-	}
-	for _, r := range ranks {
-		if r < 0 || r >= world {
-			return nil, 0, fmt.Errorf("%w: rank %d out of range [0,%d)", ErrBadRequest, r, world)
-		}
-	}
 	j.opMu.Lock()
 	defer j.opMu.Unlock()
 	j.begin("load")
@@ -241,7 +234,7 @@ func (j *job) loadPartial(ctx context.Context, ranks []int) (*eccheck.LoadReport
 	restored, rep, err := j.sys.LoadPartial(ctx, ranks)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	dicts := make([]*eccheck.StateDict, world)
+	dicts := make([]*eccheck.StateDict, j.spec.Nodes*j.spec.GPUsPerNode)
 	for rank, sd := range restored {
 		dicts[rank] = sd
 	}
@@ -256,15 +249,12 @@ func (j *job) loadPartial(ctx context.Context, ranks []int) (*eccheck.LoadReport
 
 // fail injects a machine failure (and by default an immediate empty
 // replacement, so the next load rebuilds the lost chunk through the
-// code).
+// code). The node has passed FailRequest.validate.
 func (j *job) fail(node int, replace bool) error {
 	j.opMu.Lock()
 	defer j.opMu.Unlock()
 	j.begin("fail")
 	defer j.end()
-	if node < 0 || node >= j.spec.Nodes {
-		return fmt.Errorf("%w: node %d out of range [0,%d)", ErrBadRequest, node, j.spec.Nodes)
-	}
 	if err := j.sys.FailNode(node); err != nil {
 		return err
 	}

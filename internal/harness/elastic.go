@@ -76,7 +76,7 @@ func newElasticRig() (*elasticRig, error) {
 		return nil, err
 	}
 	rec := flight.New(1 << 16)
-	net := transport.WithFlight(base, rec)
+	net := transport.Observe(base, nil, rec)
 	clus, err := cluster.New(4, 2)
 	if err != nil {
 		_ = net.Close()

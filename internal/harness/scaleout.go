@@ -9,6 +9,7 @@ import (
 	"sort"
 	"time"
 
+	"eccheck/internal/chaos"
 	"eccheck/internal/cluster"
 	"eccheck/internal/core"
 	"eccheck/internal/parallel"
@@ -37,11 +38,10 @@ type ScaleConfig struct {
 	// BufferSize is the streaming window size; PerRankBytes/BufferSize is
 	// how many windows a packet streams as.
 	BufferSize int
-	// LinkLatency and LinkGBps shape the in-process transport like a real
-	// interconnect (transport.WithLink): a fixed per-message cost plus a
-	// serialization bandwidth. Both zero leaves the link ideal.
+	// LinkLatency is charged to every message on the in-process transport
+	// (chaos.Plan.Latency), standing in for a real interconnect's
+	// per-message cost. Zero leaves the link ideal.
 	LinkLatency time.Duration
-	LinkGBps    float64
 	// Rounds is the number of measured steady-state rounds per point (one
 	// extra warm-up round always runs first).
 	Rounds int
@@ -49,15 +49,16 @@ type ScaleConfig struct {
 
 // DefaultScaleConfig returns the flat sweep `eccheck-bench scaleout` prints:
 // 4 → 256 nodes, 64 KiB per rank split into eight 8 KiB buffer windows, over
-// a 20µs + 12.5 GB/s link (≈ a 100 Gb/s RDMA fabric).
+// a link standing in for a 100 Gb/s RDMA fabric.
 func DefaultScaleConfig() ScaleConfig {
 	return ScaleConfig{
 		NodeCounts:   []int{4, 16, 64, 256},
 		PerRankBytes: 64 << 10,
 		BufferSize:   8 << 10,
-		LinkLatency:  20 * time.Microsecond,
-		LinkGBps:     12.5,
-		Rounds:       5,
+		// 20µs per message plus one 8 KiB window's serialization at
+		// 12.5 GB/s (8192 B / 12.5 GB/s ≈ 655ns).
+		LinkLatency: 20*time.Microsecond + 655*time.Nanosecond,
+		Rounds:      5,
 	}
 }
 
@@ -150,8 +151,8 @@ func ScaleOutStudy(w io.Writer, cfg ScaleConfig) ([]ScaleRow, error) {
 	}
 	if w != nil {
 		link := "ideal link"
-		if cfg.LinkLatency > 0 || cfg.LinkGBps > 0 {
-			link = fmt.Sprintf("link %v + %.1f GB/s", cfg.LinkLatency, cfg.LinkGBps)
+		if cfg.LinkLatency > 0 {
+			link = fmt.Sprintf("link %v", cfg.LinkLatency)
 		}
 		scheme := "flat k=m=nodes/2"
 		if cfg.GroupSize > 0 {
@@ -228,15 +229,16 @@ func scalePoint(cfg ScaleConfig, nodes int) (ScaleRow, error) {
 // cfg.Rounds measured ones, and returns the median round wall time and the
 // last round's report.
 func scaleRounds(cfg ScaleConfig, nodes, k, m int, dicts []*statedict.StateDict) (time.Duration, *core.SaveReport, error) {
-	net, err := transport.NewMemory(nodes)
+	mem, err := transport.NewMemory(nodes)
 	if err != nil {
 		return 0, nil, err
 	}
+	net, err := chaos.Wrap(mem, chaos.Plan{Latency: cfg.LinkLatency})
+	if err != nil {
+		_ = mem.Close()
+		return 0, nil, err
+	}
 	defer func() { _ = net.Close() }()
-	net = transport.WithLink(net, transport.LinkProfile{
-		Latency: cfg.LinkLatency,
-		GBps:    cfg.LinkGBps,
-	})
 	clus, err := cluster.New(nodes, 1)
 	if err != nil {
 		return 0, nil, err

@@ -5,10 +5,9 @@
 // answers "what happened, in what order, on which node" — a typed event
 // timeline of round begin/end markers, per-node phase spans, per-peer
 // P2P transfers, chaos injections, corruption-as-erasure recoveries,
-// buffer-pool discards, simulated-link busy spans and remote-store
-// traffic. The ring is fixed-size: old events are overwritten, never
-// allocated onto, so a recorder can stay attached to a production run
-// indefinitely.
+// buffer-pool discards and remote-store traffic. The ring is fixed-size:
+// old events are overwritten, never allocated onto, so a recorder can stay
+// attached to a production run indefinitely.
 //
 // The same nil-safety doctrine as internal/obs applies: a nil *Recorder
 // is valid, and every emit helper on it is a nil-check no-op costing
@@ -48,8 +47,10 @@ const (
 	EvCorruption
 	// EvPoolDiscard is a buffer-pool put rejected (off-class size).
 	EvPoolDiscard
-	// EvLinkBusy is a busy span on a simulated link, in virtual time.
-	EvLinkBusy
+	// The next number named a retired event, a simulated link's busy span;
+	// it stays taken so the later numbers, which postmortem JSON carries,
+	// keep their meaning.
+	_
 	// EvRemote is a remote-store put or get (Op "put"/"get").
 	EvRemote
 	// EvMembership is a membership-protocol step: drains and custody
@@ -92,8 +93,6 @@ func (t EventType) String() string {
 		return "corruption"
 	case EvPoolDiscard:
 		return "pool_discard"
-	case EvLinkBusy:
-		return "link_busy"
 	case EvRemote:
 		return "remote"
 	case EvMembership:
@@ -110,8 +109,8 @@ func (t EventType) String() string {
 }
 
 // Event is one record in the ring. TS is the offset from the recorder's
-// epoch (virtual time for EvLinkBusy); Dur is zero for instantaneous
-// events. Node is -1 for cluster-scoped events. Unused fields are zero.
+// epoch; Dur is zero for instantaneous events. Node is -1 for
+// cluster-scoped events. Unused fields are zero.
 type Event struct {
 	Seq   uint64        `json:"seq"`
 	TS    time.Duration `json:"ts"`
@@ -356,16 +355,6 @@ func (r *Recorder) PoolDiscard(bytes int64) {
 		return
 	}
 	r.append(Event{TS: r.sinceEpoch(time.Now()), Type: EvPoolDiscard, Node: -1, Bytes: bytes})
-}
-
-// LinkBusy records a busy span on the named simulated link. start and
-// dur are in virtual time (offsets on the simnet timeline), recorded
-// as-is.
-func (r *Recorder) LinkBusy(name string, start, dur time.Duration, bytes int64) {
-	if r == nil {
-		return
-	}
-	r.append(Event{TS: start, Dur: dur, Type: EvLinkBusy, Node: -1, Tag: name, Bytes: bytes})
 }
 
 // Remote records a remote-store operation (op "put" or "get") on blob

@@ -18,7 +18,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Chaos("kill", 0, 1, "t")
 	r.Corruption(2, "key")
 	r.PoolDiscard(4096)
-	r.LinkBusy("uplink", 0, time.Second, 1<<20)
 	r.Remote("put", "key", 1024, time.Now(), time.Millisecond)
 	if r.Len() != 0 || r.Cap() != 0 || r.Cursor() != 0 {
 		t.Fatal("nil recorder accessors must return zero")
@@ -42,7 +41,6 @@ func TestDisabledRecorderZeroAlloc(t *testing.T) {
 		r.Send(0, 1, "xr/0/1", 4096, start, time.Microsecond, nil)
 		r.Recv(1, 0, "xr/0/1", 4096, start, time.Microsecond, nil)
 		r.PoolDiscard(4096)
-		r.LinkBusy("uplink", 0, time.Second, 1<<20)
 		r.RoundBegin("save", 1)
 		r.RoundEnd("save", 1, nil)
 	})
@@ -189,8 +187,8 @@ func TestDefaultCapacity(t *testing.T) {
 
 func TestEventTypeString(t *testing.T) {
 	types := []EventType{EvRoundBegin, EvRoundEnd, EvPhase, EvSend, EvRecv,
-		EvChaos, EvCorruption, EvPoolDiscard, EvLinkBusy, EvRemote, EvMembership,
-		EventType(0)}
+		EvChaos, EvCorruption, EvPoolDiscard, EvRemote, EvMembership,
+		EvBuffer, EvBudget, EvStuck, EventType(0)}
 	seen := map[string]bool{}
 	for _, ty := range types {
 		s := ty.String()
@@ -201,5 +199,21 @@ func TestEventTypeString(t *testing.T) {
 			t.Fatalf("duplicate type name %q", s)
 		}
 		seen[s] = true
+	}
+}
+
+// TestEventTypeNumbersStable pins the numbers postmortem JSON carries: the
+// retired link-busy event keeps its number taken, so the later types do not
+// shift.
+func TestEventTypeNumbersStable(t *testing.T) {
+	want := map[EventType]int{EvRoundBegin: 1, EvPoolDiscard: 8, EvRemote: 10,
+		EvMembership: 11, EvBuffer: 12, EvBudget: 13, EvStuck: 14}
+	for ty, n := range want {
+		if int(ty) != n {
+			t.Errorf("%s is %d, postmortem JSON carries it as %d", ty, ty, n)
+		}
+	}
+	if s := EventType(9).String(); s != "unknown" {
+		t.Errorf("the retired number 9 is named %q", s)
 	}
 }

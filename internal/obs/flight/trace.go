@@ -12,15 +12,14 @@ import (
 //   - pid   = Node+1 (pid 0 is the cluster-scoped track, Node == -1)
 //   - tid   = one lane per event kind within the process: "rounds",
 //     one lane per phase name, "p2p", "chaos", "corruption", "bufpool",
-//     "link:<name>" and "remote"
-//   - spans (EvPhase, EvSend, EvRecv, EvLinkBusy, EvRemote) become "X"
-//     complete events; markers become "i" instants
+//     "remote", "membership" and "buffers"
+//   - events with a duration become "X" complete events; the rest
+//     become "i" instants
 //   - each matched EvSend/EvRecv pair for the same (from, to, tag)
 //     stream becomes an "s"/"f" flow pair, drawn by Perfetto as an
 //     arrow between the two transfer spans
 //
-// Timestamps are microseconds from the recorder epoch; EvLinkBusy spans
-// are on the virtual simnet timeline and share the same origin.
+// Timestamps are microseconds from the recorder epoch.
 
 // traceEvent is one entry of the Chrome trace_event array. Only the
 // fields this exporter uses are declared.
@@ -59,8 +58,6 @@ func laneFor(e Event) string {
 		return "corruption"
 	case EvPoolDiscard:
 		return "bufpool"
-	case EvLinkBusy:
-		return "link:" + e.Tag
 	case EvRemote:
 		return "remote"
 	case EvMembership:
@@ -94,8 +91,6 @@ func nameFor(e Event) string {
 		return "corrupt " + e.Tag
 	case EvPoolDiscard:
 		return "pool discard"
-	case EvLinkBusy:
-		return "busy"
 	case EvRemote:
 		return e.Op + " " + e.Tag
 	case EvMembership:

@@ -26,7 +26,6 @@ func traceRecorder() *Recorder {
 	r.Chaos("kill", 2, 0, "pp/3/2")
 	r.Corruption(2, "ec/3/seg/2")
 	r.PoolDiscard(4096)
-	r.LinkBusy("uplink", 100*time.Microsecond, 200*time.Microsecond, 1<<20)
 	r.Remote("put", "remote/ec/3/manifest", 512, at(600*time.Microsecond), 80*time.Microsecond)
 	r.Phase("save", -1, 3, "promote", at(700*time.Microsecond), 40*time.Microsecond)
 	r.RoundEnd("save", 3, errors.New("save aborted: peer gone"))

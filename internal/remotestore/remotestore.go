@@ -67,14 +67,12 @@ func (s *Store) SetMetrics(reg *obs.Registry) {
 }
 
 // SetFlight installs a flight recorder that receives one event per put
-// and get (wall-clock timed, keyed by object name) plus a virtual-time
-// link-busy span per transfer on the shared uplink. A nil recorder
+// and get, wall-clock timed and keyed by object name. A nil recorder
 // disables emission.
 func (s *Store) SetFlight(rec *flight.Recorder) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.rec = rec
-	s.uplink.SetFlight(rec)
 }
 
 // New constructs a store with the given aggregate bandwidth in

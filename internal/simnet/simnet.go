@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"time"
-
-	"eccheck/internal/obs/flight"
 )
 
 // Span is a half-open interval of virtual time.
@@ -47,7 +45,6 @@ type Resource struct {
 	name     string
 	rate     float64
 	nextFree time.Duration
-	rec      *flight.Recorder
 }
 
 // NewResource constructs a resource with the given service rate.
@@ -57,12 +54,6 @@ func NewResource(name string, rate float64) (*Resource, error) {
 	}
 	return &Resource{name: name, rate: rate}, nil
 }
-
-// SetFlight installs a flight recorder that receives one link-busy
-// event per executed job, stamped in virtual time. A nil recorder
-// disables emission. Like the rest of Resource, not safe for concurrent
-// use with Exec.
-func (r *Resource) SetFlight(rec *flight.Recorder) { r.rec = rec }
 
 // Exec enqueues a job of the given size that becomes ready at the given
 // instant, and returns its start and completion instants. Jobs are served
@@ -78,9 +69,6 @@ func (r *Resource) Exec(ready time.Duration, bytes int64) (Span, error) {
 	}
 	end := start + d
 	r.nextFree = end
-	if d > 0 {
-		r.rec.LinkBusy(r.name, start, d, bytes)
-	}
 	return Span{Start: start, End: end}, nil
 }
 

@@ -17,7 +17,7 @@ import (
 	"eccheck/internal/transport"
 )
 
-// TestTransportConformance holds both transports, bare and under every
+// TestTransportConformance holds both transports, bare and under each
 // wrapper the system stacks on them, to the four properties the checkpoint
 // protocol leans on:
 //
@@ -26,12 +26,13 @@ import (
 //	owned   a pooled buffer given to SendOwned arrives intact, and on the
 //	        memory transport it is the very slice the receiver gets — every
 //	        wrapper forwards the hand-over — while the link still charges
-//	        its cost
+//	        its latency
 //	fifo    frames of one (from, tag) stream arrive whole and in order while
 //	        1 MiB and 16-byte frames on several tags from concurrent senders
 //	        share every connection to one destination
-//	counts  transport_sends_total and transport_send_bytes_total read exactly
-//	        what was sent, owned sends included
+//	counts  the transport_* send and receive counters read exactly what was
+//	        sent, owned sends included, and a flight recorder holds one send
+//	        event per send and one recv event per receive with those bytes
 func TestTransportConformance(t *testing.T) {
 	transports := []struct {
 		name string
@@ -40,26 +41,22 @@ func TestTransportConformance(t *testing.T) {
 		{"memory", transport.NewMemory},
 		{"tcp", transport.NewTCPLoopback},
 	}
-	link := transport.LinkProfile{Latency: 20 * time.Microsecond, GBps: 8}
-	// Every layer but "bare" sits under WithMetrics, so the counters are held
-	// to the sends whatever is stacked beneath them. cost is the least time
-	// the layer holds a send of n bytes.
+	const latency = 20 * time.Microsecond
+	// Every layer but "bare" sits under the observer, so the counters are
+	// held to the sends whatever is stacked beneath it: "metrics" is the
+	// system's default stack, "flight" adds the recorder, "link" is the
+	// latency-only chaos plan the scale-out sweep shapes its link with, and
+	// "chaos" adds seeded jitter.
 	layers := []struct {
-		name string
-		wrap func(transport.Network) (transport.Network, error)
-		cost func(n int) time.Duration
+		name   string
+		plan   *chaos.Plan
+		record bool
 	}{
-		{"bare", nil, nil},
-		{"metrics", func(n transport.Network) (transport.Network, error) { return n, nil }, nil},
-		{"flight", func(n transport.Network) (transport.Network, error) {
-			return transport.WithFlight(n, flight.New(64)), nil
-		}, nil},
-		{"link", func(n transport.Network) (transport.Network, error) {
-			return transport.WithLink(n, link), nil
-		}, func(n int) time.Duration { return link.Latency + time.Duration(float64(n)/link.GBps) }},
-		{"chaos", func(n transport.Network) (transport.Network, error) {
-			return chaos.Wrap(n, chaos.Plan{Seed: 1, Jitter: 100 * time.Microsecond})
-		}, nil},
+		{"bare", nil, false},
+		{"metrics", nil, false},
+		{"flight", nil, true},
+		{"link", &chaos.Plan{Latency: latency}, false},
+		{"chaos", &chaos.Plan{Seed: 1, Latency: latency, Jitter: 100 * time.Microsecond}, false},
 	}
 	const size, dest = 3, 2
 	for _, tr := range transports {
@@ -70,13 +67,23 @@ func TestTransportConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer func() { _ = n.Close() }()
-				var reg *obs.Registry
-				if layer.wrap != nil {
-					if n, err = layer.wrap(n); err != nil {
+				var (
+					reg  *obs.Registry
+					rec  *flight.Recorder
+					cost time.Duration // the least time a send takes
+				)
+				if layer.plan != nil {
+					if n, err = chaos.Wrap(n, *layer.plan); err != nil {
 						t.Fatal(err)
 					}
+					cost = layer.plan.Latency
+				}
+				if layer.record {
+					rec = flight.New(1024)
+				}
+				if layer.name != "bare" {
 					reg = obs.NewRegistry()
-					n = transport.WithMetrics(n, reg)
+					n = transport.Observe(n, reg, rec)
 				}
 				eps := make([]transport.Endpoint, size)
 				for i := range eps {
@@ -88,7 +95,7 @@ func TestTransportConformance(t *testing.T) {
 				sent := make([]traffic, size) // by sender, all to dest
 				t.Run("borrow", func(t *testing.T) { sent[0].add(borrow(t, ctx, eps[0], eps[dest])) })
 				t.Run("owned", func(t *testing.T) {
-					sent[0].add(owned(t, ctx, eps[0], eps[dest], tr.name == "memory", layer.cost))
+					sent[0].add(owned(t, ctx, eps[0], eps[dest], tr.name == "memory", cost))
 				})
 				t.Run("fifo", func(t *testing.T) {
 					for from, tr := range fifo(t, ctx, eps[:dest], eps[dest]) {
@@ -99,12 +106,43 @@ func TestTransportConformance(t *testing.T) {
 					return
 				}
 				snap := reg.Snapshot()
+				counted := func(name, bytesName string, node, peer int) traffic {
+					labels := []obs.Label{obs.L("node", strconv.Itoa(node)), obs.L("peer", strconv.Itoa(peer))}
+					msgs, _ := snap.Counter(name, labels...)
+					vol, _ := snap.Counter(bytesName, labels...)
+					return traffic{msgs, vol}
+				}
 				for from, want := range sent[:dest] {
-					labels := []obs.Label{obs.L("node", strconv.Itoa(from)), obs.L("peer", strconv.Itoa(dest))}
-					sends, _ := snap.Counter("transport_sends_total", labels...)
-					sendBytes, _ := snap.Counter("transport_send_bytes_total", labels...)
-					if got := (traffic{sends, sendBytes}); got != want {
-						t.Errorf("counters of %d -> %d read %+v, the test sent %+v", from, dest, got, want)
+					if got := counted("transport_sends_total", "transport_send_bytes_total", from, dest); got != want {
+						t.Errorf("send counters of %d -> %d read %+v, the test sent %+v", from, dest, got, want)
+					}
+					if got := counted("transport_recvs_total", "transport_recv_bytes_total", dest, from); got != want {
+						t.Errorf("recv counters of %d <- %d read %+v, the test sent %+v", dest, from, got, want)
+					}
+				}
+				if rec == nil {
+					return
+				}
+				events := map[flight.EventType][]traffic{flight.EvSend: make([]traffic, size), flight.EvRecv: make([]traffic, size)}
+				for _, ev := range rec.Snapshot() {
+					by, ok := events[ev.Type]
+					if !ok {
+						continue
+					}
+					if ev.Err != "" {
+						t.Errorf("%s event %d -> %d %q failed: %s", ev.Type, ev.Node, ev.Peer, ev.Tag, ev.Err)
+					}
+					from := ev.Node
+					if ev.Type == flight.EvRecv {
+						from = ev.Peer
+					}
+					by[from].add(traffic{1, ev.Bytes})
+				}
+				for ty, by := range events {
+					for from, want := range sent {
+						if got := by[from]; got != want {
+							t.Errorf("%s events from %d read %+v, the test sent %+v", ty, from, got, want)
+						}
 					}
 				}
 			})
@@ -144,10 +182,10 @@ func borrow(t *testing.T, ctx context.Context, src, dst transport.Endpoint) (sen
 
 // owned hands a small and a large pooled payload to SendOwned and receives
 // them: the bytes arrive intact, handedOver says the receiver must get the
-// sender's slice itself, and a non-nil cost is the least time a send may take.
+// sender's slice itself, and cost is the least time a send may take.
 // The sender touches nothing but the slice's address after the hand-over; the
 // receiver puts the payload back.
-func owned(t *testing.T, ctx context.Context, src, dst transport.Endpoint, handedOver bool, cost func(int) time.Duration) (sent traffic) {
+func owned(t *testing.T, ctx context.Context, src, dst transport.Endpoint, handedOver bool, cost time.Duration) (sent traffic) {
 	for _, n := range []int{16, 4 << 20} {
 		payload := bufpool.Get(n)
 		for i := range payload {
@@ -158,8 +196,8 @@ func owned(t *testing.T, ctx context.Context, src, dst transport.Endpoint, hande
 		if err := transport.SendOwned(ctx, src, dst.Rank(), "owned", payload); err != nil {
 			t.Fatal(err)
 		}
-		if took := time.Since(start); cost != nil && took < cost(n) {
-			t.Errorf("%d-byte owned send took %v, under the link's %v", n, took, cost(n))
+		if took := time.Since(start); took < cost {
+			t.Errorf("%d-byte owned send took %v, under the link's %v", n, took, cost)
 		}
 		sent.add(traffic{1, int64(n)})
 		got, err := dst.Recv(ctx, src.Rank(), "owned")

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"eccheck/internal/bufpool"
+	"eccheck/internal/obs"
+	"eccheck/internal/obs/flight"
 )
 
 // networkUnderTest runs a suite against both implementations.
@@ -308,7 +310,8 @@ func TestNetworkCloseUnblocksRecv(t *testing.T) {
 // on the memory transport: a steady-state 1 MiB SendOwned + Recv passes the
 // sender's buffer itself to the receiver, so it takes no buffer from the pool
 // and allocates nothing, where a plain Send takes exactly one buffer, its
-// copy.
+// copy. It holds bare and through the observer, with the flight recorder off
+// (the system's default stack) and on.
 func TestMemorySendOwnedTakesNoBuffer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled buffers at random: allocation is not a function of the code under test")
@@ -317,60 +320,73 @@ func TestMemorySendOwnedTakesNoBuffer(t *testing.T) {
 	// buffer a cycle dropped would be allocated again inside the window.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	n, err := NewMemory(2)
-	if err != nil {
-		t.Fatal(err)
+	stacks := []struct {
+		name string
+		wrap func(Network) Network
+	}{
+		{"bare", func(n Network) Network { return n }},
+		{"observe", func(n Network) Network { return Observe(n, obs.NewRegistry(), nil) }},
+		{"observe+flight", func(n Network) Network { return Observe(n, obs.NewRegistry(), flight.New(256)) }},
 	}
-	defer func() { _ = n.Close() }()
-	src, _ := n.Endpoint(0)
-	dst, _ := n.Endpoint(1)
-	gets := poolGets(t)
-	ctx := WithOpTimeout(context.Background(), 10*time.Second)
-	const size, frames = 1 << 20, 64
-	payload := bufpool.Get(size)
-	// measure runs frames operations after a warm-up (mailbox, op timer) and
-	// returns the pool Gets and the bytes allocated per operation.
-	measure := func(op func()) (getsPerOp float64, bytesPerOp uint64) {
-		for i := 0; i < 4; i++ {
-			op()
-		}
-		var before, after runtime.MemStats
-		getsBefore := gets()
-		runtime.ReadMemStats(&before)
-		for i := 0; i < frames; i++ {
-			op()
-		}
-		runtime.ReadMemStats(&after)
-		return float64(gets()-getsBefore) / frames, (after.TotalAlloc - before.TotalAlloc) / frames
-	}
-	recv := func() []byte {
-		got, err := dst.Recv(ctx, 0, "pp/0/1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != size {
-			t.Fatalf("received %d bytes, sent %d", len(got), size)
-		}
-		return got
-	}
+	for _, stack := range stacks {
+		t.Run(stack.name, func(t *testing.T) {
+			mem, err := NewMemory(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = mem.Close() }()
+			n := stack.wrap(mem)
+			src, _ := n.Endpoint(0)
+			dst, _ := n.Endpoint(1)
+			gets := poolGets(t)
+			ctx := WithOpTimeout(context.Background(), 10*time.Second)
+			const size, frames = 1 << 20, 64
+			payload := bufpool.Get(size)
+			// measure runs frames operations after a warm-up (mailbox, op timer) and
+			// returns the pool Gets and the bytes allocated per operation.
+			measure := func(op func()) (getsPerOp float64, bytesPerOp uint64) {
+				for i := 0; i < 4; i++ {
+					op()
+				}
+				var before, after runtime.MemStats
+				getsBefore := gets()
+				runtime.ReadMemStats(&before)
+				for i := 0; i < frames; i++ {
+					op()
+				}
+				runtime.ReadMemStats(&after)
+				return float64(gets()-getsBefore) / frames, (after.TotalAlloc - before.TotalAlloc) / frames
+			}
+			recv := func() []byte {
+				got, err := dst.Recv(ctx, 0, "pp/0/1")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != size {
+					t.Fatalf("received %d bytes, sent %d", len(got), size)
+				}
+				return got
+			}
 
-	// The receiver hands the buffer straight back for the next send.
-	g, b := measure(func() {
-		if err := SendOwned(ctx, src, 1, "pp/0/1", payload); err != nil {
-			t.Fatal(err)
-		}
-		payload = recv()
-	})
-	if g != 0 || b != 0 {
-		t.Errorf("a 1 MiB SendOwned+Recv takes %.2f pool buffers and allocates %d bytes, want none", g, b)
-	}
-	g, _ = measure(func() {
-		if err := src.Send(ctx, 1, "pp/0/1", payload); err != nil {
-			t.Fatal(err)
-		}
-		bufpool.Put(recv())
-	})
-	if g != 1 {
-		t.Errorf("a 1 MiB Send+Recv takes %.2f pool buffers, want exactly one, its copy", g)
+			// The receiver hands the buffer straight back for the next send.
+			g, b := measure(func() {
+				if err := SendOwned(ctx, src, 1, "pp/0/1", payload); err != nil {
+					t.Fatal(err)
+				}
+				payload = recv()
+			})
+			if g != 0 || b != 0 {
+				t.Errorf("a 1 MiB SendOwned+Recv takes %.2f pool buffers and allocates %d bytes, want none", g, b)
+			}
+			g, _ = measure(func() {
+				if err := src.Send(ctx, 1, "pp/0/1", payload); err != nil {
+					t.Fatal(err)
+				}
+				bufpool.Put(recv())
+			})
+			if g != 1 {
+				t.Errorf("a 1 MiB Send+Recv takes %.2f pool buffers, want exactly one, its copy", g)
+			}
+		})
 	}
 }
