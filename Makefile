@@ -81,8 +81,11 @@ crash-sweep:
 # Native fuzzing, ten seconds each, of the decoders on the restore path — a
 # manifest and a worker's (meta, keys, packet) triple, seeded from a real
 # round, the remote catalog's key parser behind LoadFromRemote's discovery
-# (held to remoteKey and a grammar model), the per-window checksum footer of
-# every host-memory blob, the metadata and tensor-keys blobs on their own,
+# (held to remoteKey and a grammar model) and the discovery itself on
+# arbitrary catalogs of keys, stray names and torn versions (held to a model:
+# the newest version with every rank present, never a torn one), the
+# per-window checksum footer of every host-memory blob, the metadata and
+# tensor-keys blobs on their own,
 # seeded from a real decomposition, and the serialized rank blob
 # LoadFromRemote reads from the remote tier — and of the TCP frame reader,
 # which reads what a peer's socket sends, and the daemon's request bodies:
@@ -97,6 +100,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseManifest' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzAssemblePacket' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzParseRemoteKey' -fuzztime=10s ./internal/core
+	$(GO) test -run '^$$' -fuzz 'FuzzRemoteDiscovery' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzViewSummed' -fuzztime=10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeMeta' -fuzztime=10s ./internal/statedict
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeTensorKeys' -fuzztime=10s ./internal/statedict
@@ -124,9 +128,10 @@ doclint:
 # emitter on a nil recorder and the phase clock's per-buffer Switch on
 # the save hot path must be 0 allocs/op — these tests fail otherwise.
 # Membership-quiescent state queries (Alive/Draining/State)
-# sit on the same hot path and are gated too, as are the round-lifecycle
-# fan-out (roundStart/roundEnd) with no logger, health tracker or flight
-# recorder, and the phase clock with the stuck-round watchdog disabled. The steady-state save is gated in bytes: once
+# sit on the same hot path and are gated too, as are a registered round's
+# begin and end (round.begin/round.end) with no logger, health tracker, flight
+# recorder or op deadline, and a round's phase clock with the stuck-round
+# watchdog disabled. The steady-state save is gated in bytes: once
 # two rounds have committed, a round assembles its segments in the buffers
 # the last commit displaced and allocates under a quarter of the tensor
 # payload (the coded checkpoint afresh is (k+m)/k of it) — a delta round

@@ -59,7 +59,8 @@ type Config struct {
 	// window, so a delta save verifies only the windows it reads.
 	BufferSize int
 	// RemotePersistEvery persists every Nth checkpoint to remote storage;
-	// 0 keeps the default (10), negative disables.
+	// 0 keeps the default (10). Negative values are rejected: DisableRemote
+	// is the one way to turn the remote tier off.
 	RemotePersistEvery int
 	// RemoteBandwidth is the aggregate remote-storage bandwidth in
 	// bytes/second (default 5 Gbps). Set together with WithRemote.
@@ -142,6 +143,9 @@ func Initialize(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eccheck: %w", err)
 	}
+	if cfg.RemotePersistEvery < 0 {
+		return nil, fmt.Errorf("eccheck: remote persist interval must be positive, got %d (set DisableRemote to turn the remote tier off)", cfg.RemotePersistEvery)
+	}
 
 	// Every system carries a metrics registry; recording is lock-free
 	// atomic adds, so it stays on unconditionally.
@@ -210,11 +214,6 @@ func Initialize(cfg Config) (*System, error) {
 		remote.SetFlight(rec)
 	}
 
-	persistEvery := cfg.RemotePersistEvery
-	if persistEvery < 0 {
-		persistEvery = 0
-		remote = nil
-	}
 	// The health tracker exists before the engine it probes (the engine's
 	// round callbacks need it at construction); SetProbe below closes the
 	// cycle once the engine and cluster are live.
@@ -224,7 +223,7 @@ func Initialize(cfg Config) (*System, error) {
 		K:                  cfg.K,
 		M:                  cfg.M,
 		BufferSize:         cfg.BufferSize,
-		RemotePersistEvery: persistEvery,
+		RemotePersistEvery: cfg.RemotePersistEvery,
 		IncrementalCache:   cfg.Incremental,
 		OpTimeout:          cfg.OpTimeout,
 		LoadBudget:         cfg.LoadBudget,

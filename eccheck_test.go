@@ -2,6 +2,7 @@ package eccheck_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -169,6 +170,11 @@ func TestInitializeValidation(t *testing.T) {
 		Nodes: 4, GPUsPerNode: 1, TPDegree: 1, PPStages: 4, K: 2, M: 2, LoadBudget: -time.Second,
 	}); err == nil {
 		t.Error("negative load budget: want error")
+	}
+	if _, err := eccheck.Initialize(eccheck.Config{
+		Nodes: 4, GPUsPerNode: 1, TPDegree: 1, PPStages: 4, K: 2, M: 2, RemotePersistEvery: -1,
+	}); err == nil || !strings.Contains(err.Error(), "DisableRemote") {
+		t.Errorf("negative remote persist interval: err = %v, want an error naming DisableRemote", err)
 	}
 }
 

@@ -5,12 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"eccheck/internal/obs/flight"
 	"eccheck/internal/serialize"
 	"eccheck/internal/statedict"
-	"eccheck/internal/transport"
 )
 
 // Asynchronous snapshot-and-drain checkpointing. The paper's central claim
@@ -26,30 +25,21 @@ import (
 
 // SaveHandle tracks one save round from the moment its snapshot stage
 // returned until the background drain commits (or aborts). It is returned
-// by SaveAsync; the synchronous paths use it internally.
+// by SaveAsync; internally every round — restores and membership steps
+// included — carries one, which is what Close cancels and waits for.
 type SaveHandle struct {
 	done chan struct{}
 
-	// cancel aborts the drain; installed before the drain goroutine
-	// starts, used by Close. abortMu orders abort() against installation:
-	// aborted records an abort that arrived before the cancel func existed
-	// (Close racing the blocking snapshot stage), so setCancel fires it
-	// the moment the drain context is created instead of losing it.
-	abortMu sync.Mutex
+	// cancel cancels the round's context; aborted records that Close did.
 	cancel  context.CancelFunc
-	aborted bool
+	aborted atomic.Bool
 
 	// stall is the blocking portion: the snapshot stage's wall time.
 	stall time.Duration
 
-	mu     sync.Mutex
+	// The outcome, written once before done closes.
 	report *SaveReport
 	err    error
-
-	// onFinal, when set, runs once as the handle completes (outside the
-	// mutex, before Done closes, so whoever Wait releases sees its effects):
-	// the RoundEnd lifecycle hook.
-	onFinal func(report *SaveReport, err error)
 
 	// What the round ships, fixed by the snapshot stage. delta: it patches
 	// the committed checkpoint (false: every window over a zero base).
@@ -58,8 +48,6 @@ type SaveHandle struct {
 	delta            bool
 	shipped, windows int
 }
-
-func newSaveHandle() *SaveHandle { return &SaveHandle{done: make(chan struct{})} }
 
 // Done returns a channel closed when the round has fully drained —
 // committed or aborted. After Done, Err and the report are final.
@@ -70,12 +58,10 @@ func (h *SaveHandle) Done() <-chan struct{} { return h.done }
 func (h *SaveHandle) Err() error {
 	select {
 	case <-h.done:
+		return h.err
 	default:
 		return nil
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.err
 }
 
 // Wait blocks until the round has drained and returns its report. The
@@ -87,12 +73,10 @@ func (h *SaveHandle) Err() error {
 func (h *SaveHandle) Wait(ctx context.Context) (*SaveReport, error) {
 	select {
 	case <-h.done:
+		return h.report, h.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.report, h.err
 }
 
 // Stall returns the blocking portion of the round: the wall time of the
@@ -100,46 +84,15 @@ func (h *SaveHandle) Wait(ctx context.Context) (*SaveReport, error) {
 // returns.
 func (h *SaveHandle) Stall() time.Duration { return h.stall }
 
-// abort cancels the round's drain (used by Close). Safe before the drain
-// context exists and after the round finished.
+// abort cancels the round (used by Close). Safe after the round finished.
 func (h *SaveHandle) abort() {
-	h.abortMu.Lock()
-	h.aborted = true
-	cancel := h.cancel
-	h.abortMu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-}
-
-// setCancel installs the drain's cancel func, firing it immediately if
-// abort already ran.
-func (h *SaveHandle) setCancel(cancel context.CancelFunc) {
-	h.abortMu.Lock()
-	h.cancel = cancel
-	aborted := h.aborted
-	h.abortMu.Unlock()
-	if aborted {
-		cancel()
-	}
-}
-
-// complete finalizes the handle. On success report is set and err is
-// nil; on failure err is set and report may carry diagnostics (timing
-// fields and the flight-recorder postmortem tail) — never a committed
-// version.
-func (h *SaveHandle) complete(report *SaveReport, err error) {
-	h.mu.Lock()
-	h.report, h.err = report, err
-	h.mu.Unlock()
-	if h.onFinal != nil {
-		h.onFinal(report, err)
-	}
-	close(h.done)
+	h.aborted.Store(true)
+	h.cancel()
 }
 
 // saveMode selects the policy differences between Save, SaveAsync and
-// SaveIncremental.
+// SaveIncremental; its first two fields are how a round claims the save
+// slot (see open).
 type saveMode struct {
 	// waitInflight makes slot acquisition wait for an in-flight round
 	// (SaveAsync) instead of failing with ErrSaveInFlight (Save).
@@ -190,7 +143,6 @@ func (c *Checkpointer) SaveAsync(ctx context.Context, dicts []*statedict.StateDi
 // stage (blocking) and spawns the drain. It is the one engine under Save,
 // SaveAsync and SaveIncremental.
 func (c *Checkpointer) startSave(ctx context.Context, dicts []*statedict.StateDict, mode saveMode) (*SaveHandle, error) {
-	started := time.Now()
 	world := c.cfg.Topo.World()
 	if len(dicts) != world {
 		return nil, fmt.Errorf("core: got %d state dicts, want world size %d", len(dicts), world)
@@ -220,23 +172,13 @@ func (c *Checkpointer) startSave(ctx context.Context, dicts []*statedict.StateDi
 		return nil, fmt.Errorf("core: all state dicts are empty")
 	}
 
-	h := newSaveHandle()
-	if err := c.acquireSave(ctx, mode.waitInflight, h); err != nil {
+	r, ctx, err := c.open(ctx, roundSave, mode.op(), mode)
+	if err != nil {
 		return nil, err
 	}
-	version := int(c.version.Load()) + 1
-	op := mode.op()
-	c.roundStart(op, version)
-	h.onFinal = func(_ *SaveReport, err error) { c.roundEnd(op, version, err) }
-	h.delta = mode.delta && c.deltaBase(c.layout(), packetBytes)
-
-	// Every transport and remote-tier operation of the round — the drain
-	// and the persist included — is bounded by the per-op deadline.
-	ctx = c.opCtx(ctx)
-	// Everything the round emits after this cursor belongs to it; a
-	// failed round attaches that tail to its report as the postmortem.
-	pmStart := c.cfg.Flight.Cursor()
-	c.cfg.Flight.RoundBegin(op, version)
+	ctx = r.begin(ctx, int(c.version.Load())+1)
+	h := r.h
+	h.delta = mode.delta && c.deltaBase(packetBytes)
 
 	// --- Snapshot stage (blocking): step 1 on every node in parallel.
 	// Pure local memory work — decompose, serialize small components, DtoH
@@ -254,7 +196,7 @@ func (c *Checkpointer) startSave(ctx context.Context, dicts []*statedict.StateDi
 			snapWG.Add(1)
 			go func(node int) {
 				defer snapWG.Done()
-				snap, err := c.snapshotNode(op, node, version, packetBytes, dicts, h.delta)
+				snap, err := c.snapshotNode(r, node, packetBytes, dicts, h.delta)
 				if err != nil {
 					snapErrc <- fmt.Errorf("core: node %d snapshot: %w", node, err)
 				}
@@ -273,7 +215,7 @@ func (c *Checkpointer) startSave(ctx context.Context, dicts []*statedict.StateDi
 		}
 		return err
 	}
-	err := snapshot()
+	err = snapshot()
 	if errors.Is(err, errNoDeltaBase) {
 		// A cache deltaBase saw is missing, mis-sized or corrupt: the same
 		// round ships every window instead, which also restages every cache.
@@ -281,77 +223,60 @@ func (c *Checkpointer) startSave(ctx context.Context, dicts []*statedict.StateDi
 		err = snapshot()
 	}
 	if err != nil {
-		// Finalize the handle as well as the slot (matching drainSave's fail
-		// path): anything that already captured h as the in-flight round —
-		// Close, a queued SaveAsync, a Load waiting for the drain — is
-		// blocked on Done() and must see the round end.
-		c.releaseSave(h)
-		h.complete(c.failedSaveReport(version, packetBytes, started, h, mode, err, pmStart), err)
+		// End the round as well as the slot (matching drainSave's fail path):
+		// anything that already captured it as the in-flight round — Close, a
+		// queued SaveAsync, a Load waiting for the drain — is blocked on
+		// Done() and must see the round end.
+		c.failSave(r, packetBytes, mode, err)
 		return nil, err
 	}
 	for _, snap := range snaps {
 		h.shipped += snap.shipped
 	}
 	h.windows = world * c.numBuffers(packetBytes)
-	h.stall = time.Since(started)
+	h.stall = time.Since(r.started)
 
 	// --- Drain stage (background): everything after the offload.
-	drainCtx := ctx
-	if mode.detach {
-		drainCtx = context.WithoutCancel(ctx)
-	}
-	drainCtx, cancel := context.WithCancel(drainCtx)
-	h.setCancel(cancel)
-	go func() {
-		defer cancel()
-		c.drainSave(drainCtx, h, snaps, version, packetBytes, started, sectionStart, mode, pmStart)
-	}()
+	go c.drainSave(ctx, r, snaps, packetBytes, sectionStart, mode)
 	return h, nil
 }
 
-// failedSaveReport assembles the diagnostic report attached to a save
-// round that ended in error: timing that preserves the
-// StallNs+OverlapNs == Elapsed invariant even for a round aborted
-// mid-drain, plus the round's flight-recorder event tail (the
-// postmortem). The round's terminal event is emitted first so the tail
-// includes it. The error itself travels separately (SaveHandle.Err).
-func (c *Checkpointer) failedSaveReport(version, packetBytes int, started time.Time, h *SaveHandle, mode saveMode, err error, pmStart uint64) *SaveReport {
-	c.cfg.Flight.RoundEnd(mode.op(), version, err)
+// failSave ends a save round that failed. Its report carries diagnostics
+// only: timing that preserves the StallNs+OverlapNs == Elapsed invariant
+// even for a round aborted mid-drain, and the round's flight-recorder event
+// tail (the postmortem), cut after the terminal event so the tail includes
+// it. The error itself travels separately (SaveHandle.Err).
+func (c *Checkpointer) failSave(r *round, packetBytes int, mode saveMode, err error) {
 	report := &SaveReport{
-		Version:     version,
+		Version:     r.version,
 		PacketBytes: packetBytes,
-		Elapsed:     time.Since(started),
+		Elapsed:     time.Since(r.started),
 	}
-	if mode.detach && h.stall > 0 {
+	if mode.detach && r.h.stall > 0 {
 		// The caller unblocked after the snapshot; everything since — the
 		// partial drain included — overlapped resumed training.
-		report.StallNs = h.stall
+		report.StallNs = r.h.stall
 		report.OverlapNs = report.Elapsed - report.StallNs
 	} else {
 		// Synchronous round, or the round died before the snapshot stage
 		// finished: the caller was blocked the whole time.
 		report.StallNs = report.Elapsed
 	}
-	report.Postmortem = c.cfg.Flight.TailSince(pmStart, flight.DefaultPostmortemEvents)
-	return report
+	r.h.report = report
+	r.end(err, func() { report.Postmortem = r.tail() })
 }
 
 // drainSave runs the background portion of a save round: steps 2-3 on
 // every node, the commit barrier, the version bump and step 4 (remote
-// persistence). It always completes the handle and releases the save slot.
-func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*nodeSnapshot, version, packetBytes int, started, sectionStart time.Time, mode saveMode, pmStart uint64) {
-	// The layout cannot change while the save slot is held, so one load
-	// covers the whole drain.
-	lay := c.layout()
-	tags := c.roundTags()
-	op := mode.op()
+// persistence). It always ends the round, which releases the save slot.
+func (c *Checkpointer) drainSave(ctx context.Context, r *round, snaps []*nodeSnapshot, packetBytes int, sectionStart time.Time, mode saveMode) {
+	lay, tags, version := c.lay, c.roundTags(), r.version
 	fail := func(err error) {
 		c.discardStaged(&lay.keys)
 		clear(c.spares) // what the drains did not take goes with what they did
 		// Whatever this round left in flight stays under its own tags.
 		c.epoch.Add(1)
-		c.releaseSave(h)
-		h.complete(c.failedSaveReport(version, packetBytes, started, h, mode, err, pmStart), err)
+		c.failSave(r, packetBytes, mode, err)
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -365,7 +290,7 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
-			small, phases, err := c.nodeDrain(ctx, op, snaps[node], tags, version, packetBytes)
+			small, phases, err := c.nodeDrain(ctx, r, snaps[node], tags, packetBytes)
 			if err != nil {
 				errc <- fmt.Errorf("core: node %d save: %w", node, err)
 				cancel()
@@ -381,9 +306,6 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 	if err := <-errc; err != nil {
 		// Abort: drop the staged blobs so host memory holds exactly the
 		// previous committed checkpoint, still fully loadable.
-		if cerr := ctx.Err(); cerr != nil && c.isClosed() {
-			err = fmt.Errorf("%w: %v", ErrSaveAborted, err)
-		}
 		fail(err)
 		return
 	}
@@ -392,7 +314,7 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 	// manifest — the blob that announces the new version — lands last.
 	commitStart := time.Now()
 	c.commitMu.Lock()
-	err := c.commitStaged(lay)
+	err := c.commitStaged()
 	if err == nil {
 		c.version.Store(int64(version))
 	}
@@ -401,9 +323,11 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 		fail(fmt.Errorf("core: commit v%d: %w", version, err))
 		return
 	}
+	// From here on the round has won: the new version is committed in host
+	// memory, and nothing below can fail it.
 	commitTime := time.Since(commitStart)
 	// The commit barrier is cluster-wide work (node -1 on the timeline).
-	c.cfg.Flight.Phase(op, -1, version, PhasePromote, commitStart, commitTime)
+	c.cfg.Flight.Phase(r.op, -1, version, PhasePromote, commitStart, commitTime)
 
 	// Straggler-tolerant commit barrier accounting: each node's partition
 	// covers that node's own timeline, but the round lasts as long as its
@@ -441,32 +365,19 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 	// the just-committed checkpoint (data chunks + small components in
 	// host memory), never from the live dicts: on an async round training
 	// has resumed and may be mutating them, and a torn serialization must
-	// not reach the durable tier.
+	// not reach the durable tier. A persist that fails — the tier hung, or
+	// Close cancelled the round — leaves RemotePersisted false and the
+	// committed round a success.
 	if c.remote != nil && version%c.cfg.RemotePersistEvery == 0 {
 		persistStart := time.Now()
-		if err := c.persistCommitted(ctx, version, packetBytes); err != nil {
-			fail(err)
-			return
-		}
-		report.RemotePersisted = true
-
-		// Garbage-collect persisted versions beyond the retention bound.
-		expired := version - remoteRetain*c.cfg.RemotePersistEvery
-		for v := expired; v > 0; v -= c.cfg.RemotePersistEvery {
-			if !c.remote.Has(remoteKey(v, 0)) {
-				break
-			}
-			for rank := 0; rank < c.cfg.Topo.World(); rank++ {
-				c.remote.Delete(remoteKey(v, rank))
-			}
-		}
+		report.RemotePersisted = c.persist(ctx, r, packetBytes)
 		persistTime := time.Since(persistStart)
 		phases[PhasePersist] += persistTime
-		c.cfg.Flight.Phase(op, -1, version, PhasePersist, persistStart, persistTime)
+		c.cfg.Flight.Phase(r.op, -1, version, PhasePersist, persistStart, persistTime)
 	}
-	report.Elapsed = time.Since(started)
+	report.Elapsed = time.Since(r.started)
 	if mode.detach {
-		report.StallNs = h.stall
+		report.StallNs = r.h.stall
 		report.OverlapNs = report.Elapsed - report.StallNs
 	} else {
 		// Synchronous round: the caller blocked through the whole thing.
@@ -479,19 +390,22 @@ func (c *Checkpointer) drainSave(ctx context.Context, h *SaveHandle, snaps []*no
 		reg.Histogram("save_stall_ns").ObserveDuration(report.StallNs)
 		reg.Histogram("save_overlap_ns").ObserveDuration(report.OverlapNs)
 	}
-	c.cfg.Flight.RoundEnd(op, version, nil)
-	c.releaseSave(h)
-	h.complete(report, nil)
+	r.h.report = report
+	r.end(nil, nil)
 }
 
-// persistCommitted serializes every worker's state from the committed
-// checkpoint in host memory and writes it to the remote tier: the packet
-// comes out of the worker's data chunk segment, the small components off the
-// first node of the worker's code group (every node holds its group's
-// broadcast set after a commit).
-func (c *Checkpointer) persistCommitted(ctx context.Context, version, packetBytes int) error {
-	lay := c.layout()
-	persist := func(rank int) error {
+// persist is step 4: it serializes every worker's state from the committed
+// checkpoint in host memory and writes it to the remote tier — the packet
+// out of the worker's data chunk segment, the small components off the first
+// node of the worker's code group (every node holds its group's broadcast set
+// after a commit) — then garbage-collects the persisted versions beyond the
+// retention bound. It reports whether the version is persisted. A failure is
+// the tier's, not the round's: the ranks the attempt wrote are deleted, so no
+// torn copy of the version stays behind, and it is logged and counted in
+// remote_persist_failures_total.
+func (c *Checkpointer) persist(ctx context.Context, r *round, packetBytes int) bool {
+	lay, version, every := c.lay, r.version, c.cfg.RemotePersistEvery
+	put := func(rank int) error {
 		cg, j := lay.plan.GroupOfRank(rank), lay.plan.DataGroupOf[rank]
 		packet, err := c.fetch(lay.plan.ChunkOwner(cg, j), lay.keys.segment[j][lay.plan.SegmentOf[rank]])
 		if err != nil {
@@ -516,26 +430,26 @@ func (c *Checkpointer) persistCommitted(ctx context.Context, version, packetByte
 		return err
 	}
 	for rank := 0; rank < c.cfg.Topo.World(); rank++ {
-		if err := persist(rank); err != nil {
-			return fmt.Errorf("core: remote persist rank %d: %w", rank, err)
+		if err := put(rank); err != nil {
+			for written := 0; written <= rank; written++ {
+				c.remote.Delete(remoteKey(version, written))
+			}
+			if reg := c.cfg.Metrics; reg != nil {
+				reg.Counter("remote_persist_failures_total").Inc()
+			}
+			if l := c.cfg.Logger; l != nil {
+				l.Warn("remote persist failed", "op", r.op, "version", version, "rank", rank, "err", err)
+			}
+			return false
 		}
 	}
-	return nil
-}
-
-// isClosed reports whether Close has begun.
-func (c *Checkpointer) isClosed() bool {
-	c.lc.mu.Lock()
-	defer c.lc.mu.Unlock()
-	return c.lc.closed
-}
-
-// opCtx attaches the configured per-op deadline to ctx. Each round root
-// (startSave, restore, fenced) calls it once, so every transport Send/Recv
-// and remote-tier put or get below it is bounded by OpTimeout.
-func (c *Checkpointer) opCtx(ctx context.Context) context.Context {
-	if c.cfg.OpTimeout <= 0 {
-		return ctx
+	for v := version - remoteRetain*every; v > 0; v -= every {
+		if !c.remote.Has(remoteKey(v, 0)) {
+			break
+		}
+		for rank := 0; rank < c.cfg.Topo.World(); rank++ {
+			c.remote.Delete(remoteKey(v, rank))
+		}
 	}
-	return transport.WithOpTimeout(ctx, c.cfg.OpTimeout)
+	return true
 }

@@ -436,10 +436,10 @@ func ballast(t *testing.T, rig *testRig) {
 func captureInflight(c *Checkpointer, stop <-chan error) (*SaveHandle, error, bool) {
 	for {
 		c.lc.mu.Lock()
-		h := c.lc.inflight
+		r := c.lc.slot
 		c.lc.mu.Unlock()
-		if h != nil {
-			return h, nil, true
+		if r != nil {
+			return r.h, nil, true
 		}
 		select {
 		case err := <-stop:
@@ -499,10 +499,10 @@ func TestSaveAsyncSnapshotFailureReleasesWaiters(t *testing.T) {
 }
 
 // TestCloseDuringSnapshotCancelsDrain closes the checkpointer while the
-// round is still in its blocking snapshot stage — before the drain context
-// (and its cancel func) exists. The abort must not be lost: setCancel must
-// fire the cancellation the moment the drain context is created, so the
-// drain aborts instead of running the full protocol on a dying network.
+// round is still in its blocking snapshot stage, before the drain starts.
+// The abort must not be lost: the round's context, which the drain runs
+// under, is cancelled already, so the drain aborts instead of running the
+// full protocol on a dying network.
 func TestCloseDuringSnapshotCancelsDrain(t *testing.T) {
 	rig, _ := newChaosRig(t, 4, 2, 2, 2, slowPlan(5*time.Millisecond))
 	ctx := context.Background()
@@ -542,8 +542,7 @@ func TestCloseDuringSnapshotCancelsDrain(t *testing.T) {
 // Close captured but that ends cleanly must not surface as aborted work.
 func TestCloseCleanLoadNotReportedAborted(t *testing.T) {
 	rig := newRig(t, 4, 2, 2, 2)
-	_, cancel := context.WithCancel(context.Background())
-	unregister, err := rig.ckpt.registerLoad(cancel)
+	r, _, err := rig.ckpt.open(context.Background(), roundRestore, OpLoad, saveMode{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,10 +550,12 @@ func TestCloseCleanLoadNotReportedAborted(t *testing.T) {
 	go func() { closeErrc <- rig.ckpt.Close() }()
 	// Once closed is set, Close holds the round and is waiting on its done
 	// channel; finish the round cleanly.
-	for !rig.ckpt.isClosed() {
-		runtime.Gosched()
+	for closed := false; !closed; runtime.Gosched() {
+		rig.ckpt.lc.mu.Lock()
+		closed = rig.ckpt.lc.closed
+		rig.ckpt.lc.mu.Unlock()
 	}
-	unregister(nil)
+	r.end(nil, nil)
 	if err := <-closeErrc; err != nil {
 		t.Errorf("Close() = %v after a cleanly finished load, want nil", err)
 	}

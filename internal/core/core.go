@@ -24,7 +24,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -240,9 +239,10 @@ type Checkpointer struct {
 	// overlap.
 	commitMu sync.RWMutex
 
-	// Lifecycle state: exactly one save round (Save, SaveAsync or
-	// SaveIncremental) may be in flight at a time, and Close must be able
-	// to cancel whatever is running before the transport goes away.
+	// Lifecycle state: every round in flight, so Close can cancel whatever
+	// is running before the transport goes away, and the save slot, which
+	// one save round (Save, SaveAsync or SaveIncremental) or membership step
+	// holds at a time. See round.
 	lc lifecycle
 
 	// epoch counts aborted save and repairing restore rounds; tags caches the
@@ -325,9 +325,6 @@ func newLayout(cfg *Config, plan *placement.Plan) (*layout, error) {
 	return &layout{plan: plan, keys: buildKeyTable(cfg, plan), routes: routes}, nil
 }
 
-// layout returns the placement layout, fixed at construction.
-func (c *Checkpointer) layout() *layout { return c.lay }
-
 // Lifecycle errors (test with errors.Is).
 var (
 	// ErrSaveInFlight is returned by the non-blocking save paths (Save,
@@ -341,109 +338,6 @@ var (
 	// aborted round's own error chain carries it too.
 	ErrSaveAborted = errors.New("core: round aborted by Close")
 )
-
-// lifecycle serializes save rounds and lets Close drain or cancel
-// everything in flight before resources are released.
-type lifecycle struct {
-	mu       sync.Mutex
-	closed   bool
-	inflight *SaveHandle          // current save round, nil when idle
-	loads    map[uint64]*oneRound // in-flight restore rounds
-	nextLoad uint64
-}
-
-// oneRound is the cancel/done pair Close uses to abort a load round. err
-// records the round's final outcome (written before done closes), so Close
-// can tell a genuinely aborted load from one that finished before the
-// cancellation landed.
-type oneRound struct {
-	cancel context.CancelFunc
-	done   chan struct{}
-	err    error
-}
-
-// acquireSave claims the save slot for handle h. When wait is false an
-// occupied slot fails fast with ErrSaveInFlight (the Save/SaveIncremental
-// policy); when true the call blocks until the in-flight round drains (the
-// SaveAsync policy), honoring ctx.
-func (c *Checkpointer) acquireSave(ctx context.Context, wait bool, h *SaveHandle) error {
-	for {
-		c.lc.mu.Lock()
-		if c.lc.closed {
-			c.lc.mu.Unlock()
-			return ErrClosed
-		}
-		cur := c.lc.inflight
-		if cur == nil {
-			c.lc.inflight = h
-			c.lc.mu.Unlock()
-			return nil
-		}
-		c.lc.mu.Unlock()
-		if !wait {
-			return ErrSaveInFlight
-		}
-		select {
-		case <-cur.Done():
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-}
-
-// releaseSave frees the save slot h holds. A round that lost the slot to
-// Close (which nils it out itself) is a no-op.
-func (c *Checkpointer) releaseSave(h *SaveHandle) {
-	c.lc.mu.Lock()
-	if c.lc.inflight == h {
-		c.lc.inflight = nil
-	}
-	c.lc.mu.Unlock()
-}
-
-// waitInflightSave blocks until no save round is draining. Load calls it
-// so a recovery never reads host memory mid-commit; the wait is bounded
-// because every drain is bounded by the per-op deadlines.
-func (c *Checkpointer) waitInflightSave(ctx context.Context) error {
-	for {
-		c.lc.mu.Lock()
-		cur := c.lc.inflight
-		c.lc.mu.Unlock()
-		if cur == nil {
-			return nil
-		}
-		select {
-		case <-cur.Done():
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-}
-
-// registerLoad tracks an in-flight load round so Close can cancel it.
-// It returns an unregister func taking the round's final error, or
-// ErrClosed after Close.
-func (c *Checkpointer) registerLoad(cancel context.CancelFunc) (func(error), error) {
-	c.lc.mu.Lock()
-	defer c.lc.mu.Unlock()
-	if c.lc.closed {
-		return nil, ErrClosed
-	}
-	if c.lc.loads == nil {
-		c.lc.loads = make(map[uint64]*oneRound)
-	}
-	id := c.lc.nextLoad
-	c.lc.nextLoad++
-	r := &oneRound{cancel: cancel, done: make(chan struct{})}
-	c.lc.loads[id] = r
-	return func(err error) {
-		r.err = err
-		close(r.done)
-		c.lc.mu.Lock()
-		delete(c.lc.loads, id)
-		c.lc.mu.Unlock()
-	}, nil
-}
 
 // keyTable pre-renders every host-memory key a checkpoint round touches.
 // The key layout is fixed by the plan, so formatting them per round would
@@ -598,6 +492,7 @@ func New(cfg Config, net transport.Network, clus HostStore, remote *remotestore.
 		phaseHist: buildPhaseHistograms(cfg.Metrics, cfg.Topo.Nodes()),
 		custody:   make(map[int]*custodyRecord),
 		spares:    make([][][]byte, cfg.Topo.Nodes()),
+		lc:        lifecycle{rounds: make(map[*round]struct{})},
 
 		restoreSlot: make(chan struct{}, 1),
 	}
@@ -613,11 +508,12 @@ func New(cfg Config, net transport.Network, clus HostStore, remote *remotestore.
 // Close drains or cancels every in-flight round, then releases the encoder
 // pool. The network and cluster are owned by the caller — but because the
 // caller's next step is typically tearing the transport down, Close first
-// cancels the in-flight save round (if any) and every in-flight load, and
-// waits for them to unwind, so no round is left mid-protocol on a dying
-// network. It returns an error wrapping ErrSaveAborted when it had to
-// throw away in-flight work; a round that managed to commit before the
-// cancellation landed is not an error. Close is idempotent.
+// cancels every registered round (save, restore and membership step alike)
+// and waits for them to unwind, so no round is left mid-protocol on a dying
+// network. It returns an error wrapping ErrSaveAborted when it had to throw
+// away in-flight work; a round that ended cleanly — a save that committed
+// before the cancellation landed included — is not an error. Close is
+// idempotent.
 func (c *Checkpointer) Close() error {
 	c.lc.mu.Lock()
 	if c.lc.closed {
@@ -625,35 +521,28 @@ func (c *Checkpointer) Close() error {
 		return nil
 	}
 	c.lc.closed = true
-	save := c.lc.inflight
-	loads := make([]*oneRound, 0, len(c.lc.loads))
-	for _, r := range c.lc.loads {
-		loads = append(loads, r)
+	rounds := make([]*round, 0, len(c.lc.rounds))
+	for r := range c.lc.rounds {
+		rounds = append(rounds, r)
 	}
 	c.lc.mu.Unlock()
 
-	// Cancel the loads before waiting for the save: a drain at its commit
-	// point waits for running recoveries to release the commit lock.
-	for _, r := range loads {
-		r.cancel()
+	// Cancel every round before waiting for any: a drain at its commit point
+	// waits for running recoveries to release the commit lock.
+	for _, r := range rounds {
+		r.h.abort()
+	}
+	var saveAborted, loadAborted bool
+	for _, r := range rounds {
+		<-r.h.Done()
+		if r.h.Err() != nil {
+			saveAborted = saveAborted || r.kind != roundRestore
+			loadAborted = loadAborted || r.kind == roundRestore
+		}
 	}
 	var aborted []string
-	if save != nil {
-		save.abort()
-		<-save.Done()
-		if save.Err() != nil {
-			aborted = append(aborted, "save")
-		}
-	}
-	// Like the save path above, only report loads that actually ended in an
-	// error: a round that finished before the cancellation landed is not
-	// thrown-away work.
-	loadAborted := false
-	for _, r := range loads {
-		<-r.done
-		if r.err != nil {
-			loadAborted = true
-		}
+	if saveAborted {
+		aborted = append(aborted, "save")
 	}
 	if loadAborted {
 		aborted = append(aborted, "load")
@@ -705,7 +594,7 @@ func (c *Checkpointer) fetch(node int, key string) ([]byte, error) {
 }
 
 // Plan returns the compiled communication plan, fixed at construction.
-func (c *Checkpointer) Plan() *placement.Plan { return c.layout().plan }
+func (c *Checkpointer) Plan() *placement.Plan { return c.lay.plan }
 
 // Code returns the erasure code in use.
 func (c *Checkpointer) Code() *erasure.Code { return c.code }
@@ -838,7 +727,8 @@ func keyStaged(key string) string { return stagePrefix + key }
 // stored as they are. The segments a commit does displace — no reader can
 // still hold them: commitMu is held exclusively, under the save slot — join
 // the node's spare set, which thus never exceeds one version's segments.
-func (c *Checkpointer) commitStaged(lay *layout) error {
+func (c *Checkpointer) commitStaged() error {
+	lay := c.lay
 	keys, span := &lay.keys, lay.plan.Span()
 	for node := 0; node < c.cfg.Topo.Nodes(); node++ {
 		// Rename staged blobs in key order (a node's key set ends in its span
@@ -887,7 +777,7 @@ func (c *Checkpointer) CorruptChunkByte(node int) error {
 	if node < 0 || node >= c.cfg.Topo.Nodes() {
 		return fmt.Errorf("core: node %d out of range [0, %d)", node, c.cfg.Topo.Nodes())
 	}
-	key := keySegment(c.layout().plan.ChunkOfNode[node], 0)
+	key := keySegment(c.lay.plan.ChunkOfNode[node], 0)
 	raw, err := c.clus.Load(node, key)
 	if err != nil {
 		return fmt.Errorf("core: corrupt node %d: %w", node, err)

@@ -43,7 +43,8 @@ func (e *swallowEndpoint) SendOwned(ctx context.Context, to int, tag string, pay
 }
 
 // TestEveryRoundRootBoundsAStuckPeer: the per-op deadline rides the round's
-// context from the round's root — startSave, restore, fenced — so a peer
+// context from round.begin at the round's root — startSave, restore,
+// fenced — so a peer
 // that never sends fails each kind of round with context.DeadlineExceeded
 // after OpTimeout instead of hanging it.
 func TestEveryRoundRootBoundsAStuckPeer(t *testing.T) {

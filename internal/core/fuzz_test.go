@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -93,7 +94,7 @@ func FuzzParseManifest(f *testing.F) {
 
 func FuzzAssemblePacket(f *testing.F) {
 	rig := savedTinyRig(f)
-	lay := rig.ckpt.layout()
+	lay := rig.ckpt.lay
 	for _, rank := range []int{0, 5} {
 		chunk := lay.plan.DataGroupOf[rank]
 		var blobs [3][]byte
@@ -164,6 +165,66 @@ func FuzzParseRemoteKey(f *testing.F) {
 		key = remoteKey(int(version), int(rank))
 		if v, r, ok = parseRemoteKey(key); !ok || v != int(version) || r != int(rank) {
 			t.Fatalf("parseRemoteKey(%q) = %d, %d, %v; want %d, %d", key, v, r, ok, version, rank)
+		}
+	})
+}
+
+// FuzzRemoteDiscovery holds LoadFromRemote's discovery to its model on
+// arbitrary catalogs: every byte pair of spec adds one object, a version
+// (1-16) and a rank (0-15, some of them past the world) written as remoteKey
+// writes it or as a stray that merely starts like one. latestRemoteVersion
+// must return the newest version whose ranks 0..world-1 are all written by
+// remoteKey, or the not-found error when none is — never a torn version.
+func FuzzRemoteDiscovery(f *testing.F) {
+	f.Add(uint8(8), []byte{2, 0, 2, 1, 2, 2, 2, 3, 2, 4, 2, 5, 2, 6, 2, 7, 4, 0, 4, 1, 4, 2})
+	f.Add(uint8(2), []byte{9, 0x80, 9, 0x90, 3, 0, 3, 1})
+	f.Add(uint8(1), []byte{5, 0xa0, 5, 0xb0, 5, 0xc0, 5, 0xd0})
+	f.Fuzz(func(t *testing.T, worldB uint8, spec []byte) {
+		world := int(worldB%8) + 1
+		catalog := make(map[string]bool) // a store holds each name once
+		written := make(map[[2]int]bool)
+		for i := 0; i+1 < len(spec); i += 2 {
+			v, rank := int(spec[i]%16)+1, int(spec[i+1]&15)
+			switch spec[i+1] >> 4 {
+			case 8:
+				catalog[remoteKey(v, rank)+".partial"] = true
+			case 9:
+				catalog[fmt.Sprintf(remoteKeyPrefix+"%d/rank0%d", v, rank)] = true
+			case 10:
+				catalog[fmt.Sprintf(remoteKeyPrefix+"0%d/rank%d", v, rank)] = true
+			case 11:
+				catalog[fmt.Sprintf(remoteKeyPrefix+"+%d/rank%d", v, rank)] = true
+			case 12:
+				catalog[fmt.Sprintf("eccheck/w%d/rank%d", v, rank)] = true
+			default:
+				catalog[remoteKey(v, rank)] = true
+				written[[2]int{v, rank}] = true
+			}
+		}
+		keys := make([]string, 0, len(catalog))
+		for key := range catalog {
+			keys = append(keys, key)
+		}
+		slices.Sort(keys)
+		want := 0
+		for v := 1; v <= 16; v++ {
+			complete := true
+			for rank := 0; rank < world; rank++ {
+				complete = complete && written[[2]int{v, rank}]
+			}
+			if complete {
+				want = v
+			}
+		}
+		got, err := latestRemoteVersion(keys, world)
+		if want == 0 {
+			if err == nil {
+				t.Fatalf("world %d, catalog %q: discovered v%d, want the not-found error", world, keys, got)
+			}
+			return
+		}
+		if err != nil || got != want {
+			t.Fatalf("world %d, catalog %q: discovered v%d (err %v), want v%d", world, keys, got, err, want)
 		}
 	})
 }

@@ -121,7 +121,7 @@ var errNoDeltaBase = errors.New("unusable delta base")
 // each local worker's base key (verified when the snapshot stage reads it).
 // Before the first save, after a node that keeps caches was replaced, or when
 // the packet size changed it does not, and the round ships everything.
-func (c *Checkpointer) deltaBase(lay *layout, packetBytes int) bool {
+func (c *Checkpointer) deltaBase(packetBytes int) bool {
 	version := int(c.version.Load())
 	if version == 0 {
 		return false
@@ -136,7 +136,7 @@ func (c *Checkpointer) deltaBase(lay *layout, packetBytes int) bool {
 			return false
 		}
 		for w := node * g; w < (node+1)*g; w++ {
-			if !c.clus.Has(node, lay.keys.base[w].key) {
+			if !c.clus.Has(node, c.lay.keys.base[w].key) {
 				return false
 			}
 		}

@@ -443,7 +443,7 @@ func TestSparseDeltaTouchesOnlyItsSegments(t *testing.T) {
 	oneTensor := stampVersion(rig.dicts, 2)
 	oneTensor[5] = oneTensor[5].Clone()
 	oneTensor[5].TensorEntries()[0].Tensor.Data()[0] ^= 0xFF
-	if rig.ckpt.layout().keys.base[5].cache {
+	if rig.ckpt.lay.keys.base[5].cache {
 		t.Fatal("rank 5 keeps an own-packet cache: the counts below assume it diffs against its segment")
 	}
 	for v, tc := range []struct {
@@ -688,7 +688,7 @@ func TestDeltaRoundCorruptionAtWindowGranularity(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			plan, keys := rig.ckpt.Plan(), &rig.ckpt.layout().keys
+			plan, keys := rig.ckpt.Plan(), &rig.ckpt.lay.keys
 			rank := 0
 			for keys.base[rank].cache != tc.cache {
 				rank++
@@ -816,7 +816,7 @@ func requireOneCopy(t *testing.T, rig *testRig, when string, packetBytes int, gr
 			t.Errorf("%s: rank %d's delta base %q is not on node %d", when, w, key, w/g)
 		}
 	}
-	if !rig.ckpt.deltaBase(rig.ckpt.layout(), packetBytes) {
+	if !rig.ckpt.deltaBase(packetBytes) {
 		t.Errorf("%s: the engine refuses a delta", when)
 	}
 }

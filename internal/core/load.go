@@ -78,7 +78,7 @@ func (c *Checkpointer) PrefetchChunk(ctx context.Context, node int) (*PrefetchRe
 	if err != nil {
 		return nil, err
 	}
-	plan := rd.lay.plan
+	plan := c.lay.plan
 	cg := plan.GroupOfNode(node)
 	gp := &rd.groups[cg]
 	rep := &PrefetchReport{Node: node, Chunk: plan.ChunkOfNode[node], Version: rd.version,
@@ -154,7 +154,7 @@ func (c *Checkpointer) serveDistributed(ctx context.Context, cancel context.Canc
 // workers' state dicts into rd.dicts and returns the goroutine's phase
 // partition (see LoadPhases).
 func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound) (map[string]time.Duration, error) {
-	topo, plan, keys, tags := c.cfg.Topo, rd.lay.plan, &rd.lay.keys, rd.tags
+	topo, plan, keys, tags := c.cfg.Topo, c.lay.plan, &c.lay.keys, rd.tags
 	// The node's round runs inside its code group: the chunks it rebuilds
 	// from and for, the small components it holds, and the wanted ranks whose
 	// packets it serves or receives are the group's.
@@ -162,9 +162,7 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 	gp := &rd.groups[cg]
 	rankLo, rankHi := plan.RankRange(cg)
 	want := rd.wantIn(rankLo, rankHi)
-	pc := newPhaseClock(PhaseFetch)
-	pc.emitTo(c.cfg.Flight, rd.req.op, node, rd.version)
-	pc.watchTo(c.wd, rd.req.op, node, rd.version)
+	pc := rd.clock(node, PhaseFetch)
 	defer pc.unwatch()
 
 	ep, err := c.net.Endpoint(node)

@@ -89,31 +89,20 @@ type JoinReport struct {
 	Elapsed time.Duration
 }
 
-// fenced runs fn — one membership step on node — holding the save slot: no
-// save round can start or drain concurrently, and Close cancels fn's context
-// (or a step merely waiting for the slot). fn's context carries the per-op
-// deadline, so every blob transfer of the step is bounded by it. The outcome
-// is logged under step and the protection score recomputed.
-func (c *Checkpointer) fenced(ctx context.Context, step string, node int, fn func(ctx context.Context) error) error {
-	h := newSaveHandle()
-	if err := c.acquireSave(ctx, true, h); err != nil {
+// fenced runs fn — one membership step on node — as a round holding the save
+// slot: no save round can start or drain concurrently, and Close cancels fn's
+// context (or a step merely waiting for the slot). fn's context carries the
+// per-op deadline, so every blob transfer of the step is bounded by it. The
+// round's end logs the outcome under step and recomputes the protection
+// score.
+func (c *Checkpointer) fenced(ctx context.Context, step string, node int, fn func(ctx context.Context, r *round) error) error {
+	r, ctx, err := c.open(ctx, roundStep, step, saveMode{waitInflight: true})
+	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithCancel(c.opCtx(ctx))
-	h.setCancel(cancel)
-	err := fn(ctx)
-	cancel()
-	c.releaseSave(h)
-	h.complete(nil, err)
-	if l := c.cfg.Logger; l != nil {
-		if err != nil {
-			l.Error("membership step failed", "step", step, "node", node, "err", err)
-		} else {
-			l.Info("membership step", "step", step, "node", node)
-		}
-	}
-	c.cfg.Health.Recompute()
-	return err
+	r.node = node
+	err = fn(r.begin(ctx, 0), r)
+	return r.end(err, nil)
 }
 
 // WithSaveFence runs fn — the swap of node's machine for a fresh one —
@@ -121,7 +110,7 @@ func (c *Checkpointer) fenced(ctx context.Context, step string, node int, fn fun
 // background drain. A replaced machine starts cold: the node's spare
 // segments go with the old one.
 func (c *Checkpointer) WithSaveFence(ctx context.Context, node int, fn func() error) error {
-	return c.fenced(ctx, "replace", node, func(context.Context) error {
+	return c.fenced(ctx, "replace", node, func(context.Context, *round) error {
 		err := fn()
 		if err == nil {
 			c.spares[node] = nil
@@ -214,8 +203,8 @@ func (c *Checkpointer) shipBlobs(ctx context.Context, srcNode, dstNode int, pair
 
 // pickCustodian returns the first alive node after doomed in ring order
 // within doomed's code group.
-func (c *Checkpointer) pickCustodian(lay *layout, doomed int) (int, error) {
-	lo, hi := lay.plan.NodeRange(lay.plan.GroupOfNode(doomed))
+func (c *Checkpointer) pickCustodian(doomed int) (int, error) {
+	lo, hi := c.lay.plan.NodeRange(c.lay.plan.GroupOfNode(doomed))
 	for off := 1; off < hi-lo; off++ {
 		cand := lo + (doomed-lo+off)%(hi-lo)
 		if c.clus.Alive(cand) {
@@ -245,21 +234,20 @@ func (c *Checkpointer) DrainNode(ctx context.Context, node int) (*DrainReport, e
 		return nil, fmt.Errorf("core: node %d is failed; nothing to drain", node)
 	}
 	var rep *DrainReport
-	err := c.fenced(ctx, "drain", node, func(ctx context.Context) (err error) {
-		rep, err = c.drainLocked(ctx, node)
+	err := c.fenced(ctx, "drain", node, func(ctx context.Context, r *round) (err error) {
+		rep, err = c.drainLocked(ctx, r, node)
 		return err
 	})
 	return rep, err
 }
 
-func (c *Checkpointer) drainLocked(ctx context.Context, node int) (*DrainReport, error) {
-	started, pmStart := time.Now(), c.cfg.Flight.Cursor()
+func (c *Checkpointer) drainLocked(ctx context.Context, r *round, node int) (*DrainReport, error) {
 	rep := &DrainReport{Node: node, Custodian: -1, Version: c.Version()}
 	degrade := func(err error) (*DrainReport, error) {
 		rep.Completed = false
 		rep.Reason = err.Error()
-		rep.Elapsed = time.Since(started)
-		rep.Postmortem = c.cfg.Flight.TailSince(pmStart, flight.DefaultPostmortemEvents)
+		rep.Elapsed = time.Since(r.started)
+		rep.Postmortem = r.tail()
 		c.cfg.Flight.Membership("drain_failed", node, rep.Custodian, rep.BytesMoved)
 		if reg := c.cfg.Metrics; reg != nil {
 			reg.Counter("membership_drain_failures_total").Inc()
@@ -270,19 +258,18 @@ func (c *Checkpointer) drainLocked(ctx context.Context, node int) (*DrainReport,
 		// Nothing committed yet: the drain is trivially complete and there
 		// is nothing for a joiner to restore.
 		rep.Completed = true
-		rep.Elapsed = time.Since(started)
+		rep.Elapsed = time.Since(r.started)
 		c.cfg.Flight.Membership("drain", node, -1, 0)
 		return rep, nil
 	}
-	lay := c.layout()
-	custodian, err := c.pickCustodian(lay, node)
+	custodian, err := c.pickCustodian(node)
 	if err != nil {
 		return degrade(err)
 	}
 	rep.Custodian = custodian
 	c.cfg.Flight.Membership("drain_begin", node, custodian, 0)
 
-	keys := lay.keys.commit[node]
+	keys := c.lay.keys.commit[node]
 	pairs := make([][2]string, 0, len(keys))
 	for _, key := range keys {
 		pairs = append(pairs, [2]string{key, keyCustody(node, key)})
@@ -310,7 +297,7 @@ func (c *Checkpointer) drainLocked(ctx context.Context, node int) (*DrainReport,
 	c.custody[node] = &custodyRecord{custodian: custodian, keys: finals, bytes: bytes}
 	c.memMu.Unlock()
 	rep.Completed = true
-	rep.Elapsed = time.Since(started)
+	rep.Elapsed = time.Since(r.started)
 	c.cfg.Flight.Membership("drain", node, custodian, bytes)
 	if reg := c.cfg.Metrics; reg != nil {
 		reg.Counter("membership_drains_total").Inc()
@@ -345,7 +332,7 @@ func (c *Checkpointer) RepairNode(ctx context.Context, node int) (*JoinReport, e
 	}
 	started := time.Now()
 	rep := &JoinReport{Node: node, Custodian: -1}
-	err := c.fenced(ctx, "join", node, func(ctx context.Context) error {
+	err := c.fenced(ctx, "join", node, func(ctx context.Context, _ *round) error {
 		return c.restoreCustody(ctx, node, rep)
 	})
 	// Without a committed checkpoint an empty joiner is already whole.
@@ -420,7 +407,7 @@ func (c *Checkpointer) restoreCustody(ctx context.Context, node int, rep *JoinRe
 // from m; it is back at zero when the last vacated slot's RepairNode
 // returns.
 func (c *Checkpointer) DegradedSlots() int {
-	lay := c.layout()
+	lay := c.lay
 	version := c.version.Load()
 	worst := 0
 	for cg := 0; cg < lay.plan.Groups(); cg++ {

@@ -258,7 +258,7 @@ func TestNoBufferIsBothStoredAndSpare(t *testing.T) {
 				}
 			}
 			want := 3
-			if rig.ckpt.layout().keys.base[rank].cache {
+			if rig.ckpt.lay.keys.base[rank].cache {
 				want++
 			}
 			if replaced != want {
@@ -437,7 +437,7 @@ func TestSteadyStateSaveAllocatesNoSegments(t *testing.T) {
 			_, packet := allocated(t, rig, false)
 			allocated(t, rig, false)
 			cached := 0 // the workers whose data chunk is stored on another machine
-			for _, base := range rig.ckpt.layout().keys.base {
+			for _, base := range rig.ckpt.lay.keys.base {
 				if base.cache {
 					cached++
 				}
@@ -697,7 +697,7 @@ func TestLoadScanAllocatesPerKeyNotPerByte(t *testing.T) {
 	if stored < 16*perKey*keys {
 		t.Fatalf("checkpoint of %d bytes over %d keys is too small to tell O(keys) from O(bytes)", stored, keys)
 	}
-	rd := &restoreRound{lay: rig.ckpt.layout(), scan: make([]nodeScan, rig.topo.Nodes())}
+	rd := &restoreRound{scan: make([]nodeScan, rig.topo.Nodes())}
 	nodes := upTo(rig.topo.Nodes())
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

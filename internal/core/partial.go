@@ -62,7 +62,7 @@ func (c *Checkpointer) LoadPartial(ctx context.Context, ranks []int) (map[int]*s
 // Only the bytes the caller needs are read, nothing is written, and no node
 // has to be alive except the ones that are read.
 func (c *Checkpointer) serveDirect(rd *restoreRound) error {
-	lay, want, pc := rd.lay, rd.req.want, rd.pc
+	lay, want, pc := c.lay, rd.req.want, rd.pc
 	plan, keys := lay.plan, &lay.keys
 
 	// Direct fetch. Failures don't abort: a packet left nil — its owner lost
@@ -127,7 +127,7 @@ func (c *Checkpointer) serveDirect(rd *restoreRound) error {
 // fails does the decode start over, verifying every candidate whole as it is
 // picked: the corrupt one is booked and skipped for the next.
 func (c *Checkpointer) decodeLost(rd *restoreRound, packets [][]byte) ([]bool, error) {
-	want, plan := rd.req.want, rd.lay.plan
+	want, plan := rd.req.want, c.lay.plan
 	decoded := make([]bool, len(want))
 	for i, rank := range want {
 		if packets[i] != nil {
@@ -164,7 +164,7 @@ func (c *Checkpointer) decodeLost(rd *restoreRound, packets [][]byte) ([]bool, e
 // picked; otherwise each basis window is verified as it is used, and a
 // mismatch fails the call with cluster.ErrChecksum.
 func (c *Checkpointer) decodeFrom(rd *restoreRound, packets [][]byte, decoded []bool, whole bool) error {
-	lay, want, plan := rd.lay, rd.req.want, rd.lay.plan
+	lay, want, plan := c.lay, rd.req.want, c.lay.plan
 	span := plan.Span()
 	// By code group then segment index, then basis position: the basis
 	// segments and, read unverified, their window sums. An unplanned group
@@ -266,7 +266,7 @@ func (c *Checkpointer) LoadFromRemote(ctx context.Context, version int) ([]*stat
 // remote tier. The first failure cancels the other fetches.
 func (c *Checkpointer) serveRemote(ctx context.Context, cancel context.CancelFunc, rd *restoreRound) error {
 	if rd.version == 0 {
-		v, err := c.latestRemoteVersion()
+		v, err := latestRemoteVersion(c.remote.Keys(remoteKeyPrefix), c.cfg.Topo.World())
 		if err != nil {
 			return err
 		}
@@ -288,23 +288,23 @@ func (c *Checkpointer) serveRemote(ctx context.Context, cancel context.CancelFun
 	})
 }
 
-// latestRemoteVersion discovers the newest fully-addressable checkpoint
-// version in the remote store by listing its catalog. It must not consult
-// the in-memory version counter: after a catastrophic failure the restoring
-// process is brand new and its counter is zero, yet the remote tier still
-// holds the checkpoint.
-func (c *Checkpointer) latestRemoteVersion() (int, error) {
-	latest := 0
-	for _, key := range c.remote.Keys(remoteKeyPrefix) {
-		v, rank, ok := parseRemoteKey(key)
-		if !ok {
-			continue
+// latestRemoteVersion discovers, in a remote catalog listing (each name
+// once), the newest version whose ranks 0..world-1 are all persisted. It
+// reads the listing, never the in-memory version counter: after a
+// catastrophic failure the restoring process is brand new and its counter is
+// zero, yet the remote tier still holds the checkpoint. A version missing any
+// rank — a persist cut short, or one whose cleanup did not finish — is
+// skipped for the complete one before it.
+func latestRemoteVersion(keys []string, world int) (int, error) {
+	ranks := make(map[int]int) // version -> its ranks below world present
+	for _, key := range keys {
+		if v, rank, ok := parseRemoteKey(key); ok && rank < world {
+			ranks[v]++
 		}
-		// Rank 0 anchors a version: persistCommitted writes ranks in order,
-		// so any version with rank 0 present is at least partially there and
-		// the newest such version is the one a GC-respecting store keeps
-		// complete.
-		if rank == 0 && v > latest {
+	}
+	latest := 0
+	for v, n := range ranks {
+		if n == world && v > latest {
 			latest = v
 		}
 	}

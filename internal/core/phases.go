@@ -93,18 +93,19 @@ type phaseClock struct {
 	cur    string
 	mark   time.Time
 
-	// Flight emission context (see emitTo); rec nil means no emission.
+	// Flight emission context; rec nil means no emission.
 	rec   *flight.Recorder
 	op    string
 	node  int
 	round int
 
-	// Watchdog context (see watchTo); wd nil means no supervision.
+	// Watchdog supervision; wd nil means none.
 	wd   *watchdog
 	slot *wdSlot
 }
 
-// newPhaseClock starts a clock charging the given phase.
+// newPhaseClock starts a clock charging the given phase. A round's goroutines
+// get theirs from round.clock, wired to the recorder and the watchdog.
 func newPhaseClock(phase string) *phaseClock {
 	return &phaseClock{
 		phases: make(map[string]time.Duration, 8),
@@ -113,32 +114,8 @@ func newPhaseClock(phase string) *phaseClock {
 	}
 }
 
-// emitTo makes every closed phase interval of at least phaseEventMin
-// also land in the flight recorder as a span for (op, node, round).
-func (p *phaseClock) emitTo(rec *flight.Recorder, op string, node, round int) {
-	p.rec, p.op, p.node, p.round = rec, op, node, round
-}
-
-// watchTo registers the clock's goroutine with the stuck-round watchdog
-// for (op, node, round): closed intervals feed the watchdog's rolling
-// p99 history, and the open phase is policed while the round is live.
-// Safe with a nil watchdog (the disabled configuration): the clock stays
-// unsupervised at zero cost. The caller must Stop the clock (or call
-// unwatch) so the slot unregisters.
-func (p *phaseClock) watchTo(wd *watchdog, op string, node, round int) {
-	if wd == nil {
-		return
-	}
-	p.wd = wd
-	if p.op == "" {
-		p.op = op
-	}
-	p.slot = wd.register(op, node, round)
-	p.slot.setPhase(p.cur, p.mark)
-}
-
 // unwatch unregisters the clock's watchdog slot without freezing the
-// clock. Stop unregisters too; deferring unwatch right after watchTo
+// clock. Stop unregisters too; deferring unwatch right after round.clock
 // makes slot cleanup robust to early-error returns that never reach
 // Stop. Idempotent and safe on an unwatched clock.
 func (p *phaseClock) unwatch() {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"eccheck/internal/obs"
 )
 
 // TestLoadFromRemoteBoundedOnHungTier persists a checkpoint, hangs the
@@ -88,5 +90,96 @@ func TestCloseCancelsInFlightRemoteLoad(t *testing.T) {
 	}
 	if !errors.Is(closeErr, ErrSaveAborted) {
 		t.Fatalf("Close() = %v, want error wrapping ErrSaveAborted", closeErr)
+	}
+}
+
+// TestCommittedRoundSurvivesPersistStall: a round whose commit has landed
+// succeeds however its remote persist ends. With the tier hung past the op
+// deadline, the save of v2 returns nil with RemotePersisted false, v2 is
+// the committed and loadable version, the failure is counted, and the ranks
+// the attempt wrote are gone from the tier. Once the tier recovers the next
+// persisting round lands whole.
+func TestCommittedRoundSurvivesPersistStall(t *testing.T) {
+	rig := newRig(t, 4, 2, 2, 2, func(c *Config) {
+		c.OpTimeout = 100 * time.Millisecond
+		c.Metrics = obs.NewRegistry()
+	})
+	ctx := context.Background()
+	if _, err := rig.ckpt.Save(ctx, stampVersion(rig.dicts, 1)); err != nil {
+		t.Fatal(err)
+	}
+	rig.remote.SetStall(30 * time.Second)
+	rep, err := rig.ckpt.Save(ctx, stampVersion(rig.dicts, 2))
+	if err != nil {
+		t.Fatalf("save of v2 with a hung remote tier: %v", err)
+	}
+	if rep.RemotePersisted {
+		t.Error("RemotePersisted = true for a persist the tier never took")
+	}
+	if got := rig.ckpt.Version(); got != 2 {
+		t.Fatalf("Version() = %d, want 2", got)
+	}
+	if n, _ := rig.ckpt.cfg.Metrics.Snapshot().Counter("remote_persist_failures_total"); n != 1 {
+		t.Errorf("remote_persist_failures_total = %d, want 1", n)
+	}
+	if keys := rig.remote.Keys(remoteKeyPrefix); len(keys) != 0 {
+		t.Errorf("the failed persist left %q in the tier", keys)
+	}
+	got, _, err := rig.ckpt.Load(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dictsEqual(t, stampVersion(rig.dicts, 2), got)
+
+	rig.remote.SetStall(0)
+	for i := 3; i <= 4; i++ {
+		if rep, err = rig.ckpt.Save(ctx, stampVersion(rig.dicts, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !rep.RemotePersisted {
+		t.Fatal("v4 not persisted once the tier recovered")
+	}
+	if got, err = rig.ckpt.LoadFromRemote(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	dictsEqual(t, stampVersion(rig.dicts, 4), got)
+}
+
+// TestCloseDuringPersistKeepsCommittedRound: Close that lands while a
+// committed round persists cancels the persist, not the round. The save
+// returns nil, and so does Close — the commit has won.
+func TestCloseDuringPersistKeepsCommittedRound(t *testing.T) {
+	rig := newRig(t, 4, 2, 2, 2, func(c *Config) { c.OpTimeout = 30 * time.Second })
+	ctx := context.Background()
+	if _, err := rig.ckpt.Save(ctx, rig.dicts); err != nil {
+		t.Fatal(err)
+	}
+	rig.remote.SetStall(30 * time.Second) // only Close can end v2's persist
+	type result struct {
+		rep *SaveReport
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := rig.ckpt.Save(ctx, rig.dicts)
+		done <- result{rep, err}
+	}()
+	for rig.ckpt.Version() != 2 {
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	if err := rig.ckpt.Close(); err != nil {
+		t.Errorf("Close() during a committed round's persist = %v, want nil", err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("Close took %v; it must cancel the stalled persist", elapsed)
+	}
+	res := <-done
+	if res.err != nil {
+		t.Fatalf("save of v2 = %v, want nil: it committed", res.err)
+	}
+	if res.rep.RemotePersisted {
+		t.Error("RemotePersisted = true for a persist Close cancelled")
 	}
 }

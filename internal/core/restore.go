@@ -12,7 +12,6 @@ import (
 	"eccheck/internal/cluster"
 	"eccheck/internal/gf"
 	"eccheck/internal/obs"
-	"eccheck/internal/obs/flight"
 	"eccheck/internal/statedict"
 )
 
@@ -50,12 +49,15 @@ const (
 	repairAll
 )
 
-// restoreRound is one restore in flight: the request, what the scan found,
-// the plan derived from it and the results, shared by every goroutine of the
-// round. The plan fields are fixed before anything executes.
+// restoreRound is one restore in flight: the round, the request, what the
+// scan found, the plan derived from it and the results, shared by every
+// goroutine of the round. The plan fields are fixed before anything executes.
 type restoreRound struct {
+	// The round's version is the checkpoint version it restores once the
+	// scan settles on one (the request's until then), with packetBytes and
+	// the buffer size it was encoded with below.
+	*round
 	req  restoreReq
-	lay  *layout   // the checkpointer's layout, fixed at construction
 	tags *tagTable // set on rounds that move bytes between nodes
 	// pc is the coordinator's phase clock (node -1 on the timeline).
 	pc *phaseClock
@@ -64,10 +66,10 @@ type restoreRound struct {
 	fetched, corrupt atomic.Int64
 
 	scan []nodeScan
-	// version is the checkpoint version the round restores, with its packet
-	// size and the buffer size it was encoded with — decode must slice
-	// packets identically because the coding region is the buffer slice.
-	version, packetBytes, bufSize int
+	// packetBytes and bufSize are the packet size of the round's version and
+	// the buffer size it was encoded with — decode must slice packets
+	// identically because the coding region is the buffer slice.
+	packetBytes, bufSize int
 	// groups is the plan, code group by code group; a group the request does
 	// not touch (no wanted rank, no repaired node) is left unplanned.
 	groups []groupPlan
@@ -144,27 +146,25 @@ func (rd *restoreRound) repairs(node int) bool {
 // restore runs one restore round. The returned round is never nil; on
 // failure its dicts are nil and its report, when a flight recorder is
 // configured, carries the round's event tail as a postmortem.
-func (c *Checkpointer) restore(ctx context.Context, req restoreReq) (rd *restoreRound, retErr error) {
-	rd = &restoreRound{req: req, version: req.version}
+func (c *Checkpointer) restore(ctx context.Context, req restoreReq) (*restoreRound, error) {
+	rd := &restoreRound{req: req}
 	if !req.remote {
 		// A host-memory restore reads the checkpoint at rest: it waits for an
 		// in-flight save drain to settle, and holds the commit lock shared so
 		// a SaveAsync that starts meanwhile cannot commit mid-round. The
 		// remote tier is written before a round ends and never rewritten, and
 		// a catastrophic restore must not wait on a save that cannot finish.
-		if err := c.waitInflightSave(ctx); err != nil {
+		if err := c.waitSlot(ctx); err != nil {
 			return rd, err
 		}
 		c.commitMu.RLock()
 		defer c.commitMu.RUnlock()
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	unregister, err := c.registerLoad(cancel)
+	r, ctx, err := c.open(ctx, roundRestore, req.op, saveMode{})
 	if err != nil {
 		return rd, err
 	}
-	defer func() { unregister(retErr) }()
+	rd.round = r
 	if req.repair != repairNone {
 		// One repairing round at a time: two of them would rebuild the same
 		// chunks under the same tags and land over each other. A free slot is
@@ -176,46 +176,29 @@ func (c *Checkpointer) restore(ctx context.Context, req restoreReq) (rd *restore
 			select {
 			case c.restoreSlot <- struct{}{}:
 			case <-ctx.Done():
-				return rd, ctx.Err()
+				return rd, r.end(ctx.Err(), nil)
 			}
 		}
 		defer func() { <-c.restoreSlot }()
 	}
-	// The round's clock, phases and watchdog start once it holds its gates:
-	// queueing behind a drain or another repair is not this round's work.
-	started := time.Now()
-	// Every transport and remote-tier operation of the round is bounded by
-	// the per-op deadline.
-	ctx = c.opCtx(ctx)
-	// Everything the round emits after this cursor belongs to it.
-	pmStart := c.cfg.Flight.Cursor()
-	c.roundStart(req.op, req.version)
-	defer func() { c.roundEnd(req.op, rd.version, retErr) }()
-	c.cfg.Flight.RoundBegin(req.op, req.version)
-	rd.lay = c.layout()
+	ctx = r.begin(ctx, req.version)
 	rd.dicts = make([]*statedict.StateDict, c.cfg.Topo.World())
-	rd.pc = newPhaseClock(PhaseScan)
-	rd.pc.emitTo(c.cfg.Flight, req.op, -1, req.version)
-	rd.pc.watchTo(c.wd, req.op, -1, req.version)
+	rd.pc = r.clock(-1, PhaseScan)
 	defer rd.pc.unwatch()
 
 	if req.remote {
-		retErr = c.serveRemote(ctx, cancel, rd)
+		err = c.serveRemote(ctx, r.h.cancel, rd)
 	} else {
-		retErr = c.serveHost(ctx, cancel, rd)
+		err = c.serveHost(ctx, r.h.cancel, rd)
 	}
-	elapsed := time.Since(started)
-	if retErr != nil {
-		if ctx.Err() != nil && c.isClosed() {
-			retErr = fmt.Errorf("%w: %w", ErrSaveAborted, retErr)
-		}
-		// The terminal event goes first so the postmortem tail includes it.
-		c.cfg.Flight.RoundEnd(req.op, rd.version, retErr)
+	elapsed := time.Since(r.started)
+	if err != nil {
 		rd.dicts = nil
-		if tail := c.cfg.Flight.TailSince(pmStart, flight.DefaultPostmortemEvents); len(tail) > 0 {
-			rd.report = &LoadReport{Version: rd.version, Elapsed: elapsed, Postmortem: tail}
-		}
-		return rd, retErr
+		return rd, r.end(err, func() {
+			if tail := r.tail(); len(tail) > 0 {
+				rd.report = &LoadReport{Version: rd.version, Elapsed: elapsed, Postmortem: tail}
+			}
+		})
 	}
 
 	phases := meanPhases(rd.nodePhases)
@@ -235,21 +218,22 @@ func (c *Checkpointer) restore(ctx context.Context, req restoreReq) (rd *restore
 		BytesFetched:  rd.fetched.Load(),
 	}
 	for _, id := range rd.report.MissingChunks {
-		if rd.scan[rd.lay.plan.ChunkOwner(id/size, id%size)].corrupt {
+		if rd.scan[c.lay.plan.ChunkOwner(id/size, id%size)].corrupt {
 			rd.report.CorruptedChunks = append(rd.report.CorruptedChunks, id)
 		}
 	}
 	c.observeRestore(req.op, elapsed)
-	c.cfg.Flight.RoundEnd(req.op, rd.version, nil)
-	if len(rd.report.MissingChunks) > 0 {
-		// The round succeeded around something lost or corrupt: attach the
-		// event tail so the degradation is diagnosable from the report alone.
-		rd.report.Postmortem = c.cfg.Flight.TailSince(pmStart, flight.DefaultPostmortemEvents)
-	}
-	if len(req.want) > 0 { // the budget is for rounds a caller waits on for state
-		c.applyBudget(rd.report, req.op, rd.version, pmStart)
-	}
-	return rd, nil
+	return rd, r.end(nil, func() {
+		if len(rd.report.MissingChunks) > 0 {
+			// The round succeeded around something lost or corrupt: attach the
+			// event tail so the degradation is diagnosable from the report
+			// alone.
+			rd.report.Postmortem = r.tail()
+		}
+		if len(req.want) > 0 { // the budget is for rounds a caller waits on for state
+			c.applyBudget(rd.report, r)
+		}
+	})
 }
 
 // serveHost restores from host memory: scan, plan, then one of two
@@ -327,7 +311,7 @@ func (st *nodeScan) holds(version int) bool {
 // a manifest that does not parse. The scan reads through borrowed views: no
 // blob is copied, and what it allocates is O(keys), not O(bytes).
 func (c *Checkpointer) scanNodes(rd *restoreRound, nodes []int, deep bool) {
-	keys := &rd.lay.keys
+	keys := &c.lay.keys
 	var wg sync.WaitGroup
 	for _, node := range nodes {
 		wg.Add(1)
@@ -368,7 +352,7 @@ func (c *Checkpointer) scanNodes(rd *restoreRound, nodes []int, deep bool) {
 			if !st.manifestOK {
 				return
 			}
-			chunk := rd.lay.plan.ChunkOfNode[node]
+			chunk := c.lay.plan.ChunkOfNode[node]
 			st.segs = make([][]byte, len(keys.segment[chunk]))
 			for s, key := range keys.segment[chunk] {
 				seg, ok := read(key, true)
@@ -381,7 +365,7 @@ func (c *Checkpointer) scanNodes(rd *restoreRound, nodes []int, deep bool) {
 				}
 				st.segs[s] = seg
 			}
-			rankLo, rankHi := rd.lay.plan.RankRange(rd.lay.plan.GroupOfNode(node))
+			rankLo, rankHi := c.lay.plan.RankRange(c.lay.plan.GroupOfNode(node))
 			for rank := rankLo; rank < rankHi && st.smallsOK; rank++ {
 				_, okMeta := read(keys.smallMeta[rank], false)
 				_, okKeys := read(keys.smallKeys[rank], false)
@@ -399,7 +383,7 @@ func (c *Checkpointer) scanNodes(rd *restoreRound, nodes []int, deep bool) {
 // nodes take part. It is cheap and runs again whenever a deeper scan changes
 // the picture. A group that cannot be planned fails the round.
 func (c *Checkpointer) plan(rd *restoreRound) error {
-	plan := rd.lay.plan
+	plan := c.lay.plan
 	rd.version = 0
 	for i := range rd.scan {
 		if st := &rd.scan[i]; st.manifestOK && st.chunkOK && st.version > rd.version {
@@ -438,7 +422,7 @@ func (rd *restoreRound) wantIn(lo, hi int) []int {
 
 // planGroup plans one code group at the round's version.
 func (c *Checkpointer) planGroup(rd *restoreRound, cg int) error {
-	plan, gp := rd.lay.plan, &rd.groups[cg]
+	plan, gp := c.lay.plan, &rd.groups[cg]
 	size := c.cfg.K + c.cfg.M
 	for chunk := 0; chunk < size; chunk++ {
 		switch node := plan.ChunkOwner(cg, chunk); {
@@ -515,10 +499,10 @@ func (c *Checkpointer) read(rd *restoreRound, node int, key string) ([]byte, err
 // source instead of failing the round.
 func (c *Checkpointer) smallsOf(rd *restoreRound, sources []int, rank int) (sm [2][]byte, err error) {
 	for _, node := range sources {
-		if sm[0], err = c.read(rd, node, rd.lay.keys.smallMeta[rank]); err != nil {
+		if sm[0], err = c.read(rd, node, c.lay.keys.smallMeta[rank]); err != nil {
 			continue
 		}
-		if sm[1], err = c.read(rd, node, rd.lay.keys.smallKeys[rank]); err == nil {
+		if sm[1], err = c.read(rd, node, c.lay.keys.smallKeys[rank]); err == nil {
 			return sm, nil
 		}
 	}
@@ -587,7 +571,7 @@ func (c *Checkpointer) observeRestore(op string, elapsed time.Duration) {
 // DeadlineExceeded, counts the violation, drops an EvBudget event on the
 // flight timeline, and attaches the round's event tail so the miss is
 // diagnosable from the report alone.
-func (c *Checkpointer) applyBudget(report *LoadReport, op string, round int, pmStart uint64) {
+func (c *Checkpointer) applyBudget(report *LoadReport, r *round) {
 	budget := c.cfg.LoadBudget
 	if budget <= 0 {
 		return
@@ -598,15 +582,15 @@ func (c *Checkpointer) applyBudget(report *LoadReport, op string, round int, pmS
 	}
 	report.DeadlineExceeded = true
 	if reg := c.cfg.Metrics; reg != nil {
-		reg.Counter("load_budget_exceeded_total", obs.L("op", op)).Inc()
+		reg.Counter("load_budget_exceeded_total", obs.L("op", r.op)).Inc()
 	}
-	c.cfg.Flight.BudgetExceeded(op, round, budget, report.Elapsed)
-	c.cfg.Health.NoteBudgetExceeded(op)
+	c.cfg.Flight.BudgetExceeded(r.op, r.version, budget, report.Elapsed)
+	c.cfg.Health.NoteBudgetExceeded(r.op)
 	if l := c.cfg.Logger; l != nil {
-		l.Warn("restore budget exceeded", "op", op, "round", round,
+		l.Warn("restore budget exceeded", "op", r.op, "round", r.version,
 			"budget", budget, "elapsed", report.Elapsed)
 	}
 	if report.Postmortem == nil {
-		report.Postmortem = c.cfg.Flight.TailSince(pmStart, flight.DefaultPostmortemEvents)
+		report.Postmortem = r.tail()
 	}
 }

@@ -142,6 +142,27 @@ func TestLoadFromRemoteIgnoresStrayKeys(t *testing.T) {
 	dictsEqual(t, stampVersion(rig.dicts, 8), got)
 }
 
+// TestLoadFromRemoteSkipsTornVersion: a persist stopped at rank 3 leaves
+// the newest version's rank 0 behind without the rest. Discovery must return
+// the newest complete version, v2 byte for byte, not the torn v4.
+func TestLoadFromRemoteSkipsTornVersion(t *testing.T) {
+	rig := newRig(t, 4, 2, 2, 2) // RemotePersistEvery 2: v2 and v4 are persisted
+	ctx := context.Background()
+	for i := 1; i <= 4; i++ {
+		if _, err := rig.ckpt.Save(ctx, stampVersion(rig.dicts, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for rank := 3; rank < len(rig.dicts); rank++ {
+		rig.remote.Delete(remoteKey(4, rank))
+	}
+	got, err := rig.ckpt.LoadFromRemote(ctx, 0)
+	if err != nil {
+		t.Fatalf("LoadFromRemote beside a torn v4: %v", err)
+	}
+	dictsEqual(t, stampVersion(rig.dicts, 2), got)
+}
+
 func TestLoadFromRemoteEmptyStore(t *testing.T) {
 	rig := newRig(t, 4, 2, 2, 2)
 	if _, err := rig.ckpt.LoadFromRemote(context.Background(), 0); err == nil {
@@ -287,7 +308,7 @@ func TestLoadPartialDegradesToDecodeUnderChaos(t *testing.T) {
 	// Kill the node owning rank 0's data chunk after the scan would have
 	// seen it intact: the direct fetch fails and the round must decode the
 	// segment from the k surviving chunks instead of failing.
-	lay := rig.ckpt.layout()
+	lay := rig.ckpt.lay
 	chunk := lay.plan.DataGroupOf[0]
 	owner := lay.plan.ChunkOwner(0, chunk)
 	chaos.arm(owner)
@@ -402,7 +423,7 @@ func TestPrefetchChunkWarmsReplacement(t *testing.T) {
 	if _, err := rig.ckpt.Save(ctx, rig.dicts); err != nil {
 		t.Fatal(err)
 	}
-	lay := rig.ckpt.layout()
+	lay := rig.ckpt.lay
 	victim := lay.plan.DataNodes[0]
 	if err := rig.clus.Fail(victim); err != nil {
 		t.Fatal(err)
@@ -495,7 +516,7 @@ func TestSmallRebroadcastFetchesOncePerRank(t *testing.T) {
 	}
 	// Two replacement nodes -> two rebroadcast peers. Pick the two parity
 	// holders so the data chunks stay directly available.
-	lay := rig.ckpt.layout()
+	lay := rig.ckpt.lay
 	for _, victim := range lay.plan.ParityNodes {
 		if err := clus.Fail(victim); err != nil {
 			t.Fatal(err)
@@ -568,7 +589,7 @@ func TestLoadPartialDecodesPerBufferSlice(t *testing.T) {
 				t.Fatalf("packet of %d bytes fits one %d-byte buffer: the test cannot tell the geometries apart",
 					rep.PacketBytes, rig.ckpt.cfg.BufferSize)
 			}
-			lay := rig.ckpt.layout()
+			lay := rig.ckpt.lay
 			var ranks []int
 			for _, victim := range lay.plan.DataNodes[:tc.lose] {
 				if err := rig.clus.Fail(victim); err != nil {
@@ -668,7 +689,7 @@ func TestPartialDecodeTakesOneBufferPerPacket(t *testing.T) {
 	if rep.PacketBytes <= rig.ckpt.cfg.BufferSize {
 		t.Fatalf("packet of %d bytes fits one %d-byte buffer: a term buffer would be one window, not a packet", rep.PacketBytes, rig.ckpt.cfg.BufferSize)
 	}
-	lay := rig.ckpt.layout()
+	lay := rig.ckpt.lay
 	victim := lay.plan.DataNodes[0]
 	if err := rig.clus.Fail(victim); err != nil {
 		t.Fatal(err)
@@ -754,7 +775,7 @@ func TestPrefetchParityChunkDecodesCorrectly(t *testing.T) {
 	if _, err := rig.ckpt.Save(ctx, rig.dicts); err != nil {
 		t.Fatal(err)
 	}
-	lay := rig.ckpt.layout()
+	lay := rig.ckpt.lay
 	parity := lay.plan.ParityNodes[1] // the second parity row has non-unit coefficients
 	if err := rig.clus.Fail(parity); err != nil {
 		t.Fatal(err)
@@ -921,7 +942,7 @@ func TestRestoreDecodesPerSegmentIndex(t *testing.T) {
 	if _, err := rig.ckpt.Save(ctx, rig.dicts); err != nil {
 		t.Fatal(err)
 	}
-	lay := rig.ckpt.layout()
+	lay := rig.ckpt.lay
 	var ranks []int
 	for i := 0; i < 2; i++ { // chunk i loses segment i
 		if err := rig.clus.Corrupt(lay.plan.DataNodes[i], lay.keys.segment[i][i], 7); err != nil {

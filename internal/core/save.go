@@ -28,7 +28,6 @@ import (
 // that completes, so the steady state reuses one set of mailboxes. A table is
 // immutable: a round keeps the one it started with.
 type tagTable struct {
-	lay   *layout
 	epoch int
 	// Save, by rank: the small-component broadcast (the meta message also
 	// carries the worker's ship-set) and the worker's data-segment stream.
@@ -56,7 +55,7 @@ func (c *Checkpointer) roundTags() *tagTable {
 	lay := c.lay
 	plan, world := lay.plan, c.cfg.Topo.World()
 	t := &tagTable{
-		lay: lay, epoch: e,
+		epoch:     e,
 		smallMeta: make([]string, world), smallKeys: make([]string, world), data: make([]string, world),
 		xor: make([]string, len(plan.Reductions)), parity: make([]string, len(plan.Reductions)),
 		rebuild:    make([][]string, len(lay.keys.segment)),
@@ -154,14 +153,12 @@ func (s *nodeSnapshot) release(c *Checkpointer) {
 // ship-set: every buffer window on a full round, the windows that differ
 // from the worker's delta base on a delta round. Pure local memory work,
 // no network.
-func (c *Checkpointer) snapshotNode(op string, node, version, packetBytes int, dicts []*statedict.StateDict, delta bool) (*nodeSnapshot, error) {
+func (c *Checkpointer) snapshotNode(r *round, node, packetBytes int, dicts []*statedict.StateDict, delta bool) (*nodeSnapshot, error) {
 	g := c.cfg.Topo.GPUsPerNode()
 	bufSize := c.cfg.BufferSize
 	numBuffers := c.numBuffers(packetBytes)
-	base := c.layout().keys.base
-	pc := newPhaseClock(PhaseSerialize)
-	pc.emitTo(c.cfg.Flight, op, node, version)
-	pc.watchTo(c.wd, op, node, version)
+	base := c.lay.keys.base
+	pc := r.clock(node, PhaseSerialize)
 	defer pc.unwatch()
 	snap := &nodeSnapshot{
 		node:    node,
@@ -334,9 +331,9 @@ type foldCursor struct {
 // damages the committed checkpoint. Every Send/Recv carries the configured
 // deadline, so a peer that crashes mid-round turns into a bounded error, not
 // a hang.
-func (c *Checkpointer) nodeDrain(ctx context.Context, op string, snap *nodeSnapshot, tags *tagTable, version, packetBytes int) (int, map[string]time.Duration, error) {
+func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapshot, tags *tagTable, packetBytes int) (int, map[string]time.Duration, error) {
 	topo := c.cfg.Topo
-	lay := tags.lay
+	lay := c.lay
 	plan := lay.plan
 	node := snap.node
 	g := topo.GPUsPerNode()
@@ -355,9 +352,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, op string, snap *nodeSnaps
 	packets := snap.packets
 	smalls := snap.smalls
 	delta := snap.olds != nil
-	pc := newPhaseClock(PhaseP2P)
-	pc.emitTo(c.cfg.Flight, op, node, version)
-	pc.watchTo(c.wd, op, node, version)
+	pc := r.clock(node, PhaseP2P)
 	defer pc.unwatch()
 	if !snap.end.IsZero() {
 		pc.mark = snap.end // charge the goroutine handoff to the drain
@@ -631,7 +626,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, op string, snap *nodeSnaps
 		}
 		return n
 	})
-	win.emitTo(c.cfg.Flight, op, node, version)
+	win.emitTo(c.cfg.Flight, r.op, node, r.version)
 	fail := win.fail
 
 	// Each window of a segment is landed by exactly one writer, once — onto
@@ -1009,7 +1004,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, op string, snap *nodeSnaps
 			return 0, nil, err
 		}
 	}
-	if err := stage(keyManifest(), manifestBlob(version, packetBytes, bufSize)); err != nil {
+	if err := stage(keyManifest(), manifestBlob(r.version, packetBytes, bufSize)); err != nil {
 		return 0, nil, err
 	}
 	phases := pc.Stop()

@@ -32,7 +32,7 @@ func (c *Checkpointer) VerifyIntegrity() (*VerifyReport, error) {
 	c.commitMu.RLock()
 	defer c.commitMu.RUnlock()
 	n := c.cfg.Topo.Nodes()
-	rd := &restoreRound{lay: c.layout(), scan: make([]nodeScan, n)}
+	rd := &restoreRound{scan: make([]nodeScan, n)}
 	nodes := upTo(n)
 	for _, node := range nodes {
 		if !c.clus.Alive(node) {
@@ -57,7 +57,7 @@ func (c *Checkpointer) VerifyIntegrity() (*VerifyReport, error) {
 	packetBytes, bufSize := first.packet, first.bufSize
 
 	report := &VerifyReport{Version: first.version}
-	plan, span, k := rd.lay.plan, rd.lay.plan.Span(), c.cfg.K
+	plan, span, k := c.lay.plan, c.lay.plan.Span(), c.cfg.K
 	chunks := make([][]byte, k+c.cfg.M)
 	// Each parity window is re-encoded into one scratch window with the save's
 	// own arithmetic, Σ_j E[k+i][j]·data_j, and compared with the stored one.

@@ -70,20 +70,18 @@ func (r *durRing) p99() time.Duration {
 }
 
 // wdSlot is one live round goroutine's open phase, registered with the
-// watchdog while the round runs.
+// watchdog while the round runs. A flag's live postmortem is the round's
+// tail, so it covers the whole round so far, not just the stuck phase.
 type wdSlot struct {
 	wd    *watchdog
-	op    string
+	r     *round
 	node  int
-	round int
+	round int // the round's version at registration
 
 	mu      sync.Mutex
 	phase   string
 	start   time.Time
 	flagged bool
-	// pmStart is the flight cursor at registration, so a flag's live
-	// postmortem tail covers the whole round, not just the stuck phase.
-	pmStart uint64
 }
 
 // newWatchdog builds (but does not start) a watchdog; the checker
@@ -114,14 +112,14 @@ func (w *watchdog) sample(op, phase string, d time.Duration) {
 	w.mu.Unlock()
 }
 
-// register adds a live round goroutine's slot and lazily starts the
-// checker. Returns nil on a nil watchdog so callers chain unconditionally.
-func (w *watchdog) register(op string, node, round int) *wdSlot {
+// register adds the slot of one of r's goroutines, on node, and lazily
+// starts the checker. Returns nil on a nil watchdog so callers chain
+// unconditionally.
+func (w *watchdog) register(r *round, node int) *wdSlot {
 	if w == nil {
 		return nil
 	}
-	s := &wdSlot{wd: w, op: op, node: node, round: round, start: time.Now(),
-		pmStart: w.c.cfg.Flight.Cursor()}
+	s := &wdSlot{wd: w, r: r, node: node, round: r.version, start: time.Now()}
 	w.mu.Lock()
 	if w.stopped {
 		w.mu.Unlock()
@@ -185,18 +183,18 @@ func (w *watchdog) run() {
 // threshold.
 func (w *watchdog) check(s *wdSlot, now time.Time) {
 	s.mu.Lock()
-	phase, start, flagged, pmStart := s.phase, s.start, s.flagged, s.pmStart
+	phase, start, flagged := s.phase, s.start, s.flagged
 	s.mu.Unlock()
 	if flagged || phase == "" {
 		return
 	}
 	w.mu.Lock()
-	r := w.hist[[2]string{s.op, phase}]
+	hist := w.hist[[2]string{s.r.op, phase}]
 	w.mu.Unlock()
 	var p99 time.Duration
-	if r != nil {
+	if hist != nil {
 		w.mu.Lock()
-		p99 = r.p99()
+		p99 = hist.p99()
 		w.mu.Unlock()
 	}
 	if p99 == 0 {
@@ -218,19 +216,19 @@ func (w *watchdog) check(s *wdSlot, now time.Time) {
 	s.flagged = true
 	s.mu.Unlock()
 
-	cfg := &w.c.cfg
+	cfg, op := &w.c.cfg, s.r.op
 	if cfg.Metrics != nil {
 		// Flags are rare, so the label-interning path is fine here.
-		cfg.Metrics.Counter("round_stuck_total", obs.L("op", s.op), obs.L("phase", phase)).Inc()
+		cfg.Metrics.Counter("round_stuck_total", obs.L("op", op), obs.L("phase", phase)).Inc()
 	}
-	cfg.Flight.Stuck(s.op, s.node, s.round, phase, elapsed, threshold)
-	cfg.Health.NoteStuck(s.op, phase, s.node, s.round, elapsed, threshold)
+	cfg.Flight.Stuck(op, s.node, s.round, phase, elapsed, threshold)
+	cfg.Health.NoteStuck(op, phase, s.node, s.round, elapsed, threshold)
 	if cfg.Logger != nil {
-		cfg.Logger.Warn("round stuck", "op", s.op, "phase", phase, "node", s.node,
+		cfg.Logger.Warn("round stuck", "op", op, "phase", phase, "node", s.node,
 			"round", s.round, "elapsed", elapsed, "threshold", threshold)
 	}
 	if cfg.Flight != nil {
-		tail := cfg.Flight.TailSince(pmStart, flight.DefaultPostmortemEvents)
+		tail := s.r.tail()
 		w.mu.Lock()
 		w.lastPM = tail
 		w.mu.Unlock()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -69,7 +70,7 @@ func TestWatchdogFlagsStuckPhase(t *testing.T) {
 	wd, c := wdRig(2.0)
 	feedHistory(wd, "save", PhaseEncode, wdMinSamples, time.Millisecond)
 
-	s := wd.register("save", 1, 3)
+	s := wd.register(&round{c: c, op: "save", version: 3}, 1)
 	if s == nil {
 		t.Fatal("register returned nil slot on a live watchdog")
 	}
@@ -135,7 +136,7 @@ func TestWatchdogFlagsStuckPhase(t *testing.T) {
 func TestWatchdogNeedsHistory(t *testing.T) {
 	wd, c := wdRig(2.0)
 	feedHistory(wd, "save", PhaseEncode, wdMinSamples-1, time.Millisecond)
-	s := wd.register("save", 0, 1)
+	s := wd.register(&round{c: c, op: "save", version: 1}, 0)
 	defer s.unregister()
 	s.setPhase(PhaseEncode, time.Now().Add(-time.Minute))
 	wd.check(s, time.Now())
@@ -152,7 +153,7 @@ func TestWatchdogNeedsHistory(t *testing.T) {
 func TestWatchdogNilSafe(t *testing.T) {
 	var wd *watchdog
 	wd.sample("save", PhaseEncode, time.Millisecond)
-	if s := wd.register("save", 0, 1); s != nil {
+	if s := wd.register(&round{op: "save", version: 1}, 0); s != nil {
 		t.Fatalf("nil watchdog register returned %v, want nil", s)
 	}
 	wd.stop()
@@ -168,22 +169,21 @@ func TestWatchdogNilSafe(t *testing.T) {
 // TestWatchdogStopUnregisters: after stop, register refuses new slots so
 // the checker goroutine can exit and Close doesn't leak supervision.
 func TestWatchdogStopUnregisters(t *testing.T) {
-	wd, _ := wdRig(2.0)
+	wd, c := wdRig(2.0)
 	wd.stop()
-	if s := wd.register("save", 0, 1); s != nil {
+	if s := wd.register(&round{c: c, op: "save", version: 1}, 0); s != nil {
 		t.Fatal("stopped watchdog accepted a slot")
 	}
 }
 
-// TestPhaseClockWatchdogSampling: a watched clock feeds closed spans into
+// TestPhaseClockWatchdogSampling: a round's clock feeds closed spans into
 // the watchdog history and keeps the slot's open phase current; Stop
 // unregisters.
 func TestPhaseClockWatchdogSampling(t *testing.T) {
-	wd, _ := wdRig(2.0)
-	pc := newPhaseClock(PhaseEncode)
-	pc.watchTo(wd, "save", 2, 7)
+	wd, c := wdRig(2.0)
+	pc := (&round{c: c, op: "save", version: 7}).clock(2, PhaseEncode)
 	if pc.slot == nil {
-		t.Fatal("watchTo installed no slot")
+		t.Fatal("the round's clock has no watchdog slot")
 	}
 	pc.Switch(PhaseXOR)
 	pc.Switch(PhaseEncode)
@@ -216,15 +216,32 @@ func TestPhaseClockWatchdogSampling(t *testing.T) {
 }
 
 // TestRoundLifecycleZeroAllocWhenDisabled is an alloc gate (make allocgate
-// runs it in CI): with no health tracker, no logger and no flight recorder,
-// the round lifecycle fan-out must cost nil checks only — the library
-// default stays free.
+// runs it in CI): with no health tracker, no logger, no flight recorder and
+// no op deadline, a registered round's begin and end — the announcements,
+// the exit from the lifecycle and the handle's completion — cost nil checks
+// only, on success and on failure: the library default stays free.
+// Registering (open) makes the round, its handle and its context, and is
+// done ahead, one round per measured begin and end.
 func TestRoundLifecycleZeroAllocWhenDisabled(t *testing.T) {
-	c := &Checkpointer{}
+	rig := newRig(t, 4, 2, 2, 2, noRemote, func(c *Config) { c.OpTimeout = -1 })
+	ctx := context.Background()
+	const runs = 100
+	rounds := make([]*round, 2*(runs+1)) // AllocsPerRun warms up with one extra run
+	for i := range rounds {
+		r, _, err := rig.ckpt.open(ctx, roundRestore, OpLoad, saveMode{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds[i] = r
+	}
 	failed := errors.New("round failed")
-	allocs := testing.AllocsPerRun(1000, func() {
-		c.roundStart(OpSave, 1)
-		c.roundEnd(OpSave, 1, failed)
+	allocs := testing.AllocsPerRun(runs, func() {
+		ok, bad := rounds[0], rounds[1]
+		rounds = rounds[2:]
+		ok.begin(ctx, 1)
+		ok.end(nil, nil)
+		bad.begin(ctx, 1)
+		bad.end(failed, nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled round lifecycle: %.1f allocs/op, want 0", allocs)
@@ -232,11 +249,11 @@ func TestRoundLifecycleZeroAllocWhenDisabled(t *testing.T) {
 }
 
 // TestPhaseClockZeroAllocWatchdogDisabled is an alloc gate (make
-// allocgate runs it in CI): with the watchdog disabled (nil), Switch must
-// stay allocation-free — supervision is strictly pay-when-armed.
+// allocgate runs it in CI): a round's clock with the watchdog disabled
+// (nil) must Switch allocation-free — supervision is strictly
+// pay-when-armed.
 func TestPhaseClockZeroAllocWatchdogDisabled(t *testing.T) {
-	pc := newPhaseClock(PhaseEncode)
-	pc.watchTo(nil, "save", 0, 1)
+	pc := (&round{c: &Checkpointer{}, op: OpSave, version: 1}).clock(0, PhaseEncode)
 	pc.Switch(PhaseXOR)
 	pc.Switch(PhaseEncode)
 	allocs := testing.AllocsPerRun(1000, func() {

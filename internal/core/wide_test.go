@@ -52,7 +52,7 @@ func loseDataNodes(t *testing.T, rig *testRig) {
 func TestMultiLevelReductionTree(t *testing.T) {
 	rig := wideRig(t, 20, 10, 10, 32<<10, func(c *Config) { c.IncrementalCache = true })
 	deepest := 0
-	for _, route := range rig.ckpt.layout().routes {
+	for _, route := range rig.ckpt.lay.routes {
 		deepest = max(deepest, route.tree.Depth())
 	}
 	if deepest < 2 {

@@ -59,7 +59,8 @@ var metricHelp = map[string]string{
 	"prefetch_rounds_total":   "Remote prefetch sweeps warming the restore cache.",
 	"prefetch_segments_total": "Remote segments warmed by prefetch sweeps.",
 
-	"remote_load_rounds_total": "Load rounds that fell back to the remote tier.",
+	"remote_load_rounds_total":      "Load rounds that fell back to the remote tier.",
+	"remote_persist_failures_total": "Committed save rounds whose remote persist failed; the round still succeeded, its version is only in host memory.",
 
 	"round_stuck_total": "Round phases flagged by the stuck-round watchdog.",
 
