@@ -143,10 +143,13 @@ doclint:
 # payload), and a plain Send takes exactly one, its copy — bare and through
 # the observer, with the flight recorder off and on. A LoadPartial that
 # decodes takes exactly one pooled buffer per decoded packet, the packet
-# itself: its basis terms multiply-accumulate straight into it.
+# itself: its basis terms multiply-accumulate straight into it. The column
+# products take one per output and nothing else: a save one per shipped
+# (worker, window, reduction), a rebuild's basis side one per (window,
+# missing chunk), and a column product over a window allocates nothing.
 allocgate:
 	$(GO) test -run 'TestDisabledRecorderZeroAlloc' -count=1 ./internal/obs/flight
-	$(GO) test -run 'TestPhaseClockZeroAllocWithoutRecorder|TestPhaseClockZeroAllocWatchdogDisabled|TestRoundLifecycleZeroAllocWhenDisabled|TestSteadyStateSaveAllocatesNoSegments|TestPartialDecodeTakesOneBufferPerPacket' -count=1 ./internal/core
+	$(GO) test -run 'TestPhaseClockZeroAllocWithoutRecorder|TestPhaseClockZeroAllocWatchdogDisabled|TestRoundLifecycleZeroAllocWhenDisabled|TestSteadyStateSaveAllocatesNoSegments|TestPartialDecodeTakesOneBufferPerPacket|TestColumnTakesOneBufferPerProduct' -count=1 ./internal/core
 	$(GO) test -run 'TestMembershipStateZeroAlloc' -count=1 ./internal/cluster
 	$(GO) test -run 'TestTCPSendAllocatesNoFrame|TestMemorySendOwnedTakesNoBuffer' -count=1 ./internal/transport
 

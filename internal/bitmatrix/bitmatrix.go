@@ -45,17 +45,19 @@ func (b *Bitmatrix) Set(r, c int, v bool) {
 	}
 }
 
-// rowBits returns row r packed into uint64 words for fast Hamming distance.
-func (b *Bitmatrix) rowBits(r int) []uint64 {
-	words := (b.cols + 63) / 64
-	out := make([]uint64, words)
-	base := r * b.cols
-	for c := 0; c < b.cols; c++ {
-		if b.bits[base+c] != 0 {
-			out[c/64] |= 1 << (c % 64)
+// packedRows returns every row packed into uint64 words for fast Hamming
+// distance, in one allocation: row r is words [r·n, (r+1)·n) of the result,
+// n = ⌈cols/64⌉.
+func (b *Bitmatrix) packedRows() (rows []uint64, n int) {
+	n = (b.cols + 63) / 64
+	rows = make([]uint64, b.rows*n)
+	for i, bit := range b.bits {
+		if bit != 0 {
+			r, c := i/b.cols, i%b.cols
+			rows[r*n+c/64] |= 1 << (c % 64)
 		}
 	}
-	return out
+	return rows, n
 }
 
 // FromMatrix expands a matrix over GF(2^w) into its bitmatrix form.
@@ -85,10 +87,12 @@ func FromMatrix(f *gf.Field, m *gf.Matrix) (*Bitmatrix, error) {
 type OpKind int
 
 // Schedule operation kinds. The first write into a destination packet is a
-// copy; subsequent writes accumulate with XOR.
+// copy; subsequent writes accumulate with XOR. OpZero clears its destination
+// packet and reads no source: the output of a zero coefficient.
 const (
 	OpCopy OpKind = iota + 1
 	OpXOR
+	OpZero
 )
 
 // Op is one step of an XOR schedule: combine source packet
@@ -174,25 +178,15 @@ func CompileSmart(bm *Bitmatrix, k, m, w int) (*Schedule, error) {
 			bm.rows, bm.cols, m*w, k*w)
 	}
 	s := &Schedule{W: w, K: k, DstChunks: m}
-
-	type doneRow struct {
-		row  int
-		bits []uint64
-		ones int
-	}
-	var done []doneRow
-
-	rowOnes := func(words []uint64) int {
-		n := 0
-		for _, word := range words {
-			n += bits64(word)
-		}
-		return n
-	}
+	packed, n := bm.packedRows()
+	row := func(r int) []uint64 { return packed[r*n : (r+1)*n] }
 
 	for r := 0; r < m*w; r++ {
-		cur := bm.rowBits(r)
-		ones := rowOnes(cur)
+		cur := row(r)
+		ones := 0
+		for _, word := range cur {
+			ones += bits64(word)
+		}
 		if ones == 0 {
 			return nil, fmt.Errorf("bitmatrix: output row %d has no contributing inputs", r)
 		}
@@ -201,21 +195,21 @@ func CompileSmart(bm *Bitmatrix, k, m, w int) (*Schedule, error) {
 		// derived from an earlier output row (cost = hamming distance + 1).
 		bestBase := -1
 		bestCost := ones
-		for _, d := range done {
+		for d := 0; d < r; d++ {
 			dist := 0
-			for i := range cur {
-				dist += bits64(cur[i] ^ d.bits[i])
+			for i, word := range row(d) {
+				dist += bits64(cur[i] ^ word)
 			}
 			if dist+1 < bestCost {
 				bestCost = dist + 1
-				bestBase = d.row
+				bestBase = d
 			}
 		}
 
 		dst := Op{DstChunk: k + r/w, DstPacket: r % w}
 		if bestBase >= 0 {
 			// Copy the base output packet, then XOR the differing inputs.
-			base := bm.rowBits(bestBase)
+			base := row(bestBase)
 			op := dst
 			op.Kind = OpCopy
 			op.SrcChunk = k + bestBase/w
@@ -247,7 +241,6 @@ func CompileSmart(bm *Bitmatrix, k, m, w int) (*Schedule, error) {
 				s.Ops = append(s.Ops, op)
 			}
 		}
-		done = append(done, doneRow{row: r, bits: cur, ones: ones})
 	}
 	return s, nil
 }
@@ -284,6 +277,20 @@ func (s *Schedule) tileBytes() int {
 // same length, divisible by W so it splits into W packets. Execution is
 // cache-blocked: see tileBytes.
 func (s *Schedule) Execute(data, out [][]byte) error {
+	if len(data) == 0 {
+		return s.ExecuteRange(data, out, 0, 0)
+	}
+	return s.ExecuteRange(data, out, 0, len(data[0])/s.W)
+}
+
+// ExecuteRange runs the schedule over the byte range [lo, hi) of each
+// packet, allowing one encode to be split across a worker pool. lo and hi
+// are offsets within a packet (0 <= lo <= hi <= packetSize). Every chunk
+// must have the same length, divisible by W, as for Execute: a short one is
+// an error, never an out-of-range slice on a pool worker. The range is
+// processed in cache-sized tiles (see tileBytes): the op list runs once per
+// tile so intermediate packets stay resident between ops.
+func (s *Schedule) ExecuteRange(data, out [][]byte, lo, hi int) error {
 	if len(data) != s.K {
 		return fmt.Errorf("bitmatrix: execute with %d data chunks, want %d", len(data), s.K)
 	}
@@ -306,26 +313,6 @@ func (s *Schedule) Execute(data, out [][]byte) error {
 		if len(p) != size {
 			return fmt.Errorf("bitmatrix: output chunk %d has size %d, want %d", i, len(p), size)
 		}
-	}
-	return s.ExecuteRange(data, out, 0, size/s.W)
-}
-
-// ExecuteRange runs the schedule over the byte range [lo, hi) of each
-// packet, allowing one encode to be split across a worker pool. lo and hi
-// are offsets within a packet (0 <= lo <= hi <= packetSize). The range is
-// processed in cache-sized tiles (see tileBytes): the op list runs once per
-// tile so intermediate packets stay resident between ops.
-func (s *Schedule) ExecuteRange(data, out [][]byte, lo, hi int) error {
-	if len(data) != s.K || len(out) != s.DstChunks {
-		return fmt.Errorf("bitmatrix: execute-range chunk count mismatch (data=%d want %d, out=%d want %d)",
-			len(data), s.K, len(out), s.DstChunks)
-	}
-	if len(data) == 0 {
-		return nil
-	}
-	size := len(data[0])
-	if size%s.W != 0 {
-		return fmt.Errorf("bitmatrix: chunk size %d not divisible by w=%d", size, s.W)
 	}
 	psize := size / s.W
 	if lo < 0 || hi > psize || lo > hi {
@@ -397,6 +384,8 @@ func (s *Schedule) executeOps(data, out [][]byte, lo, hi, psize int) error {
 			if err := gf.XORSlice(dst, src); err != nil {
 				return err
 			}
+		case OpZero:
+			clear(dst)
 		default:
 			return fmt.Errorf("bitmatrix: unknown op kind %d", op.Kind)
 		}

@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"eccheck/internal/bitmatrix"
 	"eccheck/internal/bufpool"
 	"eccheck/internal/cluster"
 	"eccheck/internal/ecpool"
@@ -60,6 +61,11 @@ const (
 	// (DESIGN.md §10).
 	pipelineDepth   = 12
 	encodingBuffers = 24
+	// poolThreshold is the smallest region a coding kernel splits across
+	// the engine's thread pool (ecpool): a column product, a scalar
+	// multiply or a fold of one window. Below it the dispatch costs more
+	// than the split saves, and the kernel runs on the calling goroutine.
+	poolThreshold = 256 << 10
 	// reduceFanIn bounds the XOR-reduction fan-in per machine: a reduction
 	// with more source machines than this aggregates over a tree of that
 	// arity (placement.BuildFanInTree), so no machine folds more than
@@ -280,6 +286,11 @@ type layout struct {
 	// per-node worker index), index-aligned with plan.Reductions. Compiled
 	// once per layout so the per-round drain does only lookups.
 	routes []reduceRoute
+	// encode holds, by data group j, the generator's parity column
+	// E[k..k+m-1][j] compiled into one schedule (erasure.Code.Column): a
+	// worker's window times its m coefficients, output i feeding parity
+	// index i's reduction.
+	encode []*bitmatrix.Schedule
 }
 
 // reduceRoute is the compiled routing of one XOR reduction: which machine
@@ -295,9 +306,10 @@ type reduceRoute struct {
 	workersOf map[int][]int
 }
 
-// newLayout compiles the layout for one plan: the key table plus the
-// reduction routing under the configured group fan-in.
-func newLayout(cfg *Config, plan *placement.Plan) (*layout, error) {
+// newLayout compiles the layout for one plan: the key table, the
+// reduction routing under the configured group fan-in and the encode
+// columns of the code.
+func newLayout(cfg *Config, plan *placement.Plan, code *erasure.Code) (*layout, error) {
 	routes := make([]reduceRoute, len(plan.Reductions))
 	for ri, r := range plan.Reductions {
 		targetNode, err := cfg.Topo.NodeOf(r.Target)
@@ -322,7 +334,23 @@ func newLayout(cfg *Config, plan *placement.Plan) (*layout, error) {
 			workersOf:  workersOf,
 		}
 	}
-	return &layout{plan: plan, keys: buildKeyTable(cfg, plan), routes: routes}, nil
+	encode := make([]*bitmatrix.Schedule, cfg.K)
+	coefs := make([]int, cfg.M)
+	for j := range encode {
+		for i := range coefs {
+			coef, err := code.ParityCoefficient(i, j)
+			if err != nil {
+				return nil, err
+			}
+			coefs[i] = coef
+		}
+		col, err := code.Column(coefs)
+		if err != nil {
+			return nil, err
+		}
+		encode[j] = col
+	}
+	return &layout{plan: plan, keys: buildKeyTable(cfg, plan), routes: routes, encode: encode}, nil
 }
 
 // Lifecycle errors (test with errors.Is).
@@ -496,7 +524,7 @@ func New(cfg Config, net transport.Network, clus HostStore, remote *remotestore.
 
 		restoreSlot: make(chan struct{}, 1),
 	}
-	if c.lay, err = newLayout(&cfg, plan); err != nil {
+	if c.lay, err = newLayout(&cfg, plan, code); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	if cfg.WatchdogFactor > 0 {
@@ -560,21 +588,28 @@ func (c *Checkpointer) Close() error {
 // paper's thread-pool acceleration of encoding. Small regions fall back to
 // the serial path to avoid dispatch overhead.
 func (c *Checkpointer) scalarMulPooled(coef int, dst, src []byte, add bool) error {
-	const poolThreshold = 256 << 10
 	if coef == 0 || len(dst) < poolThreshold || c.pool.Workers() <= 1 {
 		if add {
 			return c.code.ScalarMulAdd(coef, dst, src)
 		}
 		return c.code.ScalarMulInto(coef, dst, src)
 	}
-	if len(dst) != len(src) {
-		return fmt.Errorf("core: scalar multiply of %d bytes into %d", len(src), len(dst))
-	}
 	sched, err := c.code.ScalarSchedule(coef, add)
 	if err != nil {
 		return err
 	}
 	return c.pool.RunSchedule(sched, [][]byte{src}, [][]byte{dst})
+}
+
+// mulColumn runs a compiled coefficient column (erasure.Code.Column) over
+// one source window: out[i] = coefs[i] · src for every i, in one pass over
+// src. A window of at least poolThreshold splits across the thread pool.
+// out's headers are the caller's to reuse: nothing here keeps them.
+func (c *Checkpointer) mulColumn(col *bitmatrix.Schedule, out [][]byte, src []byte) error {
+	if len(src) < poolThreshold || c.pool.Workers() <= 1 {
+		return col.Execute([][]byte{src}, out)
+	}
+	return c.pool.RunSchedule(col, [][]byte{src}, out)
 }
 
 // store writes a copy of a blob into a node's host memory with a footer of

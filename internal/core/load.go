@@ -221,20 +221,33 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 			}
 		}()
 	}
-	for row, missingChunk := range gp.missing {
-		dstNode := plan.ChunkOwner(cg, missingChunk)
-		for s, tag := range tags.rebuild[missingChunk] {
-			pos := slices.Index(gp.decode[s].basis, myChunk)
-			for lo := 0; pos != -1 && lo < rd.packetBytes; lo += rd.bufSize {
-				hi := min(lo+rd.bufSize, rd.packetBytes)
-				// Pooled, not zeroed: the scalar multiply fully overwrites
-				// it. Ownership passes to the transport with SendOwned.
-				contribution := c.buf.Get(hi - lo)
-				if err := c.scalarMulPooled(gp.decode[s].tm.At(row, pos), contribution, chunkSegs[s][lo:hi], false); err != nil {
-					c.buf.Put(contribution)
-					return nil, err
+	// A basis owner multiplies each window of its segment by the segment
+	// plan's column for its position — every missing chunk's coefficient —
+	// in one pass, and sends the products back to back, one per missing
+	// chunk's owner. Each (missing chunk, segment) tag still carries its
+	// windows in order.
+	terms := make([][]byte, len(gp.missing))
+	for s := range gp.decode {
+		p := &gp.decode[s]
+		pos := slices.Index(p.basis, myChunk)
+		for lo := 0; pos != -1 && lo < rd.packetBytes; lo += rd.bufSize {
+			hi := min(lo+rd.bufSize, rd.packetBytes)
+			// Pooled, not zeroed: the column product fully overwrites each
+			// output. Ownership passes to the transport with SendOwned.
+			for row := range terms {
+				terms[row] = c.buf.Get(hi - lo)
+			}
+			if err := c.mulColumn(p.cols[pos], terms, chunkSegs[s][lo:hi]); err != nil {
+				for _, term := range terms {
+					c.buf.Put(term)
 				}
-				if err := transport.SendOwned(ctx, ep, dstNode, tag, contribution); err != nil {
+				return nil, err
+			}
+			for row, missingChunk := range gp.missing {
+				if err := transport.SendOwned(ctx, ep, plan.ChunkOwner(cg, missingChunk), tags.rebuild[missingChunk][s], terms[row]); err != nil {
+					for _, term := range terms[row+1:] {
+						c.buf.Put(term)
+					}
 					return nil, err
 				}
 			}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"eccheck/internal/bitmatrix"
 	"eccheck/internal/cluster"
 	"eccheck/internal/gf"
 	"eccheck/internal/obs"
@@ -113,25 +114,39 @@ func (rd *restoreRound) missingChunks(size int) []int {
 // same-index segment of every chunk, so the basis is chosen per index: a
 // chunk with one bad segment still serves its others, and any index with at
 // most m erasures decodes. tm expresses each missing chunk (row) in terms of
-// the k basis chunks (columns).
+// the k basis chunks (columns); cols[pos] is tm's column pos compiled into
+// one schedule (erasure.Code.Column): basis chunk pos's window times its
+// coefficient for every missing chunk, output row for missing[row].
 type segPlan struct {
 	missing, basis []int
 	tm             *gf.Matrix
+	cols           []*bitmatrix.Schedule
 }
 
-// transforms computes every segment index's decode matrix, once per distinct
-// (basis, missing) pair: one TransformMatrix call per round unless segment
-// indices differ in what they lost.
+// transforms computes every segment index's decode matrix and its columns,
+// once per distinct (basis, missing) pair: one TransformMatrix call per round
+// unless segment indices differ in what they lost.
 func (c *Checkpointer) transforms(plans []segPlan) (err error) {
 	for i := range plans {
 		p := &plans[i]
 		for _, q := range plans[:i] {
 			if slices.Equal(q.basis, p.basis) && slices.Equal(q.missing, p.missing) {
-				p.tm = q.tm
+				p.tm, p.cols = q.tm, q.cols
 			}
 		}
-		if p.tm == nil && len(p.missing) > 0 {
-			if p.tm, err = c.code.TransformMatrix(p.basis, p.missing); err != nil {
+		if p.tm != nil || len(p.missing) == 0 {
+			continue
+		}
+		if p.tm, err = c.code.TransformMatrix(p.basis, p.missing); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+		p.cols = make([]*bitmatrix.Schedule, len(p.basis))
+		coefs := make([]int, len(p.missing))
+		for pos := range p.cols {
+			for row := range coefs {
+				coefs[row] = p.tm.At(row, pos)
+			}
+			if p.cols[pos], err = c.code.Column(coefs); err != nil {
 				return fmt.Errorf("core: %w", err)
 			}
 		}

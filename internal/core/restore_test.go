@@ -721,6 +721,83 @@ func TestPartialDecodeTakesOneBufferPerPacket(t *testing.T) {
 	}
 }
 
+// TestColumnTakesOneBufferPerProduct: the save encode and the rebuild's
+// basis side each run one column product per source window, and each takes
+// exactly one pooled buffer per output — a save one per (worker, window,
+// reduction), a rebuild one per (basis owner, segment, window, missing
+// chunk) — and no temporary buffer. The engine is given a pool of its own,
+// so the transport's copies are not counted. The column product itself
+// allocates nothing: a round reuses its output headers window after window.
+func TestColumnTakesOneBufferPerProduct(t *testing.T) {
+	ctx := context.Background()
+	for _, shape := range []struct {
+		name              string
+		nodes, gpus, k, m int
+		lose              int // data machines lost before the Load
+	}{{"k2m2", 4, 2, 2, 2, 1}, {"k4m4", 8, 1, 4, 4, 4}} {
+		t.Run(shape.name, func(t *testing.T) {
+			rig := newRig(t, shape.nodes, shape.gpus, shape.k, shape.m, noRemote)
+			reg := obs.NewRegistry()
+			rig.ckpt.buf = bufpool.New()
+			rig.ckpt.buf.SetMetrics(reg)
+			hits, misses := reg.Counter("bufpool_hits_total"), reg.Counter("bufpool_misses_total")
+			gets := func() int64 { return hits.Value() + misses.Value() }
+
+			rep, err := rig.ckpt.Save(ctx, rig.dicts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			world, windows := rig.topo.World(), rig.ckpt.numBuffers(rep.PacketBytes)
+			if windows < 2 {
+				t.Fatalf("packet of %d bytes is one window", rep.PacketBytes)
+			}
+			// The snapshot takes four per worker: the decomposition's meta and
+			// keys blobs, the meta message and the packet.
+			if got, want := gets(), int64(4*world+world*windows*shape.m); got != want {
+				t.Errorf("full save took %d pooled buffers, want %d: 4 per worker and one per (worker, window, reduction) = %d x %d x %d",
+					got, want, world, windows, shape.m)
+			}
+
+			lay := rig.ckpt.lay
+			for _, victim := range lay.plan.DataNodes[:shape.lose] {
+				if err := rig.clus.Fail(victim); err != nil {
+					t.Fatal(err)
+				}
+				if err := rig.clus.Replace(victim); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := gets()
+			got, lrep, err := rig.ckpt.Load(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dictsEqual(t, rig.dicts, got)
+			if len(lrep.MissingChunks) != shape.lose {
+				t.Fatalf("load rebuilt chunks %v, want %d", lrep.MissingChunks, shape.lose)
+			}
+			span := lay.plan.Span()
+			if got, want := gets()-before, int64(span*shape.k*windows*shape.lose); got != want {
+				t.Errorf("rebuild took %d pooled buffers, want %d: one per (segment, basis owner, window, missing chunk) = %d x %d x %d x %d",
+					got, want, span, shape.k, windows, shape.lose)
+			}
+
+			src := make([]byte, rig.ckpt.cfg.BufferSize)
+			out := make([][]byte, shape.m)
+			for i := range out {
+				out[i] = make([]byte, len(src))
+			}
+			if allocs := testing.AllocsPerRun(50, func() {
+				if err := rig.ckpt.mulColumn(lay.encode[0], out, src); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("a column product over one window allocated %.1f times, want 0", allocs)
+			}
+		})
+	}
+}
+
 // scalarMulPooled splits a region of at least 256 KiB across the engine's
 // thread pool (ecpool.RunSchedule); both of its forms must still be the
 // serial ScalarMulInto, and ScalarMulInto followed by XORSlice, byte for byte.

@@ -529,21 +529,6 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 	c.cfg.Metrics.Counter("save_segments_carried_total").Add(int64(carried))
 	pc.Switch(PhaseStage)
 
-	// Per-(reduction, worker) coding coefficients, looked up once: the
-	// buffer loop must not take fallible lookups per window.
-	coefs := make([]map[int]int, len(reds))
-	for ri, r := range reds {
-		myWorkers := routes[ri].workersOf[node]
-		coefs[ri] = make(map[int]int, len(myWorkers))
-		for _, w := range myWorkers {
-			coef, err := c.code.ParityCoefficient(r.ParityIndex, plan.DataGroupOf[w])
-			if err != nil {
-				return 0, nil, err
-			}
-			coefs[ri][w] = coef
-		}
-	}
-
 	// Inbound window streams, each with the ship-set naming the windows it
 	// carries. A tree child forwards a partial for the windows any worker in
 	// its subtree ships; a reduction's root sends parity for the windows any
@@ -706,9 +691,8 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 	// encoder thread pool — the receiver-side counterpart of the paper's
 	// thread-pool acceleration (reductions for one buffer used to run
 	// serially on whichever goroutine held the contribution).
-	const xorPoolThreshold = 256 << 10
 	xorInto := func(dst, src []byte) error {
-		if len(dst) >= xorPoolThreshold && c.pool.Workers() > 1 {
+		if len(dst) >= poolThreshold && c.pool.Workers() > 1 {
 			return c.pool.XOR(dst, src)
 		}
 		return gf.XORSlice(dst, src)
@@ -860,6 +844,10 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 	// credit bound. Admission waits are pipeline backpressure, charged to
 	// p2p.
 	srcs := make([][]byte, g) // this window's source per local worker; nil when not shipped
+	// contributions holds one worker's column product for the window: output
+	// pi is its contribution to parity index pi. The headers are reused
+	// window after window; the buffers pass to contribute.
+	contributions := make([][]byte, c.cfg.M)
 	encodeErr := func() error {
 		for b := 0; b < numBuffers; b++ {
 			pc.Switch(PhaseP2P)
@@ -884,25 +872,32 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 					}
 				}
 			}
-			// Encoding stage: every shipping local worker contributes to each
-			// of its reduction group's m reductions; contributions fold into
-			// the node-local accumulator, which forwards up the tree.
-			for ri := range routes {
-				for _, w := range routes[ri].workersOf[node] {
-					src := srcs[w-node*g]
-					if src == nil {
-						continue
+			// Encoding stage: every shipping local worker's window is
+			// multiplied by its data group's parity column in one pass, and
+			// product i folds into the node-local accumulator of parity
+			// index i of the worker's reduction group, which forwards up the
+			// tree. The plan lists a code group's reductions by reduction
+			// group (the worker's SegmentOf), then parity index.
+			for i, w := range localWorkers {
+				src := srcs[i]
+				if src == nil {
+					continue
+				}
+				pc.Switch(PhaseEncode)
+				// Pooled, not zeroed: the column product fully overwrites
+				// each output. Ownership passes to contribute.
+				for pi := range contributions {
+					contributions[pi] = c.buf.Get(hi - lo)
+				}
+				if err := c.mulColumn(lay.encode[plan.DataGroupOf[w]], contributions, src); err != nil {
+					for _, out := range contributions {
+						c.buf.Put(out)
 					}
-					pc.Switch(PhaseEncode)
-					// Pooled, not zeroed: the scalar multiply fully
-					// overwrites the region. Ownership passes to contribute.
-					contribution := c.buf.Get(hi - lo)
-					if err := c.scalarMulPooled(coefs[ri][w], contribution, src, false); err != nil {
-						c.buf.Put(contribution)
-						return err
-					}
-					pc.Switch(PhaseXOR)
-					contribute(ri, b, contribution, false)
+					return err
+				}
+				pc.Switch(PhaseXOR)
+				for pi, out := range contributions {
+					contribute(plan.SegmentOf[w]*c.cfg.M+pi, b, out, false)
 				}
 			}
 			// Data-packet placement for local workers.

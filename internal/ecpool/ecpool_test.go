@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"testing"
 
+	"eccheck/internal/bitmatrix"
 	"eccheck/internal/erasure"
 )
 
@@ -243,4 +244,58 @@ func BenchmarkPoolEncode64MBWorkers(b *testing.B) {
 
 func benchName(workers int) string {
 	return "workers=" + strconv.Itoa(workers)
+}
+
+// A chunk shorter than the first one is an error from both ExecuteRange and
+// RunSchedule, never an out-of-range slice: on a pool worker such a panic
+// would end the process, since no caller can recover it.
+func TestShortChunkIsAnError(t *testing.T) {
+	code, err := erasure.New(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scalar, err := code.ScalarSchedule(70, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	transform, err := code.TransformSchedule([]int{1, 3, 4}, []int{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := func(sizes ...int) [][]byte {
+		out := make([][]byte, len(sizes))
+		for i, n := range sizes {
+			out[i] = make([]byte, n)
+		}
+		return out
+	}
+	p := NewPool(2)
+	defer p.Close()
+	for _, tc := range []struct {
+		name      string
+		sched     *bitmatrix.Schedule
+		data, out [][]byte
+	}{
+		{"scalar short out[0]", scalar, chunks(1024), chunks(512)},
+		{"short data[1]", transform, chunks(1024, 512, 1024), chunks(1024, 1024)},
+		{"short data[2]", transform, chunks(1024, 1024, 1016), chunks(1024, 1024)},
+		{"short out[0]", transform, chunks(1024, 1024, 1024), chunks(512, 1024)},
+		{"short out[1]", transform, chunks(1024, 1024, 1024), chunks(1024, 1016)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := p.RunSchedule(tc.sched, tc.data, tc.out); err == nil {
+				t.Error("RunSchedule: want an error")
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("ExecuteRange panicked: %v", r)
+					}
+				}()
+				if err := tc.sched.ExecuteRange(tc.data, tc.out, 0, len(tc.data[0])/tc.sched.W); err == nil {
+					t.Error("ExecuteRange: want an error")
+				}
+			}()
+		})
+	}
 }

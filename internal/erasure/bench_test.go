@@ -136,3 +136,60 @@ func BenchmarkScalarMul(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkColumn times one window times a data group's m parity
+// coefficients — what a save worker computes per window — as m
+// per-coefficient ScalarMulInto passes and as one column product. Run it
+// with -cpu 1: both forms are serial.
+func BenchmarkColumn(b *testing.B) {
+	for _, tc := range []struct {
+		k, m, window int
+	}{{8, 8, 64 << 10}, {2, 2, 1 << 20}} {
+		code, err := New(tc.k, tc.m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		coefs := make([]int, tc.m)
+		for i := range coefs {
+			if coefs[i], err = code.ParityCoefficient(i, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		col, err := code.Column(coefs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src := make([]byte, tc.window)
+		for i := range src {
+			src[i] = byte(i * 7)
+		}
+		out := make([][]byte, tc.m)
+		for i := range out {
+			out[i] = make([]byte, tc.window)
+		}
+		data := [][]byte{src}
+		for _, v := range []struct {
+			name string
+			op   func() error
+		}{
+			{"per_coefficient", func() error {
+				for i, coef := range coefs {
+					if err := code.ScalarMulInto(coef, out[i], src); err != nil {
+						return err
+					}
+				}
+				return nil
+			}},
+			{"column", func() error { return col.Execute(data, out) }},
+		} {
+			b.Run(fmt.Sprintf("k%dm%d_%dKiB/%s", tc.k, tc.m, tc.window>>10, v.name), func(b *testing.B) {
+				b.SetBytes(int64(tc.window))
+				for i := 0; i < b.N; i++ {
+					if err := v.op(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

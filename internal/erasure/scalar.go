@@ -13,13 +13,75 @@ import (
 // E[k+i][j]; XOR reduction across the reduction group then sums those
 // contributions into the parity packet. Likewise, recovery multiplies
 // surviving packets by decode-transform coefficients. Both are region ×
-// scalar products over GF(2^w), compiled once per coefficient into an XOR
-// schedule and memoised.
+// scalar products over GF(2^w). A source that is multiplied by several
+// coefficients — a worker's packet by its m parity coefficients, a basis
+// chunk by one coefficient per missing chunk — is one column product: the
+// whole column compiled into one schedule (Column), run in one pass over
+// the source.
+
+// Column compiles a coefficient column into one smart 1-chunk-in,
+// len(coefs)-chunk-out XOR schedule: run over a source region, it writes
+// out[i] = coefs[i] · src for every i in one pass over src. Smart
+// scheduling derives an output packet from an earlier one when that is
+// cheaper, across the products as well as within one, which per-coefficient
+// schedules cannot. A zero coefficient clears its output. Columns are not
+// cached here: a caller compiles the columns it runs once and keeps them.
+func (c *Code) Column(coefs []int) (*bitmatrix.Schedule, error) {
+	return c.column(coefs, c.cfg.smart)
+}
+
+// column is Column with the scheduling strategy given: a plain expansion
+// when smart is false.
+func (c *Code) column(coefs []int, smart bool) (*bitmatrix.Schedule, error) {
+	if len(coefs) == 0 {
+		return nil, fmt.Errorf("erasure: empty coefficient column")
+	}
+	var nonzero []int // the output of each nonzero coefficient, in order
+	for i, coef := range coefs {
+		if coef < 0 || coef >= c.field.Size() {
+			return nil, fmt.Errorf("erasure: coefficient %d outside [0, 2^%d)", coef, wordSize)
+		}
+		if coef != 0 {
+			nonzero = append(nonzero, i)
+		}
+	}
+	s := &bitmatrix.Schedule{W: wordSize, K: 1, DstChunks: len(coefs)}
+	if len(nonzero) > 0 {
+		mat, err := c.field.NewMatrix(len(nonzero), 1)
+		if err != nil {
+			return nil, fmt.Errorf("erasure: %w", err)
+		}
+		for r, i := range nonzero {
+			mat.Set(r, 0, coefs[i])
+		}
+		sub, err := c.compileMatrix(mat, smart)
+		if err != nil {
+			return nil, err
+		}
+		// sub's output chunk 1+r is the column's output nonzero[r], as a
+		// destination and as the base a smart row is derived from.
+		s.Ops = sub.Ops
+		for i := range s.Ops {
+			op := &s.Ops[i]
+			if op.SrcChunk > 0 {
+				op.SrcChunk = 1 + nonzero[op.SrcChunk-1]
+			}
+			op.DstChunk = 1 + nonzero[op.DstChunk-1]
+		}
+	}
+	for i, coef := range coefs {
+		for p := 0; coef == 0 && p < wordSize; p++ {
+			s.Ops = append(s.Ops, bitmatrix.Op{Kind: bitmatrix.OpZero, DstChunk: 1 + i, DstPacket: p})
+		}
+	}
+	return s, nil
+}
 
 // ScalarSchedule returns a 1-chunk-in, 1-chunk-out XOR schedule computing
-// dst = coef · src over GF(2^w), or dst ^= coef · src when accumulate is
-// set. The coefficient must be nonzero (a zero contribution is simply
-// skipped by callers). Schedules are cached on the Code.
+// dst = coef · src over GF(2^w) — the one-row Column — or dst ^= coef · src
+// when accumulate is set. The coefficient must be nonzero (a zero
+// contribution is simply skipped by callers). Schedules are cached on the
+// Code.
 //
 // An accumulating schedule is the plain expansion of coef with every op an
 // OpXOR into dst, never a smart one: a smart row starts as a copy of an
@@ -41,12 +103,7 @@ func (c *Code) ScalarSchedule(coef int, accumulate bool) (*bitmatrix.Schedule, e
 	if s, ok := c.scalarSchedules[key]; ok {
 		return s, nil
 	}
-	mat, err := c.field.NewMatrix(1, 1)
-	if err != nil {
-		return nil, fmt.Errorf("erasure: %w", err)
-	}
-	mat.Set(0, 0, coef)
-	s, err := c.compileMatrix(mat, c.cfg.smart && !accumulate)
+	s, err := c.column([]int{coef}, c.cfg.smart && !accumulate)
 	if err != nil {
 		return nil, err
 	}
