@@ -40,6 +40,9 @@ test:
 # segment and keeps no cache: TestOneCopyOfEachPacketPerMachine walks every
 # machine's keys after every kind of round, and
 # TestCrashJoinedDataSlotKeepsDeltaBase pins the delta after a crash join.
+# TestHostBlobsNeverReachThePool runs every kind of round on a shape whose
+# host blobs are exactly a pool class, then scribbles the pool: no segment or
+# cache was ever Put.
 # internal/transport runs TestTransportConformance here: both transports, bare,
 # under the observer (counters and flight recorder) and under chaos, held to
 # borrow-until-return, the SendOwned hand-over (the memory transport delivers
@@ -136,6 +139,10 @@ doclint:
 # the last commit displaced and allocates under a quarter of the tensor
 # payload (the coded checkpoint afresh is (k+m)/k of it) — a delta round
 # that changes one worker included, its restaged own-packet cache and all.
+# A worker whose packet its own machine keeps — as its data segment, or as
+# its own-packet cache — is packed straight into that host blob: on a steady
+# full round and a steady delta round it takes no packet-sized pooled
+# buffer, and the round's pooled count is exact.
 # The TCP data path is gated the same way: a steady-state 1 MiB Send + Recv
 # allocates under 1 KiB and takes one pooled buffer, the receiver's payload.
 # On the memory transport a steady-state 1 MiB SendOwned + Recv takes no
@@ -149,7 +156,7 @@ doclint:
 # missing chunk), and a column product over a window allocates nothing.
 allocgate:
 	$(GO) test -run 'TestDisabledRecorderZeroAlloc' -count=1 ./internal/obs/flight
-	$(GO) test -run 'TestPhaseClockZeroAllocWithoutRecorder|TestPhaseClockZeroAllocWatchdogDisabled|TestRoundLifecycleZeroAllocWhenDisabled|TestSteadyStateSaveAllocatesNoSegments|TestPartialDecodeTakesOneBufferPerPacket|TestColumnTakesOneBufferPerProduct' -count=1 ./internal/core
+	$(GO) test -run 'TestPhaseClockZeroAllocWithoutRecorder|TestPhaseClockZeroAllocWatchdogDisabled|TestRoundLifecycleZeroAllocWhenDisabled|TestSteadyStateSaveAllocatesNoSegments|TestPartialDecodeTakesOneBufferPerPacket|TestColumnTakesOneBufferPerProduct|TestInPlacePacketsTakeNoPooledPacket' -count=1 ./internal/core
 	$(GO) test -run 'TestMembershipStateZeroAlloc' -count=1 ./internal/cluster
 	$(GO) test -run 'TestTCPSendAllocatesNoFrame|TestMemorySendOwnedTakesNoBuffer' -count=1 ./internal/transport
 

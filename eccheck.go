@@ -467,7 +467,11 @@ func (s *System) ReplaceNode(node int) error {
 func (s *System) AliveNodes() []int { return s.clus.AliveNodes() }
 
 // NodeMemoryBytes returns a node's host-memory checkpoint footprint: the
-// redundancy cost, directly comparable with replication-based designs.
+// bytes of the committed checkpoint's blobs the node stores (its chunk, the
+// small components, own-packet caches and the manifest), the redundancy cost
+// directly comparable with replication-based designs. It does not count the
+// spare buffers a save reuses: the blobs the last commit displaced, which the
+// next round packs and assembles in.
 func (s *System) NodeMemoryBytes(node int) int { return s.clus.MemoryBytes(node) }
 
 // DataNodes returns the machines selected (by the sweep-line algorithm) to

@@ -219,6 +219,8 @@ func (c *Checkpointer) startSave(ctx context.Context, dicts []*statedict.StateDi
 	if errors.Is(err, errNoDeltaBase) {
 		// A cache deltaBase saw is missing, mis-sized or corrupt: the same
 		// round ships every window instead, which also restages every cache.
+		// The first attempt gave the blobs it packed back to the spare
+		// stacks, so the retry takes them again.
 		h.delta = false
 		err = snapshot()
 	}

@@ -256,11 +256,14 @@ type Checkpointer struct {
 	epoch atomic.Int64
 	tags  atomic.Pointer[tagTable]
 
-	// spares holds, by node, the segment buffers commits displaced and no
-	// round has taken since: the next drain's staging area, so a steady-state
-	// save allocates no segment. Added to by commitStaged, taken one per
-	// touched segment by nodeDrain, cleared by an aborted round and by
-	// WithSaveFence, all under the save slot; never host-store keys.
+	// spares holds, by node, a stack of the payload blobs (segments and
+	// own-packet caches, one shape) commits displaced and no round has taken
+	// since: the next round's staging area, so a steady-state save allocates
+	// no payload-sized host blob. Added to by commitStaged and by a snapshot
+	// that gives back what it took (takeBlob, spareBlob); taken one per
+	// in-place packet by snapshotNode and one per other touched segment by
+	// nodeDrain; cleared by an aborted drain and by WithSaveFence; all under
+	// the save slot. Never host-store keys, so no memory accounting sees them.
 	spares [][][]byte
 
 	// restoreSlot (capacity 1) is held by a restore round that repairs host
@@ -759,12 +762,14 @@ func keyStaged(key string) string { return stagePrefix + key }
 // which the erasure code absorbs like any machine failure.
 // A node commits what it staged: a delta round stages neither the segments
 // nor the own-packet caches it carries (see nodeDrain), and those blobs stay
-// stored as they are. The segments a commit does displace — no reader can
-// still hold them: commitMu is held exclusively, under the save slot — join
-// the node's spare set, which thus never exceeds one version's segments.
+// stored as they are. The segments and caches a commit does displace — no
+// reader can still hold them: commitMu is held exclusively, under the save
+// slot — join the node's spare stack, which thus never exceeds one version's
+// payload blobs. Both have one shape, cluster.FramedLen(packetBytes,
+// BufferSize).
 func (c *Checkpointer) commitStaged() error {
 	lay := c.lay
-	keys, span := &lay.keys, lay.plan.Span()
+	keys := &lay.keys
 	for node := 0; node < c.cfg.Topo.Nodes(); node++ {
 		// Rename staged blobs in key order (a node's key set ends in its span
 		// segments and then the manifest): zero-copy and leaves no staging
@@ -774,14 +779,15 @@ func (c *Checkpointer) commitStaged() error {
 		lo, hi := lay.plan.RankRange(lay.plan.GroupOfNode(node))
 		for i, key := range commit {
 			staged := keys.staged[node][i]
-			if i >= 2*(hi-lo) && i < len(commit)-1 && !c.clus.Has(node, staged) {
+			payload := i >= 2*(hi-lo) && i < len(commit)-1 // a cache or a segment
+			if payload && !c.clus.Has(node, staged) {
 				continue
 			}
 			old, err := c.clus.Move(node, staged, key)
 			if err != nil {
 				return fmt.Errorf("core: node %d commit %q: %w", node, key, err)
 			}
-			if seg := i - (len(commit) - 1 - span); old != nil && seg >= 0 && seg < span {
+			if payload && old != nil {
 				retire(old)
 				c.spares[node] = append(c.spares[node], old)
 			}

@@ -169,10 +169,20 @@ func crashSweep(t *testing.T, nodes, gpus int) {
 			if sends == 0 {
 				t.Fatal("victim sent nothing: nothing to enumerate")
 			}
-			// One worker feeds its own data segment and the m parity segments of
-			// its index.
-			if carried, want := counterOf(rig, "save_segments_carried_total"), int64(nodes*rig.ckpt.Plan().Span()-3); kind.oneRank && carried != want {
-				t.Fatalf("counting round carried %d segments, want %d", carried, want)
+			// One worker feeds its own data segment, the m parity segments of
+			// its index and its cache if it keeps one: every other segment and
+			// cache is carried.
+			blobs, fed := nodes*rig.ckpt.Plan().Span(), 3
+			for w, base := range rig.ckpt.lay.keys.base {
+				if base.cache {
+					blobs++
+					if w == victim*gpus {
+						fed++
+					}
+				}
+			}
+			if carried, want := counterOf(rig, "save_segments_carried_total"), int64(blobs-fed); kind.oneRank && carried != want {
+				t.Fatalf("counting round carried %d segments and caches, want %d", carried, want)
 			}
 			aborted := 0
 			for i := 0; i <= sends; i++ {

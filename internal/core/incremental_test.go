@@ -407,9 +407,11 @@ func TestDeltaRoundsWithScatteredWindows(t *testing.T) {
 // 8 own-packet caches: the workers on the 4 parity machines; the other 8 diff
 // against their own data segments): it stages the segments the changed
 // workers feed — one data segment and m parity segments each — and the caches
-// of those that keep one, reads those segments' committed bases and the 8
-// segment bases of the snapshot, and carries the rest; every node still moves
-// to the new version, and the checkpoint survives the loss of m machines.
+// of those that keep one, and carries the rest of the 40 blobs. It reads the
+// 8 segment bases of the snapshot and the committed base of each touched
+// segment but the 8 data segments packed in place, which already hold the
+// new bytes. Every node still moves to the new version, and the checkpoint
+// survives the loss of m machines.
 func TestSparseDeltaTouchesOnlyItsSegments(t *testing.T) {
 	hook := &storeHook{}
 	rig, _ := newWrappedRig(t, 8, 2, 4, 4, func(hs HostStore) HostStore {
@@ -451,9 +453,9 @@ func TestSparseDeltaTouchesOnlyItsSegments(t *testing.T) {
 		next                          []*statedict.StateDict
 		segs, carried, ownPkts, views int
 	}{
-		{"one tensor of one rank", oneTensor, 5, 27, 0, 13},
-		{"nothing", oneTensor, 0, 32, 0, 8},
-		{"every rank", stampVersion(rig.dicts, 5), 32, 0, 8, 40},
+		{"one tensor of one rank", oneTensor, 5, 35, 0, 8 + 4},
+		{"nothing", oneTensor, 0, 40, 0, 8},
+		{"every rank", stampVersion(rig.dicts, 5), 32, 0, 8, 8 + 32 - 8},
 	} {
 		segsStaged, cachesStaged, basesRead = 0, 0, 0
 		carried, allocated := counterOf(rig, "save_segments_carried_total"), counterOf(rig, "save_segments_allocated_total")
@@ -528,6 +530,47 @@ func TestIncrementalCorruptCacheFallsBackToFull(t *testing.T) {
 	for _, node := range rig.ckpt.Plan().DataNodes {
 		loseNode(t, rig, node)
 	}
+	got, _, err := rig.ckpt.Load(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dictsEqual(t, next, got)
+}
+
+// TestNoDeltaBaseRetryReusesItsBlobs: a delta snapshot that finds a corrupt
+// cache gives the blobs every node packed in place back to its spare stack
+// before the round retries as a full one, so in the steady state the retry
+// takes them again and allocates no blob. The corrupt cache is a node's
+// second worker's, so that node had packed its first worker too.
+func TestNoDeltaBaseRetryReusesItsBlobs(t *testing.T) {
+	rig := newRig(t, 4, 2, 2, 2, noRemote, func(c *Config) {
+		c.IncrementalCache = true
+		c.Metrics = obs.NewRegistry()
+	})
+	ctx := context.Background()
+	for i := 1; i <= 2; i++ { // the second commit fills the spare stacks
+		if _, err := rig.ckpt.Save(ctx, stampVersion(rig.dicts, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := rig.topo.GPUsPerNode()
+	rank := g - 1
+	for !rig.ckpt.lay.keys.base[rank].cache {
+		rank += g
+	}
+	if err := rig.clus.Corrupt(rank/g, keyOwnPacket(rank), 10); err != nil {
+		t.Fatal(err)
+	}
+	allocated := counterOf(rig, "save_segments_allocated_total")
+	next := stampVersion(rig.dicts, 3)
+	rep, err := rig.ckpt.SaveIncremental(ctx, next)
+	if err != nil || !rep.Full {
+		t.Fatalf("delta round over a corrupt cache: %+v, %v; want a full round", rep, err)
+	}
+	if now := counterOf(rig, "save_segments_allocated_total"); now != allocated {
+		t.Errorf("the retried round allocated %d blobs, want none", now-allocated)
+	}
+	verifyClean(t, rig)
 	got, _, err := rig.ckpt.Load(ctx)
 	if err != nil {
 		t.Fatal(err)

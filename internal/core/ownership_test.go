@@ -12,6 +12,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"eccheck/internal/bufpool"
 	"eccheck/internal/chaos"
 	"eccheck/internal/model"
 	"eccheck/internal/obs"
@@ -196,10 +197,11 @@ func TestHeldViewBlocksTheCommit(t *testing.T) {
 
 // TestNoBufferIsBothStoredAndSpare: across full, delta, sparse delta (one
 // worker changed) and aborted rounds no buffer is ever a stored blob and a
-// spare at once, no two nodes share one, a spare set never outgrows one
-// version, an aborted round leaves none behind, a blob a sparse round carries
-// is the same slice after the commit, and the operator counters tell
-// recycled, allocated and carried segments apart.
+// spare at once, no two nodes share one, a spare stack never outgrows one
+// version's payload blobs (segments and own-packet caches), an aborted round
+// leaves none behind, a blob a sparse round carries is the same slice after
+// the commit, and the operator counters tell recycled, allocated and carried
+// payload blobs apart.
 func TestNoBufferIsBothStoredAndSpare(t *testing.T) {
 	reg := obs.NewRegistry()
 	rig, net := newChaosRig(t, 4, 2, 2, 2, chaos.Plan{Seed: 3}, func(c *Config) {
@@ -207,7 +209,38 @@ func TestNoBufferIsBothStoredAndSpare(t *testing.T) {
 		c.Metrics = reg
 	})
 	ctx := context.Background()
-	span := rig.topo.World() / 2
+	plan, keys, g := rig.ckpt.Plan(), &rig.ckpt.lay.keys, rig.topo.GPUsPerNode()
+	span := plan.Span()
+	// blobs is node's payload blobs: its chunk's segments and the caches of
+	// its workers whose data chunk is stored elsewhere.
+	blobs := func(node int) int {
+		n := span
+		for w := node * g; w < (node+1)*g; w++ {
+			if keys.base[w].cache {
+				n++
+			}
+		}
+		return n
+	}
+	// staged is how many payload blobs node stages in a round that changes
+	// rank alone (rank < 0: every rank): the segments rank feeds that the
+	// node stores — its data segment and the m parity segments of its index —
+	// and its cache if it keeps one.
+	staged := func(node, rank int) int {
+		if rank < 0 {
+			return blobs(node)
+		}
+		n, cg := 0, plan.GroupOfRank(rank)
+		for chunk := 0; chunk < plan.K+plan.M; chunk++ {
+			if (chunk == plan.DataGroupOf[rank] || chunk >= plan.K) && plan.ChunkOwner(cg, chunk) == node {
+				n++
+			}
+		}
+		if keys.base[rank].cache && rank/g == node {
+			n++
+		}
+		return n
+	}
 	check := func(when string) {
 		t.Helper()
 		owner := map[*byte]string{}
@@ -219,8 +252,8 @@ func TestNoBufferIsBothStoredAndSpare(t *testing.T) {
 			}
 		}
 		for node, set := range rig.ckpt.spares {
-			if len(set) > span {
-				t.Errorf("%s: node %d holds %d spare segments, more than one version's %d", when, node, len(set), span)
+			if len(set) > blobs(node) {
+				t.Errorf("%s: node %d holds %d spare blobs, more than one version's %d", when, node, len(set), blobs(node))
 			}
 			for _, seg := range set {
 				if who, dup := owner[unsafe.SliceData(seg)]; dup {
@@ -238,12 +271,17 @@ func TestNoBufferIsBothStoredAndSpare(t *testing.T) {
 	for i, kind := range []string{"full", "full", "delta", "sparse", "abort", "full", "sparse", "sparse", "delta", "abort", "full", "sparse", "full", "full"} {
 		next := stampVersion(rig.dicts, i+1)
 		recycledBefore, allocatedBefore, carriedBefore := counters()
+		spares := make([]int, rig.topo.Nodes())
+		for node, set := range rig.ckpt.spares {
+			spares[node] = len(set)
+		}
+		rank := -1
 		switch kind {
 		case "sparse":
 			// One worker feeds its data segment, the m = 2 parity segments of
 			// its index and its own cache if it keeps one; every other payload
 			// blob is carried.
-			rank := i % rig.topo.World()
+			rank = i % rig.topo.World()
 			next = stampRank(committed, rank, i+1)
 			before := storedSlices(t, rig)
 			rep, err := rig.ckpt.SaveIncremental(ctx, next)
@@ -296,24 +334,37 @@ func TestNoBufferIsBothStoredAndSpare(t *testing.T) {
 			dictsEqual(t, committed, got)
 		}
 		check(fmt.Sprintf("after round %d (%s)", i, kind))
-		// Steady state — the round before this one committed too — allocates
-		// nothing; the first round and the one after an abort allocate it all.
+		if kind == "abort" {
+			continue
+		}
+		// A node stages each blob in a spare while its stack lasts and
+		// allocates the rest; what it does not stage is carried.
 		recycled, allocated, carried := counters()
 		recycled, allocated, carried = recycled-recycledBefore, allocated-allocatedBefore, carried-carriedBefore
-		segments := int64(rig.topo.Nodes() * span)
-		switch {
-		case i == 0 || i == 1 || i == 5 || i == 10:
-			if recycled != 0 || allocated != segments || carried != 0 {
-				t.Errorf("round %d (cold): %d segments recycled, %d allocated, %d carried; want 0, %d, 0", i, recycled, allocated, carried, segments)
-			}
-		case kind == "sparse":
-			if recycled != 3 || allocated != 0 || carried != segments-3 {
-				t.Errorf("round %d (sparse): %d segments recycled, %d allocated, %d carried; want 3, 0, %d", i, recycled, allocated, carried, segments-3)
-			}
-		case kind != "abort":
-			if recycled != segments || allocated != 0 || carried != 0 {
-				t.Errorf("round %d (warm): %d segments recycled, %d allocated, %d carried; want %d, 0, 0", i, recycled, allocated, carried, segments)
-			}
+		var wantRecycled, wantAllocated, wantCarried, all int64
+		for node, have := range spares {
+			need := staged(node, rank)
+			wantRecycled += int64(min(need, have))
+			wantAllocated += int64(max(need-have, 0))
+			wantCarried += int64(blobs(node) - need)
+			all += int64(blobs(node))
+		}
+		if recycled != wantRecycled || allocated != wantAllocated || carried != wantCarried {
+			t.Errorf("round %d (%s): %d blobs recycled, %d allocated, %d carried; want %d, %d, %d", i, kind, recycled, allocated, carried, wantRecycled, wantAllocated, wantCarried)
+		}
+		// The first two rounds and the one after an abort find every stack
+		// empty. Node 1, replaced after round 9's abort, loses its two caches:
+		// round 10 restages them displacing none, so the next full round, 12,
+		// allocates them again. Every other round allocates nothing.
+		fresh := int64(0)
+		switch i {
+		case 0, 1, 5, 10:
+			fresh = all
+		case 12:
+			fresh = 2
+		}
+		if allocated != fresh {
+			t.Errorf("round %d (%s) allocated %d blobs, want %d", i, kind, allocated, fresh)
 		}
 	}
 	got, _, err := rig.ckpt.Load(ctx)
@@ -331,10 +382,10 @@ func TestNoBufferIsBothStoredAndSpare(t *testing.T) {
 // allocating the coded checkpoint afresh costs (k+m)/k of it. A replaced
 // machine starts cold: the first save after it allocates that node's chunk
 // and no more, the second nothing again. A worker whose data chunk is stored
-// on another machine keeps an own-packet cache, stored by copy in every round
-// the worker ships a window in: a round that changes every worker is allowed
-// those caches by name, a delta round that changes one worker stays under
-// the same quarter in total.
+// on another machine keeps an own-packet cache: packed in place, like a local
+// worker's data segment, in a blob the last commit displaced, so a round that
+// changes every worker and a delta round that changes one stay under the
+// same quarter.
 func TestSteadyStateSaveAllocatesNoSegments(t *testing.T) {
 	var probe [1]byte
 	if retire(probe[:]); probe[0] != 0 {
@@ -434,22 +485,81 @@ func TestSteadyStateSaveAllocatesNoSegments(t *testing.T) {
 				t.Fatal(err)
 			}
 			rig := newRigOn(t, net, dicts, shape.nodes, gpus, shape.k, shape.m, noRemote, func(c *Config) { c.IncrementalCache = true })
-			_, packet := allocated(t, rig, false)
 			allocated(t, rig, false)
-			cached := 0 // the workers whose data chunk is stored on another machine
-			for _, base := range rig.ckpt.lay.keys.base {
-				if base.cache {
-					cached++
-				}
-			}
-			ownPackets := float64(cached) * packet // the caches, re-stored by copy
+			allocated(t, rig, false)
 			for _, delta := range []bool{true, false, true} {
-				if got, _ := allocated(t, rig, delta); got > ownPackets+limit {
-					t.Errorf("steady-state save (delta %v) allocated %.2f x the tensor payload, want <= %.2f for the own-packet cache + %.2f", delta, got, ownPackets, limit)
+				if got, _ := allocated(t, rig, delta); got > limit {
+					t.Errorf("steady-state save (delta %v) allocated %.2f x the tensor payload, want <= %.2f", delta, got, limit)
 				}
 				if got, _ := allocated(t, rig, true, round%rig.topo.World()); got > limit {
 					t.Errorf("delta round with one changed worker allocated %.2f x the tensor payload, want <= %.2f in total", got, limit)
 				}
+			}
+		})
+	}
+}
+
+// TestInPlacePacketsTakeNoPooledPacket: a rank whose packet is kept on its
+// own node — as its data segment, or as its own-packet cache under
+// IncrementalCache — is packed straight into that host blob and takes no
+// packet-sized pooled buffer. A steady full round takes three pooled buffers
+// per worker (its decomposition's meta and keys blobs and its meta message),
+// the packet of each worker kept nowhere on its node, and one per (worker,
+// window, reduction); a steady delta round takes the same per worker and,
+// per shipped window, its delta and the delta's m products. With caches on,
+// every worker packs in place. The engine is given a pool of its own, so the
+// transport's copies are not counted.
+func TestInPlacePacketsTakeNoPooledPacket(t *testing.T) {
+	ctx := context.Background()
+	for _, cache := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cache=%v", cache), func(t *testing.T) {
+			rig := newRig(t, 4, 2, 2, 2, noRemote, func(c *Config) { c.IncrementalCache = cache })
+			reg := obs.NewRegistry()
+			rig.ckpt.buf = bufpool.New()
+			rig.ckpt.buf.SetMetrics(reg)
+			hits, misses := reg.Counter("bufpool_hits_total"), reg.Counter("bufpool_misses_total")
+			world, m := rig.topo.World(), int64(rig.ckpt.cfg.M)
+			pooled := 0 // workers whose packet is kept nowhere on their node
+			for w := 0; w < world; w++ {
+				if !rig.ckpt.keptInPlace(w) {
+					pooled++
+				}
+			}
+			if cache != (pooled == 0) || pooled == world {
+				t.Fatalf("caches %v and %d of %d workers kept nowhere on their node", cache, pooled, world)
+			}
+			round := 0
+			run := func(delta bool) (gets int64, shipped, windows int) {
+				t.Helper()
+				round++
+				before := hits.Value() + misses.Value()
+				h, err := rig.ckpt.startSave(ctx, stampVersion(rig.dicts, round), saveMode{delta: delta})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := h.Wait(ctx)
+				if err != nil || h.delta != delta {
+					t.Fatalf("round %d: delta %v, want %v; %v", round, h.delta, delta, err)
+				}
+				return hits.Value() + misses.Value() - before, h.shipped, rig.ckpt.numBuffers(rep.PacketBytes)
+			}
+			run(false)
+			run(false)
+			gets, _, windows := run(false)
+			if want := int64(3*world+pooled) + int64(world*windows)*m; gets != want {
+				t.Errorf("steady full round took %d pooled buffers, want %d: 3 per worker, %d packets and %d per (worker, window) = %d x %d",
+					gets, want, pooled, m, world, windows)
+			}
+			if !cache {
+				return
+			}
+			gets, shipped, _ := run(true)
+			if shipped == 0 || shipped == world*windows {
+				t.Fatalf("delta round shipped %d of %d windows: not a sparse delta", shipped, world*windows)
+			}
+			if want := int64(3*world) + int64(shipped)*(1+m); gets != want {
+				t.Errorf("steady delta round took %d pooled buffers, want %d: 3 per worker and %d per shipped window x %d",
+					gets, want, 1+m, shipped)
 			}
 		})
 	}

@@ -752,10 +752,20 @@ func TestColumnTakesOneBufferPerProduct(t *testing.T) {
 				t.Fatalf("packet of %d bytes is one window", rep.PacketBytes)
 			}
 			// The snapshot takes four per worker: the decomposition's meta and
-			// keys blobs, the meta message and the packet.
-			if got, want := gets(), int64(4*world+world*windows*shape.m); got != want {
-				t.Errorf("full save took %d pooled buffers, want %d: 4 per worker and one per (worker, window, reduction) = %d x %d x %d",
-					got, want, world, windows, shape.m)
+			// keys blobs, the meta message and the packet — three for a worker
+			// whose packet is packed in place, into its data segment.
+			inPlace := 0
+			for w := 0; w < world; w++ {
+				if rig.ckpt.keptInPlace(w) {
+					inPlace++
+				}
+			}
+			if inPlace == 0 || inPlace == world {
+				t.Fatalf("%d of %d workers pack in place: the count below does not tell the two kinds apart", inPlace, world)
+			}
+			if got, want := gets(), int64(4*world-inPlace+world*windows*shape.m); got != want {
+				t.Errorf("full save took %d pooled buffers, want %d: 4 per worker, one fewer for each of the %d packed in place, and one per (worker, window, reduction) = %d x %d x %d",
+					got, want, inPlace, world, windows, shape.m)
 			}
 
 			lay := rig.ckpt.lay

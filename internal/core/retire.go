@@ -2,5 +2,5 @@
 
 package core
 
-// retire marks a buffer that enters a spare set; see retire_race.go.
+// retire marks a buffer that enters a spare stack; see retire_race.go.
 func retire([]byte) {}

@@ -109,12 +109,18 @@ func (c *Checkpointer) Save(ctx context.Context, dicts []*statedict.StateDict) (
 }
 
 // nodeSnapshot is one node's step-1 state: every local worker's tensor
-// payload copied into exclusively owned host staging buffers, plus the
-// serialized small components. Once all snapshots exist, training may
-// resume — nothing in the drain reads the live dicts.
+// payload copied into exclusively owned host buffers, plus the serialized
+// small components. Once all snapshots exist, training may resume — nothing
+// in the drain reads the live dicts.
 type nodeSnapshot struct {
-	node    int
-	packets map[int][]byte // rank -> pooled packet
+	node int
+	// packets is rank -> the worker's packet. A rank whose packet is kept on
+	// this node (keptInPlace) is packed straight into the host blob that
+	// will keep it, its data segment or its own-packet cache, taken off the
+	// node's spare stack; every other packet is pooled. A delta round drops
+	// the entry of an in-place rank that ships nothing: its blob went back on
+	// the stack, and the committed one is carried.
+	packets map[int][]byte
 	// smalls is rank -> {meta message, keysBlob} (pooled). The meta message
 	// is the metadata blob followed by the worker's ship-set (see shipSet),
 	// as it goes on the wire in step 2.
@@ -125,6 +131,9 @@ type nodeSnapshot struct {
 	olds map[int][]byte
 	// shipped counts the buffer windows in the local workers' ship-sets.
 	shipped int
+	// recycled counts the in-place blobs in packets that came off the spare
+	// stack.
+	recycled int
 	// phases is the snapshot stage's wall time, charged to serialize and
 	// offload; nodeDrain folds it into the node's full-round partition.
 	phases map[string]time.Duration
@@ -135,15 +144,31 @@ type nodeSnapshot struct {
 	end time.Time
 }
 
-// release returns every pooled buffer the snapshot owns (error paths
-// before a drain adopted it).
+// release gives back every buffer the snapshot owns (error paths before a
+// drain adopted it): pooled ones to the pool, in-place blobs to the node's
+// spare stack. A host blob is never Put.
 func (s *nodeSnapshot) release(c *Checkpointer) {
-	for _, pkt := range s.packets {
-		c.buf.Put(pkt)
+	for w, pkt := range s.packets {
+		if c.keptInPlace(w) {
+			c.spareBlob(s.node, pkt)
+		} else {
+			c.buf.Put(pkt)
+		}
 	}
 	for _, blobs := range s.smalls {
 		c.buf.Put(blobs[0])
 		c.buf.Put(blobs[1])
+	}
+}
+
+// recyclePooled returns the pooled packets to the pool once the drain no
+// longer references them. The in-place blobs are the drain's to adopt, or
+// to drop on an error path.
+func (s *nodeSnapshot) recyclePooled(c *Checkpointer) {
+	for w, pkt := range s.packets {
+		if !c.keptInPlace(w) {
+			c.buf.Put(pkt)
+		}
 	}
 }
 
@@ -181,12 +206,21 @@ func (c *Checkpointer) snapshotNode(r *round, node, packetBytes int, dicts []*st
 		c.buf.Put(dec.MetaBlob)
 		snap.smalls[w] = [2][]byte{meta, dec.KeysBlob}
 		pc.Switch(PhaseOffload)
-		pkt, err := c.buildPacketPooled(dec, packetBytes)
-		if err != nil {
+		inPlace, recycled := c.keptInPlace(w), false
+		var pkt []byte
+		if inPlace {
+			pkt, recycled = c.takeBlob(node, packetBytes)
+		} else {
+			pkt = c.buf.Get(packetBytes)
+		}
+		snap.packets[w] = pkt
+		if err := packInto(pkt, dec); err != nil {
 			snap.release(c)
 			return nil, fmt.Errorf("rank %d: %w", w, err)
 		}
-		snap.packets[w] = pkt
+		if recycled {
+			snap.recycled++
+		}
 		clear(ship)
 		if !delta {
 			for b := 0; b < numBuffers; b++ {
@@ -217,6 +251,22 @@ func (c *Checkpointer) snapshotNode(r *round, node, packetBytes int, dicts []*st
 			return nil, fmt.Errorf("rank %d delta base: %w: %w", w, errNoDeltaBase, err)
 		}
 		snap.olds[w] = old
+		switch {
+		case !inPlace:
+		case ship.none():
+			// Nothing lands: the committed blob is carried, and the spare
+			// goes back on the stack.
+			delete(snap.packets, w)
+			c.spareBlob(node, pkt)
+			if recycled {
+				snap.recycled--
+			}
+		default:
+			// The blob already holds the new bytes. The drain seals the
+			// windows it ships; every other window keeps the sum it was
+			// committed with, so a corrupt one stays detectable.
+			copy(pkt[packetBytes:cap(pkt)], sums)
+		}
 	}
 	snap.phases = pc.Stop()
 	snap.end = time.Now()
@@ -229,23 +279,53 @@ func (c *Checkpointer) numBuffers(packetBytes int) int {
 	return (packetBytes + c.cfg.BufferSize - 1) / c.cfg.BufferSize
 }
 
-// buildPacketPooled packs a worker's decomposed tensor data into one contiguous
-// packet of the agreed size, drawn from the buffer pool. The alignment
-// padding is explicitly zeroed because recycled buffers carry stale bytes.
-// The caller owns the packet and must Put it when the round no longer
-// references it.
-func (c *Checkpointer) buildPacketPooled(dec *statedict.Decomposition, packetBytes int) ([]byte, error) {
-	if dec.TensorBytes() > packetBytes {
-		return nil, fmt.Errorf("core: tensor payload %d exceeds packet size %d",
-			dec.TensorBytes(), packetBytes)
+// packInto packs a worker's decomposed tensor data into packet, whose length
+// is the agreed packet size: the tensors back to back, then zeroes. It
+// writes every byte, because a pooled or spare buffer carries stale ones.
+func packInto(packet []byte, dec *statedict.Decomposition) error {
+	if dec.TensorBytes() > len(packet) {
+		return fmt.Errorf("core: tensor payload %d exceeds packet size %d",
+			dec.TensorBytes(), len(packet))
 	}
-	packet := c.buf.Get(packetBytes)
 	off := 0
 	for _, buf := range dec.TensorData {
 		off += copy(packet[off:], buf)
 	}
 	clear(packet[off:])
-	return packet, nil
+	return nil
+}
+
+// keptInPlace reports whether rank w's packet is kept in a host blob on its
+// own node: its data segment when its data chunk is stored there, or its
+// own-packet cache under IncrementalCache. The snapshot packs such a packet
+// straight into that blob.
+func (c *Checkpointer) keptInPlace(w int) bool {
+	return !c.lay.keys.base[w].cache || c.cfg.IncrementalCache
+}
+
+// takeBlob returns a packetBytes-long host blob for node, with footer room
+// (cluster.NewBlob's shape): the top of the node's spare stack when it has
+// that shape, else a fresh one, counted in save_segments_allocated_total.
+// recycled reports which. Its content is stale. Only the save slot's holder
+// calls it.
+func (c *Checkpointer) takeBlob(node, packetBytes int) (blob []byte, recycled bool) {
+	var spare []byte
+	if n := len(c.spares[node]); n > 0 {
+		spare, c.spares[node] = c.spares[node][n-1], c.spares[node][:n-1]
+	}
+	if cap(spare) == cluster.FramedLen(packetBytes, c.cfg.BufferSize) {
+		return spare[:packetBytes], true
+	}
+	c.cfg.Metrics.Counter("save_segments_allocated_total").Inc()
+	return cluster.NewBlob(packetBytes, c.cfg.BufferSize), false
+}
+
+// spareBlob puts a host blob no key stores and no reader holds on node's
+// spare stack.
+func (c *Checkpointer) spareBlob(node int, blob []byte) {
+	blob = blob[:cap(blob)]
+	retire(blob)
+	c.spares[node] = append(c.spares[node], blob)
 }
 
 // manifestBlob encodes the per-node checkpoint manifest. The buffer size
@@ -324,7 +404,9 @@ type foldCursor struct {
 // code, the data segment moves by the difference and parity segment i by
 // its coefficient multiple, folded through the same trees — and only for the
 // segments those windows land in: the rest are carried (see the set-up of
-// step 3).
+// step 3). Either way a packet kept on its own node (keptInPlace) was packed
+// into the blob that keeps it: the round seals the windows it ships there
+// and lands nothing on it.
 //
 // Every blob the round writes goes under a staged key; the caller promotes
 // the staging area only after all nodes finish, so an aborted round never
@@ -373,17 +455,16 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 		localWorkers = append(localWorkers, w)
 	}
 	// Packets stay referenced until the pipeline drains: data-segment sends
-	// alias them and the own-packet caches stage them. The happy path (and
-	// any error before the pipeline spun up) recycles them via this deferred
-	// Put, which runs only after the send queue drained; error paths after
-	// spin-up hand recycling to the async teardown instead, which recycles
-	// once the sender goroutine has drained every aliasing payload.
+	// alias them. The happy path (and any error before the pipeline spun up)
+	// recycles the pooled ones via this deferred Put, which runs only after
+	// the send queue drained; error paths after spin-up hand recycling to the
+	// async teardown instead, which recycles once the sender goroutine has
+	// drained every aliasing payload. The in-place blobs are adopted on the
+	// success path and dropped on every other.
 	handedOff := false
 	defer func() {
 		if !handedOff {
-			for _, pkt := range packets {
-				c.buf.Put(pkt)
-			}
+			snap.recyclePooled(c)
 		}
 	}()
 
@@ -454,19 +535,19 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 	myChunk := plan.ChunkOfNode[node]
 	// The segments are assembled directly in the buffers host memory will
 	// own: exact-size with footer room, sealed and adopted at promote, never
-	// pooled. Each is a buffer an earlier commit displaced on this node when
-	// one of this shape is spare, else a fresh one; it leaves the spare set
-	// here, committed or not (on the error paths a straggling receiver may
-	// still write into it). Its content does not matter: on a delta round it
-	// starts as a copy of the committed segment, and otherwise every buffer
-	// range of every segment is written exactly once (local data, P2P data,
-	// finalized parity, or P2P parity).
+	// pooled. A segment whose worker is local is that worker's packet, which
+	// the snapshot packed in place. Each other one comes off the node's spare
+	// stack (takeBlob) and leaves it here, committed or not (on the error
+	// paths a straggling receiver may still write into it). Its content does
+	// not matter: on a delta round it starts as a copy of the committed
+	// segment, and otherwise every buffer range of it is written exactly once
+	// (P2P data, finalized parity, or P2P parity).
 	//
 	// Only touched segments are built: a segment no shipping worker feeds — its
 	// own worker on a data node, any worker of its segment index on a parity
 	// node — has no writer stream and no fold this round, and is carried: the
 	// committed blob stays stored under its key across the commit, unread, and
-	// no spare is taken for it. What is left of the spare set stays the node's.
+	// no spare is taken for it. What is left of the spare stack stays the node's.
 	// lands[s] holds the windows written into segment s (nil: carried): the
 	// union of the ship-sets of the workers that feed it.
 	pc.Switch(PhasePromote)
@@ -483,21 +564,30 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 	sliceBounds := func(b int) (int, int) {
 		return b * bufSize, min((b+1)*bufSize, packetBytes)
 	}
-	chunkSegs, recycled, carried := make([][]byte, span), 0, 0
+	// The counters cover every payload blob of the node: the segments, and
+	// the own-packet caches the snapshot packed or the round carries
+	// (takeBlob counts what it allocates).
+	chunkSegs := make([][]byte, span)
+	recycled, carried := snap.recycled, 0
+	for _, w := range localWorkers {
+		switch {
+		case plan.DataGroupOf[w] == myChunk:
+			chunkSegs[plan.SegmentOf[w]] = packets[w] // nil when carried
+		case packets[w] == nil:
+			carried++ // a cache the snapshot found unchanged
+		}
+	}
 	for s := range chunkSegs {
 		if lands[s] == nil {
 			carried++
 			continue
 		}
-		var spare []byte
-		if n := len(c.spares[node]); n > 0 {
-			spare, c.spares[node] = c.spares[node][n-1], c.spares[node][:n-1]
+		if chunkSegs[s] != nil {
+			continue // packed in place
 		}
-		if cap(spare) == cluster.FramedLen(packetBytes, bufSize) {
-			chunkSegs[s] = spare[:packetBytes]
+		var reused bool
+		if chunkSegs[s], reused = c.takeBlob(node, packetBytes); reused {
 			recycled++
-		} else {
-			chunkSegs[s] = cluster.NewBlob(packetBytes, bufSize)
 		}
 		if !delta {
 			continue
@@ -525,7 +615,6 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 		copy(seg[packetBytes:cap(seg)], sums)
 	}
 	c.cfg.Metrics.Counter("save_segments_recycled_total").Add(int64(recycled))
-	c.cfg.Metrics.Counter("save_segments_allocated_total").Add(int64(span - carried - recycled))
 	c.cfg.Metrics.Counter("save_segments_carried_total").Add(int64(carried))
 	pc.Switch(PhaseStage)
 
@@ -618,7 +707,8 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 	// a base window verified above on a delta round — and the writer seals
 	// the window's sum into the segment's footer while the bytes are still
 	// cache-hot. The window ledger orders those writes before the promote
-	// below reads them.
+	// below reads them. A segment packed in place is not landed on: the
+	// encode loop seals its windows.
 	landRange := func(seg, lo int, src []byte) {
 		hi := lo + len(src)
 		if !delta {
@@ -900,21 +990,22 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 					contribute(plan.SegmentOf[w]*c.cfg.M+pi, b, out, false)
 				}
 			}
-			// Data-packet placement for local workers.
+			// Data-packet placement for local workers. A packet kept in
+			// place already holds the window's new bytes: the window is
+			// sealed while they are cache-hot.
 			for i, w := range localWorkers {
 				src := srcs[i]
 				if src == nil {
 					continue
 				}
-				j := plan.DataGroupOf[w]
-				if dstNode := plan.ChunkOwner(cg, j); dstNode != node {
+				if c.keptInPlace(w) {
+					pc.Switch(PhaseStage)
+					cluster.SealWindows(packets[w], bufSize, lo, hi)
+				}
+				if dstNode := plan.ChunkOwner(cg, plan.DataGroupOf[w]); dstNode != node {
 					pc.Switch(PhaseP2P)
 					sendQueue <- outMsg{dstNode: dstNode, tag: tags.data[w], payload: src, pooled: delta, land: -1}
 					continue
-				}
-				if myChunk == j {
-					pc.Switch(PhaseStage)
-					landRange(plan.SegmentOf[w], lo, src)
 				}
 				if delta {
 					c.buf.Put(src)
@@ -961,24 +1052,21 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 			xorRecvWG.Wait()
 			close(sendQueue)
 			sendWG.Wait()
-			for _, pkt := range packets {
-				c.buf.Put(pkt)
-			}
+			snap.recyclePooled(c)
 		}()
 		return 0, nil, err
 	}
 
-	// Cache the packets of this node's workers whose delta base is a cache
-	// for incremental saves; the others' new bytes are in their segments
-	// already, and the cache of a worker that shipped nothing already holds
-	// these bytes and is carried.
+	// Stage the own-packet caches for incremental saves: each is its
+	// worker's packet, packed in place and sealed. The cache of a worker that
+	// shipped nothing already holds these bytes and is carried.
 	pc.Switch(PhasePromote)
 	if c.cfg.IncrementalCache {
 		for _, w := range localWorkers {
 			if !lay.keys.base[w].cache || shipOf(w).none() {
 				continue
 			}
-			if err := stage(lay.keys.base[w].key, packets[w]); err != nil {
+			if err := cluster.AdoptSealed(c.clus, node, lay.keys.stagedOf[lay.keys.base[w].key], packets[w], bufSize); err != nil {
 				return 0, nil, err
 			}
 		}

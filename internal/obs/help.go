@@ -71,9 +71,9 @@ var metricHelp = map[string]string{
 	"remote_transfer_ns":     "Remote-store transfer latency in nanoseconds.",
 
 	"save_rounds_total":             "Completed checkpoint save rounds.",
-	"save_segments_allocated_total": "Chunk segments a save round assembled in freshly allocated buffers (first rounds, after an abort, a replacement or a packet-size change).",
-	"save_segments_carried_total":   "Chunk segments a delta save round left stored as they were, per node-round, because no changed window feeds them: not read, copied, checksummed or restaged.",
-	"save_segments_recycled_total":  "Chunk segments a save round assembled in the buffers the previous commit displaced: the steady state.",
+	"save_segments_allocated_total": "Payload blobs (chunk segments and own-packet caches) a save round allocated because the node's spare stack had none (first rounds, after an abort, a replacement or a packet-size change).",
+	"save_segments_carried_total":   "Payload blobs (chunk segments and own-packet caches) a delta save round left stored as they were, per node-round, because no changed window feeds them: not read, copied, checksummed or restaged.",
+	"save_segments_recycled_total":  "Payload blobs (chunk segments and own-packet caches) a save round assembled in the buffers earlier commits displaced: the steady state.",
 	"save_small_bytes_total":        "Bytes of small tensors replicated outside the erasure code.",
 	"save_round_ns":                 "End-to-end save round wall time in nanoseconds.",
 	"save_stall_ns":                 "Training time blocked by a save round, in nanoseconds.",
