@@ -82,8 +82,8 @@ crash-sweep:
 	$(GO) test -race -run 'TestCrashSweep' -count=1 ./internal/core
 
 # Native fuzzing, ten seconds each, of the decoders on the restore path — a
-# manifest and a worker's (meta, keys, packet) triple, seeded from a real
-# round, the remote catalog's key parser behind LoadFromRemote's discovery
+# manifest and a worker's (small-component blob, packet) pair, seeded from a
+# real round and a blob whose metadata length prefix overruns it, the remote catalog's key parser behind LoadFromRemote's discovery
 # (held to remoteKey and a grammar model) and the discovery itself on
 # arbitrary catalogs of keys, stray names and torn versions (held to a model:
 # the newest version with every rank present, never a torn one), the

@@ -78,9 +78,9 @@
 // window i. The overlap is bounded by two constants, not options: a node
 // holds at most 12 windows in flight (the paper's data-buffer count, which
 // caps the pooled staging footprint at 12 × Config.BufferSize per node),
-// and an XOR reduction with more than 8 source machines folds its partials
-// through a deterministic 8-ary tree instead of concentrating k−1 streams
-// on the target's machine. For clusters beyond tens of
+// and every source machine of an XOR reduction sends one partial per
+// window straight to the reduction's root machine, which folds one stream
+// per source machine. For clusters beyond tens of
 // nodes, give Initialize a multiple of K+M machines — Config{Nodes: 16,
 // K: 2, M: 2} is four groups of four: groups are contiguous ranges of
 // K+M nodes, each an independent (K, M) code inside the same round,

@@ -184,7 +184,7 @@ func TestGroupedEveryOperation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pf.AlreadyIntact || pf.Segments != 2 || pf.SmallsCopied != 2*4 {
+	if pf.AlreadyIntact || pf.Segments != 2 || pf.SmallsCopied != 4 {
 		t.Errorf("prefetch report %+v; want 2 segments and the group's 4 ranks' small components", pf)
 	}
 	got, lrep, err := sys.Load(ctx)

@@ -281,24 +281,31 @@ func (c *Checkpointer) drainSave(ctx context.Context, r *round, snaps []*nodeSna
 		c.failSave(r, packetBytes, mode, err)
 	}
 
+	// Step 2 broadcasts every worker's small-component blob, which the
+	// snapshots hold: its message less the ship-set.
+	smallBytes, shipBytes := 0, shipSetBytes(c.numBuffers(packetBytes))
+	for _, snap := range snaps {
+		for _, msg := range snap.smalls {
+			smallBytes += len(msg) - shipBytes
+		}
+	}
+
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	nodes := c.cfg.Topo.Nodes()
 	errc := make(chan error, nodes)
 	var wg sync.WaitGroup
-	smallTotal := make([]int, nodes)
 	nodePhases := make([]map[string]time.Duration, nodes)
 	for node := 0; node < nodes; node++ {
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
-			small, phases, err := c.nodeDrain(ctx, r, snaps[node], tags, packetBytes)
+			phases, err := c.nodeDrain(ctx, r, snaps[node], tags, packetBytes)
 			if err != nil {
 				errc <- fmt.Errorf("core: node %d save: %w", node, err)
 				cancel()
 				return
 			}
-			smallTotal[node] = small
 			nodePhases[node] = phases
 		}(node)
 	}
@@ -347,12 +354,6 @@ func (c *Checkpointer) drainSave(ctx context.Context, r *round, snaps []*nodeSna
 	phases := meanPhases(nodePhases)
 	phases[PhasePromote] += commitTime
 
-	// Every node of a code group observed the group's broadcast volume.
-	smallBytes := 0
-	for cg := 0; cg < lay.plan.Groups(); cg++ {
-		first, _ := lay.plan.NodeRange(cg)
-		smallBytes += smallTotal[first]
-	}
 	report := &SaveReport{
 		Version:       version,
 		PacketBytes:   packetBytes,
@@ -414,13 +415,11 @@ func (c *Checkpointer) persist(ctx context.Context, r *round, packetBytes int) b
 			return err
 		}
 		first, _ := lay.plan.NodeRange(cg)
-		var sm [2][]byte
-		for i, key := range [2]string{lay.keys.smallMeta[rank], lay.keys.smallKeys[rank]} {
-			if sm[i], err = c.fetch(first, key); err != nil {
-				return err
-			}
+		small, err := c.fetch(first, lay.keys.small[rank])
+		if err != nil {
+			return err
 		}
-		sd, err := assemblePacket(rank, sm[0], sm[1], packet)
+		sd, err := assemblePacket(rank, small, packet)
 		if err != nil {
 			return err
 		}

@@ -66,14 +66,6 @@ const (
 	// multiply or a fold of one window. Below it the dispatch costs more
 	// than the split saves, and the kernel runs on the calling goroutine.
 	poolThreshold = 256 << 10
-	// reduceFanIn bounds the XOR-reduction fan-in per machine: a reduction
-	// with more source machines than this aggregates over a tree of that
-	// arity (placement.BuildFanInTree), so no machine folds more than
-	// reduceFanIn concurrent partial streams at any cluster size; a
-	// reduction with at most reduceFanIn sources is the flat tree. A
-	// constant because the tree changes no byte and no layout, only which
-	// machine folds which stream.
-	reduceFanIn = 8
 	// restoreWorkers bounds the coordinator-side restore fan-out
 	// (LoadFromRemote's per-rank fetch+decode, LoadPartial's per-rank
 	// fetch, decode and reassembly). A constant because the work is
@@ -285,9 +277,9 @@ type Checkpointer struct {
 type layout struct {
 	plan *placement.Plan
 	keys keyTable
-	// routes holds the per-reduction aggregation routing (fan-in tree and
-	// per-node worker index), index-aligned with plan.Reductions. Compiled
-	// once per layout so the per-round drain does only lookups.
+	// routes holds the per-reduction routing (root machine, source machines
+	// and per-node worker index), index-aligned with plan.Reductions.
+	// Compiled once per layout so the per-round drain does only lookups.
 	routes []reduceRoute
 	// encode holds, by data group j, the generator's parity column
 	// E[k..k+m-1][j] compiled into one schedule (erasure.Code.Column): a
@@ -297,21 +289,20 @@ type layout struct {
 }
 
 // reduceRoute is the compiled routing of one XOR reduction: which machine
-// roots it, the fan-in-bounded aggregation tree over its source machines,
-// and each machine's local workers. Everything a node needs to derive its
-// own role (leaf, interior fold point, or root) without per-round work.
+// roots it, which machines host its workers, and each machine's local
+// workers. Every source machine other than the root sends its one partial
+// per window straight to the root, which folds one stream per source.
 type reduceRoute struct {
 	targetNode int
-	tree       *placement.FanInTree
-	// workersOf maps a participating machine to the reduction's workers it
-	// hosts, in rank order. Machines without workers are absent (the root
-	// can be such a machine).
+	// sources are the machines hosting the reduction's workers, in rank
+	// order of their first worker; workersOf maps each to the reduction's
+	// workers it hosts, in rank order.
+	sources   []int
 	workersOf map[int][]int
 }
 
 // newLayout compiles the layout for one plan: the key table, the
-// reduction routing under the configured group fan-in and the encode
-// columns of the code.
+// reduction routing and the encode columns of the code.
 func newLayout(cfg *Config, plan *placement.Plan, code *erasure.Code) (*layout, error) {
 	routes := make([]reduceRoute, len(plan.Reductions))
 	for ri, r := range plan.Reductions {
@@ -331,11 +322,7 @@ func newLayout(cfg *Config, plan *placement.Plan, code *erasure.Code) (*layout, 
 			}
 			workersOf[node] = append(workersOf[node], w)
 		}
-		routes[ri] = reduceRoute{
-			targetNode: targetNode,
-			tree:       placement.BuildFanInTree(sources, targetNode, reduceFanIn),
-			workersOf:  workersOf,
-		}
+		routes[ri] = reduceRoute{targetNode: targetNode, sources: sources, workersOf: workersOf}
 	}
 	encode := make([]*bitmatrix.Schedule, cfg.K)
 	coefs := make([]int, cfg.M)
@@ -374,10 +361,9 @@ var (
 // The key layout is fixed by the plan, so formatting them per round would
 // be pure allocator churn on the hot path.
 type keyTable struct {
-	smallMeta []string   // by rank
-	smallKeys []string   // by rank
-	base      []baseKey  // by rank
-	segment   [][]string // by chunk (of any code group), then segment
+	small   []string   // by rank: the worker's small-component blob
+	base    []baseKey  // by rank
+	segment [][]string // by chunk (of any code group), then segment
 	// commit is each node's full key set in commit order (manifest last);
 	// staged holds the keyStaged counterparts, index-aligned. stagedOf
 	// maps a final key to its staged key for the save path's stage().
@@ -403,13 +389,12 @@ func buildKeyTable(cfg *Config, plan *placement.Plan) keyTable {
 	g := cfg.Topo.GPUsPerNode()
 	span := plan.Span()
 	t := keyTable{
-		smallMeta: make([]string, world),
-		smallKeys: make([]string, world),
-		base:      make([]baseKey, world),
-		segment:   make([][]string, cfg.K+cfg.M),
-		commit:    make([][]string, nodes),
-		staged:    make([][]string, nodes),
-		stagedOf:  make(map[string]string),
+		small:    make([]string, world),
+		base:     make([]baseKey, world),
+		segment:  make([][]string, cfg.K+cfg.M),
+		commit:   make([][]string, nodes),
+		staged:   make([][]string, nodes),
+		stagedOf: make(map[string]string),
 	}
 	for chunk := range t.segment {
 		t.segment[chunk] = make([]string, span)
@@ -418,8 +403,7 @@ func buildKeyTable(cfg *Config, plan *placement.Plan) keyTable {
 		}
 	}
 	for rank := 0; rank < world; rank++ {
-		t.smallMeta[rank] = fmt.Sprintf("small/%d/meta", rank)
-		t.smallKeys[rank] = fmt.Sprintf("small/%d/keys", rank)
+		t.small[rank] = fmt.Sprintf("small/%d", rank)
 		// The code is systematic: a data chunk's segment is its worker's raw
 		// packet. A rank whose data chunk is stored on its own node diffs
 		// against that segment; any other keeps a cache, the only local copy.
@@ -433,10 +417,8 @@ func buildKeyTable(cfg *Config, plan *placement.Plan) keyTable {
 	for node := 0; node < nodes; node++ {
 		// A node holds the small components of its code group's workers.
 		lo, hi := plan.RankRange(plan.GroupOfNode(node))
-		keys := make([]string, 0, 2*(hi-lo)+g+span+1)
-		for rank := lo; rank < hi; rank++ {
-			keys = append(keys, t.smallMeta[rank], t.smallKeys[rank])
-		}
+		keys := make([]string, 0, (hi-lo)+g+span+1)
+		keys = append(keys, t.small[lo:hi]...)
 		for w := node * g; w < (node+1)*g && cfg.IncrementalCache; w++ {
 			if t.base[w].cache {
 				keys = append(keys, t.base[w].key)
@@ -649,7 +631,8 @@ type SaveReport struct {
 	Version int
 	// PacketBytes is the per-worker packet size after alignment padding.
 	PacketBytes int
-	// SmallBytes is the broadcast metadata volume (all workers).
+	// SmallBytes is the small-component volume step 2 broadcasts: every
+	// worker's blob (a length prefix, the metadata, the tensor keys) once.
 	SmallBytes int
 	// RemotePersisted reports whether step 4 ran this round.
 	RemotePersisted bool
@@ -773,13 +756,14 @@ func (c *Checkpointer) commitStaged() error {
 	for node := 0; node < c.cfg.Topo.Nodes(); node++ {
 		// Rename staged blobs in key order (a node's key set ends in its span
 		// segments and then the manifest): zero-copy and leaves no staging
-		// keys behind. The small components come first and, like the manifest,
-		// are staged every round; anything after them may be carried.
+		// keys behind. The small-component blobs come first and, like the
+		// manifest, are staged every round; anything after them may be
+		// carried.
 		commit := keys.commit[node]
 		lo, hi := lay.plan.RankRange(lay.plan.GroupOfNode(node))
 		for i, key := range commit {
 			staged := keys.staged[node][i]
-			payload := i >= 2*(hi-lo) && i < len(commit)-1 // a cache or a segment
+			payload := i >= hi-lo && i < len(commit)-1 // a cache or a segment
 			if payload && !c.clus.Has(node, staged) {
 				continue
 			}

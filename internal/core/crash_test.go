@@ -244,25 +244,27 @@ func (e *mangleEndpoint) Send(ctx context.Context, to int, tag string, payload [
 }
 
 // TestWrongSizedPeerMessageFailsTheRound: bytes from a peer are validated
-// before they are folded or landed. One wrong-sized message on each stream
-// of the save protocol — the small-component broadcast that carries the
-// ship-set, the partial stream up a reduction tree, the parity and the data
-// placement streams — fails the round with an error that says so, never a
-// panic, and leaves the committed version loadable and the next round
-// unharmed.
+// before they are folded, landed or staged. One wrong-sized message on each
+// stream of the save protocol — the small-component broadcast that carries
+// the ship-set (too short for the ship-set, or cut inside the metadata its
+// length prefix announces), the partial stream to a reduction's root, the
+// parity and the data placement streams — fails the round with an error
+// that says so, never a panic, and leaves the committed version loadable and
+// the next round unharmed.
 func TestWrongSizedPeerMessageFailsTheRound(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
-		prefix string
-		keep   int
-		want   string
+		name, prefix string
+		keep         int
+		want         string
 	}{
-		{"sm/", 1, "shorter than its"}, // a 9-window ship-set takes 2 bytes
-		{"xr/", 100, "has 100 bytes, want"},
-		{"pp/", 100, "has 100 bytes, want"},
-		{"pd/", 100, "has 100 bytes, want"},
+		{"sm", "sm/", 1, "shorter than its"}, // a 9-window ship-set takes 2 bytes
+		{"sm-prefix", "sm/", 40, "length prefix overruns"},
+		{"xr", "xr/", 100, "has 100 bytes, want"},
+		{"pp", "pp/", 100, "has 100 bytes, want"},
+		{"pd", "pd/", 100, "has 100 bytes, want"},
 	} {
-		t.Run(strings.TrimSuffix(tc.prefix, "/"), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			inner, err := transport.NewMemory(4)
 			if err != nil {
 				t.Fatal(err)

@@ -31,8 +31,10 @@ func TestChaosKillSavePostmortem(t *testing.T) {
 		t.Errorf("successful round carries a postmortem tail (%d events)", len(okReport.Postmortem))
 	}
 
+	// The victim's 5th send is one of its step-2 broadcasts (2 workers × 3
+	// peers), early enough that the capped tail reaches the round's begin.
 	const victim = 1
-	if err := net.ScheduleKill(victim, 10); err != nil {
+	if err := net.ScheduleKill(victim, 5); err != nil {
 		t.Fatal(err)
 	}
 	h, err := rig.ckpt.SaveAsync(ctx, rig.dicts)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"regexp"
 	"runtime"
@@ -17,7 +18,7 @@ import (
 
 // The restore path decodes bytes a failed machine may have mangled under a
 // checksum that still passes (or that a buggy writer produced): a manifest,
-// and a worker's small components around its packet. Whatever the bytes,
+// and a worker's small-component blob around its packet. Whatever the bytes,
 // the decoders return an error or a value — they never panic, and what they
 // allocate follows the size of the input, not a length field inside it.
 
@@ -92,30 +93,36 @@ func FuzzParseManifest(f *testing.F) {
 	})
 }
 
+// FuzzAssemblePacket feeds assemblePacket a worker's small-component blob
+// and packet: seeds from a real round, a short packet, and a blob whose
+// metadata length prefix overruns it.
 func FuzzAssemblePacket(f *testing.F) {
 	rig := savedTinyRig(f)
 	lay := rig.ckpt.lay
 	for _, rank := range []int{0, 5} {
 		chunk := lay.plan.DataGroupOf[rank]
-		var blobs [3][]byte
-		for i, key := range []string{lay.keys.smallMeta[rank], lay.keys.smallKeys[rank], lay.keys.segment[chunk][lay.plan.SegmentOf[rank]]} {
+		var blobs [2][]byte
+		for i, key := range []string{lay.keys.small[rank], lay.keys.segment[chunk][lay.plan.SegmentOf[rank]]} {
 			blob, err := rig.ckpt.fetch(lay.plan.DataNodes[chunk], key)
 			if err != nil {
 				f.Fatal(err)
 			}
 			blobs[i] = blob
 		}
-		if sd, err := assemblePacket(rank, blobs[0], blobs[1], blobs[2]); err != nil || !sd.Equal(rig.dicts[rank]) {
+		small, packet := blobs[0], blobs[1]
+		if sd, err := assemblePacket(rank, small, packet); err != nil || !sd.Equal(rig.dicts[rank]) {
 			f.Fatalf("seed for rank %d does not reassemble: %v", rank, err)
 		}
-		f.Add(blobs[0], blobs[1], blobs[2])
-		f.Add(blobs[0], blobs[1], blobs[2][:len(blobs[2])/2])
+		f.Add(small, packet)
+		f.Add(small, packet[:len(packet)/2])
+		_, hdr := binary.Uvarint(small)
+		f.Add(append(binary.AppendUvarint(nil, uint64(len(small))), small[hdr:]...), packet)
 	}
-	f.Add([]byte{}, []byte{}, []byte{})
-	f.Fuzz(func(t *testing.T, meta, keys, packet []byte) {
+	f.Add([]byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, small, packet []byte) {
 		var first *statedict.StateDict
 		var err error
-		allocBound(t, len(meta)+len(keys)+len(packet), func() { first, err = assemblePacket(0, meta, keys, packet) })
+		allocBound(t, len(small)+len(packet), func() { first, err = assemblePacket(0, small, packet) })
 		if err != nil {
 			return
 		}
@@ -125,7 +132,7 @@ func FuzzAssemblePacket(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decompose of an assembled dict: %v", err)
 		}
-		repacked, err := assemblePacket(0, dec.MetaBlob, dec.KeysBlob, bytes.Join(dec.TensorData, nil))
+		repacked, err := assemblePacket(0, appendSmall(nil, dec.MetaBlob, dec.KeysBlob), bytes.Join(dec.TensorData, nil))
 		if err != nil || !repacked.Equal(first) {
 			t.Fatalf("assembled dict does not survive a round trip: %v", err)
 		}

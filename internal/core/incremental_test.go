@@ -136,8 +136,8 @@ func TestIncrementalNoChangeShipsNothing(t *testing.T) {
 		t.Errorf("identical state changed %d buffers", rep.ChangedBuffers)
 	}
 	// No tensor-window message at all: the round sends the step-2 broadcast
-	// (two messages per rank to every other node) and nothing else.
-	if got, want := net.Stats().Sends-before, 2*rig.topo.World()*(rig.topo.Nodes()-1); got != want {
+	// (one message per rank to every other node) and nothing else.
+	if got, want := net.Stats().Sends-before, rig.topo.World()*(rig.topo.Nodes()-1); got != want {
 		t.Errorf("a 0%%-changed round sent %d messages, want the %d of the small-component broadcast", got, want)
 	}
 	// Still recoverable at the new version.

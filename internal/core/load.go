@@ -45,7 +45,7 @@ type PrefetchReport struct {
 	// chunk was already intact).
 	Segments int
 	// SmallsCopied is how many small-component blobs were copied onto the
-	// node (meta + keys per rank of its code group).
+	// node (one per rank of its code group).
 	SmallsCopied int
 	// AlreadyIntact reports the node already served the latest version
 	// with a complete chunk, so nothing was rebuilt.
@@ -88,7 +88,7 @@ func (c *Checkpointer) PrefetchChunk(ctx context.Context, node int) (*PrefetchRe
 	}
 	if slices.Contains(gp.needSmall, node) {
 		rankLo, rankHi := plan.RankRange(cg)
-		rep.SmallsCopied = 2 * (rankHi - rankLo)
+		rep.SmallsCopied = rankHi - rankLo
 	}
 	rep.AlreadyIntact = rep.Segments+rep.SmallsCopied == 0
 	if reg := c.cfg.Metrics; reg != nil && !rep.AlreadyIntact {
@@ -278,40 +278,31 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 
 	// --- Phase R2: re-broadcast small components to nodes that lost them. ---
 	if node == gp.smallSources[0] {
-		// Each rank's meta/keys blob is loop-invariant across peers, so it is
-		// fetched (and checksummed) exactly once and re-sent to every peer
-		// that needs it.
+		// Each rank's blob is loop-invariant across peers, so it is fetched
+		// (and checksummed) exactly once and re-sent to every peer that needs
+		// it.
 		for rank := rankLo; len(gp.needSmall) > 0 && rank < rankHi; rank++ {
-			sm, err := c.smallsOf(rd, gp.smallSources[:1], rank)
+			small, err := c.smallsOf(rd, gp.smallSources[:1], rank)
 			if err != nil {
 				return nil, err
 			}
 			for _, peer := range gp.needSmall {
-				if err := ep.Send(ctx, peer, tags.resyncMeta[rank], sm[0]); err != nil {
-					return nil, err
-				}
-				if err := ep.Send(ctx, peer, tags.resyncKeys[rank], sm[1]); err != nil {
+				if err := ep.Send(ctx, peer, tags.resync[rank], small); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
 	if slices.Contains(gp.needSmall, node) {
-		land := func(tag, key string) error {
-			blob, err := ep.Recv(ctx, gp.smallSources[0], tag)
-			if err != nil {
-				return err
-			}
-			// store copies, so the received buffer can go back to the pool.
-			err = c.store(node, key, blob)
-			c.buf.Put(blob)
-			return err
-		}
 		for rank := rankLo; rank < rankHi; rank++ {
-			if err := land(tags.resyncMeta[rank], keys.smallMeta[rank]); err != nil {
+			small, err := ep.Recv(ctx, gp.smallSources[0], tags.resync[rank])
+			if err != nil {
 				return nil, err
 			}
-			if err := land(tags.resyncKeys[rank], keys.smallKeys[rank]); err != nil {
+			// store copies, so the received buffer can go back to the pool.
+			err = c.store(node, keys.small[rank], small)
+			c.buf.Put(small)
+			if err != nil {
 				return nil, err
 			}
 		}
@@ -348,9 +339,9 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 		// The small components come off this node, which holds the broadcast
 		// set by now. assemblePacket copies every tensor region into fresh
 		// storage, so a received packet can be recycled as soon as it returns.
-		sm, err := c.smallsOf(rd, []int{node}, w)
+		small, err := c.smallsOf(rd, []int{node}, w)
 		if err == nil {
-			rd.dicts[w], err = assemblePacket(w, sm[0], sm[1], packet)
+			rd.dicts[w], err = assemblePacket(w, small, packet)
 		}
 		if srcNode != node {
 			c.buf.Put(packet)

@@ -91,7 +91,7 @@ func (c *Checkpointer) serveDirect(rd *restoreRound) error {
 	// Small components: any node whose manifest parses at the target version
 	// holds its code group's broadcast set.
 	pc.Switch(PhaseSmallSync)
-	smalls := make([][2][]byte, len(want))
+	smalls := make([][]byte, len(want))
 	if err := forEachBounded(len(want), func(i int) (err error) {
 		smalls[i], err = c.smallsOf(rd, rd.groups[plan.GroupOfRank(want[i])].smallSources, want[i])
 		return err
@@ -101,7 +101,7 @@ func (c *Checkpointer) serveDirect(rd *restoreRound) error {
 
 	pc.Switch(PhaseRedistribute)
 	return forEachBounded(len(want), func(i int) (err error) {
-		rd.dicts[want[i]], err = assemblePacket(want[i], smalls[i][0], smalls[i][1], packets[i])
+		rd.dicts[want[i]], err = assemblePacket(want[i], smalls[i], packets[i])
 		if decoded[i] {
 			c.buf.Put(packets[i])
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -382,9 +383,7 @@ func (c *Checkpointer) scanNodes(rd *restoreRound, nodes []int, deep bool) {
 			}
 			rankLo, rankHi := c.lay.plan.RankRange(c.lay.plan.GroupOfNode(node))
 			for rank := rankLo; rank < rankHi && st.smallsOK; rank++ {
-				_, okMeta := read(keys.smallMeta[rank], false)
-				_, okKeys := read(keys.smallKeys[rank], false)
-				st.smallsOK = okMeta && okKeys
+				_, st.smallsOK = read(keys.small[rank], false)
 			}
 		}()
 	}
@@ -509,25 +508,46 @@ func (c *Checkpointer) read(rd *restoreRound, node int, key string) ([]byte, err
 	return blob, err
 }
 
-// smallsOf reads a rank's small components {meta, keys} from the first of
-// the given nodes that serves both, so one corrupt copy degrades to the next
-// source instead of failing the round.
-func (c *Checkpointer) smallsOf(rd *restoreRound, sources []int, rank int) (sm [2][]byte, err error) {
+// smallsOf reads a rank's small-component blob from the first of the given
+// nodes that serves it, so one corrupt copy degrades to the next source
+// instead of failing the round.
+func (c *Checkpointer) smallsOf(rd *restoreRound, sources []int, rank int) (small []byte, err error) {
 	for _, node := range sources {
-		if sm[0], err = c.read(rd, node, c.lay.keys.smallMeta[rank]); err != nil {
-			continue
-		}
-		if sm[1], err = c.read(rd, node, c.lay.keys.smallKeys[rank]); err == nil {
-			return sm, nil
+		if small, err = c.read(rd, node, c.lay.keys.small[rank]); err == nil {
+			return small, nil
 		}
 	}
-	return sm, fmt.Errorf("core: rank %d small components: %w", rank, err)
+	return nil, fmt.Errorf("core: rank %d small components: %w", rank, err)
 }
 
-// assemblePacket rebuilds a worker's state dict from its small components
-// and packet bytes. Every tensor region is copied into fresh storage, so the
-// packet can be recycled as soon as it returns.
-func assemblePacket(rank int, meta, keys, packet []byte) (*statedict.StateDict, error) {
+// appendSmall appends a worker's small-component blob to dst: the length of
+// its metadata blob as a uvarint, the metadata blob, then the tensor keys.
+// It is what step 2 broadcasts and host memory keeps under the rank's one
+// small-component key.
+func appendSmall(dst, meta, keys []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(meta)))
+	return append(append(dst, meta...), keys...)
+}
+
+// splitSmall is appendSmall's inverse. The parts alias small. A length
+// prefix that does not parse or overruns the blob is an error.
+func splitSmall(small []byte) (meta, keys []byte, err error) {
+	n, hdr := binary.Uvarint(small)
+	if hdr <= 0 || n > uint64(len(small)-hdr) {
+		return nil, nil, fmt.Errorf("core: small-component blob of %d bytes: its metadata length prefix overruns it", len(small))
+	}
+	return small[hdr : hdr+int(n)], small[hdr+int(n):], nil
+}
+
+// assemblePacket rebuilds a worker's state dict from its small-component
+// blob and packet bytes: the one reader of the blob's parts. Every tensor
+// region is copied into fresh storage, so the packet can be recycled as soon
+// as it returns.
+func assemblePacket(rank int, small, packet []byte) (*statedict.StateDict, error) {
+	meta, keys, err := splitSmall(small)
+	if err != nil {
+		return nil, fmt.Errorf("rank %d: %w", rank, err)
+	}
 	sizes, err := statedict.TensorSizes(keys)
 	if err != nil {
 		return nil, fmt.Errorf("rank %d: %w", rank, err)

@@ -441,8 +441,8 @@ func TestPrefetchChunkWarmsReplacement(t *testing.T) {
 	}
 	world := rig.topo.World()
 	span := world / 2
-	if rep.AlreadyIntact || rep.Segments != span || rep.SmallsCopied != 2*world {
-		t.Errorf("prefetch report = %+v, want %d segments and %d smalls", rep, span, 2*world)
+	if rep.AlreadyIntact || rep.Segments != span || rep.SmallsCopied != world {
+		t.Errorf("prefetch report = %+v, want %d segments and %d smalls", rep, span, world)
 	}
 	if rep.BytesFetched <= 0 {
 		t.Error("prefetch byte accounting missing")
@@ -548,7 +548,7 @@ func TestSmallRebroadcastFetchesOncePerRank(t *testing.T) {
 	}
 	g := rig.topo.GPUsPerNode()
 	for rank := 0; rank < rig.topo.World(); rank++ {
-		n := counter.count(source, lay.keys.smallMeta[rank])
+		n := counter.count(source, lay.keys.small[rank])
 		// Scan reads it once, the hoisted R2 fetch once, and the source's
 		// own reassembly once more for its local ranks. The pre-fix code
 		// fetched once per peer, which with 2 peers pushed this to 4.
@@ -557,7 +557,7 @@ func TestSmallRebroadcastFetchesOncePerRank(t *testing.T) {
 			max = 3
 		}
 		if n > max {
-			t.Errorf("source node read rank %d small meta %d times, want <= %d (per-peer refetch regression)",
+			t.Errorf("source node read rank %d small components %d times, want <= %d (per-peer refetch regression)",
 				rank, n, max)
 		}
 	}

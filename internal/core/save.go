@@ -29,18 +29,19 @@ import (
 // immutable: a round keeps the one it started with.
 type tagTable struct {
 	epoch int
-	// Save, by rank: the small-component broadcast (the meta message also
-	// carries the worker's ship-set) and the worker's data-segment stream.
-	smallMeta, smallKeys, data []string
-	// Save, by reduction: partials up the fan-in tree, finished parity to its
-	// node.
+	// Save, by rank: the small-component broadcast (each message is the
+	// worker's small-component blob followed by its ship-set) and the
+	// worker's data-segment stream.
+	small, data []string
+	// Save, by reduction: partials to the reduction's root, finished parity
+	// to its node.
 	xor, parity []string
 	// Restore, by chunk then segment: the rebuild contributions streamed to
 	// a missing chunk's owner.
 	rebuild [][]string
 	// Restore, by rank: the small-component re-broadcast and the worker's
 	// packet on its way to the worker's home node.
-	resyncMeta, resyncKeys, packet []string
+	resync, packet []string
 	// Membership, one stream of blobs each, by node: its blobs to its
 	// custodian and back.
 	custody, rejoin []string
@@ -55,11 +56,11 @@ func (c *Checkpointer) roundTags() *tagTable {
 	lay := c.lay
 	plan, world := lay.plan, c.cfg.Topo.World()
 	t := &tagTable{
-		epoch:     e,
-		smallMeta: make([]string, world), smallKeys: make([]string, world), data: make([]string, world),
+		epoch: e,
+		small: make([]string, world), data: make([]string, world),
 		xor: make([]string, len(plan.Reductions)), parity: make([]string, len(plan.Reductions)),
-		rebuild:    make([][]string, len(lay.keys.segment)),
-		resyncMeta: make([]string, world), resyncKeys: make([]string, world), packet: make([]string, world),
+		rebuild: make([][]string, len(lay.keys.segment)),
+		resync:  make([]string, world), packet: make([]string, world),
 		custody: make([]string, c.cfg.Topo.Nodes()), rejoin: make([]string, c.cfg.Topo.Nodes()),
 	}
 	for node := range t.custody {
@@ -67,11 +68,9 @@ func (c *Checkpointer) roundTags() *tagTable {
 		t.rejoin[node] = fmt.Sprintf("cj/%d/%d", e, node)
 	}
 	for rank := 0; rank < world; rank++ {
-		t.smallMeta[rank] = fmt.Sprintf("sm/%d/%d", e, rank)
-		t.smallKeys[rank] = fmt.Sprintf("sk/%d/%d", e, rank)
+		t.small[rank] = fmt.Sprintf("sm/%d/%d", e, rank)
 		t.data[rank] = fmt.Sprintf("pd/%d/%d/%d", e, plan.DataGroupOf[rank], plan.SegmentOf[rank])
-		t.resyncMeta[rank] = fmt.Sprintf("rsm/%d/%d", e, rank)
-		t.resyncKeys[rank] = fmt.Sprintf("rsk/%d/%d", e, rank)
+		t.resync[rank] = fmt.Sprintf("rsm/%d/%d", e, rank)
 		t.packet[rank] = fmt.Sprintf("rp/%d/%d", e, rank)
 	}
 	for ri, r := range plan.Reductions {
@@ -109,7 +108,7 @@ func (c *Checkpointer) Save(ctx context.Context, dicts []*statedict.StateDict) (
 }
 
 // nodeSnapshot is one node's step-1 state: every local worker's tensor
-// payload copied into exclusively owned host buffers, plus the serialized
+// payload copied into exclusively owned host buffers, plus its serialized
 // small components. Once all snapshots exist, training may resume — nothing
 // in the drain reads the live dicts.
 type nodeSnapshot struct {
@@ -121,10 +120,10 @@ type nodeSnapshot struct {
 	// the entry of an in-place rank that ships nothing: its blob went back on
 	// the stack, and the committed one is carried.
 	packets map[int][]byte
-	// smalls is rank -> {meta message, keysBlob} (pooled). The meta message
-	// is the metadata blob followed by the worker's ship-set (see shipSet),
-	// as it goes on the wire in step 2.
-	smalls map[int][2][]byte
+	// smalls is rank -> the worker's step-2 message (pooled): its
+	// small-component blob (appendSmall) followed by its ship-set (see
+	// shipSet), as it goes on the wire.
+	smalls map[int][]byte
 	// olds is rank -> the worker's packet as the committed checkpoint holds
 	// it (a borrowed view of its delta base, keyTable.base): what a delta
 	// round's windows are XORed against. Nil on a full round.
@@ -155,9 +154,8 @@ func (s *nodeSnapshot) release(c *Checkpointer) {
 			c.buf.Put(pkt)
 		}
 	}
-	for _, blobs := range s.smalls {
-		c.buf.Put(blobs[0])
-		c.buf.Put(blobs[1])
+	for _, msg := range s.smalls {
+		c.buf.Put(msg)
 	}
 }
 
@@ -182,13 +180,14 @@ func (c *Checkpointer) snapshotNode(r *round, node, packetBytes int, dicts []*st
 	g := c.cfg.Topo.GPUsPerNode()
 	bufSize := c.cfg.BufferSize
 	numBuffers := c.numBuffers(packetBytes)
+	shipBytes := shipSetBytes(numBuffers)
 	base := c.lay.keys.base
 	pc := r.clock(node, PhaseSerialize)
 	defer pc.unwatch()
 	snap := &nodeSnapshot{
 		node:    node,
 		packets: make(map[int][]byte, g),
-		smalls:  make(map[int][2][]byte, g),
+		smalls:  make(map[int][]byte, g),
 	}
 	if delta {
 		snap.olds = make(map[int][]byte, g)
@@ -200,11 +199,14 @@ func (c *Checkpointer) snapshotNode(r *round, node, packetBytes int, dicts []*st
 			snap.release(c)
 			return nil, fmt.Errorf("rank %d decompose: %w", w, err)
 		}
-		// The meta message: metadata blob, then room for the ship-set.
-		meta := c.buf.Get(len(dec.MetaBlob) + shipSetBytes(numBuffers))
-		ship := shipSet(meta[copy(meta, dec.MetaBlob):])
+		// The step-2 message: the small-component blob, then room for the
+		// ship-set.
+		msg := c.buf.Get(binary.MaxVarintLen64 + len(dec.MetaBlob) + len(dec.KeysBlob) + shipBytes)
+		msg = appendSmall(msg[:0], dec.MetaBlob, dec.KeysBlob)
+		ship := shipSet(msg[len(msg) : len(msg)+shipBytes])
+		snap.smalls[w] = msg[:len(msg)+shipBytes]
 		c.buf.Put(dec.MetaBlob)
-		snap.smalls[w] = [2][]byte{meta, dec.KeysBlob}
+		c.buf.Put(dec.KeysBlob)
 		pc.Switch(PhaseOffload)
 		inPlace, recycled := c.keptInPlace(w), false
 		var pkt []byte
@@ -356,9 +358,8 @@ func parseManifest(blob []byte) (version, packetBytes, bufferSize int, err error
 type reduceKey struct{ ri, buf int }
 
 // reduceState accumulates one node's share of one reduction buffer: its
-// local workers' contributions plus one folded partial per child machine in
-// the reduction's fan-in tree — never the global k, so the per-machine
-// fan-in stays bounded as the cluster grows. The first contribution is
+// local workers' contributions, plus at the reduction's root one folded
+// partial per other source machine. The first contribution is
 // adopted as the accumulator (the pool hands every contributor an
 // exclusively owned buffer, so taking it is free); later contributions are
 // XOR-folded in and recycled. Each state has its own lock so reductions for
@@ -379,21 +380,19 @@ type foldCursor struct {
 // nodeDrain runs one node's side of the checkpointing round after the
 // snapshot stage: broadcast of the small components, the per-buffer
 // streaming encode/XOR/P2P pipeline, and the staging writes. It returns the
-// broadcast small-component volume it observed and the node's full-round
-// phase partition (snapshot phases folded in), with receiver-side XOR work
-// re-attributed from "barrier" to "xor" (it overlaps the main goroutine's
-// waits).
+// node's full-round phase partition (snapshot phases folded in), with
+// receiver-side XOR work re-attributed from "barrier" to "xor" (it overlaps
+// the main goroutine's waits).
 //
 // The packet is processed as a sequence of buffer windows (Config.
 // BufferSize each). A bufWindow ledger bounds how many windows the node
 // holds in flight (pipelineDepth) and retires a window only when
 // every delivery it owes this node has landed, so encode/XOR/P2P for buffer
 // i+1 overlaps the residual deliveries of buffer i while pooled-buffer
-// usage stays proportional to the depth. XOR reductions aggregate over the
-// fan-in tree compiled into the layout (see reduceRoute): each machine
-// folds its own workers' contributions plus its tree children's partials
-// and forwards a single partial per buffer toward the root, keeping
-// per-machine fan-in bounded by reduceFanIn at any cluster size.
+// usage stays proportional to the depth. Each source machine of an XOR
+// reduction folds its own workers' contributions and sends one partial per
+// buffer straight to the reduction's root machine (see reduceRoute), which
+// folds one stream per source machine.
 //
 // What ships is a parameter. Each worker's ship-set (broadcast with its
 // small components) names the windows of its packet that carry traffic, and
@@ -402,7 +401,7 @@ type foldCursor struct {
 // segments; a delta round (snap.olds set) ships new ⊕ old for the windows
 // that changed onto a copy of the committed segments — by linearity of the
 // code, the data segment moves by the difference and parity segment i by
-// its coefficient multiple, folded through the same trees — and only for the
+// its coefficient multiple, folded the same way — and only for the
 // segments those windows land in: the rest are carried (see the set-up of
 // step 3). Either way a packet kept on its own node (keptInPlace) was packed
 // into the blob that keeps it: the round seals the windows it ships there
@@ -413,7 +412,7 @@ type foldCursor struct {
 // damages the committed checkpoint. Every Send/Recv carries the configured
 // deadline, so a peer that crashes mid-round turns into a bounded error, not
 // a hang.
-func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapshot, tags *tagTable, packetBytes int) (int, map[string]time.Duration, error) {
+func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapshot, tags *tagTable, packetBytes int) (map[string]time.Duration, error) {
 	topo := c.cfg.Topo
 	lay := c.lay
 	plan := lay.plan
@@ -442,7 +441,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 
 	ep, err := c.net.Endpoint(node)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	// stage writes a blob into this node's staging area, checksummed. The
 	// staged key comes from the pre-rendered table: no per-call formatting.
@@ -469,69 +468,60 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 	}()
 
 	// --- Step 2: broadcast the small components; store everything. Each
-	// rank's meta message ends in its ship-set, which the node keeps for the
-	// round (one backing array) and strips before staging the blob. ---
+	// rank's message is its small-component blob followed by its ship-set,
+	// which the node keeps for the round (one backing array) and strips
+	// before staging the blob. A message whose framing does not fit fails the
+	// round before it is staged. ---
 	shipBytes := shipSetBytes(numBuffers)
 	shipBuf := make([]byte, (rankHi-rankLo)*shipBytes)
 	shipOf := func(rank int) shipSet {
 		return shipBuf[(rank-rankLo)*shipBytes : (rank-rankLo+1)*shipBytes]
 	}
-	stageSmalls := func(rank int, metaMsg, keys []byte) (int, error) {
-		cut := len(metaMsg) - shipBytes
+	stageSmall := func(rank int, msg []byte) error {
+		cut := len(msg) - shipBytes
 		if cut < 0 {
-			return 0, fmt.Errorf("core: rank %d meta message has %d bytes, shorter than its %d-byte ship-set", rank, len(metaMsg), shipBytes)
+			return fmt.Errorf("core: rank %d small-component message has %d bytes, shorter than its %d-byte ship-set", rank, len(msg), shipBytes)
 		}
-		copy(shipOf(rank), metaMsg[cut:])
-		if err := stage(lay.keys.smallMeta[rank], metaMsg[:cut]); err != nil {
-			return 0, err
+		if _, _, err := splitSmall(msg[:cut]); err != nil {
+			return fmt.Errorf("rank %d: %w", rank, err)
 		}
-		return cut + len(keys), stage(lay.keys.smallKeys[rank], keys)
+		copy(shipOf(rank), msg[cut:])
+		return stage(lay.keys.small[rank], msg[:cut])
 	}
-	smallBytes := 0
 	for _, w := range localWorkers {
-		blobs := smalls[w]
 		for peer := nodeLo; peer < nodeHi; peer++ {
 			if peer == node {
 				continue
 			}
-			if err := ep.Send(ctx, peer, tags.smallMeta[w], blobs[0]); err != nil {
-				return 0, nil, err
-			}
-			if err := ep.Send(ctx, peer, tags.smallKeys[w], blobs[1]); err != nil {
-				return 0, nil, err
+			if err := ep.Send(ctx, peer, tags.small[w], smalls[w]); err != nil {
+				return nil, err
 			}
 		}
 	}
 	for rank := rankLo; rank < rankHi; rank++ {
 		srcNode, err := topo.NodeOf(rank)
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
-		meta, keys := smalls[rank][0], smalls[rank][1]
+		msg := smalls[rank]
 		if srcNode != node {
-			if meta, err = ep.Recv(ctx, srcNode, tags.smallMeta[rank]); err != nil {
-				return 0, nil, err
-			}
-			if keys, err = ep.Recv(ctx, srcNode, tags.smallKeys[rank]); err != nil {
-				c.buf.Put(meta)
-				return 0, nil, err
+			if msg, err = ep.Recv(ctx, srcNode, tags.small[rank]); err != nil {
+				return nil, err
 			}
 		}
-		n, err := stageSmalls(rank, meta, keys)
+		err = stageSmall(rank, msg)
 		// Sent (Send copies) or received, and copied into host memory by
-		// stage: the pooled buffers are free again.
-		c.buf.Put(meta)
-		c.buf.Put(keys)
+		// stage: the pooled buffer is free again.
+		c.buf.Put(msg)
 		delete(smalls, rank)
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
-		smallBytes += n
 	}
 
-	// --- Step 3: per-buffer streaming pipeline — encode, hierarchical XOR
-	// reduction, P2P placement — under a bounded window of in-flight
-	// buffer windows. ---
+	// --- Step 3: per-buffer streaming pipeline — encode, XOR reduction at
+	// each reduction's root, P2P placement — under a bounded window of
+	// in-flight buffer windows. ---
 	myChunk := plan.ChunkOfNode[node]
 	// The segments are assembled directly in the buffers host memory will
 	// own: exact-size with footer room, sealed and adopted at promote, never
@@ -610,7 +600,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 			}
 		}
 		if err != nil {
-			return 0, nil, fmt.Errorf("core: delta base chunk %d segment %d: %w", myChunk, s, err)
+			return nil, fmt.Errorf("core: delta base chunk %d segment %d: %w", myChunk, s, err)
 		}
 		copy(seg[packetBytes:cap(seg)], sums)
 	}
@@ -619,37 +609,35 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 	pc.Switch(PhaseStage)
 
 	// Inbound window streams, each with the ship-set naming the windows it
-	// carries. A tree child forwards a partial for the windows any worker in
-	// its subtree ships; a reduction's root sends parity for the windows any
-	// of its workers ships; a remote worker of this node's data chunk sends
-	// its own.
+	// carries. A source machine sends its reduction's root a partial for the
+	// windows any of its workers of the reduction ships; a reduction's root
+	// sends parity for the windows any of its workers ships; a remote worker
+	// of this node's data chunk sends its own.
 	type inbound struct {
 		from int
 		tag  string
 		ship shipSet
 		seg  int // segment the stream lands in (parity and data streams)
 	}
-	// shipsBelow is the union of the ship-sets of every worker hosted in
-	// machine n's subtree of the reduction's fan-in tree, ORed into u.
-	var shipsBelow func(u shipSet, rt *reduceRoute, n int) shipSet
-	shipsBelow = func(u shipSet, rt *reduceRoute, n int) shipSet {
-		for _, w := range rt.workersOf[n] {
+	// shipsOf is the union of the ship-sets of the given workers.
+	shipsOf := func(workers []int) shipSet {
+		u := make(shipSet, shipBytes)
+		for _, w := range workers {
 			u.or(shipOf(w))
-		}
-		for _, child := range rt.tree.Children[n] {
-			shipsBelow(u, rt, child)
 		}
 		return u
 	}
-	partialIn := make([][]inbound, len(routes)) // by reduction, one per tree child
+	partialIn := make([][]inbound, len(routes)) // by reduction, one per other source machine at its root
 	var landIn []inbound                        // parity and data segments landing in this node's chunk
 	for ri, r := range reds {
 		rt := &routes[ri]
-		for _, child := range rt.tree.Children[node] {
-			partialIn[ri] = append(partialIn[ri], inbound{from: child, tag: xorTags[ri], ship: shipsBelow(make(shipSet, shipBytes), rt, child)})
+		for _, src := range rt.sources {
+			if rt.targetNode == node && src != node {
+				partialIn[ri] = append(partialIn[ri], inbound{from: src, tag: xorTags[ri], ship: shipsOf(rt.workersOf[src])})
+			}
 		}
 		if myChunk == c.cfg.K+r.ParityIndex && rt.targetNode != node {
-			landIn = append(landIn, inbound{from: rt.targetNode, tag: parityTags[ri], ship: shipsBelow(make(shipSet, shipBytes), rt, rt.targetNode), seg: r.Group})
+			landIn = append(landIn, inbound{from: rt.targetNode, tag: parityTags[ri], ship: shipsOf(r.Workers), seg: r.Group})
 		}
 	}
 	for w := rankLo; w < rankHi && myChunk < c.cfg.K; w++ {
@@ -658,14 +646,15 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 		}
 		srcNode, err := topo.NodeOf(w)
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		if srcNode != node {
 			landIn = append(landIn, inbound{from: srcNode, tag: tags.data[w], ship: shipOf(w), seg: plan.SegmentOf[w]})
 		}
 	}
 	// owed counts the contributions this node folds for window b of
-	// reduction ri: its shipping local workers plus its shipping children.
+	// reduction ri: its shipping local workers plus, at the root, the other
+	// source machines that ship the window.
 	owed := func(ri, b int) int {
 		n := 0
 		for _, w := range routes[ri].workersOf[node] {
@@ -732,8 +721,8 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 
 	// sendQueue decouples the encoding stage from the communication stage,
 	// as in the paper's pipelined execution. Producers are the encode loop
-	// (data-segment placement) and the fold completions (forwarded partials
-	// and rooted parity segments); the queue closes only after both are
+	// (data-segment placement) and the fold completions (partials to the
+	// root and rooted parity segments); the queue closes only after both are
 	// done. The sender keeps draining after a failure — recycling pooled
 	// payloads — so a producer never blocks forever on a full queue.
 	type outMsg struct {
@@ -792,12 +781,11 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 	// streams they feed are matched to buffers by position. Folds complete
 	// in buffer order only when every contributor ships every window, so a
 	// fold that completes ahead of an earlier owed one waits in accs until
-	// that one has gone. At the tree
-	// root the parity bytes land in the local chunk when this node stores
-	// the parity chunk, or ship to the parity node; every other machine
-	// forwards its partial one hop up the tree, and the delivery lands once
-	// the send goes through. Ownership of the accumulator leaves the fold
-	// state here.
+	// that one has gone. At the root the parity bytes land in the local
+	// chunk when this node stores the parity chunk, or ship to the parity
+	// node; every other source machine sends its partial to the root, and
+	// the delivery lands once the send goes through. Ownership of the
+	// accumulator leaves the fold state here.
 	emit := func(ri int) {
 		rt, r, cur := &routes[ri], &reds[ri], &cursors[ri]
 		cur.mu.Lock()
@@ -823,7 +811,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 			}
 			switch dstNode := plan.ChunkOwner(cg, c.cfg.K+r.ParityIndex); {
 			case rt.targetNode != node:
-				sendQueue <- outMsg{dstNode: rt.tree.Parent[node], tag: xorTags[ri], payload: st.acc, pooled: true, land: k.buf}
+				sendQueue <- outMsg{dstNode: rt.targetNode, tag: xorTags[ri], payload: st.acc, pooled: true, land: k.buf}
 			case dstNode != node:
 				sendQueue <- outMsg{dstNode: dstNode, tag: parityTags[ri], payload: st.acc, pooled: true, land: k.buf}
 			default:
@@ -839,10 +827,10 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 	// reduction ri, buffer b, taking ownership of the buffer: the first
 	// contribution becomes the accumulator, later ones are XORed in and
 	// recycled. When the node's own obligations — shipping local workers
-	// plus shipping tree children — are all folded, the buffer is ready to
-	// emit. timeXor attributes the XOR to the receiver-side accumulator; the
-	// main goroutine passes false because its XOR time is already on the
-	// phase clock.
+	// plus, at the root, shipping source machines — are all folded, the
+	// buffer is ready to emit. timeXor attributes the XOR to the
+	// receiver-side accumulator; the main goroutine passes false because its
+	// XOR time is already on the phase clock.
 	contribute := func(ri, b int, contribution []byte, timeXor bool) {
 		var xorStart time.Time
 		if timeXor {
@@ -904,11 +892,10 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 		}
 	}
 
-	// Partial receivers: one stream per inbound tree edge. Each child
-	// machine sends exactly one folded partial per buffer it ships, so this
-	// node receives at most reduceFanIn streams per reduction regardless of
-	// k. They are also send-queue producers (a completion forwards or
-	// finalizes), so the queue closes only after they exit.
+	// Partial receivers, at a reduction's root: one stream per other source
+	// machine, which sends exactly one folded partial per buffer it ships.
+	// They are also send-queue producers (a completion finalizes), so the
+	// queue closes only after they exit.
 	var xorRecvWG sync.WaitGroup
 	for ri := range partialIn {
 		for _, in := range partialIn[ri] {
@@ -965,9 +952,9 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 			// Encoding stage: every shipping local worker's window is
 			// multiplied by its data group's parity column in one pass, and
 			// product i folds into the node-local accumulator of parity
-			// index i of the worker's reduction group, which forwards up the
-			// tree. The plan lists a code group's reductions by reduction
-			// group (the worker's SegmentOf), then parity index.
+			// index i of the worker's reduction group, which goes to the
+			// reduction's root. The plan lists a code group's reductions by
+			// reduction group (the worker's SegmentOf), then parity index.
 			for i, w := range localWorkers {
 				src := srcs[i]
 				if src == nil {
@@ -1037,7 +1024,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 		// there is nothing left to tear down: the deferred Put recycles the
 		// packets (the teardown below would close the queue a second time).
 		if err := win.failedErr(); err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 	}
 	if err := encodeErr; err != nil || waitErr != nil {
@@ -1054,7 +1041,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 			sendWG.Wait()
 			snap.recyclePooled(c)
 		}()
-		return 0, nil, err
+		return nil, err
 	}
 
 	// Stage the own-packet caches for incremental saves: each is its
@@ -1067,7 +1054,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 				continue
 			}
 			if err := cluster.AdoptSealed(c.clus, node, lay.keys.stagedOf[lay.keys.base[w].key], packets[w], bufSize); err != nil {
-				return 0, nil, err
+				return nil, err
 			}
 		}
 	}
@@ -1084,11 +1071,11 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 			continue
 		}
 		if err := cluster.AdoptSealed(c.clus, node, lay.keys.stagedOf[lay.keys.segment[myChunk][s]], chunkSegs[s], bufSize); err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 	}
 	if err := stage(keyManifest(), manifestBlob(r.version, packetBytes, bufSize)); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	phases := pc.Stop()
 	shiftPhase(phases, PhaseBarrier, PhaseXOR, time.Duration(recvXorNs.Load()))
@@ -1097,5 +1084,5 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 	for ph, d := range snap.phases {
 		phases[ph] += d
 	}
-	return smallBytes, phases, nil
+	return phases, nil
 }

@@ -9,7 +9,6 @@ package placement
 
 import (
 	"fmt"
-	"sort"
 
 	"eccheck/internal/parallel"
 	"eccheck/internal/sweepline"
@@ -446,97 +445,4 @@ func (p *Plan) CommVolume() Volume {
 		}
 	}
 	return v
-}
-
-// FanInTree is the bounded-fan-in aggregation structure of one XOR
-// reduction: a tree over the reduction's participating machines, rooted at
-// the reduction target's machine. Each machine folds its local workers'
-// contributions with the partial accumulations arriving from its children
-// and forwards exactly one partial per pipeline buffer to its parent, so no
-// machine ever receives more than FanIn concurrent partial streams — the
-// property that keeps the reduction scalable to hundreds of nodes, where a
-// flat reduction would concentrate k-1 streams on the target.
-type FanInTree struct {
-	// Root is the machine storing the reduction result (the target's node).
-	Root int
-	// FanIn is the arity bound the tree was built with (0 means unbounded:
-	// every non-root source is a direct child of the root).
-	FanIn int
-	// Parent maps each non-root participating machine to the machine it
-	// forwards its partial accumulation to.
-	Parent map[int]int
-	// Children maps each machine to the machines whose partials it folds,
-	// in ascending order. Machines absent from the map are leaves.
-	Children map[int][]int
-}
-
-// Depth returns the number of forwarding hops on the longest leaf-to-root
-// path: 0 for a root-only tree, 1 for a flat reduction. With S sources and
-// fan-in f the depth is bounded by ceil(log_f(S))+1.
-func (t *FanInTree) Depth() int {
-	depth := 0
-	for node := range t.Parent {
-		d := 0
-		for cur := node; cur != t.Root; cur = t.Parent[cur] {
-			d++
-		}
-		if d > depth {
-			depth = d
-		}
-	}
-	return depth
-}
-
-// BuildFanInTree constructs the deterministic aggregation tree for one
-// reduction: sources are the machines hosting the reduction's workers, root
-// the target's machine, and fanIn the per-machine arity bound (0 or a bound
-// no smaller than the source count yields the flat single-level tree). The
-// shape is a complete fanIn-ary heap over the sorted non-root sources, so
-// the same inputs always compile to the same tree on every machine — the
-// protocol relies on each node deriving its own parent and children
-// independently. The root itself may or may not appear in sources; either
-// way it anchors the tree.
-func BuildFanInTree(sources []int, root, fanIn int) *FanInTree {
-	// Sorted, deduplicated non-root sources give the heap its stable order.
-	seen := map[int]bool{root: true}
-	members := make([]int, 0, len(sources))
-	for _, s := range sources {
-		if !seen[s] {
-			seen[s] = true
-			members = append(members, s)
-		}
-	}
-	sort.Ints(members)
-
-	t := &FanInTree{
-		Root:     root,
-		FanIn:    fanIn,
-		Parent:   make(map[int]int, len(members)),
-		Children: make(map[int][]int, len(members)/2+1),
-	}
-	if len(members) == 0 {
-		return t
-	}
-	if fanIn <= 0 || fanIn >= len(members) {
-		// Flat: every source forwards straight to the root.
-		for _, s := range members {
-			t.Parent[s] = root
-		}
-		t.Children[root] = append([]int(nil), members...)
-		return t
-	}
-	// Complete fanIn-ary heap over members: the first fanIn slots hang off
-	// the root, and slot p's children are slots p·fanIn+fanIn through
-	// p·fanIn+2·fanIn-1, so every machine folds at most fanIn streams.
-	for i, s := range members {
-		if i < fanIn {
-			t.Parent[s] = root
-			t.Children[root] = append(t.Children[root], s)
-			continue
-		}
-		p := members[(i-fanIn)/fanIn]
-		t.Parent[s] = p
-		t.Children[p] = append(t.Children[p], s)
-	}
-	return t
 }
