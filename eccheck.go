@@ -441,9 +441,16 @@ func (s *System) FailNode(node int) error {
 	return err
 }
 
-// ReplaceNode brings a failed machine back as a fresh, empty node. Under
-// chaos, the replacement also gets a working transport again (a chaos kill
-// only destroyed the old machine).
+// ReplaceNode brings a failed machine back as a fresh node with no
+// checkpoint in host memory. Under chaos, the replacement also gets a
+// working transport again (a chaos kill only destroyed the old machine).
+//
+// Once a checkpoint has committed, the new machine arrives with the host
+// buffers its repair lands in — one per segment of its chunk, at the
+// committed size, allocated and paged in here — so the Load, PrefetchNode
+// or AddNode rebuild that follows writes the rebuilt chunk into them
+// instead of allocating inside recovery. That allocation is ReplaceNode's
+// cost: about the node's share of the coded checkpoint.
 //
 // The replacement is fenced behind the save slot: if a SaveAsync drain is
 // in flight, ReplaceNode waits for it to finish (commit or abort) before
@@ -471,7 +478,8 @@ func (s *System) AliveNodes() []int { return s.clus.AliveNodes() }
 // small components, own-packet caches and the manifest), the redundancy cost
 // directly comparable with replication-based designs. It does not count the
 // spare buffers a save reuses: the blobs the last commit displaced, which the
-// next round packs and assembles in.
+// next round packs and assembles in, nor the buffers a machine ReplaceNode
+// swapped in holds for its repair until the repair stores them as its chunk.
 func (s *System) NodeMemoryBytes(node int) int { return s.clus.MemoryBytes(node) }
 
 // DataNodes returns the machines selected (by the sweep-line algorithm) to

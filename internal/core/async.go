@@ -275,7 +275,9 @@ func (c *Checkpointer) drainSave(ctx context.Context, r *round, snaps []*nodeSna
 	lay, tags, version := c.lay, c.roundTags(), r.version
 	fail := func(err error) {
 		c.discardStaged(&lay.keys)
+		c.spareMu.Lock()
 		clear(c.spares) // what the drains did not take goes with what they did
+		c.spareMu.Unlock()
 		// Whatever this round left in flight stays under its own tags.
 		c.epoch.Add(1)
 		c.failSave(r, packetBytes, mode, err)
@@ -326,6 +328,7 @@ func (c *Checkpointer) drainSave(ctx context.Context, r *round, snaps []*nodeSna
 	err := c.commitStaged()
 	if err == nil {
 		c.version.Store(int64(version))
+		c.packet.Store(int64(packetBytes))
 	}
 	c.commitMu.Unlock()
 	if err != nil {

@@ -225,8 +225,9 @@ type Checkpointer struct {
 	// version is the latest committed checkpoint version. It advances only
 	// at a save round's commit barrier (possibly on a background drain
 	// goroutine), so it is atomic: Version() is safe to poll while a
-	// SaveAsync drains.
-	version atomic.Int64
+	// SaveAsync drains. packet is the packet size that version was encoded
+	// with, which fixes the shape of its payload blobs.
+	version, packet atomic.Int64
 
 	// commitMu makes a save round's commit — the rename of its staged blobs
 	// onto the final keys plus the version bump — atomic with respect to
@@ -253,10 +254,14 @@ type Checkpointer struct {
 	// since: the next round's staging area, so a steady-state save allocates
 	// no payload-sized host blob. Added to by commitStaged and by a snapshot
 	// that gives back what it took (takeBlob, spareBlob); taken one per
-	// in-place packet by snapshotNode and one per other touched segment by
-	// nodeDrain; cleared by an aborted drain and by WithSaveFence; all under
-	// the save slot. Never host-store keys, so no memory accounting sees them.
-	spares [][][]byte
+	// in-place packet by snapshotNode, one per other touched segment by
+	// nodeDrain and one per rebuilt segment by nodeLoad; cleared by an
+	// aborted drain; stocked with the node's chunk by WithSaveFence. The save
+	// slot's holder and a repairing restore, which holds the restore slot
+	// instead, take from one stack concurrently, so every access holds
+	// spareMu. Never host-store keys, so no memory accounting sees them.
+	spareMu sync.Mutex
+	spares  [][][]byte
 
 	// restoreSlot (capacity 1) is held by a restore round that repairs host
 	// memory, from its scan to its last landing: two such rounds would
@@ -772,8 +777,7 @@ func (c *Checkpointer) commitStaged() error {
 				return fmt.Errorf("core: node %d commit %q: %w", node, key, err)
 			}
 			if payload && old != nil {
-				retire(old)
-				c.spares[node] = append(c.spares[node], old)
+				c.spareBlob(node, old)
 			}
 		}
 	}

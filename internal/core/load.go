@@ -150,6 +150,39 @@ func (c *Checkpointer) serveDistributed(ctx context.Context, cancel context.Canc
 	return nil
 }
 
+// landSlice receives one rebuilt slice's contribution from each basis chunk's
+// owner under tag and writes their XOR into dst, every byte of it. parts is
+// scratch of capacity len(basis); every contribution received goes back to
+// the pool, on the error paths too.
+func (c *Checkpointer) landSlice(ctx context.Context, ep transport.Endpoint, dst []byte, basis []int, cg int, tag string, parts [][]byte) error {
+	defer func() {
+		for _, part := range parts {
+			c.buf.Put(part)
+		}
+	}()
+	for _, basisChunk := range basis {
+		part, err := ep.Recv(ctx, c.lay.plan.ChunkOwner(cg, basisChunk), tag)
+		if err != nil {
+			return err
+		}
+		parts = append(parts, part)
+		if len(part) != len(dst) {
+			return fmt.Errorf("core: rebuild slice size %d, want %d", len(part), len(dst))
+		}
+	}
+	if len(parts) == 1 {
+		copy(dst, parts[0])
+		return nil
+	}
+	err := gf.XORInto(dst, parts[0], parts[1])
+	for _, part := range parts[2:] {
+		if err == nil {
+			err = gf.XORSlice(dst, part)
+		}
+	}
+	return err
+}
+
 // nodeLoad runs one node's side of recovery, delivers its local wanted
 // workers' state dicts into rd.dicts and returns the goroutine's phase
 // partition (see LoadPhases).
@@ -173,46 +206,39 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 	rebuild := slices.Contains(gp.missing, myChunk)
 
 	// This node's chunk segments: an intact chunk is served from the views
-	// the scan verified (read-only); a missing one is rebuilt into fresh —
-	// and therefore zero — buffers the rebuild XOR-accumulates into, which
-	// host memory adopts once it is done.
+	// the scan verified (read-only); a missing one is rebuilt into blobs off
+	// the node's spare stack — the ones the join stocked on a replaced
+	// machine, steady-state spares on a live one — which host memory adopts
+	// once they are done. Their bytes are stale: the landing writes every
+	// byte of each and reads none.
 	chunkSegs := rd.scan[node].segs
 	window := c.cfg.BufferSize // the checksum window
 	if rebuild {
 		chunkSegs = make([][]byte, len(keys.segment[myChunk]))
 		for s := range chunkSegs {
-			chunkSegs[s] = cluster.NewBlob(rd.packetBytes, window)
+			chunkSegs[s], _ = c.takeBlob(node, rd.packetBytes)
 		}
 	}
 	pc.Switch(PhaseRebuild)
 
 	// --- Phase R1: distributed rebuild of missing chunks. ---
 	// Basis holders stream coefficient-multiplied slices to each missing
-	// chunk's owner; owners XOR-accumulate k contributions per slice.
+	// chunk's owner. The owner receives a slice's k contributions and writes
+	// their sum in one pass: the first two XORed into the segment, any
+	// further ones XORed onto it (a copy when k = 1).
 	var rebuildErr error
 	var rebuildWG sync.WaitGroup
 	if rebuild {
 		rebuildWG.Add(1)
 		go func() {
 			defer rebuildWG.Done()
+			parts := make([][]byte, 0, c.cfg.K)
 			for s, tag := range tags.rebuild[myChunk] {
 				for lo := 0; lo < rd.packetBytes; lo += rd.bufSize {
 					hi := min(lo+rd.bufSize, rd.packetBytes)
-					for _, basisChunk := range gp.decode[s].basis {
-						payload, err := ep.Recv(ctx, plan.ChunkOwner(cg, basisChunk), tag)
-						if err != nil {
-							rebuildErr = err
-							return
-						}
-						if len(payload) != hi-lo {
-							rebuildErr = fmt.Errorf("core: rebuild slice size %d, want %d", len(payload), hi-lo)
-						} else {
-							rebuildErr = gf.XORSlice(chunkSegs[s][lo:hi], payload)
-						}
-						c.buf.Put(payload)
-						if rebuildErr != nil {
-							return
-						}
+					rebuildErr = c.landSlice(ctx, ep, chunkSegs[s][lo:hi], gp.decode[s].basis, cg, tag, parts)
+					if rebuildErr != nil {
+						return
 					}
 					// The slice is final and still cache-hot: seal the sums
 					// of its windows now (slices finish in order).

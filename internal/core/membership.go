@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"eccheck/internal/cluster"
 	"eccheck/internal/obs/flight"
 )
 
@@ -106,17 +107,42 @@ func (c *Checkpointer) fenced(ctx context.Context, step string, node int, fn fun
 }
 
 // WithSaveFence runs fn — the swap of node's machine for a fresh one —
-// fenced. It is how the root ReplaceNode serializes against the SaveAsync
-// background drain. A replaced machine starts cold: the node's spare
-// segments go with the old one.
+// fenced. It is how the root ReplaceNode and AddNode serialize against the
+// SaveAsync background drain. The node's spare blobs go with the old
+// machine, and the new one arrives with the memory its repair lands in, the
+// way a training process allocates its host buffers when it starts: once a
+// version has committed, its spare stack holds one resident blob of the
+// committed shape, cluster.FramedLen(packet, BufferSize), per segment of the
+// node's chunk. The repair (Load, PrefetchChunk or the join's rebuild) takes
+// them; a save that runs first packs and assembles in them instead.
 func (c *Checkpointer) WithSaveFence(ctx context.Context, node int, fn func() error) error {
 	return c.fenced(ctx, "replace", node, func(context.Context, *round) error {
 		err := fn()
 		if err == nil {
-			c.spares[node] = nil
+			c.stockSpares(node)
 		}
 		return err
 	})
+}
+
+// stockSpares replaces node's spare stack with its chunk's blobs at the
+// committed shape, each cleared once so its pages are resident before a
+// repair runs (a fresh allocation is mapped, not paged in); nothing before a
+// first commit.
+func (c *Checkpointer) stockSpares(node int) {
+	var stock [][]byte
+	if c.version.Load() > 0 {
+		size := cluster.FramedLen(int(c.packet.Load()), c.cfg.BufferSize)
+		for range c.lay.plan.Span() {
+			blob := make([]byte, size)
+			clear(blob)
+			retire(blob)
+			stock = append(stock, blob)
+		}
+	}
+	c.spareMu.Lock()
+	c.spares[node] = stock
+	c.spareMu.Unlock()
 }
 
 // shipBlobs moves blobs from srcNode to dstNode over the transport, as one

@@ -14,6 +14,7 @@ import (
 
 	"eccheck/internal/bufpool"
 	"eccheck/internal/chaos"
+	"eccheck/internal/cluster"
 	"eccheck/internal/model"
 	"eccheck/internal/obs"
 	"eccheck/internal/parallel"
@@ -128,7 +129,8 @@ func TestViewSurvivesFailReplaceRebuildAndAbortedSave(t *testing.T) {
 }
 
 // replaceFenced swaps a dead machine for an empty one the way the root
-// package does: behind the save fence, which also forgets the node's spares.
+// package does: behind the save fence, which replaces the node's spares with
+// the stock its repair lands in.
 func replaceFenced(t *testing.T, rig *testRig, net *chaos.Network, node int) {
 	t.Helper()
 	for rig.clus.Alive(node) { // a chaos kill's hook runs on the victim's goroutine
@@ -143,8 +145,38 @@ func replaceFenced(t *testing.T, rig *testRig, net *chaos.Network, node int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rig.ckpt.spares[node] != nil {
-		t.Fatalf("node %d was replaced and still has %d spare segments", node, len(rig.ckpt.spares[node]))
+	checkStock(t, rig, node)
+}
+
+// checkStock: a just-replaced node's spare stack is exactly its stock — one
+// blob of the committed shape per segment of its chunk, none of them stored
+// anywhere and no two alike — or empty before a first commit.
+func checkStock(t *testing.T, rig *testRig, node int) {
+	t.Helper()
+	c := rig.ckpt
+	want, size := 0, 0
+	if c.Version() > 0 {
+		want, size = c.Plan().Span(), cluster.FramedLen(int(c.packet.Load()), c.cfg.BufferSize)
+	}
+	stored := storedSlices(t, rig)
+	seen := map[*byte]bool{}
+	for _, addr := range stored {
+		seen[addr] = true
+	}
+	c.spareMu.Lock()
+	defer c.spareMu.Unlock()
+	if got := len(c.spares[node]); got != want {
+		t.Fatalf("node %d was replaced at version %d with %d spare blobs, want %d", node, c.Version(), got, want)
+	}
+	for _, blob := range c.spares[node] {
+		if len(blob) != size || cap(blob) != size {
+			t.Errorf("node %d's stock holds a %d-byte blob (cap %d), want the committed shape %d", node, len(blob), cap(blob), size)
+		}
+		if addr := unsafe.SliceData(blob); seen[addr] {
+			t.Errorf("node %d's stock holds a blob that is stored or stocked twice", node)
+		} else {
+			seen[addr] = true
+		}
 	}
 }
 

@@ -293,6 +293,7 @@ func (c *Checkpointer) serveHost(ctx context.Context, cancel context.CancelFunc,
 	}
 	if err == nil {
 		c.version.Store(int64(rd.version))
+		c.packet.Store(int64(rd.packetBytes))
 	}
 	return err
 }

@@ -211,7 +211,9 @@ func (c *Checkpointer) snapshotNode(r *round, node, packetBytes int, dicts []*st
 		inPlace, recycled := c.keptInPlace(w), false
 		var pkt []byte
 		if inPlace {
-			pkt, recycled = c.takeBlob(node, packetBytes)
+			if pkt, recycled = c.takeBlob(node, packetBytes); !recycled {
+				c.cfg.Metrics.Counter("save_segments_allocated_total").Inc()
+			}
 		} else {
 			pkt = c.buf.Get(packetBytes)
 		}
@@ -307,18 +309,18 @@ func (c *Checkpointer) keptInPlace(w int) bool {
 
 // takeBlob returns a packetBytes-long host blob for node, with footer room
 // (cluster.NewBlob's shape): the top of the node's spare stack when it has
-// that shape, else a fresh one, counted in save_segments_allocated_total.
-// recycled reports which. Its content is stale. Only the save slot's holder
-// calls it.
+// that shape, else a fresh one; recycled reports which. A spare's content is
+// stale, so its taker writes every byte it keeps.
 func (c *Checkpointer) takeBlob(node, packetBytes int) (blob []byte, recycled bool) {
 	var spare []byte
+	c.spareMu.Lock()
 	if n := len(c.spares[node]); n > 0 {
 		spare, c.spares[node] = c.spares[node][n-1], c.spares[node][:n-1]
 	}
+	c.spareMu.Unlock()
 	if cap(spare) == cluster.FramedLen(packetBytes, c.cfg.BufferSize) {
 		return spare[:packetBytes], true
 	}
-	c.cfg.Metrics.Counter("save_segments_allocated_total").Inc()
 	return cluster.NewBlob(packetBytes, c.cfg.BufferSize), false
 }
 
@@ -327,7 +329,9 @@ func (c *Checkpointer) takeBlob(node, packetBytes int) (blob []byte, recycled bo
 func (c *Checkpointer) spareBlob(node int, blob []byte) {
 	blob = blob[:cap(blob)]
 	retire(blob)
+	c.spareMu.Lock()
 	c.spares[node] = append(c.spares[node], blob)
+	c.spareMu.Unlock()
 }
 
 // manifestBlob encodes the per-node checkpoint manifest. The buffer size
@@ -555,8 +559,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 		return b * bufSize, min((b+1)*bufSize, packetBytes)
 	}
 	// The counters cover every payload blob of the node: the segments, and
-	// the own-packet caches the snapshot packed or the round carries
-	// (takeBlob counts what it allocates).
+	// the own-packet caches the snapshot packed or the round carries.
 	chunkSegs := make([][]byte, span)
 	recycled, carried := snap.recycled, 0
 	for _, w := range localWorkers {
@@ -578,6 +581,8 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 		var reused bool
 		if chunkSegs[s], reused = c.takeBlob(node, packetBytes); reused {
 			recycled++
+		} else {
+			c.cfg.Metrics.Counter("save_segments_allocated_total").Inc()
 		}
 		if !delta {
 			continue
