@@ -142,7 +142,10 @@ doclint:
 # A worker whose packet its own machine keeps — as its data segment, or as
 # its own-packet cache — is packed straight into that host blob: on a steady
 # full round and a steady delta round it takes no packet-sized pooled
-# buffer, and the round's pooled count is exact.
+# buffer, and the round's pooled count is exact. A steady full save's heap
+# allocations are counted too: on 16x1 8+8, 4x2 2+2 and 8x2 4+4 they stay
+# within 10 % of a pinned count (TestSteadyStateSaveMallocs), so per-window
+# or per-message bookkeeping that creeps back fails here.
 # The TCP data path is gated the same way: a steady-state 1 MiB Send + Recv
 # allocates under 1 KiB and takes one pooled buffer, the receiver's payload.
 # On the memory transport a steady-state 1 MiB SendOwned + Recv takes no
@@ -159,7 +162,7 @@ doclint:
 # less than one packet.
 allocgate:
 	$(GO) test -run 'TestDisabledRecorderZeroAlloc' -count=1 ./internal/obs/flight
-	$(GO) test -run 'TestPhaseClockZeroAllocWithoutRecorder|TestPhaseClockZeroAllocWatchdogDisabled|TestRoundLifecycleZeroAllocWhenDisabled|TestSteadyStateSaveAllocatesNoSegments|TestPartialDecodeTakesOneBufferPerPacket|TestColumnTakesOneBufferPerProduct|TestInPlacePacketsTakeNoPooledPacket|TestRepairTakesStockedBlobs' -count=1 ./internal/core
+	$(GO) test -run 'TestPhaseClockZeroAllocWithoutRecorder|TestPhaseClockZeroAllocWatchdogDisabled|TestRoundLifecycleZeroAllocWhenDisabled|TestSteadyStateSaveAllocatesNoSegments|TestSteadyStateSaveMallocs|TestPartialDecodeTakesOneBufferPerPacket|TestColumnTakesOneBufferPerProduct|TestInPlacePacketsTakeNoPooledPacket|TestRepairTakesStockedBlobs' -count=1 ./internal/core
 	$(GO) test -run 'TestMembershipStateZeroAlloc' -count=1 ./internal/cluster
 	$(GO) test -run 'TestTCPSendAllocatesNoFrame|TestMemorySendOwnedTakesNoBuffer' -count=1 ./internal/transport
 
@@ -188,12 +191,15 @@ purego:
 # The harness studies that are left assert shapes and counts, never a timing
 # margin, so they run twice only to catch order dependence. The mid-window
 # kill runs under the race detector: a round that returns ahead of the kill
-# hook (the machine not yet failed) showed there once in thirty-two runs.
+# hook (the machine not yet failed) showed there once in thirty-two runs. So
+# does a Load on a cancelled context, whose joined error must name at least
+# two failed nodes: it holds only while every transport operation on a done
+# context fails at once, never by a select between a ready mailbox and it.
 flake:
 	$(GO) test -count=20 -run 'TestPreempt|TestZeroNotice|TestNoticeExpires|TestRemoveAndAdd|TestReplaceNodeFenced|TestHealthAPI|TestGrouped' .
 	$(GO) test -count=20 ./internal/chaos
 	$(GO) test -count=2 ./internal/harness
-	$(GO) test -race -count=20 -run TestSaveKilledMidWindowKeepsPreviousCheckpoint ./internal/core
+	$(GO) test -race -count=20 -run 'TestSaveKilledMidWindowKeepsPreviousCheckpoint|TestLoadJoinsAllNodeErrors' ./internal/core
 
 # Randomized elastic-membership churn (preempt/drain/rejoin racing saves
 # and loads) under the race detector. Seeded and bounded; TESTFLAGS=-short

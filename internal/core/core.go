@@ -24,6 +24,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -180,8 +181,6 @@ type HostStore interface {
 	Alive(node int) bool
 	// Store copies a blob into a node's host memory.
 	Store(node int, key string, blob []byte) error
-	// Load reads a private copy of a blob from a node's host memory.
-	Load(node int, key string) ([]byte, error)
 	// Adopt stores the slice itself, without copying. A stored blob is
 	// immutable while it is stored: the caller never writes to it again and
 	// never recycles it through a buffer pool.
@@ -807,10 +806,11 @@ func (c *Checkpointer) CorruptChunkByte(node int) error {
 		return fmt.Errorf("core: node %d out of range [0, %d)", node, c.cfg.Topo.Nodes())
 	}
 	key := keySegment(c.lay.plan.ChunkOfNode[node], 0)
-	raw, err := c.clus.Load(node, key)
+	stored, err := c.clus.View(node, key)
 	if err != nil {
 		return fmt.Errorf("core: corrupt node %d: %w", node, err)
 	}
+	raw := bytes.Clone(stored) // a stored blob is never written
 	raw[len(raw)/2] ^= 0x01
 	return c.clus.Adopt(node, key, raw)
 }

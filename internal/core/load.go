@@ -212,7 +212,7 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 	// once they are done. Their bytes are stale: the landing writes every
 	// byte of each and reads none.
 	chunkSegs := rd.scan[node].segs
-	window := c.cfg.BufferSize // the checksum window
+	window := c.cfg.BufferSize // the coding and checksum window
 	if rebuild {
 		chunkSegs = make([][]byte, len(keys.segment[myChunk]))
 		for s := range chunkSegs {
@@ -234,8 +234,8 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 			defer rebuildWG.Done()
 			parts := make([][]byte, 0, c.cfg.K)
 			for s, tag := range tags.rebuild[myChunk] {
-				for lo := 0; lo < rd.packetBytes; lo += rd.bufSize {
-					hi := min(lo+rd.bufSize, rd.packetBytes)
+				for lo := 0; lo < rd.packetBytes; lo += window {
+					hi := min(lo+window, rd.packetBytes)
 					rebuildErr = c.landSlice(ctx, ep, chunkSegs[s][lo:hi], gp.decode[s].basis, cg, tag, parts)
 					if rebuildErr != nil {
 						return
@@ -256,8 +256,8 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 	for s := range gp.decode {
 		p := &gp.decode[s]
 		pos := slices.Index(p.basis, myChunk)
-		for lo := 0; pos != -1 && lo < rd.packetBytes; lo += rd.bufSize {
-			hi := min(lo+rd.bufSize, rd.packetBytes)
+		for lo := 0; pos != -1 && lo < rd.packetBytes; lo += window {
+			hi := min(lo+window, rd.packetBytes)
 			// Pooled, not zeroed: the column product fully overwrites each
 			// output. Ownership passes to the transport with SendOwned.
 			for row := range terms {
@@ -334,7 +334,7 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 		}
 	}
 	if rebuild {
-		if err := c.store(node, keyManifest(), manifestBlob(rd.version, rd.packetBytes, rd.bufSize)); err != nil {
+		if err := c.store(node, keyManifest(), manifestBlob(rd.version, rd.packetBytes, window)); err != nil {
 			return nil, err
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"os"
 	"time"
 
 	"eccheck/internal/cluster"
@@ -126,16 +127,18 @@ func (c *Checkpointer) WithSaveFence(ctx context.Context, node int, fn func() er
 }
 
 // stockSpares replaces node's spare stack with its chunk's blobs at the
-// committed shape, each cleared once so its pages are resident before a
-// repair runs (a fresh allocation is mapped, not paged in); nothing before a
-// first commit.
+// committed shape, each written once a page so its pages are resident before
+// a repair runs (a fresh allocation is mapped, not paged in; the repair
+// writes every byte); nothing before a first commit.
 func (c *Checkpointer) stockSpares(node int) {
 	var stock [][]byte
 	if c.version.Load() > 0 {
-		size := cluster.FramedLen(int(c.packet.Load()), c.cfg.BufferSize)
+		size, page := cluster.FramedLen(int(c.packet.Load()), c.cfg.BufferSize), os.Getpagesize()
 		for range c.lay.plan.Span() {
 			blob := make([]byte, size)
-			clear(blob)
+			for i := 0; i < size; i += page {
+				blob[i] = 0
+			}
 			retire(blob)
 			stock = append(stock, blob)
 		}

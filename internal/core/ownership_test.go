@@ -531,6 +531,52 @@ func TestSteadyStateSaveAllocatesNoSegments(t *testing.T) {
 	}
 }
 
+// TestSteadyStateSaveMallocs counts the heap allocations of a steady-state
+// full save, on TestSteadyStateSaveAllocatesNoSegments's set-up (one P, no
+// collections, no race detector), and holds each shape to a pinned count:
+// the per-round bookkeeping — fold table, ledger, streams, goroutines — is
+// sized from the plan, so a change that adds a per-window or per-message
+// allocation shows here. Each limit is the count measured on linux/amd64
+// (go1.24) plus 10 %.
+func TestSteadyStateSaveMallocs(t *testing.T) {
+	var probe [1]byte
+	if retire(probe[:]); probe[0] != 0 {
+		t.Skip("the race detector drops pooled buffers at random: allocation is not a function of the code under test")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx := context.Background()
+	for _, shape := range []struct {
+		name              string
+		nodes, gpus, k, m int
+		measured          uint64
+	}{
+		{"16x1 k8m8", 16, 1, 8, 8, 2541},
+		{"4x2 k2m2", 4, 2, 2, 2, 540},
+		{"8x2 k4m4", 8, 2, 4, 4, 1199},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			rig := newRig(t, shape.nodes, shape.gpus, shape.k, shape.m, noRemote)
+			var most uint64
+			for round := 1; round <= 6; round++ {
+				dicts := stampVersion(rig.dicts, round)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if _, err := rig.ckpt.Save(ctx, dicts); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				if round > 2 { // two rounds fill the spare stacks and the pool
+					most = max(most, after.Mallocs-before.Mallocs)
+				}
+			}
+			if limit := shape.measured + shape.measured/10; most > limit {
+				t.Errorf("a steady full save made %d heap allocations, want <= %d (measured: %d)", most, limit, shape.measured)
+			}
+		})
+	}
+}
+
 // TestInPlacePacketsTakeNoPooledPacket: a rank whose packet is kept on its
 // own node — as its data segment, or as its own-packet cache under
 // IncrementalCache — is packed straight into that host blob and takes no

@@ -118,9 +118,10 @@ func (c *Checkpointer) serveDirect(rd *restoreRound) error {
 // the chunks whose packet at that index is being decoded. A candidate that
 // fails anyway (lost since the scan) is skipped in favor of the next, and
 // only the k · segment bytes the caller needs are read. Each packet is
-// decoded one bufSize slice at a time — the coding region is the buffer slice
-// the save encoded (the manifest records its size), so decoding the packet as
-// a single region yields garbage for any non-unit coefficient.
+// decoded one Config.BufferSize window at a time — the coding region is the
+// buffer window the save encoded (the scan lost every manifest that records
+// another), so decoding the packet as a single region yields garbage for any
+// non-unit coefficient.
 //
 // The bases are picked unverified and each basis window is checked against
 // its sum just before it is decoded from, while it is cache-hot. Only if one
@@ -144,9 +145,7 @@ func (c *Checkpointer) decodeLost(rd *restoreRound, packets [][]byte) ([]bool, e
 		slices.Sort(gp.missing)
 		gp.missing = slices.Compact(gp.missing)
 	}
-	// A checksum window is a coding window unless the manifest says
-	// otherwise; then every basis is verified whole.
-	err := c.decodeFrom(rd, packets, decoded, rd.bufSize != c.cfg.BufferSize)
+	err := c.decodeFrom(rd, packets, decoded, false)
 	if errors.Is(err, cluster.ErrChecksum) {
 		for i, d := range decoded {
 			if d && packets[i] != nil {
@@ -221,11 +220,12 @@ func (c *Checkpointer) decodeFrom(rd *restoreRound, packets [][]byte, decoded []
 		packets[i] = out
 		// The pooled packet holds stale bytes: the first basis term of each
 		// window overwrites them, and the others accumulate onto it in place.
-		for lo := 0; lo < rd.packetBytes; lo += rd.bufSize {
-			hi := min(lo+rd.bufSize, rd.packetBytes)
+		bufSize := c.cfg.BufferSize
+		for lo := 0; lo < rd.packetBytes; lo += bufSize {
+			hi := min(lo+bufSize, rd.packetBytes)
 			for pos := range p.basis {
 				if !whole {
-					if err := cluster.VerifyWindow(basis[pos], basisSums[pos], rd.bufSize, lo/rd.bufSize); err != nil {
+					if err := cluster.VerifyWindow(basis[pos], basisSums[pos], bufSize, lo/bufSize); err != nil {
 						return err
 					}
 				}

@@ -56,8 +56,8 @@ const (
 // goroutine of the round. The plan fields are fixed before anything executes.
 type restoreRound struct {
 	// The round's version is the checkpoint version it restores once the
-	// scan settles on one (the request's until then), with packetBytes and
-	// the buffer size it was encoded with below.
+	// scan settles on one (the request's until then), with packetBytes
+	// below.
 	*round
 	req  restoreReq
 	tags *tagTable // set on rounds that move bytes between nodes
@@ -68,10 +68,8 @@ type restoreRound struct {
 	fetched, corrupt atomic.Int64
 
 	scan []nodeScan
-	// packetBytes and bufSize are the packet size of the round's version and
-	// the buffer size it was encoded with — decode must slice packets
-	// identically because the coding region is the buffer slice.
-	packetBytes, bufSize int
+	// packetBytes is the packet size of the round's version.
+	packetBytes int
 	// groups is the plan, code group by code group; a group the request does
 	// not touch (no wanted rank, no repaired node) is left unplanned.
 	groups []groupPlan
@@ -306,7 +304,7 @@ type nodeScan struct {
 	deep                          bool
 	corrupt                       bool  // at least one checksum mismatch on this node
 	lost                          error // first manifest or segment read that failed otherwise
-	version, packet, bufSize      int
+	version, packet               int
 	// segs are the node's verified chunk segments: borrowed views of host
 	// memory, read-only. The round serves an intact chunk from them, so each
 	// segment is checksummed once per round and the round reads the bytes
@@ -325,8 +323,10 @@ func (st *nodeScan) holds(version int) bool {
 // blob is read through its checksum. A silently corrupted blob is
 // indistinguishable from a lost one, so corruption is folded into the erasure
 // model — the chunk counts as missing and is rebuilt through the code; so is
-// a manifest that does not parse. The scan reads through borrowed views: no
-// blob is copied, and what it allocates is O(keys), not O(bytes).
+// a manifest that does not parse, or that records another coding window than
+// Config.BufferSize (every blob's checksum footer is framed at that window,
+// so such a checkpoint can only be misread). The scan reads through borrowed
+// views: no blob is copied, and what it allocates is O(keys), not O(bytes).
 func (c *Checkpointer) scanNodes(rd *restoreRound, nodes []int, deep bool) {
 	keys := &c.lay.keys
 	var wg sync.WaitGroup
@@ -354,13 +354,15 @@ func (c *Checkpointer) scanNodes(rd *restoreRound, nodes []int, deep bool) {
 				if !ok {
 					return // no usable manifest: the node's checkpoint is lost
 				}
+				var bufSize int
 				var err error
-				if st.version, st.packet, st.bufSize, err = parseManifest(blob); err != nil {
+				st.version, st.packet, bufSize, err = parseManifest(blob)
+				if err == nil && bufSize != c.cfg.BufferSize {
+					err = fmt.Errorf("core: manifest records %d-byte coding windows, not %d", bufSize, c.cfg.BufferSize)
+				}
+				if err != nil {
 					st.lost = err
 					return
-				}
-				if st.bufSize <= 0 {
-					st.bufSize = c.cfg.BufferSize
 				}
 				st.manifestOK, st.chunkOK, st.smallsOK = true, true, true
 				return
@@ -402,7 +404,7 @@ func (c *Checkpointer) plan(rd *restoreRound) error {
 	rd.version = 0
 	for i := range rd.scan {
 		if st := &rd.scan[i]; st.manifestOK && st.chunkOK && st.version > rd.version {
-			rd.version, rd.packetBytes, rd.bufSize = st.version, st.packet, st.bufSize
+			rd.version, rd.packetBytes = st.version, st.packet
 		}
 	}
 	if rd.version == 0 {

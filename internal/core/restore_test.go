@@ -621,6 +621,69 @@ func TestLoadPartialDecodesPerBufferSlice(t *testing.T) {
 	}
 }
 
+// TestManifestOfAnotherWindowIsAnErasure: every blob's checksum footer is
+// framed at Config.BufferSize, and so is every coding window, so a manifest
+// that records another window describes a checkpoint this checkpointer can
+// only misread. Node 0's manifest is restaged, with a valid checksum, at
+// twice the window, and other data machines are replaced: VerifyIntegrity
+// names node 0 unreadable, and Load treats its chunk as lost — decoding
+// around it, byte for byte, and rebuilding it — after which VerifyIntegrity
+// finds nothing.
+func TestManifestOfAnotherWindowIsAnErasure(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		nodes, gpus, k, m int
+		lose              int // other data machines replaced before the restore
+	}{
+		{"k4m4 8x1, two more data machines", 8, 1, 4, 4, 2},
+		{"k2m2 4x2", 4, 2, 2, 2, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rig := newRig(t, tc.nodes, tc.gpus, tc.k, tc.m)
+			ctx := context.Background()
+			rep, err := rig.ckpt.Save(ctx, rig.dicts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, window := rig.ckpt.lay.plan, rig.ckpt.cfg.BufferSize
+			if rep.PacketBytes <= 2*window {
+				t.Fatalf("packet of %d bytes fits two %d-byte windows: the windows cannot be told apart", rep.PacketBytes, window)
+			}
+			if plan.DataNodes[0] != 0 {
+				t.Fatalf("node 0 stores chunk %d, not a data chunk", plan.ChunkOfNode[0])
+			}
+			if err := rig.ckpt.store(0, keyManifest(), manifestBlob(rep.Version, rep.PacketBytes, 2*window)); err != nil {
+				t.Fatal(err)
+			}
+			wantMissing := []int{plan.ChunkOfNode[0]}
+			for _, victim := range plan.DataNodes[1 : 1+tc.lose] {
+				if err := rig.clus.Fail(victim); err != nil {
+					t.Fatal(err)
+				}
+				if err := rig.clus.Replace(victim); err != nil {
+					t.Fatal(err)
+				}
+				wantMissing = append(wantMissing, plan.ChunkOfNode[victim])
+			}
+			if _, err := rig.ckpt.VerifyIntegrity(); err == nil || !strings.Contains(err.Error(), "node 0 checkpoint unreadable") {
+				t.Errorf("VerifyIntegrity before the load = %v, want node 0 named unreadable", err)
+			}
+			got, lrep, err := rig.ckpt.Load(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.Sort(wantMissing)
+			if !slices.Equal(lrep.MissingChunks, wantMissing) {
+				t.Errorf("load rebuilt chunks %v, want %v", lrep.MissingChunks, wantMissing)
+			}
+			dictsEqual(t, rig.dicts, got)
+			if vrep, err := rig.ckpt.VerifyIntegrity(); err != nil || len(vrep.CorruptSegments) != 0 {
+				t.Errorf("VerifyIntegrity after the load = %+v, %v; want a clean checkpoint", vrep, err)
+			}
+		})
+	}
+}
+
 // TestLoadPartialSkipsABasisWindowThatFailsItsSum: a partial decode reads
 // its basis segments unverified and checks each window against its sum just
 // before it decodes from it. A flipped byte in one window of a basis segment,

@@ -335,8 +335,9 @@ func (c *Checkpointer) spareBlob(node int, blob []byte) {
 }
 
 // manifestBlob encodes the per-node checkpoint manifest. The buffer size
-// is recorded because it defines the coding-region layout: decode and
-// verification must slice packets exactly as the encode did.
+// is recorded because it defines the coding-region layout: the restore scan
+// treats a manifest of another window than Config.BufferSize as lost, so
+// decode and verification slice packets exactly as the encode did.
 func manifestBlob(version, packetBytes, bufferSize int) []byte {
 	out := make([]byte, 0, 3*binary.MaxVarintLen64)
 	out = binary.AppendUvarint(out, uint64(version))
@@ -357,18 +358,16 @@ func parseManifest(blob []byte) (version, packetBytes, bufferSize int, err error
 	return f[0], f[1], f[2], nil
 }
 
-// reduceKey identifies one buffer of one XOR reduction (by index into the
-// plan's reductions).
-type reduceKey struct{ ri, buf int }
-
-// reduceState accumulates one node's share of one reduction buffer: its
+// fold accumulates one node's share of one reduction window: its shipping
 // local workers' contributions, plus at the reduction's root one folded
-// partial per other source machine. The first contribution is
-// adopted as the accumulator (the pool hands every contributor an
-// exclusively owned buffer, so taking it is free); later contributions are
-// XOR-folded in and recycled. Each state has its own lock so reductions for
-// different (reduction, buffer) keys fold concurrently.
-type reduceState struct {
+// partial per other source machine that ships the window. remaining is
+// filled from the ship-sets before the pipeline starts, so a fold the node
+// owes nothing starts (and stays) at zero with no accumulator. The first
+// contribution is adopted as the accumulator (the pool hands every
+// contributor an exclusively owned buffer, so taking it is free); later
+// contributions are XOR-folded in and recycled. Each fold has its own lock:
+// the encode loop and the partial receivers fold into one window at once.
+type fold struct {
 	mu        sync.Mutex
 	acc       []byte
 	remaining int
@@ -657,22 +656,25 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 			landIn = append(landIn, inbound{from: srcNode, tag: tags.data[w], ship: shipOf(w), seg: plan.SegmentOf[w]})
 		}
 	}
-	// owed counts the contributions this node folds for window b of
-	// reduction ri: its shipping local workers plus, at the root, the other
-	// source machines that ship the window.
-	owed := func(ri, b int) int {
-		n := 0
-		for _, w := range routes[ri].workersOf[node] {
-			if shipOf(w).has(b) {
-				n++
+	// The fold table, by reduction then window: each fold counts the
+	// contributions this node owes it, its shipping local workers plus, at
+	// the root, the other source machines that ship the window.
+	folds := make([]fold, len(routes)*numBuffers)
+	foldOf := func(ri, b int) *fold { return &folds[ri*numBuffers+b] }
+	for ri := range routes {
+		for b := 0; b < numBuffers; b++ {
+			f := foldOf(ri, b)
+			for _, w := range routes[ri].workersOf[node] {
+				if shipOf(w).has(b) {
+					f.remaining++
+				}
+			}
+			for _, in := range partialIn[ri] {
+				if in.ship.has(b) {
+					f.remaining++
+				}
 			}
 		}
-		for _, in := range partialIn[ri] {
-			if in.ship.has(b) {
-				n++
-			}
-		}
-		return n
 	}
 
 	// The buffer window is this node's per-buffer delivery ledger and credit
@@ -683,7 +685,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 	win := newBufWindow(numBuffers, pipelineDepth, func(b int) int {
 		n := 1
 		for ri := range routes {
-			if owed(ri, b) > 0 {
+			if foldOf(ri, b).remaining > 0 {
 				n++
 			}
 		}
@@ -713,12 +715,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 		cluster.SealWindows(chunkSegs[seg], bufSize, lo, hi)
 	}
 
-	// Fold state for reductions this node participates in.
-	var (
-		accMu   sync.Mutex
-		accs    = map[reduceKey]*reduceState{}
-		cursors = make([]foldCursor, len(routes))
-	)
+	cursors := make([]foldCursor, len(routes))
 	// recvXorNs accumulates XOR-reduce time spent on receiver goroutines;
 	// it overlaps the main goroutine's barrier wait and is re-attributed
 	// from "barrier" to "xor" at the end of the round.
@@ -785,45 +782,40 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 	// emit hands reduction ri's completed folds on, in buffer order: the
 	// streams they feed are matched to buffers by position. Folds complete
 	// in buffer order only when every contributor ships every window, so a
-	// fold that completes ahead of an earlier owed one waits in accs until
-	// that one has gone. At the root the parity bytes land in the local
-	// chunk when this node stores the parity chunk, or ship to the parity
-	// node; every other source machine sends its partial to the root, and
-	// the delivery lands once the send goes through. Ownership of the
-	// accumulator leaves the fold state here.
+	// fold that completes ahead of an earlier owed one waits in the table
+	// until that one has gone. At the root the parity bytes land in the
+	// local chunk when this node stores the parity chunk, or ship to the
+	// parity node; every other source machine sends its partial to the
+	// root, and the delivery lands once the send goes through. Ownership of
+	// the accumulator leaves the table here.
 	emit := func(ri int) {
 		rt, r, cur := &routes[ri], &reds[ri], &cursors[ri]
 		cur.mu.Lock()
 		defer cur.mu.Unlock()
 		for ; cur.next < numBuffers; cur.next++ {
-			if owed(ri, cur.next) == 0 {
-				continue
-			}
-			k := reduceKey{ri: ri, buf: cur.next}
-			accMu.Lock()
-			st, done := accs[k], false
-			if st != nil {
-				st.mu.Lock()
-				done = st.remaining == 0
-				st.mu.Unlock()
-			}
+			b, f := cur.next, foldOf(ri, cur.next)
+			f.mu.Lock()
+			acc, done := f.acc, f.remaining == 0
 			if done {
-				delete(accs, k)
+				f.acc = nil
 			}
-			accMu.Unlock()
+			f.mu.Unlock()
 			if !done {
 				return
 			}
+			if acc == nil {
+				continue // the node owes this window nothing
+			}
 			switch dstNode := plan.ChunkOwner(cg, c.cfg.K+r.ParityIndex); {
 			case rt.targetNode != node:
-				sendQueue <- outMsg{dstNode: rt.targetNode, tag: xorTags[ri], payload: st.acc, pooled: true, land: k.buf}
+				sendQueue <- outMsg{dstNode: rt.targetNode, tag: xorTags[ri], payload: acc, pooled: true, land: b}
 			case dstNode != node:
-				sendQueue <- outMsg{dstNode: dstNode, tag: parityTags[ri], payload: st.acc, pooled: true, land: k.buf}
+				sendQueue <- outMsg{dstNode: dstNode, tag: parityTags[ri], payload: acc, pooled: true, land: b}
 			default:
-				lo, _ := sliceBounds(k.buf)
-				landRange(r.Group, lo, st.acc)
-				c.buf.Put(st.acc)
-				win.landOne(k.buf)
+				lo, _ := sliceBounds(b)
+				landRange(r.Group, lo, acc)
+				c.buf.Put(acc)
+				win.landOne(b)
 			}
 		}
 	}
@@ -841,29 +833,22 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 		if timeXor {
 			xorStart = time.Now()
 		}
-		k := reduceKey{ri: ri, buf: b}
-		accMu.Lock()
-		st, ok := accs[k]
-		if !ok {
-			st = &reduceState{remaining: owed(ri, b)}
-			accs[k] = st
-		}
-		accMu.Unlock()
-		st.mu.Lock()
-		if st.acc == nil {
-			st.acc = contribution
+		f := foldOf(ri, b)
+		f.mu.Lock()
+		if f.acc == nil {
+			f.acc = contribution
 		} else {
-			err := xorInto(st.acc, contribution)
+			err := xorInto(f.acc, contribution)
 			c.buf.Put(contribution)
 			if err != nil {
-				st.mu.Unlock()
+				f.mu.Unlock()
 				fail(err)
 				return
 			}
 		}
-		st.remaining--
-		done := st.remaining == 0
-		st.mu.Unlock()
+		f.remaining--
+		done := f.remaining == 0
+		f.mu.Unlock()
 		if timeXor {
 			recvXorNs.Add(time.Since(xorStart).Nanoseconds())
 		}

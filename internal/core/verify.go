@@ -54,7 +54,7 @@ func (c *Checkpointer) VerifyIntegrity() (*VerifyReport, error) {
 			return nil, fmt.Errorf("core: node %d has %d-byte packets, expected %d", node, st.packet, first.packet)
 		}
 	}
-	packetBytes, bufSize := first.packet, first.bufSize
+	packetBytes, bufSize := first.packet, c.cfg.BufferSize
 
 	report := &VerifyReport{Version: first.version}
 	plan, span, k := c.lay.plan, c.lay.plan.Span(), c.cfg.K

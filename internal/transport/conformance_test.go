@@ -3,6 +3,7 @@ package transport_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -33,6 +34,9 @@ import (
 //	counts  the transport_* send and receive counters read exactly what was
 //	        sent, owned sends included, and a flight recorder holds one send
 //	        event per send and one recv event per receive with those bytes
+//	cancelled  on a context that is already cancelled, Send, SendOwned and
+//	        Recv fail, even with a frame ready in the mailbox, and leave the
+//	        stream as it was
 func TestTransportConformance(t *testing.T) {
 	transports := []struct {
 		name string
@@ -102,52 +106,114 @@ func TestTransportConformance(t *testing.T) {
 						sent[from].add(tr)
 					}
 				})
-				if reg == nil {
-					return
+				if reg != nil {
+					t.Run("counts", func(t *testing.T) { counted(t, reg, rec, sent, dest) })
 				}
-				snap := reg.Snapshot()
-				counted := func(name, bytesName string, node, peer int) traffic {
-					labels := []obs.Label{obs.L("node", strconv.Itoa(node)), obs.L("peer", strconv.Itoa(peer))}
-					msgs, _ := snap.Counter(name, labels...)
-					vol, _ := snap.Counter(bytesName, labels...)
-					return traffic{msgs, vol}
-				}
-				for from, want := range sent[:dest] {
-					if got := counted("transport_sends_total", "transport_send_bytes_total", from, dest); got != want {
-						t.Errorf("send counters of %d -> %d read %+v, the test sent %+v", from, dest, got, want)
-					}
-					if got := counted("transport_recvs_total", "transport_recv_bytes_total", dest, from); got != want {
-						t.Errorf("recv counters of %d <- %d read %+v, the test sent %+v", dest, from, got, want)
-					}
-				}
-				if rec == nil {
-					return
-				}
-				events := map[flight.EventType][]traffic{flight.EvSend: make([]traffic, size), flight.EvRecv: make([]traffic, size)}
-				for _, ev := range rec.Snapshot() {
-					by, ok := events[ev.Type]
-					if !ok {
-						continue
-					}
-					if ev.Err != "" {
-						t.Errorf("%s event %d -> %d %q failed: %s", ev.Type, ev.Node, ev.Peer, ev.Tag, ev.Err)
-					}
-					from := ev.Node
-					if ev.Type == flight.EvRecv {
-						from = ev.Peer
-					}
-					by[from].add(traffic{1, ev.Bytes})
-				}
-				for ty, by := range events {
-					for from, want := range sent {
-						if got := by[from]; got != want {
-							t.Errorf("%s events from %d read %+v, the test sent %+v", ty, from, got, want)
-						}
-					}
-				}
+				t.Run("cancelled", func(t *testing.T) { cancelled(t, ctx, eps[0], eps[dest]) })
 			})
 		}
 	}
+}
+
+// counted holds the transport_* counters of reg to what each sender sent to
+// dest and, when rec is set, the flight recorder to one send event per send
+// and one recv event per receive with those bytes.
+func counted(t *testing.T, reg *obs.Registry, rec *flight.Recorder, sent []traffic, dest int) {
+	snap := reg.Snapshot()
+	read := func(name, bytesName string, node, peer int) traffic {
+		labels := []obs.Label{obs.L("node", strconv.Itoa(node)), obs.L("peer", strconv.Itoa(peer))}
+		msgs, _ := snap.Counter(name, labels...)
+		vol, _ := snap.Counter(bytesName, labels...)
+		return traffic{msgs, vol}
+	}
+	for from, want := range sent[:dest] {
+		if got := read("transport_sends_total", "transport_send_bytes_total", from, dest); got != want {
+			t.Errorf("send counters of %d -> %d read %+v, the test sent %+v", from, dest, got, want)
+		}
+		if got := read("transport_recvs_total", "transport_recv_bytes_total", dest, from); got != want {
+			t.Errorf("recv counters of %d <- %d read %+v, the test sent %+v", dest, from, got, want)
+		}
+	}
+	if rec == nil {
+		return
+	}
+	events := map[flight.EventType][]traffic{flight.EvSend: make([]traffic, len(sent)), flight.EvRecv: make([]traffic, len(sent))}
+	for _, ev := range rec.Snapshot() {
+		by, ok := events[ev.Type]
+		if !ok {
+			continue
+		}
+		if ev.Err != "" {
+			t.Errorf("%s event %d -> %d %q failed: %s", ev.Type, ev.Node, ev.Peer, ev.Tag, ev.Err)
+		}
+		from := ev.Node
+		if ev.Type == flight.EvRecv {
+			from = ev.Peer
+		}
+		by[from].add(traffic{1, ev.Bytes})
+	}
+	for ty, by := range events {
+		for from, want := range sent {
+			if got := by[from]; got != want {
+				t.Errorf("%s events from %d read %+v, the test sent %+v", ty, from, got, want)
+			}
+		}
+	}
+}
+
+// cancelled readies a frame in a stream's mailbox and then, many times over,
+// calls Recv, Send and SendOwned on that stream with a cancelled context:
+// each must fail with context.Canceled, every time, where a select between
+// the ready mailbox and ctx.Done would succeed about half the time. The ready
+// frame is still the stream's next afterwards, and nothing the failed sends
+// carried arrives behind it.
+func cancelled(t *testing.T, ctx context.Context, src, dst transport.Endpoint) {
+	const tag, trials = "cancelled", 64
+	to, from := dst.Rank(), src.Rank()
+	expect := func(want string) {
+		t.Helper()
+		got, err := dst.Recv(ctx, from, tag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Fatalf("stream holds %q next, want %q", got, want)
+		}
+		bufpool.Put(got)
+	}
+	// A TCP frame reaches its mailbox on the connection's reader goroutine,
+	// in connection order: the ready frame is boxed once a later frame on
+	// another stream has arrived.
+	for _, frame := range [][2]string{{tag, "ready"}, {"cancelled/after", "after"}} {
+		if err := src.Send(ctx, to, frame[0], []byte(frame[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := dst.Recv(ctx, from, "cancelled/after"); err != nil {
+		t.Fatal(err)
+	} else {
+		bufpool.Put(got)
+	}
+	dead, cancel := context.WithCancel(ctx)
+	cancel()
+	for i := 0; i < trials; i++ {
+		if got, err := dst.Recv(dead, from, tag); !errors.Is(err, context.Canceled) {
+			t.Fatalf("trial %d: Recv on a cancelled context returned %q, %v; want context.Canceled", i, got, err)
+		}
+		if err := src.Send(dead, to, tag, []byte("sent")); !errors.Is(err, context.Canceled) {
+			t.Fatalf("trial %d: Send on a cancelled context returned %v; want context.Canceled", i, err)
+		}
+		payload := bufpool.Get(5)
+		copy(payload, "owned")
+		if err := transport.SendOwned(dead, src, to, tag, payload); !errors.Is(err, context.Canceled) {
+			t.Fatalf("trial %d: SendOwned on a cancelled context returned %v; want context.Canceled", i, err)
+		}
+	}
+	expect("ready")
+	if err := src.Send(ctx, to, tag, []byte("last")); err != nil {
+		t.Fatal(err)
+	}
+	expect("last")
 }
 
 // traffic is what one sender put on the network.

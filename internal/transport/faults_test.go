@@ -159,7 +159,7 @@ func TestMemoryCloseUnblocksInFlightSendWithErrPeerGone(t *testing.T) {
 			}
 		}
 	}()
-	box, _ := n.(*memNetwork).box(mailboxKey{from: 0, to: 1, tag: "full"})
+	box, _ := n.(*memNetwork).box(context.Background(), mailboxKey{from: 0, to: 1, tag: "full"})
 	waitUntil(t, "a full mailbox", func() bool { return len(box) == cap(box) && cap(box) == 256 })
 	if err := n.Close(); err != nil {
 		t.Fatal(err)

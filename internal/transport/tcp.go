@@ -352,7 +352,7 @@ func (e *TCPEndpoint) dialRetry(ctx context.Context, to int, addr string) (net.C
 // the connection — a partial frame poisons the stream — and the next send
 // redials.
 func (e *TCPEndpoint) Send(ctx context.Context, to int, tag string, payload []byte) error {
-	if err := ctx.Err(); err != nil {
+	if err := cancelled(ctx); err != nil {
 		return fmt.Errorf("transport: send to %d: %w", to, err)
 	}
 	if len(tag) > maxTagLen {
@@ -397,6 +397,9 @@ func (e *TCPEndpoint) Send(ctx context.Context, to int, tag string, payload []by
 
 // Recv blocks until a frame from the peer with the tag arrives.
 func (e *TCPEndpoint) Recv(ctx context.Context, from int, tag string) ([]byte, error) {
+	if err := cancelled(ctx); err != nil {
+		return nil, fmt.Errorf("transport: recv from %d tag %q: %w", from, tag, err)
+	}
 	ch := e.box(from, tag)
 	tm, timeout := opTimer(ctx)
 	defer putOpTimer(tm)

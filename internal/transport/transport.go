@@ -70,6 +70,19 @@ func opTimer(ctx context.Context) (*time.Timer, <-chan time.Time) {
 	return t, t.C
 }
 
+// cancelled returns the context's error once it is done. An operation on a
+// done context fails on it before it touches a mailbox: a select between a
+// ready mailbox and ctx.Done picks either at random. It reads Done, not Err,
+// which takes a lock on a cancelable context.
+func cancelled(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
+		return nil
+	}
+}
+
 // putOpTimer disarms and recycles a timer from opTimer; nil is a no-op.
 func putOpTimer(t *time.Timer) {
 	if t == nil {
@@ -200,12 +213,16 @@ func (n *memNetwork) Close() error {
 	return nil
 }
 
-// box returns (creating if needed) the channel for a stream. The buffer is
-// deep enough that a full checkpoint round never deadlocks on unmatched
-// sends. After Close the map is frozen: returning ErrPeerGone instead of
-// creating a fresh mailbox closes the race where a send racing Close would
-// enqueue into a channel nobody can ever drain.
-func (n *memNetwork) box(k mailboxKey) (chan []byte, error) {
+// box returns (creating if needed) the channel for a stream, or the error of
+// a context that is already done. The buffer is deep enough that a full
+// checkpoint round never deadlocks on unmatched sends. After Close the map is
+// frozen: returning ErrPeerGone instead of creating a fresh mailbox closes the
+// race where a send racing Close would enqueue into a channel nobody can ever
+// drain.
+func (n *memNetwork) box(ctx context.Context, k mailboxKey) (chan []byte, error) {
+	if err := cancelled(ctx); err != nil {
+		return nil, err
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	select {
@@ -250,7 +267,7 @@ func (e *memEndpoint) deliver(ctx context.Context, to int, tag string, payload [
 		release(payload)
 		return fmt.Errorf("transport: send to node %d out of range [0, %d)", to, e.net.size)
 	}
-	ch, err := e.net.box(mailboxKey{from: e.rank, to: to, tag: tag})
+	ch, err := e.net.box(ctx, mailboxKey{from: e.rank, to: to, tag: tag})
 	if err != nil {
 		release(payload)
 		return fmt.Errorf("transport: send to %d tag %q: %w", to, tag, err)
@@ -277,7 +294,7 @@ func (e *memEndpoint) Recv(ctx context.Context, from int, tag string) ([]byte, e
 	if from < 0 || from >= e.net.size {
 		return nil, fmt.Errorf("transport: recv from node %d out of range [0, %d)", from, e.net.size)
 	}
-	ch, err := e.net.box(mailboxKey{from: from, to: e.rank, tag: tag})
+	ch, err := e.net.box(ctx, mailboxKey{from: from, to: e.rank, tag: tag})
 	if err != nil {
 		return nil, fmt.Errorf("transport: recv from %d tag %q: %w", from, tag, err)
 	}
