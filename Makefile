@@ -86,7 +86,7 @@ crash-sweep:
 # real round and a blob whose metadata length prefix overruns it, the remote catalog's key parser behind LoadFromRemote's discovery
 # (held to remoteKey and a grammar model) and the discovery itself on
 # arbitrary catalogs of keys, stray names and torn versions (held to a model:
-# the newest version with every rank present, never a torn one), the
+# every version with every rank present, newest first, never a torn one), the
 # per-window checksum footer of every host-memory blob, the metadata and
 # tensor-keys blobs on their own,
 # seeded from a real decomposition, and the serialized rank blob
@@ -145,7 +145,9 @@ doclint:
 # buffer, and the round's pooled count is exact. A steady full save's heap
 # allocations are counted too: on 16x1 8+8, 4x2 2+2 and 8x2 4+4 they stay
 # within 10 % of a pinned count (TestSteadyStateSaveMallocs), so per-window
-# or per-message bookkeeping that creeps back fails here.
+# or per-message bookkeeping that creeps back fails here. The pinned counts,
+# 2276 / 519 / 1063, are those of the root-only fold: a machine folds only
+# the reductions it roots, and sends every other product as its partial.
 # The TCP data path is gated the same way: a steady-state 1 MiB Send + Recv
 # allocates under 1 KiB and takes one pooled buffer, the receiver's payload.
 # On the memory transport a steady-state 1 MiB SendOwned + Recv takes no

@@ -404,13 +404,14 @@ func (c *Checkpointer) drainSave(ctx context.Context, r *round, snaps []*nodeSna
 // checkpoint in host memory and writes it to the remote tier — the packet
 // out of the worker's data chunk segment, the small components off the first
 // node of the worker's code group (every node holds its group's broadcast set
-// after a commit) — then garbage-collects the persisted versions beyond the
-// retention bound. It reports whether the version is persisted. A failure is
-// the tier's, not the round's: the ranks the attempt wrote are deleted, so no
-// torn copy of the version stays behind, and it is logged and counted in
-// remote_persist_failures_total.
+// after a commit) — then keeps the remoteRetain newest complete versions of
+// the catalog and deletes every key of an older one: a version whose persist
+// failed is no gap in the count. It reports whether the version is
+// persisted. A failure is the tier's, not the round's: the ranks the attempt
+// wrote are deleted, so no torn copy of the version stays behind, and it is
+// logged and counted in remote_persist_failures_total.
 func (c *Checkpointer) persist(ctx context.Context, r *round, packetBytes int) bool {
-	lay, version, every := c.lay, r.version, c.cfg.RemotePersistEvery
+	lay, version := c.lay, r.version
 	put := func(rank int) error {
 		cg, j := lay.plan.GroupOfRank(rank), lay.plan.DataGroupOf[rank]
 		packet, err := c.fetch(lay.plan.ChunkOwner(cg, j), lay.keys.segment[j][lay.plan.SegmentOf[rank]])
@@ -447,12 +448,12 @@ func (c *Checkpointer) persist(ctx context.Context, r *round, packetBytes int) b
 			return false
 		}
 	}
-	for v := version - remoteRetain*every; v > 0; v -= every {
-		if !c.remote.Has(remoteKey(v, 0)) {
-			break
-		}
-		for rank := 0; rank < c.cfg.Topo.World(); rank++ {
-			c.remote.Delete(remoteKey(v, rank))
+	keys := c.remote.Keys(remoteKeyPrefix)
+	if kept := remoteVersions(keys, c.cfg.Topo.World()); len(kept) > remoteRetain {
+		for _, key := range keys {
+			if v, _, ok := parseRemoteKey(key); ok && v < kept[remoteRetain-1] {
+				c.remote.Delete(key)
+			}
 		}
 	}
 	return true

@@ -80,7 +80,8 @@ const (
 	DefaultOpTimeout = 60 * time.Second
 	// remoteRetain is how many persisted checkpoint versions stay in remote
 	// storage: the newest, and the one before it for a reader that started
-	// before the newest landed. Older ones are deleted after each persist.
+	// before the newest landed, counted over the complete versions of the
+	// catalog. Older ones are deleted after each persist.
 	remoteRetain = 2
 )
 
@@ -217,7 +218,7 @@ type Checkpointer struct {
 	// (op, node, phase); nil when metrics are off.
 	phaseHist map[string][]map[string]*obs.Histogram
 
-	// lay is the placement layout (plan, key table, reduction routing),
+	// lay is the placement layout (plan, key table, save streams),
 	// compiled in New and never replaced.
 	lay *layout
 
@@ -277,14 +278,13 @@ type Checkpointer struct {
 }
 
 // layout bundles a compiled placement plan with its derived key table and
-// reduction routing.
+// the save round's streams.
 type layout struct {
 	plan *placement.Plan
 	keys keyTable
-	// routes holds the per-reduction routing (root machine, source machines
-	// and per-node worker index), index-aligned with plan.Reductions.
+	// streams holds, by machine, what its save round sends and receives.
 	// Compiled once per layout so the per-round drain does only lookups.
-	routes []reduceRoute
+	streams []saveStreams
 	// encode holds, by data group j, the generator's parity column
 	// E[k..k+m-1][j] compiled into one schedule (erasure.Code.Column): a
 	// worker's window times its m coefficients, output i feeding parity
@@ -292,42 +292,83 @@ type layout struct {
 	encode []*bitmatrix.Schedule
 }
 
-// reduceRoute is the compiled routing of one XOR reduction: which machine
-// roots it, which machines host its workers, and each machine's local
-// workers. Every source machine other than the root sends its one partial
-// per window straight to the root, which folds one stream per source.
-type reduceRoute struct {
-	targetNode int
-	// sources are the machines hosting the reduction's workers, in rank
-	// order of their first worker; workersOf maps each to the reduction's
-	// workers it hosts, in rank order.
-	sources   []int
-	workersOf map[int][]int
+// saveStreams is one machine's share of a save round's step 3, fixed by the
+// plan. No two workers of a reduction share a machine (a reduction's workers
+// are a span apart, and the span exceeds the GPUs per machine), so a
+// machine's partial for a reduction is its one worker's column product:
+// only the reduction's root folds.
+type saveStreams struct {
+	// products[i·M+pi] routes the column product for parity index pi of the
+	// machine's i-th local worker.
+	products []product
+	// roots are the reductions this machine roots.
+	roots []rootReduction
+	// land are the parity and data streams that land in this machine's
+	// chunk.
+	land []inStream
 }
 
-// newLayout compiles the layout for one plan: the key table, the
-// reduction routing and the encode columns of the code.
-func newLayout(cfg *Config, plan *placement.Plan, code *erasure.Code) (*layout, error) {
-	routes := make([]reduceRoute, len(plan.Reductions))
-	for ri, r := range plan.Reductions {
-		targetNode, err := cfg.Topo.NodeOf(r.Target)
-		if err != nil {
-			return nil, err
-		}
-		workersOf := make(map[int][]int, len(r.Workers))
-		sources := make([]int, 0, len(r.Workers))
-		for _, w := range r.Workers {
-			node, err := cfg.Topo.NodeOf(w)
-			if err != nil {
-				return nil, err
-			}
-			if len(workersOf[node]) == 0 {
-				sources = append(sources, node)
-			}
-			workersOf[node] = append(workersOf[node], w)
-		}
-		routes[ri] = reduceRoute{targetNode: targetNode, sources: sources, workersOf: workersOf}
+// product is where one local worker's column product goes: reduction red
+// (an index of plan.Reductions) rooted at machine to, where it folds into
+// roots[fold]; on any other machine fold is -1 and the product is the
+// partial it sends the root.
+type product struct {
+	red, to, fold int
+}
+
+// rootReduction is a reduction a machine roots: the partial streams of its
+// other source machines, and where its folded parity goes — segment seg of
+// machine parityTo's chunk, landed in place when that is the root.
+type rootReduction struct {
+	red           int
+	partials      []inStream
+	parityTo, seg int
+}
+
+// inStream is one inbound window stream of a save round: its sender, its
+// reduction (-1 for a worker's data stream), the segment of the receiver's
+// chunk it lands in (parity and data streams), and the workers whose
+// ship-sets it follows — the union names the windows it carries.
+type inStream struct {
+	from, red, seg int
+	workers        []int
+}
+
+// compileStreams derives every machine's saveStreams from the plan.
+func compileStreams(cfg *Config, plan *placement.Plan) []saveStreams {
+	g := cfg.Topo.GPUsPerNode()
+	out := make([]saveStreams, cfg.Topo.Nodes())
+	for node := range out {
+		out[node].products = make([]product, g*cfg.M)
 	}
+	for ri, r := range plan.Reductions {
+		root := r.Target / g
+		rr := rootReduction{red: ri, parityTo: plan.ChunkOwner(r.CodeGroup, cfg.K+r.ParityIndex), seg: r.Group}
+		for i, w := range r.Workers {
+			node, fold := w/g, -1
+			if node == root {
+				fold = len(out[root].roots)
+			} else {
+				rr.partials = append(rr.partials, inStream{from: node, red: ri, workers: r.Workers[i : i+1]})
+			}
+			out[node].products[w%g*cfg.M+r.ParityIndex] = product{red: ri, to: root, fold: fold}
+		}
+		out[root].roots = append(out[root].roots, rr)
+		if rr.parityTo != root {
+			out[rr.parityTo].land = append(out[rr.parityTo].land, inStream{from: root, red: ri, seg: r.Group, workers: r.Workers})
+		}
+	}
+	for w := 0; w < cfg.Topo.World(); w++ {
+		if owner := plan.ChunkOwner(plan.GroupOfRank(w), plan.DataGroupOf[w]); owner != w/g {
+			out[owner].land = append(out[owner].land, inStream{from: w / g, red: -1, seg: plan.SegmentOf[w], workers: []int{w}})
+		}
+	}
+	return out
+}
+
+// newLayout compiles the layout for one plan: the key table, the save
+// streams and the encode columns of the code.
+func newLayout(cfg *Config, plan *placement.Plan, code *erasure.Code) (*layout, error) {
 	encode := make([]*bitmatrix.Schedule, cfg.K)
 	coefs := make([]int, cfg.M)
 	for j := range encode {
@@ -344,7 +385,7 @@ func newLayout(cfg *Config, plan *placement.Plan, code *erasure.Code) (*layout, 
 		}
 		encode[j] = col
 	}
-	return &layout{plan: plan, keys: buildKeyTable(cfg, plan), routes: routes, encode: encode}, nil
+	return &layout{plan: plan, keys: buildKeyTable(cfg, plan), streams: compileStreams(cfg, plan), encode: encode}, nil
 }
 
 // Lifecycle errors (test with errors.Is).

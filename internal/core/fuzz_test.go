@@ -179,9 +179,10 @@ func FuzzParseRemoteKey(f *testing.F) {
 // FuzzRemoteDiscovery holds LoadFromRemote's discovery to its model on
 // arbitrary catalogs: every byte pair of spec adds one object, a version
 // (1-16) and a rank (0-15, some of them past the world) written as remoteKey
-// writes it or as a stray that merely starts like one. latestRemoteVersion
-// must return the newest version whose ranks 0..world-1 are all written by
-// remoteKey, or the not-found error when none is — never a torn version.
+// writes it or as a stray that merely starts like one. remoteVersions must
+// list, newest first, exactly the versions whose ranks 0..world-1 are all
+// written by remoteKey — never a torn version. LoadFromRemote restores the
+// first, and persist keeps the first remoteRetain.
 func FuzzRemoteDiscovery(f *testing.F) {
 	f.Add(uint8(8), []byte{2, 0, 2, 1, 2, 2, 2, 3, 2, 4, 2, 5, 2, 6, 2, 7, 4, 0, 4, 1, 4, 2})
 	f.Add(uint8(2), []byte{9, 0x80, 9, 0x90, 3, 0, 3, 1})
@@ -213,25 +214,18 @@ func FuzzRemoteDiscovery(f *testing.F) {
 			keys = append(keys, key)
 		}
 		slices.Sort(keys)
-		want := 0
-		for v := 1; v <= 16; v++ {
+		var want []int
+		for v := 16; v >= 1; v-- {
 			complete := true
 			for rank := 0; rank < world; rank++ {
 				complete = complete && written[[2]int{v, rank}]
 			}
 			if complete {
-				want = v
+				want = append(want, v)
 			}
 		}
-		got, err := latestRemoteVersion(keys, world)
-		if want == 0 {
-			if err == nil {
-				t.Fatalf("world %d, catalog %q: discovered v%d, want the not-found error", world, keys, got)
-			}
-			return
-		}
-		if err != nil || got != want {
-			t.Fatalf("world %d, catalog %q: discovered v%d (err %v), want v%d", world, keys, got, err, want)
+		if got := remoteVersions(keys, world); !slices.Equal(got, want) {
+			t.Fatalf("world %d, catalog %q: discovered versions %v, want %v", world, keys, got, want)
 		}
 	})
 }

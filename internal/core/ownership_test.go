@@ -534,8 +534,8 @@ func TestSteadyStateSaveAllocatesNoSegments(t *testing.T) {
 // TestSteadyStateSaveMallocs counts the heap allocations of a steady-state
 // full save, on TestSteadyStateSaveAllocatesNoSegments's set-up (one P, no
 // collections, no race detector), and holds each shape to a pinned count:
-// the per-round bookkeeping — fold table, ledger, streams, goroutines — is
-// sized from the plan, so a change that adds a per-window or per-message
+// the per-round bookkeeping — root fold table, ledger, streams, goroutines —
+// is sized from the plan, so a change that adds a per-window or per-message
 // allocation shows here. Each limit is the count measured on linux/amd64
 // (go1.24) plus 10 %.
 func TestSteadyStateSaveMallocs(t *testing.T) {
@@ -551,9 +551,9 @@ func TestSteadyStateSaveMallocs(t *testing.T) {
 		nodes, gpus, k, m int
 		measured          uint64
 	}{
-		{"16x1 k8m8", 16, 1, 8, 8, 2541},
-		{"4x2 k2m2", 4, 2, 2, 2, 540},
-		{"8x2 k4m4", 8, 2, 4, 4, 1199},
+		{"16x1 k8m8", 16, 1, 8, 8, 2276},
+		{"4x2 k2m2", 4, 2, 2, 2, 519},
+		{"8x2 k4m4", 8, 2, 4, 4, 1063},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
 			rig := newRig(t, shape.nodes, shape.gpus, shape.k, shape.m, noRemote)

@@ -266,11 +266,11 @@ func (c *Checkpointer) LoadFromRemote(ctx context.Context, version int) ([]*stat
 // remote tier. The first failure cancels the other fetches.
 func (c *Checkpointer) serveRemote(ctx context.Context, cancel context.CancelFunc, rd *restoreRound) error {
 	if rd.version == 0 {
-		v, err := latestRemoteVersion(c.remote.Keys(remoteKeyPrefix), c.cfg.Topo.World())
-		if err != nil {
-			return err
+		v := remoteVersions(c.remote.Keys(remoteKeyPrefix), c.cfg.Topo.World())
+		if len(v) == 0 {
+			return errors.New("core: no persisted checkpoint found in remote storage")
 		}
-		rd.version, rd.pc.round = v, v
+		rd.version, rd.pc.round = v[0], v[0]
 	}
 	rd.pc.Switch(PhaseFetch)
 	return forEachBounded(len(rd.req.want), func(i int) error {
@@ -288,28 +288,27 @@ func (c *Checkpointer) serveRemote(ctx context.Context, cancel context.CancelFun
 	})
 }
 
-// latestRemoteVersion discovers, in a remote catalog listing (each name
-// once), the newest version whose ranks 0..world-1 are all persisted. It
+// remoteVersions lists, newest first, the versions of a remote catalog
+// listing (each name once) whose ranks 0..world-1 are all persisted. Restore
 // reads the listing, never the in-memory version counter: after a
 // catastrophic failure the restoring process is brand new and its counter is
 // zero, yet the remote tier still holds the checkpoint. A version missing any
-// rank — a persist cut short, or one whose cleanup did not finish — is
-// skipped for the complete one before it.
-func latestRemoteVersion(keys []string, world int) (int, error) {
+// rank — a persist cut short, or one whose cleanup did not finish — is not
+// listed.
+func remoteVersions(keys []string, world int) []int {
 	ranks := make(map[int]int) // version -> its ranks below world present
 	for _, key := range keys {
 		if v, rank, ok := parseRemoteKey(key); ok && rank < world {
 			ranks[v]++
 		}
 	}
-	latest := 0
+	var complete []int
 	for v, n := range ranks {
-		if n == world && v > latest {
-			latest = v
+		if n == world && v > 0 {
+			complete = append(complete, v)
 		}
 	}
-	if latest == 0 {
-		return 0, fmt.Errorf("core: no persisted checkpoint found in remote storage")
-	}
-	return latest, nil
+	slices.Sort(complete)
+	slices.Reverse(complete)
+	return complete
 }

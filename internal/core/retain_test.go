@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"eccheck/internal/cluster"
 	"eccheck/internal/model"
@@ -74,5 +76,74 @@ func TestRemoteRetentionGC(t *testing.T) {
 		if !dicts[rank].Equal(got[rank]) {
 			t.Errorf("rank %d differs from remote restore", rank)
 		}
+	}
+}
+
+// TestRemoteRetentionAcrossFailedPersists: a persist that fails leaves a gap
+// in the tier's versions, and retention looks past it. After every persist
+// that lands, the tier holds exactly the remoteRetain newest persisted
+// versions, each whole, whichever persists failed in between: the one before
+// the newest stays for a reader that started before the newest landed, and
+// nothing older leaks. A persist fails while the tier stalls past the op
+// deadline; once at v4, and at v3 and v4 in a row.
+func TestRemoteRetentionAcrossFailedPersists(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		failed []int
+	}{
+		{"one failure", []int{4}},
+		{"two in a row", []int{3, 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rig := newRig(t, 4, 2, 2, 2, func(c *Config) {
+				c.OpTimeout = 100 * time.Millisecond
+				c.RemotePersistEvery = 1
+			})
+			world := rig.topo.World()
+			ctx := context.Background()
+			var persisted []int
+			for v := 1; v <= 6; v++ {
+				stalled := slices.Contains(tc.failed, v)
+				if stalled {
+					rig.remote.SetStall(30 * time.Second)
+				}
+				rep, err := rig.ckpt.Save(ctx, stampVersion(rig.dicts, v))
+				rig.remote.SetStall(0)
+				if err != nil {
+					t.Fatalf("save of v%d: %v", v, err)
+				}
+				if rep.RemotePersisted == stalled {
+					t.Fatalf("v%d: RemotePersisted = %v with the tier stalled = %v", v, rep.RemotePersisted, stalled)
+				}
+				if stalled {
+					continue
+				}
+				persisted = append(persisted, v)
+				ranks := map[int]int{} // version -> its keys in the tier
+				var got []int
+				for _, key := range rig.remote.Keys(remoteKeyPrefix) {
+					if version, _, ok := parseRemoteKey(key); ok {
+						if ranks[version]++; ranks[version] == 1 {
+							got = append(got, version)
+						}
+					}
+				}
+				slices.Sort(got)
+				want := persisted[max(0, len(persisted)-remoteRetain):]
+				if !slices.Equal(got, want) {
+					t.Errorf("after v%d the tier holds versions %v, want %v", v, got, want)
+				}
+				for _, version := range got {
+					if ranks[version] != world {
+						t.Errorf("after v%d the tier holds %d ranks of v%d, want %d", v, ranks[version], version, world)
+					}
+				}
+			}
+			got, err := rig.ckpt.LoadFromRemote(ctx, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dictsEqual(t, stampVersion(rig.dicts, 6), got)
+		})
 	}
 }

@@ -358,15 +358,14 @@ func parseManifest(blob []byte) (version, packetBytes, bufferSize int, err error
 	return f[0], f[1], f[2], nil
 }
 
-// fold accumulates one node's share of one reduction window: its shipping
-// local workers' contributions, plus at the reduction's root one folded
-// partial per other source machine that ships the window. remaining is
-// filled from the ship-sets before the pipeline starts, so a fold the node
-// owes nothing starts (and stays) at zero with no accumulator. The first
-// contribution is adopted as the accumulator (the pool hands every
-// contributor an exclusively owned buffer, so taking it is free); later
-// contributions are XOR-folded in and recycled. Each fold has its own lock:
-// the encode loop and the partial receivers fold into one window at once.
+// fold accumulates one reduction window at the reduction's root: one
+// contribution per worker of the reduction that ships the window. remaining
+// is filled from the ship-sets before the pipeline starts, so a window
+// nobody ships starts (and stays) at zero with no accumulator. The first
+// contribution is adopted as the accumulator (every contributor hands over
+// an exclusively owned pooled buffer); later ones are XOR-folded in and
+// recycled. Each fold has its own lock: the encode loop and the partial
+// receivers fold into one window at once.
 type fold struct {
 	mu        sync.Mutex
 	acc       []byte
@@ -392,15 +391,15 @@ type foldCursor struct {
 // holds in flight (pipelineDepth) and retires a window only when
 // every delivery it owes this node has landed, so encode/XOR/P2P for buffer
 // i+1 overlaps the residual deliveries of buffer i while pooled-buffer
-// usage stays proportional to the depth. Each source machine of an XOR
-// reduction folds its own workers' contributions and sends one partial per
-// buffer straight to the reduction's root machine (see reduceRoute), which
-// folds one stream per source machine.
+// usage stays proportional to the depth. What the node sends and receives
+// is compiled per machine (saveStreams): only a reduction's root folds; every
+// other source machine hosts one worker of the reduction and sends that
+// worker's column product straight to the root as its partial.
 //
 // What ships is a parameter. Each worker's ship-set (broadcast with its
 // small components) names the windows of its packet that carry traffic, and
-// every node derives from the ship-sets which windows each stream, fold and
-// ledger entry involves. A full round ships every window onto zeroed
+// every node derives from the ship-sets which windows each stream, root fold
+// and ledger entry involves. A full round ships every window onto zeroed
 // segments; a delta round (snap.olds set) ships new ⊕ old for the windows
 // that changed onto a copy of the committed segments — by linearity of the
 // code, the data segment moves by the difference and parity segment i by
@@ -421,15 +420,12 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 	plan := lay.plan
 	node := snap.node
 	g := topo.GPUsPerNode()
-	// The node's round runs inside its code group: its peers, the ranks whose
-	// small components and ship-sets it holds, and its reductions (indexed
-	// from here on by position in the group's range) are the group's.
+	// The node's round runs inside its code group: its peers and the ranks
+	// whose small components and ship-sets it holds are the group's.
 	cg := plan.GroupOfNode(node)
 	nodeLo, nodeHi := plan.NodeRange(cg)
 	rankLo, rankHi := plan.RankRange(cg)
-	redLo, redHi := plan.ReductionRange(cg)
-	reds, routes := plan.Reductions[redLo:redHi], lay.routes[redLo:redHi]
-	xorTags, parityTags := tags.xor[redLo:redHi], tags.parity[redLo:redHi]
+	st := &lay.streams[node]
 	span := plan.Span()
 	bufSize := c.cfg.BufferSize
 	numBuffers := c.numBuffers(packetBytes)
@@ -612,66 +608,29 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 	c.cfg.Metrics.Counter("save_segments_carried_total").Add(int64(carried))
 	pc.Switch(PhaseStage)
 
-	// Inbound window streams, each with the ship-set naming the windows it
-	// carries. A source machine sends its reduction's root a partial for the
-	// windows any of its workers of the reduction ships; a reduction's root
-	// sends parity for the windows any of its workers ships; a remote worker
-	// of this node's data chunk sends its own.
-	type inbound struct {
-		from int
-		tag  string
-		ship shipSet
-		seg  int // segment the stream lands in (parity and data streams)
-	}
-	// shipsOf is the union of the ship-sets of the given workers.
-	shipsOf := func(workers []int) shipSet {
+	// shipped is the windows an inbound stream carries: the union of the
+	// ship-sets of the workers it follows.
+	shipped := func(in inStream) shipSet {
 		u := make(shipSet, shipBytes)
-		for _, w := range workers {
+		for _, w := range in.workers {
 			u.or(shipOf(w))
 		}
 		return u
 	}
-	partialIn := make([][]inbound, len(routes)) // by reduction, one per other source machine at its root
-	var landIn []inbound                        // parity and data segments landing in this node's chunk
-	for ri, r := range reds {
-		rt := &routes[ri]
-		for _, src := range rt.sources {
-			if rt.targetNode == node && src != node {
-				partialIn[ri] = append(partialIn[ri], inbound{from: src, tag: xorTags[ri], ship: shipsOf(rt.workersOf[src])})
-			}
-		}
-		if myChunk == c.cfg.K+r.ParityIndex && rt.targetNode != node {
-			landIn = append(landIn, inbound{from: rt.targetNode, tag: parityTags[ri], ship: shipsOf(r.Workers), seg: r.Group})
-		}
+	landShips := make([]shipSet, len(st.land))
+	for i, in := range st.land {
+		landShips[i] = shipped(in)
 	}
-	for w := rankLo; w < rankHi && myChunk < c.cfg.K; w++ {
-		if plan.DataGroupOf[w] != myChunk {
-			continue
-		}
-		srcNode, err := topo.NodeOf(w)
-		if err != nil {
-			return nil, err
-		}
-		if srcNode != node {
-			landIn = append(landIn, inbound{from: srcNode, tag: tags.data[w], ship: shipOf(w), seg: plan.SegmentOf[w]})
-		}
-	}
-	// The fold table, by reduction then window: each fold counts the
-	// contributions this node owes it, its shipping local workers plus, at
-	// the root, the other source machines that ship the window.
-	folds := make([]fold, len(routes)*numBuffers)
-	foldOf := func(ri, b int) *fold { return &folds[ri*numBuffers+b] }
-	for ri := range routes {
-		for b := 0; b < numBuffers; b++ {
-			f := foldOf(ri, b)
-			for _, w := range routes[ri].workersOf[node] {
+	// The fold table, by rooted reduction then window: each fold counts the
+	// contributions the root owes it, one per worker of the reduction that
+	// ships the window (its own worker's product, the others' partials).
+	folds := make([]fold, len(st.roots)*numBuffers)
+	foldOf := func(i, b int) *fold { return &folds[i*numBuffers+b] }
+	for i, rt := range st.roots {
+		for _, w := range plan.Reductions[rt.red].Workers {
+			for b := 0; b < numBuffers; b++ {
 				if shipOf(w).has(b) {
-					f.remaining++
-				}
-			}
-			for _, in := range partialIn[ri] {
-				if in.ship.has(b) {
-					f.remaining++
+					foldOf(i, b).remaining++
 				}
 			}
 		}
@@ -679,18 +638,23 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 
 	// The buffer window is this node's per-buffer delivery ledger and credit
 	// bound. Window b owes: the encode loop's own end-of-buffer landing, one
-	// fold completion per reduction this node folds anything for (root
-	// finalize or partial forward), and one arrival per inbound parity or
-	// data stream that carries the window.
+	// partial send per product of a shipping local worker that folds
+	// elsewhere, one fold completion per rooted reduction that folds anything
+	// for the window, and one arrival per landing stream that carries it.
 	win := newBufWindow(numBuffers, pipelineDepth, func(b int) int {
 		n := 1
-		for ri := range routes {
-			if foldOf(ri, b).remaining > 0 {
+		for i, p := range st.products {
+			if p.fold < 0 && shipOf(localWorkers[i/c.cfg.M]).has(b) {
 				n++
 			}
 		}
-		for _, in := range landIn {
-			if in.ship.has(b) {
+		for i := range st.roots {
+			if foldOf(i, b).remaining > 0 {
+				n++
+			}
+		}
+		for _, ship := range landShips {
+			if ship.has(b) {
 				n++
 			}
 		}
@@ -715,7 +679,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 		cluster.SealWindows(chunkSegs[seg], bufSize, lo, hi)
 	}
 
-	cursors := make([]foldCursor, len(routes))
+	cursors := make([]foldCursor, len(st.roots))
 	// recvXorNs accumulates XOR-reduce time spent on receiver goroutines;
 	// it overlaps the main goroutine's barrier wait and is re-attributed
 	// from "barrier" to "xor" at the end of the round.
@@ -723,15 +687,15 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 
 	// sendQueue decouples the encoding stage from the communication stage,
 	// as in the paper's pipelined execution. Producers are the encode loop
-	// (data-segment placement) and the fold completions (partials to the
-	// root and rooted parity segments); the queue closes only after both are
-	// done. The sender keeps draining after a failure — recycling pooled
+	// (data-segment placement and partials to the roots) and the fold
+	// completions (rooted parity segments); the queue closes only after both
+	// are done. The sender keeps draining after a failure — recycling pooled
 	// payloads — so a producer never blocks forever on a full queue.
 	type outMsg struct {
 		dstNode int
 		tag     string
 		payload []byte
-		// pooled marks payloads owned by the queue (folded partials, parity
+		// pooled marks payloads owned by the queue (partials, parity
 		// segments, delta windows): the sender hands them to the transport
 		// with transport.SendOwned, which recycles what it does not deliver.
 		// A full round's data-segment payloads alias the worker packets, go
@@ -779,21 +743,19 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 		return gf.XORSlice(dst, src)
 	}
 
-	// emit hands reduction ri's completed folds on, in buffer order: the
-	// streams they feed are matched to buffers by position. Folds complete
+	// emit hands rooted reduction i's completed folds on, in buffer order:
+	// the stream they feed is matched to buffers by position. Folds complete
 	// in buffer order only when every contributor ships every window, so a
 	// fold that completes ahead of an earlier owed one waits in the table
-	// until that one has gone. At the root the parity bytes land in the
-	// local chunk when this node stores the parity chunk, or ship to the
-	// parity node; every other source machine sends its partial to the
-	// root, and the delivery lands once the send goes through. Ownership of
-	// the accumulator leaves the table here.
-	emit := func(ri int) {
-		rt, r, cur := &routes[ri], &reds[ri], &cursors[ri]
+	// until that one has gone. The parity bytes land in the local chunk when
+	// this node stores the parity chunk, or ship to the parity node.
+	// Ownership of the accumulator leaves the table here.
+	emit := func(i int) {
+		rt, cur := &st.roots[i], &cursors[i]
 		cur.mu.Lock()
 		defer cur.mu.Unlock()
 		for ; cur.next < numBuffers; cur.next++ {
-			b, f := cur.next, foldOf(ri, cur.next)
+			b, f := cur.next, foldOf(i, cur.next)
 			f.mu.Lock()
 			acc, done := f.acc, f.remaining == 0
 			if done {
@@ -804,36 +766,32 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 				return
 			}
 			if acc == nil {
-				continue // the node owes this window nothing
+				continue // the root owes this window nothing
 			}
-			switch dstNode := plan.ChunkOwner(cg, c.cfg.K+r.ParityIndex); {
-			case rt.targetNode != node:
-				sendQueue <- outMsg{dstNode: rt.targetNode, tag: xorTags[ri], payload: acc, pooled: true, land: b}
-			case dstNode != node:
-				sendQueue <- outMsg{dstNode: dstNode, tag: parityTags[ri], payload: acc, pooled: true, land: b}
-			default:
-				lo, _ := sliceBounds(b)
-				landRange(r.Group, lo, acc)
-				c.buf.Put(acc)
-				win.landOne(b)
+			if rt.parityTo != node {
+				sendQueue <- outMsg{dstNode: rt.parityTo, tag: tags.parity[rt.red], payload: acc, pooled: true, land: b}
+				continue
 			}
+			lo, _ := sliceBounds(b)
+			landRange(rt.seg, lo, acc)
+			c.buf.Put(acc)
+			win.landOne(b)
 		}
 	}
 
-	// contribute folds one contribution into this node's accumulator for
-	// reduction ri, buffer b, taking ownership of the buffer: the first
+	// contribute folds one contribution into rooted reduction i's
+	// accumulator for buffer b, taking ownership of the buffer: the first
 	// contribution becomes the accumulator, later ones are XORed in and
-	// recycled. When the node's own obligations — shipping local workers
-	// plus, at the root, shipping source machines — are all folded, the
+	// recycled. When every contribution the window owes is folded, the
 	// buffer is ready to emit. timeXor attributes the XOR to the
 	// receiver-side accumulator; the main goroutine passes false because its
 	// XOR time is already on the phase clock.
-	contribute := func(ri, b int, contribution []byte, timeXor bool) {
+	contribute := func(i, b int, contribution []byte, timeXor bool) {
 		var xorStart time.Time
 		if timeXor {
 			xorStart = time.Now()
 		}
-		f := foldOf(ri, b)
+		f := foldOf(i, b)
 		f.mu.Lock()
 		if f.acc == nil {
 			f.acc = contribution
@@ -853,20 +811,20 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 			recvXorNs.Add(time.Since(xorStart).Nanoseconds())
 		}
 		if done {
-			emit(ri)
+			emit(i)
 		}
 	}
 
-	// receive runs one inbound stream: the windows in its ship-set arrive in
+	// receive runs one inbound stream: the windows in ship arrive in
 	// ascending order under one tag. Bytes from a peer are checked against
 	// the window's bounds before anything folds or lands them; deliver takes
 	// ownership of the payload.
-	receive := func(in inbound, deliver func(b, lo int, payload []byte)) {
+	receive := func(from int, tag string, ship shipSet, deliver func(b, lo int, payload []byte)) {
 		for b := 0; b < numBuffers; b++ {
-			if !in.ship.has(b) {
+			if !ship.has(b) {
 				continue
 			}
-			payload, err := ep.Recv(ctx, in.from, in.tag)
+			payload, err := ep.Recv(ctx, from, tag)
 			if err != nil {
 				fail(err)
 				return
@@ -875,7 +833,7 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 			if len(payload) != hi-lo {
 				c.buf.Put(payload)
 				fail(fmt.Errorf("core: stream %s from node %d: window %d has %d bytes, want %d",
-					in.tag, in.from, b, len(payload), hi-lo))
+					tag, from, b, len(payload), hi-lo))
 				return
 			}
 			deliver(b, lo, payload)
@@ -883,24 +841,28 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 	}
 
 	// Partial receivers, at a reduction's root: one stream per other source
-	// machine, which sends exactly one folded partial per buffer it ships.
+	// machine, which sends its worker's product for each buffer it ships.
 	// They are also send-queue producers (a completion finalizes), so the
 	// queue closes only after they exit.
 	var xorRecvWG sync.WaitGroup
-	for ri := range partialIn {
-		for _, in := range partialIn[ri] {
+	for i, rt := range st.roots {
+		for _, in := range rt.partials {
 			xorRecvWG.Add(1)
 			go func() {
 				defer xorRecvWG.Done()
-				receive(in, func(b, _ int, payload []byte) { contribute(ri, b, payload, true) })
+				receive(in.from, tags.xor[rt.red], shipped(in), func(b, _ int, payload []byte) { contribute(i, b, payload, true) })
 			}()
 		}
 	}
 	// Parity segments (this node is a parity node and the reduction rooted
 	// elsewhere) and data segments (this node is a data node) arriving via
 	// P2P land straight in the chunk.
-	for _, in := range landIn {
-		go receive(in, func(b, lo int, payload []byte) {
+	for i, in := range st.land {
+		tag := tags.data[in.workers[0]]
+		if in.red >= 0 {
+			tag = tags.parity[in.red]
+		}
+		go receive(in.from, tag, landShips[i], func(b, lo int, payload []byte) {
 			landRange(in.seg, lo, payload)
 			c.buf.Put(payload)
 			win.landOne(b)
@@ -941,10 +903,9 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 			}
 			// Encoding stage: every shipping local worker's window is
 			// multiplied by its data group's parity column in one pass, and
-			// product i folds into the node-local accumulator of parity
-			// index i of the worker's reduction group, which goes to the
-			// reduction's root. The plan lists a code group's reductions by
-			// reduction group (the worker's SegmentOf), then parity index.
+			// product pi feeds parity index pi of the worker's reduction
+			// group: folded here when this node roots the reduction, sent to
+			// the root as this node's partial otherwise.
 			for i, w := range localWorkers {
 				src := srcs[i]
 				if src == nil {
@@ -962,9 +923,14 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 					}
 					return err
 				}
-				pc.Switch(PhaseXOR)
 				for pi, out := range contributions {
-					contribute(plan.SegmentOf[w]*c.cfg.M+pi, b, out, false)
+					if p := st.products[i*c.cfg.M+pi]; p.fold >= 0 {
+						pc.Switch(PhaseXOR)
+						contribute(p.fold, b, out, false)
+					} else {
+						pc.Switch(PhaseP2P)
+						sendQueue <- outMsg{dstNode: p.to, tag: tags.xor[p.red], payload: out, pooled: true, land: b}
+					}
 				}
 			}
 			// Data-packet placement for local workers. A packet kept in

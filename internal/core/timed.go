@@ -84,32 +84,25 @@ type nodeTraffic struct {
 // trafficByNode derives the per-node load of one checkpointing round with
 // per-worker packet size s.
 func (c *Checkpointer) trafficByNode(s int64) []nodeTraffic {
-	topo := c.cfg.Topo
-	out := make([]nodeTraffic, topo.Nodes())
+	out := make([]nodeTraffic, len(c.lay.streams))
 	// Encoding: every worker produces m coefficient-multiplied copies of
-	// its packet; reduction targets additionally XOR k contributions
-	// (cheap, same memory rate — count the accumulation passes).
-	for w := 0; w < topo.World(); w++ {
-		node, _ := topo.NodeOf(w)
-		out[node].encode += int64(c.cfg.M) * s
-	}
-	for _, r := range c.Plan().Reductions {
-		tNode, _ := topo.NodeOf(r.Target)
-		out[tNode].encode += int64(len(r.Workers)-1) * s
-		for _, w := range r.Workers {
-			if w == r.Target {
-				continue
-			}
-			srcNode, _ := topo.NodeOf(w)
-			if srcNode != tNode {
-				out[srcNode].tx += s
-				out[tNode].rx += s
-			}
+	// its packet; reduction roots additionally XOR k contributions (cheap,
+	// same memory rate — count the accumulation passes). Every stream a
+	// node receives — partials at a root, parity and data landing in its
+	// chunk — is one packet from its sender.
+	recv := func(node int, streams []inStream) {
+		for _, in := range streams {
+			out[node].rx += s
+			out[in.from].tx += s
 		}
 	}
-	for _, t := range c.Plan().Transfers {
-		out[t.SrcNode].tx += s
-		out[t.DstNode].rx += s
+	for node, st := range c.lay.streams {
+		out[node].encode += int64(len(st.products)) * s
+		for _, rt := range st.roots {
+			out[node].encode += int64(len(rt.partials)) * s
+			recv(node, rt.partials)
+		}
+		recv(node, st.land)
 	}
 	return out
 }
@@ -307,7 +300,7 @@ func (c *Checkpointer) TimedRecover(opt TimedOptions, failedNodes []int) (*Timed
 		if err != nil {
 			return nil, err
 		}
-		restore := resume + maxDur(rebuildRx, encodeDur)
+		restore := resume + max(rebuildRx, encodeDur)
 		return &TimedRecoverReport{Workflow: "replacement", Resume: resume, FullRestore: restore}, nil
 	}
 
@@ -326,13 +319,6 @@ func (c *Checkpointer) TimedRecover(opt TimedOptions, failedNodes []int) (*Timed
 	if err != nil {
 		return nil, err
 	}
-	resume := res.SmallBroadcastLatency + maxDur(decodeRx, encodeDur) + packetDur
+	resume := res.SmallBroadcastLatency + max(decodeRx, encodeDur) + packetDur
 	return &TimedRecoverReport{Workflow: "decode", Resume: resume, FullRestore: resume}, nil
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -165,15 +165,28 @@ func TestStreamTopology(t *testing.T) {
 			sends, _ := sendsByStream(rec)
 			tags := rig.ckpt.roundTags()
 			want := map[stream]int{}
-			for ri, rt := range lay.routes {
-				if len(rt.sources) != 10 {
-					t.Fatalf("reduction %d has %d source machines, want 10", ri, len(rt.sources))
-				}
-				for _, src := range rt.sources {
-					if n := shipped(rt.workersOf[src][0]); src != rt.targetNode && n > 0 {
-						want[stream{tags.xor[ri], src, rt.targetNode}] = n
+			rooted := 0
+			for node, st := range lay.streams {
+				for _, rt := range st.roots {
+					rooted++
+					if root := lay.plan.Reductions[rt.red].Target / lay.plan.Topo.GPUsPerNode(); root != node {
+						t.Fatalf("reduction %d rooted on machine %d, its target's machine is %d", rt.red, node, root)
+					}
+					if n := len(rt.partials) + 1; n != 10 {
+						t.Fatalf("reduction %d has %d source machines, want 10", rt.red, n)
+					}
+					for _, in := range rt.partials {
+						if w := in.workers[0]; len(in.workers) != 1 || in.from != w || !slices.Contains(lay.plan.Reductions[rt.red].Workers, w) {
+							t.Fatalf("reduction %d: partial stream from machine %d follows workers %v, want its one worker of the reduction", rt.red, in.from, in.workers)
+						}
+						if n := shipped(in.workers[0]); n > 0 {
+							want[stream{tags.xor[rt.red], in.from, node}] = n
+						}
 					}
 				}
+			}
+			if rooted != len(lay.plan.Reductions) {
+				t.Fatalf("%d reductions rooted, want %d: each on one machine", rooted, len(lay.plan.Reductions))
 			}
 			got := map[stream]int{}
 			for st, n := range sends {

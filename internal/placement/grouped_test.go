@@ -47,8 +47,8 @@ func TestGroupedPlanIsTheFlatPlanPerGroup(t *testing.T) {
 				t.Errorf("worker %d: group %d data group %d segment %d", w, p.GroupOfRank(w), p.DataGroupOf[w], p.SegmentOf[w])
 			}
 		}
-		redLo, redHi := p.ReductionRange(cg)
-		for ri, r := range p.Reductions[redLo:redHi] {
+		per := len(flat.Reductions) // Reductions lists each group's in turn
+		for ri, r := range p.Reductions[cg*per : (cg+1)*per] {
 			want := flat.Reductions[ri]
 			want.CodeGroup, want.Target = cg, want.Target+rankLo
 			want.Workers = append([]int(nil), want.Workers...)
@@ -87,5 +87,43 @@ func TestGroupedPlanValidation(t *testing.T) {
 	}
 	if _, err := NewWithDataNodes(tt, 2, 2, []int{0, 0, 4, 6}); err == nil {
 		t.Error("duplicate data node: want error")
+	}
+}
+
+// No two workers of a reduction share a machine: a reduction's workers are
+// one per data group at one relative index, span = (k+m)·g/k ranks apart, and
+// span > g because m ≥ 1. The save round relies on it: only a reduction's
+// root folds, and every other source machine's partial is its one worker's
+// product. Every plan New accepts with at most 32 machines and 4 GPUs per
+// machine, every (k, m), grouped layouts included.
+func TestReductionWorkersOnDistinctMachines(t *testing.T) {
+	plans := 0
+	for nodes := 2; nodes <= 32; nodes++ {
+		for gpus := 1; gpus <= 4; gpus++ {
+			for k := 1; k < nodes; k++ {
+				for m := 1; k+m <= nodes; m++ {
+					p, err := New(topo(t, nodes, gpus, gpus, nodes), k, m)
+					if err != nil {
+						continue
+					}
+					plans++
+					if span := p.Span(); span <= gpus {
+						t.Fatalf("%d×%d, k=%d m=%d: span %d not above the %d GPUs per machine", nodes, gpus, k, m, span, gpus)
+					}
+					for ri, r := range p.Reductions {
+						seen := make(map[int]bool, len(r.Workers))
+						for _, w := range r.Workers {
+							if seen[w/gpus] {
+								t.Fatalf("%d×%d, k=%d m=%d: reduction %d has two workers on machine %d (%v)", nodes, gpus, k, m, ri, w/gpus, r.Workers)
+							}
+							seen[w/gpus] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	if plans == 0 {
+		t.Fatal("no plan accepted")
 	}
 }

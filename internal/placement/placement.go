@@ -140,12 +140,6 @@ func (p *Plan) RankRange(group int) (lo, hi int) {
 	return lo * p.Topo.GPUsPerNode(), hi * p.Topo.GPUsPerNode()
 }
 
-// ReductionRange returns the indices [lo, hi) of a code group's reductions.
-func (p *Plan) ReductionRange(group int) (lo, hi int) {
-	per := p.Span() * p.M
-	return group * per, (group + 1) * per
-}
-
 // ChunkOwner returns the machine storing a chunk of a code group.
 func (p *Plan) ChunkOwner(group, chunk int) int {
 	if chunk < p.K {
