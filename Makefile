@@ -40,6 +40,10 @@ test:
 # segment and keeps no cache: TestOneCopyOfEachPacketPerMachine walks every
 # machine's keys after every kind of round, and
 # TestCrashJoinedDataSlotKeepsDeltaBase pins the delta after a crash join.
+# A full round's zero tail runs here too: TestZeroTailLandsAsZeros saves
+# skewed payloads onto spares and a pool scribbled with 0xA5 and reads every
+# window past a blob's payload as zeros under a verified footer, an emptied
+# rank's segment included.
 # TestHostBlobsNeverReachThePool runs every kind of round on a shape whose
 # host blobs are exactly a pool class, then scribbles the pool: no segment or
 # cache was ever Put.
@@ -147,7 +151,9 @@ doclint:
 # within 10 % of a pinned count (TestSteadyStateSaveMallocs), so per-window
 # or per-message bookkeeping that creeps back fails here. The pinned counts,
 # 2276 / 519 / 1063, are those of the root-only fold: a machine folds only
-# the reductions it roots, and sends every other product as its partial.
+# the reductions it roots, and sends every other product as its partial. A
+# full round that ships only its payload windows measured the same counts:
+# a window carries no heap allocation of its own.
 # The TCP data path is gated the same way: a steady-state 1 MiB Send + Recv
 # allocates under 1 KiB and takes one pooled buffer, the receiver's payload.
 # On the memory transport a steady-state 1 MiB SendOwned + Recv takes no
@@ -157,7 +163,7 @@ doclint:
 # decodes takes exactly one pooled buffer per decoded packet, the packet
 # itself: its basis terms multiply-accumulate straight into it. The column
 # products take one per output and nothing else: a save one per shipped
-# (worker, window, reduction), a rebuild's basis side one per (window,
+# (worker, payload window, reduction), a rebuild's basis side one per (window,
 # missing chunk), and a column product over a window allocates nothing.
 # A replaced machine's repair lands in the blobs the fence stocked: after a
 # data and a parity machine are replaced, each one's PrefetchChunk allocates

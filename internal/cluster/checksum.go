@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"sync"
 )
 
 // Host-memory blobs are volatile and uninspected between checkpoints, so a
@@ -90,6 +91,44 @@ func SealWindows(blob []byte, window, lo, hi int) {
 		wlo, whi := windowBounds(n, window, b)
 		binary.LittleEndian.PutUint32(footer[b*SumLen:], checksum(blob[wlo:whi]))
 	}
+}
+
+// ClearWindow zeroes window b of blob and seals it (see SealZeroWindow): a
+// producer that writes nothing into a stale window lands it as zeros.
+func ClearWindow(blob []byte, window, b int) {
+	lo, hi := windowBounds(len(blob), window, b)
+	clear(blob[lo:hi])
+	SealZeroWindow(blob, window, b)
+}
+
+// SealZeroWindow writes into blob's footer room the sum of window b, whose
+// bytes the caller knows to be zero: the constant sum of that many zero
+// bytes, so no CRC pass runs over them.
+func SealZeroWindow(blob []byte, window, b int) {
+	n := len(blob)
+	lo, hi := windowBounds(n, window, b)
+	binary.LittleEndian.PutUint32(blob[n+b*SumLen:FramedLen(n, window)], zeroSum(hi-lo))
+}
+
+// zeroSums caches the CRC-32C of n zero bytes by n: a blob shape has at
+// most two window lengths, a full one and a short last one.
+var zeroSums = struct {
+	sync.Mutex
+	byLen map[int]uint32
+}{byLen: map[int]uint32{}}
+
+func zeroSum(n int) uint32 {
+	zeroSums.Lock()
+	sum, ok := zeroSums.byLen[n]
+	if !ok {
+		var zeros [4096]byte
+		for left := n; left > 0; left -= len(zeros) {
+			sum = crc32.Update(sum, crcTable, zeros[:min(left, len(zeros))])
+		}
+		zeroSums.byLen[n] = sum
+	}
+	zeroSums.Unlock()
+	return sum
 }
 
 // VerifyWindow checks window b of payload against its sum in sums (a

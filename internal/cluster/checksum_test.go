@@ -87,6 +87,65 @@ func TestEveryWindowFlipIsDetected(t *testing.T) {
 	}
 }
 
+// TestZeroWindowSums: a window sealed as zeros — ClearWindow over stale
+// bytes, or SealZeroWindow over bytes already zero — carries the footer
+// SealWindows writes over the zeroed bytes, byte for byte: full windows, a
+// short last window and a one-window blob. Windows sealed either way mix in
+// one blob, and ViewSummed accepts what it stores.
+func TestZeroWindowSums(t *testing.T) {
+	c, err := New(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ n, window int }{
+		{4 * 64, 64},   // full windows only
+		{3*64 + 9, 64}, // a short last window
+		{40, 64},       // one window
+		{64 << 10, 64 << 10},
+	} {
+		nw := (tc.n + tc.window - 1) / tc.window
+		want := NewBlob(tc.n, tc.window)
+		for i := range want {
+			want[i] = byte(i*5 + 1)
+		}
+		for b := 0; b < nw; b += 2 {
+			lo, hi := windowBounds(tc.n, tc.window, b)
+			clear(want[lo:hi])
+		}
+		SealWindows(want, tc.window, 0, tc.n)
+		framed := want[:FramedLen(tc.n, tc.window)]
+
+		got := NewBlob(tc.n, tc.window)
+		got = got[:cap(got)]
+		for i := range got {
+			got[i] = 0xA5
+		}
+		got = got[:tc.n]
+		for b := 0; b < nw; b++ {
+			lo, hi := windowBounds(tc.n, tc.window, b)
+			switch {
+			case b%2 == 1:
+				copy(got[lo:hi], want[lo:hi])
+				SealWindows(got, tc.window, lo, hi)
+			case b%4 == 0:
+				ClearWindow(got, tc.window, b)
+			default:
+				clear(got[lo:hi])
+				SealZeroWindow(got, tc.window, b)
+			}
+		}
+		if sealed := got[:FramedLen(tc.n, tc.window)]; !bytes.Equal(sealed, framed) {
+			t.Errorf("%d bytes under %d-byte windows: sealed as zeros %x, want %x", tc.n, tc.window, sealed[tc.n:], framed[tc.n:])
+		}
+		if err := AdoptSealed(c, 0, "k", got, tc.window); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ViewSummed(c, 0, "k", tc.window); err != nil {
+			t.Errorf("%d bytes under %d-byte windows: %v", tc.n, tc.window, err)
+		}
+	}
+}
+
 // TestBadFramingIsAChecksumError: a stored blob cut short or grown by any
 // number of bytes either frames no payload or fails a window — ErrChecksum
 // either way, never a panic.

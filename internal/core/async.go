@@ -42,8 +42,8 @@ type SaveHandle struct {
 	err    error
 
 	// What the round ships, fixed by the snapshot stage. delta: it patches
-	// the committed checkpoint (false: every window over a zero base).
-	// shipped: how many of the cluster's windows buffer windows carry
+	// the committed checkpoint (false: every payload window over a zero
+	// base). shipped: how many of the cluster's buffer windows carry
 	// traffic.
 	delta            bool
 	shipped, windows int
@@ -105,7 +105,7 @@ type saveMode struct {
 	// delta asks for a delta round (SaveIncremental): ship only the buffer
 	// windows that changed, onto a copy of the committed checkpoint. The
 	// round grants it when every node still holds that base (deltaBase) and
-	// otherwise ships every window over a zero base, like Save.
+	// otherwise ships every payload window over a zero base, like Save.
 	delta bool
 }
 
@@ -218,7 +218,8 @@ func (c *Checkpointer) startSave(ctx context.Context, dicts []*statedict.StateDi
 	err = snapshot()
 	if errors.Is(err, errNoDeltaBase) {
 		// A cache deltaBase saw is missing, mis-sized or corrupt: the same
-		// round ships every window instead, which also restages every cache.
+		// round ships every payload window over a zero base instead, which
+		// also restages every cache.
 		// The first attempt gave the blobs it packed back to the spare
 		// stacks, so the retry takes them again.
 		h.delta = false

@@ -26,9 +26,9 @@ import (
 //
 // A delta save is not a protocol of its own. It is the save round (see
 // startSave, nodeDrain) with two parameters changed: each worker's ship-set
-// holds the windows that differ from its delta base instead of all of
-// them, and the chunk segments a shipped window lands in start as a copy of
-// the committed ones instead of zeroes. The other segments, and the cache of
+// holds the windows that differ from its delta base instead of its payload
+// windows, and the chunk segments a shipped window lands in start as a copy
+// of the committed ones instead of zeroes. The other segments, and the cache of
 // a worker that ships nothing, are carried: the node neither reads
 // nor restages them and the commit leaves them stored, so the round's
 // segment-sized work follows the ship-sets. Staging, the commit under
@@ -70,9 +70,10 @@ func (s shipSet) or(o shipSet) {
 type IncrementalReport struct {
 	// Version is the new checkpoint version.
 	Version int
-	// Full reports that the round shipped every window over a zero base
-	// because no usable previous state existed (first save, packet-size
-	// change, or missing caches after a replacement).
+	// Full reports that the round shipped every payload window (each one
+	// holding any of its worker's tensor bytes) over a zero base because no
+	// usable previous state existed (first save, packet-size change, or
+	// missing caches after a replacement).
 	Full bool
 	// ChangedBuffers and TotalBuffers count the diffed windows across all
 	// workers.
@@ -84,8 +85,8 @@ type IncrementalReport struct {
 
 // SaveIncremental checkpoints by updating the previous coded checkpoint
 // with per-buffer deltas. It requires Config.IncrementalCache; when no
-// usable previous state exists the same round ships every window instead
-// (IncrementalReport.Full). Like Save it refuses to run concurrently with
+// usable previous state exists the same round ships every payload window
+// over a zero base instead, like Save (IncrementalReport.Full). Like Save it refuses to run concurrently with
 // another save round: ErrSaveInFlight when one is already draining.
 func (c *Checkpointer) SaveIncremental(ctx context.Context, dicts []*statedict.StateDict) (*IncrementalReport, error) {
 	if !c.cfg.IncrementalCache {

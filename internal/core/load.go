@@ -342,11 +342,18 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 
 	// --- Phase R3: distribute original packets so every wanted worker
 	// resumes. Data nodes serve the segments of their (possibly just rebuilt)
-	// chunk; a worker's home node reassembles it.
+	// chunk; a worker's home node reassembles it. Only a packet's tensor
+	// bytes travel, as this node's copy of the rank's small components
+	// sizes them: assemblePacket reads no further, so the zero tail that pads
+	// the packet stays here. A copy that does not size it sends it whole.
 	g := topo.GPUsPerNode()
 	for _, w := range want {
 		if home := w / g; plan.DataGroupOf[w] == myChunk && home != node {
-			if err := ep.Send(ctx, home, tags.packet[w], chunkSegs[plan.SegmentOf[w]]); err != nil {
+			packet := chunkSegs[plan.SegmentOf[w]]
+			if n, err := c.tensorBytes(rd, node, w); err == nil && n <= len(packet) {
+				packet = packet[:n]
+			}
+			if err := ep.Send(ctx, home, tags.packet[w], packet); err != nil {
 				return nil, err
 			}
 		}

@@ -310,6 +310,9 @@ type nodeScan struct {
 	// segment is checksummed once per round and the round reads the bytes
 	// the scan judged, whatever is stored meanwhile.
 	segs [][]byte
+	// smalls are the node's verified small-component blobs, by rank less
+	// its code group's first rank: views like segs, nil where unread.
+	smalls [][]byte
 }
 
 // holds reports whether the node serves its chunk at the given version.
@@ -385,8 +388,9 @@ func (c *Checkpointer) scanNodes(rd *restoreRound, nodes []int, deep bool) {
 				st.segs[s] = seg
 			}
 			rankLo, rankHi := c.lay.plan.RankRange(c.lay.plan.GroupOfNode(node))
+			st.smalls = make([][]byte, rankHi-rankLo)
 			for rank := rankLo; rank < rankHi && st.smallsOK; rank++ {
-				_, st.smallsOK = read(keys.small[rank], false)
+				st.smalls[rank-rankLo], st.smallsOK = read(keys.small[rank], false)
 			}
 		}()
 	}
@@ -521,6 +525,28 @@ func (c *Checkpointer) smallsOf(rd *restoreRound, sources []int, rank int) (smal
 		}
 	}
 	return nil, fmt.Errorf("core: rank %d small components: %w", rank, err)
+}
+
+// tensorBytes is rank's tensor payload size as node's copy of its small
+// components records it: the length of its packet less the zero tail. The
+// copy the node's deep scan verified is used when there is one.
+func (c *Checkpointer) tensorBytes(rd *restoreRound, node, rank int) (int, error) {
+	var small []byte
+	if st := &rd.scan[node]; st.smalls != nil {
+		rankLo, _ := c.lay.plan.RankRange(c.lay.plan.GroupOfNode(node))
+		small = st.smalls[rank-rankLo]
+	}
+	if small == nil {
+		var err error
+		if small, err = c.smallsOf(rd, []int{node}, rank); err != nil {
+			return 0, err
+		}
+	}
+	_, keys, err := splitSmall(small)
+	if err != nil {
+		return 0, err
+	}
+	return statedict.TensorBytes(keys)
 }
 
 // appendSmall appends a worker's small-component blob to dst: the length of

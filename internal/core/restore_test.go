@@ -786,9 +786,9 @@ func TestPartialDecodeTakesOneBufferPerPacket(t *testing.T) {
 
 // TestColumnTakesOneBufferPerProduct: the save encode and the rebuild's
 // basis side each run one column product per source window, and each takes
-// exactly one pooled buffer per output — a save one per (worker, window,
-// reduction), a rebuild one per (basis owner, segment, window, missing
-// chunk) — and no temporary buffer. The engine is given a pool of its own,
+// exactly one pooled buffer per output — a save one per (worker, payload
+// window, reduction), a rebuild one per (basis owner, segment, window,
+// missing chunk) — and no temporary buffer. The engine is given a pool of its own,
 // so the transport's copies are not counted. The column product itself
 // allocates nothing: a round reuses its output headers window after window.
 func TestColumnTakesOneBufferPerProduct(t *testing.T) {
@@ -826,9 +826,13 @@ func TestColumnTakesOneBufferPerProduct(t *testing.T) {
 			if inPlace == 0 || inPlace == world {
 				t.Fatalf("%d of %d workers pack in place: the count below does not tell the two kinds apart", inPlace, world)
 			}
-			if got, want := gets(), int64(4*world-inPlace+world*windows*shape.m); got != want {
-				t.Errorf("full save took %d pooled buffers, want %d: 4 per worker, one fewer for each of the %d packed in place, and one per (worker, window, reduction) = %d x %d x %d",
-					got, want, inPlace, world, windows, shape.m)
+			payload := payloadWindows(rig.ckpt, rig.dicts)
+			if payload >= world*windows {
+				t.Fatalf("%d payload windows of %d: no worker's packet has a zero tail", payload, world*windows)
+			}
+			if got, want := gets(), int64(4*world-inPlace+payload*shape.m); got != want {
+				t.Errorf("full save took %d pooled buffers, want %d: 4 per worker, one fewer for each of the %d packed in place, and one per (worker, payload window, reduction) = %d x %d",
+					got, want, inPlace, payload, shape.m)
 			}
 
 			lay := rig.ckpt.lay

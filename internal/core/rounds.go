@@ -17,9 +17,9 @@ const (
 	// OpSave is a full checkpoint round (Save or SaveAsync).
 	OpSave = "save"
 	// OpIncremental is a save round started by SaveIncremental. Without a
-	// usable base it is the same round with an all-ones ship-set, and still
-	// reports as OpIncremental: the caller asked for one round and gets one
-	// round under one name.
+	// usable base it is the same round as Save — every payload window over a
+	// zero base — and still reports as OpIncremental: the caller asked for
+	// one round and gets one round under one name.
 	OpIncremental = "incremental"
 	// OpLoad is an in-memory recovery round (Load): every rank wanted back,
 	// every degraded node repaired.

@@ -173,9 +173,10 @@ func (s *nodeSnapshot) recyclePooled(c *Checkpointer) {
 // snapshotNode runs one node's snapshot stage: decompose the local dicts
 // and offload their tensor data into contiguous packets (the DtoH copy —
 // the only work the training loop stalls on), then fix each worker's
-// ship-set: every buffer window on a full round, the windows that differ
-// from the worker's delta base on a delta round. Pure local memory work,
-// no network.
+// ship-set: its payload windows on a full round (those holding any of its
+// tensor bytes; the zero tail that pads it to the packet size adds nothing
+// to any parity), the windows that differ from the worker's delta base on a
+// delta round. Pure local memory work, no network.
 func (c *Checkpointer) snapshotNode(r *round, node, packetBytes int, dicts []*statedict.StateDict, delta bool) (*nodeSnapshot, error) {
 	g := c.cfg.Topo.GPUsPerNode()
 	bufSize := c.cfg.BufferSize
@@ -199,6 +200,7 @@ func (c *Checkpointer) snapshotNode(r *round, node, packetBytes int, dicts []*st
 			snap.release(c)
 			return nil, fmt.Errorf("rank %d decompose: %w", w, err)
 		}
+		payload := c.numBuffers(dec.TensorBytes())
 		// The step-2 message: the small-component blob, then room for the
 		// ship-set.
 		msg := c.buf.Get(binary.MaxVarintLen64 + len(dec.MetaBlob) + len(dec.KeysBlob) + shipBytes)
@@ -227,10 +229,10 @@ func (c *Checkpointer) snapshotNode(r *round, node, packetBytes int, dicts []*st
 		}
 		clear(ship)
 		if !delta {
-			for b := 0; b < numBuffers; b++ {
+			for b := 0; b < payload; b++ {
 				ship.set(b)
 			}
-			snap.shipped += numBuffers
+			snap.shipped += payload
 			continue
 		}
 		// The base is read unverified: a window equal to the new packet's is
@@ -399,15 +401,18 @@ type foldCursor struct {
 // What ships is a parameter. Each worker's ship-set (broadcast with its
 // small components) names the windows of its packet that carry traffic, and
 // every node derives from the ship-sets which windows each stream, root fold
-// and ledger entry involves. A full round ships every window onto zeroed
-// segments; a delta round (snap.olds set) ships new ⊕ old for the windows
-// that changed onto a copy of the committed segments — by linearity of the
-// code, the data segment moves by the difference and parity segment i by
-// its coefficient multiple, folded the same way — and only for the
-// segments those windows land in: the rest are carried (see the set-up of
-// step 3). Either way a packet kept on its own node (keptInPlace) was packed
-// into the blob that keeps it: the round seals the windows it ships there
-// and lands nothing on it.
+// and ledger entry involves. A full round is a delta over a zero base: it
+// ships each worker's payload windows, and every window no stream carries
+// is written here as zeros with the constant sum of a zero window — no
+// encode, fold, send or CRC pass runs over a packet's zero tail. A delta
+// round (snap.olds set) ships new ⊕ old for the windows that changed onto a
+// copy of the committed segments — by linearity of the code, the data
+// segment moves by the difference and parity segment i by its coefficient
+// multiple, folded the same way — and only for the segments those windows
+// land in: the rest are carried (see the set-up of step 3). Either way a
+// packet kept on its own node (keptInPlace) was packed into the blob that
+// keeps it: the round seals the windows it ships there and lands nothing on
+// it.
 //
 // Every blob the round writes goes under a staged key; the caller promotes
 // the staging area only after all nodes finish, so an aborted round never
@@ -529,20 +534,23 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 	// stack (takeBlob) and leaves it here, committed or not (on the error
 	// paths a straggling receiver may still write into it). Its content does
 	// not matter: on a delta round it starts as a copy of the committed
-	// segment, and otherwise every buffer range of it is written exactly once
-	// (P2P data, finalized parity, or P2P parity).
+	// segment, and otherwise every window of it is written exactly once —
+	// landed by the one stream that carries it (P2P data, finalized parity,
+	// or P2P parity), or cleared here when none does.
 	//
-	// Only touched segments are built: a segment no shipping worker feeds — its
-	// own worker on a data node, any worker of its segment index on a parity
-	// node — has no writer stream and no fold this round, and is carried: the
-	// committed blob stays stored under its key across the commit, unread, and
-	// no spare is taken for it. What is left of the spare stack stays the node's.
-	// lands[s] holds the windows written into segment s (nil: carried): the
-	// union of the ship-sets of the workers that feed it.
+	// On a delta round only touched segments are built: a segment no shipping
+	// worker feeds — its own worker on a data node, any worker of its segment
+	// index on a parity node — has no writer stream and no fold this round,
+	// and is carried: the committed blob stays stored under its key across the
+	// commit, unread, and no spare is taken for it. What is left of the spare
+	// stack stays the node's. A full round carries nothing: a segment whose
+	// workers hold no tensor bytes lands as zeros. lands[s] holds the windows
+	// written into segment s (nil: carried): the union of the ship-sets of the
+	// workers that feed it.
 	pc.Switch(PhasePromote)
 	lands := make([]shipSet, span)
 	for w := rankLo; w < rankHi; w++ {
-		if (myChunk >= c.cfg.K || plan.DataGroupOf[w] == myChunk) && !shipOf(w).none() {
+		if (myChunk >= c.cfg.K || plan.DataGroupOf[w] == myChunk) && (!delta || !shipOf(w).none()) {
 			s := plan.SegmentOf[w]
 			if lands[s] == nil {
 				lands[s] = make(shipSet, shipBytes)
@@ -565,6 +573,21 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 			carried++ // a cache the snapshot found unchanged
 		}
 	}
+	// A full round's windows that no stream carries hold zeros: the packed
+	// zero tail of an in-place packet, sealed here with the constant sum of a
+	// zero window, and every other window of a segment off the spare stack,
+	// cleared and sealed alike below.
+	if !delta {
+		for _, w := range localWorkers {
+			if c.keptInPlace(w) {
+				for b := 0; b < numBuffers; b++ {
+					if !shipOf(w).has(b) {
+						cluster.SealZeroWindow(packets[w], bufSize, b)
+					}
+				}
+			}
+		}
+	}
 	for s := range chunkSegs {
 		if lands[s] == nil {
 			carried++
@@ -580,6 +603,11 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 			c.cfg.Metrics.Counter("save_segments_allocated_total").Inc()
 		}
 		if !delta {
+			for b := 0; b < numBuffers; b++ {
+				if !lands[s].has(b) {
+					cluster.ClearWindow(chunkSegs[s], bufSize, b)
+				}
+			}
 			continue
 		}
 		// The committed bytes and their window sums, read unverified and
@@ -1001,12 +1029,13 @@ func (c *Checkpointer) nodeDrain(ctx context.Context, r *round, snap *nodeSnapsh
 	}
 
 	// Stage the own-packet caches for incremental saves: each is its
-	// worker's packet, packed in place and sealed. The cache of a worker that
-	// shipped nothing already holds these bytes and is carried.
+	// worker's packet, packed in place and sealed. On a delta round the cache
+	// of a worker that shipped nothing already holds these bytes and is
+	// carried.
 	pc.Switch(PhasePromote)
 	if c.cfg.IncrementalCache {
 		for _, w := range localWorkers {
-			if !lay.keys.base[w].cache || shipOf(w).none() {
+			if !lay.keys.base[w].cache || (delta && shipOf(w).none()) {
 				continue
 			}
 			if err := cluster.AdoptSealed(c.clus, node, lay.keys.stagedOf[lay.keys.base[w].key], packets[w], bufSize); err != nil {

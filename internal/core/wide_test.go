@@ -19,9 +19,15 @@ import (
 // records every transport send and receive.
 func wideRig(t *testing.T, nodes, k, m, perRank int, rec *flight.Recorder, opts ...func(*Config)) *testRig {
 	t.Helper()
+	return sizedWideRig(t, nodes, k, m, func(int) int { return perRank }, rec, opts...)
+}
+
+// sizedWideRig is wideRig with rank r's tensor size(r) bytes.
+func sizedWideRig(t *testing.T, nodes, k, m int, size func(rank int) int, rec *flight.Recorder, opts ...func(*Config)) *testRig {
+	t.Helper()
 	dicts := make([]*statedict.StateDict, nodes)
 	for rank := range dicts {
-		tn, err := tensor.New(tensor.Float32, perRank/4)
+		tn, err := tensor.New(tensor.Float32, size(rank)/4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +95,10 @@ func familySends(sends map[stream]int, prefix string) int {
 // reduction's root, one message per window its source machine ships — on the
 // 20-machine 10+10 layout too, where every reduction has ten source
 // machines. That layout also runs a full round, a delta round and a
-// worst-case decode, byte for byte.
+// worst-case decode, byte for byte. On a 16-machine 8+8 layout whose ranks
+// hold payloads of different sizes, a full round's data (pd/), partial (xr/)
+// and parity (pp/) streams each carry exactly the payload windows of the
+// ship-sets they follow: never a window of a packet's zero tail.
 func TestStreamTopology(t *testing.T) {
 	ctx := context.Background()
 	t.Run("4x2", func(t *testing.T) {
@@ -233,6 +242,65 @@ func TestStreamTopology(t *testing.T) {
 			t.Errorf("recovered version %d, want 2", lrep.Version)
 		}
 		dictsEqual(t, next, got)
+	})
+	t.Run("16x1 skewed", func(t *testing.T) {
+		// wide_small's proportions on 4 KiB windows: rank 0 fills eight
+		// windows, most ranks four and a bit, rank 9 one.
+		size := func(rank int) int {
+			switch rank {
+			case 0:
+				return 32624
+			case 9:
+				return 1000
+			}
+			return 17604
+		}
+		rec := flight.New(1 << 16)
+		rig := sizedWideRig(t, 16, 8, 8, size, rec)
+		rep, err := rig.ckpt.Save(ctx, rig.dicts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, plan, tags := rig.ckpt, rig.ckpt.Plan(), rig.ckpt.roundTags()
+		payload := func(w int) int { return c.numBuffers(rig.dicts[w].TensorBytes()) }
+		if windows := c.numBuffers(rep.PacketBytes); payload(1) >= windows || payload(0) != windows {
+			t.Fatalf("rank 1 ships %d and rank 0 %d of %d windows: not a skewed round", payload(1), payload(0), windows)
+		}
+		want := map[stream]int{}
+		for w := range rig.dicts {
+			if owner := plan.ChunkOwner(plan.GroupOfRank(w), plan.DataGroupOf[w]); owner != w {
+				want[stream{tags.data[w], w, owner}] = payload(w)
+			}
+		}
+		for ri, r := range plan.Reductions {
+			root, most := r.Target, 0
+			for _, w := range r.Workers {
+				most = max(most, payload(w))
+				if w != root {
+					want[stream{tags.xor[ri], w, root}] = payload(w)
+				}
+			}
+			if owner := plan.ChunkOwner(r.CodeGroup, c.cfg.K+r.ParityIndex); owner != root {
+				want[stream{tags.parity[ri], root, owner}] = most
+			}
+		}
+		sends, _ := sendsByStream(rec)
+		got := map[stream]int{}
+		for st, n := range sends {
+			if !strings.HasPrefix(st.tag, "sm/") {
+				got[st] = n
+			}
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("pd/, xr/ and pp/ sends by (tag, from, to) %v, want %v", got, want)
+		}
+		verifyClean(t, rig)
+		loseDataNodes(t, rig)
+		restored, _, err := c.Load(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dictsEqual(t, rig.dicts, restored)
 	})
 }
 

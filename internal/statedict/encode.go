@@ -219,26 +219,25 @@ type TensorKey struct {
 	Shape []int
 }
 
-// NumBytes returns the byte size of the described tensor.
-func (k TensorKey) NumBytes() int {
-	n := k.DType.Size()
-	for _, s := range k.Shape {
-		n *= s
-	}
-	return n
+// TensorBytes parses a KeysBlob and returns its tensors' total byte size —
+// the length of a packet they are packed into back to back — with one
+// allocation, the shape buffer, whatever the tensor count.
+func TensorBytes(keysBlob []byte) (int, error) {
+	total := 0
+	err := walkTensorKeys(keysBlob, func(_ []byte, _ tensor.DType, _ []int, size int) {
+		total = min(total, math.MaxInt-size) + size // saturating: no packet is that long
+	})
+	return total, err
 }
 
 // TensorSizes parses a KeysBlob and returns each tensor's byte size in
 // order. The checkpoint engine uses this to split a worker's packed packet
 // back into per-tensor buffers without any other metadata.
 func TensorSizes(keysBlob []byte) ([]int, error) {
-	keys, err := decodeTensorKeys(keysBlob)
+	var out []int
+	err := walkTensorKeys(keysBlob, func(_ []byte, _ tensor.DType, _ []int, size int) { out = append(out, size) })
 	if err != nil {
 		return nil, err
-	}
-	out := make([]int, len(keys))
-	for i, k := range keys {
-		out[i] = k.NumBytes()
 	}
 	return out, nil
 }
@@ -265,60 +264,76 @@ func encodeTensorKeysInto(buf []byte, entries []TensorEntry) ([]byte, error) {
 }
 
 func decodeTensorKeys(blob []byte) ([]TensorKey, error) {
-	r := &blobReader{buf: blob}
-	magic, err := r.uvarint()
+	var out []TensorKey
+	err := walkTensorKeys(blob, func(key []byte, dt tensor.DType, shape []int, _ int) {
+		out = append(out, TensorKey{Key: string(key), DType: dt, Shape: append([]int(nil), shape...)})
+	})
 	if err != nil {
 		return nil, err
 	}
+	return out, nil
+}
+
+// walkTensorKeys parses a KeysBlob and calls fn for each tensor in order
+// with its key (a view of blob), dtype, shape (one buffer reused across
+// calls, which fn must not keep) and byte size.
+func walkTensorKeys(blob []byte, fn func(key []byte, dt tensor.DType, shape []int, size int)) error {
+	r := blobReader{buf: blob}
+	magic, err := r.uvarint()
+	if err != nil {
+		return err
+	}
 	if magic != keysBlobMagic {
-		return nil, fmt.Errorf("statedict: bad tensor-keys blob magic %#x", magic)
+		return fmt.Errorf("statedict: bad tensor-keys blob magic %#x", magic)
 	}
 	count, err := r.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if count > uint64(len(blob)) { // every entry takes bytes: do not allocate on the blob's say-so
-		return nil, fmt.Errorf("statedict: tensor-keys blob of %d bytes claims %d entries", len(blob), count)
-	}
-	out := make([]TensorKey, 0, count)
+	var dims [16]int
 	for i := uint64(0); i < count; i++ {
-		key, err := r.str()
+		n, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
+		if n > uint64(len(blob)-r.off) {
+			return fmt.Errorf("statedict: byte field of %d exceeds remaining %d", n, len(blob)-r.off)
+		}
+		key := blob[r.off : r.off+int(n)]
+		r.off += int(n)
 		dtypeRaw, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		dt := tensor.DType(dtypeRaw)
 		if !dt.Valid() {
-			return nil, fmt.Errorf("statedict: invalid dtype %d for tensor %q", dtypeRaw, key)
+			return fmt.Errorf("statedict: invalid dtype %d for tensor %q", dtypeRaw, key)
 		}
 		rank, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if rank > 16 {
-			return nil, fmt.Errorf("statedict: implausible rank %d for tensor %q", rank, key)
+		if rank > uint64(len(dims)) {
+			return fmt.Errorf("statedict: implausible rank %d for tensor %q", rank, key)
 		}
-		shape := make([]int, rank)
+		shape := dims[:rank]
 		size := uint64(dt.Size())
 		for d := range shape {
 			s, err := r.uvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			// Keep the byte size a positive int: NumBytes multiplies these.
+			// Keep the byte size a positive int.
 			if s == 0 || s > math.MaxInt/size {
-				return nil, fmt.Errorf("statedict: implausible dimension %d for tensor %q", s, key)
+				return fmt.Errorf("statedict: implausible dimension %d for tensor %q", s, key)
 			}
 			size *= s
 			shape[d] = int(s)
 		}
-		out = append(out, TensorKey{Key: key, DType: dt, Shape: shape})
+		fn(key, dt, shape, int(size))
 	}
 	if !r.done() {
-		return nil, fmt.Errorf("statedict: %d trailing bytes in tensor-keys blob", len(blob)-r.off)
+		return fmt.Errorf("statedict: %d trailing bytes in tensor-keys blob", len(blob)-r.off)
 	}
-	return out, nil
+	return nil
 }

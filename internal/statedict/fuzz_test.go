@@ -186,9 +186,13 @@ func FuzzDecodeTensorKeys(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, k := range keys {
-			if k.NumBytes() <= 0 {
-				t.Fatalf("tensor %q decodes with %d bytes", k.Key, k.NumBytes())
+		sizes, err := TensorSizes(blob)
+		if err != nil || len(sizes) != len(keys) {
+			t.Fatalf("TensorSizes = %v, %v over a blob that decodes to %d keys", sizes, err, len(keys))
+		}
+		for i, size := range sizes {
+			if size <= 0 {
+				t.Fatalf("tensor %q decodes with %d bytes", keys[i].Key, size)
 			}
 		}
 		again := encodeKeys(keys)

@@ -349,6 +349,38 @@ func TestDecodeTensorKeysErrors(t *testing.T) {
 	}
 }
 
+// TestKeysBlobTensorBytes: TensorBytes of a dict's KeysBlob is its
+// TensorBytes and the sum of TensorSizes, with one allocation however many
+// tensors it sums; an empty dict's is zero, and a truncated blob fails.
+func TestKeysBlobTensorBytes(t *testing.T) {
+	for _, sd := range []*StateDict{sampleDict(t), New()} {
+		dec, err := sd.Decompose()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes, err := TensorSizes(dec.KeysBlob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := 0
+		for _, size := range sizes {
+			sum += size
+		}
+		got, err := TensorBytes(dec.KeysBlob)
+		if err != nil || got != sd.TensorBytes() || got != sum {
+			t.Errorf("TensorBytes = %d, %v; want %d, the dict's and the sum of TensorSizes (%d)", got, err, sd.TensorBytes(), sum)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _, _ = TensorBytes(dec.KeysBlob) }); allocs > 1 {
+			t.Errorf("TensorBytes over %d tensors allocated %.1f times, want at most 1", len(sizes), allocs)
+		}
+		for cut := 1; cut < len(dec.KeysBlob); cut++ {
+			if _, err := TensorBytes(dec.KeysBlob[:cut]); err == nil {
+				t.Errorf("truncation at %d of %d: want an error", cut, len(dec.KeysBlob))
+			}
+		}
+	}
+}
+
 func TestEmptyDictRoundTrip(t *testing.T) {
 	sd := New()
 	dec, err := sd.Decompose()
