@@ -163,8 +163,11 @@ doclint:
 # decodes takes exactly one pooled buffer per decoded packet, the packet
 # itself: its basis terms multiply-accumulate straight into it. The column
 # products take one per output and nothing else: a save one per shipped
-# (worker, payload window, reduction), a rebuild's basis side one per (window,
-# missing chunk), and a column product over a window allocates nothing.
+# (worker, payload window, reduction), a rebuild's basis side one per live
+# product — a (window, missing chunk) in which both its own segment and the
+# missing one may hold payload: 72 on k2m2 and 264 on k4m4, where shipping
+# every window took 96 and 544 — and a column product over a window
+# allocates nothing.
 # A replaced machine's repair lands in the blobs the fence stocked: after a
 # data and a parity machine are replaced, each one's PrefetchChunk allocates
 # less than one packet.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -110,6 +111,43 @@ func SealZeroWindow(blob []byte, window, b int) {
 	binary.LittleEndian.PutUint32(blob[n+b*SumLen:FramedLen(n, window)], zeroSum(hi-lo))
 }
 
+// SealedZeroTail returns a framed blob's payload length n and the start of
+// its sealed zero tail: the trailing windows whose bytes are all zero and
+// whose stored sum is the zero-window sum. A copy may leave payload[tail:n]
+// out and write it back as zeros under the footer it carries, and the blob
+// reads the same. A window whose bytes or sum are off is never in the tail,
+// so a corrupt one travels and stays detectable. A blob that frames no
+// payload under window has no tail: n and tail are its length.
+func SealedZeroTail(framed []byte, window int) (n, tail int) {
+	payload, sums, ok := frame(framed, window)
+	if !ok {
+		return len(framed), len(framed)
+	}
+	n, tail = len(payload), len(payload)
+	for b := len(sums)/SumLen - 1; b >= 0; b-- {
+		lo, hi := windowBounds(n, window, b)
+		if binary.LittleEndian.Uint32(sums[b*SumLen:]) != zeroSum(hi-lo) || !isZero(payload[lo:hi]) {
+			break
+		}
+		tail = lo
+	}
+	return n, tail
+}
+
+// zeroPage is a page of zeros to compare and sum against.
+var zeroPage [4096]byte
+
+func isZero(p []byte) bool {
+	for len(p) > 0 {
+		n := min(len(p), len(zeroPage))
+		if !bytes.Equal(p[:n], zeroPage[:n]) {
+			return false
+		}
+		p = p[n:]
+	}
+	return true
+}
+
 // zeroSums caches the CRC-32C of n zero bytes by n: a blob shape has at
 // most two window lengths, a full one and a short last one.
 var zeroSums = struct {
@@ -121,9 +159,8 @@ func zeroSum(n int) uint32 {
 	zeroSums.Lock()
 	sum, ok := zeroSums.byLen[n]
 	if !ok {
-		var zeros [4096]byte
-		for left := n; left > 0; left -= len(zeros) {
-			sum = crc32.Update(sum, crcTable, zeros[:min(left, len(zeros))])
+		for left := n; left > 0; left -= len(zeroPage) {
+			sum = crc32.Update(sum, crcTable, zeroPage[:min(left, len(zeroPage))])
 		}
 		zeroSums.byLen[n] = sum
 	}

@@ -221,3 +221,45 @@ func FuzzViewSummed(f *testing.F) {
 		}
 	})
 }
+
+// TestSealedZeroTail: the tail starts after the last window that holds a
+// nonzero byte or a sum other than the zero-window sum; a blob whose every
+// window holds payload, or that frames no payload, has none.
+func TestSealedZeroTail(t *testing.T) {
+	const window = 64
+	blob := func(n, payload int) []byte {
+		b := NewBlob(n, window)
+		for i := range payload {
+			b[i] = byte(i + 1)
+		}
+		SealWindows(b, window, 0, n)
+		return b[:FramedLen(n, window)]
+	}
+	flip := func(b []byte, i int) []byte {
+		b = bytes.Clone(b)
+		b[i] ^= 1
+		return b
+	}
+	n := 3*window + 9
+	for _, tc := range []struct {
+		name   string
+		framed []byte
+		tail   int
+	}{
+		{"every window payload", blob(n, n), n},
+		{"two zero windows", blob(n, window+1), 2 * window},
+		{"all zero", blob(n, 0), 0},
+		{"short last window zero", blob(n, 3*window), 3 * window},
+		{"a zero-tail byte flipped", flip(blob(n, window+1), 2*window+5), 3 * window},
+		{"a zero-tail sum flipped", flip(blob(n, window+1), n+2*SumLen), 3 * window},
+		{"empty", blob(0, 0), 0},
+	} {
+		gotN, tail := SealedZeroTail(tc.framed, window)
+		if gotN != len(tc.framed)-SumLen*windows(gotN, window) || tail != tc.tail {
+			t.Errorf("%s: n %d, tail %d; want tail %d", tc.name, gotN, tail, tc.tail)
+		}
+	}
+	if n, tail := SealedZeroTail(make([]byte, 3), window); n != 3 || tail != 3 {
+		t.Errorf("a blob that frames no payload: n %d, tail %d; want 3, 3", n, tail)
+	}
+}

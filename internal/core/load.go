@@ -108,6 +108,9 @@ func (c *Checkpointer) serveDistributed(ctx context.Context, cancel context.Canc
 		if len(gp.missing) > 0 && gp.missing[0] < c.cfg.K {
 			rd.workflow = "decode"
 		}
+		if len(gp.missing) > 0 {
+			c.liveWindows(rd, cg)
+		}
 		if err := c.transforms(gp.decode); err != nil {
 			return err
 		}
@@ -150,10 +153,10 @@ func (c *Checkpointer) serveDistributed(ctx context.Context, cancel context.Canc
 	return nil
 }
 
-// landSlice receives one rebuilt slice's contribution from each basis chunk's
-// owner under tag and writes their XOR into dst, every byte of it. parts is
-// scratch of capacity len(basis); every contribution received goes back to
-// the pool, on the error paths too.
+// landSlice receives one rebuilt slice's contribution from the owner of each
+// of the given basis chunks under tag and writes their XOR into dst, every
+// byte of it. parts is scratch of capacity len(basis); every contribution
+// received goes back to the pool, on the error paths too.
 func (c *Checkpointer) landSlice(ctx context.Context, ep transport.Endpoint, dst []byte, basis []int, cg int, tag string, parts [][]byte) error {
 	defer func() {
 		for _, part := range parts {
@@ -222,10 +225,13 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 	pc.Switch(PhaseRebuild)
 
 	// --- Phase R1: distributed rebuild of missing chunks. ---
-	// Basis holders stream coefficient-multiplied slices to each missing
-	// chunk's owner. The owner receives a slice's k contributions and writes
-	// their sum in one pass: the first two XORed into the segment, any
-	// further ones XORed onto it (a copy when k = 1).
+	// Only windows that may hold payload move (see liveWindows). Basis holders
+	// stream coefficient-multiplied slices to each missing chunk's owner whose
+	// window is live. The owner receives a slice's contributions from the
+	// basis chunks whose window is live and writes their sum in one pass: the
+	// first two XORed into the segment, any further ones XORed onto it (a copy
+	// when there is one). A window with no contribution is zero: it is
+	// cleared, since the stocked blob holds stale bytes.
 	var rebuildErr error
 	var rebuildWG sync.WaitGroup
 	if rebuild {
@@ -233,10 +239,23 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 		go func() {
 			defer rebuildWG.Done()
 			parts := make([][]byte, 0, c.cfg.K)
+			from := make([]int, 0, c.cfg.K)
 			for s, tag := range tags.rebuild[myChunk] {
-				for lo := 0; lo < rd.packetBytes; lo += window {
+				p := &gp.decode[s]
+				row := slices.Index(p.missing, myChunk)
+				for b, lo := 0, 0; lo < rd.packetBytes; b, lo = b+1, lo+window {
+					from = from[:0]
+					for pos, chunk := range p.basis {
+						if b < min(p.rowWindows[row], p.basisWindows[pos]) {
+							from = append(from, chunk)
+						}
+					}
+					if len(from) == 0 {
+						cluster.ClearWindow(chunkSegs[s], window, b)
+						continue
+					}
 					hi := min(lo+window, rd.packetBytes)
-					rebuildErr = c.landSlice(ctx, ep, chunkSegs[s][lo:hi], gp.decode[s].basis, cg, tag, parts)
+					rebuildErr = c.landSlice(ctx, ep, chunkSegs[s][lo:hi], from, cg, tag, parts)
 					if rebuildErr != nil {
 						return
 					}
@@ -247,31 +266,37 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 			}
 		}()
 	}
-	// A basis owner multiplies each window of its segment by the segment
-	// plan's column for its position — every missing chunk's coefficient —
-	// in one pass, and sends the products back to back, one per missing
-	// chunk's owner. Each (missing chunk, segment) tag still carries its
-	// windows in order.
+	// A basis owner multiplies each live window of its segment by its
+	// position's column of the window's band — the coefficient of every live
+	// missing chunk — in one pass, and sends the products back to back, one
+	// per live missing chunk's owner. Each (missing chunk, segment) tag still
+	// carries its windows in order.
 	terms := make([][]byte, len(gp.missing))
 	for s := range gp.decode {
 		p := &gp.decode[s]
 		pos := slices.Index(p.basis, myChunk)
-		for lo := 0; pos != -1 && lo < rd.packetBytes; lo += window {
+		for b, lo := 0, 0; pos != -1 && lo < rd.packetBytes; b, lo = b+1, lo+window {
+			bd := p.band(b)
+			if bd == nil || b >= p.basisWindows[pos] {
+				continue // every product is zero
+			}
 			hi := min(lo+window, rd.packetBytes)
 			// Pooled, not zeroed: the column product fully overwrites each
 			// output. Ownership passes to the transport with SendOwned.
-			for row := range terms {
-				terms[row] = c.buf.Get(hi - lo)
+			out := terms[:len(bd.rows)]
+			for i := range out {
+				out[i] = c.buf.Get(hi - lo)
 			}
-			if err := c.mulColumn(p.cols[pos], terms, chunkSegs[s][lo:hi]); err != nil {
-				for _, term := range terms {
+			if err := c.mulColumn(bd.cols[pos], out, chunkSegs[s][lo:hi]); err != nil {
+				for _, term := range out {
 					c.buf.Put(term)
 				}
 				return nil, err
 			}
-			for row, missingChunk := range gp.missing {
-				if err := transport.SendOwned(ctx, ep, plan.ChunkOwner(cg, missingChunk), tags.rebuild[missingChunk][s], terms[row]); err != nil {
-					for _, term := range terms[row+1:] {
+			for i, row := range bd.rows {
+				missingChunk := p.missing[row]
+				if err := transport.SendOwned(ctx, ep, plan.ChunkOwner(cg, missingChunk), tags.rebuild[missingChunk][s], out[i]); err != nil {
+					for _, term := range out[i+1:] {
 						c.buf.Put(term)
 					}
 					return nil, err
@@ -304,11 +329,10 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 
 	// --- Phase R2: re-broadcast small components to nodes that lost them. ---
 	if node == gp.smallSources[0] {
-		// Each rank's blob is loop-invariant across peers, so it is fetched
-		// (and checksummed) exactly once and re-sent to every peer that needs
-		// it.
+		// Each rank's blob is the one the source's deep scan verified,
+		// re-sent to every peer that needs it.
 		for rank := rankLo; len(gp.needSmall) > 0 && rank < rankHi; rank++ {
-			small, err := c.smallsOf(rd, gp.smallSources[:1], rank)
+			small, err := c.smallOf(rd, node, rank)
 			if err != nil {
 				return nil, err
 			}
@@ -350,8 +374,10 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 	for _, w := range want {
 		if home := w / g; plan.DataGroupOf[w] == myChunk && home != node {
 			packet := chunkSegs[plan.SegmentOf[w]]
-			if n, err := c.tensorBytes(rd, node, w); err == nil && n <= len(packet) {
-				packet = packet[:n]
+			if small, err := c.smallOf(rd, node, w); err == nil {
+				if n, err := tensorBytes(small); err == nil && n <= len(packet) {
+					packet = packet[:n]
+				}
 			}
 			if err := ep.Send(ctx, home, tags.packet[w], packet); err != nil {
 				return nil, err
@@ -372,7 +398,7 @@ func (c *Checkpointer) nodeLoad(ctx context.Context, node int, rd *restoreRound)
 		// The small components come off this node, which holds the broadcast
 		// set by now. assemblePacket copies every tensor region into fresh
 		// storage, so a received packet can be recycled as soon as it returns.
-		small, err := c.smallsOf(rd, []int{node}, w)
+		small, err := c.smallOf(rd, node, w)
 		if err == nil {
 			rd.dicts[w], err = assemblePacket(w, small, packet)
 		}

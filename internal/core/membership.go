@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"time"
 
 	"eccheck/internal/cluster"
 	"eccheck/internal/obs/flight"
+	"eccheck/internal/transport"
 )
 
 // Elastic membership: preemption-aware leave (drain) and join (repair).
@@ -60,7 +62,9 @@ type DrainReport struct {
 	Completed bool
 	// Version is the committed checkpoint version the drain covered.
 	Version int
-	// Blobs and BytesMoved count the transferred payload.
+	// Blobs counts the blobs transferred and BytesMoved their stored bytes,
+	// checksum footers included. The wire carries fewer: a blob's sealed zero
+	// tail stays behind (see shipBlobs).
 	Blobs      int
 	BytesMoved int64
 	// Elapsed is the drain's wall time.
@@ -80,7 +84,8 @@ type JoinReport struct {
 	Restored bool
 	// Custodian is the node the blobs came back from (-1 when none).
 	Custodian int
-	// Blobs and BytesMoved count the payload the custodian handed back.
+	// Blobs and BytesMoved count the blobs the custodian handed back and
+	// their stored bytes, as DrainReport's do.
 	Blobs      int
 	BytesMoved int64
 	// Rebuilt is the report of the restore round that rebuilt the slot's
@@ -149,13 +154,14 @@ func (c *Checkpointer) stockSpares(node int) {
 }
 
 // shipBlobs moves blobs from srcNode to dstNode over the transport, as one
-// stream under tag (one of the round's custody or rejoin tags): a
-// presence flag per pair, then the blob if present. Each pair is (source key,
-// destination key); blobs travel raw, so checksum footers arrive intact.
-// Missing source blobs are flagged and skipped. It returns the destination
-// keys actually stored and the bytes moved — also on error, so callers can
-// clean up a partial transfer; a transfer that fails advances the epoch, so
-// what it left in the mailbox stays under its own tag.
+// stream under tag (one of the round's custody or rejoin tags): one custody
+// message per pair (see packCustody). Each pair is (source key, destination
+// key); a blob lands as the framed bytes it was at the source, footer
+// included, though its sealed zero tail does not travel. Missing source blobs
+// are flagged and skipped. It returns the destination keys actually stored and
+// their stored bytes — also on error, so callers can clean up a partial
+// transfer; a transfer that fails advances the epoch, so what it left in the
+// mailbox stays under its own tag.
 func (c *Checkpointer) shipBlobs(ctx context.Context, srcNode, dstNode int, pairs [][2]string, tag string) (stored []string, bytes int64, err error) {
 	srcEP, err := c.net.Endpoint(srcNode)
 	if err != nil {
@@ -170,19 +176,10 @@ func (c *Checkpointer) shipBlobs(ctx context.Context, srcNode, dstNode int, pair
 	defer cancel()
 	send := func() error {
 		for _, pair := range pairs {
-			blob, lerr := c.clus.View(srcNode, pair[0]) // Send copies
-			if lerr != nil {
-				// Absent at the source (e.g. an own-packet cache a prior
-				// recovery did not refresh): flag and move on.
-				if serr := srcEP.Send(ctx, dstNode, tag, []byte{0}); serr != nil {
-					return serr
-				}
-				continue
-			}
-			if serr := srcEP.Send(ctx, dstNode, tag, []byte{1}); serr != nil {
-				return serr
-			}
-			if serr := srcEP.Send(ctx, dstNode, tag, blob); serr != nil {
+			// Absent at the source (e.g. an own-packet cache a prior recovery
+			// did not refresh), a blob is flagged and skipped.
+			blob, _ := c.clus.View(srcNode, pair[0])
+			if serr := transport.SendOwned(ctx, srcEP, dstNode, tag, c.packCustody(blob)); serr != nil {
 				return serr
 			}
 		}
@@ -197,29 +194,26 @@ func (c *Checkpointer) shipBlobs(ctx context.Context, srcNode, dstNode int, pair
 		sendErr <- serr
 	}()
 	for _, pair := range pairs {
-		flag, rerr := dstEP.Recv(ctx, srcNode, tag)
+		msg, rerr := dstEP.Recv(ctx, srcNode, tag)
 		if rerr != nil {
 			err = rerr
 			break
 		}
-		present := len(flag) == 1 && flag[0] == 1
-		c.buf.Put(flag)
-		if !present {
+		blob, perr := c.unpackCustody(msg)
+		c.buf.Put(msg)
+		if perr != nil {
+			err = fmt.Errorf("core: custody of %s: %w", pair[0], perr)
+			break
+		}
+		if blob == nil {
 			continue
 		}
-		blob, rerr := dstEP.Recv(ctx, srcNode, tag)
-		if rerr != nil {
-			err = rerr
-			break
-		}
-		if serr := c.clus.Store(dstNode, pair[1], blob); serr != nil {
-			c.buf.Put(blob)
+		if serr := c.clus.Adopt(dstNode, pair[1], blob); serr != nil {
 			err = serr
 			break
 		}
 		stored = append(stored, pair[1])
 		bytes += int64(len(blob))
-		c.buf.Put(blob)
 	}
 	if werr := <-sendErr; werr != nil {
 		err = werr
@@ -228,6 +222,58 @@ func (c *Checkpointer) shipBlobs(ctx context.Context, srcNode, dstNode int, pair
 		c.epoch.Add(1)
 	}
 	return stored, bytes, err
+}
+
+// packCustody encodes one blob of a custody transfer into a pooled message:
+// 0 when the blob is absent (nil); else 1, the payload length n and the
+// length tail of the payload that travels as uvarints, payload[:tail], then
+// the footer. payload[tail:n] is the blob's sealed zero tail
+// (cluster.SealedZeroTail), which the receiver writes back as zeros.
+func (c *Checkpointer) packCustody(framed []byte) []byte {
+	if framed == nil {
+		msg := c.buf.Get(1)
+		msg[0] = 0
+		return msg
+	}
+	n, tail := cluster.SealedZeroTail(framed, c.cfg.BufferSize)
+	msg := c.buf.Get(1 + 2*binary.MaxVarintLen64 + tail + len(framed) - n)
+	msg = binary.AppendUvarint(append(msg[:0], 1), uint64(n))
+	msg = binary.AppendUvarint(msg, uint64(tail))
+	return append(append(msg, framed[:tail]...), framed[n:]...)
+}
+
+// unpackCustody decodes a packCustody message into a fresh framed blob, nil
+// for an absent one. A message that does not parse, or whose footer does not
+// frame the payload length it states, is an error.
+func (c *Checkpointer) unpackCustody(msg []byte) ([]byte, error) {
+	if len(msg) == 1 && msg[0] == 0 {
+		return nil, nil
+	}
+	bad := func() ([]byte, error) {
+		return nil, fmt.Errorf("core: custody message of %d bytes does not parse", len(msg))
+	}
+	if len(msg) == 0 || msg[0] != 1 {
+		return bad()
+	}
+	n, h1 := binary.Uvarint(msg[1:])
+	if h1 <= 0 {
+		return bad()
+	}
+	tail, h2 := binary.Uvarint(msg[1+h1:])
+	body := msg[1+h1+max(h2, 0):]
+	if h2 <= 0 || tail > n || tail > uint64(len(body)) {
+		return bad()
+	}
+	footer := body[tail:]
+	// A blob sent whole is copied verbatim; a trimmed one must carry the
+	// footer its payload length frames, which also bounds that length.
+	if tail < n && (n > uint64(len(footer))*uint64(c.cfg.BufferSize) || cluster.FramedLen(int(n), c.cfg.BufferSize) != int(n)+len(footer)) {
+		return bad()
+	}
+	framed := make([]byte, int(n)+len(footer))
+	copy(framed, body[:tail])
+	copy(framed[n:], footer)
+	return framed, nil
 }
 
 // pickCustodian returns the first alive node after doomed in ring order

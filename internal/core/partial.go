@@ -177,7 +177,7 @@ func (c *Checkpointer) decodeFrom(rd *restoreRound, packets [][]byte, decoded []
 			return nil
 		}
 		p := &gp.decode[s]
-		p.basis, p.tm, p.cols = p.basis[:0], nil, nil
+		p.basis, p.tm = p.basis[:0], nil
 		for _, cand := range gp.intact {
 			if len(p.basis) == c.cfg.K {
 				break

@@ -113,44 +113,108 @@ func (rd *restoreRound) missingChunks(size int) []int {
 // same-index segment of every chunk, so the basis is chosen per index: a
 // chunk with one bad segment still serves its others, and any index with at
 // most m erasures decodes. tm expresses each missing chunk (row) in terms of
-// the k basis chunks (columns); cols[pos] is tm's column pos compiled into
-// one schedule (erasure.Code.Column): basis chunk pos's window times its
-// coefficient for every missing chunk, output row for missing[row].
+// the k basis chunks (columns).
+//
+// A rebuild (nodeLoad's R1) moves only windows that may hold payload (see
+// liveWindows): rowWindows[row] and basisWindows[pos] are how many leading
+// windows of missing[row]'s and basis[pos]'s segment may, and every window
+// past them is zero. bands splits the windows by the rows that are live in
+// them; a plan without rowWindows (a partial decode's) has none.
 type segPlan struct {
-	missing, basis []int
-	tm             *gf.Matrix
-	cols           []*bitmatrix.Schedule
+	missing, basis           []int
+	tm                       *gf.Matrix
+	rowWindows, basisWindows []int
+	bands                    []liveBand
 }
 
-// transforms computes every segment index's decode matrix and its columns,
-// once per distinct (basis, missing) pair: one TransformMatrix call per round
-// unless segment indices differ in what they lost.
-func (c *Checkpointer) transforms(plans []segPlan) (err error) {
-	for i := range plans {
-		p := &plans[i]
-		for _, q := range plans[:i] {
-			if slices.Equal(q.basis, p.basis) && slices.Equal(q.missing, p.missing) {
-				p.tm, p.cols = q.tm, q.cols
-			}
-		}
-		if p.tm != nil || len(p.missing) == 0 {
-			continue
-		}
-		if p.tm, err = c.code.TransformMatrix(p.basis, p.missing); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		p.cols = make([]*bitmatrix.Schedule, len(p.basis))
-		coefs := make([]int, len(p.missing))
-		for pos := range p.cols {
-			for row := range coefs {
-				coefs[row] = p.tm.At(row, pos)
-			}
-			if p.cols[pos], err = c.code.Column(coefs); err != nil {
-				return fmt.Errorf("core: %w", err)
-			}
+// liveBand is a run of a segment plan's windows with the same live rows: the
+// windows from the previous band's end up to end, in which the missing chunks
+// missing[rows[i]] may hold payload and the others are zero. cols[pos] is tm's
+// column pos over those rows compiled into one schedule
+// (erasure.Code.Column): basis chunk pos's window times its coefficient for
+// every live row, output i for missing[rows[i]].
+type liveBand struct {
+	end  int
+	rows []int
+	cols []*bitmatrix.Schedule
+}
+
+// band returns the band of window b, or nil past the last band: there no
+// missing chunk holds payload.
+func (p *segPlan) band(b int) *liveBand {
+	for i := range p.bands {
+		if b < p.bands[i].end {
+			return &p.bands[i]
 		}
 	}
 	return nil
+}
+
+// transforms computes every segment index's decode matrix, once per distinct
+// (basis, missing) pair: one TransformMatrix call per round unless segment
+// indices differ in what they lost. A plan with live windows gets its bands,
+// each band's columns compiled once per distinct (basis, missing, live rows).
+func (c *Checkpointer) transforms(plans []segPlan) (err error) {
+	for i := range plans {
+		p := &plans[i]
+		if len(p.missing) == 0 {
+			continue
+		}
+		var same []*segPlan // earlier plans of p's basis and missing
+		for j := range plans[:i] {
+			if q := &plans[j]; slices.Equal(q.basis, p.basis) && slices.Equal(q.missing, p.missing) {
+				p.tm, same = q.tm, append(same, q)
+			}
+		}
+		if p.tm == nil {
+			if p.tm, err = c.code.TransformMatrix(p.basis, p.missing); err != nil {
+				return fmt.Errorf("core: %w", err)
+			}
+		}
+		ends := slices.Clone(p.rowWindows)
+		slices.Sort(ends)
+		for _, end := range slices.Compact(ends) {
+			if end == 0 {
+				continue
+			}
+			bd := liveBand{end: end}
+			for row, n := range p.rowWindows {
+				if n >= end {
+					bd.rows = append(bd.rows, row)
+				}
+			}
+			if bd.cols, err = c.bandColumns(p, same, bd.rows); err != nil {
+				return err
+			}
+			p.bands = append(p.bands, bd)
+		}
+	}
+	return nil
+}
+
+// bandColumns returns p's columns over the live rows: those of a band of an
+// earlier plan in same (of p's basis and missing) with the same rows, or
+// freshly compiled.
+func (c *Checkpointer) bandColumns(p *segPlan, same []*segPlan, rows []int) ([]*bitmatrix.Schedule, error) {
+	for _, q := range same {
+		for _, bd := range q.bands {
+			if slices.Equal(bd.rows, rows) {
+				return bd.cols, nil
+			}
+		}
+	}
+	cols := make([]*bitmatrix.Schedule, len(p.basis))
+	coefs := make([]int, len(rows))
+	for pos := range cols {
+		for i, row := range rows {
+			coefs[i] = p.tm.At(row, pos)
+		}
+		var err error
+		if cols[pos], err = c.code.Column(coefs); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	}
+	return cols, nil
 }
 
 func (rd *restoreRound) repairs(node int) bool {
@@ -527,26 +591,89 @@ func (c *Checkpointer) smallsOf(rd *restoreRound, sources []int, rank int) (smal
 	return nil, fmt.Errorf("core: rank %d small components: %w", rank, err)
 }
 
-// tensorBytes is rank's tensor payload size as node's copy of its small
-// components records it: the length of its packet less the zero tail. The
-// copy the node's deep scan verified is used when there is one.
-func (c *Checkpointer) tensorBytes(rd *restoreRound, node, rank int) (int, error) {
-	var small []byte
-	if st := &rd.scan[node]; st.smalls != nil {
-		rankLo, _ := c.lay.plan.RankRange(c.lay.plan.GroupOfNode(node))
-		small = st.smalls[rank-rankLo]
+// scannedSmall is the copy of rank's small components that node's deep scan
+// verified at the round's version, or nil: none was read, the read failed,
+// or the node's checkpoint is another version's. rank is of node's code group.
+func (c *Checkpointer) scannedSmall(rd *restoreRound, node, rank int) []byte {
+	st := &rd.scan[node]
+	if st.smalls == nil || st.version != rd.version {
+		return nil
 	}
-	if small == nil {
-		var err error
-		if small, err = c.smallsOf(rd, []int{node}, rank); err != nil {
-			return 0, err
-		}
+	rankLo, _ := c.lay.plan.RankRange(c.lay.plan.GroupOfNode(node))
+	return st.smalls[rank-rankLo]
+}
+
+// smallOf is rank's small-component blob on node: the copy its deep scan
+// verified, else one read (and checksummed) now — on a node that received it
+// in R2, or whose scan did not go deep.
+func (c *Checkpointer) smallOf(rd *restoreRound, node, rank int) ([]byte, error) {
+	if small := c.scannedSmall(rd, node, rank); small != nil {
+		return small, nil
 	}
+	return c.smallsOf(rd, []int{node}, rank)
+}
+
+// tensorBytes is rank's tensor payload size as a copy of its small
+// components records it: the length of its packet less the zero tail.
+func tensorBytes(small []byte) (int, error) {
 	_, keys, err := splitSmall(small)
 	if err != nil {
 		return 0, err
 	}
 	return statedict.TensorBytes(keys)
+}
+
+// liveWindows sets, on every segment plan of code group cg, how many leading
+// windows of each missing and basis chunk's segment may hold payload. A rank's
+// payload windows, ⌈tensor bytes / BufferSize⌉, are read from the first copy
+// of its small components that a deep scan verified; a rank no such copy
+// sizes counts as payload in every window. A data chunk's segment holds the
+// packet of one worker, zero past its payload windows: packInto zeroes the
+// tail, a full round clears and seals every window no stream carries, and a
+// delta round ships each window that differs from its base, so a shrunk
+// payload's newly zero windows land too. A parity segment is a linear
+// combination of the packets of its reduction's workers, so it is zero past
+// the payload windows of all of them.
+func (c *Checkpointer) liveWindows(rd *restoreRound, cg int) {
+	plan, gp, k := c.lay.plan, &rd.groups[cg], c.cfg.K
+	rankLo, rankHi := plan.RankRange(cg)
+	nodeLo, nodeHi := plan.NodeRange(cg)
+	all := c.numBuffers(rd.packetBytes)
+	windows := make([]int, rankHi-rankLo) // by rank less rankLo
+	// workers[s·k+j] is the rank whose packet is segment s of data chunk j.
+	workers := make([]int, len(gp.decode)*k)
+	for w := rankLo; w < rankHi; w++ {
+		windows[w-rankLo] = all
+		for node := nodeLo; node < nodeHi; node++ {
+			if small := c.scannedSmall(rd, node, w); small != nil {
+				if n, err := tensorBytes(small); err == nil {
+					windows[w-rankLo] = min(c.numBuffers(n), all)
+					break
+				}
+			}
+		}
+		workers[plan.SegmentOf[w]*k+plan.DataGroupOf[w]] = w
+	}
+	chunkWindows := func(s, chunk int) int {
+		if chunk < k {
+			return windows[workers[s*k+chunk]-rankLo]
+		}
+		most := 0
+		for _, w := range workers[s*k : (s+1)*k] {
+			most = max(most, windows[w-rankLo])
+		}
+		return most
+	}
+	for s := range gp.decode {
+		p := &gp.decode[s]
+		p.rowWindows, p.basisWindows = make([]int, len(p.missing)), make([]int, len(p.basis))
+		for row, chunk := range p.missing {
+			p.rowWindows[row] = chunkWindows(s, chunk)
+		}
+		for pos, chunk := range p.basis {
+			p.basisWindows[pos] = chunkWindows(s, chunk)
+		}
+	}
 }
 
 // appendSmall appends a worker's small-component blob to dst: the length of

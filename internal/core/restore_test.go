@@ -500,10 +500,10 @@ func (s *countingStore) reset() {
 	s.mu.Unlock()
 }
 
-// TestSmallRebroadcastFetchesOncePerRank pins the hoisted small-component
-// fetch: with several peers needing the rebroadcast, the source node must
-// read each rank's meta blob a constant number of times (scan + one R2
-// fetch + its own reassembly), not once per peer.
+// TestSmallRebroadcastFetchesOncePerRank pins the small-component reads of
+// the re-broadcast source: with several peers needing the rebroadcast, the
+// source reads each rank's blob once, in its deep scan, and serves the
+// re-broadcast and its own reassembly from that verified view.
 func TestSmallRebroadcastFetchesOncePerRank(t *testing.T) {
 	counter := &countingStore{}
 	rig, clus := newWrappedRig(t, 4, 2, 2, 2, func(hs HostStore) HostStore {
@@ -546,19 +546,12 @@ func TestSmallRebroadcastFetchesOncePerRank(t *testing.T) {
 			source = node
 		}
 	}
-	g := rig.topo.GPUsPerNode()
 	for rank := 0; rank < rig.topo.World(); rank++ {
-		n := counter.count(source, lay.keys.small[rank])
-		// Scan reads it once, the hoisted R2 fetch once, and the source's
-		// own reassembly once more for its local ranks. The pre-fix code
-		// fetched once per peer, which with 2 peers pushed this to 4.
-		max := 2
-		if rank/g == source {
-			max = 3
-		}
-		if n > max {
-			t.Errorf("source node read rank %d small components %d times, want <= %d (per-peer refetch regression)",
-				rank, n, max)
+		// The deep scan reads it once; the re-broadcast to each peer and the
+		// source's own reassembly of its local ranks serve the view the scan
+		// verified.
+		if n := counter.count(source, lay.keys.small[rank]); n != 1 {
+			t.Errorf("source node read rank %d small components %d times, want once: the scan's", rank, n)
 		}
 	}
 }
@@ -787,8 +780,9 @@ func TestPartialDecodeTakesOneBufferPerPacket(t *testing.T) {
 // TestColumnTakesOneBufferPerProduct: the save encode and the rebuild's
 // basis side each run one column product per source window, and each takes
 // exactly one pooled buffer per output — a save one per (worker, payload
-// window, reduction), a rebuild one per (basis owner, segment, window,
-// missing chunk) — and no temporary buffer. The engine is given a pool of its own,
+// window, reduction), a rebuild one per live product: a (basis owner,
+// segment, window, missing chunk) whose basis and missing windows may both
+// hold payload — and no temporary buffer. The engine is given a pool of its own,
 // so the transport's copies are not counted. The column product itself
 // allocates nothing: a round reuses its output headers window after window.
 func TestColumnTakesOneBufferPerProduct(t *testing.T) {
@@ -853,10 +847,22 @@ func TestColumnTakesOneBufferPerProduct(t *testing.T) {
 			if len(lrep.MissingChunks) != shape.lose {
 				t.Fatalf("load rebuilt chunks %v, want %d", lrep.MissingChunks, shape.lose)
 			}
-			span := lay.plan.Span()
-			if got, want := gets()-before, int64(span*shape.k*windows*shape.lose); got != want {
-				t.Errorf("rebuild took %d pooled buffers, want %d: one per (segment, basis owner, window, missing chunk) = %d x %d x %d x %d",
-					got, want, span, shape.k, windows, shape.lose)
+			// The basis of every segment is the first k chunks left.
+			var missing, basis []int
+			for chunk := range shape.k + shape.m {
+				if chunk < shape.lose {
+					missing = append(missing, chunk)
+				} else if len(basis) < shape.k {
+					basis = append(basis, chunk)
+				}
+			}
+			live, span := sumSends(rebuildSends(rig.ckpt, rig.dicts, 0, missing, basis)), lay.plan.Span()
+			if all := span * shape.k * windows * shape.lose; live >= all {
+				t.Fatalf("%d live products of %d: no segment has a zero tail", live, all)
+			}
+			if got, want := gets()-before, int64(live); got != want {
+				t.Errorf("rebuild took %d pooled buffers, want %d: one per live product, a (segment, basis owner, window, missing chunk) whose basis and missing windows may both hold payload",
+					got, want)
 			}
 
 			src := make([]byte, rig.ckpt.cfg.BufferSize)

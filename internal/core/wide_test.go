@@ -98,7 +98,9 @@ func familySends(sends map[stream]int, prefix string) int {
 // worst-case decode, byte for byte. On a 16-machine 8+8 layout whose ranks
 // hold payloads of different sizes, a full round's data (pd/), partial (xr/)
 // and parity (pp/) streams each carry exactly the payload windows of the
-// ship-sets they follow: never a window of a packet's zero tail.
+// ship-sets they follow: never a window of a packet's zero tail; and a Load
+// that loses every data machine rebuilds them from contributions (rc/) of
+// the windows that may hold payload only.
 func TestStreamTopology(t *testing.T) {
 	ctx := context.Background()
 	t.Run("4x2", func(t *testing.T) {
@@ -301,6 +303,31 @@ func TestStreamTopology(t *testing.T) {
 			t.Fatal(err)
 		}
 		dictsEqual(t, rig.dicts, restored)
+		// The rebuild's contributions (rc/) go from each parity machine to
+		// each data machine, one per window in which both segments may hold
+		// payload.
+		parity := make([]int, c.cfg.M)
+		data := make([]int, c.cfg.K)
+		for i := range parity {
+			parity[i] = c.cfg.K + i
+		}
+		for j := range data {
+			data[j] = j
+		}
+		want = rebuildSends(c, rig.dicts, 0, data, parity)
+		sends, _ = sendsByStream(rec)
+		got = map[stream]int{}
+		for st, n := range sends {
+			if strings.HasPrefix(st.tag, "rc/") {
+				got[st] = n
+			}
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("rc/ sends by (tag, from, to) %v, want %v", got, want)
+		}
+		if all := plan.Span() * c.cfg.K * c.cfg.M * c.numBuffers(rep.PacketBytes); sumSends(want) >= all {
+			t.Errorf("%d rc/ sends of %d: the rebuild moved the zero tail", sumSends(want), all)
+		}
 	})
 }
 
